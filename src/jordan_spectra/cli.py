@@ -181,7 +181,7 @@ def check(positional, prop, input_path, eja, m, n, seed, trials, tol, cap, out):
         body = _load_body(input_path, eja, m, n, positional)
         doc: dict = {"property": prop, "body": _body_label(body)}
         if prop == "spectral":
-            verdict = is_spectral(body, cap=max(cap, 12), seed=seed)
+            verdict = is_spectral(body, cap=cap, seed=seed)
             doc.update(verdict.to_dict())
             _finish(doc, out, 0 if verdict.spectral is True else 1)
         elif prop == "strong-symmetry":
@@ -206,7 +206,7 @@ def check(positional, prop, input_path, eja, m, n, seed, trials, tol, cap, out):
             doc["regular"] = regular
             _finish(doc, out, 0 if regular else 1)
         else:  # rank
-            doc["rank"] = body_rank(body)
+            doc["rank"] = body_rank(body, cap)
             _finish(doc, out, 0)
     except Exception as exc:  # noqa: BLE001
         _fail(str(exc), out)
@@ -226,16 +226,16 @@ def frames(positional, k, input_path, eja, m, n, seed, trials, tol, cap, out):
         body = _load_body(input_path, eja, m, n, positional)
         if not isinstance(body, Polytope):
             raise ValueError("frame enumeration is exact only for polytopes")
-        doc: dict = {"body": _body_label(body), "rank": body_rank(body)}
+        doc: dict = {"body": _body_label(body), "rank": body_rank(body, cap)}
         if k is not None:
-            found = enumerate_frames(body, k, cap=max(cap, 12))
+            found = enumerate_frames(body, k, cap=cap)
             doc["k"] = k
             doc["count"] = len(found)
             doc["frames"] = [list(f.indices) for f in found]
         else:
             by_k = {}
             for kk in range(1, doc["rank"] + 1):
-                by_k[str(kk)] = len(enumerate_frames(body, kk, cap=max(cap, 12)))
+                by_k[str(kk)] = len(enumerate_frames(body, kk, cap=cap))
             doc["frames_by_k"] = by_k
         _finish(doc, out, 0)
     except Exception as exc:  # noqa: BLE001
@@ -343,7 +343,7 @@ def plot_data(positional, input_path, eja, m, n, seed, trials, tol, cap, out):
     try:
         body = _load_body(input_path, eja, m, n, positional)
         if isinstance(body, Polytope):
-            lat = exposed_faces(body, cap=max(cap, 12))
+            lat = exposed_faces(body, cap=cap)
             edges = sorted(
                 list(f.indices) for f in lat.faces if f.dim == 1 and len(f.indices) == 2
             )

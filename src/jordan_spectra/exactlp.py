@@ -3,8 +3,20 @@
 Feasibility and optimization for small linear programs, used by the
 distinguishability, face, and spectrality queries on polytopes.  Everything
 is exact: coefficients are Fractions (or Sqrt5 values for bodies defined
-over Q(sqrt 5)), the simplex method uses Bland's anti-cycling rule, and a
-returned witness or dual certificate re-verifies with zero tolerance.
+over Q(sqrt 5)), and every answer carries a certificate that re-verifies
+with zero tolerance before it is returned: a witness point for Feasible, a
+dual solution for Optimal, a Farkas ray for Infeasible.
+
+The simplex method is fraction-free.  Each standardized row is scaled by
+the lcm of its denominators into a ring, Python ints for rational programs
+and Z[sqrt 5] (int pairs) for any program containing a Sqrt5, and every
+pivot is an integer-preserving Bareiss update over one common denominator
+(Bareiss, Math. Comp. 22, 1968), so no division is ever inexact.  Pivots
+follow Bland's anti-cycling rule; sign tests and ratio tests compare by
+cross-multiplication.  Free variables share one offset column
+(x = x' - t with x', t >= 0).  Fraction and Sqrt5 objects appear only when
+rows are scaled on the way in and when certificates are built on the way
+out.
 
 Floats are rejected at construction; callers that start from floating-point
 data must go through :func:`rationalize_vector`, which records the rounding
@@ -14,6 +26,8 @@ error it introduced.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -130,6 +144,37 @@ def linear_program(constraints, objective=None, sense="max", n_vars=None, bounds
     return LinearProgram(n_vars=width, constraints=tuple(rows), objective=obj, sense=sense)
 
 
+def _transpose_times(y, rows):
+    """Column sums of sum_i y_i * rows_i, skipping zero multipliers."""
+    out = [0] * len(rows[0])
+    for yi, row in zip(y, rows):
+        if yi != 0:
+            for j, a in enumerate(row):
+                if a != 0:
+                    out[j] = out[j] + yi * a
+    return out
+
+
+@dataclass(frozen=True)
+class FarkasCertificate:
+    """Farkas ray for the standardized program {z >= 0 : Az = b}.
+
+    ``y`` has y.A >= 0 column by column and y.b < 0, so y.(Az) >= 0 > y.b
+    for every z >= 0 and no z solves the program.  ``rows`` and ``rhs`` are
+    the standardized rows as :func:`lp_optimize` documents them, one
+    multiplier per row.
+    """
+
+    rows: tuple
+    rhs: tuple
+    y: tuple
+
+    def is_valid(self) -> bool:
+        if any(v < 0 for v in _transpose_times(self.y, self.rows)):
+            return False
+        return sum(yi * bi for yi, bi in zip(self.y, self.rhs)) < 0
+
+
 @dataclass(frozen=True)
 class Feasible:
     witness: tuple
@@ -139,6 +184,8 @@ class Feasible:
 
 @dataclass(frozen=True)
 class Infeasible:
+    certificate: FarkasCertificate
+
     status = "infeasible"
 
 
@@ -149,7 +196,7 @@ class Unbounded:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Dual solution for the standardized program max{cx : Ax = b, x >= 0}.
+    """Dual solution for the standardized program max{cz : Az = b, z >= 0}.
 
     ``y`` is dual-feasible when y.col_j >= c_j for every column; strong
     duality then pins y.b to the primal optimum.  One multiplier per
@@ -162,13 +209,10 @@ class DualCertificate:
     y: tuple
 
     def is_valid(self, value) -> bool:
-        m = len(self.rows)
-        n = len(self.costs)
-        for j in range(n):
-            reduced = sum(self.y[i] * self.rows[i][j] for i in range(m)) - self.costs[j]
-            if reduced < 0:
-                return False
-        dual_value = sum(self.y[i] * self.rhs[i] for i in range(m))
+        reduced = _transpose_times(self.y, self.rows)
+        if any(r < c for r, c in zip(reduced, self.costs)):
+            return False
+        dual_value = sum(yi * bi for yi, bi in zip(self.y, self.rhs))
         return dual_value == value
 
 
@@ -186,7 +230,7 @@ def check_witness(lp: LinearProgram, point) -> bool:
     if len(point) != lp.n_vars:
         raise LPError("witness length mismatch")
     for row, rel, rhs in lp.constraints:
-        lhs = sum(c * x for c, x in zip(row, point))
+        lhs = sum(c * x for c, x in zip(row, point) if c and x)
         ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
         if not ok:
             return False
@@ -194,139 +238,310 @@ def check_witness(lp: LinearProgram, point) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# rings: the arithmetic kernel of the fraction-free simplex
+#
+# A ring element stands for a field value times a known positive scale.
+# ``combine(row, prow, p, f, d)`` is the Bareiss update (row*p - f*prow)/d
+# and ``scale(row, p, d)`` is row*p/d; both divisions are exact whenever d
+# is the previous pivot, because every entry is then a minor of the scaled
+# input matrix.
+
+
+class _Integers:
+    """Rational programs: ring elements are Python ints."""
+
+    zero, one, minus_one = 0, 1, -1
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+
+    @staticmethod
+    def lift(values):
+        """Scale Fractions by the lcm of their denominators: (ints, lcm)."""
+        scale = math.lcm(*(v.denominator for v in values))
+        return [v.numerator * (scale // v.denominator) for v in values], scale
+
+    @staticmethod
+    def combine(row, prow, p, f, d):
+        return [(a * p - f * b) // d for a, b in zip(row, prow)]
+
+    @staticmethod
+    def scale(row, p, d):
+        return [a * p // d for a in row]
+
+    @staticmethod
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    @staticmethod
+    def scalar(x):
+        return x
+
+    @staticmethod
+    def quotient(x, d):
+        return Fraction(x, d)
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+class _QuadraticIntegers:
+    """Programs over Q(sqrt 5): ring elements are int pairs (a, b) = a + b*sqrt5."""
+
+    zero, one, minus_one = (0, 0), (1, 0), (-1, 0)
+
+    @staticmethod
+    def sub(x, y):
+        return (x[0] - y[0], x[1] - y[1])
+
+    @staticmethod
+    def mul(x, y):
+        return (x[0] * y[0] + 5 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    @staticmethod
+    def lift(values):
+        """Scale Fraction/Sqrt5 values by the lcm of all part denominators:
+        (pairs, lcm as a pair)."""
+        parts = [(v.a, v.b) if isinstance(v, Sqrt5) else (v, _FRACTION_ZERO) for v in values]
+        scale = math.lcm(*(q.denominator for pair in parts for q in pair))
+        ring = [
+            (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+            for a, b in parts
+        ]
+        return ring, (scale, 0)
+
+    @staticmethod
+    def combine(row, prow, p, f, d):
+        pa, pb = p
+        fa, fb = f
+        da, db = d
+        norm = da * da - 5 * db * db
+        out = []
+        # x = a*p - f*c in Z[sqrt5], then x / d = x * conj(d) / norm(d)
+        for (a, b), (c, e) in zip(row, prow):
+            xa = a * pa + 5 * b * pb - fa * c - 5 * fb * e
+            xb = a * pb + b * pa - fa * e - fb * c
+            out.append(((xa * da - 5 * xb * db) // norm, (xb * da - xa * db) // norm))
+        return out
+
+    @staticmethod
+    def scale(row, p, d):
+        return _QuadraticIntegers.combine(row, row, p, (0, 0), d)
+
+    @staticmethod
+    def sign(x):
+        a, b = x
+        sa = (a > 0) - (a < 0)
+        sb = (b > 0) - (b < 0)
+        if sa == sb or sb == 0:
+            return sa
+        if sa == 0:
+            return sb
+        # opposite signs: the larger of a^2 and 5 b^2 wins (never equal)
+        return sa if a * a > 5 * b * b else sb
+
+    @staticmethod
+    def scalar(x):
+        return x[0] if x[1] == 0 else Sqrt5(x[0], x[1])
+
+    @staticmethod
+    def quotient(x, d):
+        (a, b), (da, db) = x, d
+        norm = da * da - 5 * db * db
+        return Sqrt5(Fraction(a * da - 5 * b * db, norm), Fraction(b * da - a * db, norm))
+
+
+def _ring_of(lp: LinearProgram):
+    values = [v for row, _, rhs in lp.constraints for v in (*row, rhs)]
+    values += lp.objective or ()
+    if any(isinstance(v, Sqrt5) for v in values):
+        return _QuadraticIntegers
+    return _Integers
+
+
+# ---------------------------------------------------------------------------
 # simplex core
 
 
-def _standardize(lp: LinearProgram, objective):
-    """Rewrite as max{c.x : Ax = b, x >= 0, b >= 0}.
+def _negated_sum(ring, values):
+    """Coefficient of the offset t, given a row's coefficients on x'."""
+    total = ring.zero
+    for v in values:
+        total = ring.sub(total, v)
+    return total
 
-    Free variable x_j splits into x_j^+ - x_j^- (columns 2j, 2j+1); <= rows
-    gain a slack column, >= rows a surplus column; rows are negated as needed
-    to make the right-hand side nonnegative.
+
+def _scalars(ring, rows, rhs):
+    """Standardized rows and right-hand side as exact scalars."""
+    return tuple(tuple(map(ring.scalar, row)) for row in rows), tuple(map(ring.scalar, rhs))
+
+
+def _standardize(lp: LinearProgram, ring):
+    """Rewrite the constraints as {z >= 0 : Az = b, b >= 0} over ``ring``.
+
+    Columns of z: x'_0..x'_{n-1}, the shared offset t (x = x' - t), then
+    one slack per inequality.  Each row is scaled into the ring by the lcm
+    of its denominators, its slack keeping coefficient +-1, and negated so
+    that b >= 0 and a zero-rhs inequality has slack +1.  ``start[i]`` is
+    the +1 slack column of row i, which can open the basis, or None when
+    row i needs an artificial column.
     """
     n = lp.n_vars
-    slacks = sum(1 for _, rel, _ in lp.constraints if rel != "=")
-    width = 2 * n + slacks
-    rows, rhs = [], []
-    slack_at = 2 * n
-    for row, rel, rhs_v in lp.constraints:
-        body = [0] * width
-        for j, c in enumerate(row):
-            body[2 * j] = c
-            body[2 * j + 1] = -c
+    width = n + 1 + sum(1 for _, rel, _ in lp.constraints if rel != "=")
+    zero = ring.zero
+    rows, rhs, start = [], [], []
+    slack_at = n + 1
+    for coeffs, rel, b in lp.constraints:
+        body, _ = ring.lift(coeffs + (b,))
+        b = body.pop()
+        body.append(_negated_sum(ring, body))
+        body.extend([zero] * (width - n - 1))
+        sign = ring.sign(b)
+        flip = sign < 0 or (sign == 0 and rel == ">=")
+        col = None
         if rel != "=":
-            body[slack_at] = 1 if rel == "<=" else -1
+            body[slack_at] = ring.one if rel == "<=" else ring.minus_one
+            if (rel == "<=") != flip:  # the slack ends up with coefficient +1
+                col = slack_at
             slack_at += 1
-        if rhs_v < 0:
-            body = [-v for v in body]
-            rhs_v = -rhs_v
+        if flip:
+            body = ring.scale(body, ring.minus_one, ring.one)
+            b = ring.sub(zero, b)
         rows.append(body)
-        rhs.append(rhs_v)
-    cost = [0] * width
-    if objective is not None:
-        sign = 1 if lp.sense == "max" else -1
-        for j, c in enumerate(objective):
-            cost[2 * j] = sign * c
-            cost[2 * j + 1] = -sign * c
-    return rows, rhs, cost
+        rhs.append(b)
+        start.append(col)
+    return rows, rhs, start
 
 
-def _pivot(rows, w, basis, r, j):
-    piv = rows[r][j]
-    rows[r] = [v / piv for v in rows[r]]
-    for i in range(len(rows)):
-        if i != r and rows[i][j] != 0:
-            f = rows[i][j]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-    if w[j] != 0:
-        f = w[j]
-        for k in range(len(w)):
-            w[k] = w[k] - f * rows[r][k]
-    basis[r] = j
+def _bareiss_pivot(ring, T, basis, d, r, j):
+    """Pivot on T[r][j] over common denominator ``d``; returns the new one.
 
-
-def _iterate(rows, w, basis, allowed):
-    """Bland's rule loop; ``allowed`` bounds the entering-column range."""
-    while True:
-        enter = next((j for j in range(allowed) if w[j] > 0), None)
-        if enter is None:
-            return "optimal"
-        best = None
-        for i, row in enumerate(rows):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
-            return "unbounded"
-        _pivot(rows, w, basis, best[1], enter)
-
-
-def _solve_standard(rows, rhs, cost):
-    """Two-phase primal simplex on equality standard form with b >= 0.
-
-    Returns ("infeasible",) or ("optimal"|"unbounded", rows, w, basis, kept)
-    where ``kept`` lists the surviving original row indices and the artificial
-    block (columns n..n+m-1 of the final tableau, restricted to kept rows)
-    holds the basis inverse for dual extraction.
+    The tableau (constraint rows, then the reduced-cost row) stands for
+    T / d.  The pivot row is kept, every other row becomes
+    (row * p - row[j] * T[r]) / d, and the new denominator is p; when p < 0
+    the whole tableau is negated so that the denominator stays positive.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    tableau = [list(rows[i]) + [0] * m + [rhs[i]] for i in range(m)]
-    for i in range(m):
-        tableau[i][n + i] = 1
-    basis = list(range(n, n + m))
-    # Phase I: maximize -(sum of artificials); reduced costs via c_B = -1.
-    w = [0] * (n + m + 1)
-    for j in range(n):
-        w[j] = sum(tableau[i][j] for i in range(m))
-    w[-1] = sum(tableau[i][-1] for i in range(m))
-    _iterate(tableau, w, basis, n + m)
-    if w[-1] != 0:
-        return ("infeasible",)
-    # Drive leftover artificials out of the (degenerate) basis.
-    drop = []
-    for i in range(m):
-        if basis[i] >= n:
-            j = next((k for k in range(n) if tableau[i][k] != 0), None)
-            if j is None:
-                drop.append(i)
-            else:
-                _pivot(tableau, w, basis, i, j)
-    kept = [i for i in range(m) if i not in drop]
-    tableau = [tableau[i] for i in kept]
-    basis = [basis[i] for i in kept]
-    # Phase II reduced costs from scratch; artificials barred from entering.
-    w = list(cost) + [0] * m + [0]
-    for i, row in enumerate(tableau):
-        cb = cost[basis[i]]
-        if cb != 0:
-            for k in range(n + m + 1):
-                w[k] = w[k] - cb * row[k]
-    verdict = _iterate(tableau, w, basis, n)
-    return (verdict, tableau, w, basis, kept)
+    prow = T[r]
+    p = prow[j]
+    zero = ring.zero
+    for i, row in enumerate(T):
+        if i == r:
+            continue
+        f = row[j]
+        if f != zero:
+            T[i] = ring.combine(row, prow, p, f, d)
+        elif p != d:
+            T[i] = ring.scale(row, p, d)
+    basis[r] = j
+    if ring.sign(p) < 0:
+        for i, row in enumerate(T):
+            T[i] = ring.scale(row, ring.minus_one, ring.one)
+        p = ring.sub(zero, p)
+    return p
 
 
-def _extract_primal(tableau, basis, n):
-    x = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = tableau[i][-1]
-    return x
+def _bland(ring, T, basis, d, allowed):
+    """Bland's rule until optimal; returns (verdict, denominator).
+
+    Entering: the first column below ``allowed`` with a positive reduced
+    cost.  Leaving: the minimum ratio rhs/entry over positive entries,
+    compared by cross-multiplication, ties to the smallest basic column.
+    """
+    sign, mul, sub = ring.sign, ring.mul, ring.sub
+    m = len(T) - 1
+    while True:
+        w = T[-1]
+        enter = next((j for j in range(allowed) if sign(w[j]) > 0), None)
+        if enter is None:
+            return "optimal", d
+        best = None
+        for i in range(m):
+            a = T[i][enter]
+            if sign(a) <= 0:
+                continue
+            if best is None:
+                best = i
+                continue
+            c = sign(sub(mul(T[i][-1], T[best][enter]), mul(T[best][-1], a)))
+            if c < 0 or (c == 0 and basis[i] < basis[best]):
+                best = i
+        if best is None:
+            return "unbounded", d
+        d = _bareiss_pivot(ring, T, basis, d, best, enter)
 
 
-def _user_witness(x, n_vars):
-    return tuple(x[2 * j] - x[2 * j + 1] for j in range(n_vars))
+def _phase_one(ring, rows, rhs, start):
+    """Drive the artificial columns to zero.
+
+    Returns (T, basis, d, cols): the tableau with the phase I reduced-cost
+    row last, the basis, the denominator, and for each row the column that
+    opened the basis (its slack, or its artificial after the ``width``
+    standard columns).  The program is infeasible iff T[-1][-1] != 0.
+    """
+    zero, one = ring.zero, ring.one
+    width = len(rows[0])
+    cols = list(start)
+    n_art = 0
+    for i, col in enumerate(start):
+        if col is None:
+            cols[i] = width + n_art
+            n_art += 1
+    T = []
+    w = [zero] * (width + n_art + 1)
+    for i, row in enumerate(rows):
+        t = row + [zero] * n_art + [rhs[i]]
+        if start[i] is None:
+            t[cols[i]] = one
+            w = ring.combine(w, t, one, ring.minus_one, one)
+        T.append(t)
+    for i, col in enumerate(start):
+        if col is None:
+            w[cols[i]] = zero
+    T.append(w)
+    basis = list(cols)
+    _, d = _bland(ring, T, basis, one, width + n_art)
+    return T, basis, d, cols
+
+
+def _farkas(ring, rows, rhs, start, T, cols, d):
+    """Farkas ray from the phase I reduced costs, verified before return.
+
+    The phase I dual is y = c_B B^-1 with cost -1 on artificials; the
+    reduced cost of a row's opening column is c_col - y_row, so
+    d*y_row = -T[-1][col] - (d if the column is artificial else 0).
+    """
+    w = T[-1]
+    y = []
+    for i, col in enumerate(cols):
+        yi = ring.sub(ring.zero, w[col])
+        if start[i] is None:
+            yi = ring.sub(yi, d)
+        y.append(ring.scalar(yi))
+    exact_rows, exact_rhs = _scalars(ring, rows, rhs)
+    cert = FarkasCertificate(rows=exact_rows, rhs=exact_rhs, y=tuple(y))
+    if not cert.is_valid():
+        raise LPError("internal error: Farkas certificate failed exact verification")
+    return Infeasible(certificate=cert)
+
+
+def _witness(ring, T, basis, d, n):
+    """x = x' - t from the basic values, as exact field scalars."""
+    zero = ring.zero
+    values = [zero] * (n + 1)
+    for i, col in enumerate(basis):
+        if col <= n:
+            values[col] = T[i][-1]
+    t = values[n]
+    return tuple(ring.quotient(ring.sub(v, t), d) for v in values[:n])
 
 
 def lp_feasible(lp: LinearProgram):
-    """Exact feasibility: Feasible(witness) or Infeasible."""
-    rows, rhs, cost = _standardize(lp, None)
-    result = _solve_standard(rows, rhs, cost)
-    if result[0] == "infeasible":
-        return Infeasible()
-    _, tableau, _, basis, _ = result
-    witness = _user_witness(_extract_primal(tableau, basis, len(rows[0])), lp.n_vars)
+    """Exact feasibility: Feasible(witness) or Infeasible(certificate)."""
+    ring = _ring_of(lp)
+    rows, rhs, start = _standardize(lp, ring)
+    T, basis, d, cols = _phase_one(ring, rows, rhs, start)
+    if T[-1][-1] != ring.zero:
+        return _farkas(ring, rows, rhs, start, T, cols, d)
+    witness = _witness(ring, T, basis, d, lp.n_vars)
     if not check_witness(lp, witness):
         raise LPError("internal error: simplex witness failed exact re-check")
     return Feasible(witness=witness)
@@ -335,39 +550,65 @@ def lp_feasible(lp: LinearProgram):
 def lp_optimize(lp: LinearProgram):
     """Exact optimum with a verified dual certificate.
 
-    Returns Optimal(value, witness, certificate), Unbounded, or Infeasible.
-    The certificate refers to the standardized equality form; it is checked
-    before returning (a failure would be an internal bug, raised as LPError).
+    Returns Optimal(value, witness, certificate), Unbounded, or
+    Infeasible(certificate).  Certificates refer to the standardized
+    program max{cz : Az = b, z >= 0}: z = (x', t, slacks) with x = x' - t,
+    one slack per inequality, each row of A scaled to integer (or
+    Z[sqrt 5]) coefficients with slack entry +-1 and signed so that b >= 0,
+    and c the objective on x' (negated for ``min``) with -sum(c) on t.
+    Every certificate is checked before returning; a failure would be an
+    internal bug, raised as LPError.
     """
     if lp.objective is None:
         raise LPError("lp_optimize requires an objective")
-    rows, rhs, cost = _standardize(lp, lp.objective)
-    result = _solve_standard(rows, rhs, cost)
-    if result[0] == "infeasible":
-        return Infeasible()
-    if result[0] == "unbounded":
+    ring = _ring_of(lp)
+    zero = ring.zero
+    rows, rhs, start = _standardize(lp, ring)
+    T, basis, d, cols = _phase_one(ring, rows, rhs, start)
+    if T[-1][-1] != zero:
+        return _farkas(ring, rows, rhs, start, T, cols, d)
+    width = len(rows[0])
+    # Drive leftover artificials out of the (degenerate) basis; a row with
+    # no standard column left is redundant and dropped.
+    drop = []
+    for i in range(len(rows)):
+        if basis[i] >= width:
+            j = next((k for k in range(width) if T[i][k] != zero), None)
+            if j is None:
+                drop.append(i)
+            else:
+                d = _bareiss_pivot(ring, T, basis, d, i, j)
+    T = [row for i, row in enumerate(T) if i not in drop]
+    basis = [col for i, col in enumerate(basis) if i not in drop]
+    # Phase II reduced costs from scratch: d*c - sum_i c_basis(i) * T[i].
+    sign = 1 if lp.sense == "max" else -1
+    lifted, cost_scale = ring.lift(tuple(sign * c for c in lp.objective))
+    cost = lifted + [_negated_sum(ring, lifted)] + [zero] * (width - lp.n_vars - 1)
+    w = [ring.mul(d, c) for c in cost] + [zero] * (len(T[0]) - width)
+    for i, col in enumerate(basis):
+        cb = cost[col]
+        if cb != zero:
+            w = ring.combine(w, T[i], ring.one, cb, ring.one)
+    T[-1] = w
+    verdict, d = _bland(ring, T, basis, d, width)
+    if verdict == "unbounded":
         return Unbounded()
-    _, tableau, w, basis, _ = result
-    n = len(rows[0])
-    x = _extract_primal(tableau, basis, n)
-    witness = _user_witness(x, lp.n_vars)
+    witness = _witness(ring, T, basis, d, lp.n_vars)
     if not check_witness(lp, witness):
         raise LPError("internal error: simplex witness failed exact re-check")
-    std_value = -w[-1]
-    y = tuple(-w[n + i] for i in range(len(rows)))
+    # y_i = -(reduced cost of row i's opening column), whose cost is 0 here.
+    denom = ring.mul(d, cost_scale)
+    exact_rows, exact_rhs = _scalars(ring, rows, rhs)
     cert = DualCertificate(
-        rows=tuple(tuple(r) for r in rows),
-        rhs=tuple(rhs),
-        costs=tuple(cost),
-        y=y,
+        rows=exact_rows,
+        rhs=exact_rhs,
+        costs=tuple(ring.quotient(c, cost_scale) for c in cost),
+        y=tuple(ring.quotient(ring.sub(zero, T[-1][col]), denom) for col in cols),
     )
-    if not cert.is_valid(std_value):
+    value = sum(c * v for c, v in zip(lp.objective, witness))
+    if not cert.is_valid(sign * value):
         raise LPError("internal error: dual certificate failed exact verification")
-    sign = 1 if lp.sense == "max" else -1
-    direct = sum(c * v for c, v in zip(lp.objective, witness))
-    if sign * direct != std_value:
-        raise LPError("internal error: objective value mismatch")
-    return Optimal(value=direct, witness=witness, certificate=cert)
+    return Optimal(value=value, witness=witness, certificate=cert)
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,13 @@ on raw subprocess bytes.  Tolerances are pinned in the constants below.
 import itertools
 import json
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import jordan_spectra
 from jordan_spectra.algebra import (
     algebra,
     EjaElement,
@@ -507,30 +504,19 @@ def test_table_arithmetic_is_consistent_and_flags_the_known_row():
 # -- 11: CLI byte-for-byte determinism ------------------------------------------------
 
 
-def _cli_env():
-    # The child runs in another working directory, where a relative
-    # PYTHONPATH entry (such as ``src``) no longer resolves; put the
-    # directory holding the imported package first, absolute.
-    package_root = str(Path(jordan_spectra.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        package_root + os.pathsep + inherited if inherited else package_root
-    )
-    return env
-
-
-def _cli(args, cwd):
+def _cli(args, cwd, env):
+    # The child runs in another working directory, so ``env`` (the
+    # ``cli_env`` fixture) carries the package's absolute location.
     return subprocess.run(
         [sys.executable, "-m", "jordan_spectra.cli", *args],
         capture_output=True,
         cwd=str(cwd),
-        env=_cli_env(),
+        env=env,
         timeout=300,
     )
 
 
-def test_cli_reruns_are_byte_identical(tmp_path):
+def test_cli_reruns_are_byte_identical(tmp_path, cli_env):
     bodies = {}
     for name in ("pentagon", "square", "hexagon"):
         path = tmp_path / f"{name}.json"
@@ -541,7 +527,7 @@ def test_cli_reruns_are_byte_identical(tmp_path):
         json.dumps({"algebra": {"family": "sym_r", "m": 2}, "coeffs": [0.7, 0.3, 0.1]})
     )
 
-    first = _cli(["check", bodies["pentagon"], "--property", "spectral"], tmp_path)
+    first = _cli(["check", bodies["pentagon"], "--property", "spectral"], tmp_path, cli_env)
     assert first.returncode == 1, first.stderr[-500:]
     try:  # a child that crashed also exits with 1, so read the verdict
         verdict = json.loads(first.stdout)
@@ -569,7 +555,7 @@ def test_cli_reruns_are_byte_identical(tmp_path):
         ["recheck", str(witness)],
     ]
     for args in commands:
-        runs = [_cli(args, tmp_path) for _ in range(2)]
+        runs = [_cli(args, tmp_path, cli_env) for _ in range(2)]
         context = (args, runs[0].stderr[-500:], runs[1].stderr[-500:])
         assert runs[0].returncode == runs[1].returncode, context
         assert runs[0].stdout == runs[1].stdout, context

@@ -149,6 +149,15 @@ def test_frames_counts(runner, tmp_path):
     assert json.loads(outp)["frames_by_k"] == {"1": 4, "2": 12}
 
 
+def test_frames_cap_is_honoured(runner, tmp_path):
+    # --cap goes to rank and frame enumeration as given: the square's four
+    # vertices exceed a cap of 3, which is a refusal, not an answer.
+    sq = write_json(tmp_path, "sq.json", {"type": "named", "name": "square"})
+    code, outp = invoke(runner, "frames", sq, "--k", "2", "--cap", "3")
+    assert code == 2
+    assert "cap 3" in json.loads(outp)["error"]
+
+
 def test_decompose_from_file(runner, tmp_path):
     doc = {
         "algebra": {"family": "sym_r", "m": 2},
@@ -244,13 +253,13 @@ def test_runner_determinism(runner):
     assert first == second
 
 
-def test_subprocess_byte_identity(tmp_path):
+def test_subprocess_byte_identity(tmp_path, cli_env):
     path = write_json(tmp_path, "p.json", {"type": "named", "name": "pentagon"})
     cmd = [
         sys.executable, "-m", "jordan_spectra.cli",
         "check", "--property", "spectral", str(path), "--seed", "3",
     ]
-    runs = [subprocess.run(cmd, capture_output=True) for _ in range(2)]
+    runs = [subprocess.run(cmd, capture_output=True, env=cli_env) for _ in range(2)]
     assert runs[0].returncode == runs[1].returncode == 1
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.strip().endswith(b"}")

@@ -3,11 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jordan_spectra.exactla import solve_unique
 from jordan_spectra.exactlp import (
+    FarkasCertificate,
     Feasible,
     Infeasible,
     LPError,
@@ -63,6 +64,49 @@ def test_interval_infeasible():
     assert isinstance(lp_feasible(lp), Infeasible)
 
 
+# The rows 0x<=0, 0x<=0, -2x<=-1, 3x<=3, x<=1 admit exactly x in [1/2, 1].
+# Dividing int rows by an int pivot with `/` once turned this into floats
+# and a false Infeasible.
+FLOAT_LEAK_ROWS = [((0,), "<=", 0), ((0,), "<=", 0), ((-2,), "<=", -1), ((3,), "<=", 3), ((1,), "<=", 1)]
+
+
+def lift_to_sqrt5(rows):
+    """The same system with every coefficient a Sqrt5: the Z[sqrt5] kernel."""
+    return [(tuple(Sqrt5(c) for c in row), rel, Sqrt5(rhs)) for row, rel, rhs in rows]
+
+
+@pytest.mark.parametrize("lift", [False, True], ids=["int", "z_sqrt5"])
+def test_float_leak_case_is_feasible_and_exact(lift):
+    lp = linear_program(lift_to_sqrt5(FLOAT_LEAK_ROWS) if lift else FLOAT_LEAK_ROWS)
+    res = lp_feasible(lp)
+    assert isinstance(res, Feasible)
+    assert res.witness in {(F(1, 2),), (F(1),)}  # a vertex of [1/2, 1]
+    assert all(type(x) is (Sqrt5 if lift else Fraction) for x in res.witness)
+    assert check_witness(lp, res.witness)
+
+
+def farkas_recheck(cert):
+    """Independent re-check of a Farkas ray, bypassing is_valid."""
+    m, n = len(cert.rows), len(cert.rows[0])
+    assert len(cert.y) == len(cert.rhs) == m
+    for j in range(n):
+        assert sum(cert.y[i] * cert.rows[i][j] for i in range(m)) >= 0
+    assert sum(cert.y[i] * cert.rhs[i] for i in range(m)) < 0
+
+
+def test_farkas_certificate_contents_recheck():
+    # x >= 1 and x <= 0: standardized rows x' - t - s1 = 1, x' - t + s2 = 0.
+    lp = linear_program([((1,), ">=", 1), ((1,), "<=", 0)])
+    res = lp_feasible(lp)
+    assert isinstance(res, Infeasible)
+    cert = res.certificate
+    assert isinstance(cert, FarkasCertificate) and cert.is_valid()
+    farkas_recheck(cert)
+    assert not any(isinstance(v, float) for v in cert.y + cert.rhs)
+    # A ray for another right-hand side need not certify anything.
+    assert not FarkasCertificate(rows=cert.rows, rhs=(0,) * len(cert.rhs), y=cert.y).is_valid()
+
+
 def test_square_pair_effects_feasible():
     # Distinguishing the adjacent vertices v1, v2 of the square: two affine
     # effects with e_i(v_j) = delta_ij, both in [0, 1] on every vertex, and
@@ -116,7 +160,9 @@ def test_square_triple_effects_infeasible():
         coeff = [1, SQUARE[j][0], SQUARE[j][1]] * 3
         rows.append((tuple(coeff), "<=", 1))
     lp = linear_program(rows)
-    assert isinstance(lp_feasible(lp), Infeasible)
+    res = lp_feasible(lp)
+    assert isinstance(res, Infeasible)
+    farkas_recheck(res.certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +351,11 @@ coeff = st.integers(min_value=-6, max_value=6).map(F)
     rows=st.lists(st.tuples(coeff, coeff), min_size=1, max_size=6),
     slacks=st.lists(st.integers(min_value=0, max_value=4), min_size=6, max_size=6),
 )
+@example(  # FLOAT_LEAK_ROWS in two variables
+    point=(F(1), F(0)),
+    rows=[(F(0), F(0)), (F(0), F(0)), (F(-2), F(0)), (F(3), F(0)), (F(1), F(0))],
+    slacks=[0, 0, 1, 0, 0, 0],
+)
 def test_constructed_feasible_systems(point, rows, slacks):
     # rhs chosen so the sampled point satisfies every row; the solver must
     # agree and its witness must pass the exact re-check.
@@ -325,4 +376,36 @@ def test_constructed_feasible_systems(point, rows, slacks):
 )
 def test_contradictory_pair_infeasible(row, t):
     lp = linear_program([(row, "<=", t), (row, ">=", t + 1)])
-    assert isinstance(lp_feasible(lp), Infeasible)
+    res = lp_feasible(lp)
+    assert isinstance(res, Infeasible)
+    farkas_recheck(res.certificate)
+
+
+relation = st.sampled_from(("<=", "=", ">="))
+small = st.integers(min_value=-3, max_value=3).map(F)
+# Positive multipliers in Q(sqrt5): scaling a row by one keeps its solution
+# set, so the lifted program is the same system over genuinely irrational
+# coefficients.
+MULTIPLIERS = (Sqrt5(1), PHI, PHI - 1, 2 - PHI)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.tuples(small, small), relation, small), min_size=2, max_size=6)
+)
+def test_int_and_sqrt5_kernels_agree(rows):
+    # Two variables and up to six mixed rows: about half the draws are
+    # infeasible, so both certificates get exercised.
+    lifted = [
+        (tuple(MULTIPLIERS[i % 4] * c for c in row), rel, MULTIPLIERS[i % 4] * rhs)
+        for i, (row, rel, rhs) in enumerate(rows)
+    ]
+    rational, quadratic = linear_program(rows), linear_program(lifted)
+    got = [lp_feasible(rational), lp_feasible(quadratic)]
+    assert type(got[0]) is type(got[1])
+    for lp, res in zip((rational, quadratic), got):
+        if isinstance(res, Feasible):
+            assert not any(isinstance(x, float) for x in res.witness)
+            assert check_witness(lp, res.witness)
+        else:
+            farkas_recheck(res.certificate)
