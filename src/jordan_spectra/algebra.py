@@ -330,22 +330,7 @@ def quadratic_rep(a: EjaElement, b: EjaElement) -> EjaElement:
 
 
 def determinant(x: EjaElement) -> float:
-    """Product of eigenvalues.
+    """Product of eigenvalues."""
+    from .spectral import eigenvalues
 
-    Ranks <= 3 go through Newton's identities on tr(x), tr(x^2), tr(x^3);
-    higher ranks use the eigensolver.
-    """
-    r = x.algebra.rank
-    if r == 1:
-        return trace(x)
-    if r <= 3:
-        x2 = jordan_product(x, x)
-        p1 = trace(x)
-        p2 = trace(x2)
-        if r == 2:
-            return (p1 * p1 - p2) / 2.0
-        p3 = trace(jordan_product(x2, x))
-        return (p1 ** 3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
-    from .spectral import spectral_decompose
-
-    return float(np.prod(spectral_decompose(x).eigenvalues))
+    return float(np.prod(eigenvalues(x)))

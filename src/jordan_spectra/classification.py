@@ -39,7 +39,6 @@ from .algebra import (
     EjaElement,
     inner,
     norm,
-    to_matrix,
     unit,
     zero,
 )
@@ -59,7 +58,7 @@ from .geometry import (
     square,
 )
 from .operational import enumerate_frames, is_spectral, recheck_counterexample
-from .spectral import random_element, spectral_decompose
+from .spectral import eigenvalues, random_element, spectral_decompose
 from .symmetry import (
     SymmetryError,
     _check_jordan_frame,
@@ -446,27 +445,6 @@ def fr_polytope_symmetry(fixture, cap: int = 12) -> tuple:
     return group
 
 
-def _min_eigenvalue(x: EjaElement) -> float:
-    alg = x.algebra
-    if alg.family == "spin":
-        return float(x.coeffs[-1] - np.linalg.norm(x.coeffs[:-1]))
-    if alg.family in ("sym_r", "herm_c"):
-        return float(np.linalg.eigvalsh(to_matrix(x))[0])
-    if alg.family == "herm_o":
-        # rank 3: Newton's identities give the characteristic cubic
-        from .algebra import jordan_product, trace
-        from .spectral import _char_cubic_roots
-
-        x2 = jordan_product(x, x)
-        p1 = trace(x)
-        p2 = trace(x2)
-        p3 = trace(jordan_product(x2, x))
-        e2 = (p1 * p1 - p2) / 2.0
-        e3 = (p1 ** 3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
-        return float(_char_cubic_roots(p1, e2, e3)[-1])
-    return float(spectral_decompose(x).eigenvalues[-1])
-
-
 def section_sample_check(
     section: FrSection, samples: int = 1000, seed: int = 0, tol: float = 1e-10
 ) -> dict:
@@ -489,7 +467,7 @@ def section_sample_check(
             x = zero(frame[0].algebra)
             for ai, ci in zip(a, frame):
                 x = x + float(ai) * ci
-            if _min_eigenvalue(x) >= -1e-12 * (1.0 + float(np.max(np.abs(a)))):
+            if eigenvalues(x)[-1] >= -1e-12 * (1.0 + float(np.max(np.abs(a)))):
                 coords = [inner(x, c) for c in frame]
                 worst = min(worst, min(coords))
                 hits += 1

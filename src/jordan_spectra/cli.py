@@ -21,7 +21,7 @@ import sys
 
 import click
 
-from .algebra import AlgebraDescriptor
+from .algebra import FAMILIES, AlgebraDescriptor
 from .classification import (
     fr_section,
     load_tables,
@@ -55,7 +55,6 @@ from .symmetry import (
 )
 
 SCHEMA_VERSION = 1
-FAMILIES = ("sym_r", "herm_c", "herm_h", "spin", "herm_o")
 
 DEFAULT_SEED = 0
 DEFAULT_TRIALS = 100

@@ -31,7 +31,7 @@ from .exactla import (
 )
 from .exactlp import Feasible, linear_program, lp_feasible
 from .scalars import Sqrt5, format_scalar, parse_scalar
-from .spectral import spectral_decompose
+from .spectral import eigenvalues
 
 FACE_VERTEX_CAP = 14
 
@@ -400,7 +400,7 @@ def membership(body, point, tol: float = 1e-10) -> str:
             raise GeometryError("element belongs to a different algebra")
         if abs(trace(x) - 1.0) > tol:
             return "outside"
-        low = float(spectral_decompose(x).eigenvalues[-1])
+        low = float(eigenvalues(x)[-1])
         if low > tol:
             return "inside"
         return "boundary" if low >= -tol else "outside"

@@ -37,7 +37,7 @@ from .geometry import (
     membership,
 )
 from .scalars import Sqrt5, format_scalar
-from .spectral import is_primitive_idempotent, spectral_decompose
+from .spectral import eigenvalues, is_primitive_idempotent, spectral_decompose
 
 FRAME_VERTEX_CAP = 14
 
@@ -109,7 +109,7 @@ def is_effect(body, functional, tol: float = 1e-9) -> bool:
     if isinstance(body, EjaStateSpace):
         if not isinstance(functional, EjaElement):
             raise OperationalError("EJA effects are algebra elements")
-        eigs = spectral_decompose(functional).eigenvalues
+        eigs = eigenvalues(functional)
         return bool(eigs[0] <= 1 + tol and eigs[-1] >= -tol)
     raise OperationalError(f"unknown body {type(body).__name__}")
 

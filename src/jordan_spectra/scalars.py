@@ -204,10 +204,6 @@ def as_fraction(x) -> Fraction:
     raise TypeError("not an exact scalar: %r" % (x,))
 
 
-def as_float(x) -> float:
-    return float(x)
-
-
 def format_scalar(x) -> str:
     """Canonical string form: "3", "-1/2", "s5", "1/2+1/2*s5", "-2*s5"."""
     if isinstance(x, (int, Fraction)):

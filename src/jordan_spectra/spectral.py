@@ -2,9 +2,9 @@
 
 Solver strategy:
 
-* sym_r   cyclic Jacobi rotations on the real symmetric matrix
-* herm_c  cyclic Jacobi with complex phase on the Hermitian matrix
-* herm_h  complex Jacobi on the 2m x 2m embedded matrix; each quaternionic
+* sym_r   LAPACK eigh on the real symmetric matrix
+* herm_c  LAPACK eigh on the complex Hermitian matrix
+* herm_h  LAPACK eigh on the 2m x 2m embedded matrix; each quaternionic
           eigenline shows up as a J-paired doublet (J = the embedded j unit),
           so idempotents come from pairing eigenvectors v with J conj(v)
 * spin    closed form: (x, t) has eigenvalues t +- |x| with idempotents
@@ -13,6 +13,9 @@ Solver strategy:
 * herm_o  Newton identities -> characteristic cubic -> trigonometric roots;
           idempotents by Lagrange interpolation in Jordan powers of x, with
           repeated eigenvalues refined through the quadratic representation
+
+`eigenvalues` returns the same numbers without building a frame.  Elements
+with non-finite coefficients are refused with SpectralError.
 
 A decomposition carries the fine frame (not canonical when eigenvalues
 repeat) and the coarse decomposition by distinct eigenvalues, which is
@@ -42,11 +45,10 @@ from .algebra import (
 )
 
 DEFAULT_TOL = 1e-10
-_MAX_SWEEPS = 100
 
 
 class SpectralError(RuntimeError):
-    """Eigensolver failed to converge or a refinement retry cap was hit."""
+    """Non-finite input, a failed reconstruction, or a refinement retry cap hit."""
 
     def __init__(self, message: str, residual: float | None = None):
         if residual is not None:
@@ -71,71 +73,17 @@ class SpectralDecomposition:
         return out
 
 
-# -- Jacobi solvers ------------------------------------------------------------
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def jacobi_eigh(a: np.ndarray):
-    """Cyclic Jacobi for real symmetric or complex Hermitian matrices.
-
-    Returns (eigenvalues descending, columns-of-eigenvectors) with
-    a = V diag(w) V^H.  Raises SpectralError if 100 sweeps do not converge.
-    """
-    a = np.array(a)
-    n = a.shape[0]
-    is_complex = np.iscomplexobj(a)
-    v = np.eye(n, dtype=complex if is_complex else float)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    target = 1e-13 * scale
-    for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm(a) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= target / (n * n):
-                    continue
-                phase = apq / mag if is_complex else (1.0 if apq > 0 else -1.0)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                t = 1.0 / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau < 0:
-                    t = -t
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # columns p, q of a and v
-                colp, colq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * colp - s * np.conj(phase) * colq
-                a[:, q] = s * phase * colp + c * colq
-                rowp, rowq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rowp - s * phase * rowq
-                a[q, :] = s * np.conj(phase) * rowp + c * rowq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-    else:
-        raise SpectralError(
-            "Jacobi did not converge in %d sweeps" % _MAX_SWEEPS,
-            residual=_offdiag_norm(a),
-        )
-    w = np.real(np.diag(a))
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
-
-
 # -- per-family fine decompositions ---------------------------------------------
 
-def _fine_sym_r(x: EjaElement):
-    w, v = jacobi_eigh(to_matrix(x))
-    frame = [from_matrix(x.algebra, np.outer(v[:, i], v[:, i])) for i in range(len(w))]
-    return list(w), frame
+def _eigh_descending(a: np.ndarray):
+    """LAPACK eigh with eigenvalues (and eigenvector columns) descending."""
+    w, v = np.linalg.eigh(a)
+    return w[::-1], v[:, ::-1]
 
 
-def _fine_herm_c(x: EjaElement):
-    w, v = jacobi_eigh(to_matrix(x))
+def _fine_matrix(x: EjaElement):
+    """sym_r and herm_c: the frame is v v^H over the eigenvectors of x."""
+    w, v = _eigh_descending(to_matrix(x))
     frame = [
         from_matrix(x.algebra, np.outer(v[:, i], np.conj(v[:, i])))
         for i in range(len(w))
@@ -154,8 +102,7 @@ def _j_matrix(m: int) -> np.ndarray:
 def _fine_herm_h(x: EjaElement, tol: float):
     alg = x.algebra
     m = alg.param
-    emb = _embed_quat_matrix(to_matrix(x))
-    w, v = jacobi_eigh(emb)
+    w, v = _eigh_descending(_embed_quat_matrix(to_matrix(x)))
     jmat = _j_matrix(m)
     ctol = tol * (1.0 + float(np.max(np.abs(w))))
     # cluster the 2m eigenvalues, then peel J-pairs inside each cluster
@@ -220,29 +167,31 @@ def _char_cubic_roots(e1: float, e2: float, e3: float) -> list:
     return sorted(roots, reverse=True)
 
 
-def _herm_o_coarse(x: EjaElement, tol: float):
-    """Coarse pieces [(value, multiplicity, idempotent)] via the cubic.
+def _elementary_symmetric(p1: float, p2: float, p3: float) -> tuple:
+    """(e1, e2, e3) of the eigenvalues from the power traces tr x, tr x^2, tr x^3.
 
-    Newton's identities give the characteristic cubic; its trigonometric
-    roots resolve double roots only to ~sqrt(machine eps), so clusters are
-    detected with that floor and a repeated root is re-derived as the root
-    of the cubic's derivative (a well-conditioned simple quadratic root).
+    Newton's identities; for rank <= 3 these are the coefficients of the
+    characteristic polynomial z^3 - e1 z^2 + e2 z - e3.
     """
-    alg = x.algebra
-    e = unit(alg)
-    x2 = jordan_product(x, x)
-    p1 = trace(x)
-    p2 = trace(x2)
-    p3 = trace(jordan_product(x2, x))
-    e1 = p1
-    e2 = (p1 * p1 - p2) / 2.0
-    e3 = (p1 ** 3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
+    return p1, (p1 * p1 - p2) / 2.0, (p1 ** 3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
+
+
+def _herm_o_values(x: EjaElement, x2: EjaElement, tol: float) -> list:
+    """Distinct eigenvalues [(value, multiplicity)] of x (with x2 = x * x).
+
+    The characteristic cubic's trigonometric roots resolve double roots only
+    to ~sqrt(machine eps), so clusters are detected with that floor and a
+    repeated root is re-derived as the root of the cubic's derivative (a
+    well-conditioned simple quadratic root).
+    """
+    e1, e2, e3 = _elementary_symmetric(
+        trace(x), trace(x2), trace(jordan_product(x2, x))
+    )
     lams = _char_cubic_roots(e1, e2, e3)
     scale = 1.0 + max(abs(v) for v in lams)
     ctol = max(tol * scale, 4e-8 * scale)
-    clusters = _cluster_indices(np.asarray(lams), ctol)
     vals = []
-    for idx in clusters:
+    for idx in _cluster_indices(np.asarray(lams), ctol):
         mean = float(np.mean([lams[i] for i in idx]))
         if len(idx) == 3:
             vals.append((e1 / 3.0, 3))
@@ -257,6 +206,18 @@ def _herm_o_coarse(x: EjaElement, tol: float):
             vals.append((val, 2))
         else:
             vals.append((mean, 1))
+    return vals
+
+
+def _herm_o_coarse(x: EjaElement, tol: float):
+    """Coarse pieces [(value, multiplicity, idempotent)] via the cubic.
+
+    Idempotents are Lagrange interpolation polynomials in x evaluated at the
+    distinct eigenvalues.
+    """
+    e = unit(x.algebra)
+    x2 = jordan_product(x, x)
+    vals = _herm_o_values(x, x2, tol)
     out = []
     if len(vals) == 1:
         lam, _ = vals[0]
@@ -293,7 +254,7 @@ def _fine_herm_o(x: EjaElement, tol: float, rng: np.random.Generator):
 
 
 def _refine_idempotent(c: EjaElement, k: int, tol: float, rng: np.random.Generator):
-    """Split a trace-k idempotent into k primitives.
+    """Split a trace-k herm_o idempotent into k primitives.
 
     Conjugates a random element into the Peirce 1-space of c via U_c; a
     generic draw has k distinct nonzero eigenvalues there, whose primitive
@@ -303,10 +264,9 @@ def _refine_idempotent(c: EjaElement, k: int, tol: float, rng: np.random.Generat
     for _ in range(60):
         y = random_element(alg, rng)
         z = quadratic_rep(c, y)
-        values, fine = _fine_for(z, tol, rng, refine=False)
         pieces = []
         ok = True
-        for lam, d in zip(values, fine):
+        for lam, _, d in _herm_o_coarse(z, tol):
             s = inner(d, c)
             t = trace(d)
             if abs(s - t) <= 1e-6 * (1.0 + abs(t)):
@@ -330,28 +290,15 @@ def _refine_idempotent(c: EjaElement, k: int, tol: float, rng: np.random.Generat
     raise SpectralError("idempotent refinement retry cap exceeded for trace %d" % k)
 
 
-def _fine_for(x: EjaElement, tol: float, rng: np.random.Generator, refine: bool = True):
+def _fine_for(x: EjaElement, tol: float, rng: np.random.Generator):
     fam = x.algebra.family
-    if fam == "sym_r":
-        return _fine_sym_r(x)
-    if fam == "herm_c":
-        return _fine_herm_c(x)
+    if fam in ("sym_r", "herm_c"):
+        return _fine_matrix(x)
     if fam == "herm_h":
         return _fine_herm_h(x, tol)
     if fam == "spin":
         return _fine_spin(x, tol)
-    if not refine:
-        # coarse-only path used inside refinement to avoid mutual recursion
-        return _herm_o_coarse_only(x, tol)
     return _fine_herm_o(x, tol, rng)
-
-
-def _herm_o_coarse_only(x: EjaElement, tol: float):
-    values, idems = [], []
-    for lam, _, idem in _herm_o_coarse(x, tol):
-        values.append(lam)
-        idems.append(idem)
-    return values, idems
 
 
 # -- clustering and assembly -----------------------------------------------------
@@ -371,6 +318,11 @@ def _cluster_indices(values: np.ndarray, ctol: float):
     return clusters
 
 
+def _check_finite(x: EjaElement):
+    if not np.isfinite(x.coeffs).all():
+        raise SpectralError("element has non-finite coefficients")
+
+
 def spectral_decompose(
     x: EjaElement, tol: float = DEFAULT_TOL, seed: int = 0xA5
 ) -> SpectralDecomposition:
@@ -382,6 +334,7 @@ def spectral_decompose(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    _check_finite(x)
     rng = np.random.default_rng(seed)
     values, frame = _fine_for(x, tol, rng)
     values = [float(v) for v in values]
@@ -399,9 +352,33 @@ def spectral_decompose(
         coarse.append((lam, idem))
     dec = SpectralDecomposition(np.asarray(values), frame, coarse)
     resid = norm(dec.reconstruct() - x)
-    if resid > max(tol, 1e-9) * (1.0 + norm(x)):
+    # written so that a NaN residual fails too
+    if not resid <= max(tol, 1e-9) * (1.0 + norm(x)):
         raise SpectralError("spectral reconstruction failed", residual=resid)
     return dec
+
+
+def eigenvalues(x: EjaElement) -> np.ndarray:
+    """Eigenvalues of x, descending and repeated by multiplicity, without a frame.
+
+    The numbers `spectral_decompose(x).eigenvalues` gives, computed the
+    same way per family: the closed form for spin, LAPACK eigvalsh for sym_r
+    and herm_c, every other eigvalsh value of the 2m x 2m embedding for
+    herm_h (each quaternionic eigenvalue appears twice there), and the
+    characteristic cubic for herm_o.
+    """
+    _check_finite(x)
+    alg = x.algebra
+    if alg.family == "spin":
+        n = alg.param
+        t, nw = float(x.coeffs[n]), float(np.linalg.norm(x.coeffs[:n]))
+        return np.array([t + nw, t - nw])
+    if alg.family in ("sym_r", "herm_c"):
+        return np.linalg.eigvalsh(to_matrix(x))[::-1]
+    if alg.family == "herm_h":
+        return np.linalg.eigvalsh(_embed_quat_matrix(to_matrix(x)))[::-1][::2]
+    vals = _herm_o_values(x, jordan_product(x, x), DEFAULT_TOL)
+    return np.sort([lam for lam, mult in vals for _ in range(mult)])[::-1]
 
 
 # -- predicates ------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .geometry import (
     maximal_flags,
 )
 from .operational import FrameData, enumerate_frames, rank
-from .spectral import is_primitive_idempotent, spectral_decompose
+from .spectral import eigenvalues, is_primitive_idempotent, spectral_decompose
 
 AUTOMORPHISM_VERTEX_CAP = 12
 
@@ -473,7 +473,7 @@ def _verify_transporter(auto, frame_a, frame_b, tol):
         ):
             raise SymmetryError("transporter is not orthogonal for the trace form")
         sq = jordan_product(x, x)
-        eigs = spectral_decompose(auto.apply(sq)).eigenvalues
+        eigs = eigenvalues(auto.apply(sq))
         if eigs[-1] < -1e-7 * (1.0 + norm(sq)):
             raise SymmetryError("transporter leaves the cone")
 

@@ -211,6 +211,20 @@ def test_determinant_herm_c_against_numpy():
     assert determinant(x) == pytest.approx(np.linalg.det(to_matrix(x)).real, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "alg", [algebra("herm_h", 3), algebra("herm_o", 3)], ids=lambda a: a.family
+)
+def test_determinant_against_decomposition(alg):
+    from jordan_spectra.spectral import random_jordan_frame, spectral_decompose
+
+    frame = random_jordan_frame(alg, 54)
+    double = 2.0 * (frame[0] + frame[1]) - 0.5 * frame[2]
+    for x in (random_element(alg, 55), double):
+        want = float(np.prod(spectral_decompose(x).eigenvalues))
+        assert determinant(x) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert determinant(double) == pytest.approx(-2.0, rel=1e-9)
+
+
 def test_matrix_roundtrip_all_matrix_families():
     for alg in ALL_ALGEBRAS:
         if alg.family == "spin":

@@ -171,6 +171,19 @@ def test_decompose_from_file(runner, tmp_path):
     assert got["residual"] <= 1e-12
 
 
+def test_decompose_non_finite_input_exits_2(runner, tmp_path):
+    doc = {"algebra": {"family": "spin", "n": 2}, "coeffs": [float("nan"), 0.0, 1.0]}
+    path = write_json(tmp_path, "x.json", doc)
+    code, outp = invoke(runner, "decompose", "--input", path)
+    assert code == 2
+
+    def refuse(token):
+        raise ValueError("non-JSON constant %s in output" % token)
+
+    got = json.loads(outp, parse_constant=refuse)
+    assert "non-finite" in got["error"]
+
+
 def test_fr_polytope_command(runner, tmp_path):
     code, outp = invoke(runner, "fr-polytope", "--eja", "herm_c", "--m", "3")
     assert code == 0

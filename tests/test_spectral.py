@@ -11,12 +11,13 @@ from jordan_spectra.algebra import (
     to_matrix,
     trace,
     unit,
+    zero,
 )
 from jordan_spectra.spectral import (
     SpectralError,
+    eigenvalues,
     is_idempotent,
     is_primitive_idempotent,
-    jacobi_eigh,
     random_element,
     random_jordan_frame,
     random_state,
@@ -45,30 +46,6 @@ def frame_residuals(x, dec):
         total = total + c
     comp = norm(total - unit(x.algebra))
     return rec, idem, orth, comp
-
-
-# -- Jacobi solver against the independent numpy route ---------------------------
-
-
-def test_jacobi_real_matches_numpy():
-    rng = np.random.default_rng(0)
-    for n in (2, 3, 5, 8):
-        a = rng.standard_normal((n, n))
-        a = (a + a.T) / 2.0
-        w, v = jacobi_eigh(a)
-        assert np.allclose(sorted(w), sorted(np.linalg.eigvalsh(a)), atol=1e-10)
-        assert np.allclose(v @ np.diag(w) @ v.T, a, atol=1e-10)
-        assert np.allclose(v.T @ v, np.eye(n), atol=1e-12)
-
-
-def test_jacobi_complex_matches_numpy():
-    rng = np.random.default_rng(1)
-    for n in (2, 3, 6):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a = (a + a.conj().T) / 2.0
-        w, v = jacobi_eigh(a)
-        assert np.allclose(sorted(w), sorted(np.linalg.eigvalsh(a)), atol=1e-10)
-        assert np.allclose(v @ np.diag(w) @ v.conj().T, a, atol=1e-10)
 
 
 # -- pinned decomposition fixtures ------------------------------------------------
@@ -201,6 +178,51 @@ def test_herm_h_eigenvalues_doubled_in_embedding():
     w = spectral_decompose(x).eigenvalues
     emb = np.linalg.eigvalsh(_embed_quat_matrix(to_matrix(x)))[::-1]
     assert np.allclose(np.repeat(w, 2), emb, atol=1e-8)
+
+
+def _repeated_top(alg, seed):
+    """An element whose top eigenvalue is double, on a random Jordan frame.
+
+    herm_h(3) gets a repeated quaternionic eigenvalue (a fourfold eigenvalue
+    of the embedding), herm_o a double root of the cubic and spin a multiple
+    of the unit.
+    """
+    frame = random_jordan_frame(alg, seed)
+    lam = [1.5, 1.5] + [-0.5 - i for i in range(alg.rank - 2)]
+    x = zero(alg)
+    for w, c in zip(lam, frame):
+        x = x + w * c
+    return x
+
+
+@pytest.mark.parametrize("kind", ["generic", "repeated"])
+@pytest.mark.parametrize("alg", FAMILIES_SMALL, ids=lambda a: a.family)
+def test_eigenvalues_match_decomposition(alg, kind):
+    for seed in range(5):
+        if kind == "generic":
+            x = random_element(alg, 2000 + seed)
+        else:
+            x = _repeated_top(alg, 2000 + seed)
+        want = spectral_decompose(x).eigenvalues
+        got = eigenvalues(x)
+        assert got.shape == (alg.rank,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + norm(x))
+        if kind == "repeated":
+            assert got[0] == pytest.approx(1.5, abs=1e-9)
+            assert got[1] == pytest.approx(1.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("alg", FAMILIES_SMALL, ids=lambda a: a.family)
+def test_non_finite_input_refused(alg, bad):
+    for pos in (0, alg.dim - 1):
+        coeffs = random_element(alg, 3).coeffs.copy()
+        coeffs[pos] = bad
+        x = EjaElement(alg, coeffs)
+        with pytest.raises(SpectralError, match="non-finite"):
+            spectral_decompose(x)
+        with pytest.raises(SpectralError, match="non-finite"):
+            eigenvalues(x)
 
 
 # -- predicates --------------------------------------------------------------------
