@@ -87,16 +87,23 @@ def _body_options(fn):
     return fn
 
 
-def _common_options(fn):
-    for opt in (
-        click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True),
-        click.option("--trials", type=int, default=DEFAULT_TRIALS, show_default=True),
-        click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True),
-        click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True),
-        click.option("--out", default=None, help="also write the JSON here"),
-    ):
-        fn = opt(fn)
-    return fn
+_COMMON_OPTIONS = {
+    "seed": click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True),
+    "trials": click.option("--trials", type=int, default=DEFAULT_TRIALS, show_default=True),
+    "tol": click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True),
+    "cap": click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True),
+}
+
+
+def _common_options(*names):
+    """The named options a command reads, plus --out."""
+
+    def decorate(fn):
+        for name in names:
+            fn = _COMMON_OPTIONS[name](fn)
+        return click.option("--out", default=None, help="also write the JSON here")(fn)
+
+    return decorate
 
 
 def _load_body(input_path, eja, m, n, positional=None):
@@ -124,8 +131,8 @@ def main():
 
 @main.command()
 @_body_options
-@_common_options
-def decompose(input_path, eja, m, n, seed, trials, tol, cap, out):
+@_common_options("seed", "tol")
+def decompose(input_path, eja, m, n, seed, tol, out):
     """Spectral decomposition of an element (from file) or a seeded random state."""
     try:
         if eja is not None:
@@ -173,8 +180,8 @@ def decompose(input_path, eja, m, n, seed, trials, tol, cap, out):
     required=True,
 )
 @_body_options
-@_common_options
-def check(positional, prop, input_path, eja, m, n, seed, trials, tol, cap, out):
+@_common_options("seed", "trials", "cap")
+def check(positional, prop, input_path, eja, m, n, seed, trials, cap, out):
     """Check a property of a body; exit 1 with a witness when refuted."""
     try:
         body = _load_body(input_path, eja, m, n, positional)
@@ -218,8 +225,8 @@ def check(positional, prop, input_path, eja, m, n, seed, trials, tol, cap, out):
 @click.argument("positional", required=False)
 @click.option("--k", type=int, default=None, help="frame size; all sizes if omitted")
 @_body_options
-@_common_options
-def frames(positional, k, input_path, eja, m, n, seed, trials, tol, cap, out):
+@_common_options("cap")
+def frames(positional, k, input_path, eja, m, n, cap, out):
     """Enumerate ordered frames of a polytope."""
     try:
         body = _load_body(input_path, eja, m, n, positional)
@@ -247,8 +254,8 @@ def frames(positional, k, input_path, eja, m, n, seed, trials, tol, cap, out):
 @main.command("fr-polytope")
 @click.argument("positional", required=False)
 @_body_options
-@_common_options
-def fr_polytope_cmd(positional, input_path, eja, m, n, seed, trials, tol, cap, out):
+@_common_options("seed", "trials", "cap")
+def fr_polytope_cmd(positional, input_path, eja, m, n, seed, trials, cap, out):
     """Fundamental-region section: the simplex on a maximal frame."""
     try:
         body = _load_body(input_path, eja, m, n, positional)
@@ -306,8 +313,8 @@ def tables(type_label, out):
 @main.command("verify-theorem")
 @click.option("--simplex", "simplex_dim", type=int, default=None)
 @_body_options
-@_common_options
-def verify_theorem(simplex_dim, input_path, eja, m, n, seed, trials, tol, cap, out):
+@_common_options("seed", "trials")
+def verify_theorem(simplex_dim, input_path, eja, m, n, seed, trials, out):
     """Run the forward-direction verification battery; exit 1 on any failure."""
     try:
         if simplex_dim is not None:
@@ -336,8 +343,8 @@ def verify_theorem(simplex_dim, input_path, eja, m, n, seed, trials, tol, cap, o
 @main.command("plot-data")
 @click.argument("positional", required=False)
 @_body_options
-@_common_options
-def plot_data(positional, input_path, eja, m, n, seed, trials, tol, cap, out):
+@_common_options("cap")
+def plot_data(positional, input_path, eja, m, n, cap, out):
     """Raw point/segment data for external plotting (no rendering)."""
     try:
         body = _load_body(input_path, eja, m, n, positional)

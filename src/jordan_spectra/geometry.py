@@ -15,7 +15,7 @@ group-averaged canonical embedding all build on that.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
 
@@ -174,21 +174,57 @@ class AffineChart:
         return None if sol is None else tuple(sol)
 
 
-@lru_cache(maxsize=None)
-def chart(poly: Polytope) -> AffineChart:
-    pts = list(poly.vertices)
-    idx = affine_basis_indices(pts)
-    origin = pts[idx[0]]
+def _affine_chart(points) -> AffineChart:
+    """Chart on the affine hull, with an affine basis of ``points`` as frame."""
+    idx = affine_basis_indices(points)
+    origin = tuple(points[idx[0]])
     basis = tuple(
-        tuple(a - b for a, b in zip(pts[i], origin)) for i in idx[1:]
+        tuple(a - b for a, b in zip(points[i], origin)) for i in idx[1:]
     )
-    return AffineChart(origin=tuple(origin), basis=basis)
+    return AffineChart(origin=origin, basis=basis)
 
 
-@lru_cache(maxsize=None)
+# ---------------------------------------------------------------------------
+# per-body analysis record
+
+# Distinct polytopes whose analysis is kept; one pass over the converse
+# catalog and its simplex batteries touches about 20.
+ANALYSIS_CACHE_BODIES = 64
+
+
+@dataclass
+class _Analysis:
+    """Everything derived from one polytope, filled on first use.
+
+    The chart is set when the record is made.  ``faces`` is the face
+    lattice, ``frames`` maps k to {sorted k-subset: distinguishing
+    submeasurement} over the subsets that are frames, and ``group`` is the
+    automorphism group.  No cap is stored: the public entry points check
+    their caps on every call, before they read the record.
+    """
+
+    chart: AffineChart
+    chart_vertices: tuple
+    faces: FaceLattice | None = None
+    frames: dict = field(default_factory=dict)
+    group: tuple | None = None
+
+
+@lru_cache(maxsize=ANALYSIS_CACHE_BODIES)
+def _analysis(poly: Polytope) -> _Analysis:
+    """The analysis record of ``poly``; equal polytopes share one record."""
+    ch = _affine_chart(list(poly.vertices))
+    return _Analysis(
+        chart=ch, chart_vertices=tuple(ch.to_chart(v) for v in poly.vertices)
+    )
+
+
+def chart(poly: Polytope) -> AffineChart:
+    return _analysis(poly).chart
+
+
 def chart_vertices(poly: Polytope) -> tuple:
-    ch = chart(poly)
-    return tuple(ch.to_chart(v) for v in poly.vertices)
+    return _analysis(poly).chart_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +302,6 @@ class FaceLattice:
         return tuple(sorted(out, key=lambda f: (len(f.indices), f.indices)))
 
 
-@lru_cache(maxsize=None)
 def exposed_faces(poly: Polytope, cap: int = FACE_VERTEX_CAP) -> FaceLattice:
     """All exposed faces, each certified by an exact supporting functional.
 
@@ -278,8 +313,11 @@ def exposed_faces(poly: Polytope, cap: int = FACE_VERTEX_CAP) -> FaceLattice:
     n = len(poly.vertices)
     if n > cap:
         raise CapExceeded(f"{n} vertices exceeds the face enumeration cap {cap}")
-    cv = chart_vertices(poly)
-    d = chart(poly).dim
+    rec = _analysis(poly)
+    if rec.faces is not None:
+        return rec.faces
+    cv = rec.chart_vertices
+    d = rec.chart.dim
     faces = [Face(indices=(), functional=None, dim=-1)]
     for r in range(1, n + 1):
         for subset in itertools.combinations(range(n), r):
@@ -302,7 +340,8 @@ def exposed_faces(poly: Polytope, cap: int = FACE_VERTEX_CAP) -> FaceLattice:
                     )
                 )
     faces.sort(key=lambda f: (len(f.indices), f.indices))
-    return FaceLattice(faces=tuple(faces))
+    rec.faces = FaceLattice(faces=tuple(faces))
+    return rec.faces
 
 
 def flags(poly: Polytope, cap: int = FACE_VERTEX_CAP):
@@ -444,12 +483,7 @@ def _triangulate(points):
         return [tuple(tuple(p) for p in points)]
     if len(points[0]) > d:
         # planar-but-embedded point set: work in a local chart, lift back
-        idx = affine_basis_indices(points)
-        origin = tuple(points[idx[0]])
-        basis = tuple(
-            tuple(a - b for a, b in zip(points[i], origin)) for i in idx[1:]
-        )
-        local_chart = AffineChart(origin=origin, basis=basis)
+        local_chart = _affine_chart(points)
         local = [local_chart.to_chart(p) for p in points]
         return [
             tuple(local_chart.to_ambient(q) for q in s)
@@ -465,7 +499,6 @@ def _triangulate(points):
         ]
     sub = polytope(points)
     lat = exposed_faces(sub)
-    ch = chart(sub)
     apex = points[0]
     apex_idx = sub.vertices.index(tuple(apex))
     simplices = []
@@ -478,7 +511,6 @@ def _triangulate(points):
     return simplices
 
 
-@lru_cache(maxsize=None)
 def barycenter(body):
     """Affine-covariant centroid: exact for polytopes, e/rank for EJA."""
     if isinstance(body, Ball):

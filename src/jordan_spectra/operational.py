@@ -10,8 +10,9 @@ affine dependence omega_k = sum_j lam_j omega_j gives 1 = 0.  Hence every
 polytope frame spans a simplex, a frame hull is full-dimensional only when
 the body itself is that simplex, and for every non-simplex polytope the
 frame hulls form a measure-zero union; an exact interior point off all of
-them certifies NotSpectral in any dimension.  Sampling mode is retained as
-a cross-check and labels a positive verdict "probabilistic".
+them certifies NotSpectral in any dimension.  Every verdict is exact: a
+covering frame or such a point, both rechecked by exact barycentric
+coordinates.
 """
 
 from __future__ import annotations
@@ -20,19 +21,16 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-import numpy as np
 
 from .algebra import EjaElement, inner, norm, trace, unit
 from .exactla import barycentric_coordinates
-from .exactlp import Feasible, linear_program, lp_feasible, rationalize_vector
+from .exactlp import Feasible, linear_program, lp_feasible
 from .geometry import (
     Ball,
     EjaStateSpace,
     Face,
     Polytope,
-    chart,
+    _analysis,
     exposed_faces,
     membership,
 )
@@ -277,24 +275,25 @@ def is_measurement(body, effects, tol: float = 1e-10) -> bool:
 # frames
 
 
-@lru_cache(maxsize=None)
-def _frame_certificate(poly: Polytope, subset: tuple):
-    """Submeasurement for a sorted vertex subset, or None."""
-    states = [poly.vertices[i] for i in subset]
-    return _distinguishing_submeasurement(poly, states)
+def _frame_sets(poly: Polytope, k: int, cap: int) -> dict:
+    """{k-subset: submeasurement} over the vertex subsets that are frames.
 
-
-@lru_cache(maxsize=None)
-def _frame_index_sets(poly: Polytope, k: int, cap: int) -> tuple:
-    """Unordered k-subsets of vertex indices that form frames (lex order)."""
+    Subsets are sorted index tuples in lex order; the map is kept in the
+    body's analysis record, the cap is checked on every call.
+    """
     n = len(poly.vertices)
     if n > cap:
         raise OperationalError(f"{n} vertices exceeds the frame cap {cap}")
-    return tuple(
-        subset
-        for subset in itertools.combinations(range(n), k)
-        if _frame_certificate(poly, subset) is not None
-    )
+    frames = _analysis(poly).frames
+    if k not in frames:
+        found = {}
+        for subset in itertools.combinations(range(n), k):
+            states = [poly.vertices[i] for i in subset]
+            cert = _distinguishing_submeasurement(poly, states)
+            if cert is not None:
+                found[subset] = cert
+        frames[k] = found
+    return frames[k]
 
 
 def enumerate_frames(poly: Polytope, k: int, cap: int = FRAME_VERTEX_CAP):
@@ -308,15 +307,13 @@ def enumerate_frames(poly: Polytope, k: int, cap: int = FRAME_VERTEX_CAP):
         raise OperationalError("frame enumeration is for polytopes")
     if k < 1:
         raise OperationalError("frame size must be >= 1")
-    sets = set(_frame_index_sets(poly, k, cap))
     frames = []
-    for perm in itertools.permutations(range(len(poly.vertices)), k):
-        key = tuple(sorted(perm))
-        if key in sets:
-            cert = _frame_certificate(poly, key)
-            reordered = tuple(cert[key.index(i)] for i in perm)
+    for subset, cert in _frame_sets(poly, k, cap).items():
+        for perm in itertools.permutations(subset):
+            reordered = tuple(cert[subset.index(i)] for i in perm)
             states = tuple(poly.vertices[i] for i in perm)
             frames.append(FrameData(states=states, indices=perm, certificate=reordered))
+    frames.sort(key=lambda f: f.indices)
     return tuple(frames)
 
 
@@ -336,7 +333,7 @@ def rank(body, cap: int = FRAME_VERTEX_CAP) -> int:
     d = body.dim
     best = 0
     for k in range(1, min(len(body.vertices), d + 1) + 1):
-        if _frame_index_sets(body, k, cap):
+        if _frame_sets(body, k, cap):
             best = k
         else:
             break
@@ -349,7 +346,7 @@ def rank(body, cap: int = FRAME_VERTEX_CAP) -> int:
 
 @dataclass(frozen=True)
 class SpectralVerdict:
-    spectral: object
+    spectral: bool
     rank: int
     counterexample: tuple | None
     frames_by_k: tuple | None
@@ -391,20 +388,14 @@ def _interior_point_off_hulls(poly: Polytope, hulls, seed: int, tries: int = 100
 
 
 def is_spectral(
-    body,
-    cap: int = FRAME_VERTEX_CAP,
-    seed: int = 0,
-    method: str = "exact",
-    trials: int = 10**5,
+    body, cap: int = FRAME_VERTEX_CAP, seed: int = 0
 ) -> SpectralVerdict:
     """Is every state a convex combination over a single frame?
 
     EJA state spaces and balls are spectral (spectral theorem, diameters).
     For polytopes the body is spectral iff some frame's hull contains every
     vertex; otherwise an exact interior counterexample off the measure-zero
-    union of frame hulls is produced.  method="sampled" instead samples
-    ``trials`` random states: a clean pass is reported as "probabilistic",
-    an uncovered sample is rationalized and re-verified exactly.
+    union of frame hulls is produced, ``seed`` steering its search.
     """
     if isinstance(body, EjaStateSpace):
         return SpectralVerdict(
@@ -423,12 +414,12 @@ def is_spectral(
     frames_by_k = []
     all_sets = []
     for k in range(1, r + 1):
-        sets = _frame_index_sets(body, k, cap)
-        frames_by_k.append((k, len(list(sets)) * _factorial(k)))
+        sets = _frame_sets(body, k, cap)
+        frames_by_k.append((k, len(sets) * _factorial(k)))
         all_sets.extend(sets)
     hulls = [tuple(body.vertices[i] for i in s) for s in all_sets]
     covering = None
-    for s in _frame_index_sets(body, r, cap):
+    for s in _frame_sets(body, r, cap):
         states = [body.vertices[i] for i in s]
         if all(_in_hull_exact(states, v) for v in body.vertices):
             covering = s
@@ -441,51 +432,10 @@ def is_spectral(
             frames_by_k=tuple(frames_by_k),
             covering_frame=covering,
         )
-    if method == "exact":
-        point = _interior_point_off_hulls(body, hulls, seed)
-        return SpectralVerdict(
-            spectral=False,
-            rank=r,
-            counterexample=point,
-            frames_by_k=tuple(frames_by_k),
-        )
-    if method != "sampled":
-        raise OperationalError(f"unknown method {method!r}")
-    rng = np.random.default_rng(seed)
-    verts = np.array([[float(c) for c in v] for v in body.vertices])
-    pinvs = []
-    for h in hulls:
-        a = np.vstack(
-            [np.array([[float(c) for c in p] for p in h]).T, np.ones(len(h))]
-        )
-        pinvs.append((h, np.linalg.pinv(a), a))
-    for _ in range(trials):
-        w = rng.dirichlet(np.ones(len(verts)))
-        p = w @ verts
-        covered = False
-        for h, pinv, a in pinvs:
-            lam = pinv @ np.concatenate([p, [1.0]])
-            if np.all(lam >= -1e-9) and np.allclose(
-                a @ lam, np.concatenate([p, [1.0]]), atol=1e-9
-            ):
-                covered = True
-                break
-        if covered:
-            continue
-        exact_p, _ = rationalize_vector(p)
-        if membership(body, exact_p) != "outside" and not any(
-            _in_hull_exact(h, exact_p) for h, _, _ in pinvs
-        ):
-            return SpectralVerdict(
-                spectral=False,
-                rank=r,
-                counterexample=exact_p,
-                frames_by_k=tuple(frames_by_k),
-            )
     return SpectralVerdict(
-        spectral="probabilistic",
+        spectral=False,
         rank=r,
-        counterexample=None,
+        counterexample=_interior_point_off_hulls(body, hulls, seed),
         frames_by_k=tuple(frames_by_k),
     )
 
@@ -503,7 +453,7 @@ def recheck_counterexample(body: Polytope, point, cap: int = FRAME_VERTEX_CAP) -
         return False
     r = rank(body, cap)
     for k in range(1, r + 1):
-        for s in _frame_index_sets(body, k, cap):
+        for s in _frame_sets(body, k, cap):
             if _in_hull_exact([body.vertices[i] for i in s], point):
                 return False
     return True
@@ -593,7 +543,7 @@ def complement_face(body, face):
     if face.indices:
         for k in range(len(face.indices), 0, -1):
             found = None
-            for s in _frame_index_sets(body, k, FRAME_VERTEX_CAP):
+            for s in _frame_sets(body, k, FRAME_VERTEX_CAP):
                 if set(s) <= set(face.indices):
                     found = s
                     break
@@ -601,7 +551,7 @@ def complement_face(body, face):
                 inner_set = found
                 break
     candidates = set()
-    for s in _frame_index_sets(body, r, FRAME_VERTEX_CAP):
+    for s in _frame_sets(body, r, FRAME_VERTEX_CAP):
         if set(inner_set) <= set(s):
             rest = tuple(sorted(set(s) - set(inner_set)))
             candidates.add(face_of_frame(body, rest).indices)

@@ -15,7 +15,8 @@ Solver strategy:
           repeated eigenvalues refined through the quadratic representation
 
 `eigenvalues` returns the same numbers without building a frame.  Elements
-with non-finite coefficients are refused with SpectralError.
+with non-finite coefficients are refused with SpectralError, and so are
+elements so large that an eigenvalue, a power trace or the norm overflows.
 
 A decomposition carries the fine frame (not canonical when eigenvalues
 repeat) and the coarse decomposition by distinct eigenvalues, which is
@@ -24,6 +25,7 @@ unique.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,7 +154,7 @@ def _fine_spin(x: EjaElement, tol: float):
 def _char_cubic_roots(e1: float, e2: float, e3: float) -> list:
     """Real roots of z^3 - e1 z^2 + e2 z - e3, descending."""
     p = e2 - e1 * e1 / 3.0
-    q = -2.0 * e1 ** 3 / 27.0 + e1 * e2 / 3.0 - e3
+    q = -2.0 * e1 * e1 * e1 / 27.0 + e1 * e2 / 3.0 - e3
     shift = e1 / 3.0
     if p > -1e-300:
         p_eff = min(p, 0.0)
@@ -173,7 +175,7 @@ def _elementary_symmetric(p1: float, p2: float, p3: float) -> tuple:
     Newton's identities; for rank <= 3 these are the coefficients of the
     characteristic polynomial z^3 - e1 z^2 + e2 z - e3.
     """
-    return p1, (p1 * p1 - p2) / 2.0, (p1 ** 3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
+    return p1, (p1 * p1 - p2) / 2.0, (p1 * p1 * p1 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
 
 
 def _herm_o_values(x: EjaElement, x2: EjaElement, tol: float) -> list:
@@ -184,10 +186,11 @@ def _herm_o_values(x: EjaElement, x2: EjaElement, tol: float) -> list:
     repeated root is re-derived as the root of the cubic's derivative (a
     well-conditioned simple quadratic root).
     """
-    e1, e2, e3 = _elementary_symmetric(
-        trace(x), trace(x2), trace(jordan_product(x2, x))
-    )
+    powers = (trace(x), trace(x2), trace(jordan_product(x2, x)))
+    _require_finite(powers, "power traces overflow")
+    e1, e2, e3 = _elementary_symmetric(*powers)
     lams = _char_cubic_roots(e1, e2, e3)
+    _require_finite(lams, "eigenvalues overflow")
     scale = 1.0 + max(abs(v) for v in lams)
     ctol = max(tol * scale, 4e-8 * scale)
     vals = []
@@ -318,9 +321,14 @@ def _cluster_indices(values: np.ndarray, ctol: float):
     return clusters
 
 
-def _check_finite(x: EjaElement):
-    if not np.isfinite(x.coeffs).all():
-        raise SpectralError("element has non-finite coefficients")
+def _require_finite(values: list, message: str):
+    """Raise SpectralError unless every float in ``values`` is finite.
+
+    A finite sum has finite terms, so only a sum that overflows needs the
+    term-by-term test; on a few Python floats this beats a numpy call.
+    """
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        raise SpectralError(message)
 
 
 def spectral_decompose(
@@ -334,7 +342,10 @@ def spectral_decompose(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    _check_finite(x)
+    size = norm(x)  # a sum of squares: non-finite iff a coefficient is or it overflows
+    if not math.isfinite(size):
+        _require_finite(x.coeffs.tolist(), "element has non-finite coefficients")
+        raise SpectralError("norm overflows")
     rng = np.random.default_rng(seed)
     values, frame = _fine_for(x, tol, rng)
     values = [float(v) for v in values]
@@ -353,7 +364,7 @@ def spectral_decompose(
     dec = SpectralDecomposition(np.asarray(values), frame, coarse)
     resid = norm(dec.reconstruct() - x)
     # written so that a NaN residual fails too
-    if not resid <= max(tol, 1e-9) * (1.0 + norm(x)):
+    if not resid <= max(tol, 1e-9) * (1.0 + size):
         raise SpectralError("spectral reconstruction failed", residual=resid)
     return dec
 
@@ -367,18 +378,21 @@ def eigenvalues(x: EjaElement) -> np.ndarray:
     herm_h (each quaternionic eigenvalue appears twice there), and the
     characteristic cubic for herm_o.
     """
-    _check_finite(x)
+    _require_finite(x.coeffs.tolist(), "element has non-finite coefficients")
     alg = x.algebra
     if alg.family == "spin":
         n = alg.param
         t, nw = float(x.coeffs[n]), float(np.linalg.norm(x.coeffs[:n]))
-        return np.array([t + nw, t - nw])
-    if alg.family in ("sym_r", "herm_c"):
-        return np.linalg.eigvalsh(to_matrix(x))[::-1]
-    if alg.family == "herm_h":
-        return np.linalg.eigvalsh(_embed_quat_matrix(to_matrix(x)))[::-1][::2]
-    vals = _herm_o_values(x, jordan_product(x, x), DEFAULT_TOL)
-    return np.sort([lam for lam, mult in vals for _ in range(mult)])[::-1]
+        vals = np.array([t + nw, t - nw])
+    elif alg.family in ("sym_r", "herm_c"):
+        vals = np.linalg.eigvalsh(to_matrix(x))[::-1]
+    elif alg.family == "herm_h":
+        vals = np.linalg.eigvalsh(_embed_quat_matrix(to_matrix(x)))[::-1][::2]
+    else:
+        pieces = _herm_o_values(x, jordan_product(x, x), DEFAULT_TOL)
+        vals = np.sort([lam for lam, mult in pieces for _ in range(mult)])[::-1]
+    _require_finite(vals.tolist(), "eigenvalues overflow")
+    return vals
 
 
 # -- predicates ------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,14 +31,7 @@ from .algebra import (
     unit,
 )
 from .exactla import affine_basis_indices, affine_map_from_correspondence, mat_vec
-from .geometry import (
-    CapExceeded,
-    Polytope,
-    chart,
-    chart_vertices,
-    exposed_faces,
-    maximal_flags,
-)
+from .geometry import CapExceeded, Polytope, _analysis, exposed_faces, maximal_flags
 from .operational import FrameData, enumerate_frames, rank
 from .spectral import eigenvalues, is_primitive_idempotent, spectral_decompose
 
@@ -88,22 +80,27 @@ class PolytopeAutomorphism:
         return tuple(self.permutation[j] for j in other.permutation)
 
 
-@lru_cache(maxsize=None)
 def automorphism_group(poly: Polytope, cap: int = AUTOMORPHISM_VERTEX_CAP):
     """All affine self-maps permuting the vertex set, closure-verified.
 
     Works in exact chart coordinates so degenerate embeddings (simplices
     as unit vectors) pose no problem: candidate images of an affine
     vertex basis determine the map, which is kept iff it permutes the
-    chart vertices exactly.
+    chart vertices exactly.  The group is kept in the body's analysis
+    record; the cap is checked on every call.
     """
-    verts = poly.vertices
-    n = len(verts)
+    n = len(poly.vertices)
     if n > cap:
         raise CapExceeded(f"{n} vertices exceeds the automorphism cap {cap}")
-    ch = chart(poly)
-    cverts = chart_vertices(poly)
-    if poly.dim == 0:
+    rec = _analysis(poly)
+    if rec.group is None:
+        rec.group = _search_automorphisms(rec.chart, rec.chart_vertices)
+    return rec.group
+
+
+def _search_automorphisms(ch, cverts) -> tuple:
+    n = len(cverts)
+    if ch.dim == 0:
         ident = PolytopeAutomorphism(
             permutation=(0,), matrix=(), translation=(), chart=ch
         )
@@ -159,25 +156,27 @@ def _invert(perm):
     return out
 
 
-def _orbits(items, group):
-    """Orbit partition of index tuples under permutation action, sorted."""
-    items = sorted(items)
-    seen = {}
+def _move_tuple(perm, indices):
+    return tuple(perm[i] for i in indices)
+
+
+def _move_chain(perm, chain):
+    return tuple(tuple(sorted(perm[i] for i in face)) for face in chain)
+
+
+def _orbits(items, group, act=_move_tuple):
+    """Orbit partition of ``items`` under ``act(permutation, item)``, sorted.
+
+    ``group`` is a complete group (as ``automorphism_group`` returns it,
+    closure-checked), so an orbit is the set of images of any one member.
+    """
+    seen = set()
     orbits = []
-    for it in items:
+    for it in sorted(items):
         if it in seen:
             continue
-        orbit = {it}
-        stack = [it]
-        while stack:
-            cur = stack.pop()
-            for g in group:
-                moved = tuple(g.permutation[i] for i in cur)
-                if moved not in orbit:
-                    orbit.add(moved)
-                    stack.append(moved)
-        for member in orbit:
-            seen[member] = True
+        orbit = {act(g.permutation, it) for g in group}
+        seen |= orbit
         orbits.append(tuple(sorted(orbit)))
     return orbits
 
@@ -229,33 +228,12 @@ def is_strongly_symmetric(
 def is_regular(poly: Polytope, cap: int = AUTOMORPHISM_VERTEX_CAP) -> bool:
     """Transitivity of the automorphism group on maximal flags."""
     group = automorphism_group(poly, cap)
-    chains = [
-        tuple(f.indices for f in flag) for flag in maximal_flags(poly)
-    ]
-    lat = exposed_faces(poly)
-    known = {f.indices for f in lat.faces}
-    orbits = []
-    seen = set()
-    for chain in sorted(chains):
-        if chain in seen:
-            continue
-        orbit = {chain}
-        stack = [chain]
-        while stack:
-            cur = stack.pop()
-            for g in group:
-                moved = tuple(
-                    tuple(sorted(g.permutation[i] for i in face)) for face in cur
-                )
-                for face in moved:
-                    if face not in known:
-                        raise SymmetryError("automorphism image is not a face")
-                if moved not in orbit:
-                    orbit.add(moved)
-                    stack.append(moved)
-        seen |= orbit
-        orbits.append(orbit)
-    return len(orbits) == 1
+    known = {f.indices for f in exposed_faces(poly).faces}
+    for g in group:
+        if any(face not in known for face in _move_chain(g.permutation, known)):
+            raise SymmetryError("automorphism image is not a face")
+    chains = [tuple(f.indices for f in flag) for flag in maximal_flags(poly)]
+    return len(_orbits(chains, group, act=_move_chain)) == 1
 
 
 @dataclass(frozen=True)

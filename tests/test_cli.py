@@ -158,6 +158,31 @@ def test_frames_cap_is_honoured(runner, tmp_path):
     assert "cap 3" in json.loads(outp)["error"]
 
 
+@pytest.mark.parametrize(
+    "command,option,value",
+    [
+        ("decompose", "--trials", "5"),
+        ("decompose", "--cap", "5"),
+        ("check", "--tol", "1e-9"),
+        ("frames", "--seed", "1"),
+        ("frames", "--trials", "5"),
+        ("frames", "--tol", "1e-9"),
+        ("fr-polytope", "--tol", "1e-9"),
+        ("verify-theorem", "--tol", "1e-9"),
+        ("verify-theorem", "--cap", "5"),
+        ("plot-data", "--seed", "1"),
+        ("plot-data", "--trials", "5"),
+        ("plot-data", "--tol", "1e-9"),
+    ],
+)
+def test_unread_option_is_a_usage_error(runner, tmp_path, command, option, value):
+    # a command declares only the options it reads; any other is refused
+    sq = write_json(tmp_path, "sq.json", {"type": "named", "name": "square"})
+    result = runner.invoke(main, [command, sq, option, value])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and option in result.output
+
+
 def test_decompose_from_file(runner, tmp_path):
     doc = {
         "algebra": {"family": "sym_r", "m": 2},

@@ -1,10 +1,12 @@
 """Convex body fixtures: faces, flags, barycenters, embeddings, membership."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from jordan_spectra import geometry, symmetry
 from jordan_spectra.algebra import EjaElement, unit
 from jordan_spectra.exactla import affine_map_from_correspondence, mat_vec
 from jordan_spectra.geometry import (
@@ -37,7 +39,9 @@ from jordan_spectra.geometry import (
     simplex,
     square,
 )
+from jordan_spectra.operational import OperationalError, enumerate_frames, rank
 from jordan_spectra.scalars import Sqrt5
+from jordan_spectra.symmetry import automorphism_group
 
 F = Fraction
 
@@ -223,6 +227,88 @@ def test_face_enumeration_cap():
     body = polytope(pts)
     with pytest.raises(CapExceeded):
         exposed_faces(body)
+
+
+# ---------------------------------------------------------------------------
+# the per-body analysis record
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_face_lattice_solved_once_whatever_the_cap(monkeypatch):
+    # a body no other test builds, so its record starts empty
+    body = polytope([(3, 0), (0, 2), (-3, 1), (-1, -2)])
+    lps = _count_calls(monkeypatch, geometry, "lp_feasible")
+    lat = exposed_faces(body)
+    assert len(lps) == 15  # one LP per nonempty vertex subset
+    assert exposed_faces(body, 14) is lat
+    assert exposed_faces(body, cap=14) is lat
+    assert len(lps) == 15
+
+
+def test_automorphism_group_searched_once_whatever_the_cap(monkeypatch):
+    body = polytope([(2, 0), (0, 3), (-2, 0), (0, -3)])
+    maps = _count_calls(monkeypatch, symmetry, "affine_map_from_correspondence")
+    group = automorphism_group(body)
+    assert len(group) == 8 and maps
+    searched = len(maps)
+    assert automorphism_group(body, 12) is group
+    assert automorphism_group(body, cap=12) is group
+    assert len(maps) == searched
+
+
+def test_caps_refuse_after_caching():
+    exposed_faces(cube())
+    with pytest.raises(CapExceeded):
+        exposed_faces(cube(), cap=4)
+    automorphism_group(cube())
+    with pytest.raises(CapExceeded):
+        automorphism_group(cube(), 3)
+    enumerate_frames(square(), 2)
+    with pytest.raises(OperationalError, match="cap 3"):
+        enumerate_frames(square(), 2, cap=3)
+    rank(square())
+    with pytest.raises(OperationalError, match="cap 3"):
+        rank(square(), cap=3)
+
+
+def test_equal_bodies_share_one_record():
+    assert geometry._analysis(square()) is geometry._analysis(square())
+    assert geometry._analysis(square()) is not geometry._analysis(hexagon())
+
+
+def test_analysis_cache_is_bounded():
+    bound = geometry.ANALYSIS_CACHE_BODIES
+    assert geometry._analysis.cache_info().maxsize == bound
+    segments = [polytope([(0,), (k,)]) for k in range(1, bound + 11)]
+    assert geometry._analysis.cache_info().currsize <= bound
+    # an evicted body is analysed again on demand, with the same answer
+    assert [f.indices for f in exposed_faces(segments[0]).faces] == [
+        (), (0,), (1,), (0, 1)
+    ]
+    assert chart_vertices(segments[0]) == ((F(0),), (F(1),))
+
+
+def test_frames_come_in_lexicographic_order():
+    for body, k in ((square(), 2), (simplex(2), 3), (pentagon(), 2)):
+        got = [f.indices for f in enumerate_frames(body, k)]
+        assert got == sorted(got)
+        assert len(got) == len(set(got))
+        keys = {tuple(sorted(i)) for i in got}
+        assert all(
+            (tuple(sorted(perm)) in keys) == (perm in got)
+            for perm in itertools.permutations(range(len(body.vertices)), k)
+        )
 
 
 # ---------------------------------------------------------------------------

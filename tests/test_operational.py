@@ -391,12 +391,6 @@ def test_cube_not_spectral():
     assert recheck_counterexample(cube(), verdict.counterexample)
 
 
-def test_sampled_mode_certifies_counterexample():
-    verdict = is_spectral(square(), method="sampled", trials=500, seed=3)
-    assert verdict.spectral is False
-    assert recheck_counterexample(square(), verdict.counterexample)
-
-
 def test_eja_and_ball_spectral():
     v = is_spectral(eja_state_space("herm_c", 3))
     assert v.spectral is True and v.rank == 3

@@ -225,6 +225,35 @@ def test_non_finite_input_refused(alg, bad):
             eigenvalues(x)
 
 
+def _assert_refused_or_exact(y, want):
+    # SpectralError, or the true eigenvalues; never an infinite eigenvalue,
+    # a bare OverflowError or a reconstruction check against an infinite bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        for solve in (eigenvalues, lambda z: spectral_decompose(z).eigenvalues):
+            try:
+                got = solve(y)
+            except SpectralError:
+                continue
+            assert np.isfinite(got).all()
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if not np.isfinite(norm(y)):
+            with pytest.raises(SpectralError, match="norm overflows"):
+                spectral_decompose(y)
+
+
+@pytest.mark.parametrize("scale", [1e105, 1e160, 1e300])
+@pytest.mark.parametrize("alg", FAMILIES_SMALL, ids=lambda a: a.family)
+def test_overflow_refused_or_exact(alg, scale):
+    x = random_element(alg, 3)
+    _assert_refused_or_exact(EjaElement(alg, x.coeffs * scale), eigenvalues(x) * scale)
+
+
+def test_herm_o_cubic_overflow_refused_or_exact():
+    # the power traces of 3e102 * e are finite, but e1**3 = (9e102)**3 is not
+    x = unit(algebra("herm_o", 3)) * 3e102
+    _assert_refused_or_exact(x, np.full(3, 3e102))
+
+
 # -- predicates --------------------------------------------------------------------
 
 

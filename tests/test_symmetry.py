@@ -21,6 +21,7 @@ the matrix families; the spin transporter fixes the unit exactly since
 it rotates only the vector part.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -45,6 +46,7 @@ from jordan_spectra.geometry import (
     simplex,
     square,
 )
+from jordan_spectra import symmetry
 from jordan_spectra.operational import enumerate_frames
 from jordan_spectra.scalars import Sqrt5
 from jordan_spectra.spectral import (
@@ -207,6 +209,24 @@ def test_octahedron_orbits():
     assert sorted(sizes[2]) == [6, 24]
 
 
+@pytest.mark.parametrize(
+    "body,sizes,witness",
+    [
+        (square(), ((1, (4,)), (2, (8, 4))), (2, (0, 1), (0, 2))),
+        (rectangle(), ((1, (4,)), (2, (8, 4))), (2, (0, 1), (0, 2))),
+        (hexagon(), ((1, (6,)), (2, (12, 6))), (2, (0, 2), (0, 3))),
+        (cube(), ((1, (8,)), (2, (24, 24, 8))), (2, (0, 1), (0, 3))),
+        (octahedron(), ((1, (6,)), (2, (6, 24))), (2, (0, 1), (0, 2))),
+        (pentagon(), ((1, (5,)), (2, (10,))), None),
+    ],
+)
+def test_orbit_report_pinned(body, sizes, witness):
+    # orbits are listed by their least frame, so the order is pinned too
+    report = is_strongly_symmetric(body)
+    assert report.orbit_sizes_by_k == sizes
+    assert report.witness_pair == witness
+
+
 # -- regularity ------------------------------------------------------------------
 
 
@@ -222,6 +242,17 @@ def test_trapezoid_not_regular():
     trap = polytope([(F(0), F(0)), (F(3), F(0)), (F(2), F(1)), (F(1), F(1))])
     assert len(automorphism_group(trap)) == 2
     assert not is_regular(trap)
+
+
+def test_regularity_refuses_a_map_that_breaks_faces(monkeypatch):
+    # the transposition (1 2) sends the square's edge {0, 1} to a diagonal
+    body = square()
+    group = automorphism_group(body)
+    ident = next(g for g in group if g.permutation == (0, 1, 2, 3))
+    bad = dataclasses.replace(ident, permutation=(0, 2, 1, 3))
+    monkeypatch.setattr(symmetry, "automorphism_group", lambda p, cap: group + (bad,))
+    with pytest.raises(SymmetryError, match="not a face"):
+        is_regular(body)
 
 
 # -- frame/flag bijection ---------------------------------------------------------
