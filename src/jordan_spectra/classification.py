@@ -432,19 +432,6 @@ def fr_polytope(body, frame=None, cap: int = 12) -> Polytope:
     return fr_section(body, frame=frame, cap=cap).polytope
 
 
-def fr_polytope_symmetry(fixture, cap: int = 12) -> tuple:
-    """Automorphisms of the section simplex; must be all vertex permutations."""
-    section = fixture if isinstance(fixture, FrSection) else fr_section(fixture, cap=cap)
-    group = automorphism_group(section.polytope, cap)
-    n = len(section.polytope.vertices)
-    if len(group) != math.factorial(n):
-        raise ClassificationError(
-            "section symmetry group has order %d, expected %d"
-            % (len(group), math.factorial(n))
-        )
-    return group
-
-
 def section_sample_check(
     section: FrSection, samples: int = 1000, seed: int = 0, tol: float = 1e-10
 ) -> dict:

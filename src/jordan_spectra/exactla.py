@@ -1,140 +1,256 @@
-"""Exact dense linear algebra over field scalars.
+"""Exact dense linear algebra over Q and Q(sqrt 5), on one elimination kernel.
 
-Matrices are lists of lists whose entries are Fraction, Sqrt5, or int; all
-routines use only field operations so any exact ordered field flows through.
-Pivoting picks the first nonzero entry (exact arithmetic needs no magnitude
-pivoting).
+Matrices are lists of rows whose entries are int, Fraction or Sqrt5.  Every
+routine here, and the simplex of :mod:`exactlp`, eliminates with the same
+fraction-free kernel.  Each row is scaled by the lcm of its denominators
+into a ring, Python ints for rational input and Z[sqrt 5] (int pairs) when
+any entry is a Sqrt5, and every pivot is an integer-preserving Bareiss
+update over one common denominator (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968),
+so no division is ever inexact.  Fraction and Sqrt5 values appear only on
+the way out, through ``ring.quotient``.  Pivoting picks the first nonzero
+entry (exact arithmetic needs no magnitude pivoting).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
+
+from .scalars import Sqrt5
+
+# ---------------------------------------------------------------------------
+# rings: the arithmetic of the fraction-free kernel
+#
+# A ring element stands for a field value times a known positive scale.
+# ``combine(row, prow, p, f, d)`` is the Bareiss update (row*p - f*prow)/d
+# and ``scale(row, p, d)`` is row*p/d; both divisions are exact whenever d
+# is the previous pivot, because every entry is then a minor of the scaled
+# input matrix.
+
+
+class _Integers:
+    """Rational input: ring elements are Python ints."""
+
+    zero, one, minus_one = 0, 1, -1
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+
+    @staticmethod
+    def lift(values):
+        """Scale Fractions by the lcm of their denominators: (ints, lcm)."""
+        scale = math.lcm(*(v.denominator for v in values))
+        return [v.numerator * (scale // v.denominator) for v in values], scale
+
+    @staticmethod
+    def combine(row, prow, p, f, d):
+        return [(a * p - f * b) // d for a, b in zip(row, prow)]
+
+    @staticmethod
+    def scale(row, p, d):
+        return [a * p // d for a in row]
+
+    @staticmethod
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    @staticmethod
+    def scalar(x):
+        return x
+
+    @staticmethod
+    def quotient(x, d):
+        return Fraction(x, d)
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+class _QuadraticIntegers:
+    """Input over Q(sqrt 5): ring elements are int pairs (a, b) = a + b*sqrt5."""
+
+    zero, one, minus_one = (0, 0), (1, 0), (-1, 0)
+
+    @staticmethod
+    def sub(x, y):
+        return (x[0] - y[0], x[1] - y[1])
+
+    @staticmethod
+    def mul(x, y):
+        return (x[0] * y[0] + 5 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    @staticmethod
+    def lift(values):
+        """Scale Fraction/Sqrt5 values by the lcm of all part denominators:
+        (pairs, lcm as a pair)."""
+        parts = [(v.a, v.b) if isinstance(v, Sqrt5) else (v, _FRACTION_ZERO) for v in values]
+        scale = math.lcm(*(q.denominator for pair in parts for q in pair))
+        ring = [
+            (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+            for a, b in parts
+        ]
+        return ring, (scale, 0)
+
+    @staticmethod
+    def combine(row, prow, p, f, d):
+        pa, pb = p
+        fa, fb = f
+        da, db = d
+        norm = da * da - 5 * db * db
+        out = []
+        # x = a*p - f*c in Z[sqrt5], then x / d = x * conj(d) / norm(d)
+        for (a, b), (c, e) in zip(row, prow):
+            xa = a * pa + 5 * b * pb - fa * c - 5 * fb * e
+            xb = a * pb + b * pa - fa * e - fb * c
+            out.append(((xa * da - 5 * xb * db) // norm, (xb * da - xa * db) // norm))
+        return out
+
+    @staticmethod
+    def scale(row, p, d):
+        return _QuadraticIntegers.combine(row, row, p, (0, 0), d)
+
+    @staticmethod
+    def sign(x):
+        a, b = x
+        sa = (a > 0) - (a < 0)
+        sb = (b > 0) - (b < 0)
+        if sa == sb or sb == 0:
+            return sa
+        if sa == 0:
+            return sb
+        # opposite signs: the larger of a^2 and 5 b^2 wins (never equal)
+        return sa if a * a > 5 * b * b else sb
+
+    @staticmethod
+    def scalar(x):
+        return x[0] if x[1] == 0 else Sqrt5(x[0], x[1])
+
+    @staticmethod
+    def quotient(x, d):
+        (a, b), (da, db) = x, d
+        norm = da * da - 5 * db * db
+        return Sqrt5(Fraction(a * da - 5 * b * db, norm), Fraction(b * da - a * db, norm))
+
+
+def _ring_for(values):
+    """Z[sqrt 5] when any value is a Sqrt5, else the integers."""
+    if any(isinstance(v, Sqrt5) for v in values):
+        return _QuadraticIntegers
+    return _Integers
+
+
+def _bareiss_pivot(ring, T, basis, d, r, j):
+    """Pivot on T[r][j] over common denominator ``d``; returns the new one.
+
+    The rows of T stand for T / d.  The pivot row is kept, every other row
+    becomes (row * p - row[j] * T[r]) / d, and the new denominator is p;
+    when p < 0 the whole of T is negated so that the denominator stays
+    positive.
+    """
+    prow = T[r]
+    p = prow[j]
+    zero = ring.zero
+    for i, row in enumerate(T):
+        if i == r:
+            continue
+        f = row[j]
+        if f != zero:
+            T[i] = ring.combine(row, prow, p, f, d)
+        elif p != d:
+            T[i] = ring.scale(row, p, d)
+    basis[r] = j
+    if ring.sign(p) < 0:
+        for i, row in enumerate(T):
+            T[i] = ring.scale(row, ring.minus_one, ring.one)
+        p = ring.sub(zero, p)
+    return p
+
+
+def _eliminate(matrix):
+    """Fraction-free Gauss-Jordan elimination of ``matrix``.
+
+    Returns (ring, T, pivots, d, scale): ``T / d`` is the reduced row
+    echelon form, with ``pivots`` its pivot columns in order.  For a square
+    matrix of full rank det(matrix) = d / scale, where ``scale`` is the
+    product of the row lcms, negated once per row swap and once per
+    negative pivot.
+    """
+    ring = _ring_for(v for row in matrix for v in row)
+    zero = ring.zero
+    T, scale = [], ring.one
+    for row in matrix:
+        lifted, s = ring.lift(row)
+        T.append(lifted)
+        scale = ring.mul(scale, s)
+    nrow = len(T)
+    ncol = len(T[0]) if nrow else 0
+    basis = [None] * nrow
+    d = ring.one
+    r = 0
+    for c in range(ncol):
+        if r == nrow:
+            break
+        i = next((i for i in range(r, nrow) if T[i][c] != zero), None)
+        if i is None:
+            continue
+        if i != r:
+            T[r], T[i] = T[i], T[r]
+            scale = ring.sub(zero, scale)
+        if ring.sign(T[r][c]) < 0:
+            scale = ring.sub(zero, scale)
+        d = _bareiss_pivot(ring, T, basis, d, r, c)
+        r += 1
+    return ring, T, basis[:r], d, scale
+
+
+# ---------------------------------------------------------------------------
+# routines
 
 
 def mat_vec(m, v):
     return [sum(mij * vj for mij, vj in zip(row, v)) for row in m]
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def transpose(m):
-    return [list(row) for row in zip(*m)]
-
-
 def rref(matrix):
     """Reduced row echelon form. Returns (rref_rows, pivot_column_list)."""
-    rows = [list(r) for r in matrix]
-    nrow = len(rows)
-    ncol = len(rows[0]) if nrow else 0
-    pivots = []
-    r = 0
-    for c in range(ncol):
-        pivot_row = None
-        for i in range(r, nrow):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrow):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrow:
-            break
-    return rows, pivots
+    ring, T, pivots, d, _ = _eliminate(matrix)
+    return [[ring.quotient(x, d) for x in row] for row in T], pivots
 
 
 def matrix_rank(matrix):
     if not matrix:
         return 0
-    return len(rref(matrix)[1])
+    return len(_eliminate(matrix)[2])
 
 
 def solve_unique(a, b):
     """Solve the square system a x = b; raise ValueError if singular."""
     n = len(a)
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    rows, pivots = rref(aug)
+    ring, T, pivots, d, _ = _eliminate([list(row) + [bv] for row, bv in zip(a, b)])
     if pivots != list(range(n)):
         raise ValueError("singular linear system")
-    return [rows[i][n] for i in range(n)]
+    return [ring.quotient(T[i][n], d) for i in range(n)]
 
 
 def solve_any(a, b):
     """One solution of a x = b (possibly underdetermined); None if none."""
-    nrow = len(a)
-    ncol = len(a[0]) if nrow else 0
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    rows, pivots = rref(aug)
+    ncol = len(a[0]) if a else 0
+    ring, T, pivots, d, _ = _eliminate([list(row) + [bv] for row, bv in zip(a, b)])
     if ncol in pivots:
         return None
     x = [Fraction(0)] * ncol
     for r, c in enumerate(pivots):
-        x[c] = rows[r][ncol]
+        x[c] = ring.quotient(T[r][ncol], d)
     return x
 
 
-def invert(a):
-    n = len(a)
-    aug = [list(row) + ident_row for row, ident_row in zip(a, identity(n))]
-    rows, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in rows]
-
-
 def determinant(a):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(a)
-    rows = [list(r) for r in a]
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0) * det
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
-
-
-def nullspace(a):
-    """Basis of the right nullspace of a."""
-    nrow = len(a)
-    ncol = len(a[0]) if nrow else 0
-    rows, pivots = rref(a)
-    free = [c for c in range(ncol) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncol
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(v)
-    return basis
+    """Exact determinant of a square matrix."""
+    ring, _, pivots, d, scale = _eliminate(a)
+    if len(pivots) != len(a):
+        return Fraction(0)
+    return ring.quotient(d, scale)
 
 
 def affinely_independent(points) -> bool:
@@ -172,18 +288,16 @@ def affine_map_from_correspondence(src, dst):
     src must be affinely independent with len(src) = d+1 points in dimension
     d.  Returns (matrix, translation) with map(x) = matrix @ x + translation.
     """
-    d = len(src[0])
-    if len(src) != d + 1:
-        raise ValueError("need d+1 source points for dimension %d" % d)
-    # columns of [M | t] solve  [x ; 1] -> y  per coordinate
-    a_rows = [list(p) + [Fraction(1)] for p in src]
-    cols = []
-    for coord in range(d):
-        rhs = [q[coord] for q in dst]
-        cols.append(solve_unique(a_rows, rhs))
-    matrix = [[cols[i][j] for j in range(d)] for i in range(d)]
-    translation = [cols[i][d] for i in range(d)]
-    return matrix, translation
+    n = len(src[0])
+    if len(src) != n + 1:
+        raise ValueError("need d+1 source points for dimension %d" % n)
+    # one elimination of [src | 1 | dst]: the solution X of [src | 1] X = dst
+    # is [matrix | translation] transposed
+    ring, T, pivots, d, _ = _eliminate([list(p) + [1] + list(q) for p, q in zip(src, dst)])
+    if pivots != list(range(n + 1)):
+        raise ValueError("singular linear system")
+    cols = [[ring.quotient(T[j][n + 1 + i], d) for j in range(n + 1)] for i in range(n)]
+    return [col[:n] for col in cols], [col[n] for col in cols]
 
 
 def barycentric_coordinates(vertices, point):

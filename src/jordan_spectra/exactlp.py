@@ -7,11 +7,12 @@ over Q(sqrt 5)), and every answer carries a certificate that re-verifies
 with zero tolerance before it is returned: a witness point for Feasible, a
 dual solution for Optimal, a Farkas ray for Infeasible.
 
-The simplex method is fraction-free.  Each standardized row is scaled by
-the lcm of its denominators into a ring, Python ints for rational programs
-and Z[sqrt 5] (int pairs) for any program containing a Sqrt5, and every
-pivot is an integer-preserving Bareiss update over one common denominator
-(Bareiss, Math. Comp. 22, 1968), so no division is ever inexact.  Pivots
+The simplex method is fraction-free and pivots with the elimination kernel
+of :mod:`exactla`.  Each standardized row is scaled by the lcm of its
+denominators into a ring, Python ints for rational programs and Z[sqrt 5]
+(int pairs) for any program containing a Sqrt5, and every pivot is an
+integer-preserving Bareiss update over one common denominator (Bareiss,
+Math. Comp. 22, 1968), so no division is ever inexact.  Pivots
 follow Bland's anti-cycling rule; sign tests and ratio tests compare by
 cross-multiplication.  Free variables share one offset column
 (x = x' - t with x', t >= 0).  Fraction and Sqrt5 objects appear only when
@@ -26,35 +27,17 @@ error it introduced.
 from __future__ import annotations
 
 import json
-import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Sqrt5, format_scalar, parse_scalar
+from .exactla import _bareiss_pivot, _ring_for
+from .scalars import exact, format_scalar
 
 RELATIONS = ("<=", "=", ">=")
 
 
 class LPError(ValueError):
     """Malformed program or internal certificate failure."""
-
-
-def _coerce(value):
-    if isinstance(value, bool):
-        raise LPError("boolean is not a scalar coefficient")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, (Fraction, Sqrt5)):
-        return value
-    if isinstance(value, str):
-        return parse_scalar(value)
-    if isinstance(value, float):
-        raise LPError(
-            "float coefficients are not accepted; rationalize explicitly "
-            "with rationalize_vector"
-        )
-    raise LPError(f"unsupported coefficient type {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -108,17 +91,21 @@ def linear_program(constraints, objective=None, sense="max", n_vars=None, bounds
     ``bounds``, when given, is a sequence of ``(lo, hi)`` pairs (either end
     may be None) that become ``x_j >= lo`` / ``x_j <= hi`` rows.
     """
-    rows = []
+    try:
+        rows = [(tuple(map(exact, row)), rel, exact(rhs)) for row, rel, rhs in constraints]
+        if bounds is not None:
+            bounds = [tuple(v if v is None else exact(v) for v in pair) for pair in bounds]
+        obj = None if objective is None else tuple(map(exact, objective))
+    except TypeError as exc:
+        raise LPError(str(exc)) from None
     width = n_vars
-    for row, rel, rhs in constraints:
-        coeffs = tuple(_coerce(v) for v in row)
+    for coeffs, rel, _ in rows:
         if width is None:
             width = len(coeffs)
         if len(coeffs) != width:
             raise LPError(f"constraint row has {len(coeffs)} coefficients, expected {width}")
         if rel not in RELATIONS:
             raise LPError(f"unknown relation {rel!r}")
-        rows.append((coeffs, rel, _coerce(rhs)))
     if width is None:
         raise LPError("cannot infer variable count from an empty program")
     if width < 1:
@@ -131,14 +118,11 @@ def linear_program(constraints, objective=None, sense="max", n_vars=None, bounds
         for j, (lo, hi) in enumerate(bounds):
             unit = tuple(Fraction(int(k == j)) for k in range(width))
             if lo is not None:
-                rows.append((unit, ">=", _coerce(lo)))
+                rows.append((unit, ">=", lo))
             if hi is not None:
-                rows.append((unit, "<=", _coerce(hi)))
-    obj = None
-    if objective is not None:
-        obj = tuple(_coerce(v) for v in objective)
-        if len(obj) != width:
-            raise LPError(f"objective has {len(obj)} coefficients, expected {width}")
+                rows.append((unit, "<=", hi))
+    if obj is not None and len(obj) != width:
+        raise LPError(f"objective has {len(obj)} coefficients, expected {width}")
     if sense not in ("max", "min"):
         raise LPError(f"unknown sense {sense!r}")
     return LinearProgram(n_vars=width, constraints=tuple(rows), objective=obj, sense=sense)
@@ -238,128 +222,12 @@ def check_witness(lp: LinearProgram, point) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# rings: the arithmetic kernel of the fraction-free simplex
-#
-# A ring element stands for a field value times a known positive scale.
-# ``combine(row, prow, p, f, d)`` is the Bareiss update (row*p - f*prow)/d
-# and ``scale(row, p, d)`` is row*p/d; both divisions are exact whenever d
-# is the previous pivot, because every entry is then a minor of the scaled
-# input matrix.
-
-
-class _Integers:
-    """Rational programs: ring elements are Python ints."""
-
-    zero, one, minus_one = 0, 1, -1
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-
-    @staticmethod
-    def lift(values):
-        """Scale Fractions by the lcm of their denominators: (ints, lcm)."""
-        scale = math.lcm(*(v.denominator for v in values))
-        return [v.numerator * (scale // v.denominator) for v in values], scale
-
-    @staticmethod
-    def combine(row, prow, p, f, d):
-        return [(a * p - f * b) // d for a, b in zip(row, prow)]
-
-    @staticmethod
-    def scale(row, p, d):
-        return [a * p // d for a in row]
-
-    @staticmethod
-    def sign(x):
-        return (x > 0) - (x < 0)
-
-    @staticmethod
-    def scalar(x):
-        return x
-
-    @staticmethod
-    def quotient(x, d):
-        return Fraction(x, d)
-
-
-_FRACTION_ZERO = Fraction(0)
-
-
-class _QuadraticIntegers:
-    """Programs over Q(sqrt 5): ring elements are int pairs (a, b) = a + b*sqrt5."""
-
-    zero, one, minus_one = (0, 0), (1, 0), (-1, 0)
-
-    @staticmethod
-    def sub(x, y):
-        return (x[0] - y[0], x[1] - y[1])
-
-    @staticmethod
-    def mul(x, y):
-        return (x[0] * y[0] + 5 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-    @staticmethod
-    def lift(values):
-        """Scale Fraction/Sqrt5 values by the lcm of all part denominators:
-        (pairs, lcm as a pair)."""
-        parts = [(v.a, v.b) if isinstance(v, Sqrt5) else (v, _FRACTION_ZERO) for v in values]
-        scale = math.lcm(*(q.denominator for pair in parts for q in pair))
-        ring = [
-            (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
-            for a, b in parts
-        ]
-        return ring, (scale, 0)
-
-    @staticmethod
-    def combine(row, prow, p, f, d):
-        pa, pb = p
-        fa, fb = f
-        da, db = d
-        norm = da * da - 5 * db * db
-        out = []
-        # x = a*p - f*c in Z[sqrt5], then x / d = x * conj(d) / norm(d)
-        for (a, b), (c, e) in zip(row, prow):
-            xa = a * pa + 5 * b * pb - fa * c - 5 * fb * e
-            xb = a * pb + b * pa - fa * e - fb * c
-            out.append(((xa * da - 5 * xb * db) // norm, (xb * da - xa * db) // norm))
-        return out
-
-    @staticmethod
-    def scale(row, p, d):
-        return _QuadraticIntegers.combine(row, row, p, (0, 0), d)
-
-    @staticmethod
-    def sign(x):
-        a, b = x
-        sa = (a > 0) - (a < 0)
-        sb = (b > 0) - (b < 0)
-        if sa == sb or sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        # opposite signs: the larger of a^2 and 5 b^2 wins (never equal)
-        return sa if a * a > 5 * b * b else sb
-
-    @staticmethod
-    def scalar(x):
-        return x[0] if x[1] == 0 else Sqrt5(x[0], x[1])
-
-    @staticmethod
-    def quotient(x, d):
-        (a, b), (da, db) = x, d
-        norm = da * da - 5 * db * db
-        return Sqrt5(Fraction(a * da - 5 * b * db, norm), Fraction(b * da - a * db, norm))
+# simplex core
 
 
 def _ring_of(lp: LinearProgram):
     values = [v for row, _, rhs in lp.constraints for v in (*row, rhs)]
-    values += lp.objective or ()
-    if any(isinstance(v, Sqrt5) for v in values):
-        return _QuadraticIntegers
-    return _Integers
-
-
-# ---------------------------------------------------------------------------
-# simplex core
+    return _ring_for(values + list(lp.objective or ()))
 
 
 def _negated_sum(ring, values):
@@ -410,33 +278,6 @@ def _standardize(lp: LinearProgram, ring):
         rhs.append(b)
         start.append(col)
     return rows, rhs, start
-
-
-def _bareiss_pivot(ring, T, basis, d, r, j):
-    """Pivot on T[r][j] over common denominator ``d``; returns the new one.
-
-    The tableau (constraint rows, then the reduced-cost row) stands for
-    T / d.  The pivot row is kept, every other row becomes
-    (row * p - row[j] * T[r]) / d, and the new denominator is p; when p < 0
-    the whole tableau is negated so that the denominator stays positive.
-    """
-    prow = T[r]
-    p = prow[j]
-    zero = ring.zero
-    for i, row in enumerate(T):
-        if i == r:
-            continue
-        f = row[j]
-        if f != zero:
-            T[i] = ring.combine(row, prow, p, f, d)
-        elif p != d:
-            T[i] = ring.scale(row, p, d)
-    basis[r] = j
-    if ring.sign(p) < 0:
-        for i, row in enumerate(T):
-            T[i] = ring.scale(row, ring.minus_one, ring.one)
-        p = ring.sub(zero, p)
-    return p
 
 
 def _bland(ring, T, basis, d, allowed):

@@ -8,8 +8,7 @@ their affine hull through an AffineChart before any face computation.
 
 Exposed faces are certified one subset at a time: S is a face iff some
 affine functional vanishes on S and is >= 1 on every other vertex, an exact
-LP.  The face lattice, flags, barycenters, cone embeddings, and the
-group-averaged canonical embedding all build on that.
+LP.  The face lattice, flags and barycenters build on that.
 """
 
 from __future__ import annotations
@@ -20,17 +19,9 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
 
 from .algebra import AlgebraDescriptor, EjaElement, algebra, trace, unit
-from .exactla import (
-    affine_basis_indices,
-    affine_rank,
-    determinant,
-    mat_mul,
-    matrix_rank,
-    solve_any,
-    transpose,
-)
+from .exactla import affine_basis_indices, affine_rank, determinant, solve_any
 from .exactlp import Feasible, linear_program, lp_feasible
-from .scalars import Sqrt5, format_scalar, parse_scalar
+from .scalars import Sqrt5, exact, format_scalar
 from .spectral import eigenvalues
 
 FACE_VERTEX_CAP = 14
@@ -42,20 +33,6 @@ class GeometryError(ValueError):
 
 class CapExceeded(GeometryError):
     pass
-
-
-def _exact(value):
-    if isinstance(value, bool):
-        raise GeometryError("boolean is not a coordinate")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, (Fraction, Sqrt5)):
-        return value
-    if isinstance(value, str):
-        return parse_scalar(value)
-    raise GeometryError(
-        f"coordinates must be exact scalars, got {type(value).__name__}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +80,10 @@ class EjaStateSpace:
 
 def polytope(vertices) -> Polytope:
     """Validate vertices: exact, pairwise distinct, each one extremal."""
-    rows = tuple(tuple(_exact(c) for c in v) for v in vertices)
+    try:
+        rows = tuple(tuple(map(exact, v)) for v in vertices)
+    except TypeError as exc:
+        raise GeometryError(str(exc)) from None
     if not rows:
         raise GeometryError("a polytope needs at least one vertex")
     width = len(rows[0])
@@ -405,7 +385,10 @@ def membership(body, point, tol: float = 1e-10) -> str:
     exact; EJA membership is the eigenvalue sign test at tolerance ``tol``.
     """
     if isinstance(body, Polytope):
-        p = tuple(_exact(c) for c in point)
+        try:
+            p = tuple(map(exact, point))
+        except TypeError as exc:
+            raise GeometryError(str(exc)) from None
         if len(p) != body.ambient_dim:
             raise GeometryError("point dimension mismatch")
         coords = chart(body).to_chart(p)
@@ -425,7 +408,7 @@ def membership(body, point, tol: float = 1e-10) -> str:
         if len(point) != body.n:
             raise GeometryError("point dimension mismatch")
         if all(isinstance(c, (int, Fraction, Sqrt5)) for c in point):
-            q = sum(_exact(c) * _exact(c) for c in point)
+            q = sum(v * v for v in map(exact, point))
             if q < 1:
                 return "inside"
             return "boundary" if q == 1 else "outside"
@@ -546,149 +529,6 @@ def barycenter(body):
 
 
 # ---------------------------------------------------------------------------
-# canonical embedding and cone embedding
-
-
-@dataclass(frozen=True)
-class CanonicalEmbedding:
-    """Barycenter-centered chart coordinates with a group-invariant metric."""
-
-    vertices: tuple
-    gram: tuple
-    chart: AffineChart
-    group_order: int
-
-    def inner(self, x, y):
-        return sum(
-            x[i] * self.gram[i][j] * y[j]
-            for i in range(len(x))
-            for j in range(len(y))
-        )
-
-
-def _chart_linear_part(poly: Polytope, matrix, translation):
-    """Restrict an ambient affine self-map to chart coordinates (linear part)."""
-    ch = chart(poly)
-
-    def apply(p):
-        return tuple(
-            sum(matrix[i][j] * p[j] for j in range(len(p))) + translation[i]
-            for i in range(len(p))
-        )
-
-    img0 = ch.to_chart(apply(ch.origin))
-    if img0 is None:
-        raise GeometryError("map does not preserve the affine hull")
-    cols = []
-    for vec in ch.basis:
-        shifted = tuple(o + v for o, v in zip(ch.origin, vec))
-        img = ch.to_chart(apply(shifted))
-        if img is None:
-            raise GeometryError("map does not preserve the affine hull")
-        cols.append([a - b for a, b in zip(img, img0)])
-    return [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))]
-
-
-def canonical_embed(poly: Polytope, group) -> CanonicalEmbedding:
-    """Center the barycenter at the origin and average the metric over ``group``.
-
-    ``group`` is a list of ambient affine maps (matrix, translation) that
-    permute the vertices.  Every group element is orthogonal with respect to
-    the averaged Gram matrix, by construction.
-    """
-    group = list(group)
-    if not group:
-        raise GeometryError("need a nonempty group")
-    ch = chart(poly)
-    b = ch.to_chart(barycenter(poly))
-    centered = tuple(
-        tuple(a - v for a, v in zip(coords, b)) for coords in chart_vertices(poly)
-    )
-    d = ch.dim
-    total = [[0] * d for _ in range(d)]
-    for matrix, translation in group:
-        lin = _chart_linear_part(poly, matrix, translation)
-        sq = mat_mul(transpose(lin), lin)
-        total = [
-            [t + s for t, s in zip(trow, srow)] for trow, srow in zip(total, sq)
-        ]
-    inv = Fraction(1, len(group))
-    gram = tuple(tuple(v * inv for v in row) for row in total)
-    return CanonicalEmbedding(
-        vertices=centered, gram=gram, chart=ch, group_order=len(group)
-    )
-
-
-@dataclass(frozen=True)
-class ConeEmbedding:
-    """A body embedded as the u = 1 slice of a cone."""
-
-    space_dim: int
-    cone: str
-    order_unit: tuple
-    rays: tuple | None
-    inner: str
-
-
-def cone_embed(body) -> ConeEmbedding:
-    """Embed the body in the slice {u = 1} of a cone over it.
-
-    Polytopes whose vertices already span a cone positively (affine hull off
-    the origin, e.g. the simplex as unit vectors spanning the nonnegative
-    orthant) keep their coordinates; otherwise a homogenizing coordinate is
-    prepended.  EJA state spaces sit in their cone of squares with u = e,
-    balls in the Lorentz cone.
-    """
-    if isinstance(body, Ball):
-        return ConeEmbedding(
-            space_dim=body.n + 1,
-            cone="lorentz",
-            order_unit=(Fraction(1),) + tuple(Fraction(0) for _ in range(body.n)),
-            rays=None,
-            inner="euclidean",
-        )
-    if isinstance(body, EjaStateSpace):
-        e = unit(body.descriptor)
-        return ConeEmbedding(
-            space_dim=body.descriptor.dim,
-            cone="squares",
-            order_unit=tuple(float(c) for c in e.coeffs),
-            rays=None,
-            inner="trace-identity",
-        )
-    if not isinstance(body, Polytope):
-        raise GeometryError(f"unknown body {type(body).__name__}")
-    verts = [list(v) for v in body.vertices]
-    lin_rank = matrix_rank(verts)
-    aff_rank = affine_rank(verts)
-    if lin_rank == aff_rank + 1:
-        rows = verts
-        rhs = [Fraction(1)] * len(verts)
-        u = solve_any(rows, rhs)
-        if u is not None:
-            return ConeEmbedding(
-                space_dim=body.ambient_dim,
-                cone="polyhedral",
-                order_unit=tuple(u),
-                rays=tuple(tuple(v) for v in body.vertices),
-                inner="euclidean",
-            )
-    if aff_rank == body.ambient_dim:
-        base = [tuple(v) for v in body.vertices]
-    else:
-        base = list(chart_vertices(body))
-    rays = tuple((Fraction(1),) + tuple(v) for v in base)
-    d = len(base[0])
-    return ConeEmbedding(
-        space_dim=d + 1,
-        cone="polyhedral",
-        order_unit=(Fraction(1),) + tuple(Fraction(0) for _ in range(d)),
-        rays=rays,
-        inner="euclidean",
-    )
-
-
-# ---------------------------------------------------------------------------
 # fixtures
 
 
@@ -706,7 +546,7 @@ def square() -> Polytope:
 
 
 def rectangle(a=2, b=1) -> Polytope:
-    if _exact(a) == _exact(b):
+    if a == b:
         raise GeometryError("rectangle sides must differ; use square()")
     return polytope([(a, b), (-a, b), (-a, -b), (a, -b)])
 

@@ -99,8 +99,3 @@ OCT_TABLE: np.ndarray = _structure_tensor()
 def oct_mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of octonion matrices, shapes (n, m, 8) x (m, k, 8)."""
     return np.einsum("ijp,jkq,pqr->ikr", a, b, OCT_TABLE)
-
-
-def oct_mat_conj_t(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of an octonion matrix (n, m, 8) -> (m, n, 8)."""
-    return oct_conj(np.swapaxes(a, 0, 1))

@@ -34,8 +34,8 @@ from .geometry import (
     exposed_faces,
     membership,
 )
-from .scalars import Sqrt5, format_scalar
-from .spectral import eigenvalues, is_primitive_idempotent, spectral_decompose
+from .scalars import exact, format_scalar
+from .spectral import eigenvalues, is_primitive_idempotent
 
 FRAME_VERTEX_CAP = 14
 
@@ -247,9 +247,7 @@ def distinguishing_measurement(body, states, tol: float = 1e-9):
 
 
 def _sq(c):
-    from .geometry import _exact
-
-    v = _exact(c)
+    v = exact(c)
     return v * v
 
 
@@ -457,25 +455,6 @@ def recheck_counterexample(body: Polytope, point, cap: int = FRAME_VERTEX_CAP) -
             if _in_hull_exact([body.vertices[i] for i in s], point):
                 return False
     return True
-
-
-def spectral_decompose_state(state: EjaElement, tol: float = 1e-8):
-    """Write a state as a convex combination over a Jordan frame.
-
-    Returns (weights, frame) with near-zero weights dropped; raises if the
-    element is not a state (trace far from 1 or an eigenvalue below -tol).
-    """
-    if abs(trace(state) - 1.0) > tol:
-        raise OperationalError("element does not have unit trace")
-    dec = spectral_decompose(state)
-    if dec.eigenvalues[-1] < -tol:
-        raise OperationalError("negative eigenvalue: not a state")
-    weights, frame = [], []
-    for lam, idem in zip(dec.eigenvalues, dec.frame):
-        if lam > tol:
-            weights.append(float(lam))
-            frame.append(idem)
-    return tuple(weights), tuple(frame)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,13 @@ pentagon fixture) cannot have all-rational coordinates, so this module adds
 ``Sqrt5``, the quadratic field Q(sqrt(5)): numbers a + b*sqrt(5) with
 rational a, b, with exact arithmetic and exact order comparisons.
 
-Everything downstream (the simplex solver, face enumeration, automorphism
-search) is written against plain field operations, so Fraction and Sqrt5
-values flow through the same code paths.
+Exact input (polytope vertices, linear-program coefficients) enters
+through :func:`exact`, the one validating coercer: it takes ints,
+Fractions, Sqrt5 values and scalar strings and refuses bool, float and
+everything else.  Downstream code (face enumeration, automorphism search)
+is written against plain field operations, so Fraction and Sqrt5 values
+flow through the same code paths; the elimination kernel of ``exactla``
+lifts them into integer rings and back.
 """
 
 from __future__ import annotations
@@ -185,12 +189,25 @@ SQRT5 = Sqrt5(0, 1)
 PHI = Sqrt5(Fraction(1, 2), Fraction(1, 2))
 
 
-def is_rational(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return True
-    if isinstance(x, Sqrt5):
-        return x.b == 0
-    return False
+def exact(value):
+    """``value`` as an exact scalar: Fraction or Sqrt5.
+
+    Ints become Fractions and strings are read by :func:`parse_scalar`.
+    Raises TypeError for bool, float and every other type; floating-point
+    data must be rationalized explicitly (``exactlp.rationalize_vector``).
+    """
+    if isinstance(value, (Fraction, Sqrt5)):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        return parse_scalar(value)
+    if isinstance(value, float):
+        raise TypeError(
+            f"float {value!r} is not an exact scalar; rationalize it explicitly "
+            "with rationalize_vector"
+        )
+    raise TypeError(f"{type(value).__name__} is not an exact scalar")
 
 
 def as_fraction(x) -> Fraction:

@@ -15,8 +15,11 @@ Solver strategy:
           repeated eigenvalues refined through the quadratic representation
 
 `eigenvalues` returns the same numbers without building a frame.  Elements
-with non-finite coefficients are refused with SpectralError, and so are
-elements so large that an eigenvalue, a power trace or the norm overflows.
+with non-finite coefficients are refused with SpectralError.  An element
+whose norm overflows is solved as x / 2**k (k the binary exponent of its
+largest coefficient) and its eigenvalues scaled back; it is refused when a
+scaled-back eigenvalue overflows, and so is an element of finite norm whose
+herm_o power traces or eigenvalues overflow.
 
 A decomposition carries the fine frame (not canonical when eigenvalues
 repeat) and the coarse decomposition by distinct eigenvalues, which is
@@ -331,6 +334,32 @@ def _require_finite(values: list, message: str):
         raise SpectralError(message)
 
 
+def _size(x: EjaElement) -> float:
+    """|x| without an overflow warning: non-finite iff a coefficient is or
+    the sum of squares overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return norm(x)
+
+
+def _downscaled(x: EjaElement):
+    """(x / 2**k, k) for an x whose norm overflows; refuses non-finite x.
+
+    k is the binary exponent of the largest coefficient, so the quotient's
+    coefficients lie below 1 in magnitude.
+    """
+    _require_finite(x.coeffs.tolist(), "element has non-finite coefficients")
+    k = math.frexp(float(np.max(np.abs(x.coeffs))))[1]
+    return EjaElement(x.algebra, np.ldexp(x.coeffs, -k)), k
+
+
+def _upscaled(values, k: int) -> list:
+    """The floats ``values`` times 2**k; SpectralError if one overflows."""
+    try:
+        return [math.ldexp(v, k) for v in values]
+    except OverflowError:
+        raise SpectralError("eigenvalues overflow") from None
+
+
 def spectral_decompose(
     x: EjaElement, tol: float = DEFAULT_TOL, seed: int = 0xA5
 ) -> SpectralDecomposition:
@@ -338,14 +367,19 @@ def spectral_decompose(
 
     Eigenvalues come back descending; the reconstruction residual is bounded
     by tol*(1 + |x|).  `seed` only steers the non-canonical fine splitting of
-    repeated eigenvalues.
+    repeated eigenvalues.  An x whose norm overflows is decomposed as
+    x / 2**k, with its eigenvalues scaled back by 2**k.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    size = norm(x)  # a sum of squares: non-finite iff a coefficient is or it overflows
+    size = _size(x)
     if not math.isfinite(size):
-        _require_finite(x.coeffs.tolist(), "element has non-finite coefficients")
-        raise SpectralError("norm overflows")
+        y, k = _downscaled(x)
+        dec = spectral_decompose(y, tol, seed)
+        values = _upscaled(dec.eigenvalues.tolist(), k)
+        lams = _upscaled([lam for lam, _ in dec.coarse], k)
+        coarse = [(lam, idem) for lam, (_, idem) in zip(lams, dec.coarse)]
+        return SpectralDecomposition(np.asarray(values), dec.frame, coarse)
     rng = np.random.default_rng(seed)
     values, frame = _fine_for(x, tol, rng)
     values = [float(v) for v in values]
@@ -378,7 +412,9 @@ def eigenvalues(x: EjaElement) -> np.ndarray:
     herm_h (each quaternionic eigenvalue appears twice there), and the
     characteristic cubic for herm_o.
     """
-    _require_finite(x.coeffs.tolist(), "element has non-finite coefficients")
+    if not math.isfinite(_size(x)):
+        y, k = _downscaled(x)
+        return np.asarray(_upscaled(eigenvalues(y).tolist(), k))
     alg = x.algebra
     if alg.family == "spin":
         n = alg.param

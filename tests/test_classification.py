@@ -24,7 +24,6 @@ from jordan_spectra.classification import (
     MrTableRow,
     eval_formula,
     fr_polytope,
-    fr_polytope_symmetry,
     fr_section,
     load_tables,
     mr_table_all,
@@ -207,12 +206,6 @@ def test_fr_section_ball_diameter():
 def test_fr_section_refuses_square():
     with pytest.raises(ClassificationError, match="strongly symmetric"):
         fr_section(square())
-
-
-def test_fr_polytope_symmetry_orders():
-    assert len(fr_polytope_symmetry(AlgebraDescriptor("sym_r", 3))) == 6
-    assert len(fr_polytope_symmetry(AlgebraDescriptor("spin", 5))) == 2
-    assert len(fr_polytope_symmetry(simplex(2))) == 6
 
 
 def test_section_sampling_eja():

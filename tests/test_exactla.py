@@ -1,13 +1,75 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jordan_spectra import exactla as la
-from jordan_spectra.scalars import PHI, Sqrt5
+from jordan_spectra.geometry import chart_vertices, pentagon
+from jordan_spectra.scalars import PHI, SQRT5, Sqrt5
 
 
 def F(x):
     return Fraction(x)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the textbook Gauss-Jordan over field scalars, dividing
+# rows by their pivot, and the Leibniz determinant
+
+
+def oracle_rref(matrix):
+    rows = [[F(x) if isinstance(x, int) else x for x in r] for r in matrix]
+    nrow = len(rows)
+    ncol = len(rows[0]) if nrow else 0
+    pivots = []
+    r = 0
+    for c in range(ncol):
+        pivot_row = next((i for i in range(r, nrow) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrow):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrow:
+            break
+    return rows, pivots
+
+
+def oracle_solve_any(a, b):
+    ncol = len(a[0]) if a else 0
+    rows, pivots = oracle_rref([list(row) + [bv] for row, bv in zip(a, b)])
+    if ncol in pivots:
+        return None
+    x = [F(0)] * ncol
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][ncol]
+    return x
+
+
+def oracle_determinant(a):
+    n = len(a)
+    total = F(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod((a[i][perm[i]] for i in range(n)), start=F(1))
+    return total
+
+
+def is_exact(values):
+    return all(isinstance(v, (Fraction, Sqrt5)) for v in values)
+
+
+# ---------------------------------------------------------------------------
+# pinned cases
 
 
 def test_rref_and_rank():
@@ -34,21 +96,10 @@ def test_solve_over_quadratic_field():
     assert x == [PHI, Fraction(1)]
 
 
-def test_invert_and_determinant():
+def test_determinant():
     a = [[F(1), F(2)], [F(3), F(5)]]
-    inv = la.invert(a)
-    assert la.mat_mul(a, inv) == la.identity(2)
     assert la.determinant(a) == F(-1)
     assert la.determinant([[F(1), F(2)], [F(2), F(4)]]) == 0
-
-
-def test_nullspace():
-    a = [[F(1), F(1), F(0)], [F(0), F(0), F(1)]]
-    basis = la.nullspace(a)
-    assert len(basis) == 1
-    v = basis[0]
-    assert la.mat_vec(a, v) == [0, 0]
-    assert v[0] == -v[1] and v[2] == 0
 
 
 def test_affine_helpers():
@@ -68,6 +119,30 @@ def test_affine_map_from_correspondence():
         assert got == d
 
 
+def oracle_affine_map(src, dst):
+    """[M | t] one output coordinate at a time, as the oracle solves it."""
+    n = len(src[0])
+    a = [list(p) + [F(1)] for p in src]
+    cols = [oracle_solve_any(a, [q[i] for q in dst]) for i in range(n)]
+    return [col[:n] for col in cols], [col[n] for col in cols]
+
+
+@pytest.mark.parametrize("step,shift", [(1, 1), (1, 3), (-1, 0), (-1, 2)])
+def test_affine_map_pentagon_chart_basis(step, shift):
+    # rotations and reflections of the pentagon, in its Q(sqrt 5) chart
+    cv = chart_vertices(pentagon())
+    basis = la.affine_basis_indices(list(cv))
+    src = [cv[i] for i in basis]
+    dst = [cv[(step * i + shift) % 5] for i in basis]
+    m, t = la.affine_map_from_correspondence(src, dst)
+    assert (m, t) == oracle_affine_map(src, dst)
+    assert is_exact([*t, *itertools.chain(*m)])
+    images = [tuple(a + b for a, b in zip(la.mat_vec(m, v), t)) for v in cv]
+    assert images == [cv[(step * i + shift) % 5] for i in range(5)]
+    with pytest.raises(ValueError):
+        la.affine_map_from_correspondence([src[0], src[0], src[1]], dst)
+
+
 def test_barycentric_coordinates():
     verts = [[F(0), F(0)], [F(2), F(0)], [F(0), F(2)]]
     lam = la.barycentric_coordinates(verts, [F(1), F(1)])
@@ -77,3 +152,84 @@ def test_barycentric_coordinates():
     seg = [[Sqrt5(0, 0)], [PHI]]
     lam = la.barycentric_coordinates(seg, [PHI / 2])
     assert lam == [Fraction(1, 2), Fraction(1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the oracle on random small matrices, singular,
+# non-square and rank-deficient ones included (few distinct entries make
+# repeated and dependent rows common)
+
+RATIONALS = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)])
+QUADRATIC = st.sampled_from(
+    [0, 1, Fraction(-1, 2), SQRT5, PHI, Sqrt5(1, -1), Sqrt5(Fraction(-1, 2), Fraction(1, 2)), Sqrt5(2)]
+)
+FIELDS = st.sampled_from([RATIONALS, QUADRATIC])
+
+
+@st.composite
+def matrices(draw, nrow=None, ncol=None):
+    entries = draw(FIELDS)
+    nrow = draw(st.integers(0, 4)) if nrow is None else nrow
+    ncol = draw(st.integers(1, 4)) if ncol is None else ncol
+    return [[draw(entries) for _ in range(ncol)] for _ in range(nrow)]
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(1, 4))
+    a = draw(matrices(n, n))
+    return a, draw(matrices(1, n))[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=matrices())
+@example(m=[[0, 0], [0, 0]])
+@example(m=[[1, 2, 3], [2, 4, 6], [PHI, 1, 0]])
+def test_rref_matches_oracle(m):
+    rows, pivots = la.rref(m)
+    assert (rows, pivots) == oracle_rref(m)
+    assert is_exact(itertools.chain(*rows))
+    assert la.matrix_rank(m) == len(pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=matrices(), data=st.data())
+def test_solve_any_matches_oracle(a, data):
+    b = data.draw(matrices(1, len(a)))[0] if a else []
+    x = la.solve_any(a, b)
+    assert x == oracle_solve_any(a, b)
+    if x is not None:
+        assert is_exact(x)
+        assert la.mat_vec(a, x) == list(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=square_systems())
+@example(system=([[1, 2], [2, 4]], [1, 2]))
+@example(system=([[SQRT5, 1], [5, SQRT5]], [0, 1]))
+def test_solve_unique_and_determinant_match_oracle(system):
+    a, b = system
+    det = la.determinant(a)
+    assert det == oracle_determinant(a)
+    assert is_exact([det])
+    if det == 0:
+        with pytest.raises(ValueError):
+            la.solve_unique(a, b)
+    else:
+        x = la.solve_unique(a, b)
+        assert x == oracle_solve_any(a, b)
+        assert is_exact(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vertices=matrices(), data=st.data())
+def test_barycentric_coordinates_match_oracle(vertices, data):
+    dim = len(vertices[0]) if vertices else 1
+    point = data.draw(matrices(1, dim))[0]
+    lam = la.barycentric_coordinates(vertices, point)
+    n = len(vertices)
+    a = [[vertices[j][i] for j in range(n)] for i in range(dim)] + [[F(1)] * n]
+    assert lam == oracle_solve_any(a, list(point) + [F(1)])
+    if lam is not None:
+        assert is_exact(lam)
+        assert sum(lam) == 1

@@ -303,6 +303,16 @@ def test_float_rejected():
         linear_program([((0.5,), "<=", 1)])
 
 
+@pytest.mark.parametrize("bad", [True, 1j, [1]], ids=["bool", "complex", "list"])
+def test_non_scalar_coefficients_rejected(bad):
+    with pytest.raises(LPError):
+        linear_program([((1,), "<=", bad)])
+    with pytest.raises(LPError):
+        linear_program([((1,), "<=", 1)], objective=(bad,))
+    with pytest.raises(LPError):
+        linear_program([((1,), "<=", 1)], bounds=[(bad, None)])
+
+
 def test_optimize_needs_objective():
     with pytest.raises(LPError):
         lp_optimize(linear_program([((1,), "<=", 1)]))

@@ -8,7 +8,7 @@ import pytest
 
 from jordan_spectra import geometry, symmetry
 from jordan_spectra.algebra import EjaElement, unit
-from jordan_spectra.exactla import affine_map_from_correspondence, mat_vec
+from jordan_spectra.exactla import mat_vec
 from jordan_spectra.geometry import (
     AffineChart,
     Ball,
@@ -20,10 +20,8 @@ from jordan_spectra.geometry import (
     barycenter,
     body_from_dict,
     body_to_dict,
-    canonical_embed,
     chart,
     chart_vertices,
-    cone_embed,
     cube,
     eja_state_space,
     exposed_faces,
@@ -68,6 +66,14 @@ def test_vertex_validation():
         polytope([])
     with pytest.raises(GeometryError):
         polytope([(0.5, 0)])
+
+
+@pytest.mark.parametrize("bad", [True, None, 0.5], ids=["bool", "none", "float"])
+def test_non_exact_coordinates_rejected(bad):
+    with pytest.raises(GeometryError):
+        polytope([(0, 0), (1, bad)])
+    with pytest.raises(GeometryError):
+        membership(square(), (0, bad))
 
 
 def test_center_point_not_extremal():
@@ -381,153 +387,6 @@ def test_membership_eja():
     c2 = np.zeros(d.dim)
     c2[0], c2[1] = 2.0, -1.0
     assert membership(st, EjaElement(d, c2)) == "outside"
-
-
-# ---------------------------------------------------------------------------
-# cone embedding
-
-
-def test_cone_embed_simplex_is_orthant():
-    ce = cone_embed(simplex(2))
-    assert ce.space_dim == 3
-    assert ce.order_unit == (1, 1, 1)
-    assert ce.rays == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert ce.cone == "polyhedral"
-
-
-def test_cone_embed_square_homogenized():
-    ce = cone_embed(square())
-    assert ce.space_dim == 3
-    assert ce.order_unit == (1, 0, 0)
-    assert len(ce.rays) == 4
-    for ray in ce.rays:
-        assert sum(u * r for u, r in zip(ce.order_unit, ray)) == 1
-
-
-def test_cone_embed_unit_on_rays():
-    for body in (simplex(3), square(), pentagon(), cube()):
-        ce = cone_embed(body)
-        for ray in ce.rays:
-            assert sum(u * r for u, r in zip(ce.order_unit, ray)) == 1
-
-
-def test_cone_embed_ball_and_eja():
-    ce = cone_embed(ball(4))
-    assert (ce.space_dim, ce.cone, ce.rays) == (5, "lorentz", None)
-    st = eja_state_space("herm_c", 3)
-    ce = cone_embed(st)
-    assert ce.space_dim == 9
-    assert ce.cone == "squares"
-    assert ce.inner == "trace-identity"
-    e = unit(st.descriptor)
-    assert np.allclose(np.asarray(ce.order_unit), e.coeffs)
-
-
-# ---------------------------------------------------------------------------
-# canonical embedding
-
-
-def s3_group():
-    # permutation matrices act on the unit-vector simplex
-    import itertools
-
-    mats = []
-    for perm in itertools.permutations(range(3)):
-        m = [[F(int(perm[i] == j)) for j in range(3)] for i in range(3)]
-        mats.append((m, (F(0), F(0), F(0))))
-    return mats
-
-
-def test_canonical_embed_simplex_equilateral():
-    emb = canonical_embed(simplex(2), s3_group())
-    norms = {emb.inner(v, v) for v in emb.vertices}
-    inners = {
-        emb.inner(emb.vertices[i], emb.vertices[j])
-        for i in range(3)
-        for j in range(3)
-        if i != j
-    }
-    assert len(norms) == 1
-    assert len(inners) == 1
-    # barycenter at the origin
-    d = len(emb.vertices[0])
-    for k in range(d):
-        assert sum(v[k] for v in emb.vertices) == 0
-
-
-def test_canonical_embed_rectangle_equal_norms():
-    group = []
-    for sx in (1, -1):
-        for sy in (1, -1):
-            group.append(([[F(sx), F(0)], [F(0), F(sy)]], (F(0), F(0))))
-    emb = canonical_embed(rectangle(), group)
-    norms = {emb.inner(v, v) for v in emb.vertices}
-    assert len(norms) == 1
-
-
-def pentagon_group():
-    body = pentagon()
-    verts = body.vertices
-    maps = []
-    for k in range(5):
-        for flip in (False, True):
-            perm = [((-i if flip else i) + k) % 5 for i in range(5)]
-            src = [verts[0], verts[1], verts[2]]
-            dst = [verts[perm[0]], verts[perm[1]], verts[perm[2]]]
-            mat, t = affine_map_from_correspondence(src, dst)
-            # confirm the affine map realizes the whole permutation
-            for i in range(5):
-                img = tuple(
-                    sum(mat[r][c] * verts[i][c] for c in range(2)) + t[r]
-                    for r in range(2)
-                )
-                assert img == verts[perm[i]]
-            maps.append((mat, t))
-    return maps
-
-
-def test_canonical_embed_pentagon_circulant():
-    body = pentagon()
-    group = pentagon_group()
-    assert len(group) == 10
-    emb = canonical_embed(body, group)
-    # Gram of vertex vectors depends only on the index difference mod 5
-    by_diff = {}
-    for i in range(5):
-        for j in range(5):
-            val = emb.inner(emb.vertices[i], emb.vertices[j])
-            by_diff.setdefault((j - i) % 5, set()).add(val)
-    for diff, vals in by_diff.items():
-        assert len(vals) == 1, diff
-    # and the two nontrivial differences are distinct
-    assert by_diff[1] != by_diff[2]
-
-
-def test_canonical_embed_group_orthogonality():
-    # every group element preserves the averaged inner product exactly
-    body = pentagon()
-    emb = canonical_embed(body, pentagon_group())
-    verts = emb.vertices
-    lookup = {v: k for k, v in enumerate(verts)}
-    for mat, t in pentagon_group():
-        lin = [[None] * 2 for _ in range(2)]
-        imgs = []
-        for v in body.vertices:
-            img = tuple(
-                sum(mat[r][c] * v[c] for c in range(2)) + t[r] for r in range(2)
-            )
-            imgs.append(img)
-        # image vertices in centered chart coordinates
-        ch = emb.chart
-        b = [o - c for o, c in zip(ch.to_chart(body.vertices[0]), verts[0])]
-        img_centered = [
-            tuple(a - o for a, o in zip(ch.to_chart(p), b)) for p in imgs
-        ]
-        for i in range(5):
-            for j in range(5):
-                assert emb.inner(img_centered[i], img_centered[j]) == emb.inner(
-                    verts[i], verts[j]
-                )
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,6 @@ from jordan_spectra.operational import (
     is_spectral,
     rank,
     recheck_counterexample,
-    spectral_decompose_state,
     unit_effect,
 )
 from jordan_spectra.scalars import PHI, Sqrt5
@@ -83,6 +82,7 @@ from jordan_spectra.spectral import (
     is_primitive_idempotent,
     random_jordan_frame,
     random_state,
+    spectral_decompose,
 )
 
 F = Fraction
@@ -405,7 +405,8 @@ def test_eja_and_ball_spectral():
 def test_decompose_diagonal_state():
     alg = algebra("sym_r", 3)
     rho = from_matrix(alg, np.diag([0.5, 0.3, 0.2]))
-    weights, frame = spectral_decompose_state(rho)
+    dec = spectral_decompose(rho)
+    weights, frame = dec.eigenvalues, dec.frame
     assert np.allclose(weights, [0.5, 0.3, 0.2])
     recon = frame[0] * weights[0]
     for w, f in zip(weights[1:], frame[1:]):
@@ -413,39 +414,19 @@ def test_decompose_diagonal_state():
     assert norm(recon - rho) <= 1e-9
 
 
-def test_decompose_drops_zero_weights():
-    alg = algebra("sym_r", 3)
-    rho = from_matrix(alg, np.diag([0.5, 0.5, 0.0]))
-    weights, frame = spectral_decompose_state(rho)
-    assert len(weights) == 2
-    assert np.allclose(weights, [0.5, 0.5])
-    pure = from_matrix(alg, np.diag([1.0, 0.0, 0.0]))
-    w2, f2 = spectral_decompose_state(pure)
-    assert list(w2) == [1.0]
-    assert norm(f2[0] - pure) <= 1e-9
-
-
 def test_decompose_random_states():
     cases = [("sym_r", 3), ("herm_c", 2), ("herm_h", 2), ("spin", 4), ("herm_o", 3)]
     for i, (fam, m) in enumerate(cases):
         alg = algebra(fam, m)
         rho = random_state(alg, seed=100 + i)
-        weights, frame = spectral_decompose_state(rho)
+        dec = spectral_decompose(rho)
+        weights, frame = dec.eigenvalues, dec.frame
         assert all(w >= 0 for w in weights)
         assert abs(sum(weights) - 1.0) <= 1e-8
         # frame orthonormality under the trace inner product
         for a in range(len(frame)):
             for b in range(len(frame)):
                 assert abs(inner(frame[a], frame[b]) - (a == b)) <= 1e-9
-
-
-def test_decompose_rejects_non_states():
-    alg = algebra("sym_r", 3)
-    with pytest.raises(OperationalError):
-        spectral_decompose_state(unit(alg))  # trace 3
-    bad = from_matrix(alg, np.diag([1.5, -0.5, 0.0]))
-    with pytest.raises(OperationalError):
-        spectral_decompose_state(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +512,11 @@ def test_face_heredity_rank_two_face():
     y = random_state(alg, seed=29)
     compressed = quadratic_rep(p, y)
     rho = compressed * (1.0 / trace(compressed))
-    weights, parts = spectral_decompose_state(rho)
-    assert abs(sum(weights) - 1.0) <= 1e-8
-    for w, omega in zip(weights, parts):
+    dec = spectral_decompose(rho)
+    assert abs(sum(dec.eigenvalues) - 1.0) <= 1e-8
+    for w, omega in zip(dec.eigenvalues, dec.frame):
+        if w <= 1e-8:
+            continue  # the frame member outside the face carries no weight
         assert is_primitive_idempotent(omega, tol=1e-7)
         # each component stays under p
         assert norm(jordan_product(p, omega) - omega) <= 1e-6

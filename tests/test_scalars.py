@@ -7,8 +7,8 @@ from jordan_spectra.scalars import (
     SQRT5,
     Sqrt5,
     as_fraction,
+    exact,
     format_scalar,
-    is_rational,
     parse_scalar,
 )
 
@@ -66,9 +66,16 @@ def test_hash_consistent_with_fraction():
     assert d == {Fraction(3, 4): "y"}
 
 
-def test_is_rational_and_as_fraction():
-    assert is_rational(Fraction(1, 3)) and is_rational(Sqrt5(2, 0))
-    assert not is_rational(SQRT5)
+def test_exact_coerces_and_refuses():
+    assert exact(3) == 3 and isinstance(exact(3), Fraction)
+    assert exact("1/2+1/2*s5") == PHI
+    assert exact(PHI) is PHI
+    for bad in (True, 0.5, None, 1j, [1]):
+        with pytest.raises(TypeError):
+            exact(bad)
+
+
+def test_as_fraction():
     assert as_fraction(Sqrt5(Fraction(1, 3), 0)) == Fraction(1, 3)
     with pytest.raises(ValueError):
         as_fraction(SQRT5)

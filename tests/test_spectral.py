@@ -226,19 +226,21 @@ def test_non_finite_input_refused(alg, bad):
 
 
 def _assert_refused_or_exact(y, want):
-    # SpectralError, or the true eigenvalues; never an infinite eigenvalue,
-    # a bare OverflowError or a reconstruction check against an infinite bound
-    with np.errstate(over="ignore", invalid="ignore"):
-        for solve in (eigenvalues, lambda z: spectral_decompose(z).eigenvalues):
-            try:
-                got = solve(y)
-            except SpectralError:
-                continue
+    # both entry points refuse with SpectralError, or both return the true
+    # eigenvalues; never one of the two, an infinite eigenvalue or a bare
+    # OverflowError
+    results = []
+    for solve in (eigenvalues, lambda z: spectral_decompose(z).eigenvalues):
+        try:
+            results.append(solve(y))
+        except SpectralError:
+            results.append(None)
+    refused = [got is None for got in results]
+    assert refused[0] == refused[1], refused
+    for got in results:
+        if got is not None:
             assert np.isfinite(got).all()
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        if not np.isfinite(norm(y)):
-            with pytest.raises(SpectralError, match="norm overflows"):
-                spectral_decompose(y)
 
 
 @pytest.mark.parametrize("scale", [1e105, 1e160, 1e300])
