@@ -1,37 +1,32 @@
-"""Exact linear programming over rational (and quadratic-extension) scalars.
+"""Exact linear feasibility over rational (and quadratic-extension) scalars.
 
-Feasibility and optimization for small linear programs, used by the
-distinguishability, face, and spectrality queries on polytopes.  Everything
-is exact: coefficients are Fractions (or Sqrt5 values for bodies defined
-over Q(sqrt 5)), and every answer carries a certificate that re-verifies
-with zero tolerance before it is returned: a witness point for Feasible, a
-dual solution for Optimal, a Farkas ray for Infeasible.
+The distinguishability, face, extremality and spectrality queries on
+polytopes each ask one question of a small linear program: is it feasible?
+Everything is exact: coefficients are Fractions (or Sqrt5 values for bodies
+defined over Q(sqrt 5)), and every answer carries a certificate that
+re-verifies with zero tolerance before it is returned: a witness point for
+Feasible, a Farkas ray for Infeasible.
 
-The simplex method is fraction-free and pivots with the elimination kernel
-of :mod:`exactla`.  Each standardized row is scaled by the lcm of its
-denominators into a ring, Python ints for rational programs and Z[sqrt 5]
-(int pairs) for any program containing a Sqrt5, and every pivot is an
-integer-preserving Bareiss update over one common denominator (Bareiss,
-Math. Comp. 22, 1968), so no division is ever inexact.  Pivots
-follow Bland's anti-cycling rule; sign tests and ratio tests compare by
-cross-multiplication.  Free variables share one offset column
-(x = x' - t with x', t >= 0).  Fraction and Sqrt5 objects appear only when
-rows are scaled on the way in and when certificates are built on the way
-out.
-
-Floats are rejected at construction; callers that start from floating-point
-data must go through :func:`rationalize_vector`, which records the rounding
-error it introduced.
+The simplex method (phase I only) is fraction-free and pivots with the
+elimination kernel of :mod:`exactla`.  Each standardized row is scaled by
+the lcm of its denominators into a ring, Python ints for rational programs
+and Z[sqrt 5] (int pairs) for any program containing a Sqrt5, and every
+pivot is an integer-preserving Bareiss update over one common denominator
+(Bareiss, Math. Comp. 22, 1968), so no division is ever inexact.  Pivots
+follow Bland's anti-cycling rule (Bland, Math. Oper. Res. 2, 1977); sign
+tests and ratio tests compare by cross-multiplication.  Free variables
+share one offset column (x = x' - t with x', t >= 0).  Fraction and Sqrt5
+objects appear only when rows are scaled on the way in and when
+certificates are built on the way out.  Floats are rejected at
+construction.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactla import _bareiss_pivot, _ring_for
-from .scalars import exact, format_scalar
+from .scalars import exact
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -42,60 +37,21 @@ class LPError(ValueError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Immutable exact linear program.
+    """Immutable exact feasibility program.
 
     ``constraints`` is a tuple of ``(row, relation, rhs)`` triples with
     relation one of ``<=``, ``=``, ``>=``.  Variables are free unless
-    constrained; per-variable bounds passed to :func:`linear_program` are
-    normalized into single-variable rows here.  ``objective`` may be None
-    for pure feasibility programs; ``sense`` is ``max`` or ``min``.
+    constrained.
     """
 
     n_vars: int
     constraints: tuple
-    objective: tuple | None = None
-    sense: str = "max"
-
-    def to_json(self) -> str:
-        doc = {
-            "n_vars": self.n_vars,
-            "sense": self.sense,
-            "objective": None
-            if self.objective is None
-            else [format_scalar(v) for v in self.objective],
-            "constraints": [
-                {
-                    "coeffs": [format_scalar(v) for v in row],
-                    "rel": rel,
-                    "rhs": format_scalar(rhs),
-                }
-                for row, rel, rhs in self.constraints
-            ],
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "LinearProgram":
-        doc = json.loads(text)
-        return linear_program(
-            constraints=[(c["coeffs"], c["rel"], c["rhs"]) for c in doc["constraints"]],
-            objective=doc["objective"],
-            sense=doc["sense"],
-            n_vars=doc["n_vars"],
-        )
 
 
-def linear_program(constraints, objective=None, sense="max", n_vars=None, bounds=None):
-    """Validate and freeze a program; the only supported constructor.
-
-    ``bounds``, when given, is a sequence of ``(lo, hi)`` pairs (either end
-    may be None) that become ``x_j >= lo`` / ``x_j <= hi`` rows.
-    """
+def linear_program(constraints, n_vars=None):
+    """Validate and freeze a program; the only supported constructor."""
     try:
-        rows = [(tuple(map(exact, row)), rel, exact(rhs)) for row, rel, rhs in constraints]
-        if bounds is not None:
-            bounds = [tuple(v if v is None else exact(v) for v in pair) for pair in bounds]
-        obj = None if objective is None else tuple(map(exact, objective))
+        rows = tuple((tuple(map(exact, row)), rel, exact(rhs)) for row, rel, rhs in constraints)
     except TypeError as exc:
         raise LPError(str(exc)) from None
     width = n_vars
@@ -110,33 +66,9 @@ def linear_program(constraints, objective=None, sense="max", n_vars=None, bounds
         raise LPError("cannot infer variable count from an empty program")
     if width < 1:
         raise LPError("programs need at least one variable")
-    if not rows and not bounds:
+    if not rows:
         raise LPError("programs need at least one constraint")
-    if bounds is not None:
-        if len(bounds) != width:
-            raise LPError("bounds length must match variable count")
-        for j, (lo, hi) in enumerate(bounds):
-            unit = tuple(Fraction(int(k == j)) for k in range(width))
-            if lo is not None:
-                rows.append((unit, ">=", lo))
-            if hi is not None:
-                rows.append((unit, "<=", hi))
-    if obj is not None and len(obj) != width:
-        raise LPError(f"objective has {len(obj)} coefficients, expected {width}")
-    if sense not in ("max", "min"):
-        raise LPError(f"unknown sense {sense!r}")
-    return LinearProgram(n_vars=width, constraints=tuple(rows), objective=obj, sense=sense)
-
-
-def _transpose_times(y, rows):
-    """Column sums of sum_i y_i * rows_i, skipping zero multipliers."""
-    out = [0] * len(rows[0])
-    for yi, row in zip(y, rows):
-        if yi != 0:
-            for j, a in enumerate(row):
-                if a != 0:
-                    out[j] = out[j] + yi * a
-    return out
+    return LinearProgram(n_vars=width, constraints=rows)
 
 
 @dataclass(frozen=True)
@@ -145,8 +77,10 @@ class FarkasCertificate:
 
     ``y`` has y.A >= 0 column by column and y.b < 0, so y.(Az) >= 0 > y.b
     for every z >= 0 and no z solves the program.  ``rows`` and ``rhs`` are
-    the standardized rows as :func:`lp_optimize` documents them, one
-    multiplier per row.
+    the standardized program, one multiplier per row: z = (x', t, slacks)
+    with x = x' - t and one slack per inequality, each row scaled to integer
+    (or Z[sqrt 5]) coefficients with slack entry +-1 and signed so that
+    b >= 0.
     """
 
     rows: tuple
@@ -154,7 +88,13 @@ class FarkasCertificate:
     y: tuple
 
     def is_valid(self) -> bool:
-        if any(v < 0 for v in _transpose_times(self.y, self.rows)):
+        cols = [0] * len(self.rows[0])
+        for yi, row in zip(self.y, self.rows):
+            if yi != 0:
+                for j, a in enumerate(row):
+                    if a != 0:
+                        cols[j] = cols[j] + yi * a
+        if any(v < 0 for v in cols):
             return False
         return sum(yi * bi for yi, bi in zip(self.y, self.rhs)) < 0
 
@@ -173,42 +113,6 @@ class Infeasible:
     status = "infeasible"
 
 
-@dataclass(frozen=True)
-class Unbounded:
-    status = "unbounded"
-
-
-@dataclass(frozen=True)
-class DualCertificate:
-    """Dual solution for the standardized program max{cz : Az = b, z >= 0}.
-
-    ``y`` is dual-feasible when y.col_j >= c_j for every column; strong
-    duality then pins y.b to the primal optimum.  One multiplier per
-    standardized row, redundant rows included.
-    """
-
-    rows: tuple
-    rhs: tuple
-    costs: tuple
-    y: tuple
-
-    def is_valid(self, value) -> bool:
-        reduced = _transpose_times(self.y, self.rows)
-        if any(r < c for r, c in zip(reduced, self.costs)):
-            return False
-        dual_value = sum(yi * bi for yi, bi in zip(self.y, self.rhs))
-        return dual_value == value
-
-
-@dataclass(frozen=True)
-class Optimal:
-    value: object
-    witness: tuple
-    certificate: DualCertificate
-
-    status = "optimal"
-
-
 def check_witness(lp: LinearProgram, point) -> bool:
     """Exact zero-tolerance check of every constraint at ``point``."""
     if len(point) != lp.n_vars:
@@ -225,22 +129,12 @@ def check_witness(lp: LinearProgram, point) -> bool:
 # simplex core
 
 
-def _ring_of(lp: LinearProgram):
-    values = [v for row, _, rhs in lp.constraints for v in (*row, rhs)]
-    return _ring_for(values + list(lp.objective or ()))
-
-
 def _negated_sum(ring, values):
     """Coefficient of the offset t, given a row's coefficients on x'."""
     total = ring.zero
     for v in values:
         total = ring.sub(total, v)
     return total
-
-
-def _scalars(ring, rows, rhs):
-    """Standardized rows and right-hand side as exact scalars."""
-    return tuple(tuple(map(ring.scalar, row)) for row in rows), tuple(map(ring.scalar, rhs))
 
 
 def _standardize(lp: LinearProgram, ring):
@@ -280,20 +174,22 @@ def _standardize(lp: LinearProgram, ring):
     return rows, rhs, start
 
 
-def _bland(ring, T, basis, d, allowed):
-    """Bland's rule until optimal; returns (verdict, denominator).
+def _bland(ring, T, basis, d):
+    """Bland's rule until optimal; returns the final denominator.
 
-    Entering: the first column below ``allowed`` with a positive reduced
-    cost.  Leaving: the minimum ratio rhs/entry over positive entries,
-    compared by cross-multiplication, ties to the smallest basic column.
+    Entering: the first column with a positive reduced cost.  Leaving: the
+    minimum ratio rhs/entry over positive entries, compared by
+    cross-multiplication, ties to the smallest basic column.  Phase I is
+    bounded (its objective is at most 0), so some row always leaves.
     """
     sign, mul, sub = ring.sign, ring.mul, ring.sub
     m = len(T) - 1
+    width = len(T[-1]) - 1
     while True:
         w = T[-1]
-        enter = next((j for j in range(allowed) if sign(w[j]) > 0), None)
+        enter = next((j for j in range(width) if sign(w[j]) > 0), None)
         if enter is None:
-            return "optimal", d
+            return d
         best = None
         for i in range(m):
             a = T[i][enter]
@@ -306,7 +202,7 @@ def _bland(ring, T, basis, d, allowed):
             if c < 0 or (c == 0 and basis[i] < basis[best]):
                 best = i
         if best is None:
-            return "unbounded", d
+            raise LPError("internal error: phase I found no leaving row")
         d = _bareiss_pivot(ring, T, basis, d, best, enter)
 
 
@@ -339,8 +235,7 @@ def _phase_one(ring, rows, rhs, start):
             w[cols[i]] = zero
     T.append(w)
     basis = list(cols)
-    _, d = _bland(ring, T, basis, one, width + n_art)
-    return T, basis, d, cols
+    return T, basis, _bland(ring, T, basis, one), cols
 
 
 def _farkas(ring, rows, rhs, start, T, cols, d):
@@ -357,8 +252,11 @@ def _farkas(ring, rows, rhs, start, T, cols, d):
         if start[i] is None:
             yi = ring.sub(yi, d)
         y.append(ring.scalar(yi))
-    exact_rows, exact_rhs = _scalars(ring, rows, rhs)
-    cert = FarkasCertificate(rows=exact_rows, rhs=exact_rhs, y=tuple(y))
+    cert = FarkasCertificate(
+        rows=tuple(tuple(map(ring.scalar, row)) for row in rows),
+        rhs=tuple(map(ring.scalar, rhs)),
+        y=tuple(y),
+    )
     if not cert.is_valid():
         raise LPError("internal error: Farkas certificate failed exact verification")
     return Infeasible(certificate=cert)
@@ -377,7 +275,7 @@ def _witness(ring, T, basis, d, n):
 
 def lp_feasible(lp: LinearProgram):
     """Exact feasibility: Feasible(witness) or Infeasible(certificate)."""
-    ring = _ring_of(lp)
+    ring = _ring_for([v for row, _, rhs in lp.constraints for v in (*row, rhs)])
     rows, rhs, start = _standardize(lp, ring)
     T, basis, d, cols = _phase_one(ring, rows, rhs, start)
     if T[-1][-1] != ring.zero:
@@ -387,89 +285,3 @@ def lp_feasible(lp: LinearProgram):
         raise LPError("internal error: simplex witness failed exact re-check")
     return Feasible(witness=witness)
 
-
-def lp_optimize(lp: LinearProgram):
-    """Exact optimum with a verified dual certificate.
-
-    Returns Optimal(value, witness, certificate), Unbounded, or
-    Infeasible(certificate).  Certificates refer to the standardized
-    program max{cz : Az = b, z >= 0}: z = (x', t, slacks) with x = x' - t,
-    one slack per inequality, each row of A scaled to integer (or
-    Z[sqrt 5]) coefficients with slack entry +-1 and signed so that b >= 0,
-    and c the objective on x' (negated for ``min``) with -sum(c) on t.
-    Every certificate is checked before returning; a failure would be an
-    internal bug, raised as LPError.
-    """
-    if lp.objective is None:
-        raise LPError("lp_optimize requires an objective")
-    ring = _ring_of(lp)
-    zero = ring.zero
-    rows, rhs, start = _standardize(lp, ring)
-    T, basis, d, cols = _phase_one(ring, rows, rhs, start)
-    if T[-1][-1] != zero:
-        return _farkas(ring, rows, rhs, start, T, cols, d)
-    width = len(rows[0])
-    # Drive leftover artificials out of the (degenerate) basis; a row with
-    # no standard column left is redundant and dropped.
-    drop = []
-    for i in range(len(rows)):
-        if basis[i] >= width:
-            j = next((k for k in range(width) if T[i][k] != zero), None)
-            if j is None:
-                drop.append(i)
-            else:
-                d = _bareiss_pivot(ring, T, basis, d, i, j)
-    T = [row for i, row in enumerate(T) if i not in drop]
-    basis = [col for i, col in enumerate(basis) if i not in drop]
-    # Phase II reduced costs from scratch: d*c - sum_i c_basis(i) * T[i].
-    sign = 1 if lp.sense == "max" else -1
-    lifted, cost_scale = ring.lift(tuple(sign * c for c in lp.objective))
-    cost = lifted + [_negated_sum(ring, lifted)] + [zero] * (width - lp.n_vars - 1)
-    w = [ring.mul(d, c) for c in cost] + [zero] * (len(T[0]) - width)
-    for i, col in enumerate(basis):
-        cb = cost[col]
-        if cb != zero:
-            w = ring.combine(w, T[i], ring.one, cb, ring.one)
-    T[-1] = w
-    verdict, d = _bland(ring, T, basis, d, width)
-    if verdict == "unbounded":
-        return Unbounded()
-    witness = _witness(ring, T, basis, d, lp.n_vars)
-    if not check_witness(lp, witness):
-        raise LPError("internal error: simplex witness failed exact re-check")
-    # y_i = -(reduced cost of row i's opening column), whose cost is 0 here.
-    denom = ring.mul(d, cost_scale)
-    exact_rows, exact_rhs = _scalars(ring, rows, rhs)
-    cert = DualCertificate(
-        rows=exact_rows,
-        rhs=exact_rhs,
-        costs=tuple(ring.quotient(c, cost_scale) for c in cost),
-        y=tuple(ring.quotient(ring.sub(zero, T[-1][col]), denom) for col in cols),
-    )
-    value = sum(c * v for c, v in zip(lp.objective, witness))
-    if not cert.is_valid(sign * value):
-        raise LPError("internal error: dual certificate failed exact verification")
-    return Optimal(value=value, witness=witness, certificate=cert)
-
-
-# ---------------------------------------------------------------------------
-# float -> rational bridge
-
-
-def rationalize_vector(values, max_denominator=10**6):
-    """Round floats to Fractions with bounded denominator, reporting the error.
-
-    Returns (fractions, report) where report records the denominator bound
-    and the largest absolute rounding error as a float.  This is the only
-    sanctioned entry point for floating-point data.
-    """
-    fracs = []
-    worst = 0.0
-    for v in values:
-        f = Fraction(float(v)).limit_denominator(max_denominator)
-        fracs.append(f)
-        err = abs(float(f) - float(v))
-        if err > worst:
-            worst = err
-    report = {"max_denominator": max_denominator, "max_abs_error": worst}
-    return tuple(fracs), report

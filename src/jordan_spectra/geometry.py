@@ -8,7 +8,9 @@ their affine hull through an AffineChart before any face computation.
 
 Exposed faces are certified one subset at a time: S is a face iff some
 affine functional vanishes on S and is >= 1 on every other vertex, an exact
-LP.  The face lattice, flags and barycenters build on that.
+LP.  A vertex is extremal iff its singleton is such a face, so polytope
+validation poses the same program.  The face lattice, flags and barycenters
+build on that.
 """
 
 from __future__ import annotations
@@ -93,21 +95,10 @@ def polytope(vertices) -> Polytope:
         raise GeometryError("vertices must be pairwise distinct")
     body = Polytope(vertices=rows)
     cv = chart_vertices(body)
-    d = len(cv[0]) if cv and cv[0] is not None else 0
-    for i in range(len(rows)):
-        if len(rows) == 1:
-            break
-        others = [cv[j] for j in range(len(rows)) if j != i]
-        k = len(others)
-        constraints = [(tuple(1 for _ in range(k)), "=", 1)]
-        for coord in range(d):
-            constraints.append(
-                (tuple(p[coord] for p in others), "=", cv[i][coord])
-            )
-        for j in range(k):
-            constraints.append((tuple(int(t == j) for t in range(k)), ">=", 0))
-        if isinstance(lp_feasible(linear_program(constraints, n_vars=k)), Feasible):
-            raise GeometryError(f"vertex {i} is not extremal")
+    if len(rows) > 1:  # a lone point is its own vertex
+        for i in range(len(rows)):
+            if _supporting_functional(cv, {i}) is None:
+                raise GeometryError(f"vertex {i} is not extremal")
     return body
 
 
@@ -282,6 +273,20 @@ class FaceLattice:
         return tuple(sorted(out, key=lambda f: (len(f.indices), f.indices)))
 
 
+def _supporting_functional(cv, inside):
+    """(g, c) with g.v + c = 0 on ``inside`` and >= 1 on every other chart
+    vertex v, or None when no such affine functional exists (an exact LP)."""
+    d = len(cv[0])
+    constraints = [
+        (tuple(v) + (1,), "=", 0) if i in inside else (tuple(v) + (1,), ">=", 1)
+        for i, v in enumerate(cv)
+    ]
+    res = lp_feasible(linear_program(constraints, n_vars=d + 1))
+    if not isinstance(res, Feasible):
+        return None
+    return tuple(res.witness[:d]), res.witness[d]
+
+
 def exposed_faces(poly: Polytope, cap: int = FACE_VERTEX_CAP) -> FaceLattice:
     """All exposed faces, each certified by an exact supporting functional.
 
@@ -297,25 +302,15 @@ def exposed_faces(poly: Polytope, cap: int = FACE_VERTEX_CAP) -> FaceLattice:
     if rec.faces is not None:
         return rec.faces
     cv = rec.chart_vertices
-    d = rec.chart.dim
     faces = [Face(indices=(), functional=None, dim=-1)]
     for r in range(1, n + 1):
         for subset in itertools.combinations(range(n), r):
-            inside = set(subset)
-            constraints = []
-            for i in range(n):
-                row = tuple(cv[i]) + (1,)
-                if i in inside:
-                    constraints.append((row, "=", 0))
-                else:
-                    constraints.append((row, ">=", 1))
-            res = lp_feasible(linear_program(constraints, n_vars=d + 1))
-            if isinstance(res, Feasible):
-                g, c = res.witness[:d], res.witness[d]
+            functional = _supporting_functional(cv, set(subset))
+            if functional is not None:
                 faces.append(
                     Face(
                         indices=subset,
-                        functional=(tuple(g), c),
+                        functional=functional,
                         dim=affine_rank([cv[i] for i in subset]),
                     )
                 )

@@ -18,6 +18,7 @@ coordinates.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,7 @@ from .exactla import barycentric_coordinates
 from .exactlp import Feasible, linear_program, lp_feasible
 from .geometry import (
     Ball,
+    CapExceeded,
     EjaStateSpace,
     Face,
     Polytope,
@@ -281,7 +283,7 @@ def _frame_sets(poly: Polytope, k: int, cap: int) -> dict:
     """
     n = len(poly.vertices)
     if n > cap:
-        raise OperationalError(f"{n} vertices exceeds the frame cap {cap}")
+        raise CapExceeded(f"{n} vertices exceeds the frame cap {cap}")
     frames = _analysis(poly).frames
     if k not in frames:
         found = {}
@@ -413,7 +415,7 @@ def is_spectral(
     all_sets = []
     for k in range(1, r + 1):
         sets = _frame_sets(body, k, cap)
-        frames_by_k.append((k, len(sets) * _factorial(k)))
+        frames_by_k.append((k, len(sets) * math.factorial(k)))
         all_sets.extend(sets)
     hulls = [tuple(body.vertices[i] for i in s) for s in all_sets]
     covering = None
@@ -436,13 +438,6 @@ def is_spectral(
         counterexample=_interior_point_off_hulls(body, hulls, seed),
         frames_by_k=tuple(frames_by_k),
     )
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def recheck_counterexample(body: Polytope, point, cap: int = FRAME_VERTEX_CAP) -> bool:

@@ -193,8 +193,8 @@ def exact(value):
     """``value`` as an exact scalar: Fraction or Sqrt5.
 
     Ints become Fractions and strings are read by :func:`parse_scalar`.
-    Raises TypeError for bool, float and every other type; floating-point
-    data must be rationalized explicitly (``exactlp.rationalize_vector``).
+    Raises TypeError for bool, float and every other type: a float has
+    already rounded, so the caller must supply the exact value it meant.
     """
     if isinstance(value, (Fraction, Sqrt5)):
         return value
@@ -204,21 +204,10 @@ def exact(value):
         return parse_scalar(value)
     if isinstance(value, float):
         raise TypeError(
-            f"float {value!r} is not an exact scalar; rationalize it explicitly "
-            "with rationalize_vector"
+            f"float {value!r} is not an exact scalar; give it as an int, a "
+            "Fraction or a string such as '1/3'"
         )
     raise TypeError(f"{type(value).__name__} is not an exact scalar")
-
-
-def as_fraction(x) -> Fraction:
-    """Exact Fraction value of a rational scalar; error if irrational."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, Sqrt5):
-        if x.b != 0:
-            raise ValueError("scalar %s is irrational" % (x,))
-        return x.a
-    raise TypeError("not an exact scalar: %r" % (x,))
 
 
 def format_scalar(x) -> str:

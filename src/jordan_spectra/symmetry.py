@@ -333,16 +333,6 @@ class EjaAutomorphism:
         moved = u @ mat @ u.conj().T
         return from_matrix(self.algebra, moved)
 
-    def linear_matrix(self) -> np.ndarray:
-        """The action as a dim x dim real matrix on coefficients."""
-        alg = self.algebra
-        cols = []
-        for i in range(alg.dim):
-            basis_vec = np.zeros(alg.dim)
-            basis_vec[i] = 1.0
-            cols.append(self.apply(EjaElement(alg, basis_vec)).coeffs)
-        return np.array(cols).T
-
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
     for comp in v:

@@ -35,7 +35,7 @@ from jordan_spectra.classification import (
     verify_converse_on_polytopes,
     verify_main_theorem_if_direction,
 )
-from jordan_spectra.geometry import ball, eja_state_space, pentagon, simplex, square
+from jordan_spectra.geometry import ball, eja_state_space, pentagon, polytope, simplex, square
 from jordan_spectra.spectral import is_primitive_idempotent, random_jordan_frame
 
 F = Fraction
@@ -279,3 +279,15 @@ def test_converse_small_catalog():
     pent = entries["pentagon"]
     assert pent["strongly_symmetric"] and not pent["spectral"]
     assert pent["witness"]["recheck"] is True
+
+
+def test_converse_catalog_reports_frame_cap_refusal():
+    # 15 vertices on a parabola fit the symmetry cap of 20 but exceed the
+    # frame cap of 14: the refusal is that body's error entry, not an
+    # exception escaping the driver.
+    body = polytope([(x, x * x) for x in range(15)])
+    report = verify_converse_on_polytopes([("15-gon", body)], cap=20)
+    assert report["equivalence_holds"] is False
+    (entry,) = report["bodies"]
+    assert entry["body"] == "15-gon"
+    assert "15 vertices exceeds the frame cap 14" in entry["error"]

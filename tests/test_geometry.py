@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jordan_spectra import geometry, symmetry
 from jordan_spectra.algebra import EjaElement, unit
-from jordan_spectra.exactla import mat_vec
+from jordan_spectra.exactla import affinely_independent, barycentric_coordinates, mat_vec
 from jordan_spectra.geometry import (
     AffineChart,
     Ball,
@@ -37,7 +39,7 @@ from jordan_spectra.geometry import (
     simplex,
     square,
 )
-from jordan_spectra.operational import OperationalError, enumerate_frames, rank
+from jordan_spectra.operational import enumerate_frames, rank
 from jordan_spectra.scalars import Sqrt5
 from jordan_spectra.symmetry import automorphism_group
 
@@ -84,6 +86,41 @@ def test_center_point_not_extremal():
 def test_midpoint_of_edge_not_extremal():
     with pytest.raises(GeometryError):
         polytope([(0, 0), (2, 0), (1, 0)])
+
+
+def in_hull_of_others(points, i):
+    """Caratheodory oracle, no LP: points[i] is a convex combination of an
+    affinely independent subset of the other points with at most d + 1
+    members."""
+    others = [p for j, p in enumerate(points) if j != i]
+    for r in range(1, len(points[i]) + 2):
+        for subset in itertools.combinations(others, r):
+            if affinely_independent(list(subset)):
+                lam = barycentric_coordinates(list(subset), points[i])
+                if lam is not None and all(x >= 0 for x in lam):
+                    return True
+    return False
+
+
+coord = st.integers(min_value=-2, max_value=2)
+point_sets = st.integers(min_value=2, max_value=3).flatmap(
+    lambda d: st.lists(st.tuples(*[coord] * d), min_size=1, max_size=7, unique=True)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=point_sets)
+@example(points=[(1, 1), (-1, 1), (-1, -1), (1, -1), (0, 0)])  # interior point
+@example(points=[(0, 0), (1, 0), (2, 0)])  # on an edge, before its end
+@example(points=[(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)])  # in a facet
+@example(points=[(0, 0, 0), (1, 1, 1), (2, 2, 2), (-1, 0, 1)])  # degenerate hull
+def test_extremality_matches_caratheodory_oracle(points):
+    first = next((i for i in range(len(points)) if in_hull_of_others(points, i)), None)
+    if first is None:
+        assert polytope(points).vertices == tuple(tuple(map(F, p)) for p in points)
+    else:
+        with pytest.raises(GeometryError, match=rf"^vertex {first} is not extremal$"):
+            polytope(points)
 
 
 def test_rectangle_rejects_square():
@@ -281,10 +318,10 @@ def test_caps_refuse_after_caching():
     with pytest.raises(CapExceeded):
         automorphism_group(cube(), 3)
     enumerate_frames(square(), 2)
-    with pytest.raises(OperationalError, match="cap 3"):
+    with pytest.raises(CapExceeded, match="cap 3"):
         enumerate_frames(square(), 2, cap=3)
     rank(square())
-    with pytest.raises(OperationalError, match="cap 3"):
+    with pytest.raises(CapExceeded, match="cap 3"):
         rank(square(), cap=3)
 
 

@@ -6,7 +6,6 @@ from jordan_spectra.scalars import (
     PHI,
     SQRT5,
     Sqrt5,
-    as_fraction,
     exact,
     format_scalar,
     parse_scalar,
@@ -73,12 +72,6 @@ def test_exact_coerces_and_refuses():
     for bad in (True, 0.5, None, 1j, [1]):
         with pytest.raises(TypeError):
             exact(bad)
-
-
-def test_as_fraction():
-    assert as_fraction(Sqrt5(Fraction(1, 3), 0)) == Fraction(1, 3)
-    with pytest.raises(ValueError):
-        as_fraction(SQRT5)
 
 
 @pytest.mark.parametrize(
