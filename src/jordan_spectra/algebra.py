@@ -14,9 +14,10 @@ vectors over a fixed orthonormal basis of the trace inner product
 (x, y) = tr(x * y); the spin factor keeps its natural (x, t) coordinates,
 where the form is 2(<x, y> + s t).
 
-Quaternionic elements are stored and multiplied through the complex
-embedding a+bi+cj+dk -> [[a+bi, c+di], [-c+di, a-bi]] applied entrywise;
-octonion matrices are multiplied directly with the Cayley-Dickson table.
+Quaternionic elements are stored and multiplied as their 2m x 2m complex
+embedding, a+bi+cj+dk -> [[a+bi, c+di], [-c+di, a-bi]] applied entrywise
+(Herm(m,H) is a Jordan subalgebra of Herm(2m,C)); octonion matrices are
+(3, 3, 8) component arrays multiplied with the Cayley-Dickson table.
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercomplex import (
-    complex2_to_quat,
-    oct_mat_mul,
-    quat_to_complex2,
-)
+from .hypercomplex import oct_conj, oct_mat_mul, quat_to_complex2
 
 FAMILIES = ("sym_r", "herm_c", "herm_h", "spin", "herm_o")
 
@@ -151,81 +148,78 @@ _BASIS_CACHE: dict = {}
 _SQ2 = np.sqrt(2.0)
 
 
-def _matrix_basis(alg: AlgebraDescriptor) -> np.ndarray:
-    """Stack of basis members, orthonormal for the trace inner product.
+def _matrix_basis(alg: AlgebraDescriptor) -> tuple:
+    """(basis, dual, shape) of a matrix family; basis and dual are (dim, size).
 
-    Component shapes: sym_r (dim,m,m) real; herm_c (dim,m,m) complex;
-    herm_h (dim,m,m,4); herm_o (27,3,3,8).
+    The basis is orthonormal for the trace inner product: diagonal members
+    E_ii (x) 1 first, then for i < j row-major and each unit u (1 first)
+    (E_ij (x) u + E_ji (x) u*) / sqrt 2, reshaped to ``shape``.  The units
+    are real [1] for sym_r and complex [1, i] for herm_c, both m x m; for
+    herm_h, 1, i, j, k as the 2 x 2 blocks of ``quat_to_complex2`` placed by
+    Kronecker product, giving 2m x 2m complex matrices; for herm_o, the
+    eight octonion units as a trailing component axis, giving (3, 3, 8).
+    The dual projects a matrix onto coefficients, conj(basis) / s with
+    s = 2 for herm_h, whose embedding doubles the trace, and s = 1 otherwise.
     """
     if alg in _BASIS_CACHE:
         return _BASIS_CACHE[alg]
+    if alg.family == "spin":
+        raise ValueError("spin has no matrix representation")
+    if alg.family == "herm_o":
+        units, place, star = np.eye(8), np.multiply.outer, oct_conj
+    else:
+        units = {
+            "sym_r": np.ones((1, 1, 1)),
+            "herm_c": np.array([1.0, 1j]).reshape(2, 1, 1),
+            "herm_h": quat_to_complex2(np.eye(4)),
+        }[alg.family]
+        place, star = np.kron, lambda u: u.conj().T
     m = alg.param
-    units = {"sym_r": 1, "herm_c": 2, "herm_h": 4, "herm_o": 8}[alg.family]
-    mats = []
-    if alg.family == "sym_r":
-        for i in range(m):
-            b = np.zeros((m, m))
-            b[i, i] = 1.0
-            mats.append(b)
-        for i in range(m):
-            for j in range(i + 1, m):
-                b = np.zeros((m, m))
-                b[i, j] = b[j, i] = 1.0 / _SQ2
-                mats.append(b)
-    elif alg.family == "herm_c":
-        for i in range(m):
-            b = np.zeros((m, m), dtype=complex)
-            b[i, i] = 1.0
-            mats.append(b)
-        for i in range(m):
-            for j in range(i + 1, m):
-                b = np.zeros((m, m), dtype=complex)
-                b[i, j] = b[j, i] = 1.0 / _SQ2
-                mats.append(b)
-                b = np.zeros((m, m), dtype=complex)
-                b[i, j] = 1j / _SQ2
-                b[j, i] = -1j / _SQ2
-                mats.append(b)
-    else:  # herm_h, herm_o as hypercomplex component arrays
-        for i in range(m):
-            b = np.zeros((m, m, units))
-            b[i, i, 0] = 1.0
-            mats.append(b)
-        for i in range(m):
-            for j in range(i + 1, m):
-                for u in range(units):
-                    b = np.zeros((m, m, units))
-                    b[i, j, u] = 1.0 / _SQ2
-                    b[j, i, u] = (1.0 if u == 0 else -1.0) / _SQ2
-                    mats.append(b)
+    cell = np.eye(m)
+    mats = [place(np.outer(cell[i], cell[i]), units[0]) for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            for u in units:
+                upper = place(np.outer(cell[i], cell[j]), u)
+                lower = place(np.outer(cell[j], cell[i]), star(u))
+                mats.append((upper + lower) / _SQ2)
     basis = np.stack(mats)
     assert basis.shape[0] == alg.dim
-    _BASIS_CACHE[alg] = basis
-    return basis
+    scale = 2.0 if alg.family == "herm_h" else 1.0
+    flat = basis.reshape(alg.dim, -1)
+    entry = (flat, np.conj(flat) / scale, basis.shape[1:])
+    _BASIS_CACHE[alg] = entry
+    return entry
 
 
 def to_matrix(x: EjaElement) -> np.ndarray:
-    """Representation of x: matrix/component array, or (x, t) for spin."""
-    alg = x.algebra
-    if alg.family == "spin":
-        return x.coeffs.copy()
-    basis = _matrix_basis(alg)
-    return np.tensordot(x.coeffs, basis, axes=(0, 0))
+    """The matrix that stores x.
+
+    Real symmetric m x m for sym_r, complex Hermitian m x m for herm_c, the
+    2m x 2m complex embedding of the quaternionic matrix for herm_h, and
+    (3, 3, 8) octonion components for herm_o.  Spin has none: ValueError.
+    """
+    basis, _, shape = _matrix_basis(x.algebra)
+    return (x.coeffs @ basis).reshape(shape)
 
 
 def from_matrix(alg: AlgebraDescriptor, mat: np.ndarray) -> EjaElement:
     """Element with the given representation (orthonormal projection)."""
-    if alg.family == "spin":
-        return EjaElement(alg, np.asarray(mat, dtype=float))
-    basis = _matrix_basis(alg)
-    mat = np.asarray(mat)
-    basis_axes = tuple(range(1, basis.ndim))
-    mat_axes = tuple(range(mat.ndim))
-    if alg.family == "herm_c":
-        coeffs = np.tensordot(np.conj(basis), mat, axes=(basis_axes, mat_axes))
-    else:
-        coeffs = np.tensordot(basis, mat, axes=(basis_axes, mat_axes))
-    return EjaElement(alg, np.real(coeffs))
+    _, dual, _ = _matrix_basis(alg)
+    return EjaElement(alg, np.real(dual @ np.asarray(mat).reshape(-1)))
+
+
+def j_twin(v: np.ndarray) -> np.ndarray:
+    """The twin J conj(v) of a vector v in C^2m, J = kron(I_m, [[0, 1], [-1, 0]]).
+
+    Every herm_h matrix X satisfies J conj(X) = X J, so the twin of an
+    eigenvector of X is an eigenvector for the same eigenvalue, orthogonal
+    to v; the twin of the twin is -v.
+    """
+    twin = np.empty(v.shape, dtype=complex)
+    twin[0::2] = np.conj(v[1::2])
+    twin[1::2] = -np.conj(v[0::2])
+    return twin
 
 
 def unit(alg: AlgebraDescriptor) -> EjaElement:
@@ -243,21 +237,6 @@ def zero(alg: AlgebraDescriptor) -> EjaElement:
     return EjaElement(alg, np.zeros(alg.dim))
 
 
-# -- quaternion embedding ------------------------------------------------------
-
-def _embed_quat_matrix(q: np.ndarray) -> np.ndarray:
-    """(m, m, 4) quaternion matrix -> (2m, 2m) complex via entrywise blocks."""
-    m = q.shape[0]
-    blocks = quat_to_complex2(q)  # (m, m, 2, 2)
-    return blocks.transpose(0, 2, 1, 3).reshape(2 * m, 2 * m)
-
-
-def _unembed_quat_matrix(c: np.ndarray) -> np.ndarray:
-    m = c.shape[0] // 2
-    blocks = c.reshape(m, 2, m, 2).transpose(0, 2, 1, 3)
-    return complex2_to_quat(blocks)
-
-
 # -- the product and trace form ------------------------------------------------
 
 def jordan_product(a: EjaElement, b: EjaElement) -> EjaElement:
@@ -273,13 +252,10 @@ def jordan_product(a: EjaElement, b: EjaElement) -> EjaElement:
         out[n] = float(np.dot(x, y)) + s * t
         return EjaElement(alg, out)
     xa, xb = to_matrix(a), to_matrix(b)
-    if alg.family == "sym_r" or alg.family == "herm_c":
-        prod = (xa @ xb + xb @ xa) / 2.0
-    elif alg.family == "herm_h":
-        ea, eb = _embed_quat_matrix(xa), _embed_quat_matrix(xb)
-        prod = _unembed_quat_matrix((ea @ eb + eb @ ea) / 2.0)
-    else:  # herm_o
+    if alg.family == "herm_o":
         prod = (oct_mat_mul(xa, xb) + oct_mat_mul(xb, xa)) / 2.0
+    else:
+        prod = (xa @ xb + xb @ xa) / 2.0
     return from_matrix(alg, prod)
 
 

@@ -136,7 +136,7 @@ def decompose(input_path, eja, m, n, seed, tol, out):
     """Spectral decomposition of an element (from file) or a seeded random state."""
     try:
         if eja is not None:
-            desc = AlgebraDescriptor(eja, (m if m is not None else n))
+            desc = _load_body(None, eja, m, n).descriptor
             x = random_state(desc, seed)
             source = {"kind": "random-state", "seed": seed}
         else:
@@ -319,10 +319,8 @@ def verify_theorem(simplex_dim, input_path, eja, m, n, seed, trials, out):
     try:
         if simplex_dim is not None:
             target: object = simplex_dim
-        elif eja is not None:
-            target = AlgebraDescriptor(eja, (m if m is not None else n))
-        elif input_path is not None:
-            body = _load_body(input_path, None, None, None)
+        elif eja is not None or input_path is not None:
+            body = _load_body(input_path, eja, m, n)
             if isinstance(body, EjaStateSpace):
                 target = body.descriptor
             elif isinstance(body, Polytope) and len(body.vertices) == body.dim + 1:

@@ -94,8 +94,9 @@ def polytope(vertices) -> Polytope:
     if len(set(rows)) != len(rows):
         raise GeometryError("vertices must be pairwise distinct")
     body = Polytope(vertices=rows)
-    cv = chart_vertices(body)
     if len(rows) > 1:  # a lone point is its own vertex
+        # an uncached record: a refused point set must take no cache slot
+        cv = _analysis.__wrapped__(body).chart_vertices
         for i in range(len(rows)):
             if _supporting_functional(cv, {i}) is None:
                 raise GeometryError(f"vertex {i} is not extremal")

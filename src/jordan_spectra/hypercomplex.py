@@ -58,14 +58,6 @@ def quat_to_complex2(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def complex2_to_quat(m: np.ndarray) -> np.ndarray:
-    """Inverse of quat_to_complex2, symmetrizing over the embedded form."""
-    m = np.asarray(m, dtype=complex)
-    alpha = (m[..., 0, 0] + np.conj(m[..., 1, 1])) / 2.0
-    beta = (m[..., 0, 1] - np.conj(m[..., 1, 0])) / 2.0
-    return np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=-1)
-
-
 # -- octonions ---------------------------------------------------------------
 
 def oct_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

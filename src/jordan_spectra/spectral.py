@@ -4,9 +4,10 @@ Solver strategy:
 
 * sym_r   LAPACK eigh on the real symmetric matrix
 * herm_c  LAPACK eigh on the complex Hermitian matrix
-* herm_h  LAPACK eigh on the 2m x 2m embedded matrix; each quaternionic
-          eigenline shows up as a J-paired doublet (J = the embedded j unit),
-          so idempotents come from pairing eigenvectors v with J conj(v)
+* herm_h  LAPACK eigh on the 2m x 2m complex matrix that stores x; each
+          quaternionic eigenline shows up as a J-paired doublet (J = the
+          embedded j unit), so idempotents come from pairing eigenvectors v
+          with their twins J conj(v)
 * spin    closed form: (x, t) has eigenvalues t +- |x| with idempotents
           ((+-x/|x|)/2, 1/2); x = 0 keeps the coarse part [(t, e)] and splits
           the fine frame along a fixed axis
@@ -36,10 +37,9 @@ import numpy as np
 from .algebra import (
     AlgebraDescriptor,
     EjaElement,
-    _embed_quat_matrix,
-    _unembed_quat_matrix,
     from_matrix,
     inner,
+    j_twin,
     jordan_product,
     norm,
     quadratic_rep,
@@ -96,19 +96,9 @@ def _fine_matrix(x: EjaElement):
     return list(w), frame
 
 
-def _j_matrix(m: int) -> np.ndarray:
-    j = np.zeros((2 * m, 2 * m))
-    for i in range(m):
-        j[2 * i, 2 * i + 1] = 1.0
-        j[2 * i + 1, 2 * i] = -1.0
-    return j
-
-
 def _fine_herm_h(x: EjaElement, tol: float):
     alg = x.algebra
-    m = alg.param
-    w, v = _eigh_descending(_embed_quat_matrix(to_matrix(x)))
-    jmat = _j_matrix(m)
+    w, v = _eigh_descending(to_matrix(x))
     ctol = tol * (1.0 + float(np.max(np.abs(w))))
     # cluster the 2m eigenvalues, then peel J-pairs inside each cluster
     clusters = _cluster_indices(w, ctol)
@@ -117,7 +107,7 @@ def _fine_herm_h(x: EjaElement, tol: float):
         cols = v[:, idx]
         while cols.shape[1] > 0:
             vec = cols[:, 0]
-            twin = jmat @ np.conj(vec)
+            twin = j_twin(vec)
             # twin is an eigenvector of the same eigenvalue, orthogonal to vec
             twin = twin - vec * np.vdot(vec, twin)
             nrm = np.linalg.norm(twin)
@@ -125,7 +115,7 @@ def _fine_herm_h(x: EjaElement, tol: float):
                 raise SpectralError("quaternionic J-pairing degenerated", residual=nrm)
             twin = twin / nrm
             proj = np.outer(vec, np.conj(vec)) + np.outer(twin, np.conj(twin))
-            c = from_matrix(alg, _unembed_quat_matrix(proj))
+            c = from_matrix(alg, proj)
             frame.append(c)
             values.append(inner(x, c))
             # remove the pair from the cluster basis
@@ -407,10 +397,10 @@ def eigenvalues(x: EjaElement) -> np.ndarray:
     """Eigenvalues of x, descending and repeated by multiplicity, without a frame.
 
     The numbers `spectral_decompose(x).eigenvalues` gives, computed the
-    same way per family: the closed form for spin, LAPACK eigvalsh for sym_r
-    and herm_c, every other eigvalsh value of the 2m x 2m embedding for
-    herm_h (each quaternionic eigenvalue appears twice there), and the
-    characteristic cubic for herm_o.
+    same way per family: the closed form for spin, LAPACK eigvalsh of the
+    stored matrix for sym_r, herm_c and herm_h (taking every other value of
+    the 2m x 2m herm_h matrix, where each quaternionic eigenvalue appears
+    twice), and the characteristic cubic for herm_o.
     """
     if not math.isfinite(_size(x)):
         y, k = _downscaled(x)
@@ -420,13 +410,12 @@ def eigenvalues(x: EjaElement) -> np.ndarray:
         n = alg.param
         t, nw = float(x.coeffs[n]), float(np.linalg.norm(x.coeffs[:n]))
         vals = np.array([t + nw, t - nw])
-    elif alg.family in ("sym_r", "herm_c"):
-        vals = np.linalg.eigvalsh(to_matrix(x))[::-1]
-    elif alg.family == "herm_h":
-        vals = np.linalg.eigvalsh(_embed_quat_matrix(to_matrix(x)))[::-1][::2]
-    else:
+    elif alg.family == "herm_o":
         pieces = _herm_o_values(x, jordan_product(x, x), DEFAULT_TOL)
         vals = np.sort([lam for lam, mult in pieces for _ in range(mult)])[::-1]
+    else:
+        mat = to_matrix(x)
+        vals = np.linalg.eigvalsh(mat)[::-1][:: len(mat) // alg.param]
     _require_finite(vals.tolist(), "eigenvalues overflow")
     return vals
 

@@ -20,10 +20,9 @@ import numpy as np
 from .algebra import (
     AlgebraDescriptor,
     EjaElement,
-    _embed_quat_matrix,
-    _unembed_quat_matrix,
     from_matrix,
     inner,
+    j_twin,
     jordan_product,
     norm,
     to_matrix,
@@ -324,14 +323,7 @@ class EjaAutomorphism:
             out[n] = x.coeffs[n]
             return EjaElement(self.algebra, out)
         u = np.array(self.data)
-        fam = self.algebra.family
-        if fam == "herm_h":
-            mat = _embed_quat_matrix(to_matrix(x))
-            moved = u @ mat @ u.conj().T
-            return from_matrix(self.algebra, _unembed_quat_matrix(moved))
-        mat = to_matrix(x)
-        moved = u @ mat @ u.conj().T
-        return from_matrix(self.algebra, moved)
+        return from_matrix(self.algebra, u @ to_matrix(x) @ u.conj().T)
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -343,21 +335,25 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 
 def _distinguished_columns(alg: AlgebraDescriptor, idem: EjaElement) -> np.ndarray:
-    """Orthonormal column(s) spanning the idempotent's range, phase-fixed."""
-    fam = alg.family
-    if fam == "herm_h":
-        p = _embed_quat_matrix(to_matrix(idem))
-        w, vecs = np.linalg.eigh(p)
-        v = _fix_phase(vecs[:, -1])
-        m = alg.param
-        j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        j = np.kron(np.eye(m), j2)
-        twin = j @ np.conj(v)
-        return np.stack([v, twin], axis=1)
-    p = to_matrix(idem)
-    w, vecs = np.linalg.eigh(p)
-    v = _fix_phase(vecs[:, -1])
-    return v[:, None]
+    """Orthonormal column(s) spanning the idempotent's range, phase-fixed.
+
+    The first entry above 1e-8 in size is made real positive.  A herm_h
+    range is the span of an eigenvector v and its twin, where LAPACK's
+    choice of v turns on rounding (even on the sign of a zero); mixing in
+    the twin makes the first quaternionic entry (v_2i, v_2i+1) real
+    positive, so the columns depend on the idempotent alone.
+    """
+    _, vecs = np.linalg.eigh(to_matrix(idem))
+    v = vecs[:, -1]
+    if alg.family != "herm_h":
+        return _fix_phase(v)[:, None]
+    twin = j_twin(v)
+    for a, b in zip(v[0::2], v[1::2]):
+        size = np.hypot(abs(a), abs(b))
+        if size > 1e-8:
+            v = (np.conj(a) * v + b * twin) / size
+            return np.stack([v, j_twin(v)], axis=1)
+    raise SymmetryError("zero eigenvector")
 
 
 def _check_jordan_frame(alg: AlgebraDescriptor, frame, tol: float = 1e-8):

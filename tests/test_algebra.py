@@ -8,6 +8,7 @@ from jordan_spectra.algebra import (
     determinant,
     from_matrix,
     inner,
+    j_twin,
     jordan_product,
     norm,
     power,
@@ -17,6 +18,7 @@ from jordan_spectra.algebra import (
     unit,
     zero,
 )
+from jordan_spectra.hypercomplex import quat_to_complex2
 from jordan_spectra.spectral import random_element
 
 ALL_ALGEBRAS = [
@@ -231,6 +233,71 @@ def test_matrix_roundtrip_all_matrix_families():
             continue
         x = random_element(alg, 61)
         assert np.allclose(from_matrix(alg, to_matrix(x)).coeffs, x.coeffs)
+
+
+QUATERNION_SIZES = (1, 2, 3, 5)
+
+
+def quaternionic_j(m):
+    return np.kron(np.eye(m), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("m", QUATERNION_SIZES)
+def test_herm_h_is_stored_as_its_complex_embedding(m):
+    alg = algebra("herm_h", m)
+    x, y = random_element(alg, 80 + m), random_element(alg, 90 + m)
+    xm, ym = to_matrix(x), to_matrix(y)
+    assert xm.shape == (2 * m, 2 * m)
+    assert np.allclose(xm, xm.conj().T, rtol=0, atol=1e-14)
+    j = quaternionic_j(m)
+    assert np.allclose(j @ np.conj(xm), xm @ j, rtol=0, atol=1e-14)
+    # the embedding doubles the trace
+    assert trace(x) == pytest.approx(np.trace(xm).real / 2.0, rel=1e-12)
+    assert inner(x, y) == pytest.approx(np.trace(xm @ ym).real / 2.0, rel=1e-12)
+    assert np.allclose(from_matrix(alg, xm).coeffs, x.coeffs, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("m", QUATERNION_SIZES)
+def test_herm_h_coordinates_are_quaternion_components(m):
+    # basis member k is the blockwise embedding of the k-th (m, m, 4)
+    # quaternion component member: diagonal ones first, then i < j
+    # row-major with the units 1, i, j, k innermost
+    alg = algebra("herm_h", m)
+    members = []
+    for i in range(m):
+        q = np.zeros((m, m, 4))
+        q[i, i, 0] = 1.0
+        members.append(q)
+    for i in range(m):
+        for j in range(i + 1, m):
+            for u in range(4):
+                q = np.zeros((m, m, 4))
+                q[i, j, u] = 1.0 / np.sqrt(2.0)
+                q[j, i, u] = (1.0 if u == 0 else -1.0) / np.sqrt(2.0)
+                members.append(q)
+    assert len(members) == alg.dim
+    for k, q in enumerate(members):
+        want = quat_to_complex2(q).transpose(0, 2, 1, 3).reshape(2 * m, 2 * m)
+        got = to_matrix(EjaElement(alg, np.eye(alg.dim)[k]))
+        assert np.allclose(got, want, rtol=0, atol=1e-15), k
+
+
+@pytest.mark.parametrize("m", QUATERNION_SIZES)
+def test_j_twin(m):
+    rng = np.random.default_rng(m)
+    v = rng.standard_normal(2 * m) + 1j * rng.standard_normal(2 * m)
+    twin = j_twin(v)
+    assert np.allclose(twin, quaternionic_j(m) @ np.conj(v), rtol=0, atol=1e-15)
+    assert abs(np.vdot(v, twin)) <= 1e-14
+    assert np.allclose(j_twin(twin), -v, rtol=0, atol=1e-15)
+
+
+def test_spin_has_no_matrix_representation():
+    alg = algebra("spin", 3)
+    with pytest.raises(ValueError, match="spin has no matrix representation"):
+        to_matrix(unit(alg))
+    with pytest.raises(ValueError, match="spin has no matrix representation"):
+        from_matrix(alg, np.zeros(4))
 
 
 def test_quadratic_rep_preserves_cone():

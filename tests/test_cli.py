@@ -250,6 +250,14 @@ def test_verify_theorem_command(runner):
     assert code == 0  # unsupported transporters do not fail the battery
 
 
+def test_herm_o_defaults_to_size_3_everywhere(runner):
+    code, outp = invoke(runner, "decompose", "--eja", "herm_o")
+    assert code == 0, outp
+    assert json.loads(outp)["algebra"] == {"family": "herm_o", "m": 3}
+    code, outp = invoke(runner, "verify-theorem", "--eja", "herm_o", "--trials", "2")
+    assert code == 0, outp
+
+
 def test_plot_data(runner, tmp_path):
     sq = write_json(tmp_path, "sq.json", {"type": "named", "name": "square"})
     code, outp = invoke(runner, "plot-data", sq)

@@ -330,6 +330,16 @@ def test_equal_bodies_share_one_record():
     assert geometry._analysis(square()) is not geometry._analysis(hexagon())
 
 
+def test_refused_point_sets_take_no_cache_slot():
+    geometry._analysis.cache_clear()
+    for k in range(2, 7):
+        with pytest.raises(GeometryError, match="^vertex 2 is not extremal$"):
+            polytope([(0, 0), (k, 0), (1, 0)])
+    assert geometry._analysis.cache_info().currsize == 0
+    triangle = [(0, 0), (2, 0), (0, 1)]
+    assert geometry._analysis(polytope(triangle)) is geometry._analysis(polytope(triangle))
+
+
 def test_analysis_cache_is_bounded():
     bound = geometry.ANALYSIS_CACHE_BODIES
     assert geometry._analysis.cache_info().maxsize == bound

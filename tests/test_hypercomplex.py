@@ -3,7 +3,6 @@ import pytest
 
 from jordan_spectra.hypercomplex import (
     OCT_TABLE,
-    complex2_to_quat,
     oct_conj,
     oct_mat_mul,
     oct_mul,
@@ -59,7 +58,6 @@ def test_quaternion_complex_embedding_is_homomorphism():
         lhs = quat_to_complex2(quat_mul(a, b))
         rhs = quat_to_complex2(a) @ quat_to_complex2(b)
         assert np.allclose(lhs, rhs)
-        assert np.allclose(complex2_to_quat(quat_to_complex2(a)), a)
 
 
 def test_octonion_multiplication_table():

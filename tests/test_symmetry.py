@@ -30,6 +30,7 @@ import pytest
 
 from jordan_spectra.algebra import (
     AlgebraDescriptor,
+    EjaElement,
     inner,
     norm,
     unit,
@@ -299,6 +300,25 @@ def test_transporter_random_frames(family, param):
     worst = max(norm(auto.apply(a) - b) for a, b in zip(fa, fb))
     assert worst <= 1e-8
     assert norm(auto.apply(unit(alg)) - unit(alg)) <= 1e-9
+
+
+@pytest.mark.parametrize("family,param", [("sym_r", 3), ("herm_c", 3), ("herm_h", 3)])
+def test_transporter_is_a_function_of_the_frames(family, param):
+    # a herm_h idempotent's range is a 2-dimensional eigenspace, so the
+    # transporter must not follow LAPACK's rounding-dependent basis of it
+    alg = AlgebraDescriptor(family, param)
+    fa = tuple(random_jordan_frame(alg, 11))
+    fb = tuple(random_jordan_frame(alg, 22))
+    rng = np.random.default_rng(33)
+    nudged = tuple(
+        EjaElement(alg, c.coeffs * (1.0 + 1e-15 * rng.standard_normal(alg.dim)))
+        for c in fa
+    )
+    auto = jordan_frame_transporter(alg, fa, fb)
+    again = jordan_frame_transporter(alg, nudged, fb)
+    for _ in range(4):
+        x = random_element(alg, rng)
+        assert norm(auto.apply(x) - again.apply(x)) <= 1e-12 * (1.0 + norm(x))
 
 
 def test_spin_transporter_fixes_unit_exactly():
