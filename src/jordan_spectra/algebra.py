@@ -23,6 +23,7 @@ embedding, a+bi+cj+dk -> [[a+bi, c+di], [-c+di, a-bi]] applied entrywise
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,11 +144,14 @@ def _same_algebra(a: EjaElement, b: EjaElement):
 
 # -- bases --------------------------------------------------------------------
 
-_BASIS_CACHE: dict = {}
+# Distinct algebras whose dense bases are kept; a herm_h(20) entry alone
+# holds 40 MB, and the batteries and benchmarks touch fewer than ten.
+BASIS_CACHE_ALGEBRAS = 16
 
 _SQ2 = np.sqrt(2.0)
 
 
+@lru_cache(maxsize=BASIS_CACHE_ALGEBRAS)
 def _matrix_basis(alg: AlgebraDescriptor) -> tuple:
     """(basis, dual, shape) of a matrix family; basis and dual are (dim, size).
 
@@ -161,8 +165,6 @@ def _matrix_basis(alg: AlgebraDescriptor) -> tuple:
     The dual projects a matrix onto coefficients, conj(basis) / s with
     s = 2 for herm_h, whose embedding doubles the trace, and s = 1 otherwise.
     """
-    if alg in _BASIS_CACHE:
-        return _BASIS_CACHE[alg]
     if alg.family == "spin":
         raise ValueError("spin has no matrix representation")
     if alg.family == "herm_o":
@@ -187,9 +189,7 @@ def _matrix_basis(alg: AlgebraDescriptor) -> tuple:
     assert basis.shape[0] == alg.dim
     scale = 2.0 if alg.family == "herm_h" else 1.0
     flat = basis.reshape(alg.dim, -1)
-    entry = (flat, np.conj(flat) / scale, basis.shape[1:])
-    _BASIS_CACHE[alg] = entry
-    return entry
+    return flat, np.conj(flat) / scale, basis.shape[1:]
 
 
 def to_matrix(x: EjaElement) -> np.ndarray:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from jordan_spectra.algebra import (
+    BASIS_CACHE_ALGEBRAS,
     AlgebraDescriptor,
     EjaElement,
+    _matrix_basis,
     algebra,
     determinant,
     from_matrix,
@@ -310,3 +312,13 @@ def test_quadratic_rep_preserves_cone():
         image = quadratic_rep(a, bsq)
         w = spectral_decompose(image).eigenvalues
         assert float(np.min(w)) >= -1e-8 * (1.0 + float(np.max(np.abs(w))))
+
+
+def test_basis_cache_is_bounded():
+    assert _matrix_basis.cache_info().maxsize == BASIS_CACHE_ALGEBRAS
+    first = _matrix_basis(algebra("sym_r", 1))[0].copy()
+    for m in range(2, BASIS_CACHE_ALGEBRAS + 6):
+        _matrix_basis(algebra("herm_c" if m % 2 else "sym_r", m))
+    assert _matrix_basis.cache_info().currsize <= BASIS_CACHE_ALGEBRAS
+    # an evicted algebra is built again on demand, with the same basis
+    assert np.array_equal(_matrix_basis(algebra("sym_r", 1))[0], first)

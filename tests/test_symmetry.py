@@ -15,6 +15,16 @@ Ordered 2-frame orbits under those groups:
   * cube: 2-frames are all 56 ordered pairs, split by Hamming distance
     into orbits 24/24/8; octahedron: 30 ordered pairs split 24/6.
 
+Past the old 12-vertex cap: the 4-cube has the hyperoctahedral group of
+order 2^4 4! = 384; the order-4 permutahedron (permutations of 1..4, a
+3-dimensional body in R^4) has the symmetric group times the central
+inversion, 4! * 2 = 48; the icosahedron, over Q(sqrt 5), has the full
+icosahedral group of order 120.
+
+The group search is checked against a brute force that solves one exact
+affine system for every image of an affine vertex basis, P(n, d+1) of
+them (1,680 for the cube, against the cube's 48 automorphisms).
+
 A trapezoid has automorphism group of order 2 but 8 maximal flags, so it
 cannot be flag-transitive.  Transporter residuals are float-level for
 the matrix families; the spin transporter fixes the unit exactly since
@@ -22,7 +32,9 @@ it rotates only the vector part.
 """
 
 import dataclasses
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -35,9 +47,17 @@ from jordan_spectra.algebra import (
     norm,
     unit,
 )
+from jordan_spectra.classification import default_converse_catalog
+from jordan_spectra.exactla import (
+    affine_basis_indices,
+    affine_map_from_correspondence,
+    mat_vec,
+)
 from jordan_spectra.geometry import (
     CapExceeded,
     barycenter,
+    chart,
+    chart_vertices,
     cube,
     hexagon,
     octahedron,
@@ -148,9 +168,139 @@ def test_orbit_stabilizer_products():
 
 
 def test_automorphism_cap():
-    points = [(F(k), F(k * k)) for k in range(13)]  # strictly convex, 13 vertices
+    points = [(F(k), F(k * k)) for k in range(25)]  # strictly convex, 25 vertices
     with pytest.raises(CapExceeded):
         automorphism_group(polytope(points))
+
+
+def brute_force_automorphisms(ch, cverts):
+    """(permutation, matrix, translation) of every affine self-map, sorted.
+
+    Solves the affine map for each of the P(n, d+1) ordered images of an
+    affine vertex basis and keeps it iff it permutes the chart vertices.
+    """
+    n = len(cverts)
+    if ch.dim == 0:
+        return [((0,), (), ())]
+    basis_ids = affine_basis_indices(list(cverts))
+    src = [cverts[i] for i in basis_ids]
+    index = {v: i for i, v in enumerate(cverts)}
+    found = {}
+    for images in itertools.permutations(range(n), len(basis_ids)):
+        matrix, translation = affine_map_from_correspondence(
+            src, [cverts[i] for i in images]
+        )
+        perm = tuple(
+            index.get(tuple(a + b for a, b in zip(mat_vec(matrix, v), translation)))
+            for v in cverts
+        )
+        if None not in perm and len(set(perm)) == n:
+            found[perm] = (tuple(tuple(row) for row in matrix), tuple(translation))
+    return [(p,) + found[p] for p in sorted(found)]
+
+
+def triples(group):
+    return [(g.permutation, g.matrix, g.translation) for g in group]
+
+
+def shuffled_image(body, rng):
+    """The body under a signed coordinate permutation, vertices shuffled."""
+    d = len(body.vertices[0])
+    axes = rng.sample(range(d), d)
+    signs = [rng.choice((1, -1)) for _ in range(d)]
+    moved = [tuple(s * v[a] for s, a in zip(signs, axes)) for v in body.vertices]
+    rng.shuffle(moved)
+    return polytope(moved)
+
+
+def trapezoid():
+    return polytope([(F(0), F(0)), (F(3), F(0)), (F(2), F(1)), (F(1), F(1))])
+
+
+@pytest.mark.parametrize(
+    "name,body", [pytest.param(*entry, id=entry[0]) for entry in default_converse_catalog()]
+)
+def test_search_matches_brute_force_on_catalog_images(name, body):
+    rng = random.Random(name)
+    for image in [body] + [shuffled_image(body, rng) for _ in range(3)]:
+        expected = brute_force_automorphisms(chart(image), chart_vertices(image))
+        assert triples(automorphism_group(image)) == expected
+
+
+@pytest.mark.parametrize(
+    "body,order",
+    [
+        (trapezoid(), 2),
+        # a triangle on scaled unit vectors of R^4: a 2-dimensional chart
+        (polytope([(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 0, 1)]), 6),
+    ],
+)
+def test_search_matches_brute_force(body, order):
+    expected = brute_force_automorphisms(chart(body), chart_vertices(body))
+    assert len(expected) == order
+    assert triples(automorphism_group(body)) == expected
+
+
+def test_cube_search_solves_one_map_per_automorphism(monkeypatch):
+    # the brute force solves P(8, 4) = 1,680 maps for the same 48
+    calls = []
+    solve = symmetry.affine_map_from_correspondence
+
+    def counted(src, dst):
+        calls.append(1)
+        return solve(src, dst)
+
+    monkeypatch.setattr(symmetry, "affine_map_from_correspondence", counted)
+    body = cube()
+    group = symmetry._search_automorphisms(chart(body), chart_vertices(body))
+    assert len(group) == 48
+    assert len(calls) == 48
+
+
+@pytest.mark.parametrize(
+    "body", [square(), rectangle(), pentagon(), hexagon(), trapezoid()]
+)
+def test_exact_check_decides_without_gram_pruning(monkeypatch, body):
+    # with one colour for every Q entry the search visits all n! vertex
+    # permutations, and the exact vertex check alone must keep the group
+    ch, cverts = chart(body), chart_vertices(body)
+    pruned = symmetry._search_automorphisms(ch, cverts)
+    n = len(cverts)
+    monkeypatch.setattr(symmetry, "_gram_colours", lambda cv: [[0] * n] * n)
+    assert triples(symmetry._search_automorphisms(ch, cverts)) == triples(pruned)
+
+
+def test_closure_check_refuses_a_non_group():
+    symmetry._check_group([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    with pytest.raises(SymmetryError):
+        symmetry._check_group([(0, 1, 2), (1, 2, 0)])  # the 3-cycle's square is missing
+    with pytest.raises(SymmetryError):
+        symmetry._check_group([(1, 0, 2), (0, 2, 1)])  # no identity
+
+
+def icosahedron():
+    phi = Sqrt5(F(1, 2), F(1, 2))
+    points = []
+    for a in (1, -1):
+        for b in (phi, -phi):
+            cyclic = (0, a, b)
+            points += [cyclic[r:] + cyclic[:r] for r in range(3)]
+    return polytope(points)
+
+
+@pytest.mark.parametrize(
+    "make,n,order",
+    [
+        (lambda: polytope(list(itertools.product((-1, 1), repeat=4))), 16, 384),
+        (lambda: polytope(list(itertools.permutations((1, 2, 3, 4)))), 24, 48),
+        (icosahedron, 12, 120),
+    ],
+    ids=["4-cube", "permutahedron4", "icosahedron"],
+)
+def test_group_orders_past_the_old_cap(make, n, order):
+    body = make()
+    assert len(body.vertices) == n
+    assert len(automorphism_group(body)) == order
 
 
 def test_off_hull_point_rejected():
@@ -240,7 +390,7 @@ def test_regular_bodies(body):
 
 
 def test_trapezoid_not_regular():
-    trap = polytope([(F(0), F(0)), (F(3), F(0)), (F(2), F(1)), (F(1), F(1))])
+    trap = trapezoid()
     assert len(automorphism_group(trap)) == 2
     assert not is_regular(trap)
 
