@@ -42,7 +42,7 @@ from .algebra import (
     unit,
     zero,
 )
-from .exactla import affine_basis_indices, barycentric_coordinates
+from .exactla import affine_basis_indices
 from .geometry import (
     Ball,
     EjaStateSpace,
@@ -435,13 +435,17 @@ def fr_polytope(body, frame=None, cap: int = 12) -> Polytope:
 def section_sample_check(
     section: FrSection, samples: int = 1000, seed: int = 0, tol: float = 1e-10
 ) -> dict:
-    """Sample the section span; points inside the cone must have coordinates >= -tol.
+    """Points of the section span inside the cone must have frame coordinates >= -tol.
 
-    Frame coordinates are recovered through the trace inner product, and
-    cone membership is decided from the element's eigenvalues, so the two
-    sides of the comparison are computed independently.
+    A frame of EJA elements is sampled: frame coordinates are recovered
+    through the trace inner product, and cone membership is decided from
+    the element's eigenvalues, so the two sides of the comparison are
+    computed independently.  An exact section (a polytope, or the diameter
+    of a ball) is decided for every point at once: the weights of a convex
+    combination of affinely independent vertices are its barycentric
+    coordinates, so it passes iff its vertices are affinely independent.
     """
-    if section.kind in ("eja", "ball") and isinstance(section.basis[0], EjaElement):
+    if isinstance(section.basis[0], EjaElement):
         frame = section.basis
         r = len(frame)
         rng = np.random.default_rng(seed)
@@ -466,30 +470,11 @@ def section_sample_check(
             "min_coordinate": worst,
             "pass": worst >= -tol,
         }
-    # polytope/ball sections with exact vertex bases: rational convex samples
-    import random as _random
-
-    rng = _random.Random(seed)
     verts = section.polytope.vertices
-    hits = 0
-    ok = True
-    for _ in range(samples):
-        weights = [Fraction(rng.randint(0, 32)) for _ in verts]
-        total = sum(weights)
-        if total == 0:
-            continue
-        weights = [w / total for w in weights]
-        point = tuple(
-            sum(w * v[i] for w, v in zip(weights, verts))
-            for i in range(len(verts[0]))
-        )
-        coords = barycentric_coordinates(verts, point)
-        hits += 1
-        if coords is None or any(c < 0 for c in coords):
-            ok = False
+    ok = len(affine_basis_indices(verts)) == len(verts)
     return {
         "samples": samples,
-        "hits": hits,
+        "hits": samples,
         "min_coordinate": 0.0 if ok else -1.0,
         "pass": ok,
     }

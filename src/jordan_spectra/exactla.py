@@ -212,27 +212,6 @@ def mat_vec(m, v):
     return [sum(mij * vj for mij, vj in zip(row, v)) for row in m]
 
 
-def rref(matrix):
-    """Reduced row echelon form. Returns (rref_rows, pivot_column_list)."""
-    ring, T, pivots, d, _ = _eliminate(matrix)
-    return [[ring.quotient(x, d) for x in row] for row in T], pivots
-
-
-def matrix_rank(matrix):
-    if not matrix:
-        return 0
-    return len(_eliminate(matrix)[2])
-
-
-def solve_unique(a, b):
-    """Solve the square system a x = b; raise ValueError if singular."""
-    n = len(a)
-    ring, T, pivots, d, _ = _eliminate([list(row) + [bv] for row, bv in zip(a, b)])
-    if pivots != list(range(n)):
-        raise ValueError("singular linear system")
-    return [ring.quotient(T[i][n], d) for i in range(n)]
-
-
 def solve_any(a, b):
     """One solution of a x = b (possibly underdetermined); None if none."""
     ncol = len(a[0]) if a else 0
@@ -253,33 +232,23 @@ def determinant(a):
     return ring.quotient(d, scale)
 
 
-def affinely_independent(points) -> bool:
+def affine_basis_indices(points):
+    """Indices of a maximal affinely independent subset, greedily (lex order).
+
+    Index 0 and then, from one elimination of the difference vectors
+    p_i - p_0 taken as columns, the pivot columns: a column is a pivot
+    exactly when it is independent of the columns before it.
+    """
     if not points:
-        return True
+        return []
     p0 = points[0]
-    diffs = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
-    return matrix_rank(diffs) == len(points) - 1
+    diffs = [[p[k] - p0[k] for p in points[1:]] for k in range(len(p0))]
+    return [0] + [c + 1 for c in _eliminate(diffs)[2]]
 
 
 def affine_rank(points) -> int:
     """Dimension of the affine hull of the point set."""
-    if not points:
-        return -1
-    p0 = points[0]
-    diffs = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
-    if not diffs:
-        return 0
-    return matrix_rank(diffs)
-
-
-def affine_basis_indices(points):
-    """Indices of a maximal affinely independent subset, greedily (lex order)."""
-    chosen = []
-    for i in range(len(points)):
-        trial = chosen + [i]
-        if affinely_independent([points[j] for j in trial]):
-            chosen = trial
-    return chosen
+    return len(affine_basis_indices(points)) - 1
 
 
 def affine_map_from_correspondence(src, dst):

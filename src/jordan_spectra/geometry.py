@@ -51,7 +51,7 @@ class Polytope:
 
     @property
     def dim(self) -> int:
-        return affine_rank(list(self.vertices))
+        return chart(self).dim
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,10 @@ def _herm_o_values(x: EjaElement, x2: EjaElement, tol: float) -> list:
     repeated root is re-derived as the root of the cubic's derivative (a
     well-conditioned simple quadratic root).
     """
-    powers = (trace(x), trace(x2), trace(jordan_product(x2, x)))
+    # tr x^2 = (x, x) and tr x^3 = (x * x, x) in the trace form; np.dot
+    # warns where the traces overflow, which the finiteness test refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = (trace(x), inner(x, x), inner(x2, x))
     _require_finite(powers, "power traces overflow")
     e1, e2, e3 = _elementary_symmetric(*powers)
     lams = _char_cubic_roots(e1, e2, e3)

@@ -13,7 +13,8 @@ checked exactly, and the accepted set is then checked to be a group.
 
 EJA transporters follow the classical constructions (conjugation by
 U_B U_A^dagger for the matrix families, cf. Faraut-Koranyi IV.2.7; a
-Householder reflection of the ball part for spin factors).  The
+Householder reflection of the ball part for spin factors), each stored as
+the real linear map it induces on coefficients.  The
 octonionic algebra is not supported: its automorphisms live in F4 and
 constructing them outweighs what the checks need.
 """
@@ -28,7 +29,7 @@ import numpy as np
 from .algebra import (
     AlgebraDescriptor,
     EjaElement,
-    from_matrix,
+    _matrix_basis,
     inner,
     j_twin,
     jordan_product,
@@ -384,26 +385,17 @@ def frame_flag_bijection(fixture) -> FrameFlagReport:
 # EJA transporters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EjaAutomorphism:
-    """Jordan automorphism acting by structured conjugation or rotation."""
+    """Jordan automorphism as a real dim x dim map M on coefficients: x -> M x."""
 
     algebra: AlgebraDescriptor
-    kind: str  # "conjugation" | "rotation"
-    data: tuple
+    M: np.ndarray
 
     def apply(self, x: EjaElement) -> EjaElement:
         if x.algebra != self.algebra:
             raise SymmetryError("element from a different algebra")
-        if self.kind == "rotation":
-            h = np.array(self.data)
-            n = self.algebra.param
-            out = np.empty(n + 1)
-            out[:n] = h @ x.coeffs[:n]
-            out[n] = x.coeffs[n]
-            return EjaElement(self.algebra, out)
-        u = np.array(self.data)
-        return from_matrix(self.algebra, u @ to_matrix(x) @ u.conj().T)
+        return EjaElement(self.algebra, self.M @ x.coeffs)
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -482,7 +474,9 @@ def jordan_frame_transporter(
             d = x - y
             d = d / np.linalg.norm(d)
             h = np.eye(n) - 2.0 * np.outer(d, d)
-        auto = EjaAutomorphism(algebra=alg, kind="rotation", data=_np_tuple(h))
+        m = np.eye(alg.dim)
+        m[:n, :n] = h
+        auto = EjaAutomorphism(alg, m)
     else:
         ua = np.concatenate(
             [_distinguished_columns(alg, c) for c in frame_a], axis=1
@@ -491,13 +485,12 @@ def jordan_frame_transporter(
             [_distinguished_columns(alg, c) for c in frame_b], axis=1
         )
         u = ub @ ua.conj().T
-        auto = EjaAutomorphism(algebra=alg, kind="conjugation", data=_np_tuple(u))
+        # column i is the coefficient vector of U B_i U^H, B_i the i-th basis member
+        basis, dual, shape = _matrix_basis(alg)
+        images = u @ basis.reshape((alg.dim,) + shape) @ u.conj().T
+        auto = EjaAutomorphism(alg, np.real(dual @ images.reshape(alg.dim, -1).T))
     _verify_transporter(auto, frame_a, frame_b, tol)
     return auto
-
-
-def _np_tuple(arr) -> tuple:
-    return tuple(tuple(row) for row in np.asarray(arr))
 
 
 def _verify_transporter(auto, frame_a, frame_b, tol):

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jordan_spectra import exactla
 from jordan_spectra.algebra import AlgebraDescriptor, inner, norm, unit
 from jordan_spectra.classification import (
     ClassificationError,
@@ -219,6 +220,26 @@ def test_section_sampling_eja():
 def test_section_sampling_polytope():
     report = section_sample_check(fr_section(simplex(2)), samples=100, seed=0)
     assert report["pass"]
+
+
+def test_exact_section_is_decided_without_per_sample_solves(monkeypatch):
+    section = fr_section(simplex(3))
+
+    def refuse(*args):
+        raise AssertionError("an exact section needs no linear solve per sample")
+
+    monkeypatch.setattr(exactla, "solve_any", refuse)
+    report = section_sample_check(section, samples=10**4)
+    assert report == {"samples": 10**4, "hits": 10**4, "min_coordinate": 0.0, "pass": True}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_section_sampling_refuses_a_dependent_vertex_set(seed):
+    body = square()
+    section = FrSection("polytope", body.vertices, body)
+    report = section_sample_check(section, samples=200, seed=seed)
+    assert report["pass"] is False
+    assert report["min_coordinate"] == -1.0
 
 
 def test_section_sampling_random_frame():

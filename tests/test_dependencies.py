@@ -1,4 +1,5 @@
-"""The package imports nothing beyond the standard library, numpy and click."""
+"""The package imports nothing beyond the standard library, numpy and click,
+and the exact kernel keeps no public routine that only tests reach."""
 
 import ast
 import sys
@@ -30,3 +31,33 @@ def test_absolute_imports_are_stdlib_or_declared():
                 if name.split(".")[0] not in allowed
             ]
     assert not stray, stray
+
+
+def test_every_public_exactla_function_has_a_caller_in_the_package():
+    # the package re-exports nothing from exactla, so a public routine that
+    # no other module names is reached by tests alone
+    package = Path(jordan_spectra.__file__).resolve().parent
+    kernel = package / "exactla.py"
+    public = {
+        node.name
+        for node in ast.parse(kernel.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert public
+    used = set()
+    for path in package.rglob("*.py"):
+        if path == kernel:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                "exactla",
+                f"{package.name}.exactla",
+            ):
+                used.update(alias.name for alias in node.names)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "exactla"
+            ):
+                used.add(node.attr)
+    assert not public - used, sorted(public - used)

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -55,6 +56,19 @@ def oracle_solve_any(a, b):
     return x
 
 
+def oracle_affine_basis_indices(points):
+    """The greedy loop: keep each point that is affinely independent of
+    those kept before it, one rank elimination per point."""
+    chosen = []
+    for i in range(len(points)):
+        trial = chosen + [i]
+        p0 = points[trial[0]]
+        diffs = [[x - y for x, y in zip(points[j], p0)] for j in trial[1:]]
+        if len(oracle_rref(diffs)[1]) == len(diffs):
+            chosen = trial
+    return chosen
+
+
 def oracle_determinant(a):
     n = len(a)
     total = F(0)
@@ -68,14 +82,19 @@ def is_exact(values):
     return all(isinstance(v, (Fraction, Sqrt5)) for v in values)
 
 
+def kernel_rref(matrix):
+    """The reduced row echelon form T / d of the kernel, as field scalars."""
+    ring, T, pivots, d, _ = la._eliminate(matrix)
+    return [[ring.quotient(x, d) for x in row] for row in T], pivots
+
+
 # ---------------------------------------------------------------------------
 # pinned cases
 
 
 def test_rref_and_rank():
     m = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    assert la.matrix_rank(m) == 2
-    rows, pivots = la.rref(m)
+    rows, pivots = kernel_rref(m)
     assert pivots == [0, 1]
     assert rows[0] == [F(1), F(0), F(1)]
     assert rows[1] == [F(0), F(1), F(1)]
@@ -83,16 +102,17 @@ def test_rref_and_rank():
 
 def test_solve_unique_exact():
     a = [[F(2), F(1)], [F(1), F(3)]]
-    x = la.solve_unique(a, [F(5), F(10)])
+    x = la.solve_any(a, [F(5), F(10)])
     assert x == [F(1), F(3)]
-    with pytest.raises(ValueError):
-        la.solve_unique([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)])
+    singular = [[F(1), F(2)], [F(2), F(4)]]
+    assert la.determinant(singular) == 0
+    assert la.solve_any(singular, [F(1), F(3)]) is None
 
 
 def test_solve_over_quadratic_field():
     a = [[PHI, Fraction(1)], [Fraction(1), PHI]]
     b = [PHI * PHI + 1, 2 * PHI]
-    x = la.solve_unique(a, b)
+    x = la.solve_any(a, b)
     assert x == [PHI, Fraction(1)]
 
 
@@ -105,9 +125,11 @@ def test_determinant():
 def test_affine_helpers():
     pts = [[F(0), F(0)], [F(1), F(0)], [F(0), F(1)], [F(1), F(1)]]
     assert la.affine_rank(pts) == 2
-    assert la.affinely_independent(pts[:3])
-    assert not la.affinely_independent(pts)
     assert la.affine_basis_indices(pts) == [0, 1, 2]
+    assert la.affine_basis_indices(pts[1:]) == [0, 1, 2]
+    assert la.affine_basis_indices([pts[0], pts[0], pts[3]]) == [0, 2]
+    assert la.affine_basis_indices(pts[:1]) == [0] and la.affine_rank(pts[:1]) == 0
+    assert la.affine_basis_indices([]) == [] and la.affine_rank([]) == -1
 
 
 def test_affine_map_from_correspondence():
@@ -186,10 +208,9 @@ def square_systems(draw):
 @example(m=[[0, 0], [0, 0]])
 @example(m=[[1, 2, 3], [2, 4, 6], [PHI, 1, 0]])
 def test_rref_matches_oracle(m):
-    rows, pivots = la.rref(m)
+    rows, pivots = kernel_rref(m)
     assert (rows, pivots) == oracle_rref(m)
     assert is_exact(itertools.chain(*rows))
-    assert la.matrix_rank(m) == len(pivots)
 
 
 @settings(max_examples=150, deadline=None)
@@ -213,12 +234,12 @@ def test_solve_unique_and_determinant_match_oracle(system):
     assert det == oracle_determinant(a)
     assert is_exact([det])
     if det == 0:
-        with pytest.raises(ValueError):
-            la.solve_unique(a, b)
+        assert len(la._eliminate(a)[2]) < len(a)
     else:
-        x = la.solve_unique(a, b)
+        x = la.solve_any(a, b)
         assert x == oracle_solve_any(a, b)
         assert is_exact(x)
+        assert la.mat_vec(a, x) == list(b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -233,3 +254,15 @@ def test_barycentric_coordinates_match_oracle(vertices, data):
     if lam is not None:
         assert is_exact(lam)
         assert sum(lam) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=matrices().filter(bool))
+@example(points=[[0, 0], [0, 0], [1, 1], [2, 2], [0, 1]])
+@example(points=[[SQRT5, 1], [PHI, 0], [0, PHI]])
+def test_affine_basis_indices_is_one_elimination(points):
+    with mock.patch.object(la, "_eliminate", wraps=la._eliminate) as kernel:
+        got = la.affine_basis_indices(points)
+    assert kernel.call_count == 1
+    assert got == oracle_affine_basis_indices(points)
+    assert la.affine_rank(points) == len(got) - 1

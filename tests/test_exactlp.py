@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jordan_spectra.exactla import solve_unique
+from jordan_spectra.exactla import solve_any
 from jordan_spectra.exactlp import (
     FarkasCertificate,
     Feasible,
@@ -224,7 +224,7 @@ def test_pentagon_effect_maximized_at_top_vertex():
         [one, PENTAGON[2][0], PENTAGON[2][1]],
         [one, PENTAGON[3][0], PENTAGON[3][1]],
     ]
-    alpha, beta, gamma = solve_unique(mat, [one, zero, zero])
+    alpha, beta, gamma = solve_any(mat, [one, zero, zero])
     values = [alpha + beta * v[0] + gamma * v[1] for v in PENTAGON]
     golden = PHI - 1
     assert golden == C

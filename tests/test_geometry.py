@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from jordan_spectra import geometry, symmetry
 from jordan_spectra.algebra import EjaElement, unit
-from jordan_spectra.exactla import affinely_independent, barycentric_coordinates, mat_vec
+from jordan_spectra.exactla import affine_basis_indices, barycentric_coordinates, mat_vec
 from jordan_spectra.geometry import (
     AffineChart,
     Ball,
@@ -95,7 +95,7 @@ def in_hull_of_others(points, i):
     others = [p for j, p in enumerate(points) if j != i]
     for r in range(1, len(points[i]) + 2):
         for subset in itertools.combinations(others, r):
-            if affinely_independent(list(subset)):
+            if len(affine_basis_indices(list(subset))) == len(subset):
                 lam = barycentric_coordinates(list(subset), points[i])
                 if lam is not None and all(x >= 0 for x in lam):
                     return True

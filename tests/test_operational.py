@@ -122,10 +122,10 @@ def test_pentagon_golden_effect():
 
 def _affine_through(p1, y1, p2, y2, p3, y3):
     # solve a 3x3 system for an affine functional on the plane
-    from jordan_spectra.exactla import solve_unique
+    from jordan_spectra.exactla import solve_any
 
     rows = [list(p1) + [1], list(p2) + [1], list(p3) + [1]]
-    a, b, c = solve_unique(rows, [y1, y2, y3])
+    a, b, c = solve_any(rows, [y1, y2, y3])
     return (a, b), c
 
 

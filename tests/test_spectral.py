@@ -13,6 +13,7 @@ from jordan_spectra.algebra import (
     unit,
     zero,
 )
+from jordan_spectra import spectral
 from jordan_spectra.spectral import (
     SpectralError,
     eigenvalues,
@@ -252,6 +253,24 @@ def test_herm_o_cubic_overflow_refused_or_exact():
     # the power traces of 3e102 * e are finite, but e1**3 = (9e102)**3 is not
     x = unit(algebra("herm_o", 3)) * 3e102
     _assert_refused_or_exact(x, np.full(3, 3e102))
+
+
+def test_herm_o_eigenvalues_take_one_jordan_product(monkeypatch):
+    # tr x^2 and tr x^3 come from the trace form, so only x * x is formed
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return jordan_product(a, b)
+
+    monkeypatch.setattr(spectral, "jordan_product", counted)
+    alg = algebra("herm_o", 3)
+    for seed in range(5):
+        x = random_element(alg, seed)
+        calls.clear()
+        vals = eigenvalues(x)
+        assert len(calls) == 1
+        assert abs(sum(vals) - trace(x)) <= 1e-12 * (1.0 + norm(x))
 
 
 # -- predicates --------------------------------------------------------------------

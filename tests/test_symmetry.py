@@ -480,6 +480,22 @@ def test_spin_transporter_fixes_unit_exactly():
     assert max(norm(auto.apply(a) - b) for a, b in zip(fa, fb)) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "family,param", [("sym_r", 3), ("herm_c", 3), ("herm_h", 3), ("spin", 5)]
+)
+def test_transporter_map_is_orthogonal_for_the_trace_form(family, param):
+    alg = AlgebraDescriptor(family, param)
+    auto = jordan_frame_transporter(
+        alg, tuple(random_jordan_frame(alg, 11)), tuple(random_jordan_frame(alg, 22))
+    )
+    eye = np.eye(alg.dim)
+    gram = np.array(
+        [[inner(EjaElement(alg, a), EjaElement(alg, b)) for b in eye] for a in eye]
+    )
+    assert auto.M.shape == (alg.dim, alg.dim) and auto.M.dtype == np.float64
+    assert np.max(np.abs(auto.M.T @ gram @ auto.M - gram)) <= 1e-12
+
+
 def test_transporter_preserves_spectra():
     alg = AlgebraDescriptor("sym_r", 3)
     auto = jordan_frame_transporter(
