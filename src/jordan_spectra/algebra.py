@@ -274,7 +274,7 @@ def inner(x: EjaElement, y: EjaElement) -> float:
     alg = x.algebra
     if alg.family == "spin":
         n = alg.param
-        return 2.0 * (float(np.dot(x.coeffs[:n], y.coeffs[:n])) + x.coeffs[n] * y.coeffs[n])
+        return 2.0 * float(np.dot(x.coeffs[:n], y.coeffs[:n]) + x.coeffs[n] * y.coeffs[n])
     # basis is orthonormal for the trace form
     return float(np.dot(x.coeffs, y.coeffs))
 

@@ -755,8 +755,9 @@ def verify_converse_on_polytopes(catalog=None, cap: int = 12) -> dict:
         entry: dict = {"body": name}
         try:
             is_simplex = len(body.vertices) == body.dim + 1
-            report = is_strongly_symmetric(body, cap)
+            # spectrality first: its frame cap refuses before any frame LP
             verdict = is_spectral(body)
+            report = is_strongly_symmetric(body, cap)
         except (GeometryError, SymmetryError) as exc:
             entry["error"] = str(exc)
             bodies.append(entry)

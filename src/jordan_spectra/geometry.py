@@ -6,11 +6,12 @@ exactly.  Degenerate polytopes (not full-dimensional in their ambient
 coordinates, e.g. a simplex given as unit vectors) are re-coordinatized to
 their affine hull through an AffineChart before any face computation.
 
-Exposed faces are certified one subset at a time: S is a face iff some
-affine functional vanishes on S and is >= 1 on every other vertex, an exact
-LP.  A vertex is extremal iff its singleton is such a face, so polytope
-validation poses the same program.  The face lattice, flags and barycenters
-build on that.
+Faces need no LP.  The facets are the exact hyperplanes through d chart
+vertices with every vertex on one side, and the face lattice is the
+intersection closure of their vertex sets (Kaibel & Pfetsch, Comput.
+Geom. 23, 2002).  A point is a vertex iff the normals of the facets
+through it have rank d, which is how polytope validation decides
+extremality.  Maximal flags and barycenters build on the lattice.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
 
 from .algebra import AlgebraDescriptor, EjaElement, algebra, trace, unit
-from .exactla import affine_basis_indices, affine_rank, determinant, solve_any
-from .exactlp import Feasible, linear_program, lp_feasible
+from .exactla import _eliminate, affine_basis_indices, affine_rank, determinant, solve_any
 from .scalars import Sqrt5, exact, format_scalar
 from .spectral import eigenvalues
 
@@ -97,8 +97,10 @@ def polytope(vertices) -> Polytope:
     if len(rows) > 1:  # a lone point is its own vertex
         # an uncached record: a refused point set must take no cache slot
         cv = _analysis.__wrapped__(body).chart_vertices
+        facets = _facets(cv)
         for i in range(len(rows)):
-            if _supporting_functional(cv, {i}) is None:
+            normals = [g for face, (g, _) in facets.items() if i in face]
+            if len(_eliminate(normals)[2]) < len(cv[0]):
                 raise GeometryError(f"vertex {i} is not extremal")
     return body
 
@@ -238,63 +240,71 @@ class FaceLattice:
 
     @property
     def facets(self):
-        return tuple(
-            f
-            for f in self.faces
-            if f.indices and f.dim == self.top.dim - 1 and f.indices != self.top.indices
-        )
-
-    def meet(self, a: Face, b: Face) -> Face:
-        common = tuple(sorted(set(a.indices) & set(b.indices)))
-        if common not in self._by_indices:
-            raise GeometryError("face lattice is not intersection-closed")
-        return self._by_indices[common]
-
-    def join(self, a: Face, b: Face) -> Face:
-        union = set(a.indices) | set(b.indices)
-        for f in self.faces:
-            if union <= set(f.indices):
-                return f
-        raise GeometryError("no face above the union")
+        return tuple(f for f in self.faces if f.dim == self.top.dim - 1)
 
     def covers(self, face: Face):
-        """Minimal strict superfaces of ``face``."""
-        above = [
-            f
-            for f in self.faces
-            if set(face.indices) < set(f.indices)
-        ]
-        out = []
-        for f in above:
-            if not any(
-                set(g.indices) < set(f.indices) for g in above
-            ):
-                out.append(f)
-        # stable order: by size then indices
-        return tuple(sorted(out, key=lambda f: (len(f.indices), f.indices)))
+        """Strict superfaces one dimension up, by size then indices."""
+        below = set(face.indices)
+        return tuple(
+            f for f in self.faces if f.dim == face.dim + 1 and below < set(f.indices)
+        )
 
 
-def _supporting_functional(cv, inside):
-    """(g, c) with g.v + c = 0 on ``inside`` and >= 1 on every other chart
-    vertex v, or None when no such affine functional exists (an exact LP)."""
-    d = len(cv[0])
-    constraints = [
-        (tuple(v) + (1,), "=", 0) if i in inside else (tuple(v) + (1,), ">=", 1)
-        for i, v in enumerate(cv)
+def _facets(cv) -> dict:
+    """{frozenset of vertices on it: (g, c)} over the facets of ``cv``.
+
+    An affinely independent d-subset S spans a hyperplane g.x + c = 0.
+    One elimination of [homogenized vertices (x, 1) as columns, S first |
+    identity] pivots on S and leaves one row: the functional's values at
+    the vertices, then (g, c).  It is a facet when no two values have
+    opposite signs, and is signed >= 0 on the body.  Subsets inside a
+    facet already found are skipped.
+    """
+    n, d = len(cv), len(cv[0])
+    found = {}
+    if d == 0:
+        return found
+    homogenized = [[v[k] for v in cv] for k in range(d)] + [[1] * n]
+    ident = [[int(j == k) for j in range(d + 1)] for k in range(d + 1)]
+    for subset in itertools.combinations(range(n), d):
+        if any(on.issuperset(subset) for on in found):
+            continue
+        order = list(subset) + [i for i in range(n) if i not in subset]
+        rows = [[row[i] for i in order] + e for row, e in zip(homogenized, ident)]
+        ring, T, pivots, _, _ = _eliminate(rows)
+        if pivots[:d] != list(range(d)):
+            continue  # affinely dependent
+        signs = [ring.sign(x) for x in T[d][:n]]
+        if 1 in signs and -1 in signs:
+            continue
+        flip = -1 if -1 in signs else 1
+        normal = [flip * ring.scalar(y) for y in T[d][n:]]
+        on = frozenset(i for i, sign in zip(order, signs) if sign == 0)
+        found[on] = (tuple(normal[:d]), normal[d])
+    return found
+
+
+def _exposing_functional(face, facets, cv):
+    """(g, c): the sum of the functionals of the facets through ``face``,
+    scaled by its smallest value off the face, so it is zero on the face
+    and >= 1 on every other chart vertex."""
+    g, c = [0] * len(cv[0]), 0
+    for on, (fg, fc) in facets.items():
+        if face <= on:
+            g, c = [a + b for a, b in zip(g, fg)], c + fc
+    off = [
+        sum(a * b for a, b in zip(g, v)) + c for i, v in enumerate(cv) if i not in face
     ]
-    res = lp_feasible(linear_program(constraints, n_vars=d + 1))
-    if not isinstance(res, Feasible):
-        return None
-    return tuple(res.witness[:d]), res.witness[d]
+    if off:
+        scale = 1 / min(off)
+        g, c = [a * scale for a in g], c * scale
+    return tuple(g), c
 
 
 def exposed_faces(poly: Polytope, cap: int = FACE_VERTEX_CAP) -> FaceLattice:
-    """All exposed faces, each certified by an exact supporting functional.
-
-    A vertex subset S is exposed iff some affine functional vanishes on S
-    and is >= 1 on the complement (scaling makes strict positivity >= 1).
-    The whole body enters with the zero functional; the empty face is the
-    lattice bottom.
+    """All faces (every polytope face is exposed), each certified by an
+    exact exposing functional: the intersections of facets, the whole body
+    with the zero functional, and the empty face as the lattice bottom.
     """
     n = len(poly.vertices)
     if n > cap:
@@ -303,41 +313,28 @@ def exposed_faces(poly: Polytope, cap: int = FACE_VERTEX_CAP) -> FaceLattice:
     if rec.faces is not None:
         return rec.faces
     cv = rec.chart_vertices
+    facets = _facets(cv)
+    top = frozenset(range(n))
+    closed, queue = {top}, [top]
+    while queue:
+        face = queue.pop()
+        for on in facets:
+            meet = face & on
+            if meet not in closed:
+                closed.add(meet)
+                queue.append(meet)
     faces = [Face(indices=(), functional=None, dim=-1)]
-    for r in range(1, n + 1):
-        for subset in itertools.combinations(range(n), r):
-            functional = _supporting_functional(cv, set(subset))
-            if functional is not None:
-                faces.append(
-                    Face(
-                        indices=subset,
-                        functional=functional,
-                        dim=affine_rank([cv[i] for i in subset]),
-                    )
-                )
+    for face in closed - {frozenset()}:
+        faces.append(
+            Face(
+                indices=tuple(sorted(face)),
+                functional=_exposing_functional(face, facets, cv),
+                dim=affine_rank([cv[i] for i in face]),
+            )
+        )
     faces.sort(key=lambda f: (len(f.indices), f.indices))
     rec.faces = FaceLattice(faces=tuple(faces))
     return rec.faces
-
-
-def flags(poly: Polytope, cap: int = FACE_VERTEX_CAP):
-    """All strictly increasing chains of nonempty exposed faces."""
-    lat = exposed_faces(poly, cap)
-    nonempty = [f for f in lat.faces if f.indices]
-    out = []
-
-    def grow(prefix, last):
-        out.append(tuple(prefix))
-        for f in nonempty:
-            if set(last.indices) < set(f.indices):
-                prefix.append(f)
-                grow(prefix, f)
-                prefix.pop()
-
-    for f in nonempty:
-        grow([f], f)
-    out.sort(key=lambda fl: (len(fl), tuple(f.indices for f in fl)))
-    return tuple(out)
 
 
 def maximal_flags(poly: Polytope, cap: int = FACE_VERTEX_CAP):
@@ -476,17 +473,12 @@ def _triangulate(points):
         return [
             (ring[0], ring[k], ring[k + 1]) for k in range(1, len(ring) - 1)
         ]
-    sub = polytope(points)
-    lat = exposed_faces(sub)
-    apex = points[0]
-    apex_idx = sub.vertices.index(tuple(apex))
+    apex = tuple(points[0])
     simplices = []
-    for facet in lat.facets:
-        if apex_idx in facet.indices:
-            continue
-        facet_pts = [sub.vertices[i] for i in facet.indices]
-        for s in _triangulate(facet_pts):
-            simplices.append((tuple(apex),) + tuple(s))
+    for on in _facets(points):
+        if 0 not in on:
+            for s in _triangulate([points[i] for i in sorted(on)]):
+                simplices.append((apex,) + tuple(s))
     return simplices
 
 

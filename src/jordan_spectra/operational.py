@@ -470,17 +470,19 @@ class EjaFace:
 def face_of_frame(body, frame):
     """Smallest exposed face containing the frame.
 
-    Polytopes: lattice lookup on vertex indices.  EJA: the face of the
-    idempotent p = sum of the (pairwise orthogonal) frame elements.
+    Polytopes: the intersection of the facets that contain the frame's
+    vertex indices.  EJA: the face of the idempotent p = sum of the
+    (pairwise orthogonal) frame elements.
     """
     if isinstance(body, Polytope):
         indices = frame.indices if isinstance(frame, FrameData) else tuple(frame)
         lat = exposed_faces(body)
         want = set(indices)
-        for f in lat.faces:
-            if want <= set(f.indices):
-                return f
-        raise OperationalError("no face contains the frame")
+        through = [f.indices for f in lat.facets if want <= set(f.indices)]
+        smallest = set(lat.top.indices).intersection(*through)
+        if not want <= smallest:
+            raise OperationalError("no face contains the frame")
+        return lat.find(smallest)
     if isinstance(body, EjaStateSpace):
         elems = frame.states if isinstance(frame, FrameData) else tuple(frame)
         if not elems:

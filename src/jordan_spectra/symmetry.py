@@ -236,16 +236,8 @@ def _check_group(perms):
         raise SymmetryError("composition closure failed")
 
 
-def _move_tuple(perm, indices):
-    return tuple(perm[i] for i in indices)
-
-
-def _move_chain(perm, chain):
-    return tuple(tuple(sorted(perm[i] for i in face)) for face in chain)
-
-
-def _orbits(items, group, act=_move_tuple):
-    """Orbit partition of ``items`` under ``act(permutation, item)``, sorted.
+def _orbits(items, group):
+    """Orbit partition of index tuples under the vertex permutations, sorted.
 
     ``group`` is a complete group (as ``automorphism_group`` returns it,
     closure-checked), so an orbit is the set of images of any one member.
@@ -255,7 +247,7 @@ def _orbits(items, group, act=_move_tuple):
     for it in sorted(items):
         if it in seen:
             continue
-        orbit = {act(g.permutation, it) for g in group}
+        orbit = {tuple(g.permutation[i] for i in it) for g in group}
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))
     return orbits
@@ -285,12 +277,12 @@ def is_strongly_symmetric(
 ) -> StrongSymmetryReport:
     """Does the automorphism group act transitively on ordered k-frames?"""
     group = automorphism_group(poly, cap)
-    r = rank(poly)
+    r = rank(poly, cap)
     sizes = []
     transitive = True
     witness = None
     for k in range(1, r + 1):
-        frames = [f.indices for f in enumerate_frames(poly, k)]
+        frames = [f.indices for f in enumerate_frames(poly, k, cap)]
         orbits = _orbits(frames, group)
         sizes.append((k, tuple(len(o) for o in orbits)))
         if len(orbits) != 1:
@@ -306,14 +298,16 @@ def is_strongly_symmetric(
 
 
 def is_regular(poly: Polytope, cap: int = AUTOMORPHISM_VERTEX_CAP) -> bool:
-    """Transitivity of the automorphism group on maximal flags."""
+    """Transitivity of the automorphism group on maximal flags, by counting:
+    a map fixing a maximal flag fixes its faces' barycenters, an affine
+    basis, so the group acts freely on the flags."""
     group = automorphism_group(poly, cap)
-    known = {f.indices for f in exposed_faces(poly).faces}
+    known = {f.indices for f in exposed_faces(poly, cap).faces}
     for g in group:
-        if any(face not in known for face in _move_chain(g.permutation, known)):
+        images = {tuple(sorted(g.permutation[i] for i in face)) for face in known}
+        if not images <= known:
             raise SymmetryError("automorphism image is not a face")
-    chains = [tuple(f.indices for f in flag) for flag in maximal_flags(poly)]
-    return len(_orbits(chains, group, act=_move_chain)) == 1
+    return len(group) == len(maximal_flags(poly, cap))
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,17 @@ def test_fr_polytope_command(runner, tmp_path):
     assert code == 2  # refused: not strongly symmetric spectral
 
 
+def test_fr_polytope_spin_prints_json(runner):
+    # the spin trace form returns a Python float, so the sample check's
+    # verdict is a JSON boolean
+    code, outp = invoke(runner, "fr-polytope", "--eja", "spin", "--n", "4")
+    assert code == 0, outp
+    doc = json.loads(outp)
+    assert doc["kind"] == "eja"
+    assert len(doc["basis"]) == 2
+    assert doc["sample_check"]["pass"] is True
+
+
 def test_tables_command(runner):
     code, outp = invoke(runner, "tables", "--type", "EIV")
     assert code == 0

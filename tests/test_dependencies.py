@@ -1,5 +1,6 @@
 """The package imports nothing beyond the standard library, numpy and click,
-and the exact kernel keeps no public routine that only tests reach."""
+the face side imports no LP, and the exact kernel keeps no public routine
+that only tests reach."""
 
 import ast
 import sys
@@ -31,6 +32,21 @@ def test_absolute_imports_are_stdlib_or_declared():
                 if name.split(".")[0] not in allowed
             ]
     assert not stray, stray
+
+
+def test_geometry_imports_nothing_from_exactlp():
+    package = Path(jordan_spectra.__file__).resolve().parent
+    source = (package / "geometry.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported
+    assert not {
+        name for name in imported if name and name.split(".")[-1] == "exactlp"
+    }, sorted(imported)
 
 
 def test_every_public_exactla_function_has_a_caller_in_the_package():

@@ -1,6 +1,17 @@
-"""Convex body fixtures: faces, flags, barycenters, embeddings, membership."""
+"""Convex body fixtures: faces, flags, barycenters, embeddings, membership.
+
+The face lattice is built from exact facets with no linear program.  The
+LP face program it replaced survives here as a reference oracle: a vertex
+subset S is an exposed face iff some affine functional vanishes on S and
+is >= 1 on every other vertex, one exact LP per subset.  The lattice must
+match the oracle face for face, and polytope validation must refuse the
+same first vertex as the oracle's singleton programs.
+"""
 
 import itertools
+import math
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +19,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jordan_spectra import geometry, symmetry
+from jordan_spectra import exactlp, geometry, symmetry
+from jordan_spectra.classification import default_converse_catalog
 from jordan_spectra.algebra import EjaElement, unit
-from jordan_spectra.exactla import affine_basis_indices, barycentric_coordinates, mat_vec
+from jordan_spectra.exactla import (
+    affine_basis_indices,
+    affine_rank,
+    barycentric_coordinates,
+    mat_vec,
+)
+from jordan_spectra.exactlp import Feasible, linear_program, lp_feasible
 from jordan_spectra.geometry import (
     AffineChart,
     Ball,
@@ -28,7 +46,6 @@ from jordan_spectra.geometry import (
     eja_state_space,
     exposed_faces,
     facet_functionals,
-    flags,
     hexagon,
     maximal_flags,
     membership,
@@ -108,6 +125,70 @@ point_sets = st.integers(min_value=2, max_value=3).flatmap(
 )
 
 
+def oracle_exposes(cv, inside) -> bool:
+    """Is some affine functional zero on ``inside`` and >= 1 on every other
+    chart vertex?  One exact LP."""
+    constraints = [
+        (tuple(v) + (1,), "=", 0) if i in inside else (tuple(v) + (1,), ">=", 1)
+        for i, v in enumerate(cv)
+    ]
+    res = lp_feasible(linear_program(constraints, n_vars=len(cv[0]) + 1))
+    return isinstance(res, Feasible)
+
+
+def oracle_faces(poly):
+    """(indices, dim) of every face, by one LP per nonempty vertex subset."""
+    cv = chart_vertices(poly)
+    out = [((), -1)]
+    for r in range(1, len(cv) + 1):
+        for subset in itertools.combinations(range(len(cv)), r):
+            if oracle_exposes(cv, set(subset)):
+                out.append((subset, affine_rank([cv[i] for i in subset])))
+    return sorted(out, key=lambda f: (len(f[0]), f[0]))
+
+
+def oracle_refused_vertex(points):
+    """First index whose singleton the LP cannot expose, or None."""
+    if len(points) == 1:
+        return None
+    exact_points = [tuple(map(F, p)) for p in points]
+    ch = geometry._affine_chart(exact_points)
+    cv = [ch.to_chart(p) for p in exact_points]
+    return next((i for i in range(len(cv)) if not oracle_exposes(cv, {i})), None)
+
+
+def face_list(poly):
+    """(indices, dim) of every face; each functional must vanish on its face
+    and take exactly 1 as its smallest value on the other vertices."""
+    cv = chart_vertices(poly)
+    lat = exposed_faces(poly)
+    for face in lat.faces[1:-1]:
+        g, c = face.functional
+        values = [sum(a * b for a, b in zip(g, v)) + c for v in cv]
+        assert all(values[i] == 0 for i in face.indices)
+        assert min(x for i, x in enumerate(values) if i not in face.indices) == 1
+    return [(f.indices, f.dim) for f in lat.faces]
+
+
+def signed_shuffled_image(body, rng):
+    """The body under a signed coordinate permutation, vertices shuffled."""
+    d = len(body.vertices[0])
+    axes = rng.sample(range(d), d)
+    signs = [rng.choice((1, -1)) for _ in range(d)]
+    moved = [tuple(s * v[a] for s, a in zip(signs, axes)) for v in body.vertices]
+    rng.shuffle(moved)
+    return polytope(moved)
+
+
+@pytest.mark.parametrize(
+    "name,body", [pytest.param(*entry, id=entry[0]) for entry in default_converse_catalog()]
+)
+def test_faces_match_the_lp_oracle_on_catalog_images(name, body):
+    rng = random.Random(name)
+    for image in [body] + [signed_shuffled_image(body, rng) for _ in range(2)]:
+        assert face_list(image) == oracle_faces(image)
+
+
 @settings(max_examples=60, deadline=None)
 @given(points=point_sets)
 @example(points=[(1, 1), (-1, 1), (-1, -1), (1, -1), (0, 0)])  # interior point
@@ -116,8 +197,11 @@ point_sets = st.integers(min_value=2, max_value=3).flatmap(
 @example(points=[(0, 0, 0), (1, 1, 1), (2, 2, 2), (-1, 0, 1)])  # degenerate hull
 def test_extremality_matches_caratheodory_oracle(points):
     first = next((i for i in range(len(points)) if in_hull_of_others(points, i)), None)
+    assert oracle_refused_vertex(points) == first
     if first is None:
-        assert polytope(points).vertices == tuple(tuple(map(F, p)) for p in points)
+        body = polytope(points)
+        assert body.vertices == tuple(tuple(map(F, p)) for p in points)
+        assert face_list(body) == oracle_faces(body)
     else:
         with pytest.raises(GeometryError, match=rf"^vertex {first} is not extremal$"):
             polytope(points)
@@ -238,31 +322,6 @@ def test_exposedness_certificates():
                     assert val >= 1
 
 
-def test_lattice_laws():
-    for body in (simplex(2), square()):
-        lat = exposed_faces(body)
-        faces = lat.faces
-        for a in faces:
-            assert lat.meet(a, lat.bottom).indices == ()
-            assert lat.join(a, lat.top).indices == lat.top.indices
-            for b in faces:
-                assert lat.meet(a, b) == lat.meet(b, a)
-                assert lat.join(a, b) == lat.join(b, a)
-                for c in faces:
-                    assert lat.meet(lat.meet(a, b), c) == lat.meet(a, lat.meet(b, c))
-                    assert lat.join(lat.join(a, b), c) == lat.join(a, lat.join(b, c))
-
-
-def test_square_meet_join_specifics():
-    lat = exposed_faces(square())
-    e01 = lat.find((0, 1))
-    e12 = lat.find((1, 2))
-    assert lat.meet(e01, e12).indices == (1,)
-    assert lat.join(lat.find((0,)), lat.find((1,))).indices == (0, 1)
-    # diagonal vertices span no edge, so their join is the whole square
-    assert lat.join(lat.find((0,)), lat.find((2,))).indices == (0, 1, 2, 3)
-
-
 def test_face_enumeration_cap():
     # 15 rational points on the unit circle, all extremal
     ts = [F(k, 7) for k in range(-7, 8)]
@@ -291,12 +350,34 @@ def _count_calls(monkeypatch, module, name):
 def test_face_lattice_solved_once_whatever_the_cap(monkeypatch):
     # a body no other test builds, so its record starts empty
     body = polytope([(3, 0), (0, 2), (-3, 1), (-1, -2)])
-    lps = _count_calls(monkeypatch, geometry, "lp_feasible")
+    eliminations = _count_calls(monkeypatch, geometry, "_eliminate")
     lat = exposed_faces(body)
-    assert len(lps) == 15  # one LP per nonempty vertex subset
+    assert len(eliminations) == 6  # one hyperplane per vertex pair
     assert exposed_faces(body, 14) is lat
     assert exposed_faces(body, cap=14) is lat
-    assert len(lps) == 15
+    assert len(eliminations) == 6
+    # the cube's facets hold four vertex triples each; the first one found
+    # spans the facet and the other three are skipped
+    cv = chart_vertices(cube())
+    eliminations.clear()
+    assert len(geometry._facets(cv)) == 6
+    assert len(eliminations) == math.comb(8, 3) - 6 * 3
+
+
+def test_face_side_solves_no_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the face side solved an LP")
+
+    # the solver, and every package module that bound it by name
+    solver = exactlp.lp_feasible
+    for module in list(sys.modules.values()):
+        if getattr(module, "lp_feasible", None) is solver:
+            monkeypatch.setattr(module, "lp_feasible", refuse)
+    geometry._analysis.cache_clear()
+    with pytest.raises(GeometryError, match="^vertex 4 is not extremal$"):
+        polytope([(1, 1), (-1, 1), (-1, -1), (1, -1), (0, 0)])
+    assert face_sizes(cube()) == {0: 8, 1: 12, 2: 6, 3: 1}
+    assert len(facet_functionals(pentagon())) == 5
 
 
 def test_automorphism_group_searched_once_whatever_the_cap(monkeypatch):
@@ -380,15 +461,6 @@ def test_maximal_flag_counts():
 def test_maximal_flags_saturated():
     for fl in maximal_flags(cube()):
         assert [f.dim for f in fl] == [0, 1, 2, 3]
-        for a, b in zip(fl, fl[1:]):
-            assert set(a.indices) < set(b.indices)
-
-
-def test_all_flags_simplex2():
-    # nonempty faces: 3 vertices, 3 edges, top.  Chains: 7 singletons,
-    # 6 vertex-edge + 3 vertex-top + 3 edge-top pairs, 6 full chains.
-    assert len(flags(simplex(2))) == 25
-    for fl in flags(simplex(2)):
         for a, b in zip(fl, fl[1:]):
             assert set(a.indices) < set(b.indices)
 

@@ -444,6 +444,16 @@ def test_face_of_frame_polytope():
     assert diag.indices == (0, 1, 2, 3)  # no proper face holds both
 
 
+def test_face_of_frame_is_the_smallest_face_holding_it():
+    # the facets through a frame meet in the first face, by size, above it
+    for body in (simplex(3), square(), pentagon(), cube(), polytope([(3, 4)])):
+        faces = exposed_faces(body).faces
+        for k in range(4):
+            for frame in itertools.combinations(range(len(body.vertices)), k):
+                smallest = next(f for f in faces if set(frame) <= set(f.indices))
+                assert face_of_frame(body, frame) == smallest
+
+
 def test_complement_on_simplex_faces():
     tri = simplex(3)
     lat = exposed_faces(tri)

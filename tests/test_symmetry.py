@@ -25,8 +25,11 @@ The group search is checked against a brute force that solves one exact
 affine system for every image of an affine vertex basis, P(n, d+1) of
 them (1,680 for the cube, against the cube's 48 automorphisms).
 
-A trapezoid has automorphism group of order 2 but 8 maximal flags, so it
-cannot be flag-transitive.  Transporter residuals are float-level for
+An automorphism fixing a maximal flag fixes its faces' barycenters, an
+affine basis, so the group acts freely on maximal flags: a body is
+regular iff its group order equals its flag count (the 4-cube: 384 and
+384).  A trapezoid has automorphism group of order 2 but 8 maximal flags,
+so it cannot be flag-transitive.  Transporter residuals are float-level for
 the matrix families; the spin transporter fixes the unit exactly since
 it rotates only the vector part.
 """
@@ -60,6 +63,7 @@ from jordan_spectra.geometry import (
     chart_vertices,
     cube,
     hexagon,
+    maximal_flags,
     octahedron,
     pentagon,
     polytope,
@@ -68,7 +72,7 @@ from jordan_spectra.geometry import (
     square,
 )
 from jordan_spectra import symmetry
-from jordan_spectra.operational import enumerate_frames
+from jordan_spectra.operational import FrameData, enumerate_frames
 from jordan_spectra.scalars import Sqrt5
 from jordan_spectra.spectral import (
     random_element,
@@ -389,10 +393,48 @@ def test_regular_bodies(body):
     assert is_regular(body)
 
 
+def test_four_cube_regular_at_the_callers_cap():
+    body = polytope(list(itertools.product((-1, 1), repeat=4)))
+    assert is_regular(body, 24)  # 384 automorphisms, 384 maximal flags
+    assert len(automorphism_group(body, 24)) == len(maximal_flags(body, 24)) == 384
+
+
+def test_strong_symmetry_passes_its_cap_to_the_frame_layer(monkeypatch):
+    # the frame layer is stubbed: the 4-cube's frame LPs are not solved
+    body = polytope(list(itertools.product((-1, 1), repeat=4)))
+    caps = []
+
+    def fake_rank(poly, cap):
+        caps.append(("rank", cap))
+        return 1
+
+    def fake_frames(poly, k, cap):
+        caps.append(("frames", cap))
+        return tuple(
+            FrameData(states=(v,), indices=(i,), certificate=())
+            for i, v in enumerate(poly.vertices)
+        )
+
+    monkeypatch.setattr(symmetry, "rank", fake_rank)
+    monkeypatch.setattr(symmetry, "enumerate_frames", fake_frames)
+    report = is_strongly_symmetric(body, 24)
+    assert caps == [("rank", 24), ("frames", 24)]
+    assert report.group_order == 384
+    assert report.orbit_sizes_by_k == ((1, (16,)),)
+
+
 def test_trapezoid_not_regular():
     trap = trapezoid()
     assert len(automorphism_group(trap)) == 2
     assert not is_regular(trap)
+
+
+def test_three_fold_hexagon_not_regular():
+    # a triangle cut at a quarter of each side: D3 (order 6), 12 flags
+    hexagon3 = polytope([(1, 0), (3, 0), (3, 1), (1, 3), (0, 3), (0, 1)])
+    assert len(automorphism_group(hexagon3)) == 6
+    assert len(maximal_flags(hexagon3)) == 12
+    assert not is_regular(hexagon3)
 
 
 def test_regularity_refuses_a_map_that_breaks_faces(monkeypatch):
