@@ -34,6 +34,7 @@ class _Integers:
     """Rational input: ring elements are Python ints."""
 
     zero, one, minus_one = 0, 1, -1
+    add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
 
@@ -71,6 +72,10 @@ class _QuadraticIntegers:
     """Input over Q(sqrt 5): ring elements are int pairs (a, b) = a + b*sqrt5."""
 
     zero, one, minus_one = (0, 0), (1, 0), (-1, 0)
+
+    @staticmethod
+    def add(x, y):
+        return (x[0] + y[0], x[1] + y[1])
 
     @staticmethod
     def sub(x, y):
@@ -167,16 +172,17 @@ def _bareiss_pivot(ring, T, basis, d, r, j):
     return p
 
 
-def _eliminate(matrix):
+def _eliminate(matrix, ring=None):
     """Fraction-free Gauss-Jordan elimination of ``matrix``.
 
     Returns (ring, T, pivots, d, scale): ``T / d`` is the reduced row
     echelon form, with ``pivots`` its pivot columns in order.  For a square
     matrix of full rank det(matrix) = d / scale, where ``scale`` is the
     product of the row lcms, negated once per row swap and once per
-    negative pivot.
+    negative pivot.  ``ring`` defaults to the one the entries need; a
+    caller mixing the result with other ring values may name a wider one.
     """
-    ring = _ring_for(v for row in matrix for v in row)
+    ring = ring or _ring_for(v for row in matrix for v in row)
     zero = ring.zero
     T, scale = [], ring.one
     for row in matrix:
@@ -249,24 +255,6 @@ def affine_basis_indices(points):
 def affine_rank(points) -> int:
     """Dimension of the affine hull of the point set."""
     return len(affine_basis_indices(points)) - 1
-
-
-def affine_map_from_correspondence(src, dst):
-    """The unique affine map sending each src point to its dst point.
-
-    src must be affinely independent with len(src) = d+1 points in dimension
-    d.  Returns (matrix, translation) with map(x) = matrix @ x + translation.
-    """
-    n = len(src[0])
-    if len(src) != n + 1:
-        raise ValueError("need d+1 source points for dimension %d" % n)
-    # one elimination of [src | 1 | dst]: the solution X of [src | 1] X = dst
-    # is [matrix | translation] transposed
-    ring, T, pivots, d, _ = _eliminate([list(p) + [1] + list(q) for p, q in zip(src, dst)])
-    if pivots != list(range(n + 1)):
-        raise ValueError("singular linear system")
-    cols = [[ring.quotient(T[j][n + 1 + i], d) for j in range(n + 1)] for i in range(n)]
-    return [col[:n] for col in cols], [col[n] for col in cols]
 
 
 def barycentric_coordinates(vertices, point):

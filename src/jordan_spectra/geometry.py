@@ -94,14 +94,18 @@ def polytope(vertices) -> Polytope:
     if len(set(rows)) != len(rows):
         raise GeometryError("vertices must be pairwise distinct")
     body = Polytope(vertices=rows)
+    # built off the cache, so that a refused point set takes no cache slot
+    rec = _new_analysis(body)
     if len(rows) > 1:  # a lone point is its own vertex
-        # an uncached record: a refused point set must take no cache slot
-        cv = _analysis.__wrapped__(body).chart_vertices
-        facets = _facets(cv)
         for i in range(len(rows)):
-            normals = [g for face, (g, _) in facets.items() if i in face]
-            if len(_eliminate(normals)[2]) < len(cv[0]):
+            normals = [g for face, (g, _) in rec.facets.items() if i in face]
+            if len(_eliminate(normals)[2]) < rec.chart.dim:
                 raise GeometryError(f"vertex {i} is not extremal")
+    _validated[body] = rec
+    try:
+        _analysis(body)  # files rec, unless an equal body has a record
+    finally:
+        _validated.pop(body, None)
     return body
 
 
@@ -168,10 +172,11 @@ ANALYSIS_CACHE_BODIES = 64
 
 @dataclass
 class _Analysis:
-    """Everything derived from one polytope, filled on first use.
+    """Everything derived from one polytope.
 
-    The chart is set when the record is made.  ``faces`` is the face
-    lattice, ``frames`` maps k to {sorted k-subset: distinguishing
+    The chart and the facets (``_facets`` of the chart vertices) are set
+    when the record is made; the rest is filled on first use.  ``faces`` is
+    the face lattice, ``frames`` maps k to {sorted k-subset: distinguishing
     submeasurement} over the subsets that are frames, and ``group`` is the
     automorphism group.  No cap is stored: the public entry points check
     their caps on every call, before they read the record.
@@ -179,18 +184,31 @@ class _Analysis:
 
     chart: AffineChart
     chart_vertices: tuple
+    facets: dict
     faces: FaceLattice | None = None
     frames: dict = field(default_factory=dict)
     group: tuple | None = None
 
 
+def _new_analysis(poly: Polytope) -> _Analysis:
+    ch = _affine_chart(list(poly.vertices))
+    cv = tuple(ch.to_chart(v) for v in poly.vertices)
+    return _Analysis(chart=ch, chart_vertices=cv, facets=_facets(cv))
+
+
+# records that polytope() built while validating, waiting to be filed
+_validated: dict = {}
+
+
 @lru_cache(maxsize=ANALYSIS_CACHE_BODIES)
 def _analysis(poly: Polytope) -> _Analysis:
-    """The analysis record of ``poly``; equal polytopes share one record."""
-    ch = _affine_chart(list(poly.vertices))
-    return _Analysis(
-        chart=ch, chart_vertices=tuple(ch.to_chart(v) for v in poly.vertices)
-    )
+    """The analysis record of ``poly``; equal polytopes share one record.
+
+    The record that polytope() built to accept the body is filed as it is,
+    so the chart and the facets are found once per accepted body.
+    """
+    rec = _validated.pop(poly, None)
+    return rec if rec is not None else _new_analysis(poly)
 
 
 def chart(poly: Polytope) -> AffineChart:
@@ -312,8 +330,7 @@ def exposed_faces(poly: Polytope, cap: int = FACE_VERTEX_CAP) -> FaceLattice:
     rec = _analysis(poly)
     if rec.faces is not None:
         return rec.faces
-    cv = rec.chart_vertices
-    facets = _facets(cv)
+    cv, facets = rec.chart_vertices, rec.facets
     top = frozenset(range(n))
     closed, queue = {top}, [top]
     while queue:
@@ -358,14 +375,6 @@ def maximal_flags(poly: Polytope, cap: int = FACE_VERTEX_CAP):
     return tuple(out)
 
 
-def facet_functionals(poly: Polytope, cap: int = FACE_VERTEX_CAP):
-    """H-representation of the chart polytope: f(x) >= 0 rows, one per facet."""
-    lat = exposed_faces(poly, cap)
-    if chart(poly).dim == 0:
-        return ()
-    return tuple(f.functional for f in lat.facets)
-
-
 # ---------------------------------------------------------------------------
 # membership
 
@@ -384,13 +393,14 @@ def membership(body, point, tol: float = 1e-10) -> str:
             raise GeometryError(str(exc)) from None
         if len(p) != body.ambient_dim:
             raise GeometryError("point dimension mismatch")
-        coords = chart(body).to_chart(p)
+        rec = _analysis(body)
+        coords = rec.chart.to_chart(p)
         if coords is None:
             return "outside"
-        if chart(body).dim == 0:
+        if rec.chart.dim == 0:
             return "inside"
         on_boundary = False
-        for g, c in facet_functionals(body):
+        for g, c in rec.facets.values():
             val = sum(gi * xi for gi, xi in zip(g, coords)) + c
             if val < 0:
                 return "outside"

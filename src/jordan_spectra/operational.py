@@ -1,9 +1,14 @@
 """Operational layer: effects, measurements, frames, rank, spectrality.
 
-Effects on a polytope are affine functionals with exact coefficients and
-are certified by LP; effects on an EJA state space are algebra elements
-under the trace pairing with eigenvalue-range tests.  Frames are ordered
-tuples of jointly perfectly distinguishable pure states.
+Effects on a polytope are affine functionals with exact coefficients.  By
+the affine Farkas lemma each is mu + sum_F lam_F f_F with mu, lam >= 0 over
+the facet functionals f_F (Ziegler, "Lectures on Polytopes", 1995), so a
+submeasurement on two or more states is one small LP in facet multipliers,
+or no LP when some state has no facet to carry its effect.  Effects on an
+EJA state space are algebra elements under the trace pairing with
+eigenvalue-range tests.  Frames are ordered tuples of jointly perfectly
+distinguishable pure states; one k-subset per automorphism orbit is
+decided, and its certificate is moved along the group to the rest.
 
 A k-frame's states are always affinely independent: applying e_k to an
 affine dependence omega_k = sum_j lam_j omega_j gives 1 = 0.  Hence every
@@ -24,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import EjaElement, inner, norm, trace, unit
-from .exactla import barycentric_coordinates
+from .automorphisms import polytope_group
+from .exactla import _eliminate, barycentric_coordinates
 from .exactlp import Feasible, linear_program, lp_feasible
 from .geometry import (
     Ball,
@@ -137,59 +143,124 @@ class FrameData:
     certificate: tuple
 
 
-def _distinguishing_submeasurement(poly: Polytope, states):
-    """Exact LP for effects with e_i(state_j) = delta_ij and sum <= u.
+def _facet_effects(poly: Polytope) -> tuple:
+    """The facet functionals as ambient effects, in record order, each
+    scaled so that its values at the vertices sum to 1.
 
-    Variables are the ambient affine coefficients of all k effects; the
-    upper bound e_i <= 1 is implied by nonnegativity plus the sum row, so
-    only e_i(v) >= 0 and sum_i e_i(v) <= 1 rows appear.
+    The scale commutes with every automorphism g: the vertex sum is
+    invariant under vertex permutations, so f_F o g^-1 = f_gF exactly.
+    The chart functionals g.x + c go to ambient coordinates through one
+    elimination of [chart basis as rows | facet normals as columns]: with
+    pivot coordinates P, x_chart = E^T (x - origin)_P and E g is read off
+    the right-hand block.
     """
-    k = len(states)
-    m = poly.ambient_dim
-    width = k * (m + 1)
-    rows = []
+    rec = _analysis(poly)
+    ch = rec.chart
+    if not rec.facets:
+        return ()
+    m = len(ch.origin)
+    normals = [g for g, _ in rec.facets.values()]
+    ring, T, pivots, d, _ = _eliminate(
+        [list(ch.basis[r]) + [g[r] for g in normals] for r in range(ch.dim)]
+    )
+    out = []
+    for f, (_, c) in enumerate(rec.facets.values()):
+        coeffs = [0] * m
+        for r, p in enumerate(pivots):
+            coeffs[p] = ring.quotient(T[r][m + f], d)
+        offset = c - sum(a * o for a, o in zip(coeffs, ch.origin))
+        total = sum(sum(a * x for a, x in zip(coeffs, v)) + offset for v in poly.vertices)
+        out.append(
+            AffineEffect(coeffs=tuple(a / total for a in coeffs), offset=offset / total)
+        )
+    return tuple(out)
 
-    def block(i, point, one):
-        row = [0] * width
-        base = i * (m + 1)
-        for j in range(m):
-            row[base + j] = point[j]
-        row[base + m] = one
-        return row
 
+def _supports(at_states):
+    """Per state i, the facets that may carry effect i, or None.
+
+    ``at_states[j][F]`` is facet effect F at state j.  By the affine
+    Farkas lemma an effect is mu + sum_F lam_F f_F with mu, lam >= 0.  For
+    two or more states e_i vanishes at the others, which forces mu = 0 and
+    lam_F = 0 unless f_F vanishes at every other state; and e_i(state_i)
+    = 1 needs some such facet positive at state i.  None when a state has
+    none: the states are refused with no LP.
+    """
+    k = len(at_states)
+    support = []
     for i in range(k):
-        for j, s in enumerate(states):
-            rows.append((tuple(block(i, s, 1)), "=", int(i == j)))
-        for v in poly.vertices:
-            rows.append((tuple(block(i, v, 1)), ">=", 0))
-    for v in poly.vertices:
-        row = [0] * width
-        for i in range(k):
-            base = i * (m + 1)
-            for j in range(m):
-                row[base + j] = row[base + j] + v[j]
-            row[base + m] = row[base + m] + 1
-        rows.append((tuple(row), "<=", 1))
+        own = [
+            f
+            for f, x in enumerate(at_states[i])
+            if x > 0 and all(at_states[j][f] == 0 for j in range(k) if j != i)
+        ]
+        if not own:
+            return None
+        support.append(own)
+    return support
+
+
+def _submeasurement(at_states, at_others):
+    """Facet multipliers ({facet: lam} per state) of a submeasurement on
+    two or more states, or None.
+
+    One LP in lam >= 0 over the ``_supports`` facets: e_i(state_i) = 1 for
+    each i, and sum_i e_i(w) <= 1 at every vertex w of ``at_others``
+    (facet values as in ``at_states``).  e_i >= 0 holds term by term and
+    e_i <= 1 follows from the sum rows.
+    """
+    support = _supports(at_states)
+    if support is None:
+        return None
+    slots = [(i, f) for i, own in enumerate(support) for f in own]
+    width = len(slots)
+    rows = [
+        (tuple(at_states[i][f] if i == j else 0 for j, f in slots), "=", 1)
+        for i in range(len(at_states))
+    ]
+    rows += [(tuple(w[f] for _, f in slots), "<=", 1) for w in at_others]
+    rows += [(tuple(int(a == b) for b in range(width)), ">=", 0) for a in range(width)]
     res = lp_feasible(linear_program(rows, n_vars=width))
     if not isinstance(res, Feasible):
         return None
-    effects = []
-    for i in range(k):
-        base = i * (m + 1)
-        effects.append(
-            AffineEffect(
-                coeffs=tuple(res.witness[base : base + m]),
-                offset=res.witness[base + m],
-            )
-        )
-    return tuple(effects)
+    multipliers = [{} for _ in support]
+    for (i, f), lam in zip(slots, res.witness):
+        if lam != 0:
+            multipliers[i][f] = lam
+    return multipliers
+
+
+def _effect(facet_effects, multipliers) -> AffineEffect:
+    """sum_F lam_F f_F as one ambient effect."""
+    m = len(facet_effects[0].coeffs)
+    coeffs, offset = [0] * m, 0
+    for f, lam in multipliers.items():
+        e = facet_effects[f]
+        coeffs = [a + lam * b for a, b in zip(coeffs, e.coeffs)]
+        offset = offset + lam * e.offset
+    return AffineEffect(coeffs=tuple(coeffs), offset=offset)
+
+
+def _check_submeasurement(poly: Polytope, states, effects):
+    """Raise unless e_i(state_j) = delta_ij, each e_i >= 0 and sum e_i <= 1
+    at every vertex, all exactly."""
+    ok = all(
+        e(s) == int(i == j) for i, e in enumerate(effects) for j, s in enumerate(states)
+    )
+    for v in poly.vertices:
+        values = [e(v) for e in effects]
+        ok = ok and all(x >= 0 for x in values) and sum(values) <= 1
+    if not ok:
+        raise OperationalError("certificate is not a submeasurement on the states")
 
 
 def distinguishing_measurement(body, states, tol: float = 1e-9):
     """A measurement with e_i(state_j) = delta_ij, or NotDistinguishable.
 
-    Polytopes: LP for a submeasurement, completed deterministically by
-    folding the remainder into the first effect.  EJA: states must be
+    Polytopes: a submeasurement, completed deterministically by folding
+    the remainder into the first effect.  One state takes the unit
+    effect; more take facet multipliers (``_submeasurement``), with every
+    vertex in the sum rows.  EJA: states must be
     primitive idempotents; they are distinguishable iff pairwise
     trace-orthogonal, and the idempotents themselves (plus the remainder,
     when nonzero) form the measurement.  Ball: pairs must be antipodal
@@ -202,9 +273,18 @@ def distinguishing_measurement(body, states, tol: float = 1e-9):
         for s in states:
             if membership(body, s) == "outside":
                 raise OperationalError("state outside the body")
-        sub = _distinguishing_submeasurement(body, states)
-        if sub is None:
-            return NotDistinguishable(reason="submeasurement LP infeasible")
+        if len(states) == 1:
+            sub = (unit_effect(body),)
+        else:
+            effects = _facet_effects(body)
+            multipliers = _submeasurement(
+                [[e(s) for e in effects] for s in states],
+                [[e(v) for e in effects] for v in body.vertices],
+            )
+            if multipliers is None:
+                return NotDistinguishable(reason="no facet multipliers separate the states")
+            sub = tuple(_effect(effects, lam) for lam in multipliers)
+            _check_submeasurement(body, states, sub)
         remainder = unit_effect(body)
         for e in sub:
             remainder = AffineEffect(
@@ -286,14 +366,56 @@ def _frame_sets(poly: Polytope, k: int, cap: int) -> dict:
         raise CapExceeded(f"{n} vertices exceeds the frame cap {cap}")
     frames = _analysis(poly).frames
     if k not in frames:
-        found = {}
-        for subset in itertools.combinations(range(n), k):
-            states = [poly.vertices[i] for i in subset]
-            cert = _distinguishing_submeasurement(poly, states)
-            if cert is not None:
-                found[subset] = cert
-        frames[k] = found
+        frames[k] = _find_frame_sets(poly, k)
     return frames[k]
+
+
+def _find_frame_sets(poly: Polytope, k: int) -> dict:
+    """One LP per orbit of k-subsets under the automorphism group.
+
+    Every vertex is a 1-frame with the unit effect.  For k >= 2 the least
+    subset of each orbit is decided by ``_submeasurement`` (sum rows at
+    the vertices off the subset; at the others the equality rows already
+    give 1), and the rest of its orbit is filled in by moving the facet
+    multipliers along each group element: f_F o g^-1 = f_gF.  Every moved
+    certificate is checked exactly before it is stored.
+    """
+    n = len(poly.vertices)
+    if k == 1:
+        unit_cert = (unit_effect(poly),)
+        return {(i,): unit_cert for i in range(n)}
+    facets = list(_analysis(poly).facets)
+    index = {on: f for f, on in enumerate(facets)}
+    effects = _facet_effects(poly)
+    values = [[e(v) for e in effects] for v in poly.vertices]
+    group = polytope_group(poly)
+    decided = set()
+    found = {}
+    for rep in itertools.combinations(range(n), k):
+        if rep in decided:
+            continue
+        multipliers = _submeasurement(
+            [values[i] for i in rep], [values[w] for w in range(n) if w not in rep]
+        )
+        for g in group:
+            perm = g.permutation
+            image = tuple(sorted(perm[i] for i in rep))
+            if image in decided:
+                continue
+            decided.add(image)
+            if multipliers is None:
+                continue
+            moved = [index.get(frozenset(perm[i] for i in on)) for on in facets]
+            if None in moved:
+                raise OperationalError(f"{perm} does not permute the facets")
+            by_state = {
+                perm[i]: {moved[f]: lam for f, lam in lam_i.items()}
+                for i, lam_i in zip(rep, multipliers)
+            }
+            cert = tuple(_effect(effects, by_state[i]) for i in image)
+            _check_submeasurement(poly, [poly.vertices[i] for i in image], cert)
+            found[image] = cert
+    return dict(sorted(found.items()))
 
 
 def enumerate_frames(poly: Polytope, k: int, cap: int = FRAME_VERTEX_CAP):

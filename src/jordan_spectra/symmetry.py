@@ -1,15 +1,8 @@
 """Automorphism groups, transitivity tests, and Jordan frame transporters.
 
-Polytope automorphisms are affine self-maps (not metric ones).  On
-homogenized chart vertices v = (x, 1) the Gram invariant
-Q_ij = v_i^T (sum_k v_k v_k^T)^-1 v_j is preserved by exactly the vertex
-permutations that extend to affine maps (Bremner, Dutour Sikirić,
-Pasechnik, Rehn & Schürmann, "Computing symmetry groups of polyhedra",
-LMS J. Comput. Math. 17, 2014), so a backtracking search over vertex
-images pruned by Q visits only near-automorphisms.  Q only prunes: a
-permutation is accepted iff the unique affine map sending an affine basis
-of vertices to its assigned images moves every vertex onto its image,
-checked exactly, and the accepted set is then checked to be a group.
+Polytope automorphism groups are searched in :mod:`automorphisms` (Gram
+pruning, one basis inverse per body); this module adds the cap, strong
+symmetry and regularity on top of them.
 
 EJA transporters follow the classical constructions (conjugation by
 U_B U_A^dagger for the matrix families, cf. Faraut-Koranyi IV.2.7; a
@@ -38,21 +31,12 @@ from .algebra import (
     trace,
     unit,
 )
-from .exactla import (
-    _eliminate,
-    affine_basis_indices,
-    affine_map_from_correspondence,
-    mat_vec,
-)
-from .geometry import CapExceeded, Polytope, _analysis, exposed_faces, maximal_flags
+from .automorphisms import SymmetryError, polytope_group
+from .geometry import CapExceeded, Polytope, exposed_faces, maximal_flags
 from .operational import FrameData, enumerate_frames, rank
 from .spectral import eigenvalues, is_primitive_idempotent, spectral_decompose
 
 AUTOMORPHISM_VERTEX_CAP = 24
-
-
-class SymmetryError(ValueError):
-    pass
 
 
 class UnsupportedFamily(SymmetryError):
@@ -63,177 +47,23 @@ class UnsupportedFamily(SymmetryError):
 # polytope automorphisms
 
 
-@dataclass(frozen=True)
-class PolytopeAutomorphism:
-    """A vertex permutation with its induced exact affine map.
-
-    The matrix and translation act on the body's affine chart
-    coordinates (for full-dimensional bodies that is an ambient map up
-    to the chart change of basis); apply() takes and returns ambient
-    points of the affine hull.
-    """
-
-    permutation: tuple
-    matrix: tuple
-    translation: tuple
-    chart: object
-
-    def apply(self, point):
-        local = self.chart.to_chart(point)
-        if local is None:
-            raise SymmetryError("point is off the body's affine hull")
-        if not local:
-            return self.chart.to_ambient(local)
-        moved = mat_vec(self.matrix, local)
-        moved = tuple(a + b for a, b in zip(moved, self.translation))
-        return self.chart.to_ambient(moved)
-
-    def compose(self, other: "PolytopeAutomorphism") -> tuple:
-        # permutation of self applied after other
-        return tuple(self.permutation[j] for j in other.permutation)
-
-
 def automorphism_group(poly: Polytope, cap: int = AUTOMORPHISM_VERTEX_CAP):
     """All affine self-maps permuting the vertex set, closure-verified.
 
     Works in exact chart coordinates so degenerate embeddings (simplices
     as unit vectors) pose no problem.  Vertex images are assigned by
     backtracking that keeps the exact Gram invariant Q of the homogenized
-    chart vertices (Bremner et al. 2014); each complete permutation gets
-    one exact affine solve on an affine vertex basis and is kept iff the
-    map moves every chart vertex onto its image.  The kept set is checked
-    to be a group, and is sorted by permutation.  The group is kept in the
-    body's analysis record; the cap is checked on every call.
+    chart vertices (Bremner et al. 2014); each complete permutation is
+    kept iff the affine map it gives an affine vertex basis moves every
+    chart vertex onto its image, decided with one basis inverse per body.
+    The kept set is checked to be a group, and is sorted by permutation.
+    The group is kept in the body's analysis record; the cap is checked on
+    every call.
     """
     n = len(poly.vertices)
     if n > cap:
         raise CapExceeded(f"{n} vertices exceeds the automorphism cap {cap}")
-    rec = _analysis(poly)
-    if rec.group is None:
-        rec.group = _search_automorphisms(rec.chart, rec.chart_vertices)
-    return rec.group
-
-
-def _search_automorphisms(ch, cverts) -> tuple:
-    """Every vertex permutation induced by an affine self-map, sorted.
-
-    Backtracks over vertex images, basis vertices first, keeping a partial
-    assignment only while it preserves the colours of the Gram invariant
-    Q.  Each complete permutation is then decided exactly: the affine map
-    it gives the basis must move every chart vertex onto its image.
-    """
-    n = len(cverts)
-    if ch.dim == 0:
-        ident = PolytopeAutomorphism(
-            permutation=(0,), matrix=(), translation=(), chart=ch
-        )
-        return (ident,)
-    basis_ids = affine_basis_indices(list(cverts))
-    order = basis_ids + [i for i in range(n) if i not in basis_ids]
-    colour = _gram_colours(cverts)
-    image = [None] * n
-    used = [False] * n
-    found = []
-
-    def extend(depth):
-        if depth == n:
-            auto = _induced_map(ch, cverts, basis_ids, tuple(image))
-            if auto is not None:
-                found.append(auto)
-            return
-        i = order[depth]
-        row = colour[i]
-        for j in range(n):
-            if used[j] or colour[j][j] != row[i]:
-                continue
-            if any(row[k] != colour[j][image[k]] for k in order[:depth]):
-                continue
-            image[i], used[j] = j, True
-            extend(depth + 1)
-            used[j] = False
-
-    extend(0)
-    found.sort(key=lambda g: g.permutation)
-    _check_group([g.permutation for g in found])
-    return tuple(found)
-
-
-def _gram_colours(cverts):
-    """The Gram invariant Q of the chart vertices, as small int colours.
-
-    Q_ij = v_i^T (sum_k v_k v_k^T)^-1 v_j on homogenized vertices v = (x, 1),
-    from one elimination of [M | V^T]; equal colours mean equal exact values.
-    """
-    hat = [list(v) + [1] for v in cverts]
-    m = len(hat[0])
-    gram = [[sum(v[r] * v[c] for v in hat) for c in range(m)] for r in range(m)]
-    ring, T, _, d, _ = _eliminate(
-        [gram[r] + [v[r] for v in hat] for r in range(m)]
-    )
-    # T / d = [I | M^-1 V^T]; column j of M^-1 V^T is M^-1 v_j
-    cols = [
-        [ring.quotient(T[r][m + j], d) for r in range(m)] for j in range(len(hat))
-    ]
-    colours = {}
-    return [
-        [
-            colours.setdefault(sum(a * b for a, b in zip(v, col)), len(colours))
-            for col in cols
-        ]
-        for v in hat
-    ]
-
-
-def _induced_map(ch, cverts, basis_ids, perm):
-    """The automorphism sending vertex i to perm[i], or None if no affine
-    map does: the map is solved on the basis and checked on every vertex."""
-    matrix, translation = affine_map_from_correspondence(
-        [cverts[i] for i in basis_ids], [cverts[perm[i]] for i in basis_ids]
-    )
-    for v, j in zip(cverts, perm):
-        moved = mat_vec(matrix, v)
-        if tuple(a + b for a, b in zip(moved, translation)) != cverts[j]:
-            return None
-    return PolytopeAutomorphism(
-        permutation=perm,
-        matrix=tuple(tuple(row) for row in matrix),
-        translation=tuple(translation),
-        chart=ch,
-    )
-
-
-def _check_group(perms):
-    """Raise SymmetryError unless the permutations form a group.
-
-    Generators are picked greedily, each one outside the group generated
-    so far; that group is grown from the identity by composing with the
-    generators, and a product outside ``perms`` refutes closure.  A finite
-    set of permutations that holds the identity and equals the group its
-    generators generate is a group.
-    """
-    members = set(perms)
-    ident = tuple(range(len(perms[0]))) if perms else None
-    if ident not in members:
-        raise SymmetryError("identity missing")
-    generated = {ident}
-    gens = []
-    for g in perms:
-        if g in generated:
-            continue
-        gens.append(g)
-        queue = list(generated)
-        while queue:
-            h = queue.pop()
-            for s in gens:
-                p = tuple(s[j] for j in h)
-                if p in generated:
-                    continue
-                if p not in members:
-                    raise SymmetryError("composition closure failed")
-                generated.add(p)
-                queue.append(p)
-    if generated != members:
-        raise SymmetryError("composition closure failed")
+    return polytope_group(poly)
 
 
 def _orbits(items, group):

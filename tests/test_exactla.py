@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jordan_spectra import exactla as la
-from jordan_spectra.geometry import chart_vertices, pentagon
+from jordan_spectra.automorphisms import _affine_maps
+from jordan_spectra.geometry import chart, chart_vertices, pentagon, polytope
 from jordan_spectra.scalars import PHI, SQRT5, Sqrt5
 
 
@@ -133,12 +134,16 @@ def test_affine_helpers():
 
 
 def test_affine_map_from_correspondence():
-    src = [[F(0), F(0)], [F(1), F(0)], [F(0), F(1)]]
-    dst = [[F(1), F(1)], [F(1), F(2)], [F(0), F(1)]]
-    m, t = la.affine_map_from_correspondence(src, dst)
-    for s, d in zip(src, dst):
-        got = [sum(mi * si for mi, si in zip(row, s)) + ti for row, ti in zip(m, t)]
-        assert got == d
+    # automorphisms are built from one inverse of the homogenized vertex
+    # basis; each kept map moves every vertex onto its image
+    square = polytope([(0, 0), (1, 0), (1, 1), (0, 1)])
+    ch, cv = chart(square), chart_vertices(square)
+    maps = _affine_maps(ch, cv, la.affine_basis_indices(list(cv)))
+    for perm in ((1, 2, 3, 0), (3, 2, 1, 0), (0, 1, 2, 3)):
+        g = maps(perm)
+        for i, v in enumerate(square.vertices):
+            assert g.apply(v) == square.vertices[perm[i]]
+    assert maps((1, 0, 2, 3)) is None  # swaps two ends of an edge only
 
 
 def oracle_affine_map(src, dst):
@@ -152,17 +157,21 @@ def oracle_affine_map(src, dst):
 @pytest.mark.parametrize("step,shift", [(1, 1), (1, 3), (-1, 0), (-1, 2)])
 def test_affine_map_pentagon_chart_basis(step, shift):
     # rotations and reflections of the pentagon, in its Q(sqrt 5) chart
-    cv = chart_vertices(pentagon())
+    body = pentagon()
+    cv = chart_vertices(body)
     basis = la.affine_basis_indices(list(cv))
+    perm = tuple((step * i + shift) % 5 for i in range(5))
+    g = _affine_maps(chart(body), cv, basis)(perm)
     src = [cv[i] for i in basis]
-    dst = [cv[(step * i + shift) % 5] for i in basis]
-    m, t = la.affine_map_from_correspondence(src, dst)
-    assert (m, t) == oracle_affine_map(src, dst)
-    assert is_exact([*t, *itertools.chain(*m)])
-    images = [tuple(a + b for a, b in zip(la.mat_vec(m, v), t)) for v in cv]
-    assert images == [cv[(step * i + shift) % 5] for i in range(5)]
-    with pytest.raises(ValueError):
-        la.affine_map_from_correspondence([src[0], src[0], src[1]], dst)
+    dst = [cv[perm[i]] for i in basis]
+    assert ([list(row) for row in g.matrix], list(g.translation)) == oracle_affine_map(
+        src, dst
+    )
+    assert is_exact([*g.translation, *itertools.chain(*g.matrix)])
+    images = [tuple(a + b for a, b in zip(la.mat_vec(g.matrix, v), g.translation)) for v in cv]
+    assert images == [cv[perm[i]] for i in range(5)]
+    # a permutation that is no symmetry of the boundary cycle is refused
+    assert _affine_maps(chart(body), cv, basis)((perm[1], perm[0]) + perm[2:]) is None
 
 
 def test_barycentric_coordinates():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jordan_spectra import exactlp, geometry, symmetry
+from jordan_spectra import automorphisms, exactlp, geometry
 from jordan_spectra.classification import default_converse_catalog
 from jordan_spectra.algebra import EjaElement, unit
 from jordan_spectra.exactla import (
@@ -45,7 +45,6 @@ from jordan_spectra.geometry import (
     cube,
     eja_state_space,
     exposed_faces,
-    facet_functionals,
     hexagon,
     maximal_flags,
     membership,
@@ -349,13 +348,15 @@ def _count_calls(monkeypatch, module, name):
 
 def test_face_lattice_solved_once_whatever_the_cap(monkeypatch):
     # a body no other test builds, so its record starts empty
-    body = polytope([(3, 0), (0, 2), (-3, 1), (-1, -2)])
     eliminations = _count_calls(monkeypatch, geometry, "_eliminate")
+    body = polytope([(3, 0), (0, 2), (-3, 1), (-1, -2)])
+    # one hyperplane per vertex pair, then one normal rank per vertex; the
+    # accepted body keeps its facets, so the lattice needs no elimination
+    assert len(eliminations) == 6 + 4
     lat = exposed_faces(body)
-    assert len(eliminations) == 6  # one hyperplane per vertex pair
     assert exposed_faces(body, 14) is lat
     assert exposed_faces(body, cap=14) is lat
-    assert len(eliminations) == 6
+    assert len(eliminations) == 6 + 4
     # the cube's facets hold four vertex triples each; the first one found
     # spans the facet and the other three are skipped
     cv = chart_vertices(cube())
@@ -377,18 +378,31 @@ def test_face_side_solves_no_lp(monkeypatch):
     with pytest.raises(GeometryError, match="^vertex 4 is not extremal$"):
         polytope([(1, 1), (-1, 1), (-1, -1), (1, -1), (0, 0)])
     assert face_sizes(cube()) == {0: 8, 1: 12, 2: 6, 3: 1}
-    assert len(facet_functionals(pentagon())) == 5
+    assert len(exposed_faces(pentagon()).facets) == 5
 
 
 def test_automorphism_group_searched_once_whatever_the_cap(monkeypatch):
     body = polytope([(2, 0), (0, 3), (-2, 0), (0, -3)])
-    maps = _count_calls(monkeypatch, symmetry, "affine_map_from_correspondence")
+    searches = _count_calls(monkeypatch, automorphisms, "_search_automorphisms")
+    # per search: the Gram invariant and one basis inverse, nothing per map
+    eliminations = _count_calls(monkeypatch, automorphisms, "_eliminate")
     group = automorphism_group(body)
-    assert len(group) == 8 and maps
-    searched = len(maps)
+    assert len(group) == 8
     assert automorphism_group(body, 12) is group
     assert automorphism_group(body, cap=12) is group
-    assert len(maps) == searched
+    assert len(searches) == 1 and len(eliminations) == 2
+
+
+def test_facets_found_once_per_accepted_body(monkeypatch):
+    found = _count_calls(monkeypatch, geometry, "_facets")
+    charts = _count_calls(monkeypatch, geometry, "_affine_chart")
+    # a body no other test builds
+    body = polytope([(0, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 5), (1, 1, 1)])
+    lat = exposed_faces(body)
+    assert rank(body) == 3
+    assert membership(body, (1, 0, 0)) == "boundary"
+    assert len(lat.facets) == 6
+    assert len(found) == 1 and len(charts) == 1
 
 
 def test_caps_refuse_after_caching():

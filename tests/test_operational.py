@@ -29,7 +29,9 @@ implementation:
   barycentric coordinate functionals restrict to every subset.
 """
 
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +47,10 @@ from jordan_spectra.algebra import (
     trace,
     unit,
 )
+from jordan_spectra import geometry, operational
+from jordan_spectra.automorphisms import polytope_group
+from jordan_spectra.classification import default_converse_catalog
+from jordan_spectra.exactlp import Feasible, linear_program, lp_feasible
 from jordan_spectra.geometry import (
     ball,
     cube,
@@ -315,6 +321,159 @@ def test_octahedron_frame_catalog():
     assert frame_sets(octa, 2) == sorted(itertools.combinations(range(6), 2))
     assert len(enumerate_frames(octa, 2)) == 30
     assert rank(octa) == 2
+
+
+def oracle_frame_sets(poly, k):
+    """The k-subsets that are frames, one LP per subset in the ambient
+    affine coefficients of all k effects: k(m + 1) free variables,
+    e_i(v_j) = delta_ij on the subset, e_i >= 0 and sum_i e_i <= 1 at
+    every vertex."""
+    m = poly.ambient_dim
+    width = k * (m + 1)
+
+    def block(i, point):
+        row = [0] * width
+        row[i * (m + 1) : (i + 1) * (m + 1)] = list(point) + [1]
+        return row
+
+    out = []
+    for subset in itertools.combinations(range(len(poly.vertices)), k):
+        rows = []
+        for i in range(k):
+            for j, s in enumerate(subset):
+                rows.append((block(i, poly.vertices[s]), "=", int(i == j)))
+            rows += [(block(i, v), ">=", 0) for v in poly.vertices]
+        for v in poly.vertices:
+            rows.append(([sum(c) for c in zip(*(block(i, v) for i in range(k)))], "<=", 1))
+        if isinstance(lp_feasible(linear_program(rows, n_vars=width)), Feasible):
+            out.append(subset)
+    return out
+
+
+def signed_shuffled_image(body, rng):
+    """The body under a signed coordinate permutation, vertices shuffled."""
+    d = len(body.vertices[0])
+    axes = rng.sample(range(d), d)
+    signs = [rng.choice((1, -1)) for _ in range(d)]
+    moved = [tuple(s * v[a] for s, a in zip(signs, axes)) for v in body.vertices]
+    rng.shuffle(moved)
+    return polytope(moved)
+
+
+def assert_submeasurements(poly, frames):
+    for f in frames:
+        for i, e in enumerate(f.certificate):
+            assert [e(s) for s in f.states] == [int(i == j) for j in range(len(f.states))]
+            assert all(e(p) >= 0 for p in poly.vertices)
+        assert all(sum(e(p) for e in f.certificate) <= 1 for p in poly.vertices)
+
+
+@pytest.mark.parametrize(
+    "name,body", [pytest.param(*entry, id=entry[0]) for entry in default_converse_catalog()]
+)
+def test_frames_match_the_lp_oracle_on_catalog_images(name, body):
+    rng = random.Random(name)
+    for image in [body] + [signed_shuffled_image(body, rng) for _ in range(2)]:
+        for k in range(1, image.dim + 2):
+            frames = enumerate_frames(image, k)
+            assert frame_sets(image, k) == oracle_frame_sets(image, k), (name, k)
+            assert_submeasurements(image, frames)
+
+
+def hexagonal_prism():
+    """Its two hexagons labelled in different orders: the first vertex
+    triples of the hexagons span triangles of different areas, and so do
+    the raw facet functionals, which are scaled by those areas."""
+    hexv = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+    return polytope(
+        [hexv[i] + (1,) for i in range(6)] + [hexv[i] + (-1,) for i in (0, 2, 4, 1, 3, 5)]
+    )
+
+
+@pytest.mark.parametrize("make", [hexagonal_prism, pentagon])
+def test_the_group_carries_facet_effects_onto_each_other(make):
+    # f_F o g^-1 = f_gF, which moving a certificate along g relies on
+    body = make()
+    effects = operational._facet_effects(body)
+    facets = list(geometry._analysis(body).facets)
+    index = {on: f for f, on in enumerate(facets)}
+    n = len(body.vertices)
+    for g in polytope_group(body):
+        p = g.permutation
+        for f, on in enumerate(facets):
+            image = effects[index[frozenset(p[i] for i in on)]]
+            assert [image(body.vertices[p[j]]) for j in range(n)] == [
+                effects[f](v) for v in body.vertices
+            ]
+
+
+def _count_lps(monkeypatch):
+    calls = []
+
+    def counted(lp):
+        calls.append(lp)
+        return lp_feasible(lp)
+
+    monkeypatch.setattr(operational, "lp_feasible", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [square, pentagon, hexagon, cube, octahedron, lambda: simplex(3)])
+def test_one_lp_per_orbit_representative_that_passes_the_facet_test(monkeypatch, make):
+    geometry._analysis.cache_clear()
+    body = make()
+    n = len(body.vertices)
+    effects = operational._facet_effects(body)
+    values = [[e(v) for e in effects] for v in body.vertices]
+    group = polytope_group(body)
+    lps = _count_lps(monkeypatch)
+    for k in range(1, body.dim + 2):
+        reps, seen = [], set()
+        for subset in itertools.combinations(range(n), k):
+            if subset not in seen:
+                reps.append(subset)
+                seen |= {tuple(sorted(g.permutation[i] for i in subset)) for g in group}
+        passing = [
+            r for r in reps if k > 1 and operational._supports([values[i] for i in r]) is not None
+        ]
+        before = len(lps)
+        enumerate_frames(body, k)
+        assert len(lps) - before == len(passing), k
+
+
+def test_vertices_and_square_triples_solve_no_lp(monkeypatch):
+    geometry._analysis.cache_clear()
+    lps = _count_lps(monkeypatch)
+    for body in (square(), pentagon(), cube(), simplex(3)):
+        frames = enumerate_frames(body, 1)
+        assert [f.indices for f in frames] == [(i,) for i in range(len(body.vertices))]
+        assert all(f.certificate == (unit_effect(body),) for f in frames)
+    assert enumerate_frames(square(), 3) == ()
+    assert lps == []
+
+
+def trapezoid():
+    return polytope([(0, 0), (3, 0), (2, 1), (1, 1)])
+
+
+@pytest.mark.parametrize(
+    "body,forged,error",
+    [
+        # moves an edge of the square onto a diagonal
+        (square(), (0, 2, 1, 3), "does not permute the facets"),
+        # permutes the trapezoid's edges, but is no affine map
+        (trapezoid(), (1, 2, 3, 0), "not a submeasurement"),
+    ],
+)
+def test_a_forged_automorphism_is_caught_when_certificates_move(
+    monkeypatch, body, forged, error
+):
+    geometry._analysis.cache_clear()
+    group = polytope_group(body)
+    bad = dataclasses.replace(group[0], permutation=forged)
+    monkeypatch.setattr(operational, "polytope_group", lambda poly: group + (bad,))
+    with pytest.raises(OperationalError, match=error):
+        enumerate_frames(body, 2)
 
 
 def test_frame_certificates_are_submeasurements():

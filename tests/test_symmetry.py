@@ -51,11 +51,7 @@ from jordan_spectra.algebra import (
     unit,
 )
 from jordan_spectra.classification import default_converse_catalog
-from jordan_spectra.exactla import (
-    affine_basis_indices,
-    affine_map_from_correspondence,
-    mat_vec,
-)
+from jordan_spectra.exactla import _eliminate, affine_basis_indices, mat_vec
 from jordan_spectra.geometry import (
     CapExceeded,
     barycenter,
@@ -71,8 +67,13 @@ from jordan_spectra.geometry import (
     simplex,
     square,
 )
-from jordan_spectra import symmetry
-from jordan_spectra.operational import FrameData, enumerate_frames
+from jordan_spectra import automorphisms, symmetry
+from jordan_spectra.operational import (
+    FrameData,
+    enumerate_frames,
+    is_spectral,
+    recheck_counterexample,
+)
 from jordan_spectra.scalars import Sqrt5
 from jordan_spectra.spectral import (
     random_element,
@@ -177,6 +178,19 @@ def test_automorphism_cap():
         automorphism_group(polytope(points))
 
 
+def affine_map(src, dst):
+    """The affine map sending each of the d + 1 affinely independent src
+    points to its dst point: one elimination of [src | 1 | dst], whose
+    right-hand block is [matrix | translation] transposed."""
+    d = len(src[0])
+    ring, T, pivots, den, _ = _eliminate(
+        [list(p) + [1] + list(q) for p, q in zip(src, dst)]
+    )
+    assert pivots == list(range(d + 1))
+    cols = [[ring.quotient(T[j][d + 1 + i], den) for j in range(d + 1)] for i in range(d)]
+    return [col[:d] for col in cols], [col[d] for col in cols]
+
+
 def brute_force_automorphisms(ch, cverts):
     """(permutation, matrix, translation) of every affine self-map, sorted.
 
@@ -191,9 +205,7 @@ def brute_force_automorphisms(ch, cverts):
     index = {v: i for i, v in enumerate(cverts)}
     found = {}
     for images in itertools.permutations(range(n), len(basis_ids)):
-        matrix, translation = affine_map_from_correspondence(
-            src, [cverts[i] for i in images]
-        )
+        matrix, translation = affine_map(src, [cverts[i] for i in images])
         perm = tuple(
             index.get(tuple(a + b for a, b in zip(mat_vec(matrix, v), translation)))
             for v in cverts
@@ -246,19 +258,21 @@ def test_search_matches_brute_force(body, order):
 
 
 def test_cube_search_solves_one_map_per_automorphism(monkeypatch):
-    # the brute force solves P(8, 4) = 1,680 maps for the same 48
-    calls = []
-    solve = symmetry.affine_map_from_correspondence
+    # the brute force solves P(8, 4) = 1,680 maps for the same 48; the
+    # search inverts the homogenized basis once and solves nothing per map
+    eliminations = []
+    inner = automorphisms._eliminate
 
-    def counted(src, dst):
-        calls.append(1)
-        return solve(src, dst)
+    def counted(matrix, *args):
+        eliminations.append(len(matrix))
+        return inner(matrix, *args)
 
-    monkeypatch.setattr(symmetry, "affine_map_from_correspondence", counted)
+    monkeypatch.setattr(automorphisms, "_eliminate", counted)
     body = cube()
-    group = symmetry._search_automorphisms(chart(body), chart_vertices(body))
+    group = automorphisms._search_automorphisms(chart(body), chart_vertices(body))
     assert len(group) == 48
-    assert len(calls) == 48
+    # the Gram invariant and the basis inverse, each one 4 x 4 system
+    assert eliminations == [4, 4]
 
 
 @pytest.mark.parametrize(
@@ -268,18 +282,18 @@ def test_exact_check_decides_without_gram_pruning(monkeypatch, body):
     # with one colour for every Q entry the search visits all n! vertex
     # permutations, and the exact vertex check alone must keep the group
     ch, cverts = chart(body), chart_vertices(body)
-    pruned = symmetry._search_automorphisms(ch, cverts)
+    pruned = automorphisms._search_automorphisms(ch, cverts)
     n = len(cverts)
-    monkeypatch.setattr(symmetry, "_gram_colours", lambda cv: [[0] * n] * n)
-    assert triples(symmetry._search_automorphisms(ch, cverts)) == triples(pruned)
+    monkeypatch.setattr(automorphisms, "_gram_colours", lambda cv: [[0] * n] * n)
+    assert triples(automorphisms._search_automorphisms(ch, cverts)) == triples(pruned)
 
 
 def test_closure_check_refuses_a_non_group():
-    symmetry._check_group([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    automorphisms._check_group([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
     with pytest.raises(SymmetryError):
-        symmetry._check_group([(0, 1, 2), (1, 2, 0)])  # the 3-cycle's square is missing
+        automorphisms._check_group([(0, 1, 2), (1, 2, 0)])  # the 3-cycle's square is missing
     with pytest.raises(SymmetryError):
-        symmetry._check_group([(1, 0, 2), (0, 2, 1)])  # no identity
+        automorphisms._check_group([(1, 0, 2), (0, 2, 1)])  # no identity
 
 
 def icosahedron():
@@ -305,6 +319,20 @@ def test_group_orders_past_the_old_cap(make, n, order):
     body = make()
     assert len(body.vertices) == n
     assert len(automorphism_group(body)) == order
+
+
+def test_icosahedron_verdicts():
+    # rank 2 (centrally symmetric); 2-frames are the 36 pairs at distance 2
+    # or 3 on the vertex graph, ordered: 60 at distance 2, 12 antipodal
+    body = icosahedron()
+    report = is_strongly_symmetric(body)
+    assert not report.strongly_symmetric
+    assert report.group_order == 120
+    assert report.orbit_sizes_by_k == ((1, (12,)), (2, (60, 12)))
+    verdict = is_spectral(body)
+    assert verdict.spectral is False and verdict.rank == 2
+    assert verdict.frames_by_k == ((1, 12), (2, 72))
+    assert recheck_counterexample(body, verdict.counterexample)
 
 
 def test_off_hull_point_rejected():
