@@ -12,16 +12,21 @@ vertices to its assigned images moves every vertex onto its image,
 checked exactly, and the accepted set is then checked to be a group.
 
 The homogenized basis is inverted once per body, so deciding a candidate
-and building its map is ring-integer arithmetic with no solve.  The group
-is kept in the body's analysis record; the frame layer and the symmetry
-layer both read it from here, so neither imports the other for it.
+and building its map is ring-integer arithmetic with no solve.  The same
+search serves two ends.  ``polytope_group`` lists the whole group, which
+the symmetry layer reads.  ``group_generators`` stops at a strong
+generating set along a stabilizer chain on the basis, so its cost does
+not grow with the group order (the simplex on 10 vertices has 10!
+automorphisms and 9 generators); the frame layer works with orbits of
+vertex subsets under these generators.  Both are kept in the body's
+analysis record, so neither layer imports the other for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactla import _eliminate, _ring_for, affine_basis_indices, mat_vec
+from .exactla import _eliminate, affine_basis_indices, mat_vec
 from .geometry import Polytope, _analysis
 
 
@@ -68,50 +73,157 @@ def polytope_group(poly: Polytope) -> tuple:
     return rec.group
 
 
-def _search_automorphisms(ch, cverts) -> tuple:
-    """Every vertex permutation induced by an affine self-map, sorted.
+@dataclass(frozen=True)
+class GroupGenerators:
+    """A strong generating set of the automorphism group and its order.
 
-    Backtracks over vertex images, basis vertices first, keeping a partial
-    assignment only while it preserves the colours of the Gram invariant
-    Q.  Each complete permutation is then decided exactly by
-    ``_affine_maps``: the affine map it gives the basis must move every
-    chart vertex onto its image.
+    ``facet_images[g][F]`` is the index of the facet that generator g
+    moves facet F onto, facets in the analysis record's order.
     """
-    n = len(cverts)
+
+    automorphisms: tuple
+    order: int
+    facet_images: tuple
+
+    @property
+    def permutations(self) -> list:
+        return [g.permutation for g in self.automorphisms]
+
+
+def group_generators(poly: Polytope) -> GroupGenerators:
+    """Generators of the automorphism group of ``poly``, with the group
+    order; searched once per analysis record, without listing the group.
+    No cap is checked."""
+    rec = _analysis(poly)
+    if rec.generators is None:
+        gens, order = _search_generators(rec.chart, rec.chart_vertices)
+        facets = list(rec.facets)
+        index = {on: f for f, on in enumerate(facets)}
+        rec.generators = GroupGenerators(
+            automorphisms=gens,
+            order=order,
+            facet_images=tuple(
+                _facet_images(g.permutation, facets, index) for g in gens
+            ),
+        )
+    return rec.generators
+
+
+def _facet_images(perm, facets, index) -> tuple:
+    moved = tuple(index.get(frozenset(perm[i] for i in on)) for on in facets)
+    if None in moved:
+        raise SymmetryError(f"{perm} does not permute the facets")
+    return moved
+
+
+def orbit_tree(start, permutations, act):
+    """Breadth-first search of the orbit of ``start`` under the group the
+    permutations generate.
+
+    Yields (image, parent, g) once for every orbit member but ``start``,
+    where image = act(permutations[g], parent) and parent was reached
+    before image.  The work is about the orbit size times the number of
+    permutations.
+    """
+    seen = {start}
+    queue = [start]
+    for item in queue:
+        for g, perm in enumerate(permutations):
+            image = act(perm, item)
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+                yield image, item, g
+
+
+def _search_automorphisms(ch, cverts) -> tuple:
+    """Every vertex permutation induced by an affine self-map, sorted."""
     if ch.dim == 0:
         ident = PolytopeAutomorphism(
             permutation=(0,), matrix=(), translation=(), chart=ch
         )
         return (ident,)
+    _, extensions = _searcher(ch, cverts)
+    found = sorted(extensions(()), key=lambda g: g.permutation)
+    _check_group([g.permutation for g in found])
+    return tuple(found)
+
+
+def _search_generators(ch, cverts):
+    """(generators, group order) from a stabilizer chain on the basis.
+
+    With b_0, ..., b_d the affine vertex basis, G_i fixes b_0 .. b_(i-1)
+    and G_(d+1) is trivial.  Level i, from d down to 0, looks for one
+    automorphism of G_i sending b_i to each vertex not yet in the orbit of
+    b_i under the generators found so far (all of which lie in G_i), so
+    those generators end up generating G_i, and |G| is the product of the
+    orbit sizes.  Each look-up stops at its first automorphism.
+    """
+    if ch.dim == 0:
+        return (), 1
+    basis_ids, extensions = _searcher(ch, cverts)
+    gens = []
+    order = 1
+    for level in reversed(range(len(basis_ids))):
+        fixed = tuple(basis_ids[:level])
+        b = basis_ids[level]
+        orbit = {b}
+        for j in range(len(cverts)):
+            if j in orbit:
+                continue
+            g = next(extensions(fixed + (j,)), None)
+            if g is None:
+                continue
+            gens.append(g)
+            perms = [h.permutation for h in gens]
+            orbit = {b}.union(
+                image for image, _, _ in orbit_tree(b, perms, lambda p, x: p[x])
+            )
+        order *= len(orbit)
+    return tuple(gens), order
+
+
+def _searcher(ch, cverts):
+    """(basis ids, extensions) for a body of dimension >= 1.
+
+    ``extensions(prefix)`` yields, in lex order of the permutation read on
+    the basis first, every automorphism sending basis vertex i to
+    prefix[i] for i < len(prefix).  It backtracks over vertex images,
+    basis vertices first, keeping a partial assignment only while it
+    preserves the colours of the Gram invariant Q.  Each complete
+    permutation is then decided exactly by ``_affine_maps``: the affine
+    map it gives the basis must move every chart vertex onto its image.
+    """
+    n = len(cverts)
     basis_ids = affine_basis_indices(list(cverts))
     order = basis_ids + [i for i in range(n) if i not in basis_ids]
     colour = _gram_colours(cverts)
     induced = _affine_maps(ch, cverts, basis_ids)
-    image = [None] * n
-    used = [False] * n
-    found = []
 
-    def extend(depth):
-        if depth == n:
-            auto = induced(tuple(image))
-            if auto is not None:
-                found.append(auto)
-            return
-        i = order[depth]
-        row = colour[i]
-        for j in range(n):
-            if used[j] or colour[j][j] != row[i]:
-                continue
-            if any(row[k] != colour[j][image[k]] for k in order[:depth]):
-                continue
-            image[i], used[j] = j, True
-            extend(depth + 1)
-            used[j] = False
+    def extensions(prefix):
+        image = [None] * n
+        used = [False] * n
 
-    extend(0)
-    found.sort(key=lambda g: g.permutation)
-    _check_group([g.permutation for g in found])
-    return tuple(found)
+        def extend(depth):
+            if depth == n:
+                auto = induced(tuple(image))
+                if auto is not None:
+                    yield auto
+                return
+            i = order[depth]
+            row = colour[i]
+            for j in (prefix[depth],) if depth < len(prefix) else range(n):
+                if used[j] or colour[j][j] != row[i]:
+                    continue
+                if any(row[k] != colour[j][image[k]] for k in order[:depth]):
+                    continue
+                image[i], used[j] = j, True
+                yield from extend(depth + 1)
+                used[j] = False
+
+        return extend(0)
+
+    return basis_ids, extensions
 
 
 def _gram_colours(cverts):
@@ -144,29 +256,32 @@ def _affine_maps(ch, cverts, basis_ids):
     """A function taking a vertex permutation to its automorphism, or None.
 
     H has the homogenized basis vertices (v_b, 1) as columns.  One
-    elimination of [H | I] gives H^-1 = W / den in the ring of all the
-    chart coordinates (ints, or Z[sqrt 5] pairs), where the vertices are
-    V_j = s v_j for one common scale s.  Vertex j has the barycentric
-    coordinates H^-1 (v_j, 1) on the basis, held as L_j = W (V_j, s), so
-    the affine map sending basis vertex b to perm[b] moves v_j onto
-    v_perm[j] iff sum_b L_jb V_perm[b] = den s V_perm[j].  That is checked
-    on every vertex, and [matrix | translation] is the image basis times
-    H^-1.
+    elimination of [H | I | homogenized vertices as columns] gives, over
+    one denominator den, W = den H^-1 and the barycentric coordinates
+    L_j = den H^-1 (v_j, 1) of every vertex on the basis, in the ring of
+    all the chart coordinates (ints, or Z[sqrt 5] pairs).  With the
+    vertices held as V_j = s v_j for one common scale s, the affine map
+    sending basis vertex b to perm[b] moves v_j onto v_perm[j] iff
+    sum_b L_jb V_perm[b] = den V_perm[j].  That is checked on every
+    vertex, and [matrix | translation] is the image basis times H^-1.
     """
     d = ch.dim
-    ring = _ring_for(x for v in cverts for x in v)
+    width = d + 1
+    hat = [list(v) + [1] for v in cverts]
+    ring, T, _, den, _ = _eliminate(
+        [
+            [hat[b][r] for b in basis_ids]
+            + [int(r == c) for c in range(width)]
+            + [v[r] for v in hat]
+            for r in range(width)
+        ]
+    )
+    W_columns = list(zip(*(row[width : 2 * width] for row in T)))
+    L = list(zip(*(row[2 * width :] for row in T)))
     flat, s = ring.lift([x for v in cverts for x in v])
     V = [flat[j * d : (j + 1) * d] for j in range(len(cverts))]
-    width = d + 1
-    H = [[cverts[b][r] for b in basis_ids] for r in range(d)] + [[1] * width]
-    _, T, _, den, _ = _eliminate(
-        [row + [int(r == c) for c in range(width)] for r, row in enumerate(H)], ring
-    )
-    W = [row[width:] for row in T]
-    W_columns = list(zip(*W))
-    L = [[_dot(ring, w, v + [s]) for w in W] for v in V]
+    target = [[ring.mul(den, x) for x in v] for v in V]
     ds = ring.mul(den, s)
-    target = [[ring.mul(ds, x) for x in v] for v in V]
 
     def induced(perm):
         # columns[r][b] is coordinate r of the image of basis vertex b

@@ -172,17 +172,16 @@ def _bareiss_pivot(ring, T, basis, d, r, j):
     return p
 
 
-def _eliminate(matrix, ring=None):
+def _eliminate(matrix):
     """Fraction-free Gauss-Jordan elimination of ``matrix``.
 
     Returns (ring, T, pivots, d, scale): ``T / d`` is the reduced row
     echelon form, with ``pivots`` its pivot columns in order.  For a square
     matrix of full rank det(matrix) = d / scale, where ``scale`` is the
     product of the row lcms, negated once per row swap and once per
-    negative pivot.  ``ring`` defaults to the one the entries need; a
-    caller mixing the result with other ring values may name a wider one.
+    negative pivot.
     """
-    ring = ring or _ring_for(v for row in matrix for v in row)
+    ring = _ring_for(v for row in matrix for v in row)
     zero = ring.zero
     T, scale = [], ring.one
     for row in matrix:

@@ -94,18 +94,7 @@ def polytope(vertices) -> Polytope:
     if len(set(rows)) != len(rows):
         raise GeometryError("vertices must be pairwise distinct")
     body = Polytope(vertices=rows)
-    # built off the cache, so that a refused point set takes no cache slot
-    rec = _new_analysis(body)
-    if len(rows) > 1:  # a lone point is its own vertex
-        for i in range(len(rows)):
-            normals = [g for face, (g, _) in rec.facets.items() if i in face]
-            if len(_eliminate(normals)[2]) < rec.chart.dim:
-                raise GeometryError(f"vertex {i} is not extremal")
-    _validated[body] = rec
-    try:
-        _analysis(body)  # files rec, unless an equal body has a record
-    finally:
-        _validated.pop(body, None)
+    _analysis(body)  # validates, unless an equal body was accepted before
     return body
 
 
@@ -177,9 +166,10 @@ class _Analysis:
     The chart and the facets (``_facets`` of the chart vertices) are set
     when the record is made; the rest is filled on first use.  ``faces`` is
     the face lattice, ``frames`` maps k to {sorted k-subset: distinguishing
-    submeasurement} over the subsets that are frames, and ``group`` is the
-    automorphism group.  No cap is stored: the public entry points check
-    their caps on every call, before they read the record.
+    submeasurement} over the subsets that are frames, ``group`` is the
+    automorphism group and ``generators`` a strong generating set of it.
+    No cap is stored: the public entry points check their caps on every
+    call, before they read the record.
     """
 
     chart: AffineChart
@@ -188,27 +178,28 @@ class _Analysis:
     faces: FaceLattice | None = None
     frames: dict = field(default_factory=dict)
     group: tuple | None = None
-
-
-def _new_analysis(poly: Polytope) -> _Analysis:
-    ch = _affine_chart(list(poly.vertices))
-    cv = tuple(ch.to_chart(v) for v in poly.vertices)
-    return _Analysis(chart=ch, chart_vertices=cv, facets=_facets(cv))
-
-
-# records that polytope() built while validating, waiting to be filed
-_validated: dict = {}
+    generators: object = None
 
 
 @lru_cache(maxsize=ANALYSIS_CACHE_BODIES)
 def _analysis(poly: Polytope) -> _Analysis:
     """The analysis record of ``poly``; equal polytopes share one record.
 
-    The record that polytope() built to accept the body is filed as it is,
-    so the chart and the facets are found once per accepted body.
+    A record is made only for a point set whose every point is a vertex:
+    otherwise GeometryError is raised and nothing is cached.  polytope()
+    makes the record as it accepts the body, so the chart and the facets
+    are found once per accepted body, and an equal body is accepted again
+    from the cache.
     """
-    rec = _validated.pop(poly, None)
-    return rec if rec is not None else _new_analysis(poly)
+    ch = _affine_chart(list(poly.vertices))
+    cv = tuple(ch.to_chart(v) for v in poly.vertices)
+    facets = _facets(cv)
+    if len(cv) > 1:  # a lone point is its own vertex
+        for i in range(len(cv)):
+            normals = [g for face, (g, _) in facets.items() if i in face]
+            if len(_eliminate(normals)[2]) < ch.dim:
+                raise GeometryError(f"vertex {i} is not extremal")
+    return _Analysis(chart=ch, chart_vertices=cv, facets=facets)
 
 
 def chart(poly: Polytope) -> AffineChart:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import EjaElement, inner, norm, trace, unit
-from .automorphisms import polytope_group
+from .automorphisms import group_generators, orbit_tree
 from .exactla import _eliminate, barycentric_coordinates
 from .exactlp import Feasible, linear_program, lp_feasible
 from .geometry import (
@@ -376,46 +376,55 @@ def _find_frame_sets(poly: Polytope, k: int) -> dict:
     Every vertex is a 1-frame with the unit effect.  For k >= 2 the least
     subset of each orbit is decided by ``_submeasurement`` (sum rows at
     the vertices off the subset; at the others the equality rows already
-    give 1), and the rest of its orbit is filled in by moving the facet
-    multipliers along each group element: f_F o g^-1 = f_gF.  Every moved
-    certificate is checked exactly before it is stored.
+    give 1).  The rest of its orbit is reached breadth-first along the
+    group generators, and each new subset takes its parent's facet
+    multipliers moved along the generator g: f_F o g^-1 = f_gF.  Every
+    moved certificate is checked exactly before it is stored.
     """
     n = len(poly.vertices)
     if k == 1:
         unit_cert = (unit_effect(poly),)
         return {(i,): unit_cert for i in range(n)}
-    facets = list(_analysis(poly).facets)
-    index = {on: f for f, on in enumerate(facets)}
     effects = _facet_effects(poly)
     values = [[e(v) for e in effects] for v in poly.vertices]
-    group = polytope_group(poly)
+    gens = group_generators(poly)
+    perms = gens.permutations
     decided = set()
     found = {}
     for rep in itertools.combinations(range(n), k):
         if rep in decided:
             continue
+        decided.add(rep)
+        tree = orbit_tree(rep, perms, _move_subset)
         multipliers = _submeasurement(
             [values[i] for i in rep], [values[w] for w in range(n) if w not in rep]
         )
-        for g in group:
-            perm = g.permutation
-            image = tuple(sorted(perm[i] for i in rep))
-            if image in decided:
-                continue
-            decided.add(image)
-            if multipliers is None:
-                continue
-            moved = [index.get(frozenset(perm[i] for i in on)) for on in facets]
-            if None in moved:
-                raise OperationalError(f"{perm} does not permute the facets")
-            by_state = {
+        if multipliers is None:
+            decided.update(image for image, _, _ in tree)
+            continue
+        by_state = {rep: dict(zip(rep, multipliers))}
+        found[rep] = _certified(poly, effects, rep, by_state[rep])
+        for image, parent, g in tree:
+            perm, moved = perms[g], gens.facet_images[g]
+            by_state[image] = {
                 perm[i]: {moved[f]: lam for f, lam in lam_i.items()}
-                for i, lam_i in zip(rep, multipliers)
+                for i, lam_i in by_state[parent].items()
             }
-            cert = tuple(_effect(effects, by_state[i]) for i in image)
-            _check_submeasurement(poly, [poly.vertices[i] for i in image], cert)
-            found[image] = cert
+            decided.add(image)
+            found[image] = _certified(poly, effects, image, by_state[image])
     return dict(sorted(found.items()))
+
+
+def _move_subset(perm, subset):
+    return tuple(sorted(perm[i] for i in subset))
+
+
+def _certified(poly, effects, subset, by_state):
+    """The submeasurement with multipliers ``by_state[i]`` for state i,
+    checked exactly."""
+    cert = tuple(_effect(effects, by_state[i]) for i in subset)
+    _check_submeasurement(poly, [poly.vertices[i] for i in subset], cert)
+    return cert
 
 
 def enumerate_frames(poly: Polytope, k: int, cap: int = FRAME_VERTEX_CAP):

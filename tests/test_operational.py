@@ -47,8 +47,8 @@ from jordan_spectra.algebra import (
     trace,
     unit,
 )
-from jordan_spectra import geometry, operational
-from jordan_spectra.automorphisms import polytope_group
+from jordan_spectra import automorphisms, geometry, operational
+from jordan_spectra.automorphisms import SymmetryError, group_generators, polytope_group
 from jordan_spectra.classification import default_converse_catalog
 from jordan_spectra.exactlp import Feasible, linear_program, lp_feasible
 from jordan_spectra.geometry import (
@@ -398,8 +398,7 @@ def test_the_group_carries_facet_effects_onto_each_other(make):
     facets = list(geometry._analysis(body).facets)
     index = {on: f for f, on in enumerate(facets)}
     n = len(body.vertices)
-    for g in polytope_group(body):
-        p = g.permutation
+    for p in group_generators(body).permutations:
         for f, on in enumerate(facets):
             image = effects[index[frozenset(p[i] for i in on)]]
             assert [image(body.vertices[p[j]]) for j in range(n)] == [
@@ -425,6 +424,7 @@ def test_one_lp_per_orbit_representative_that_passes_the_facet_test(monkeypatch,
     n = len(body.vertices)
     effects = operational._facet_effects(body)
     values = [[e(v) for e in effects] for v in body.vertices]
+    # orbits from the whole group, which frames never list
     group = polytope_group(body)
     lps = _count_lps(monkeypatch)
     for k in range(1, body.dim + 2):
@@ -439,6 +439,39 @@ def test_one_lp_per_orbit_representative_that_passes_the_facet_test(monkeypatch,
         before = len(lps)
         enumerate_frames(body, k)
         assert len(lps) - before == len(passing), k
+
+
+def cross_polytope(d):
+    return polytope(
+        [tuple(s * int(i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
+    )
+
+
+@pytest.mark.parametrize(
+    "make,expected_rank,order,lps",
+    [
+        # one orbit of k-subsets for each k = 2..9, each one a frame
+        (lambda: simplex(8), 9, 362880, 8),
+        (lambda: cross_polytope(5), 2, 3840, None),
+    ],
+    ids=["simplex8", "cross5"],
+)
+def test_frames_of_a_large_group_are_found_from_its_generators(
+    monkeypatch, make, expected_rank, order, lps
+):
+    def refuse(*args):
+        raise AssertionError("the frame layer listed the whole group")
+
+    monkeypatch.setattr(automorphisms, "_search_automorphisms", refuse)
+    geometry._analysis.cache_clear()
+    body = make()
+    calls = _count_lps(monkeypatch)
+    assert rank(body) == expected_rank
+    gens = group_generators(body)
+    assert gens.order == order
+    assert len(gens.automorphisms) <= len(body.vertices)
+    if lps is not None:
+        assert len(calls) == lps
 
 
 def test_vertices_and_square_triples_solve_no_lp(monkeypatch):
@@ -456,23 +489,32 @@ def trapezoid():
     return polytope([(0, 0), (3, 0), (2, 1), (1, 1)])
 
 
-@pytest.mark.parametrize(
-    "body,forged,error",
-    [
-        # moves an edge of the square onto a diagonal
-        (square(), (0, 2, 1, 3), "does not permute the facets"),
-        # permutes the trapezoid's edges, but is no affine map
-        (trapezoid(), (1, 2, 3, 0), "not a submeasurement"),
-    ],
-)
-def test_a_forged_automorphism_is_caught_when_certificates_move(
-    monkeypatch, body, forged, error
-):
+def test_a_map_that_breaks_facets_is_refused_as_a_generator():
+    # the transposition (1 2) moves an edge of the square onto a diagonal
+    body = square()
+    facets = list(geometry._analysis(body).facets)
+    index = {on: f for f, on in enumerate(facets)}
+    with pytest.raises(SymmetryError, match="does not permute the facets"):
+        automorphisms._facet_images((0, 2, 1, 3), facets, index)
+
+
+def test_a_forged_generator_is_caught_when_certificates_move(monkeypatch):
+    # the 4-cycle permutes the trapezoid's edges, but is no affine map
     geometry._analysis.cache_clear()
-    group = polytope_group(body)
-    bad = dataclasses.replace(group[0], permutation=forged)
-    monkeypatch.setattr(operational, "polytope_group", lambda poly: group + (bad,))
-    with pytest.raises(OperationalError, match=error):
+    body = trapezoid()
+    gens = group_generators(body)
+    facets = list(geometry._analysis(body).facets)
+    index = {on: f for f, on in enumerate(facets)}
+    forged = (1, 2, 3, 0)
+    bad = dataclasses.replace(gens.automorphisms[0], permutation=forged)
+    with_bad = dataclasses.replace(
+        gens,
+        automorphisms=gens.automorphisms + (bad,),
+        facet_images=gens.facet_images
+        + (automorphisms._facet_images(forged, facets, index),),
+    )
+    monkeypatch.setattr(operational, "group_generators", lambda poly: with_bad)
+    with pytest.raises(OperationalError, match="not a submeasurement"):
         enumerate_frames(body, 2)
 
 

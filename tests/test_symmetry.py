@@ -68,6 +68,7 @@ from jordan_spectra.geometry import (
     square,
 )
 from jordan_spectra import automorphisms, symmetry
+from jordan_spectra.automorphisms import group_generators, orbit_tree
 from jordan_spectra.operational import (
     FrameData,
     enumerate_frames,
@@ -104,23 +105,38 @@ def standard_frame(alg):
 # -- automorphism groups ---------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "body,order",
-    [
-        (simplex(1), 2),
-        (simplex(2), 6),
-        (simplex(3), 24),
-        (square(), 8),
-        (rectangle(), 8),
-        (pentagon(), 10),
-        (hexagon(), 12),
-        (cube(), 48),
-        (octahedron(), 48),
-        (polytope([(0, 0)]), 1),
-    ],
-)
+GROUP_ORDERS = [
+    (simplex(1), 2),
+    (simplex(2), 6),
+    (simplex(3), 24),
+    (square(), 8),
+    (rectangle(), 8),
+    (pentagon(), 10),
+    (hexagon(), 12),
+    (cube(), 48),
+    (octahedron(), 48),
+    (polytope([(0, 0)]), 1),
+]
+
+
+@pytest.mark.parametrize("body,order", GROUP_ORDERS)
 def test_group_orders(body, order):
     assert len(automorphism_group(body)) == order
+
+
+@pytest.mark.parametrize("body,order", GROUP_ORDERS)
+def test_generators_generate_the_group(body, order):
+    gens = group_generators(body)
+    assert gens.order == order
+    # the Cayley graph of the generators reaches every automorphism
+    ident = tuple(range(len(body.vertices)))
+    reached = {ident} | {
+        image
+        for image, _, _ in orbit_tree(
+            ident, gens.permutations, lambda p, h: tuple(p[i] for i in h)
+        )
+    }
+    assert reached == {g.permutation for g in automorphism_group(body)}
 
 
 def test_group_contains_identity_and_inverses():
