@@ -9,17 +9,19 @@ LMS J. Comput. Math. 17, 2014), so a backtracking search over vertex
 images pruned by Q visits only near-automorphisms.  Q only prunes: a
 permutation is accepted iff the affine map sending an affine basis of
 vertices to its assigned images moves every vertex onto its image,
-checked exactly, and the accepted set is then checked to be a group.
+checked exactly.
 
 The homogenized basis is inverted once per body, so deciding a candidate
-and building its map is ring-integer arithmetic with no solve.  The same
-search serves two ends.  ``polytope_group`` lists the whole group, which
-the symmetry layer reads.  ``group_generators`` stops at a strong
-generating set along a stabilizer chain on the basis, so its cost does
-not grow with the group order (the simplex on 10 vertices has 10!
-automorphisms and 9 generators); the frame layer works with orbits of
-vertex subsets under these generators.  Both are kept in the body's
-analysis record, so neither layer imports the other for them.
+and building its map is ring-integer arithmetic with no solve.  There is
+one search.  ``group_generators`` stops at a strong generating set along
+a stabilizer chain on the basis, with the group order, so its cost does
+not grow with the order (the simplex on 10 vertices has 10! automorphisms
+and 9 generators).  Orbits and the order are all that the frame and
+symmetry layers read.  ``polytope_group`` lists the group when a caller
+needs every map: it is the closure of the generators, each member decided
+by the search's own exact vertex check, and it must have exactly the
+order's number of members.  Both are kept in the body's analysis record,
+so neither layer imports the other for them.
 """
 
 from __future__ import annotations
@@ -66,10 +68,28 @@ class PolytopeAutomorphism:
 
 def polytope_group(poly: Polytope) -> tuple:
     """Every affine self-map of ``poly`` permuting its vertices, sorted by
-    permutation; searched once per analysis record.  No cap is checked."""
+    permutation; the closure of ``group_generators``, kept on the analysis
+    record.  No cap is checked.
+
+    The closure is walked from the identity along the generators, and
+    each member is built by the search's exact vertex check.  It raises
+    SymmetryError unless there are exactly ``order`` members and every
+    one passes that check.
+    """
     rec = _analysis(poly)
     if rec.group is None:
-        rec.group = _search_automorphisms(rec.chart, rec.chart_vertices)
+        gens = group_generators(poly)
+        ident = tuple(range(len(rec.chart_vertices)))
+        tree = orbit_tree(ident, gens.permutations)
+        perms = [ident] + [image for image, _, _ in tree]
+        if len(perms) != gens.order:
+            raise SymmetryError(
+                f"the generators give {len(perms)} maps, not the order {gens.order}"
+            )
+        group = tuple(gens.induced(p) for p in sorted(perms))
+        if None in group:
+            raise SymmetryError("a product of generators is not an affine map")
+        rec.group = group
     return rec.group
 
 
@@ -79,11 +99,15 @@ class GroupGenerators:
 
     ``facet_images[g][F]`` is the index of the facet that generator g
     moves facet F onto, facets in the analysis record's order.
+    ``induced`` is the search's exact vertex check: it takes a vertex
+    permutation to its ``PolytopeAutomorphism``, or to None when no affine
+    map of the body induces it.
     """
 
     automorphisms: tuple
     order: int
     facet_images: tuple
+    induced: object
 
     @property
     def permutations(self) -> list:
@@ -96,7 +120,7 @@ def group_generators(poly: Polytope) -> GroupGenerators:
     No cap is checked."""
     rec = _analysis(poly)
     if rec.generators is None:
-        gens, order = _search_generators(rec.chart, rec.chart_vertices)
+        gens, order, induced = _search_generators(rec.chart, rec.chart_vertices)
         facets = list(rec.facets)
         index = {on: f for f, on in enumerate(facets)}
         rec.generators = GroupGenerators(
@@ -105,6 +129,7 @@ def group_generators(poly: Polytope) -> GroupGenerators:
             facet_images=tuple(
                 _facet_images(g.permutation, facets, index) for g in gens
             ),
+            induced=induced,
         )
     return rec.generators
 
@@ -116,14 +141,18 @@ def _facet_images(perm, facets, index) -> tuple:
     return moved
 
 
-def orbit_tree(start, permutations, act):
+def _move_entries(perm, indices):
+    return tuple(perm[i] for i in indices)
+
+
+def orbit_tree(start, permutations, act=_move_entries):
     """Breadth-first search of the orbit of ``start`` under the group the
     permutations generate.
 
     Yields (image, parent, g) once for every orbit member but ``start``,
     where image = act(permutations[g], parent) and parent was reached
-    before image.  The work is about the orbit size times the number of
-    permutations.
+    before image; by default act moves each entry of an index tuple.  The
+    work is about the orbit size times the number of permutations.
     """
     seen = {start}
     queue = [start]
@@ -136,21 +165,9 @@ def orbit_tree(start, permutations, act):
                 yield image, item, g
 
 
-def _search_automorphisms(ch, cverts) -> tuple:
-    """Every vertex permutation induced by an affine self-map, sorted."""
-    if ch.dim == 0:
-        ident = PolytopeAutomorphism(
-            permutation=(0,), matrix=(), translation=(), chart=ch
-        )
-        return (ident,)
-    _, extensions = _searcher(ch, cverts)
-    found = sorted(extensions(()), key=lambda g: g.permutation)
-    _check_group([g.permutation for g in found])
-    return tuple(found)
-
-
 def _search_generators(ch, cverts):
-    """(generators, group order) from a stabilizer chain on the basis.
+    """(generators, group order, exact vertex check) from a stabilizer
+    chain on the basis.
 
     With b_0, ..., b_d the affine vertex basis, G_i fixes b_0 .. b_(i-1)
     and G_(d+1) is trivial.  Level i, from d down to 0, looks for one
@@ -160,8 +177,8 @@ def _search_generators(ch, cverts):
     orbit sizes.  Each look-up stops at its first automorphism.
     """
     if ch.dim == 0:
-        return (), 1
-    basis_ids, extensions = _searcher(ch, cverts)
+        return (), 1, lambda perm: PolytopeAutomorphism(perm, (), (), ch)
+    basis_ids, extensions, induced = _searcher(ch, cverts)
     gens = []
     order = 1
     for level in reversed(range(len(basis_ids))):
@@ -180,11 +197,11 @@ def _search_generators(ch, cverts):
                 image for image, _, _ in orbit_tree(b, perms, lambda p, x: p[x])
             )
         order *= len(orbit)
-    return tuple(gens), order
+    return tuple(gens), order, induced
 
 
 def _searcher(ch, cverts):
-    """(basis ids, extensions) for a body of dimension >= 1.
+    """(basis ids, extensions, induced) for a body of dimension >= 1.
 
     ``extensions(prefix)`` yields, in lex order of the permutation read on
     the basis first, every automorphism sending basis vertex i to
@@ -223,7 +240,7 @@ def _searcher(ch, cverts):
 
         return extend(0)
 
-    return basis_ids, extensions
+    return basis_ids, extensions, induced
 
 
 def _gram_colours(cverts):
@@ -308,38 +325,3 @@ def _dot(ring, xs, ys):
     for x, y in zip(xs, ys):
         acc = ring.add(acc, ring.mul(x, y))
     return acc
-
-
-def _check_group(perms):
-    """Raise SymmetryError unless the permutations form a group.
-
-    Generators are picked greedily, each one outside the group generated
-    so far; that group is grown from the identity by composing with the
-    generators, and a product outside ``perms`` refutes closure.  A finite
-    set of permutations that holds the identity and equals the group its
-    generators generate is a group.
-    """
-    members = set(perms)
-    ident = tuple(range(len(perms[0]))) if perms else None
-    if ident not in members:
-        raise SymmetryError("identity missing")
-    generated = {ident}
-    gens = []
-    for g in perms:
-        if g in generated:
-            continue
-        gens.append(g)
-        queue = list(generated)
-        while queue:
-            h = queue.pop()
-            for s in gens:
-                p = tuple(s[j] for j in h)
-                if p in generated:
-                    continue
-                if p not in members:
-                    raise SymmetryError("composition closure failed")
-                generated.add(p)
-                queue.append(p)
-    if generated != members:
-        raise SymmetryError("composition closure failed")
-

@@ -22,6 +22,7 @@ import sys
 import click
 
 from .algebra import FAMILIES, AlgebraDescriptor
+from .automorphisms import group_generators
 from .classification import (
     fr_section,
     load_tables,
@@ -48,7 +49,7 @@ from .operational import (
 from .scalars import format_scalar, parse_scalar
 from .spectral import random_state, spectral_decompose
 from .symmetry import (
-    automorphism_group,
+    _orbits,
     is_regular,
     is_strongly_symmetric,
     verify_strong_symmetry_eja,
@@ -409,11 +410,8 @@ def recheck(positional, input_path, out):
             k = int(pair["k"])
             fa, fb = (tuple(f) for f in pair["frames"])
             index_sets = {f.indices for f in enumerate_frames(body, k)}
-            group = automorphism_group(body)
-            separated = all(
-                tuple(g.permutation[i] for i in fa) != fb for g in group
-            )
-            valid = fa in index_sets and fb in index_sets and separated
+            linked = _orbits([fa], group_generators(body).permutations)[0]
+            valid = fa in index_sets and fb in index_sets and fb not in linked
             detail = "both tuples are frames and no automorphism links them"
         else:
             raise ValueError("recheck supports spectral and strong-symmetry witnesses")

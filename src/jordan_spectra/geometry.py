@@ -166,8 +166,10 @@ class _Analysis:
     The chart and the facets (``_facets`` of the chart vertices) are set
     when the record is made; the rest is filled on first use.  ``faces`` is
     the face lattice, ``frames`` maps k to {sorted k-subset: distinguishing
-    submeasurement} over the subsets that are frames, ``group`` is the
-    automorphism group and ``generators`` a strong generating set of it.
+    submeasurement} over the subsets that are frames, ``generators`` is a
+    strong generating set of the automorphism group with its order, and
+    ``group`` lists the group as their closure, for callers that need
+    every map.
     No cap is stored: the public entry points check their caps on every
     call, before they read the record.
     """

@@ -2,7 +2,9 @@
 
 Polytope automorphism groups are searched in :mod:`automorphisms` (Gram
 pruning, one basis inverse per body); this module adds the cap, strong
-symmetry and regularity on top of them.
+symmetry and regularity on top of them.  Both verdicts read the strong
+generating set alone: frame orbits are walked along the generators and
+the group order comes with them, so neither lists the group.
 
 EJA transporters follow the classical constructions (conjugation by
 U_B U_A^dagger for the matrix families, cf. Faraut-Koranyi IV.2.7; a
@@ -31,8 +33,8 @@ from .algebra import (
     trace,
     unit,
 )
-from .automorphisms import SymmetryError, polytope_group
-from .geometry import CapExceeded, Polytope, exposed_faces, maximal_flags
+from .automorphisms import SymmetryError, group_generators, orbit_tree, polytope_group
+from .geometry import CapExceeded, Polytope, maximal_flags
 from .operational import FrameData, enumerate_frames, rank
 from .spectral import eigenvalues, is_primitive_idempotent, spectral_decompose
 
@@ -48,36 +50,40 @@ class UnsupportedFamily(SymmetryError):
 
 
 def automorphism_group(poly: Polytope, cap: int = AUTOMORPHISM_VERTEX_CAP):
-    """All affine self-maps permuting the vertex set, closure-verified.
+    """All affine self-maps permuting the vertex set, sorted by permutation.
 
     Works in exact chart coordinates so degenerate embeddings (simplices
-    as unit vectors) pose no problem.  Vertex images are assigned by
-    backtracking that keeps the exact Gram invariant Q of the homogenized
-    chart vertices (Bremner et al. 2014); each complete permutation is
-    kept iff the affine map it gives an affine vertex basis moves every
-    chart vertex onto its image, decided with one basis inverse per body.
-    The kept set is checked to be a group, and is sorted by permutation.
-    The group is kept in the body's analysis record; the cap is checked on
-    every call.
+    as unit vectors) pose no problem.  The group is the closure of the
+    strong generating set of ``group_generators`` (a search pruned by the
+    exact Gram invariant of the homogenized chart vertices, Bremner et
+    al. 2014), checked to have exactly the group order's number of
+    members, each decided by the search's exact vertex check.  The group
+    is kept in the body's analysis record; the cap is checked on every
+    call.
     """
-    n = len(poly.vertices)
-    if n > cap:
-        raise CapExceeded(f"{n} vertices exceeds the automorphism cap {cap}")
+    _check_cap(poly, cap)
     return polytope_group(poly)
 
 
-def _orbits(items, group):
-    """Orbit partition of index tuples under the vertex permutations, sorted.
+def _check_cap(poly, cap):
+    n = len(poly.vertices)
+    if n > cap:
+        raise CapExceeded(f"{n} vertices exceeds the automorphism cap {cap}")
 
-    ``group`` is a complete group (as ``automorphism_group`` returns it,
-    closure-checked), so an orbit is the set of images of any one member.
+
+def _orbits(items, permutations):
+    """Orbit partition of index tuples under the group the vertex
+    permutations generate, each orbit sorted, listed by least member.
+
+    An orbit is walked breadth-first from its least member along the
+    permutations, so the group is never listed.
     """
     seen = set()
     orbits = []
     for it in sorted(items):
         if it in seen:
             continue
-        orbit = {tuple(g.permutation[i] for i in it) for g in group}
+        orbit = {it}.union(image for image, _, _ in orbit_tree(it, permutations))
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))
     return orbits
@@ -106,14 +112,15 @@ def is_strongly_symmetric(
     poly: Polytope, cap: int = AUTOMORPHISM_VERTEX_CAP
 ) -> StrongSymmetryReport:
     """Does the automorphism group act transitively on ordered k-frames?"""
-    group = automorphism_group(poly, cap)
+    _check_cap(poly, cap)
+    gens = group_generators(poly)
     r = rank(poly, cap)
     sizes = []
     transitive = True
     witness = None
     for k in range(1, r + 1):
         frames = [f.indices for f in enumerate_frames(poly, k, cap)]
-        orbits = _orbits(frames, group)
+        orbits = _orbits(frames, gens.permutations)
         sizes.append((k, tuple(len(o) for o in orbits)))
         if len(orbits) != 1:
             transitive = False
@@ -121,7 +128,7 @@ def is_strongly_symmetric(
                 witness = (k, orbits[0][0], orbits[1][0])
     return StrongSymmetryReport(
         strongly_symmetric=transitive,
-        group_order=len(group),
+        group_order=gens.order,
         orbit_sizes_by_k=tuple(sizes),
         witness_pair=witness,
     )
@@ -130,14 +137,12 @@ def is_strongly_symmetric(
 def is_regular(poly: Polytope, cap: int = AUTOMORPHISM_VERTEX_CAP) -> bool:
     """Transitivity of the automorphism group on maximal flags, by counting:
     a map fixing a maximal flag fixes its faces' barycenters, an affine
-    basis, so the group acts freely on the flags."""
-    group = automorphism_group(poly, cap)
-    known = {f.indices for f in exposed_faces(poly, cap).faces}
-    for g in group:
-        images = {tuple(sorted(g.permutation[i] for i in face)) for face in known}
-        if not images <= known:
-            raise SymmetryError("automorphism image is not a face")
-    return len(group) == len(maximal_flags(poly, cap))
+    basis, so the group acts freely on the flags, and the body is regular
+    iff the group order equals the flag count.  The group permutes the
+    faces, which are intersections of facets, because ``group_generators``
+    refuses a generator that does not permute the facets."""
+    _check_cap(poly, cap)
+    return group_generators(poly).order == len(maximal_flags(poly, cap))
 
 
 @dataclass(frozen=True)

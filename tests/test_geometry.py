@@ -383,7 +383,7 @@ def test_face_side_solves_no_lp(monkeypatch):
 
 def test_automorphism_group_searched_once_whatever_the_cap(monkeypatch):
     body = polytope([(2, 0), (0, 3), (-2, 0), (0, -3)])
-    searches = _count_calls(monkeypatch, automorphisms, "_search_automorphisms")
+    searches = _count_calls(monkeypatch, automorphisms, "_search_generators")
     # per search: the Gram invariant and one basis inverse, nothing per map
     eliminations = _count_calls(monkeypatch, automorphisms, "_eliminate")
     group = automorphism_group(body)

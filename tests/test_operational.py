@@ -48,11 +48,13 @@ from jordan_spectra.algebra import (
     unit,
 )
 from jordan_spectra import automorphisms, geometry, operational
-from jordan_spectra.automorphisms import SymmetryError, group_generators, polytope_group
+from jordan_spectra.automorphisms import SymmetryError, group_generators
 from jordan_spectra.classification import default_converse_catalog
 from jordan_spectra.exactlp import Feasible, linear_program, lp_feasible
 from jordan_spectra.geometry import (
     ball,
+    chart,
+    chart_vertices,
     cube,
     eja_state_space,
     exposed_faces,
@@ -90,6 +92,7 @@ from jordan_spectra.spectral import (
     random_state,
     spectral_decompose,
 )
+from test_symmetry import brute_force_automorphisms
 
 F = Fraction
 C = Sqrt5(F(-1, 2), F(1, 2))  # (sqrt5 - 1) / 2
@@ -424,15 +427,16 @@ def test_one_lp_per_orbit_representative_that_passes_the_facet_test(monkeypatch,
     n = len(body.vertices)
     effects = operational._facet_effects(body)
     values = [[e(v) for e in effects] for v in body.vertices]
-    # orbits from the whole group, which frames never list
-    group = polytope_group(body)
+    # orbits from the brute-force group, independent of the generators
+    # that the frame layer walks
+    group = [g[0] for g in brute_force_automorphisms(chart(body), chart_vertices(body))]
     lps = _count_lps(monkeypatch)
     for k in range(1, body.dim + 2):
         reps, seen = [], set()
         for subset in itertools.combinations(range(n), k):
             if subset not in seen:
                 reps.append(subset)
-                seen |= {tuple(sorted(g.permutation[i] for i in subset)) for g in group}
+                seen |= {tuple(sorted(g[i] for i in subset)) for g in group}
         passing = [
             r for r in reps if k > 1 and operational._supports([values[i] for i in r]) is not None
         ]
@@ -462,7 +466,7 @@ def test_frames_of_a_large_group_are_found_from_its_generators(
     def refuse(*args):
         raise AssertionError("the frame layer listed the whole group")
 
-    monkeypatch.setattr(automorphisms, "_search_automorphisms", refuse)
+    monkeypatch.setattr(automorphisms, "polytope_group", refuse)
     geometry._analysis.cache_clear()
     body = make()
     calls = _count_lps(monkeypatch)

@@ -67,7 +67,7 @@ from jordan_spectra.geometry import (
     simplex,
     square,
 )
-from jordan_spectra import automorphisms, symmetry
+from jordan_spectra import automorphisms, geometry, symmetry
 from jordan_spectra.automorphisms import group_generators, orbit_tree
 from jordan_spectra.operational import (
     FrameData,
@@ -136,7 +136,8 @@ def test_generators_generate_the_group(body, order):
             ident, gens.permutations, lambda p, h: tuple(p[i] for i in h)
         )
     }
-    assert reached == {g.permutation for g in automorphism_group(body)}
+    brute = brute_force_automorphisms(chart(body), chart_vertices(body))
+    assert reached == {perm for perm, _, _ in brute}
 
 
 def test_group_contains_identity_and_inverses():
@@ -284,8 +285,8 @@ def test_cube_search_solves_one_map_per_automorphism(monkeypatch):
         return inner(matrix, *args)
 
     monkeypatch.setattr(automorphisms, "_eliminate", counted)
-    body = cube()
-    group = automorphisms._search_automorphisms(chart(body), chart_vertices(body))
+    geometry._analysis.cache_clear()
+    group = automorphism_group(cube())
     assert len(group) == 48
     # the Gram invariant and the basis inverse, each one 4 x 4 system
     assert eliminations == [4, 4]
@@ -295,21 +296,37 @@ def test_cube_search_solves_one_map_per_automorphism(monkeypatch):
     "body", [square(), rectangle(), pentagon(), hexagon(), trapezoid()]
 )
 def test_exact_check_decides_without_gram_pruning(monkeypatch, body):
-    # with one colour for every Q entry the search visits all n! vertex
-    # permutations, and the exact vertex check alone must keep the group
-    ch, cverts = chart(body), chart_vertices(body)
-    pruned = automorphisms._search_automorphisms(ch, cverts)
-    n = len(cverts)
+    # with one colour for every Q entry the search tries every vertex
+    # permutation, and the exact vertex check alone must find the group
+    pruned = triples(automorphism_group(body))
+    n = len(body.vertices)
     monkeypatch.setattr(automorphisms, "_gram_colours", lambda cv: [[0] * n] * n)
-    assert triples(automorphisms._search_automorphisms(ch, cverts)) == triples(pruned)
+    geometry._analysis.cache_clear()
+    assert triples(automorphism_group(body)) == pruned
 
 
-def test_closure_check_refuses_a_non_group():
-    automorphisms._check_group([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
-    with pytest.raises(SymmetryError):
-        automorphisms._check_group([(0, 1, 2), (1, 2, 0)])  # the 3-cycle's square is missing
-    with pytest.raises(SymmetryError):
-        automorphisms._check_group([(1, 0, 2), (0, 2, 1)])  # no identity
+def test_closure_check_refuses_a_non_group(monkeypatch):
+    # the listed group is the closure of the generators: it must have
+    # exactly the group order's members, each one an affine map
+    body = square()
+    gens = group_generators(body)
+    assert len(automorphism_group(body)) == gens.order == 8
+    dropped = dataclasses.replace(
+        gens,
+        automorphisms=gens.automorphisms[:-1],
+        facet_images=gens.facet_images[:-1],
+    )
+    # the transposition (1 2) and the square's group generate all 24
+    # vertex permutations, and the vertex check refuses (1 2)
+    transposition = dataclasses.replace(gens.automorphisms[0], permutation=(0, 2, 1, 3))
+    forged = dataclasses.replace(
+        gens, automorphisms=gens.automorphisms + (transposition,), order=24
+    )
+    for bad, message in ((dropped, "not the order 8"), (forged, "not an affine map")):
+        monkeypatch.setattr(automorphisms, "group_generators", lambda poly: bad)
+        geometry._analysis.cache_clear()
+        with pytest.raises(SymmetryError, match=message):
+            automorphism_group(body)
 
 
 def icosahedron():
@@ -419,11 +436,23 @@ def test_octahedron_orbits():
         (pentagon(), ((1, (5,)), (2, (10,))), None),
     ],
 )
-def test_orbit_report_pinned(body, sizes, witness):
-    # orbits are listed by their least frame, so the order is pinned too
+def test_orbit_report_pinned(monkeypatch, body, sizes, witness):
+    # orbits are listed by their least frame, so the order is pinned too;
+    # they are walked along the generators, and the group is never listed
+    monkeypatch.setattr(symmetry, "polytope_group", refuse_to_list)
     report = is_strongly_symmetric(body)
     assert report.orbit_sizes_by_k == sizes
     assert report.witness_pair == witness
+
+
+def refuse_to_list(poly):
+    raise AssertionError("a symmetry verdict listed the whole group")
+
+
+def cross_polytope(d):
+    return polytope(
+        [tuple(s * int(i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
+    )
 
 
 # -- regularity ------------------------------------------------------------------
@@ -437,10 +466,17 @@ def test_regular_bodies(body):
     assert is_regular(body)
 
 
-def test_four_cube_regular_at_the_callers_cap():
+def test_four_cube_regular_at_the_callers_cap(monkeypatch):
+    # the 4-cube has 384 automorphisms and as many maximal flags, the
+    # 5-cross-polytope 3,840; the verdict reads the order from the generators
     body = polytope(list(itertools.product((-1, 1), repeat=4)))
-    assert is_regular(body, 24)  # 384 automorphisms, 384 maximal flags
+    cross = cross_polytope(5)
+    with monkeypatch.context() as m:
+        m.setattr(symmetry, "polytope_group", refuse_to_list)
+        assert is_regular(body, 24)
+        assert is_regular(cross, 24)
     assert len(automorphism_group(body, 24)) == len(maximal_flags(body, 24)) == 384
+    assert group_generators(cross).order == len(maximal_flags(cross, 24)) == 3840
 
 
 def test_strong_symmetry_passes_its_cap_to_the_frame_layer(monkeypatch):
@@ -483,13 +519,17 @@ def test_three_fold_hexagon_not_regular():
 
 def test_regularity_refuses_a_map_that_breaks_faces(monkeypatch):
     # the transposition (1 2) sends the square's edge {0, 1} to a diagonal
-    body = square()
-    group = automorphism_group(body)
-    ident = next(g for g in group if g.permutation == (0, 1, 2, 3))
-    bad = dataclasses.replace(ident, permutation=(0, 2, 1, 3))
-    monkeypatch.setattr(symmetry, "automorphism_group", lambda p, cap: group + (bad,))
-    with pytest.raises(SymmetryError, match="not a face"):
-        is_regular(body)
+    search = automorphisms._search_generators
+
+    def forged(ch, cverts):
+        gens, order, induced = search(ch, cverts)
+        bad = dataclasses.replace(gens[0], permutation=(0, 2, 1, 3))
+        return gens + (bad,), order, induced
+
+    monkeypatch.setattr(automorphisms, "_search_generators", forged)
+    geometry._analysis.cache_clear()
+    with pytest.raises(SymmetryError, match="does not permute the facets"):
+        is_regular(square())
 
 
 # -- frame/flag bijection ---------------------------------------------------------
