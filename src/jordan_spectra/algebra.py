@@ -17,7 +17,9 @@ where the form is 2(<x, y> + s t).
 Quaternionic elements are stored and multiplied as their 2m x 2m complex
 embedding, a+bi+cj+dk -> [[a+bi, c+di], [-c+di, a-bi]] applied entrywise
 (Herm(m,H) is a Jordan subalgebra of Herm(2m,C)); octonion matrices are
-(3, 3, 8) component arrays multiplied with the Cayley-Dickson table.
+(3, 3, 8) component arrays multiplied with the Cayley-Dickson table.  The
+herm_o product itself contracts coefficient rows with the algebra's
+27 x 27 x 27 structure constants, built from those arrays on first use.
 """
 
 from __future__ import annotations
@@ -251,12 +253,50 @@ def jordan_product(a: EjaElement, b: EjaElement) -> EjaElement:
         out[:n] = t * x + s * y
         out[n] = float(np.dot(x, y)) + s * t
         return EjaElement(alg, out)
-    xa, xb = to_matrix(a), to_matrix(b)
     if alg.family == "herm_o":
-        prod = (oct_mat_mul(xa, xb) + oct_mat_mul(xb, xa)) / 2.0
-    else:
-        prod = (xa @ xb + xb @ xa) / 2.0
-    return from_matrix(alg, prod)
+        return EjaElement(alg, herm_o_product_rows(a.coeffs[None], b.coeffs[None])[0])
+    xa, xb = to_matrix(a), to_matrix(b)
+    return from_matrix(alg, (xa @ xb + xb @ xa) / 2.0)
+
+
+@lru_cache(maxsize=1)
+def _herm_o_constants() -> np.ndarray:
+    """herm_o structure constants, (27 * 27, 27): row 27 i + j is e_i * e_j.
+
+    ``oct_mat_mul`` of e_i by the basis stacked as a row of 3 x 3 blocks
+    gives every e_i e_j as block j.  Projecting e_i e_j onto the basis gives
+    the coefficients of e_i * e_j, as e_j e_i is its conjugate transpose and
+    the projection keeps only the Hermitian part; the result is then
+    symmetrised exactly.
+    """
+    alg = AlgebraDescriptor("herm_o", 3)
+    flat, dual, shape = _matrix_basis(alg)
+    basis = flat.reshape((alg.dim,) + shape)
+    dual = dual.reshape((alg.dim,) + shape)
+    row = basis.transpose(1, 0, 2, 3).reshape(3, -1, 8)
+    coeffs = np.stack(
+        [
+            np.einsum("ajcr,kacr->jk", oct_mat_mul(e, row).reshape(3, alg.dim, 3, 8), dual)
+            for e in basis
+        ]
+    )
+    return (coeffs + coeffs.transpose(1, 0, 2)).reshape(alg.dim * alg.dim, -1) / 2.0
+
+
+def herm_o_product_rows(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """Jordan products x[k] * y[k] of herm_o coefficient rows, shape (n, 27).
+
+    Each pair's outer product is symmetrised before the contraction with
+    the structure constants, so x * y and y * x are the same floats.  With
+    y omitted the rows are squared; the outer product of a row with itself
+    is already symmetric, and the result is the same floats as x * x.
+    """
+    n = len(x)
+    if y is None:
+        return (x[:, :, None] * x[:, None, :]).reshape(n, -1) @ _herm_o_constants()
+    pairs = x[:, :, None] * y[:, None, :]
+    pairs = pairs + pairs.transpose(0, 2, 1)
+    return 0.5 * (pairs.reshape(n, -1) @ _herm_o_constants())
 
 
 def trace(x: EjaElement) -> float:

@@ -90,4 +90,4 @@ OCT_TABLE: np.ndarray = _structure_tensor()
 
 def oct_mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of octonion matrices, shapes (n, m, 8) x (m, k, 8)."""
-    return np.einsum("ijp,jkq,pqr->ikr", a, b, OCT_TABLE)
+    return np.einsum("ijp,jkq,pqr->ikr", a, b, OCT_TABLE, optimize=True)

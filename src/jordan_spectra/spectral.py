@@ -15,12 +15,16 @@ Solver strategy:
           idempotents by Lagrange interpolation in Jordan powers of x, with
           repeated eigenvalues refined through the quadratic representation
 
-`eigenvalues` returns the same numbers without building a frame.  Elements
-with non-finite coefficients are refused with SpectralError.  An element
-whose norm overflows is solved as x / 2**k (k the binary exponent of its
-largest coefficient) and its eigenvalues scaled back; it is refused when a
-scaled-back eigenvalue overflows, and so is an element of finite norm whose
-herm_o power traces or eigenvalues overflow.
+`eigenvalue_rows` returns the same numbers without building a frame, for a
+stack of coefficient rows at once: one stacked eigvalsh for the matrix
+families, the closed form for spin, and the cubic evaluated elementwise
+over the rows for herm_o (the one cubic `spectral_decompose` reads too).
+`eigenvalues` is its one-row case.  Elements with non-finite coefficients
+are refused with SpectralError.  An element whose norm overflows is solved
+as x / 2**k (k the binary exponent of its largest coefficient) and its
+eigenvalues scaled back; it is refused when a scaled-back eigenvalue
+overflows, and so is an element of finite norm whose herm_o power traces or
+eigenvalues overflow.
 
 A decomposition carries the fine frame (not canonical when eigenvalues
 repeat) and the coarse decomposition by distinct eigenvalues, which is
@@ -29,6 +33,7 @@ unique.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +42,9 @@ import numpy as np
 from .algebra import (
     AlgebraDescriptor,
     EjaElement,
+    _matrix_basis,
     from_matrix,
+    herm_o_product_rows,
     inner,
     j_twin,
     jordan_product,
@@ -144,68 +151,73 @@ def _fine_spin(x: EjaElement, tol: float):
     return [t + nw, t - nw], [EjaElement(alg, cp), EjaElement(alg, cm)]
 
 
-def _char_cubic_roots(e1: float, e2: float, e3: float) -> list:
-    """Real roots of z^3 - e1 z^2 + e2 z - e3, descending."""
-    p = e2 - e1 * e1 / 3.0
-    q = -2.0 * e1 * e1 * e1 / 27.0 + e1 * e2 / 3.0 - e3
-    shift = e1 / 3.0
-    if p > -1e-300:
-        p_eff = min(p, 0.0)
-        if p_eff == 0.0:
-            return [shift + np.cbrt(-q)] * 3
-        p = p_eff
-    mfac = 2.0 * np.sqrt(-p / 3.0)
-    arg = 3.0 * q / (p * mfac)
-    arg = min(1.0, max(-1.0, arg))
-    theta = np.arccos(arg) / 3.0
-    roots = [shift + mfac * np.cos(theta - 2.0 * np.pi * k / 3.0) for k in range(3)]
-    return sorted(roots, reverse=True)
+# cos(theta - 2 pi k / 3), k = 0, 1, 2, gives the three trigonometric roots
+_THIRD_TURNS = 2.0 * np.pi * np.arange(3) / 3.0
 
 
-def _elementary_symmetric(p1: float, p2: float, p3: float) -> tuple:
+def _elementary_symmetric(p1, p2, p3) -> tuple:
     """(e1, e2, e3) of the eigenvalues from the power traces tr x, tr x^2, tr x^3.
 
     Newton's identities; for rank <= 3 these are the coefficients of the
-    characteristic polynomial z^3 - e1 z^2 + e2 z - e3.
+    characteristic polynomial z^3 - e1 z^2 + e2 z - e3.  Works on floats
+    and elementwise on arrays.
     """
     return p1, (p1 * p1 - p2) / 2.0, (p1 * p1 * p1 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
 
 
-def _herm_o_values(x: EjaElement, x2: EjaElement, tol: float) -> list:
-    """Distinct eigenvalues [(value, multiplicity)] of x (with x2 = x * x).
+def _herm_o_cubic(x: np.ndarray, x2: np.ndarray, tol: float) -> np.ndarray:
+    """Eigenvalues of herm_o coefficient rows x (with squares x2), shape (n, 3).
 
-    The characteristic cubic's trigonometric roots resolve double roots only
-    to ~sqrt(machine eps), so clusters are detected with that floor and a
-    repeated root is re-derived as the root of the cubic's derivative (a
-    well-conditioned simple quadratic root).
+    Each row holds the roots of its characteristic cubic, descending: the
+    trigonometric roots, or one triple root where p = e2 - e1^2/3 >= 0.  The
+    trigonometric roots resolve a double root only to ~sqrt(machine eps),
+    so clusters are detected with that floor: a triple cluster becomes
+    e1/3, and a double one the root of the cubic's derivative nearest its
+    mean (a well-conditioned simple quadratic root), or the mean itself if
+    that root is more than 1e-6 (1 + max |root|) away.
     """
-    # tr x^2 = (x, x) and tr x^3 = (x * x, x) in the trace form; np.dot
-    # warns where the traces overflow, which the finiteness test refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = (trace(x), inner(x, x), inner(x2, x))
-    _require_finite(powers, "power traces overflow")
-    e1, e2, e3 = _elementary_symmetric(*powers)
-    lams = _char_cubic_roots(e1, e2, e3)
-    _require_finite(lams, "eigenvalues overflow")
-    scale = 1.0 + max(abs(v) for v in lams)
-    ctol = max(tol * scale, 4e-8 * scale)
-    vals = []
-    for idx in _cluster_indices(np.asarray(lams), ctol):
-        mean = float(np.mean([lams[i] for i in idx]))
-        if len(idx) == 3:
-            vals.append((e1 / 3.0, 3))
-        elif len(idx) == 2:
-            disc = max(e1 * e1 - 3.0 * e2, 0.0)
-            root = float(np.sqrt(disc))
-            val = min(
-                [(e1 + root) / 3.0, (e1 - root) / 3.0], key=lambda v: abs(v - mean)
-            )
-            if abs(val - mean) > 1e-6 * scale:
-                val = mean
-            vals.append((val, 2))
-        else:
-            vals.append((mean, 1))
-    return vals
+    # tr x^2 = (x, x) and tr x^3 = (x * x, x) in the trace form; where they
+    # overflow, so does q, and the finiteness test refuses the row
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        e1, e2, e3 = _elementary_symmetric(
+            x[:, :3].sum(axis=1), (x * x).sum(axis=1), (x2 * x).sum(axis=1)
+        )
+        p = e2 - e1 * e1 / 3.0
+        q = -2.0 * e1 * e1 * e1 / 27.0 + e1 * e2 / 3.0 - e3
+        mfac = 2.0 * np.sqrt(-p / 3.0)
+        # fmin/fmax send the 0/0 of an underflowed p to -1
+        arg = np.fmin(1.0, np.fmax(-1.0, 3.0 * q / (p * mfac)))
+        trig = mfac[:, None] * np.cos(np.arccos(arg)[:, None] / 3.0 - _THIRD_TURNS)
+        offsets = np.where((p >= 0.0)[:, None], np.cbrt(-q)[:, None], trig)
+        e1 = e1[:, None]
+        roots = np.sort(e1 / 3.0 + offsets, axis=1)[:, ::-1]
+        if not np.isfinite(roots + q[:, None]).all():
+            raise SpectralError("eigenvalues overflow")
+        scale = 1.0 + np.abs(roots).max(axis=1, keepdims=True)
+        near = roots[:, :2] - roots[:, 1:] <= max(tol, 4e-8) * scale
+        if not near.any():
+            return roots
+        # per adjacent pair of roots, the derivative root nearest their mean,
+        # or the mean if that root is too far
+        root = np.sqrt(np.maximum(e1 * e1 - 3.0 * e2[:, None], 0.0))
+        hi, lo = (e1 + root) / 3.0, (e1 - root) / 3.0
+        means = (roots[:, :2] + roots[:, 1:]) / 2.0
+        pair = np.where(np.abs(lo - means) < np.abs(hi - means), lo, hi)
+        pair = np.where(np.abs(pair - means) > 1e-6 * scale, means, pair)
+    vals = roots.copy()
+    for i in range(2):
+        double = near[:, i] & ~near[:, 1 - i]
+        vals[double, i : i + 2] = pair[double, i : i + 1]
+    triple = near.all(axis=1)
+    vals[triple] = e1[triple] / 3.0
+    return np.sort(vals, axis=1)[:, ::-1]
+
+
+def _herm_o_values(x: EjaElement, x2: EjaElement, tol: float) -> list:
+    """Distinct eigenvalues [(value, multiplicity)] of x (with x2 = x * x),
+    descending, read from `_herm_o_cubic`, which sets a cluster's members equal."""
+    row = _herm_o_cubic(x.coeffs[None], x2.coeffs[None], tol)[0]
+    return [(v, len(list(run))) for v, run in itertools.groupby(row.tolist())]
 
 
 def _herm_o_coarse(x: EjaElement, tol: float):
@@ -396,31 +408,56 @@ def spectral_decompose(
     return dec
 
 
+def eigenvalue_rows(alg: AlgebraDescriptor, rows) -> np.ndarray:
+    """Eigenvalues of each coefficient row of ``rows`` (n x dim), as n x rank.
+
+    Each row is descending and repeated by multiplicity.  Per family: the
+    closed form for spin, one stacked LAPACK eigvalsh of the stored
+    matrices for sym_r, herm_c and herm_h (taking every other value of a
+    2m x 2m herm_h matrix, where each quaternionic eigenvalue appears
+    twice), and `_herm_o_cubic` for herm_o, after one row-wise Jordan square.
+    A row whose norm overflows is solved as row / 2**k and scaled back.
+    """
+    x = np.asarray(rows, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sizes = (x * x).sum(axis=1)
+        # a finite total has finite terms; only a total that overflows
+        # needs the row-by-row test
+        scaled = not math.isfinite(sizes.sum())
+        if scaled:
+            big = ~np.isfinite(sizes)
+            if not np.isfinite(x[big]).all():
+                raise SpectralError("element has non-finite coefficients")
+            shift = np.frexp(np.abs(x[big]).max(axis=1))[1][:, None]
+            x = x.copy()
+            x[big] = np.ldexp(x[big], -shift)
+        fam = alg.family
+        if fam == "spin":
+            n = alg.param
+            t, nw = x[:, n], np.sqrt((x[:, :n] * x[:, :n]).sum(axis=1))
+            vals = np.stack([t + nw, t - nw], axis=1)
+        elif fam == "herm_o":
+            vals = _herm_o_cubic(x, herm_o_product_rows(x), DEFAULT_TOL)
+        else:
+            basis, _, shape = _matrix_basis(alg)
+            mats = (x @ basis).reshape((len(x),) + shape)
+            vals = np.linalg.eigvalsh(mats)[:, ::-1][:, :: shape[0] // alg.param]
+        if scaled:
+            # the values of a row of finite norm are finite (the herm_o
+            # cubic refuses its own overflows); only scaling back can overflow
+            vals[big] = np.ldexp(vals[big], shift)
+            if not np.isfinite(vals).all():
+                raise SpectralError("eigenvalues overflow")
+    return vals
+
+
 def eigenvalues(x: EjaElement) -> np.ndarray:
     """Eigenvalues of x, descending and repeated by multiplicity, without a frame.
 
-    The numbers `spectral_decompose(x).eigenvalues` gives, computed the
-    same way per family: the closed form for spin, LAPACK eigvalsh of the
-    stored matrix for sym_r, herm_c and herm_h (taking every other value of
-    the 2m x 2m herm_h matrix, where each quaternionic eigenvalue appears
-    twice), and the characteristic cubic for herm_o.
+    The one-row case of `eigenvalue_rows`: the numbers
+    `spectral_decompose(x).eigenvalues` gives, computed the same way.
     """
-    if not math.isfinite(_size(x)):
-        y, k = _downscaled(x)
-        return np.asarray(_upscaled(eigenvalues(y).tolist(), k))
-    alg = x.algebra
-    if alg.family == "spin":
-        n = alg.param
-        t, nw = float(x.coeffs[n]), float(np.linalg.norm(x.coeffs[:n]))
-        vals = np.array([t + nw, t - nw])
-    elif alg.family == "herm_o":
-        pieces = _herm_o_values(x, jordan_product(x, x), DEFAULT_TOL)
-        vals = np.sort([lam for lam, mult in pieces for _ in range(mult)])[::-1]
-    else:
-        mat = to_matrix(x)
-        vals = np.linalg.eigvalsh(mat)[::-1][:: len(mat) // alg.param]
-    _require_finite(vals.tolist(), "eigenvalues overflow")
-    return vals
+    return eigenvalue_rows(x.algebra, x.coeffs[None])[0]
 
 
 # -- predicates ------------------------------------------------------------------

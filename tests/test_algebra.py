@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,12 @@ from jordan_spectra.algebra import (
     BASIS_CACHE_ALGEBRAS,
     AlgebraDescriptor,
     EjaElement,
+    _herm_o_constants,
     _matrix_basis,
     algebra,
     determinant,
     from_matrix,
+    herm_o_product_rows,
     inner,
     j_twin,
     jordan_product,
@@ -20,7 +25,7 @@ from jordan_spectra.algebra import (
     unit,
     zero,
 )
-from jordan_spectra.hypercomplex import quat_to_complex2
+from jordan_spectra.hypercomplex import oct_mat_mul, quat_to_complex2
 from jordan_spectra.spectral import random_element
 
 ALL_ALGEBRAS = [
@@ -322,3 +327,58 @@ def test_basis_cache_is_bounded():
     assert _matrix_basis.cache_info().currsize <= BASIS_CACHE_ALGEBRAS
     # an evicted algebra is built again on demand, with the same basis
     assert np.array_equal(_matrix_basis(algebra("sym_r", 1))[0], first)
+
+
+# -- herm_o product from structure constants ----------------------------------
+
+HERM_O = algebra("herm_o", 3)
+
+
+def _octonion_product(a, b):
+    """(ab + ba) / 2 of the octonion matrices, projected back: the reference."""
+    xa, xb = to_matrix(a), to_matrix(b)
+    return from_matrix(HERM_O, (oct_mat_mul(xa, xb) + oct_mat_mul(xb, xa)) / 2.0)
+
+
+def test_herm_o_constants_match_octonion_products():
+    constants = _herm_o_constants()
+    assert constants.shape == (27 * 27, 27)
+    eye = np.eye(27)
+    for i in range(27):
+        for j in range(27):
+            want = _octonion_product(EjaElement(HERM_O, eye[i]), EjaElement(HERM_O, eye[j]))
+            assert np.max(np.abs(constants[27 * i + j] - want.coeffs)) <= 1e-15, (i, j)
+
+
+def test_herm_o_product_matches_octonion_matrices():
+    for seed in range(20):
+        x = random_element(HERM_O, 300 + seed)
+        y = random_element(HERM_O, 400 + seed)
+        got = jordan_product(x, y)
+        assert norm(got - _octonion_product(x, y)) <= 1e-13 * norm(x) * norm(y)
+        assert np.array_equal(got.coeffs, jordan_product(y, x).coeffs)
+        x2 = jordan_product(x, x)
+        lhs = jordan_product(x2, jordan_product(x, y))
+        rhs = jordan_product(x, jordan_product(x2, y))
+        assert norm(lhs - rhs) <= 1e-10 * (1.0 + norm(x) ** 3 * norm(y))
+
+
+def test_herm_o_product_rows_match_single_products():
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((2, 9, 27))
+    rows = herm_o_product_rows(x, y)
+    squares = herm_o_product_rows(x)
+    assert np.array_equal(squares, herm_o_product_rows(x, x))
+    for k in range(9):
+        a, b = EjaElement(HERM_O, x[k]), EjaElement(HERM_O, y[k])
+        assert np.max(np.abs(rows[k] - jordan_product(a, b).coeffs)) <= 1e-13
+        assert np.max(np.abs(squares[k] - jordan_product(a, a).coeffs)) <= 1e-13
+
+
+def test_herm_o_constants_are_built_on_first_use(cli_env):
+    code = (
+        "import jordan_spectra.cli\n"
+        "from jordan_spectra.algebra import _herm_o_constants\n"
+        "assert _herm_o_constants.cache_info().currsize == 0\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=cli_env)

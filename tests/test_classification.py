@@ -12,13 +12,15 @@ pass overall.
 """
 
 import json
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from jordan_spectra import exactla
-from jordan_spectra.algebra import AlgebraDescriptor, inner, norm, unit
+from jordan_spectra import classification, exactla, spectral
+from jordan_spectra.algebra import AlgebraDescriptor, inner, norm, unit, zero
 from jordan_spectra.classification import (
     ClassificationError,
     FrSection,
@@ -37,7 +39,7 @@ from jordan_spectra.classification import (
     verify_main_theorem_if_direction,
 )
 from jordan_spectra.geometry import ball, eja_state_space, pentagon, polytope, simplex, square
-from jordan_spectra.spectral import is_primitive_idempotent, random_jordan_frame
+from jordan_spectra.spectral import eigenvalues, is_primitive_idempotent, random_jordan_frame
 
 F = Fraction
 
@@ -247,6 +249,77 @@ def test_section_sampling_random_frame():
     section = fr_section(alg, frame=tuple(random_jordan_frame(alg, 31)))
     report = section_sample_check(section, samples=400, seed=4)
     assert report["pass"]
+
+
+def oracle_section_sample_check(section, samples, seed, tol=1e-10):
+    """One draw, one element and one eigenvalue call per sample."""
+    frame = section.basis
+    rng = np.random.default_rng(seed)
+    hits = 0
+    worst = math.inf
+    for t in range(samples):
+        a = rng.standard_normal(len(frame))
+        if t % 2 == 0:
+            a = np.abs(a)
+        x = zero(frame[0].algebra)
+        for ai, ci in zip(a, frame):
+            x = x + float(ai) * ci
+        if eigenvalues(x)[-1] >= -1e-12 * (1.0 + float(np.max(np.abs(a)))):
+            worst = min(worst, min(inner(x, c) for c in frame))
+            hits += 1
+    return {"samples": samples, "hits": hits, "min_coordinate": worst, "pass": worst >= -tol}
+
+
+SECTION_ALGEBRAS = [
+    AlgebraDescriptor("sym_r", 3),
+    AlgebraDescriptor("herm_c", 3),
+    AlgebraDescriptor("herm_h", 3),
+    AlgebraDescriptor("spin", 5),
+    AlgebraDescriptor("herm_o", 3),
+]
+
+
+@pytest.mark.parametrize("alg", SECTION_ALGEBRAS, ids=lambda a: a.family)
+def test_blocked_section_sampling_matches_per_sample_oracle(alg):
+    section = fr_section(alg)
+    for seed in range(5):
+        for samples in (401, 2001):
+            report = section_sample_check(section, samples=samples, seed=seed)
+            assert report == oracle_section_sample_check(section, samples, seed)
+
+
+@pytest.mark.parametrize("alg", SECTION_ALGEBRAS, ids=lambda a: a.family)
+def test_blocked_section_sampling_on_a_random_frame(alg):
+    section = fr_section(alg, frame=tuple(random_jordan_frame(alg, 17)))
+    for seed in range(3):
+        report = section_sample_check(section, samples=401, seed=seed)
+        want = oracle_section_sample_check(section, 401, seed)
+        assert (report["hits"], report["pass"]) == (want["hits"], want["pass"])
+        assert abs(report["min_coordinate"] - want["min_coordinate"]) <= 1e-12
+
+
+def test_eja_section_is_decided_without_per_element_calls(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an EJA section is decided block by block")
+
+    monkeypatch.setattr(spectral, "eigenvalues", refuse)
+    monkeypatch.setattr(classification, "inner", refuse)
+    for alg in SECTION_ALGEBRAS:
+        report = section_sample_check(fr_section(alg), samples=1001, seed=3)
+        assert report["pass"] and report["hits"] > 0
+
+
+def test_eja_section_memory_is_bounded_by_the_block():
+    section = fr_section(AlgebraDescriptor("herm_o", 3))
+    section_sample_check(section, samples=300, seed=0)  # builds the constants
+    tracemalloc.start()
+    try:
+        report = section_sample_check(section, samples=10**5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"]
+    assert peak < 4 * 2**20, peak
 
 
 # -- theorem drivers -------------------------------------------------------------

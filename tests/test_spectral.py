@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from jordan_spectra.algebra import (
     EjaElement,
     algebra,
     from_matrix,
+    herm_o_product_rows,
     inner,
     jordan_product,
     norm,
@@ -16,6 +19,7 @@ from jordan_spectra.algebra import (
 from jordan_spectra import spectral
 from jordan_spectra.spectral import (
     SpectralError,
+    eigenvalue_rows,
     eigenvalues,
     is_idempotent,
     is_primitive_idempotent,
@@ -194,9 +198,24 @@ def _repeated_top(alg, seed):
     return x
 
 
-@pytest.mark.parametrize("kind", ["generic", "repeated"])
+@pytest.mark.parametrize("kind", ["generic", "repeated", "stacked"])
 @pytest.mark.parametrize("alg", FAMILIES_SMALL, ids=lambda a: a.family)
 def test_eigenvalues_match_decomposition(alg, kind):
+    if kind == "stacked":
+        # one call over generic rows, rows with a repeated eigenvalue and
+        # multiples of the unit (a triple root of the herm_o cubic, p = 0)
+        elements = [random_element(alg, 2000 + seed) for seed in range(5)]
+        elements += [_repeated_top(alg, 2000 + seed) for seed in range(5)]
+        elements += [unit(alg) * 2.5, -unit(alg), zero(alg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = eigenvalue_rows(alg, np.stack([x.coeffs for x in elements]))
+        assert rows.shape == (len(elements), alg.rank)
+        for x, got in zip(elements, rows):
+            want = spectral_decompose(x).eigenvalues
+            assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + norm(x))
+        assert np.array_equal(rows[-3], np.full(alg.rank, 2.5))
+        return
     for seed in range(5):
         if kind == "generic":
             x = random_element(alg, 2000 + seed)
@@ -256,21 +275,32 @@ def test_herm_o_cubic_overflow_refused_or_exact():
 
 
 def test_herm_o_eigenvalues_take_one_jordan_product(monkeypatch):
-    # tr x^2 and tr x^3 come from the trace form, so only x * x is formed
-    calls = []
+    # tr x^2 and tr x^3 come from the trace form, so only x * x is formed:
+    # one row-wise Jordan square per call, one row per element
+    squared = []
 
-    def counted(a, b):
-        calls.append(1)
-        return jordan_product(a, b)
+    def counted(x, y=None):
+        assert y is None
+        squared.append(len(x))
+        return herm_o_product_rows(x)
 
-    monkeypatch.setattr(spectral, "jordan_product", counted)
+    def refuse(a, b):
+        raise AssertionError("the square is formed over rows, not per element")
+
+    monkeypatch.setattr(spectral, "herm_o_product_rows", counted)
+    monkeypatch.setattr(spectral, "jordan_product", refuse)
     alg = algebra("herm_o", 3)
     for seed in range(5):
         x = random_element(alg, seed)
-        calls.clear()
+        squared.clear()
         vals = eigenvalues(x)
-        assert len(calls) == 1
+        assert squared == [1]
         assert abs(sum(vals) - trace(x)) <= 1e-12 * (1.0 + norm(x))
+    rows = np.stack([random_element(alg, seed).coeffs for seed in range(7)])
+    squared.clear()
+    vals = eigenvalue_rows(alg, rows)
+    assert squared == [7]
+    assert np.max(np.abs(vals.sum(axis=1) - rows[:, :3].sum(axis=1))) <= 1e-11
 
 
 # -- predicates --------------------------------------------------------------------
