@@ -43,6 +43,7 @@ from .algebra import (
 )
 from .exactla import affine_basis_indices
 from .geometry import (
+    VERTEX_CAP,
     Ball,
     EjaStateSpace,
     GeometryError,
@@ -50,13 +51,16 @@ from .geometry import (
     barycenter,
     cube,
     hexagon,
+    maximal_flags,
     octahedron,
     pentagon,
+    polytope,
     rectangle,
     simplex,
     square,
 )
 from .operational import enumerate_frames, is_spectral, recheck_counterexample
+from .scalars import format_scalar
 from .spectral import eigenvalue_rows, random_element, spectral_decompose
 from .symmetry import (
     SymmetryError,
@@ -391,7 +395,7 @@ def _coerce_descriptor(body):
     return None
 
 
-def fr_section(body, frame=None, cap: int = 12) -> FrSection:
+def fr_section(body, frame=None, cap: int = VERTEX_CAP) -> FrSection:
     """Section through a maximal frame (EJA/ball) or flag barycenters (polytope)."""
     desc = _coerce_descriptor(body)
     if desc is not None:
@@ -403,23 +407,19 @@ def fr_section(body, frame=None, cap: int = 12) -> FrSection:
             [Fraction(1 if i == 0 else 0) for i in range(body.n)]
         )
         minus = tuple(-c for c in e1)
-        from .geometry import polytope as make_polytope
-
-        return FrSection("ball", (e1, minus), make_polytope([e1, minus]))
+        return FrSection("ball", (e1, minus), polytope([e1, minus]))
     if not isinstance(body, Polytope):
         raise ClassificationError("unsupported body %r" % (body,))
 
     report = is_strongly_symmetric(body, cap)
-    verdict = is_spectral(body)
+    verdict = is_spectral(body, cap)
     if not (report.strongly_symmetric and verdict.spectral is True):
         raise ClassificationError(
             "fundamental-region section needs a strongly symmetric spectral "
             "body; got strongly_symmetric=%s spectral=%s"
             % (report.strongly_symmetric, verdict.spectral)
         )
-    from .geometry import maximal_flags
-
-    flag = sorted(tuple(f.indices for f in fl) for fl in maximal_flags(body))[0]
+    flag = sorted(tuple(f.indices for f in fl) for fl in maximal_flags(body, cap))[0]
     basis = []
     for face in flag:
         if not face:
@@ -432,7 +432,7 @@ def fr_section(body, frame=None, cap: int = 12) -> FrSection:
     return FrSection("polytope", tuple(basis), body)
 
 
-def fr_polytope(body, frame=None, cap: int = 12) -> Polytope:
+def fr_polytope(body, frame=None, cap: int = VERTEX_CAP) -> Polytope:
     """The section polytope: the simplex on a maximal frame."""
     return fr_section(body, frame=frame, cap=cap).polytope
 
@@ -749,7 +749,7 @@ def default_converse_catalog() -> tuple:
     )
 
 
-def verify_converse_on_polytopes(catalog=None, cap: int = 12) -> dict:
+def verify_converse_on_polytopes(catalog=None, cap: int = VERTEX_CAP) -> dict:
     """Check sss(P) <=> P is a simplex across a polytope catalog.
 
     Every non-simplex entry carries an explicit witness: an orbit pair of
@@ -764,8 +764,8 @@ def verify_converse_on_polytopes(catalog=None, cap: int = 12) -> dict:
         entry: dict = {"body": name}
         try:
             is_simplex = len(body.vertices) == body.dim + 1
-            # spectrality first: its frame cap refuses before any frame LP
-            verdict = is_spectral(body)
+            # spectrality first: its cap refuses before any frame LP
+            verdict = is_spectral(body, cap)
             report = is_strongly_symmetric(body, cap)
         except (GeometryError, SymmetryError) as exc:
             entry["error"] = str(exc)
@@ -790,11 +790,9 @@ def verify_converse_on_polytopes(catalog=None, cap: int = 12) -> dict:
             k, fa, fb = report.witness_pair
             witness["orbit_pair"] = {"k": k, "frames": [list(fa), list(fb)]}
         if not spectral:
-            from .scalars import format_scalar
-
             point = verdict.counterexample
             witness["counterexample"] = [format_scalar(c) for c in point]
-            witness["recheck"] = recheck_counterexample(body, point)
+            witness["recheck"] = recheck_counterexample(body, point, cap)
         entry["witness"] = witness
         if not entry["matches"]:
             equivalence = False

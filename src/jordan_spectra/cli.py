@@ -21,7 +21,7 @@ import sys
 
 import click
 
-from .algebra import FAMILIES, AlgebraDescriptor
+from .algebra import FAMILIES, AlgebraDescriptor, EjaElement, norm
 from .automorphisms import group_generators
 from .classification import (
     fr_section,
@@ -32,6 +32,7 @@ from .classification import (
     verify_main_theorem_if_direction,
 )
 from .geometry import (
+    VERTEX_CAP,
     Ball,
     EjaStateSpace,
     Polytope,
@@ -60,7 +61,6 @@ SCHEMA_VERSION = 1
 DEFAULT_SEED = 0
 DEFAULT_TRIALS = 100
 DEFAULT_TOL = 1e-10
-DEFAULT_CAP = 12
 
 
 def _finish(doc: dict, out: str | None, code: int):
@@ -92,7 +92,7 @@ _COMMON_OPTIONS = {
     "seed": click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True),
     "trials": click.option("--trials", type=int, default=DEFAULT_TRIALS, show_default=True),
     "tol": click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True),
-    "cap": click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True),
+    "cap": click.option("--cap", type=int, default=VERTEX_CAP, show_default=True),
 }
 
 
@@ -146,13 +146,9 @@ def decompose(input_path, eja, m, n, seed, tol, out):
             with open(input_path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
             desc = AlgebraDescriptor.from_dict(doc["algebra"])
-            from .algebra import EjaElement
-
             x = EjaElement(desc, [float(c) for c in doc["coeffs"]])
             source = {"kind": "file", "path": input_path}
         dec = spectral_decompose(x, tol=max(tol, 1e-12))
-        from .algebra import norm
-
         residual = norm(dec.reconstruct() - x)
         _finish(
             {

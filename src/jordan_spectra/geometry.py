@@ -19,14 +19,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property, lru_cache
 
 from .algebra import AlgebraDescriptor, EjaElement, algebra, trace, unit
 from .exactla import _eliminate, affine_basis_indices, affine_rank, determinant, solve_any
 from .scalars import Sqrt5, exact, format_scalar
 from .spectral import eigenvalues
-
-FACE_VERTEX_CAP = 14
 
 
 class GeometryError(ValueError):
@@ -35,6 +33,13 @@ class GeometryError(ValueError):
 
 class CapExceeded(GeometryError):
     pass
+
+
+# The one vertex cap: a body with more vertices is refused (CapExceeded)
+# by the group search, the face lattice and the frames, before any work.
+# It bounds the vertex count only, not the work under it: the frames of a
+# simplex grow as 2^n subsets and n! ordered frames.
+VERTEX_CAP = 12
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +175,8 @@ class _Analysis:
     strong generating set of the automorphism group with its order, and
     ``group`` lists the group as their closure, for callers that need
     every map.
-    No cap is stored: the public entry points check their caps on every
-    call, before they read the record.
+    No cap is stored: the capped entry points read the record through
+    ``_capped_analysis``, which checks the caller's cap on every call.
     """
 
     chart: AffineChart
@@ -202,6 +207,14 @@ def _analysis(poly: Polytope) -> _Analysis:
             if len(_eliminate(normals)[2]) < ch.dim:
                 raise GeometryError(f"vertex {i} is not extremal")
     return _Analysis(chart=ch, chart_vertices=cv, facets=facets)
+
+
+def _capped_analysis(poly: Polytope, cap: int) -> _Analysis:
+    """The analysis record of ``poly``, refused past ``cap`` vertices."""
+    n = len(poly.vertices)
+    if n > cap:
+        raise CapExceeded(f"{n} vertices exceeds the vertex cap {cap}")
+    return _analysis(poly)
 
 
 def chart(poly: Polytope) -> AffineChart:
@@ -312,19 +325,16 @@ def _exposing_functional(face, facets, cv):
     return tuple(g), c
 
 
-def exposed_faces(poly: Polytope, cap: int = FACE_VERTEX_CAP) -> FaceLattice:
+def exposed_faces(poly: Polytope, cap: int = VERTEX_CAP) -> FaceLattice:
     """All faces (every polytope face is exposed), each certified by an
     exact exposing functional: the intersections of facets, the whole body
     with the zero functional, and the empty face as the lattice bottom.
     """
-    n = len(poly.vertices)
-    if n > cap:
-        raise CapExceeded(f"{n} vertices exceeds the face enumeration cap {cap}")
-    rec = _analysis(poly)
+    rec = _capped_analysis(poly, cap)
     if rec.faces is not None:
         return rec.faces
     cv, facets = rec.chart_vertices, rec.facets
-    top = frozenset(range(n))
+    top = frozenset(range(len(cv)))
     closed, queue = {top}, [top]
     while queue:
         face = queue.pop()
@@ -347,7 +357,7 @@ def exposed_faces(poly: Polytope, cap: int = FACE_VERTEX_CAP) -> FaceLattice:
     return rec.faces
 
 
-def maximal_flags(poly: Polytope, cap: int = FACE_VERTEX_CAP):
+def maximal_flags(poly: Polytope, cap: int = VERTEX_CAP):
     """Saturated chains from a vertex up to the whole body."""
     lat = exposed_faces(poly, cap)
     top = lat.top
@@ -429,34 +439,10 @@ def membership(body, point, tol: float = 1e-10) -> str:
 # barycenter
 
 
-def _ccw_order(points):
-    n = len(points)
-    cx = [sum(p[i] for p in points) * Fraction(1, n) for i in range(2)]
-
-    def half(p):
-        x, y = p[0] - cx[0], p[1] - cx[1]
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    def compare(i, j):
-        hi, hj = half(points[i]), half(points[j])
-        if hi != hj:
-            return -1 if hi < hj else 1
-        ax, ay = points[i][0] - cx[0], points[i][1] - cx[1]
-        bx, by = points[j][0] - cx[0], points[j][1] - cx[1]
-        cross = ax * by - ay * bx
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        na = ax * ax + ay * ay
-        nb = bx * bx + by * by
-        return -1 if na < nb else (1 if na > nb else 0)
-
-    return sorted(range(n), key=cmp_to_key(compare))
-
-
 def _triangulate(points):
-    """Partition a full-dimensional convex hull into simplices, exactly."""
+    """Partition a full-dimensional convex hull into simplices, exactly:
+    the cone from the first point over each facet that misses it, the
+    facets triangulated in turn (a polygon's facets are edges)."""
     d = affine_rank(points)
     if len(points) == d + 1:
         return [tuple(tuple(p) for p in points)]
@@ -470,12 +456,6 @@ def _triangulate(points):
         ]
     if d == 1:
         raise GeometryError("segment with interior vertices cannot occur")
-    if d == 2:
-        order = _ccw_order(points)
-        ring = [points[i] for i in order]
-        return [
-            (ring[0], ring[k], ring[k + 1]) for k in range(1, len(ring) - 1)
-        ]
     apex = tuple(points[0])
     simplices = []
     for on in _facets(points):

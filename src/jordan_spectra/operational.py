@@ -33,19 +33,18 @@ from .automorphisms import group_generators, orbit_tree
 from .exactla import _eliminate, barycentric_coordinates
 from .exactlp import Feasible, linear_program, lp_feasible
 from .geometry import (
+    VERTEX_CAP,
     Ball,
-    CapExceeded,
     EjaStateSpace,
     Face,
     Polytope,
     _analysis,
+    _capped_analysis,
     exposed_faces,
     membership,
 )
 from .scalars import exact, format_scalar
 from .spectral import eigenvalues, is_primitive_idempotent
-
-FRAME_VERTEX_CAP = 14
 
 
 class OperationalError(ValueError):
@@ -361,10 +360,7 @@ def _frame_sets(poly: Polytope, k: int, cap: int) -> dict:
     Subsets are sorted index tuples in lex order; the map is kept in the
     body's analysis record, the cap is checked on every call.
     """
-    n = len(poly.vertices)
-    if n > cap:
-        raise CapExceeded(f"{n} vertices exceeds the frame cap {cap}")
-    frames = _analysis(poly).frames
+    frames = _capped_analysis(poly, cap).frames
     if k not in frames:
         frames[k] = _find_frame_sets(poly, k)
     return frames[k]
@@ -427,7 +423,7 @@ def _certified(poly, effects, subset, by_state):
     return cert
 
 
-def enumerate_frames(poly: Polytope, k: int, cap: int = FRAME_VERTEX_CAP):
+def enumerate_frames(poly: Polytope, k: int, cap: int = VERTEX_CAP):
     """All ordered k-frames of vertices, lexicographic on index tuples.
 
     The defining conditions are permutation-symmetric, so one LP per
@@ -448,7 +444,7 @@ def enumerate_frames(poly: Polytope, k: int, cap: int = FRAME_VERTEX_CAP):
     return tuple(frames)
 
 
-def rank(body, cap: int = FRAME_VERTEX_CAP) -> int:
+def rank(body, cap: int = VERTEX_CAP) -> int:
     """Largest frame cardinality.
 
     Polytopes by exact enumeration (frames are affinely independent, so
@@ -519,7 +515,7 @@ def _interior_point_off_hulls(poly: Polytope, hulls, seed: int, tries: int = 100
 
 
 def is_spectral(
-    body, cap: int = FRAME_VERTEX_CAP, seed: int = 0
+    body, cap: int = VERTEX_CAP, seed: int = 0
 ) -> SpectralVerdict:
     """Is every state a convex combination over a single frame?
 
@@ -571,7 +567,7 @@ def is_spectral(
     )
 
 
-def recheck_counterexample(body: Polytope, point, cap: int = FRAME_VERTEX_CAP) -> bool:
+def recheck_counterexample(body: Polytope, point, cap: int = VERTEX_CAP) -> bool:
     """Exact re-verification that ``point`` defeats spectrality."""
     if membership(body, point) == "outside":
         return False
@@ -650,7 +646,7 @@ def complement_face(body, face):
     if face.indices:
         for k in range(len(face.indices), 0, -1):
             found = None
-            for s in _frame_sets(body, k, FRAME_VERTEX_CAP):
+            for s in _frame_sets(body, k, VERTEX_CAP):
                 if set(s) <= set(face.indices):
                     found = s
                     break
@@ -658,7 +654,7 @@ def complement_face(body, face):
                 inner_set = found
                 break
     candidates = set()
-    for s in _frame_sets(body, r, FRAME_VERTEX_CAP):
+    for s in _frame_sets(body, r, VERTEX_CAP):
         if set(inner_set) <= set(s):
             rest = tuple(sorted(set(s) - set(inner_set)))
             candidates.add(face_of_frame(body, rest).indices)

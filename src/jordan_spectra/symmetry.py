@@ -34,11 +34,14 @@ from .algebra import (
     unit,
 )
 from .automorphisms import SymmetryError, group_generators, orbit_tree, polytope_group
-from .geometry import CapExceeded, Polytope, maximal_flags
+from .geometry import VERTEX_CAP, Polytope, _capped_analysis, maximal_flags
 from .operational import FrameData, enumerate_frames, rank
-from .spectral import eigenvalues, is_primitive_idempotent, spectral_decompose
-
-AUTOMORPHISM_VERTEX_CAP = 24
+from .spectral import (
+    eigenvalues,
+    is_primitive_idempotent,
+    random_jordan_frame,
+    spectral_decompose,
+)
 
 
 class UnsupportedFamily(SymmetryError):
@@ -49,7 +52,7 @@ class UnsupportedFamily(SymmetryError):
 # polytope automorphisms
 
 
-def automorphism_group(poly: Polytope, cap: int = AUTOMORPHISM_VERTEX_CAP):
+def automorphism_group(poly: Polytope, cap: int = VERTEX_CAP):
     """All affine self-maps permuting the vertex set, sorted by permutation.
 
     Works in exact chart coordinates so degenerate embeddings (simplices
@@ -61,14 +64,8 @@ def automorphism_group(poly: Polytope, cap: int = AUTOMORPHISM_VERTEX_CAP):
     is kept in the body's analysis record; the cap is checked on every
     call.
     """
-    _check_cap(poly, cap)
+    _capped_analysis(poly, cap)
     return polytope_group(poly)
-
-
-def _check_cap(poly, cap):
-    n = len(poly.vertices)
-    if n > cap:
-        raise CapExceeded(f"{n} vertices exceeds the automorphism cap {cap}")
 
 
 def _orbits(items, permutations):
@@ -109,12 +106,11 @@ class StrongSymmetryReport:
 
 
 def is_strongly_symmetric(
-    poly: Polytope, cap: int = AUTOMORPHISM_VERTEX_CAP
+    poly: Polytope, cap: int = VERTEX_CAP
 ) -> StrongSymmetryReport:
     """Does the automorphism group act transitively on ordered k-frames?"""
-    _check_cap(poly, cap)
-    gens = group_generators(poly)
     r = rank(poly, cap)
+    gens = group_generators(poly)
     sizes = []
     transitive = True
     witness = None
@@ -134,15 +130,15 @@ def is_strongly_symmetric(
     )
 
 
-def is_regular(poly: Polytope, cap: int = AUTOMORPHISM_VERTEX_CAP) -> bool:
+def is_regular(poly: Polytope, cap: int = VERTEX_CAP) -> bool:
     """Transitivity of the automorphism group on maximal flags, by counting:
     a map fixing a maximal flag fixes its faces' barycenters, an affine
     basis, so the group acts freely on the flags, and the body is regular
     iff the group order equals the flag count.  The group permutes the
     faces, which are intersections of facets, because ``group_generators``
     refuses a generator that does not permute the facets."""
-    _check_cap(poly, cap)
-    return group_generators(poly).order == len(maximal_flags(poly, cap))
+    flags = maximal_flags(poly, cap)
+    return group_generators(poly).order == len(flags)
 
 
 @dataclass(frozen=True)
@@ -378,8 +374,6 @@ def verify_strong_symmetry_eja(
         raise UnsupportedFamily(
             "octonionic transporters (F4 elements) are not constructed"
         )
-    from .spectral import random_jordan_frame
-
     rng = np.random.default_rng(seed)
     failures = []
     worst = 0.0

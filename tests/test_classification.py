@@ -38,8 +38,26 @@ from jordan_spectra.classification import (
     verify_converse_on_polytopes,
     verify_main_theorem_if_direction,
 )
-from jordan_spectra.geometry import ball, eja_state_space, pentagon, polytope, simplex, square
+from jordan_spectra.geometry import (
+    CapExceeded,
+    ball,
+    barycenter,
+    eja_state_space,
+    exposed_faces,
+    maximal_flags,
+    pentagon,
+    polytope,
+    simplex,
+    square,
+)
+from jordan_spectra.operational import (
+    enumerate_frames,
+    is_spectral,
+    rank,
+    recheck_counterexample,
+)
 from jordan_spectra.spectral import eigenvalues, is_primitive_idempotent, random_jordan_frame
+from jordan_spectra.symmetry import automorphism_group, is_regular, is_strongly_symmetric
 
 F = Fraction
 
@@ -376,12 +394,43 @@ def test_converse_small_catalog():
 
 
 def test_converse_catalog_reports_frame_cap_refusal():
-    # 15 vertices on a parabola fit the symmetry cap of 20 but exceed the
-    # frame cap of 14: the refusal is that body's error entry, not an
-    # exception escaping the driver.
+    # 15 vertices on a parabola: the driver's cap reaches the spectral
+    # check, so at cap 14 the refusal is that body's error entry, not an
+    # exception escaping the driver, and at cap 15 the body is decided
     body = polytope([(x, x * x) for x in range(15)])
-    report = verify_converse_on_polytopes([("15-gon", body)], cap=20)
+    report = verify_converse_on_polytopes([("15-gon", body)], cap=14)
     assert report["equivalence_holds"] is False
     (entry,) = report["bodies"]
     assert entry["body"] == "15-gon"
-    assert "15 vertices exceeds the frame cap 14" in entry["error"]
+    assert "15 vertices exceeds the vertex cap 14" in entry["error"]
+    report = verify_converse_on_polytopes([("15-gon", body)], cap=15)
+    (entry,) = report["bodies"]
+    assert "error" not in entry
+    assert entry["matches"] is True and not entry["spectral"]
+    assert entry["witness"]["recheck"] is True
+
+
+CAPPED_ENTRY_POINTS = {
+    "exposed_faces": lambda body: exposed_faces(body, cap=3),
+    "maximal_flags": lambda body: maximal_flags(body, cap=3),
+    "enumerate_frames": lambda body: enumerate_frames(body, 2, cap=3),
+    "rank": lambda body: rank(body, cap=3),
+    "is_spectral": lambda body: is_spectral(body, cap=3),
+    "recheck_counterexample": lambda body: recheck_counterexample(
+        body, barycenter(body), cap=3
+    ),
+    "automorphism_group": lambda body: automorphism_group(body, cap=3),
+    "is_strongly_symmetric": lambda body: is_strongly_symmetric(body, cap=3),
+    "is_regular": lambda body: is_regular(body, cap=3),
+    "fr_section": lambda body: fr_section(body, cap=3),
+}
+
+
+@pytest.mark.parametrize("call", CAPPED_ENTRY_POINTS.values(), ids=CAPPED_ENTRY_POINTS)
+def test_every_capped_entry_point_refuses_past_the_vertex_cap(call):
+    # the record is filled first: the cap is checked on every call
+    body = square()
+    for fill in (exposed_faces, rank, automorphism_group):
+        fill(body)
+    with pytest.raises(CapExceeded, match="^4 vertices exceeds the vertex cap 3$"):
+        call(body)

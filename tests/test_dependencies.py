@@ -1,6 +1,6 @@
 """The package imports nothing beyond the standard library, numpy and click,
-the face side imports no LP, and the exact kernel keeps no public routine
-that only tests reach."""
+the face side imports no LP, the exact kernel keeps no public routine
+that only tests reach, and one vertex cap is the default of every cap."""
 
 import ast
 import sys
@@ -77,3 +77,42 @@ def test_every_public_exactla_function_has_a_caller_in_the_package():
             ):
                 used.add(node.attr)
     assert not public - used, sorted(public - used)
+
+
+def test_one_vertex_cap_and_every_cap_defaults_to_it():
+    # one knob: no other module-level *_CAP name, and no literal default
+    # for a ``cap`` parameter anywhere in the package
+    package = Path(jordan_spectra.__file__).resolve().parent
+    caps, stray = [], []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            caps += [
+                f"{path.stem}.{t.id}"
+                for t in targets
+                if isinstance(t, ast.Name) and t.id.endswith("_CAP")
+            ]
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+            pairs = list(zip(positional, defaults)) + list(
+                zip(args.kwonlyargs, args.kw_defaults)
+            )
+            stray += [
+                f"{path.name}:{node.lineno} {node.name}"
+                for arg, default in pairs
+                if arg.arg == "cap"
+                and default is not None
+                and not (isinstance(default, ast.Name) and default.id == "VERTEX_CAP")
+            ]
+    assert caps == ["geometry.VERTEX_CAP"], caps
+    assert not stray, stray
