@@ -17,10 +17,15 @@ one search.  ``group_generators`` stops at a strong generating set along
 a stabilizer chain on the basis, with the group order, so its cost does
 not grow with the order (the simplex on 10 vertices has 10! automorphisms
 and 9 generators).  Orbits and the order are all that the frame and
-symmetry layers read.  ``polytope_group`` lists the group when a caller
-needs every map: it is the closure of the generators, each member decided
-by the search's own exact vertex check, and it must have exactly the
-order's number of members.  Both are kept in the body's analysis record,
+symmetry layers read.  ``ordered_orbit`` runs the same chain on a basis
+that starts with a given affinely independent vertex tuple, whose
+pointwise stabilizer is then the bottom of the chain, so the tuple's
+orbit size is counted by orbit-stabilizer (Seress, "Permutation Group
+Algorithms", 2003) and membership in it is one search look-up.
+``polytope_group`` lists the group when a caller needs every map: it is
+the closure of the generators, each member decided by the search's own
+exact vertex check, and it must have exactly the order's number of
+members.  Both are kept in the body's analysis record,
 so neither layer imports the other for them.
 """
 
@@ -101,13 +106,15 @@ class GroupGenerators:
     moves facet F onto, facets in the analysis record's order.
     ``induced`` is the search's exact vertex check: it takes a vertex
     permutation to its ``PolytopeAutomorphism``, or to None when no affine
-    map of the body induces it.
+    map of the body induces it.  ``gram_colours`` is the Gram invariant
+    that pruned the search, kept for the searches of ``ordered_orbit``.
     """
 
     automorphisms: tuple
     order: int
     facet_images: tuple
     induced: object
+    gram_colours: list
 
     @property
     def permutations(self) -> list:
@@ -120,7 +127,9 @@ def group_generators(poly: Polytope) -> GroupGenerators:
     No cap is checked."""
     rec = _analysis(poly)
     if rec.generators is None:
-        gens, order, induced = _search_generators(rec.chart, rec.chart_vertices)
+        gens, order, (induced, colours) = _search_generators(
+            rec.chart, rec.chart_vertices
+        )
         facets = list(rec.facets)
         index = {on: f for f, on in enumerate(facets)}
         rec.generators = GroupGenerators(
@@ -130,6 +139,7 @@ def group_generators(poly: Polytope) -> GroupGenerators:
                 _facet_images(g.permutation, facets, index) for g in gens
             ),
             induced=induced,
+            gram_colours=colours,
         )
     return rec.generators
 
@@ -139,6 +149,30 @@ def _facet_images(perm, facets, index) -> tuple:
     if None in moved:
         raise SymmetryError(f"{perm} does not permute the facets")
     return moved
+
+
+def ordered_orbit(poly: Polytope, frame):
+    """(size, contains) for the orbit of the ordered vertex tuple
+    ``frame``, affinely independent, under the automorphism group.
+
+    The search runs on the greedy affine basis of the vertices taken with
+    ``frame`` first, and decides each candidate by the group search's
+    exact vertex check.  The pointwise stabilizer G_(frame) is then the
+    chain's group at level len(frame), its order the product of the orbit
+    sizes from that level down, and the orbit has |G| / |G_(frame)|
+    members.  ``contains(image)`` is one look-up: is there an
+    automorphism sending frame[i] to image[i] for every i?
+    """
+    frame = tuple(frame)
+    gens = group_generators(poly)
+    cverts = _analysis(poly).chart_vertices
+    scan = list(frame) + [i for i in range(len(cverts)) if i not in frame]
+    basis_ids = [scan[i] for i in affine_basis_indices([cverts[i] for i in scan])]
+    if tuple(basis_ids[: len(frame)]) != frame:
+        raise SymmetryError(f"{frame} is not affinely independent")
+    extensions = _searcher(basis_ids, gens.gram_colours, gens.induced)
+    _, stabilizer = _stabilizer_chain(basis_ids, extensions, len(cverts), len(frame))
+    return gens.order // stabilizer, lambda image: next(extensions(tuple(image)), None) is not None
 
 
 def _move_entries(perm, indices):
@@ -166,8 +200,8 @@ def orbit_tree(start, permutations, act=_move_entries):
 
 
 def _search_generators(ch, cverts):
-    """(generators, group order, exact vertex check) from a stabilizer
-    chain on the basis.
+    """(generators, group order, (exact vertex check, Gram colours)) from
+    a stabilizer chain on the basis.
 
     With b_0, ..., b_d the affine vertex basis, G_i fixes b_0 .. b_(i-1)
     and G_(d+1) is trivial.  Level i, from d down to 0, looks for one
@@ -177,15 +211,25 @@ def _search_generators(ch, cverts):
     orbit sizes.  Each look-up stops at its first automorphism.
     """
     if ch.dim == 0:
-        return (), 1, lambda perm: PolytopeAutomorphism(perm, (), (), ch)
-    basis_ids, extensions, induced = _searcher(ch, cverts)
+        return (), 1, (lambda perm: PolytopeAutomorphism(perm, (), (), ch), [[0]])
+    basis_ids = affine_basis_indices(list(cverts))
+    induced = _affine_maps(ch, cverts, basis_ids)
+    colours = _gram_colours(cverts)
+    extensions = _searcher(basis_ids, colours, induced)
+    gens, order = _stabilizer_chain(basis_ids, extensions, len(cverts), 0)
+    return gens, order, (induced, colours)
+
+
+def _stabilizer_chain(basis_ids, extensions, n, top):
+    """(generators, order) of G_top, the pointwise stabilizer of the
+    first ``top`` basis vertices, by the levels from d down to ``top``."""
     gens = []
     order = 1
-    for level in reversed(range(len(basis_ids))):
+    for level in reversed(range(top, len(basis_ids))):
         fixed = tuple(basis_ids[:level])
         b = basis_ids[level]
         orbit = {b}
-        for j in range(len(cverts)):
+        for j in range(n):
             if j in orbit:
                 continue
             g = next(extensions(fixed + (j,)), None)
@@ -197,25 +241,23 @@ def _search_generators(ch, cverts):
                 image for image, _, _ in orbit_tree(b, perms, lambda p, x: p[x])
             )
         order *= len(orbit)
-    return tuple(gens), order, induced
+    return tuple(gens), order
 
 
-def _searcher(ch, cverts):
-    """(basis ids, extensions, induced) for a body of dimension >= 1.
+def _searcher(basis_ids, colour, induced):
+    """``extensions`` over an affine vertex basis.
 
     ``extensions(prefix)`` yields, in lex order of the permutation read on
     the basis first, every automorphism sending basis vertex i to
     prefix[i] for i < len(prefix).  It backtracks over vertex images,
     basis vertices first, keeping a partial assignment only while it
-    preserves the colours of the Gram invariant Q.  Each complete
-    permutation is then decided exactly by ``_affine_maps``: the affine
-    map it gives the basis must move every chart vertex onto its image.
+    preserves ``colour``, the Gram invariant Q as small int colours
+    (``_gram_colours``).  Each complete permutation is then decided
+    exactly by ``induced`` (``_affine_maps``): the affine map it gives a
+    basis must move every chart vertex onto its image.
     """
-    n = len(cverts)
-    basis_ids = affine_basis_indices(list(cverts))
+    n = len(colour)
     order = basis_ids + [i for i in range(n) if i not in basis_ids]
-    colour = _gram_colours(cverts)
-    induced = _affine_maps(ch, cverts, basis_ids)
 
     def extensions(prefix):
         image = [None] * n
@@ -240,7 +282,7 @@ def _searcher(ch, cverts):
 
         return extend(0)
 
-    return basis_ids, extensions, induced
+    return extensions
 
 
 def _gram_colours(cverts):

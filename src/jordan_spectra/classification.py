@@ -41,6 +41,7 @@ from .algebra import (
     norm,
     unit,
 )
+from .automorphisms import group_generators, orbit_tree
 from .exactla import affine_basis_indices
 from .geometry import (
     VERTEX_CAP,
@@ -59,13 +60,12 @@ from .geometry import (
     simplex,
     square,
 )
-from .operational import enumerate_frames, is_spectral, recheck_counterexample
+from .operational import is_spectral, recheck_counterexample
 from .scalars import format_scalar
 from .spectral import eigenvalue_rows, random_element, spectral_decompose
 from .symmetry import (
     SymmetryError,
     _check_jordan_frame,
-    automorphism_group,
     frame_flag_bijection,
     is_regular,
     is_strongly_symmetric,
@@ -636,11 +636,10 @@ def _simplex_battery(n: int, trials: int, seed: int) -> list:
         )
     )
 
-    counts_ok = True
-    for k in range(1, n + 2):
-        found = len(enumerate_frames(body, k))
-        if found != math.perm(n + 1, k):
-            counts_ok = False
+    # the verdict counts k! ordered frames per frame subset, up to the rank
+    counts_ok = dict(verdict.frames_by_k) == {
+        k: math.perm(n + 1, k) for k in range(1, n + 2)
+    }
     checks.append(
         _check(
             "frames_are_ordered_subsets",
@@ -674,14 +673,15 @@ def _simplex_battery(n: int, trials: int, seed: int) -> list:
         )
     )
 
-    group = automorphism_group(body)
-    center = barycenter(body)
+    # g(v0) takes each orbit point |G_v0| times, so the group average of
+    # v0 is the average of its orbit, walked along the generators
+    perms = group_generators(body).permutations
+    orbit = [0] + [j for j, _, _ in orbit_tree(0, perms, lambda p, x: p[x])]
     avg = [Fraction(0)] * (n + 1)
-    for g in group:
-        image = g.apply(body.vertices[0])
-        avg = [a + c for a, c in zip(avg, image)]
-    avg = tuple(a / Fraction(len(group)) for a in avg)
-    bary_ok = avg == tuple(center)
+    for j in orbit:
+        avg = [a + c for a, c in zip(avg, body.vertices[j])]
+    avg = tuple(a / len(orbit) for a in avg)
+    bary_ok = avg == tuple(barycenter(body))
     checks.append(
         _check(
             "barycenter_invariance",

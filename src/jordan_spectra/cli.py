@@ -22,7 +22,7 @@ import sys
 import click
 
 from .algebra import FAMILIES, AlgebraDescriptor, EjaElement, norm
-from .automorphisms import group_generators
+from .automorphisms import ordered_orbit
 from .classification import (
     fr_section,
     load_tables,
@@ -42,6 +42,7 @@ from .geometry import (
     exposed_faces,
 )
 from .operational import (
+    _frame_sets,
     enumerate_frames,
     is_spectral,
     rank as body_rank,
@@ -50,7 +51,6 @@ from .operational import (
 from .scalars import format_scalar, parse_scalar
 from .spectral import random_state, spectral_decompose
 from .symmetry import (
-    _orbits,
     is_regular,
     is_strongly_symmetric,
     verify_strong_symmetry_eja,
@@ -238,7 +238,8 @@ def frames(positional, k, input_path, eja, m, n, cap, out):
         else:
             by_k = {}
             for kk in range(1, doc["rank"] + 1):
-                by_k[str(kk)] = len(enumerate_frames(body, kk, cap=cap))
+                # k! ordered frames per frame subset
+                by_k[str(kk)] = len(_frame_sets(body, kk, cap)) * math.factorial(kk)
             doc["frames_by_k"] = by_k
         _finish(doc, out, 0)
     except Exception as exc:  # noqa: BLE001
@@ -405,9 +406,11 @@ def recheck(positional, input_path, out):
                 raise ValueError("witness carries no orbit pair")
             k = int(pair["k"])
             fa, fb = (tuple(f) for f in pair["frames"])
-            index_sets = {f.indices for f in enumerate_frames(body, k)}
-            linked = _orbits([fa], group_generators(body).permutations)[0]
-            valid = fa in index_sets and fb in index_sets and fb not in linked
+            sets = _frame_sets(body, k, VERTEX_CAP)
+            valid = all(tuple(sorted(f)) in sets for f in (fa, fb))
+            if valid:  # a frame is affinely independent, as ordered_orbit needs
+                _, linked = ordered_orbit(body, fa)
+                valid = not linked(fb)
             detail = "both tuples are frames and no automorphism links them"
         else:
             raise ValueError("recheck supports spectral and strong-symmetry witnesses")

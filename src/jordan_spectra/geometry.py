@@ -37,8 +37,9 @@ class CapExceeded(GeometryError):
 
 # The one vertex cap: a body with more vertices is refused (CapExceeded)
 # by the group search, the face lattice and the frames, before any work.
-# It bounds the vertex count only, not the work under it: the frames of a
-# simplex grow as 2^n subsets and n! ordered frames.
+# It bounds the vertex count only, not the work under it: the frame
+# subsets of a simplex grow as 2^n, and its ordered frames, which
+# enumerate_frames lists, as n!.
 VERTEX_CAP = 12
 
 
@@ -170,11 +171,14 @@ class _Analysis:
 
     The chart and the facets (``_facets`` of the chart vertices) are set
     when the record is made; the rest is filled on first use.  ``faces`` is
-    the face lattice, ``frames`` maps k to {sorted k-subset: distinguishing
-    submeasurement} over the subsets that are frames, ``generators`` is a
-    strong generating set of the automorphism group with its order, and
-    ``group`` lists the group as their closure, for callers that need
-    every map.
+    the face lattice.  ``facet_effects`` holds the facets' functionals as
+    ambient effects (``operational._facet_effects``), and
+    ``facet_values[w][F]`` is facet F's effect at vertex w.  ``frames``
+    maps k to {sorted k-subset: facet multipliers of a distinguishing
+    submeasurement, one {facet: lam} per state} over the subsets that are
+    frames.  ``generators`` is a strong generating set of the automorphism
+    group with its order, and ``group`` lists the group as the closure of
+    the generators, for callers that need every map.
     No cap is stored: the capped entry points read the record through
     ``_capped_analysis``, which checks the caller's cap on every call.
     """
@@ -183,6 +187,8 @@ class _Analysis:
     chart_vertices: tuple
     facets: dict
     faces: FaceLattice | None = None
+    facet_values: tuple | None = None
+    facet_effects: tuple | None = None
     frames: dict = field(default_factory=dict)
     group: tuple | None = None
     generators: object = None

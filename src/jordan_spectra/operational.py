@@ -7,8 +7,13 @@ submeasurement on two or more states is one small LP in facet multipliers,
 or no LP when some state has no facet to carry its effect.  Effects on an
 EJA state space are algebra elements under the trace pairing with
 eigenvalue-range tests.  Frames are ordered tuples of jointly perfectly
-distinguishable pure states; one k-subset per automorphism orbit is
-decided, and its certificate is moved along the group to the rest.
+distinguishable pure states.  One k-subset per automorphism orbit is
+decided by the LP and its certificate checked exactly; the facet
+multipliers are moved along the group generators to the rest of the
+orbit.  Each generator is checked against the body's table of facet
+values, once per frame size, and a checked generator carries a valid
+certificate onto a valid one, so moved certificates need no check of
+their own.
 
 A k-frame's states are always affinely independent: applying e_k to an
 affine dependence omega_k = sum_j lam_j omega_j gives 1 = 0.  Hence every
@@ -151,9 +156,25 @@ def _facet_effects(poly: Polytope) -> tuple:
     The chart functionals g.x + c go to ambient coordinates through one
     elimination of [chart basis as rows | facet normals as columns]: with
     pivot coordinates P, x_chart = E^T (x - origin)_P and E g is read off
-    the right-hand block.
+    the right-hand block.  Kept on the analysis record.
     """
     rec = _analysis(poly)
+    if rec.facet_effects is None:
+        rec.facet_effects = _ambient_facet_effects(poly, rec)
+    return rec.facet_effects
+
+
+def _facet_values(poly: Polytope) -> tuple:
+    """The facet effects at every vertex, values[w][F] = f_F(v_w), kept on
+    the analysis record."""
+    rec = _analysis(poly)
+    if rec.facet_values is None:
+        effects = _facet_effects(poly)
+        rec.facet_values = tuple(tuple(e(v) for e in effects) for v in poly.vertices)
+    return rec.facet_values
+
+
+def _ambient_facet_effects(poly, rec) -> tuple:
     ch = rec.chart
     if not rec.facets:
         return ()
@@ -277,8 +298,7 @@ def distinguishing_measurement(body, states, tol: float = 1e-9):
         else:
             effects = _facet_effects(body)
             multipliers = _submeasurement(
-                [[e(s) for e in effects] for s in states],
-                [[e(v) for e in effects] for v in body.vertices],
+                [[e(s) for e in effects] for s in states], _facet_values(body)
             )
             if multipliers is None:
                 return NotDistinguishable(reason="no facet multipliers separate the states")
@@ -355,11 +375,15 @@ def is_measurement(body, effects, tol: float = 1e-10) -> bool:
 
 
 def _frame_sets(poly: Polytope, k: int, cap: int) -> dict:
-    """{k-subset: submeasurement} over the vertex subsets that are frames.
+    """{k-subset: facet multipliers} over the vertex subsets that are frames.
 
-    Subsets are sorted index tuples in lex order; the map is kept in the
-    body's analysis record, the cap is checked on every call.
+    Subsets are sorted index tuples in lex order.  A k-frame's value holds
+    one {facet: lam} per state, in subset order, for k >= 2, and is None
+    for k = 1, whose certificate is the unit effect.  The map is kept in
+    the body's analysis record, the cap is checked on every call.
     """
+    if k < 1:
+        raise OperationalError("frame size must be >= 1")
     frames = _capped_analysis(poly, cap).frames
     if k not in frames:
         frames[k] = _find_frame_sets(poly, k)
@@ -372,19 +396,23 @@ def _find_frame_sets(poly: Polytope, k: int) -> dict:
     Every vertex is a 1-frame with the unit effect.  For k >= 2 the least
     subset of each orbit is decided by ``_submeasurement`` (sum rows at
     the vertices off the subset; at the others the equality rows already
-    give 1).  The rest of its orbit is reached breadth-first along the
-    group generators, and each new subset takes its parent's facet
-    multipliers moved along the generator g: f_F o g^-1 = f_gF.  Every
-    moved certificate is checked exactly before it is stored.
+    give 1), and its certificate is checked exactly.  The rest of its
+    orbit is reached breadth-first along the group generators, and each
+    new subset takes its parent's facet multipliers moved along the
+    generator g: f_F o g^-1 = f_gF.  ``_check_generators`` has shown that
+    identity on every vertex for every generator, so a moved certificate
+    takes the same values at the moved vertices as its parent at theirs,
+    and is a submeasurement on the moved states by induction along the
+    orbit tree.
     """
     n = len(poly.vertices)
     if k == 1:
-        unit_cert = (unit_effect(poly),)
-        return {(i,): unit_cert for i in range(n)}
-    effects = _facet_effects(poly)
-    values = [[e(v) for e in effects] for v in poly.vertices]
+        return {(i,): None for i in range(n)}
+    values = _facet_values(poly)
     gens = group_generators(poly)
     perms = gens.permutations
+    _check_generators(values, perms, gens.facet_images)
+    effects = _facet_effects(poly)
     decided = set()
     found = {}
     for rep in itertools.combinations(range(n), k):
@@ -398,8 +426,10 @@ def _find_frame_sets(poly: Polytope, k: int) -> dict:
         if multipliers is None:
             decided.update(image for image, _, _ in tree)
             continue
+        cert = tuple(_effect(effects, lam) for lam in multipliers)
+        _check_submeasurement(poly, [poly.vertices[i] for i in rep], cert)
         by_state = {rep: dict(zip(rep, multipliers))}
-        found[rep] = _certified(poly, effects, rep, by_state[rep])
+        found[rep] = tuple(multipliers)
         for image, parent, g in tree:
             perm, moved = perms[g], gens.facet_images[g]
             by_state[image] = {
@@ -407,7 +437,7 @@ def _find_frame_sets(poly: Polytope, k: int) -> dict:
                 for i, lam_i in by_state[parent].items()
             }
             decided.add(image)
-            found[image] = _certified(poly, effects, image, by_state[image])
+            found[image] = tuple(by_state[image][i] for i in image)
     return dict(sorted(found.items()))
 
 
@@ -415,27 +445,40 @@ def _move_subset(perm, subset):
     return tuple(sorted(perm[i] for i in subset))
 
 
-def _certified(poly, effects, subset, by_state):
-    """The submeasurement with multipliers ``by_state[i]`` for state i,
-    checked exactly."""
-    cert = tuple(_effect(effects, by_state[i]) for i in subset)
-    _check_submeasurement(poly, [poly.vertices[i] for i in subset], cert)
-    return cert
+def _check_generators(values, perms, facet_images):
+    """Raise unless every generator g carries the facet values along:
+    values[g w][gF] = values[w][F] for all w and F.  Then
+    sum_F lam_F f_gF at g w equals sum_F lam_F f_F at w, exactly."""
+    for perm, moved in zip(perms, facet_images):
+        if any(
+            values[perm[w]][moved[f]] != x
+            for w, row in enumerate(values)
+            for f, x in enumerate(row)
+        ):
+            raise OperationalError(
+                f"{perm} does not carry the facet values, so a certificate "
+                "moved along it is not a submeasurement"
+            )
 
 
 def enumerate_frames(poly: Polytope, k: int, cap: int = VERTEX_CAP):
     """All ordered k-frames of vertices, lexicographic on index tuples.
 
     The defining conditions are permutation-symmetric, so one LP per
-    unordered subset suffices; each ordering reuses the permuted
-    certificate.
+    orbit of unordered subsets suffices; each subset's certificate is
+    built from its facet multipliers here, and each ordering reuses it
+    permuted.
     """
     if not isinstance(poly, Polytope):
         raise OperationalError("frame enumeration is for polytopes")
-    if k < 1:
-        raise OperationalError("frame size must be >= 1")
+    sets = _frame_sets(poly, k, cap)
+    effects = _facet_effects(poly) if k > 1 else ()
     frames = []
-    for subset, cert in _frame_sets(poly, k, cap).items():
+    for subset, multipliers in sets.items():
+        if multipliers is None:
+            cert = (unit_effect(poly),)
+        else:
+            cert = tuple(_effect(effects, lam) for lam in multipliers)
         for perm in itertools.permutations(subset):
             reordered = tuple(cert[subset.index(i)] for i in perm)
             states = tuple(poly.vertices[i] for i in perm)
@@ -594,7 +637,7 @@ class EjaFace:
         return int(round(trace(self.idempotent)))
 
 
-def face_of_frame(body, frame):
+def face_of_frame(body, frame, cap: int = VERTEX_CAP):
     """Smallest exposed face containing the frame.
 
     Polytopes: the intersection of the facets that contain the frame's
@@ -603,7 +646,7 @@ def face_of_frame(body, frame):
     """
     if isinstance(body, Polytope):
         indices = frame.indices if isinstance(frame, FrameData) else tuple(frame)
-        lat = exposed_faces(body)
+        lat = exposed_faces(body, cap)
         want = set(indices)
         through = [f.indices for f in lat.facets if want <= set(f.indices)]
         smallest = set(lat.top.indices).intersection(*through)
@@ -624,7 +667,7 @@ def face_of_frame(body, frame):
     raise OperationalError(f"unknown body {type(body).__name__}")
 
 
-def complement_face(body, face):
+def complement_face(body, face, cap: int = VERTEX_CAP):
     """The orthocomplement face.
 
     EJA: the face of u - p, an exact involution.  Polytopes: extend a
@@ -640,13 +683,13 @@ def complement_face(body, face):
         raise OperationalError(f"unknown body {type(body).__name__}")
     if not isinstance(face, Face):
         raise OperationalError("expected a polytope face")
-    lat = exposed_faces(body)
-    r = rank(body)
+    lat = exposed_faces(body, cap)
+    r = rank(body, cap)
     inner_set = ()
     if face.indices:
         for k in range(len(face.indices), 0, -1):
             found = None
-            for s in _frame_sets(body, k, VERTEX_CAP):
+            for s in _frame_sets(body, k, cap):
                 if set(s) <= set(face.indices):
                     found = s
                     break
@@ -654,10 +697,10 @@ def complement_face(body, face):
                 inner_set = found
                 break
     candidates = set()
-    for s in _frame_sets(body, r, VERTEX_CAP):
+    for s in _frame_sets(body, r, cap):
         if set(inner_set) <= set(s):
             rest = tuple(sorted(set(s) - set(inner_set)))
-            candidates.add(face_of_frame(body, rest).indices)
+            candidates.add(face_of_frame(body, rest, cap).indices)
     if not candidates:
         raise OperationalError("face has no maximal-frame extension")
     if len(candidates) > 1:

@@ -2,9 +2,11 @@
 
 Polytope automorphism groups are searched in :mod:`automorphisms` (Gram
 pruning, one basis inverse per body); this module adds the cap, strong
-symmetry and regularity on top of them.  Both verdicts read the strong
-generating set alone: frame orbits are walked along the generators and
-the group order comes with them, so neither lists the group.
+symmetry and regularity on top of them.  Neither verdict lists the group:
+the group order comes with the strong generating set.  Strong symmetry
+counts the orbit of one ordered frame per frame size by orbit-stabilizer,
+and walks the ordered frames along the generators only for a size whose
+frames that orbit does not cover.
 
 EJA transporters follow the classical constructions (conjugation by
 U_B U_A^dagger for the matrix families, cf. Faraut-Koranyi IV.2.7; a
@@ -17,6 +19,7 @@ constructing them outweighs what the checks need.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +36,15 @@ from .algebra import (
     trace,
     unit,
 )
-from .automorphisms import SymmetryError, group_generators, orbit_tree, polytope_group
+from .automorphisms import (
+    SymmetryError,
+    group_generators,
+    orbit_tree,
+    ordered_orbit,
+    polytope_group,
+)
 from .geometry import VERTEX_CAP, Polytope, _capped_analysis, maximal_flags
-from .operational import FrameData, enumerate_frames, rank
+from .operational import _frame_sets, enumerate_frames, rank
 from .spectral import (
     eigenvalues,
     is_primitive_idempotent,
@@ -108,22 +117,35 @@ class StrongSymmetryReport:
 def is_strongly_symmetric(
     poly: Polytope, cap: int = VERTEX_CAP
 ) -> StrongSymmetryReport:
-    """Does the automorphism group act transitively on ordered k-frames?"""
+    """Does the automorphism group act transitively on ordered k-frames?
+
+    The least frame's orbit is counted by ``ordered_orbit``: the k-frames,
+    k! orderings of each frame subset, form one orbit iff that count is
+    their number, and then none is listed.  The count is skipped when
+    their number does not divide |G|.  Otherwise the orbits of the
+    ordered frames are walked along the generators.  Orbits come in the
+    order of their least frames, the witness pair is the least frames of
+    the first two.
+    """
     r = rank(poly, cap)
     gens = group_generators(poly)
     sizes = []
-    transitive = True
     witness = None
     for k in range(1, r + 1):
-        frames = [f.indices for f in enumerate_frames(poly, k, cap)]
-        orbits = _orbits(frames, gens.permutations)
-        sizes.append((k, tuple(len(o) for o in orbits)))
-        if len(orbits) != 1:
-            transitive = False
-            if witness is None:
-                witness = (k, orbits[0][0], orbits[1][0])
+        sets = _frame_sets(poly, k, cap)
+        total = len(sets) * math.factorial(k)
+        first = next(iter(sets))
+        # an orbit's size divides |G|, so one orbit can hold them all only then
+        if gens.order % total == 0 and ordered_orbit(poly, first)[0] == total:
+            orbits = [(first, total)]
+        else:
+            ordered = itertools.chain.from_iterable(map(itertools.permutations, sets))
+            orbits = [(o[0], len(o)) for o in _orbits(ordered, gens.permutations)]
+        sizes.append((k, tuple(size for _, size in orbits)))
+        if len(orbits) > 1 and witness is None:
+            witness = (k, orbits[0][0], orbits[1][0])
     return StrongSymmetryReport(
-        strongly_symmetric=transitive,
+        strongly_symmetric=witness is None,
         group_order=gens.order,
         orbit_sizes_by_k=tuple(sizes),
         witness_pair=witness,
@@ -148,22 +170,23 @@ class FrameFlagReport:
     bijective: bool
 
 
-def frame_flag_bijection(fixture) -> FrameFlagReport:
+def frame_flag_bijection(fixture, cap: int = VERTEX_CAP) -> FrameFlagReport:
     """Check that prefixes of maximal frames biject onto maximal flags.
 
     Accepts a simplex polytope, or a Jordan frame (sequence of primitive
     idempotents) whose sub-frame lattice is used combinatorially.
     """
     if isinstance(fixture, Polytope):
+        _capped_analysis(fixture, cap)
         if len(fixture.vertices) != fixture.dim + 1:
             raise SymmetryError("frame/flag bijection needs a simplex")
-        r = rank(fixture)
-        frames = [f.indices for f in enumerate_frames(fixture, r)]
+        r = rank(fixture, cap)
+        frames = [f.indices for f in enumerate_frames(fixture, r, cap)]
         chains = {
             tuple(tuple(sorted(fr[: i + 1])) for i in range(r)) for fr in frames
         }
         flags = {
-            tuple(f.indices for f in flag) for flag in maximal_flags(fixture)
+            tuple(f.indices for f in flag) for flag in maximal_flags(fixture, cap)
         }
         return FrameFlagReport(
             frames=len(frames), flags=len(flags), bijective=chains == flags

@@ -19,7 +19,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jordan_spectra import classification, exactla, spectral
+from jordan_spectra import (
+    automorphisms,
+    classification,
+    exactla,
+    geometry,
+    operational,
+    spectral,
+    symmetry,
+)
 from jordan_spectra.algebra import AlgebraDescriptor, inner, norm, unit, zero
 from jordan_spectra.classification import (
     ClassificationError,
@@ -51,13 +59,20 @@ from jordan_spectra.geometry import (
     square,
 )
 from jordan_spectra.operational import (
+    complement_face,
     enumerate_frames,
+    face_of_frame,
     is_spectral,
     rank,
     recheck_counterexample,
 )
 from jordan_spectra.spectral import eigenvalues, is_primitive_idempotent, random_jordan_frame
-from jordan_spectra.symmetry import automorphism_group, is_regular, is_strongly_symmetric
+from jordan_spectra.symmetry import (
+    automorphism_group,
+    frame_flag_bijection,
+    is_regular,
+    is_strongly_symmetric,
+)
 
 F = Fraction
 
@@ -410,6 +425,48 @@ def test_converse_catalog_reports_frame_cap_refusal():
     assert entry["witness"]["recheck"] is True
 
 
+def test_simplex_battery_lists_no_group(monkeypatch):
+    # the barycenter check averages the orbit of a vertex, walked along
+    # the generators, and the frame counts come from the spectral verdict
+    def refuse(*args, **kwargs):
+        raise AssertionError("the simplex battery listed the group")
+
+    for module in (automorphisms, symmetry):
+        monkeypatch.setattr(module, "polytope_group", refuse)
+    report = verify_main_theorem_if_direction(4)
+    assert report["all_pass"]
+    assert {c["name"] for c in report["checks"]} >= {
+        "frames_are_ordered_subsets",
+        "barycenter_invariance",
+    }
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda body: face_of_frame(body, (0, 2), cap=7),
+        lambda body: complement_face(body, exposed_faces(body, 7).atoms[0], cap=7),
+        lambda body: frame_flag_bijection(body, cap=7),
+    ],
+    ids=["face_of_frame", "complement_face", "frame_flag_bijection"],
+)
+def test_the_callers_cap_reaches_every_layer(monkeypatch, call):
+    # every layer reads the record through the cap check: each one must
+    # be handed the caller's cap, not the default
+    body = simplex(3)
+    caps = []
+    check = geometry._capped_analysis
+
+    def recorded(poly, cap):
+        caps.append(cap)
+        return check(poly, cap)
+
+    for module in (geometry, operational, symmetry):
+        monkeypatch.setattr(module, "_capped_analysis", recorded)
+    call(body)
+    assert caps and set(caps) == {7}
+
+
 CAPPED_ENTRY_POINTS = {
     "exposed_faces": lambda body: exposed_faces(body, cap=3),
     "maximal_flags": lambda body: maximal_flags(body, cap=3),
@@ -423,6 +480,11 @@ CAPPED_ENTRY_POINTS = {
     "is_strongly_symmetric": lambda body: is_strongly_symmetric(body, cap=3),
     "is_regular": lambda body: is_regular(body, cap=3),
     "fr_section": lambda body: fr_section(body, cap=3),
+    "face_of_frame": lambda body: face_of_frame(body, (0,), cap=3),
+    "complement_face": lambda body: complement_face(
+        body, exposed_faces(body).atoms[0], cap=3
+    ),
+    "frame_flag_bijection": lambda body: frame_flag_bijection(body, cap=3),
 }
 
 

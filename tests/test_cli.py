@@ -119,6 +119,17 @@ def test_strong_symmetry_witness_recheck_and_tamper(runner, tmp_path):
     assert code == 1 and json.loads(outp3)["witness_valid"] is False
 
 
+def test_strong_symmetry_witness_with_frame_size_zero_is_refused(runner, tmp_path):
+    path = write_json(tmp_path, "sq.json", {"type": "named", "name": "square"})
+    code, outp = invoke(runner, "check", "--property", "strong-symmetry", path)
+    doc = json.loads(outp)
+    doc["witness_pair"] = {"k": 0, "frames": [[], []]}
+    bad = write_json(tmp_path, "k0.json", doc)
+    code, outp2 = invoke(runner, "recheck", bad)
+    assert code == 2
+    assert "frame size must be >= 1" in json.loads(outp2)["error"]
+
+
 def test_check_strong_symmetry_eja(runner):
     code, outp = invoke(
         runner,

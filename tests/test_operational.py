@@ -445,6 +445,72 @@ def test_one_lp_per_orbit_representative_that_passes_the_facet_test(monkeypatch,
         assert len(lps) - before == len(passing), k
 
 
+def _count_exact_checks(monkeypatch):
+    calls = []
+    check = operational._check_submeasurement
+
+    def counted(poly, states, effects):
+        calls.append(tuple(states))
+        return check(poly, states, effects)
+
+    monkeypatch.setattr(operational, "_check_submeasurement", counted)
+    return calls
+
+
+def test_one_exact_check_per_frame_orbit_representative(monkeypatch):
+    # simplex(6): one orbit of k-subsets for each k = 2..7, each one a
+    # frame; the 2^7 - 8 moved subsets take no check of their own
+    geometry._analysis.cache_clear()
+    checks = _count_exact_checks(monkeypatch)
+    body = simplex(6)
+    assert rank(body) == 7
+    assert len(checks) == 6
+    assert [len(states) for states in checks] == [2, 3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("make", [square, hexagon, octahedron, pentagon])
+def test_exact_checks_match_the_frame_orbits_of_the_brute_force_group(monkeypatch, make):
+    geometry._analysis.cache_clear()
+    body = make()
+    group = [g[0] for g in brute_force_automorphisms(chart(body), chart_vertices(body))]
+    checks = _count_exact_checks(monkeypatch)
+    sets = frame_sets(body, 2)
+    orbits = {frozenset(tuple(sorted(g[i] for i in s)) for g in group) for s in sets}
+    assert len(checks) == len(orbits)
+
+
+@pytest.mark.parametrize(
+    "make,k",
+    [(lambda: simplex(5), 3), (hexagonal_prism, 2), (cube, 2)],
+    ids=["simplex5", "prism", "cube"],
+)
+def test_moved_certificates_pass_the_exact_check(make, k):
+    # only orbit representatives are checked when frames are found; every
+    # certificate handed out must still pass the ambient check
+    body = make()
+    frames = enumerate_frames(body, k)
+    assert frames
+    for f in frames:
+        operational._check_submeasurement(body, f.states, f.certificate)
+
+
+def test_distinguishing_measurement_reads_the_facets_from_the_record(monkeypatch):
+    body = pentagon()
+    states = (body.vertices[0], body.vertices[2])
+    first = distinguishing_measurement(body, states)
+    rec = geometry._analysis(body)
+    effects, table = rec.facet_effects, rec.facet_values
+    assert effects is not None and table is not None
+
+    def refuse(*args):
+        raise AssertionError("the facet effects were rebuilt")
+
+    monkeypatch.setattr(operational, "_ambient_facet_effects", refuse)
+    monkeypatch.setattr(operational, "_eliminate", refuse)
+    assert distinguishing_measurement(body, states) == first
+    assert rec.facet_effects is effects and rec.facet_values is table
+
+
 def cross_polytope(d):
     return polytope(
         [tuple(s * int(i == j) for j in range(d)) for i in range(d) for s in (1, -1)]

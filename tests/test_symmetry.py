@@ -67,10 +67,9 @@ from jordan_spectra.geometry import (
     simplex,
     square,
 )
-from jordan_spectra import automorphisms, geometry, symmetry
+from jordan_spectra import automorphisms, geometry, operational, symmetry
 from jordan_spectra.automorphisms import group_generators, orbit_tree
 from jordan_spectra.operational import (
-    FrameData,
     enumerate_frames,
     is_spectral,
     recheck_counterexample,
@@ -488,19 +487,83 @@ def test_strong_symmetry_passes_its_cap_to_the_frame_layer(monkeypatch):
         caps.append(("rank", cap))
         return 1
 
-    def fake_frames(poly, k, cap):
+    def fake_frame_sets(poly, k, cap):
         caps.append(("frames", cap))
-        return tuple(
-            FrameData(states=(v,), indices=(i,), certificate=())
-            for i, v in enumerate(poly.vertices)
-        )
+        return {(i,): None for i in range(len(poly.vertices))}
 
     monkeypatch.setattr(symmetry, "rank", fake_rank)
-    monkeypatch.setattr(symmetry, "enumerate_frames", fake_frames)
+    monkeypatch.setattr(symmetry, "_frame_sets", fake_frame_sets)
     report = is_strongly_symmetric(body, 24)
     assert caps == [("rank", 24), ("frames", 24)]
     assert report.group_order == 384
     assert report.orbit_sizes_by_k == ((1, (16,)),)
+
+
+def test_strong_symmetry_of_a_large_simplex_lists_no_frames(monkeypatch):
+    # simplex(8): 9! automorphisms and 986,409 ordered frames, counted by
+    # orbit-stabilizer from one stabilizer chain per k
+    def refuse(*args, **kwargs):
+        raise AssertionError("strong symmetry listed frames or the group")
+
+    for module in (operational, symmetry):
+        monkeypatch.setattr(module, "enumerate_frames", refuse)
+    for module in (automorphisms, symmetry):
+        monkeypatch.setattr(module, "polytope_group", refuse)
+    report = is_strongly_symmetric(simplex(8))
+    assert report.strongly_symmetric and report.witness_pair is None
+    assert report.group_order == math.factorial(9)
+    assert report.orbit_sizes_by_k == tuple((k, (math.perm(9, k),)) for k in range(1, 10))
+
+
+@pytest.mark.parametrize("make", [square, hexagon, octahedron, pentagon, trapezoid])
+def test_ordered_orbit_sizes_match_the_brute_force_group(make):
+    body = make()
+    group = [g[0] for g in brute_force_automorphisms(chart(body), chart_vertices(body))]
+    frames = [f.indices for f in enumerate_frames(body, 2)]
+    for frame in frames:
+        size, contains = automorphisms.ordered_orbit(body, frame)
+        orbit = {tuple(g[i] for i in frame) for g in group}
+        assert size == len(orbit)
+        assert [contains(other) for other in frames] == [other in orbit for other in frames]
+
+
+def mirrored_paraboloid():
+    # ten points on z = x^2 + y^2, closed under x -> -x: a group of order 2
+    rng = random.Random(0)
+    pts = set()
+    while len(pts) < 5:
+        pts.add((rng.randint(1, 9), rng.randint(-9, 9)))
+    return polytope(
+        [(s * x, y, x * x + y * y) for s in (1, -1) for x, y in sorted(pts)]
+    )
+
+
+@pytest.mark.parametrize(
+    "make,counted",
+    [(lambda: simplex(4), 5), (square, 1), (trapezoid, 0), (mirrored_paraboloid, 0)],
+    ids=["simplex4", "square", "trapezoid", "mirrored"],
+)
+def test_strong_symmetry_counts_at_most_one_orbit_per_frame_size(monkeypatch, make, counted):
+    # the least frame's orbit is counted once per k, and only when the
+    # ordered k-frames could form one orbit; the rest are walked
+    body = make()
+    calls = []
+    count = automorphisms.ordered_orbit
+    monkeypatch.setattr(
+        symmetry, "ordered_orbit", lambda poly, frame: calls.append(frame) or count(poly, frame)
+    )
+    report = is_strongly_symmetric(body)
+    assert len(calls) == counted
+    group = [g.permutation for g in automorphism_group(body)]
+    for k, sizes in report.orbit_sizes_by_k:
+        frames = sorted(f.indices for f in enumerate_frames(body, k))
+        orbits, seen = [], set()
+        for f in frames:
+            if f not in seen:
+                orbit = {tuple(g[i] for i in f) for g in group}
+                seen |= orbit
+                orbits.append(len(orbit))
+        assert sizes == tuple(orbits)
 
 
 def test_trapezoid_not_regular():
