@@ -20,6 +20,11 @@ embedding, a+bi+cj+dk -> [[a+bi, c+di], [-c+di, a-bi]] applied entrywise
 (3, 3, 8) component arrays multiplied with the Cayley-Dickson table.  The
 herm_o product itself contracts coefficient rows with the algebra's
 27 x 27 x 27 structure constants, built from those arrays on first use.
+
+Frames and other stacks of elements are handled as (n, dim) arrays of
+coefficient rows; `jordan_product`, `trace`, `inner` and `norm` are the
+one-row cases of their `_rows` functions, so every family has one product
+path.
 """
 
 from __future__ import annotations
@@ -137,6 +142,11 @@ class EjaElement:
         )
 
 
+def coefficient_rows(elements) -> np.ndarray:
+    """The elements' coefficient vectors as the rows of one (n, dim) array."""
+    return np.array([c.coeffs for c in elements])
+
+
 def _same_algebra(a: EjaElement, b: EjaElement):
     if a.algebra != b.algebra:
         raise ValueError(
@@ -212,15 +222,16 @@ def from_matrix(alg: AlgebraDescriptor, mat: np.ndarray) -> EjaElement:
 
 
 def j_twin(v: np.ndarray) -> np.ndarray:
-    """The twin J conj(v) of a vector v in C^2m, J = kron(I_m, [[0, 1], [-1, 0]]).
+    """The twin J conj(v) of a vector v in C^2m, J = kron(I_m, [[0, 1], [-1, 0]]);
+    of each row for a stack of vectors (..., 2m).
 
     Every herm_h matrix X satisfies J conj(X) = X J, so the twin of an
     eigenvector of X is an eigenvector for the same eigenvalue, orthogonal
     to v; the twin of the twin is -v.
     """
     twin = np.empty(v.shape, dtype=complex)
-    twin[0::2] = np.conj(v[1::2])
-    twin[1::2] = -np.conj(v[0::2])
+    twin[..., 0::2] = np.conj(v[..., 1::2])
+    twin[..., 1::2] = -np.conj(v[..., 0::2])
     return twin
 
 
@@ -242,21 +253,42 @@ def zero(alg: AlgebraDescriptor) -> EjaElement:
 # -- the product and trace form ------------------------------------------------
 
 def jordan_product(a: EjaElement, b: EjaElement) -> EjaElement:
-    """x * y: (xy + yx)/2 for matrix families, the spin product for spin."""
+    """x * y: (xy + yx)/2 for matrix families, the spin product for spin.
+
+    The one-row case of `jordan_product_rows`.
+    """
     _same_algebra(a, b)
     alg = a.algebra
-    if alg.family == "spin":
-        n = alg.param
-        x, s = a.coeffs[:n], a.coeffs[n]
-        y, t = b.coeffs[:n], b.coeffs[n]
-        out = np.empty(n + 1)
-        out[:n] = t * x + s * y
-        out[n] = float(np.dot(x, y)) + s * t
-        return EjaElement(alg, out)
+    return EjaElement(alg, jordan_product_rows(alg, a.coeffs[None], b.coeffs[None])[0])
+
+
+def jordan_product_rows(alg: AlgebraDescriptor, x, y=None) -> np.ndarray:
+    """Jordan products x[k] * y[k] of coefficient rows (n x dim), as n x dim.
+
+    The closed form for spin, `herm_o_product_rows` for herm_o, and for the
+    matrix families one stacked (xy + yx)/2 of the stored matrices projected
+    back onto coefficients.  The sum is formed in the same order for x * y
+    and y * x, so the product is exactly commutative.  With y omitted the
+    rows are squared, in the same floats as x * x.
+    """
+    x = np.asarray(x, dtype=float)
     if alg.family == "herm_o":
-        return EjaElement(alg, herm_o_product_rows(a.coeffs[None], b.coeffs[None])[0])
-    xa, xb = to_matrix(a), to_matrix(b)
-    return from_matrix(alg, (xa @ xb + xb @ xa) / 2.0)
+        return herm_o_product_rows(x, y)
+    if alg.family == "spin":
+        y = x if y is None else np.asarray(y, dtype=float)
+        n = alg.param
+        out = np.empty(x.shape)
+        out[:, :n] = y[:, n:] * x[:, :n] + x[:, n:] * y[:, :n]
+        out[:, n] = (x * y).sum(axis=1)
+        return out
+    basis, dual, shape = _matrix_basis(alg)
+    xa = (x @ basis).reshape((len(x),) + shape)
+    if y is None:
+        prod = xa @ xa
+    else:
+        xb = (np.asarray(y, dtype=float) @ basis).reshape(xa.shape)
+        prod = (xa @ xb + xb @ xa) / 2.0
+    return np.real(prod.reshape(len(x), -1) @ dual.T)
 
 
 @lru_cache(maxsize=1)
@@ -301,26 +333,39 @@ def herm_o_product_rows(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarra
 
 def trace(x: EjaElement) -> float:
     """Sum of eigenvalues; for matrices the (real) diagonal sum."""
-    alg = x.algebra
+    return float(trace_rows(x.algebra, x.coeffs[None])[0])
+
+
+def trace_rows(alg: AlgebraDescriptor, x) -> np.ndarray:
+    """Traces of coefficient rows (n x dim): twice the last coefficient for
+    spin, else the sum of the first ``param``, the diagonal basis members."""
     if alg.family == "spin":
-        return 2.0 * float(x.coeffs[-1])
-    # diagonal basis members are the first `param` coefficients
-    return float(np.sum(x.coeffs[: alg.param]))
+        return 2.0 * x[:, -1]
+    return x[:, : alg.param].sum(axis=1)
 
 
 def inner(x: EjaElement, y: EjaElement) -> float:
-    """The trace form (x, y) = tr(x * y)."""
+    """The trace form (x, y) = tr(x * y), the one-row case of `gram_rows`."""
     _same_algebra(x, y)
-    alg = x.algebra
-    if alg.family == "spin":
-        n = alg.param
-        return 2.0 * float(np.dot(x.coeffs[:n], y.coeffs[:n]) + x.coeffs[n] * y.coeffs[n])
-    # basis is orthonormal for the trace form
-    return float(np.dot(x.coeffs, y.coeffs))
+    return float(gram_rows(x.algebra, x.coeffs[None], y.coeffs[None])[0, 0])
+
+
+def gram_rows(alg: AlgebraDescriptor, x, y=None) -> np.ndarray:
+    """Trace-form Gram matrix [(x[i], y[j])] of coefficient rows; y defaults
+    to x.  The basis is orthonormal for the form, so this is x y^T, doubled
+    for spin's natural coordinates."""
+    g = x @ (x if y is None else y).T
+    return 2.0 * g if alg.family == "spin" else g
+
+
+def norm_rows(alg: AlgebraDescriptor, x) -> np.ndarray:
+    """Trace-form norms of coefficient rows, the roots of the Gram diagonal."""
+    return np.sqrt(gram_rows(alg, x).diagonal())
 
 
 def norm(x: EjaElement) -> float:
-    return float(np.sqrt(max(inner(x, x), 0.0)))
+    """The trace-form norm, the one-row case of `norm_rows`."""
+    return float(norm_rows(x.algebra, x.coeffs[None])[0])
 
 
 def power(x: EjaElement, k: int) -> EjaElement:

@@ -37,7 +37,8 @@ import numpy as np
 from .algebra import (
     AlgebraDescriptor,
     EjaElement,
-    inner,
+    coefficient_rows,
+    gram_rows,
     norm,
     unit,
 )
@@ -455,9 +456,7 @@ def section_sample_check(
     """
     if isinstance(section.basis[0], EjaElement):
         alg = section.basis[0].algebra
-        frame = np.stack([c.coeffs for c in section.basis])
-        # the trace form is the dot product of coefficients, doubled on spin
-        dual = frame * (2.0 if alg.family == "spin" else 1.0)
+        frame = coefficient_rows(section.basis)
         rng = np.random.default_rng(seed)
         hits = 0
         worst = math.inf
@@ -469,7 +468,7 @@ def section_sample_check(
                 1.0 + np.abs(a).max(axis=1)
             )
             if inside.any():
-                worst = min(worst, float((x[inside] @ dual.T).min()))
+                worst = min(worst, float(gram_rows(alg, x[inside], frame).min()))
                 hits += int(inside.sum())
         if hits == 0:
             raise ClassificationError("no cone hits; widen the sampler")
@@ -516,16 +515,12 @@ def _eja_battery(desc: AlgebraDescriptor, trials: int, seed: int) -> list:
         worst_recon = max(
             worst_recon, norm(dec.reconstruct() - x) / (1.0 + norm(x))
         )
-        frame = dec.frame
-        if len(frame) != r:
+        rows = coefficient_rows(dec.frame)
+        if len(rows) != r:
             rank_consistent = False
-        total = None
-        for i, ci in enumerate(frame):
-            total = ci if total is None else total + ci
-            for j in range(i, len(frame)):
-                target = 1.0 if i == j else 0.0
-                worst_orth = max(worst_orth, abs(inner(ci, frame[j]) - target))
-        worst_sum = max(worst_sum, norm(total - u))
+        gram = gram_rows(desc, rows)
+        worst_orth = max(worst_orth, float(np.abs(gram - np.eye(len(rows))).max()))
+        worst_sum = max(worst_sum, norm(EjaElement(desc, rows.sum(axis=0)) - u))
     checks.append(
         _check(
             "spectral_decomposition",

@@ -28,7 +28,9 @@ eigenvalues overflow.
 
 A decomposition carries the fine frame (not canonical when eigenvalues
 repeat) and the coarse decomposition by distinct eigenvalues, which is
-unique.
+unique.  Every decomposition builds its fine frame as one (r, dim) array
+of coefficient rows.  `is_idempotent` and `is_primitive_idempotent` are the
+one-row cases of `idempotent_rows` and `primitive_rows`.
 """
 
 from __future__ import annotations
@@ -43,17 +45,19 @@ from .algebra import (
     AlgebraDescriptor,
     EjaElement,
     _matrix_basis,
-    from_matrix,
+    coefficient_rows,
     herm_o_product_rows,
     inner,
     j_twin,
     jordan_product,
+    jordan_product_rows,
     norm,
+    norm_rows,
     quadratic_rep,
     to_matrix,
     trace,
+    trace_rows,
     unit,
-    zero,
 )
 
 DEFAULT_TOL = 1e-10
@@ -78,11 +82,9 @@ class SpectralDecomposition:
     coarse: list  # [(eigenvalue, idempotent)], distinct values descending
 
     def reconstruct(self) -> EjaElement:
-        alg = self.frame[0].algebra
-        out = zero(alg)
-        for lam, c in zip(self.eigenvalues, self.frame):
-            out = out + float(lam) * c
-        return out
+        """sum lambda_i c_i."""
+        rows = coefficient_rows(self.frame)
+        return EjaElement(self.frame[0].algebra, self.eigenvalues @ rows)
 
 
 # -- per-family fine decompositions ---------------------------------------------
@@ -93,24 +95,29 @@ def _eigh_descending(a: np.ndarray):
     return w[::-1], v[:, ::-1]
 
 
+def _projector_rows(alg: AlgebraDescriptor, vecs: np.ndarray) -> np.ndarray:
+    """Coefficient rows (k, dim) of the projectors onto the spans of a stack
+    of orthonormal vector blocks (k, j, size), sum v v^H over each block's
+    j vectors; each row is the same floats as projecting its one projector
+    on its own."""
+    _, dual, _ = _matrix_basis(alg)
+    proj = (vecs[:, :, :, None] * np.conj(vecs[:, :, None, :])).sum(axis=1)
+    rows = np.real(dual @ proj.reshape(len(vecs), -1, 1))[:, :, 0]
+    return np.ascontiguousarray(rows)
+
+
 def _fine_matrix(x: EjaElement):
     """sym_r and herm_c: the frame is v v^H over the eigenvectors of x."""
     w, v = _eigh_descending(to_matrix(x))
-    frame = [
-        from_matrix(x.algebra, np.outer(v[:, i], np.conj(v[:, i])))
-        for i in range(len(w))
-    ]
-    return list(w), frame
+    return w, _projector_rows(x.algebra, v.T[:, None, :])
 
 
 def _fine_herm_h(x: EjaElement, tol: float):
-    alg = x.algebra
     w, v = _eigh_descending(to_matrix(x))
     ctol = tol * (1.0 + float(np.max(np.abs(w))))
     # cluster the 2m eigenvalues, then peel J-pairs inside each cluster
-    clusters = _cluster_indices(w, ctol)
-    values, frame = [], []
-    for idx in clusters:
+    pairs = []
+    for idx in _cluster_indices(w, ctol):
         cols = v[:, idx]
         while cols.shape[1] > 0:
             vec = cols[:, 0]
@@ -121,23 +128,24 @@ def _fine_herm_h(x: EjaElement, tol: float):
             if nrm < 0.5:
                 raise SpectralError("quaternionic J-pairing degenerated", residual=nrm)
             twin = twin / nrm
-            proj = np.outer(vec, np.conj(vec)) + np.outer(twin, np.conj(twin))
-            c = from_matrix(alg, proj)
-            frame.append(c)
-            values.append(inner(x, c))
-            # remove the pair from the cluster basis
+            pairs.append((vec, twin))
+            # remove the pair from the cluster basis; no singular value of
+            # the rest exceeds its Frobenius norm, so at most 0.5 leaves none
             rest = cols - np.outer(vec, np.conj(vec) @ cols) - np.outer(
                 twin, np.conj(twin) @ cols
             )
+            if np.vdot(rest, rest).real <= 0.25:
+                break
             u_mat, sv, _ = np.linalg.svd(rest, full_matrices=False)
             cols = u_mat[:, sv > 0.5]
-    order = np.argsort(-np.asarray(values), kind="stable")
-    return [values[i] for i in order], [frame[i] for i in order]
+    rows = _projector_rows(x.algebra, np.array(pairs))
+    # the basis is orthonormal for the trace form: the values are (x, c),
+    # one dot product each, so a tie within a cluster orders as `inner` does
+    return [np.dot(x.coeffs, row) for row in rows], rows
 
 
 def _fine_spin(x: EjaElement, tol: float):
-    alg = x.algebra
-    n = alg.param
+    n = x.algebra.param
     w, t = x.coeffs[:n], float(x.coeffs[n])
     nw = float(np.linalg.norm(w))
     ctol = tol * (1.0 + abs(t) + nw)
@@ -146,9 +154,10 @@ def _fine_spin(x: EjaElement, tol: float):
         axis[0] = 1.0
     else:
         axis = w / nw
-    cp = np.concatenate([axis / 2.0, [0.5]])
-    cm = np.concatenate([-axis / 2.0, [0.5]])
-    return [t + nw, t - nw], [EjaElement(alg, cp), EjaElement(alg, cm)]
+    rows = np.full((2, n + 1), 0.5)
+    rows[0, :n] = axis / 2.0
+    rows[1, :n] = -axis / 2.0
+    return [t + nw, t - nw], rows
 
 
 # cos(theta - 2 pi k / 3), k = 0, 1, 2, gives the three trigonometric roots
@@ -251,17 +260,19 @@ def _herm_o_coarse(x: EjaElement, tol: float):
     return out
 
 
-def _fine_herm_o(x: EjaElement, tol: float, rng: np.random.Generator):
+def _fine_herm_o(x: EjaElement, tol: float, seed: int):
     values, frame = [], []
     for lam, mult, idem in _herm_o_coarse(x, tol):
         if mult == 1:
             values.append(lam)
             frame.append(idem)
         else:
+            # at most one eigenvalue of a rank-3 algebra repeats
+            rng = np.random.default_rng(seed)
             for piece in _refine_idempotent(idem, mult, tol, rng):
                 values.append(lam)
                 frame.append(piece)
-    return values, frame
+    return values, coefficient_rows(frame)
 
 
 def _refine_idempotent(c: EjaElement, k: int, tol: float, rng: np.random.Generator):
@@ -293,15 +304,14 @@ def _refine_idempotent(c: EjaElement, k: int, tol: float, rng: np.random.Generat
                 ok = False  # piece straddles the face boundary
                 break
         if ok and len(pieces) == k:
-            total = pieces[0]
-            for piece in pieces[1:]:
-                total = total + piece
+            total = EjaElement(alg, coefficient_rows(pieces).sum(axis=0))
             if norm(total - c) <= 1e-7 * (1.0 + norm(c)):
                 return pieces
     raise SpectralError("idempotent refinement retry cap exceeded for trace %d" % k)
 
 
-def _fine_for(x: EjaElement, tol: float, rng: np.random.Generator):
+def _fine_for(x: EjaElement, tol: float, seed: int):
+    """(values, frame rows): the fine frame as an (r, dim) coefficient array."""
     fam = x.algebra.family
     if fam in ("sym_r", "herm_c"):
         return _fine_matrix(x)
@@ -309,7 +319,7 @@ def _fine_for(x: EjaElement, tol: float, rng: np.random.Generator):
         return _fine_herm_h(x, tol)
     if fam == "spin":
         return _fine_spin(x, tol)
-    return _fine_herm_o(x, tol, rng)
+    return _fine_herm_o(x, tol, seed)
 
 
 # -- clustering and assembly -----------------------------------------------------
@@ -385,27 +395,27 @@ def spectral_decompose(
         lams = _upscaled([lam for lam, _ in dec.coarse], k)
         coarse = [(lam, idem) for lam, (_, idem) in zip(lams, dec.coarse)]
         return SpectralDecomposition(np.asarray(values), dec.frame, coarse)
-    rng = np.random.default_rng(seed)
-    values, frame = _fine_for(x, tol, rng)
+    values, rows = _fine_for(x, tol, seed)
     values = [float(v) for v in values]
     order = sorted(range(len(values)), key=lambda i: -values[i])
     values = [values[i] for i in order]
-    frame = [frame[i] for i in order]
     w = np.asarray(values)
-    ctol = tol * (1.0 + (float(np.max(np.abs(w))) if len(w) else 0.0))
+    rows = rows[order]
+    alg = x.algebra
+    frame = [EjaElement(alg, row) for row in rows]
+    ctol = tol * (1.0 + max(map(abs, values)))
     coarse = []
-    for idx in _cluster_indices(w, ctol):
-        lam = float(np.mean(w[idx]))
-        idem = frame[idx[0]]
-        for i in idx[1:]:
-            idem = idem + frame[i]
-        coarse.append((lam, idem))
-    dec = SpectralDecomposition(np.asarray(values), frame, coarse)
-    resid = norm(dec.reconstruct() - x)
+    for idx in _cluster_indices(values, ctol):
+        lam = sum(values[i] for i in idx) / len(idx)
+        if len(idx) == 1:
+            coarse.append((lam, frame[idx[0]]))
+        else:
+            coarse.append((lam, EjaElement(alg, rows[idx].sum(axis=0))))
+    resid = float(norm_rows(alg, (w @ rows - x.coeffs)[None])[0])
     # written so that a NaN residual fails too
     if not resid <= max(tol, 1e-9) * (1.0 + size):
         raise SpectralError("spectral reconstruction failed", residual=resid)
-    return dec
+    return SpectralDecomposition(w, frame, coarse)
 
 
 def eigenvalue_rows(alg: AlgebraDescriptor, rows) -> np.ndarray:
@@ -462,13 +472,25 @@ def eigenvalues(x: EjaElement) -> np.ndarray:
 
 # -- predicates ------------------------------------------------------------------
 
+def idempotent_rows(alg: AlgebraDescriptor, rows, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Which coefficient rows c have |c * c - c| <= tol; NaN fails."""
+    return norm_rows(alg, jordan_product_rows(alg, rows) - rows) <= tol
+
+
+def primitive_rows(alg: AlgebraDescriptor, rows, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Which coefficient rows are primitive idempotents: in these algebras
+    exactly the idempotents with |tr c - 1| <= tol."""
+    return idempotent_rows(alg, rows, tol) & (np.abs(trace_rows(alg, rows) - 1.0) <= tol)
+
+
 def is_idempotent(x: EjaElement, tol: float = DEFAULT_TOL) -> bool:
-    return norm(jordan_product(x, x) - x) <= tol
+    """The one-row case of `idempotent_rows`."""
+    return bool(idempotent_rows(x.algebra, x.coeffs[None], tol)[0])
 
 
 def is_primitive_idempotent(x: EjaElement, tol: float = DEFAULT_TOL) -> bool:
-    # primitive idempotents are exactly the trace-1 ones in these algebras
-    return is_idempotent(x, tol) and abs(trace(x) - 1.0) <= tol
+    """The one-row case of `primitive_rows`."""
+    return bool(primitive_rows(x.algebra, x.coeffs[None], tol)[0])
 
 
 # -- random generators -------------------------------------------------------------

@@ -11,9 +11,10 @@ frames that orbit does not cover.
 EJA transporters follow the classical constructions (conjugation by
 U_B U_A^dagger for the matrix families, cf. Faraut-Koranyi IV.2.7; a
 Householder reflection of the ball part for spin factors), each stored as
-the real linear map it induces on coefficients.  The
-octonionic algebra is not supported: its automorphisms live in F4 and
-constructing them outweighs what the checks need.
+the real linear map it induces on coefficients.  Frames are checked and
+transported as (r, dim) arrays of coefficient rows.  The octonionic
+algebra is not supported: its automorphisms live in F4 and constructing
+them outweighs what the checks need.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ from .algebra import (
     AlgebraDescriptor,
     EjaElement,
     _matrix_basis,
+    coefficient_rows,
+    gram_rows,
     inner,
     j_twin,
-    jordan_product,
+    jordan_product_rows,
     norm,
-    to_matrix,
+    norm_rows,
     trace,
     unit,
 )
@@ -46,8 +49,9 @@ from .automorphisms import (
 from .geometry import VERTEX_CAP, Polytope, _capped_analysis, maximal_flags
 from .operational import _frame_sets, enumerate_frames, rank
 from .spectral import (
-    eigenvalues,
+    eigenvalue_rows,
     is_primitive_idempotent,
+    primitive_rows,
     random_jordan_frame,
     spectral_decompose,
 )
@@ -235,10 +239,15 @@ def frame_flag_bijection(fixture, cap: int = VERTEX_CAP) -> FrameFlagReport:
 
 @dataclass(frozen=True, eq=False)
 class EjaAutomorphism:
-    """Jordan automorphism as a real dim x dim map M on coefficients: x -> M x."""
+    """Jordan automorphism as a real dim x dim map M on coefficients: x -> M x.
+
+    ``residual`` is the worst trace-form distance |M a_i - b_i| over the
+    frames the map was built to transport, 0 for a map given directly.
+    """
 
     algebra: AlgebraDescriptor
     M: np.ndarray
+    residual: float = 0.0
 
     def apply(self, x: EjaElement) -> EjaElement:
         if x.algebra != self.algebra:
@@ -246,54 +255,54 @@ class EjaAutomorphism:
         return EjaElement(self.algebra, self.M @ x.coeffs)
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    for comp in v:
-        if abs(comp) > 1e-8:
-            phase = comp / abs(comp)
-            return v / phase
-    raise SymmetryError("zero eigenvector")
+def _distinguished_columns(alg: AlgebraDescriptor, rows: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the ranges of a frame's idempotents, in
+    frame order, phase-fixed.
 
-
-def _distinguished_columns(alg: AlgebraDescriptor, idem: EjaElement) -> np.ndarray:
-    """Orthonormal column(s) spanning the idempotent's range, phase-fixed.
-
-    The first entry above 1e-8 in size is made real positive.  A herm_h
-    range is the span of an eigenvector v and its twin, where LAPACK's
-    choice of v turns on rounding (even on the sign of a zero); mixing in
-    the twin makes the first quaternionic entry (v_2i, v_2i+1) real
-    positive, so the columns depend on the idempotent alone.
+    Each range is spanned by the top eigenvector v of its idempotent, whose
+    first entry above 1e-8 in size is made real positive.  A herm_h range
+    is the span of v and its twin, where LAPACK's choice of v turns on
+    rounding (even on the sign of a zero); mixing in the twin makes the
+    first quaternionic entry (v_2i, v_2i+1) real positive, so the columns
+    depend on the idempotents alone.
     """
-    _, vecs = np.linalg.eigh(to_matrix(idem))
-    v = vecs[:, -1]
+    basis, _, shape = _matrix_basis(alg)
+    v = np.linalg.eigh((rows @ basis).reshape((len(rows),) + shape))[1][:, :, -1]
+    if alg.family == "herm_h":
+        # the size of each quaternionic entry (v_2i, v_2i+1)
+        size = np.hypot(np.abs(v[:, 0::2]), np.abs(v[:, 1::2]))
+    else:
+        size = np.abs(v)
+    big = size > 1e-8
+    if not big.any(axis=1).all():
+        raise SymmetryError("zero eigenvector")
+    first = (np.arange(len(v)), big.argmax(axis=1))
     if alg.family != "herm_h":
-        return _fix_phase(v)[:, None]
-    twin = j_twin(v)
-    for a, b in zip(v[0::2], v[1::2]):
-        size = np.hypot(abs(a), abs(b))
-        if size > 1e-8:
-            v = (np.conj(a) * v + b * twin) / size
-            return np.stack([v, j_twin(v)], axis=1)
-    raise SymmetryError("zero eigenvector")
+        return (v / (v[first] / size[first])[:, None]).T
+    a, b, s = v[:, 0::2][first], v[:, 1::2][first], size[first]
+    v = (np.conj(a)[:, None] * v + b[:, None] * j_twin(v)) / s[:, None]
+    # columns v_0, twin_0, v_1, twin_1, ...
+    return np.stack([v, j_twin(v)], axis=1).reshape(-1, v.shape[1]).T
 
 
-def _check_jordan_frame(alg: AlgebraDescriptor, frame, tol: float = 1e-8):
+def _check_jordan_frame(alg: AlgebraDescriptor, frame, tol: float = 1e-8) -> np.ndarray:
+    """The frame's coefficient rows (r, dim), after checking that it is a
+    Jordan frame: r primitive idempotents, pairwise orthogonal for the trace
+    form, summing to the unit, each within tol; NaN fails every test."""
     frame = tuple(frame)
     if len(frame) != alg.rank:
         raise SymmetryError("frame length differs from the rank")
-    for c in frame:
-        if c.algebra != alg:
-            raise SymmetryError("frame element from a different algebra")
-        if not is_primitive_idempotent(c, tol=tol):
-            raise SymmetryError("frame element is not a primitive idempotent")
-    for a, b in itertools.combinations(frame, 2):
-        if abs(inner(a, b)) > tol:
-            raise SymmetryError("frame elements are not orthogonal")
-    total = frame[0]
-    for c in frame[1:]:
-        total = total + c
-    if norm(total - unit(alg)) > tol:
+    if any(c.algebra != alg for c in frame):
+        raise SymmetryError("frame element from a different algebra")
+    rows = coefficient_rows(frame)
+    if not primitive_rows(alg, rows, tol).all():
+        raise SymmetryError("frame element is not a primitive idempotent")
+    gram = gram_rows(alg, rows)
+    if not (np.abs(gram - np.diag(gram.diagonal())) <= tol).all():
+        raise SymmetryError("frame elements are not orthogonal")
+    if not norm(EjaElement(alg, rows.sum(axis=0)) - unit(alg)) <= tol:
         raise SymmetryError("frame does not sum to the unit")
-    return frame
+    return rows
 
 
 def jordan_frame_transporter(
@@ -304,18 +313,19 @@ def jordan_frame_transporter(
     Matrix families conjugate by U = U_B U_A^dagger built from the
     distinguished eigenvectors (quaternionic twins for herm_h); spin uses
     the Householder reflection of the ball part.  Verifies the residuals,
-    unit preservation, trace-form orthogonality and cone preservation.
+    unit preservation, trace-form orthogonality and cone preservation, and
+    keeps the worst frame residual on the map.
     """
     if alg.family == "herm_o":
         raise UnsupportedFamily(
             "octonionic transporters (F4 elements) are not constructed"
         )
-    frame_a = _check_jordan_frame(alg, frame_a)
-    frame_b = _check_jordan_frame(alg, frame_b)
+    rows_a = _check_jordan_frame(alg, frame_a)
+    rows_b = _check_jordan_frame(alg, frame_b)
     if alg.family == "spin":
         n = alg.param
-        x = frame_a[0].coeffs[:n] * 2.0
-        y = frame_b[0].coeffs[:n] * 2.0
+        x = rows_a[0, :n] * 2.0
+        y = rows_b[0, :n] * 2.0
         if np.linalg.norm(x - y) <= 1e-12:
             h = np.eye(n)
         else:
@@ -324,54 +334,51 @@ def jordan_frame_transporter(
             h = np.eye(n) - 2.0 * np.outer(d, d)
         m = np.eye(alg.dim)
         m[:n, :n] = h
-        auto = EjaAutomorphism(alg, m)
     else:
-        ua = np.concatenate(
-            [_distinguished_columns(alg, c) for c in frame_a], axis=1
-        )
-        ub = np.concatenate(
-            [_distinguished_columns(alg, c) for c in frame_b], axis=1
-        )
-        u = ub @ ua.conj().T
+        ua = _distinguished_columns(alg, rows_a)
+        u = _distinguished_columns(alg, rows_b) @ ua.conj().T
         # column i is the coefficient vector of U B_i U^H, B_i the i-th basis member
         basis, dual, shape = _matrix_basis(alg)
         images = u @ basis.reshape((alg.dim,) + shape) @ u.conj().T
-        auto = EjaAutomorphism(alg, np.real(dual @ images.reshape(alg.dim, -1).T))
-    _verify_transporter(auto, frame_a, frame_b, tol)
-    return auto
+        m = np.real(dual @ images.reshape(alg.dim, -1).T)
+    auto = EjaAutomorphism(alg, m)
+    return EjaAutomorphism(alg, m, _verify_transporter(auto, rows_a, rows_b, tol))
 
 
-def _verify_transporter(auto, frame_a, frame_b, tol):
+def _verify_transporter(auto, rows_a, rows_b, tol) -> float:
+    """The worst frame residual, after checking the map on the frame rows,
+    the unit, and three probe pairs for trace-form orthogonality and cone
+    preservation."""
     alg = auto.algebra
-    for a, b in zip(frame_a, frame_b):
-        if norm(auto.apply(a) - b) > tol:
-            raise SymmetryError("transporter misses a frame element")
+    resid = norm_rows(alg, rows_a @ auto.M.T - rows_b)
+    if not (resid <= tol).all():
+        raise SymmetryError("transporter misses a frame element")
     e = unit(alg)
     if norm(auto.apply(e) - e) > 1e-9:
         raise SymmetryError("transporter moves the unit")
-    rng = np.random.default_rng(0x5EED)
-    for _ in range(3):
-        x = EjaElement(alg, rng.standard_normal(alg.dim))
-        y = EjaElement(alg, rng.standard_normal(alg.dim))
-        if abs(inner(auto.apply(x), auto.apply(y)) - inner(x, y)) > 1e-7 * (
-            1.0 + norm(x) * norm(y)
-        ):
-            raise SymmetryError("transporter is not orthogonal for the trace form")
-        sq = jordan_product(x, x)
-        eigs = eigenvalues(auto.apply(sq))
-        if eigs[-1] < -1e-7 * (1.0 + norm(sq)):
-            raise SymmetryError("transporter leaves the cone")
+    probes = np.random.default_rng(0x5EED).standard_normal((3, 2, alg.dim))
+    x, y = probes[:, 0], probes[:, 1]
+    before = gram_rows(alg, x, y).diagonal()
+    after = gram_rows(alg, x @ auto.M.T, y @ auto.M.T).diagonal()
+    bound = 1e-7 * (1.0 + norm_rows(alg, x) * norm_rows(alg, y))
+    if (np.abs(after - before) > bound).any():
+        raise SymmetryError("transporter is not orthogonal for the trace form")
+    sq = jordan_product_rows(alg, x)
+    eigs = eigenvalue_rows(alg, sq @ auto.M.T)
+    if (eigs[:, -1] < -1e-7 * (1.0 + norm_rows(alg, sq))).any():
+        raise SymmetryError("transporter leaves the cone")
+    return float(resid.max())
 
 
 def extend_to_maximal_frame(alg: AlgebraDescriptor, partial, tol: float = 1e-8):
     """Complete orthogonal primitive idempotents to a full Jordan frame."""
     partial = tuple(partial)
-    total = None
-    for c in partial:
-        if not is_primitive_idempotent(c, tol=tol):
+    rest = unit(alg)
+    if partial:
+        rows = coefficient_rows(partial)
+        if not primitive_rows(alg, rows, tol).all():
             raise SymmetryError("partial frame element is not primitive")
-        total = c if total is None else total + c
-    rest = unit(alg) - total if total is not None else unit(alg)
+        rest = EjaElement(alg, rest.coeffs - rows.sum(axis=0))
     if norm(rest) <= tol:
         return partial
     dec = spectral_decompose(rest)
@@ -379,7 +386,8 @@ def extend_to_maximal_frame(alg: AlgebraDescriptor, partial, tol: float = 1e-8):
         idem for lam, idem in zip(dec.eigenvalues, dec.frame) if lam > 0.5
     ]
     frame = partial + tuple(extension)
-    return _check_jordan_frame(alg, frame, tol=max(tol, 1e-7))
+    _check_jordan_frame(alg, frame, tol=max(tol, 1e-7))
+    return frame
 
 
 def verify_strong_symmetry_eja(
@@ -411,9 +419,7 @@ def verify_strong_symmetry_eja(
             fb = extend_to_maximal_frame(alg, fb[:k])
             label = f"extended-from-{k}"
         try:
-            auto = jordan_frame_transporter(alg, fa, fb)
-            resid = max(norm(auto.apply(a) - b) for a, b in zip(fa, fb))
-            worst = max(worst, resid)
+            worst = max(worst, jordan_frame_transporter(alg, fa, fb).residual)
         except SymmetryError as exc:
             failures.append({"trial": t, "kind": label, "error": str(exc)})
     return {

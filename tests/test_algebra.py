@@ -17,7 +17,9 @@ from jordan_spectra.algebra import (
     inner,
     j_twin,
     jordan_product,
+    jordan_product_rows,
     norm,
+    norm_rows,
     power,
     quadratic_rep,
     to_matrix,
@@ -26,7 +28,7 @@ from jordan_spectra.algebra import (
     zero,
 )
 from jordan_spectra.hypercomplex import oct_mat_mul, quat_to_complex2
-from jordan_spectra.spectral import random_element
+from jordan_spectra.spectral import random_element, spectral_decompose
 
 ALL_ALGEBRAS = [
     algebra("sym_r", 3),
@@ -382,3 +384,77 @@ def test_herm_o_constants_are_built_on_first_use(cli_env):
         "assert _herm_o_constants.cache_info().currsize == 0\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env=cli_env)
+
+
+# -- row-wise products and projector frames -----------------------------------
+
+ROW_ALGEBRAS = ALL_ALGEBRAS + [algebra("sym_r", 5), algebra("herm_c", 4), algebra("herm_h", 3)]
+
+
+def _reference_product(a, b):
+    """The product without the row path: the spin closed form, the
+    octonion-matrix reference for herm_o, and (xy + yx)/2 of the stored
+    matrices projected back for the matrix families."""
+    alg = a.algebra
+    if alg.family == "spin":
+        n = alg.param
+        x, s = a.coeffs[:n], a.coeffs[n]
+        y, t = b.coeffs[:n], b.coeffs[n]
+        return np.concatenate([t * x + s * y, [np.dot(x, y) + s * t]])
+    if alg.family == "herm_o":
+        return _octonion_product(a, b).coeffs
+    xa, xb = to_matrix(a), to_matrix(b)
+    return from_matrix(alg, (xa @ xb + xb @ xa) / 2.0).coeffs
+
+
+@pytest.mark.parametrize("alg", ROW_ALGEBRAS, ids=lambda a: f"{a.family}{a.param}")
+def test_jordan_product_rows_agree_with_single_products(alg):
+    rng = np.random.default_rng(17)
+    x, y = rng.standard_normal((2, 7, alg.dim))
+    rows = jordan_product_rows(alg, x, y)
+    squares = jordan_product_rows(alg, x)
+    assert rows.shape == squares.shape == (7, alg.dim)
+    # exactly commutative, and squaring is the same floats as x * x
+    assert np.array_equal(rows, jordan_product_rows(alg, y, x))
+    assert np.array_equal(squares, jordan_product_rows(alg, x, x))
+    for k in range(7):
+        a, b = EjaElement(alg, x[k]), EjaElement(alg, y[k])
+        scale = 1e-13 * (1.0 + norm(a) * norm(b))
+        assert np.max(np.abs(rows[k] - jordan_product(a, b).coeffs)) <= scale
+        assert np.max(np.abs(rows[k] - _reference_product(a, b))) <= scale
+        # the one-row case is the element product, float for float
+        one = jordan_product_rows(alg, x[k : k + 1])
+        assert np.array_equal(one[0], jordan_product(a, a).coeffs)
+        assert np.max(np.abs(squares[k] - one[0])) <= 1e-13 * (1.0 + norm(a) ** 2)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [algebra("sym_r", 4), algebra("sym_r", 5), algebra("herm_c", 3), algebra("herm_c", 4),
+     algebra("herm_h", 2), algebra("herm_h", 3)],
+    ids=lambda a: f"{a.family}{a.param}",
+)
+def test_spectral_frames_are_eigenvector_projectors(alg):
+    # the projector onto each eigenspace, built here from LAPACK's
+    # eigenvectors; a herm_h eigenvalue is a doublet of the 2m x 2m matrix
+    per = 2 if alg.family == "herm_h" else 1
+    for seed in range(5):
+        x = random_element(alg, 500 + seed)
+        w, v = np.linalg.eigh(to_matrix(x))
+        w, v = w[::-1], v[:, ::-1]
+        dec = spectral_decompose(x)
+        assert np.max(np.abs(dec.eigenvalues - w[::per])) <= 1e-12 * (1.0 + np.max(np.abs(w)))
+        for i, c in enumerate(dec.frame):
+            cols = v[:, per * i : per * (i + 1)]
+            want = from_matrix(alg, cols @ cols.conj().T)
+            assert np.max(np.abs(c.coeffs - want.coeffs)) <= 1e-12, (seed, i)
+
+
+@pytest.mark.parametrize("alg", ALL_ALGEBRAS, ids=lambda a: f"{a.family}{a.param}")
+def test_norm_rows_are_the_element_norms(alg):
+    rows = np.random.default_rng(23).standard_normal((5, alg.dim))
+    norms = norm_rows(alg, rows)
+    for k, row in enumerate(rows):
+        x = EjaElement(alg, row)
+        assert norms[k] == norm(x)
+        assert abs(norms[k] - np.sqrt(inner(x, x))) <= 1e-13 * norms[k]

@@ -336,7 +336,9 @@ def test_eja_section_is_decided_without_per_element_calls(monkeypatch):
         raise AssertionError("an EJA section is decided block by block")
 
     monkeypatch.setattr(spectral, "eigenvalues", refuse)
-    monkeypatch.setattr(classification, "inner", refuse)
+    # classification imports no per-element trace form; the stub still
+    # catches one that comes back
+    monkeypatch.setattr(classification, "inner", refuse, raising=False)
     for alg in SECTION_ALGEBRAS:
         report = section_sample_check(fr_section(alg), samples=1001, seed=3)
         assert report["pass"] and report["hits"] > 0

@@ -1,10 +1,14 @@
 """The package imports nothing beyond the standard library, numpy and click,
 the face side imports no LP, the exact kernel keeps no public routine
-that only tests reach, and one vertex cap is the default of every cap."""
+that only tests reach, one vertex cap is the default of every cap, and the
+per-element product, trace form, eigenvalues and idempotent tests are
+one-row cases of their row functions."""
 
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 import jordan_spectra
 
@@ -116,3 +120,36 @@ def test_one_vertex_cap_and_every_cap_defaults_to_it():
             ]
     assert caps == ["geometry.VERTEX_CAP"], caps
     assert not stray, stray
+
+
+@pytest.mark.parametrize(
+    "module,function,rows",
+    [
+        ("algebra", "jordan_product", "jordan_product_rows"),
+        ("algebra", "trace", "trace_rows"),
+        ("algebra", "inner", "gram_rows"),
+        ("algebra", "norm", "norm_rows"),
+        ("spectral", "eigenvalues", "eigenvalue_rows"),
+        ("spectral", "is_idempotent", "idempotent_rows"),
+        ("spectral", "is_primitive_idempotent", "primitive_rows"),
+    ],
+)
+def test_per_element_functions_are_one_row_wrappers(module, function, rows):
+    # one path per computation: the per-element function calls its row
+    # function and decides nothing by family itself
+    package = Path(jordan_spectra.__file__).resolve().parent
+    tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+    (node,) = [
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function
+    ]
+    called = {
+        n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    }
+    assert rows in called, sorted(called)
+    branches = [
+        f"{module}.py:{n.lineno}"
+        for n in ast.walk(node)
+        if isinstance(n, (ast.If, ast.IfExp, ast.Match, ast.BoolOp))
+        or (isinstance(n, ast.Attribute) and n.attr == "family")
+    ]
+    assert not branches, branches

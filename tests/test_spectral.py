@@ -21,8 +21,10 @@ from jordan_spectra.spectral import (
     SpectralError,
     eigenvalue_rows,
     eigenvalues,
+    idempotent_rows,
     is_idempotent,
     is_primitive_idempotent,
+    primitive_rows,
     random_element,
     random_jordan_frame,
     random_state,
@@ -319,6 +321,28 @@ def test_idempotent_predicates_pinned():
     spin2 = algebra("spin", 2)
     assert is_primitive_idempotent(EjaElement(spin2, [0.3, 0.4, 0.5]), 1e-12)
     assert not is_idempotent(EjaElement(spin2, [0.3, 0.3, 0.5]), 1e-6)
+
+
+@pytest.mark.parametrize("alg", FAMILIES_SMALL, ids=lambda a: a.family)
+def test_idempotent_rows_flag_each_row_as_the_element_tests_do(alg):
+    # a primitive, the unit (an idempotent of trace rank >= 2), a
+    # non-idempotent, a slightly perturbed primitive and a NaN row
+    c = random_jordan_frame(alg, 3)[0]
+    bump = np.zeros(alg.dim)
+    bump[-1] = 1e-6
+    rows = np.array(
+        [c.coeffs, unit(alg).coeffs, random_element(alg, 4).coeffs,
+         c.coeffs + bump, np.full(alg.dim, np.nan)]
+    )
+    for tol in (1e-10, 1e-4):
+        idem, prim = idempotent_rows(alg, rows, tol), primitive_rows(alg, rows, tol)
+        for k, row in enumerate(rows):
+            x = EjaElement(alg, row)
+            assert idem[k] == (norm(jordan_product(x, x) - x) <= tol) == is_idempotent(x, tol)
+            assert prim[k] == (idem[k] and abs(trace(x) - 1.0) <= tol)
+            assert prim[k] == is_primitive_idempotent(x, tol)
+        assert list(prim) == [True, False, False, tol > 1e-6, False]
+        assert list(idem) == [True, True, False, tol > 1e-6, False]
 
 
 def test_random_state_unit_trace():

@@ -638,6 +638,8 @@ def test_transporter_random_frames(family, param):
     auto = jordan_frame_transporter(alg, fa, fb)
     worst = max(norm(auto.apply(a) - b) for a, b in zip(fa, fb))
     assert worst <= 1e-8
+    # the map keeps the residual its verification measured
+    assert abs(auto.residual - worst) <= 1e-15
     assert norm(auto.apply(unit(alg)) - unit(alg)) <= 1e-9
 
 
@@ -704,6 +706,162 @@ def test_transporter_rejects_octonions_and_non_frames():
     c1, _ = standard_frame(alg)
     with pytest.raises(SymmetryError):
         jordan_frame_transporter(alg, (c1, c1), (c1, c1))
+
+
+TRANSPORTED = [("sym_r", 5), ("herm_c", 4), ("herm_h", 3), ("spin", 10)]
+
+
+@pytest.mark.parametrize("family,param", TRANSPORTED[:3])
+def test_one_transporter_makes_one_eigh_per_frame(monkeypatch, family, param):
+    alg = AlgebraDescriptor(family, param)
+    fa = tuple(random_jordan_frame(alg, 11))
+    fb = tuple(random_jordan_frame(alg, 22))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(symmetry.np.linalg, "eigh", counted)
+    jordan_frame_transporter(alg, fa, fb)
+    assert len(calls) == 2, calls
+    assert all(shape[0] == alg.rank for shape in calls), calls
+
+
+@pytest.mark.parametrize("family,param", TRANSPORTED)
+def test_transporter_verification_makes_one_eigenvalue_call(monkeypatch, family, param):
+    alg = AlgebraDescriptor(family, param)
+    fa = tuple(random_jordan_frame(alg, 11))
+    fb = tuple(random_jordan_frame(alg, 22))
+    auto = jordan_frame_transporter(alg, fa, fb)
+    calls = []
+    rows = symmetry.eigenvalue_rows
+
+    def counted(alg, x):
+        calls.append(len(x))
+        return rows(alg, x)
+
+    monkeypatch.setattr(symmetry, "eigenvalue_rows", counted)
+    symmetry._verify_transporter(
+        auto, np.array([c.coeffs for c in fa]), np.array([c.coeffs for c in fb]), 1e-8
+    )
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("family,param", TRANSPORTED)
+def test_battery_transports_the_frames_of_the_reference_loop(monkeypatch, family, param):
+    # the rng stream of verify_strong_symmetry_eja: two random frames a
+    # trial, and every third trial one draw for the sub-frame size
+    alg = AlgebraDescriptor(family, param)
+    trials, r = 6, alg.rank
+    transported = []
+    transporter = symmetry.jordan_frame_transporter
+
+    def recorded(alg, fa, fb, *args):
+        transported.append((fa, fb))
+        return transporter(alg, fa, fb, *args)
+
+    monkeypatch.setattr(symmetry, "jordan_frame_transporter", recorded)
+    for seed in range(5):
+        transported.clear()
+        report = verify_strong_symmetry_eja(alg, trials=trials, seed=seed)
+        assert report["failures"] == []
+        rng = np.random.default_rng(seed)
+        want = []
+        for t in range(trials):
+            fa = tuple(random_jordan_frame(alg, rng))
+            fb = tuple(random_jordan_frame(alg, rng))
+            if t % 3 == 2 and r >= 2:
+                k = 1 + int(rng.integers(r - 1))
+                fa = extend_to_maximal_frame(alg, fa[:k])
+                fb = extend_to_maximal_frame(alg, fb[:k])
+            want.append((fa, fb))
+        assert len(transported) == trials
+        for got, ref in zip(transported, want):
+            for frame, ref_frame in zip(got, ref):
+                assert len(frame) == len(ref_frame) == r
+                for c, d in zip(frame, ref_frame):
+                    assert np.max(np.abs(c.coeffs - d.coeffs)) <= 1e-12
+
+
+def _forged(alg, coeffs):
+    return EjaElement(alg, np.asarray(coeffs, dtype=float))
+
+
+def test_frame_check_refusals_keep_their_messages():
+    alg = AlgebraDescriptor("sym_r", 2)
+    c1, c2 = standard_frame(alg)
+    off = 1e-5 * np.eye(3)[2]  # the off-diagonal basis member
+    rotated = 0.5 * np.array([1.0, 1.0, np.sqrt(2.0)])  # projector onto (1, 1)/sqrt 2
+    stranger = random_element(AlgebraDescriptor("sym_r", 3), 1)
+    cases = [
+        ((c1,), "frame length differs from the rank"),
+        ((c1, stranger), "frame element from a different algebra"),
+        ((c1, 0.5 * (c1 + c2)), "not a primitive idempotent"),
+        ((c1, _forged(alg, rotated)), "frame elements are not orthogonal"),
+        # each off by O(1e-10) from idempotent and orthogonal, their sum by 2e-5
+        ((_forged(alg, c1.coeffs + off), _forged(alg, c2.coeffs + off)),
+         "frame does not sum to the unit"),
+    ]
+    for frame, message in cases:
+        with pytest.raises(SymmetryError, match=message):
+            jordan_frame_transporter(alg, frame, (c1, c2))
+        with pytest.raises(SymmetryError, match=message):
+            jordan_frame_transporter(alg, (c1, c2), frame)
+
+
+def _patched_transporter(monkeypatch, forge):
+    real = symmetry.EjaAutomorphism
+    monkeypatch.setattr(
+        symmetry, "EjaAutomorphism", lambda alg, m: real(alg, forge(alg, m))
+    )
+
+
+def _scaled_off_diagonal(alg, m):
+    # fixes the diagonal frame and the unit, stretches the rest
+    out = m.copy()
+    out[alg.rank :] *= 2.0
+    return out
+
+
+def _one_sign_flipped(alg, m):
+    # orthogonal and fixing the diagonal frame, but not an automorphism:
+    # conjugation by a diagonal sign matrix flips pairs of off-diagonal
+    # entries, never the (0, 1) entry alone
+    out = m.copy()
+    out[alg.rank] *= -1.0
+    return out
+
+
+def _unit_nudged(alg, m):
+    # every frame element moves by 8e-10 (within 1e-8), the unit by 2.4e-9
+    out = m.copy()
+    g = np.zeros(alg.dim)
+    g[-1] = 8e-10
+    out += np.outer(g, unit(alg).coeffs)
+    return out
+
+
+@pytest.mark.parametrize(
+    "forge,message",
+    [
+        (lambda alg, m: m[::-1].copy(), "transporter misses a frame element"),
+        (_unit_nudged, "transporter moves the unit"),
+        (_scaled_off_diagonal, "transporter is not orthogonal for the trace form"),
+        (_one_sign_flipped, "transporter leaves the cone"),
+    ],
+    ids=["misses", "unit", "orthogonality", "cone"],
+)
+def test_transporter_refusals_keep_their_messages(monkeypatch, forge, message):
+    alg = AlgebraDescriptor("sym_r", 3)
+    frame = standard_frame(alg)
+    # the identity transports the frame onto itself; each forged map keeps
+    # every earlier check passing
+    assert np.allclose(jordan_frame_transporter(alg, frame, frame).M, np.eye(alg.dim))
+    _patched_transporter(monkeypatch, forge)
+    with pytest.raises(SymmetryError, match=message):
+        jordan_frame_transporter(alg, frame, frame)
 
 
 def test_extend_to_maximal_frame():
