@@ -9,168 +9,143 @@ symmetry treat convex bodies as state spaces with frames, faces,
 automorphisms, and transporters; classification ties the families to the
 symmetric-space tables and bundles the theorem-verification batteries; cli
 exposes it all as JSON-emitting subcommands.
+
+The float side (hypercomplex, algebra, spectral, symmetry) needs numpy;
+the exact side (everything else, this module included) imports none of it
+at module level.  Each EJA branch of an exact module imports the float
+side where it dispatches to it, so polytope work (spectrality, frames,
+plot data, rechecks, table rows) never loads numpy, and the package's
+exports resolve on first use, each from its own module.  The float side
+loads as one unit: importing spectral also imports symmetry.
 """
 
-from .algebra import (
-    AlgebraDescriptor,
-    EjaElement,
-    algebra,
-    determinant,
-    inner,
-    jordan_product,
-    norm,
-    power,
-    quadratic_rep,
-    trace,
-    unit,
-    zero,
-)
-from .classification import (
-    ClassificationError,
-    FrSection,
-    MrTableRow,
-    eval_formula,
-    fr_polytope,
-    fr_section,
-    load_tables,
-    mr_table_all,
-    mr_table_lookup,
-    section_sample_check,
-    standard_frame,
-    table_consistency_check,
-    verify_converse_on_polytopes,
-    verify_main_theorem_if_direction,
-)
-from .geometry import (
-    Ball,
-    EjaStateSpace,
-    GeometryError,
-    Polytope,
-    ball,
-    barycenter,
-    body_from_dict,
-    body_to_dict,
-    cube,
-    eja_state_space,
-    exposed_faces,
-    hexagon,
-    maximal_flags,
-    membership,
-    octahedron,
-    pentagon,
-    polytope,
-    rectangle,
-    simplex,
-    square,
-)
-from .operational import (
-    EjaFace,
-    OperationalError,
-    SpectralVerdict,
-    complement_face,
-    distinguishing_measurement,
-    enumerate_frames,
-    face_of_frame,
-    is_measurement,
-    is_spectral,
-    rank,
-    recheck_counterexample,
-)
-from .scalars import SQRT5, Sqrt5, format_scalar, parse_scalar
-from .spectral import (
-    SpectralDecomposition,
-    eigenvalues,
-    random_state,
-    spectral_decompose,
-)
-from .symmetry import (
-    StrongSymmetryReport,
-    SymmetryError,
-    UnsupportedFamily,
-    automorphism_group,
-    extend_to_maximal_frame,
-    frame_flag_bijection,
-    is_regular,
-    is_strongly_symmetric,
-    jordan_frame_transporter,
-    verify_strong_symmetry_eja,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraDescriptor",
-    "Ball",
-    "ClassificationError",
-    "EjaElement",
-    "EjaFace",
-    "EjaStateSpace",
-    "FrSection",
-    "GeometryError",
-    "MrTableRow",
-    "OperationalError",
-    "Polytope",
-    "SQRT5",
-    "SpectralDecomposition",
-    "SpectralVerdict",
-    "Sqrt5",
-    "StrongSymmetryReport",
-    "SymmetryError",
-    "UnsupportedFamily",
-    "algebra",
-    "automorphism_group",
-    "ball",
-    "barycenter",
-    "body_from_dict",
-    "body_to_dict",
-    "complement_face",
-    "cube",
-    "determinant",
-    "distinguishing_measurement",
-    "eigenvalues",
-    "eja_state_space",
-    "enumerate_frames",
-    "eval_formula",
-    "exposed_faces",
-    "extend_to_maximal_frame",
-    "face_of_frame",
-    "format_scalar",
-    "fr_polytope",
-    "fr_section",
-    "frame_flag_bijection",
-    "hexagon",
-    "inner",
-    "is_measurement",
-    "is_regular",
-    "is_spectral",
-    "is_strongly_symmetric",
-    "jordan_frame_transporter",
-    "jordan_product",
-    "load_tables",
-    "maximal_flags",
-    "membership",
-    "mr_table_all",
-    "mr_table_lookup",
-    "norm",
-    "octahedron",
-    "parse_scalar",
-    "pentagon",
-    "polytope",
-    "power",
-    "quadratic_rep",
-    "random_state",
-    "rank",
-    "recheck_counterexample",
-    "rectangle",
-    "section_sample_check",
-    "simplex",
-    "spectral_decompose",
-    "square",
-    "standard_frame",
-    "table_consistency_check",
-    "trace",
-    "unit",
-    "verify_converse_on_polytopes",
-    "verify_main_theorem_if_direction",
-    "zero",
-]
+# The module each export lives in.  Nothing below is imported until one of
+# its names is first read, so importing the package, or any exact-side
+# module, loads no numpy.
+_EXPORTS = {
+    "algebra": (
+        "AlgebraDescriptor",
+        "EjaElement",
+        "algebra",
+        "determinant",
+        "inner",
+        "jordan_product",
+        "norm",
+        "power",
+        "quadratic_rep",
+        "trace",
+        "unit",
+        "zero",
+    ),
+    "classification": (
+        "ClassificationError",
+        "FrSection",
+        "MrTableRow",
+        "eval_formula",
+        "fr_polytope",
+        "fr_section",
+        "load_tables",
+        "mr_table_all",
+        "mr_table_lookup",
+        "section_sample_check",
+        "standard_frame",
+        "table_consistency_check",
+        "verify_converse_on_polytopes",
+        "verify_main_theorem_if_direction",
+    ),
+    "geometry": (
+        "Ball",
+        "EjaStateSpace",
+        "GeometryError",
+        "Polytope",
+        "ball",
+        "barycenter",
+        "body_from_dict",
+        "body_to_dict",
+        "cube",
+        "eja_state_space",
+        "exposed_faces",
+        "hexagon",
+        "maximal_flags",
+        "membership",
+        "octahedron",
+        "pentagon",
+        "polytope",
+        "rectangle",
+        "simplex",
+        "square",
+    ),
+    "operational": (
+        "EjaFace",
+        "OperationalError",
+        "SpectralVerdict",
+        "complement_face",
+        "distinguishing_measurement",
+        "enumerate_frames",
+        "face_of_frame",
+        "is_measurement",
+        "is_spectral",
+        "rank",
+        "recheck_counterexample",
+    ),
+    "scalars": ("SQRT5", "Sqrt5", "format_scalar", "parse_scalar"),
+    "spectral": (
+        "SpectralDecomposition",
+        "eigenvalues",
+        "random_state",
+        "spectral_decompose",
+    ),
+    "symmetry": (
+        "StrongSymmetryReport",
+        "SymmetryError",
+        "UnsupportedFamily",
+        "automorphism_group",
+        "extend_to_maximal_frame",
+        "frame_flag_bijection",
+        "is_regular",
+        "is_strongly_symmetric",
+        "jordan_frame_transporter",
+        "verify_strong_symmetry_eja",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# verify_strong_symmetry_eja resolves by name but, as before, is left out of
+# ``from jordan_spectra import *``
+__all__ = sorted(_ORIGIN.keys() - {"verify_strong_symmetry_eja"})
+
+
+def __getattr__(name):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _ORIGIN.keys())
+
+
+class _Package(types.ModuleType):
+    """The package module: an export keeps its name when a submodule loads.
+
+    The import system binds each submodule it loads on the package, so the
+    first ``import jordan_spectra.algebra`` would otherwise replace the
+    ``algebra`` factory with the module of the same name.
+    """
+
+    def __setattr__(self, name, value):
+        if name in _ORIGIN and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

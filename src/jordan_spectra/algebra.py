@@ -34,9 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geometry import FAMILIES
 from .hypercomplex import oct_conj, oct_mat_mul, quat_to_complex2
-
-FAMILIES = ("sym_r", "herm_c", "herm_h", "spin", "herm_o")
 
 
 @dataclass(frozen=True)

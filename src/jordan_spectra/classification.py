@@ -31,17 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .algebra import (
-    AlgebraDescriptor,
-    EjaElement,
-    coefficient_rows,
-    gram_rows,
-    norm,
-    unit,
-)
 from .automorphisms import group_generators, orbit_tree
 from .exactla import affine_basis_indices
 from .geometry import (
@@ -63,15 +54,9 @@ from .geometry import (
 )
 from .operational import is_spectral, recheck_counterexample
 from .scalars import format_scalar
-from .spectral import eigenvalue_rows, random_element, spectral_decompose
-from .symmetry import (
-    SymmetryError,
-    _check_jordan_frame,
-    frame_flag_bijection,
-    is_regular,
-    is_strongly_symmetric,
-    verify_strong_symmetry_eja,
-)
+
+if TYPE_CHECKING:
+    from .algebra import AlgebraDescriptor
 
 TABLES_ENV = "JORDAN_SPECTRA_TABLES"
 
@@ -272,6 +257,8 @@ def table_consistency_check(path: str | None = None) -> dict:
     (type A_n) is reported under "flagged", not as a failure, together
     with the shifted reading that does satisfy it.
     """
+    from .algebra import AlgebraDescriptor
+
     data = load_tables(path)
     failures: list = []
     flagged: list = []
@@ -373,6 +360,10 @@ class FrSection:
 
 def standard_frame(alg: AlgebraDescriptor) -> tuple:
     """The diagonal Jordan frame; its sum is the unit exactly."""
+    import numpy as np
+
+    from .algebra import EjaElement
+
     if alg.family == "spin":
         up = np.zeros(alg.dim)
         up[0] = 0.5
@@ -389,17 +380,22 @@ def standard_frame(alg: AlgebraDescriptor) -> tuple:
 
 
 def _coerce_descriptor(body):
-    if isinstance(body, AlgebraDescriptor):
-        return body
+    """The algebra descriptor of an EJA target; None for any other target."""
     if isinstance(body, EjaStateSpace):
         return body.descriptor
-    return None
+    if isinstance(body, (Polytope, Ball)):
+        return None
+    from .algebra import AlgebraDescriptor
+
+    return body if isinstance(body, AlgebraDescriptor) else None
 
 
 def fr_section(body, frame=None, cap: int = VERTEX_CAP) -> FrSection:
     """Section through a maximal frame (EJA/ball) or flag barycenters (polytope)."""
     desc = _coerce_descriptor(body)
     if desc is not None:
+        from .symmetry import _check_jordan_frame
+
         chosen = tuple(frame) if frame is not None else standard_frame(desc)
         _check_jordan_frame(desc, chosen)
         return FrSection("eja", chosen, simplex(desc.rank - 1))
@@ -411,6 +407,7 @@ def fr_section(body, frame=None, cap: int = VERTEX_CAP) -> FrSection:
         return FrSection("ball", (e1, minus), polytope([e1, minus]))
     if not isinstance(body, Polytope):
         raise ClassificationError("unsupported body %r" % (body,))
+    from .symmetry import is_strongly_symmetric
 
     report = is_strongly_symmetric(body, cap)
     verdict = is_spectral(body, cap)
@@ -454,7 +451,12 @@ def section_sample_check(
     vertices are its barycentric coordinates, so it passes iff its vertices
     are affinely independent.
     """
-    if isinstance(section.basis[0], EjaElement):
+    if section.kind == "eja":
+        import numpy as np
+
+        from .algebra import coefficient_rows, gram_rows
+        from .spectral import eigenvalue_rows
+
         alg = section.basis[0].algebra
         frame = coefficient_rows(section.basis)
         rng = np.random.default_rng(seed)
@@ -501,6 +503,12 @@ def _check(name, status, residual=0.0, tolerance=None, detail=None) -> dict:
 
 
 def _eja_battery(desc: AlgebraDescriptor, trials: int, seed: int) -> list:
+    import numpy as np
+
+    from .algebra import EjaElement, coefficient_rows, gram_rows, norm, unit
+    from .spectral import random_element, spectral_decompose
+    from .symmetry import verify_strong_symmetry_eja
+
     u = unit(desc)
     r = desc.rank
     checks = []
@@ -613,6 +621,8 @@ def _eja_battery(desc: AlgebraDescriptor, trials: int, seed: int) -> list:
 
 
 def _simplex_battery(n: int, trials: int, seed: int) -> list:
+    from .symmetry import frame_flag_bijection, is_regular, is_strongly_symmetric
+
     body = simplex(n)
     checks = []
 
@@ -751,6 +761,8 @@ def verify_converse_on_polytopes(catalog=None, cap: int = VERTEX_CAP) -> dict:
     same-size frames for broken strong symmetry, and a rechecked interior
     counterexample point for broken spectrality.
     """
+    from .symmetry import SymmetryError, is_strongly_symmetric
+
     if catalog is None:
         catalog = default_converse_catalog()
     bodies = []

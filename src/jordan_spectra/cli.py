@@ -21,17 +21,10 @@ import sys
 
 import click
 
-from .algebra import FAMILIES, AlgebraDescriptor, EjaElement, norm
-from .automorphisms import ordered_orbit
-from .classification import (
-    fr_section,
-    load_tables,
-    mr_table_lookup,
-    section_sample_check,
-    table_consistency_check,
-    verify_main_theorem_if_direction,
-)
+# Module level holds only the exact body layer; each command imports the
+# rest where it reaches it, so the exact commands never load numpy.
 from .geometry import (
+    FAMILIES,
     VERTEX_CAP,
     Ball,
     EjaStateSpace,
@@ -41,20 +34,7 @@ from .geometry import (
     eja_state_space,
     exposed_faces,
 )
-from .operational import (
-    _frame_sets,
-    enumerate_frames,
-    is_spectral,
-    rank as body_rank,
-    recheck_counterexample,
-)
 from .scalars import format_scalar, parse_scalar
-from .spectral import random_state, spectral_decompose
-from .symmetry import (
-    is_regular,
-    is_strongly_symmetric,
-    verify_strong_symmetry_eja,
-)
 
 SCHEMA_VERSION = 1
 
@@ -136,6 +116,9 @@ def main():
 def decompose(input_path, eja, m, n, seed, tol, out):
     """Spectral decomposition of an element (from file) or a seeded random state."""
     try:
+        from .algebra import AlgebraDescriptor, EjaElement, norm
+        from .spectral import random_state, spectral_decompose
+
         if eja is not None:
             desc = _load_body(None, eja, m, n).descriptor
             x = random_state(desc, seed)
@@ -184,10 +167,14 @@ def check(positional, prop, input_path, eja, m, n, seed, trials, cap, out):
         body = _load_body(input_path, eja, m, n, positional)
         doc: dict = {"property": prop, "body": _body_label(body)}
         if prop == "spectral":
+            from .operational import is_spectral
+
             verdict = is_spectral(body, cap=cap, seed=seed)
             doc.update(verdict.to_dict())
             _finish(doc, out, 0 if verdict.spectral is True else 1)
         elif prop == "strong-symmetry":
+            from .symmetry import is_strongly_symmetric, verify_strong_symmetry_eja
+
             if isinstance(body, Polytope):
                 report = is_strongly_symmetric(body, cap)
                 doc.update(report.to_dict())
@@ -205,10 +192,14 @@ def check(positional, prop, input_path, eja, m, n, seed, trials, cap, out):
         elif prop == "regular":
             if not isinstance(body, Polytope):
                 raise ValueError("regularity is a polytope property")
+            from .symmetry import is_regular
+
             regular = is_regular(body, cap)
             doc["regular"] = regular
             _finish(doc, out, 0 if regular else 1)
         else:  # rank
+            from .operational import rank as body_rank
+
             doc["rank"] = body_rank(body, cap)
             _finish(doc, out, 0)
     except Exception as exc:  # noqa: BLE001
@@ -229,6 +220,8 @@ def frames(positional, k, input_path, eja, m, n, cap, out):
         body = _load_body(input_path, eja, m, n, positional)
         if not isinstance(body, Polytope):
             raise ValueError("frame enumeration is exact only for polytopes")
+        from .operational import _frame_sets, enumerate_frames, rank as body_rank
+
         doc: dict = {"body": _body_label(body), "rank": body_rank(body, cap)}
         if k is not None:
             found = enumerate_frames(body, k, cap=cap)
@@ -256,6 +249,8 @@ def frames(positional, k, input_path, eja, m, n, cap, out):
 def fr_polytope_cmd(positional, input_path, eja, m, n, seed, trials, cap, out):
     """Fundamental-region section: the simplex on a maximal frame."""
     try:
+        from .classification import fr_section, section_sample_check
+
         body = _load_body(input_path, eja, m, n, positional)
         target = body.descriptor if isinstance(body, EjaStateSpace) else body
         section = fr_section(target, cap=cap)
@@ -288,6 +283,8 @@ def fr_polytope_cmd(positional, input_path, eja, m, n, seed, trials, cap, out):
 def tables(type_label, out):
     """Symmetric-space table rows and the consistency report."""
     try:
+        from .classification import load_tables, mr_table_lookup, table_consistency_check
+
         if type_label is not None:
             row = mr_table_lookup(type_label)
             _finish({"row": row.to_dict(), "evaluated": row.evaluate()}, out, 0)
@@ -327,6 +324,8 @@ def verify_theorem(simplex_dim, input_path, eja, m, n, seed, trials, out):
                 raise ValueError("theorem target must be an EJA or a simplex")
         else:
             raise ValueError("provide --eja, --simplex, or --input")
+        from .classification import verify_main_theorem_if_direction
+
         report = verify_main_theorem_if_direction(target, trials=trials, seed=seed)
         _finish(report, out, 0 if report["all_pass"] else 1)
     except Exception as exc:  # noqa: BLE001
@@ -362,6 +361,8 @@ def plot_data(positional, input_path, eja, m, n, cap, out):
             ]
             doc = {"kind": "ball", "n": body.n, "equator": points}
         else:
+            from .classification import fr_section
+
             section = fr_section(body.descriptor)
             verts = [[float(c) for c in v] for v in section.polytope.vertices]
             r = len(verts)
@@ -393,6 +394,9 @@ def recheck(positional, input_path, out):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         body = body_from_dict(doc["body"])
+        from .automorphisms import ordered_orbit
+        from .operational import _frame_sets, recheck_counterexample
+
         prop = doc.get("property")
         if prop == "spectral":
             if doc.get("counterexample") is None:

@@ -20,11 +20,18 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
-from .algebra import AlgebraDescriptor, EjaElement, algebra, trace, unit
 from .exactla import _eliminate, affine_basis_indices, affine_rank, determinant, solve_any
 from .scalars import Sqrt5, exact, format_scalar
-from .spectral import eigenvalues
+
+#: The five simple Euclidean Jordan algebra families.  Defined here, on the
+#: exact side, so that naming a family (the CLI's --eja choices, an EJA body
+#: record) loads no float code; ``algebra`` validates descriptors against it.
+FAMILIES = ("sym_r", "herm_c", "herm_h", "spin", "herm_o")
+
+if TYPE_CHECKING:
+    from .algebra import AlgebraDescriptor
 
 
 class GeometryError(ValueError):
@@ -111,6 +118,8 @@ def ball(n: int) -> Ball:
 
 
 def eja_state_space(family, param=None) -> EjaStateSpace:
+    from .algebra import AlgebraDescriptor, algebra
+
     if isinstance(family, AlgebraDescriptor):
         return EjaStateSpace(descriptor=family)
     if param is None and family == "herm_o":
@@ -429,6 +438,9 @@ def membership(body, point, tol: float = 1e-10) -> str:
             return "boundary"
         return "inside" if q < 1.0 else "outside"
     if isinstance(body, EjaStateSpace):
+        from .algebra import EjaElement, trace
+        from .spectral import eigenvalues
+
         x = point if isinstance(point, EjaElement) else EjaElement(body.descriptor, point)
         if x.algebra != body.descriptor:
             raise GeometryError("element belongs to a different algebra")
@@ -476,6 +488,8 @@ def barycenter(body):
     if isinstance(body, Ball):
         return tuple(Fraction(0) for _ in range(body.n))
     if isinstance(body, EjaStateSpace):
+        from .algebra import unit
+
         return unit(body.descriptor) * (1.0 / body.descriptor.rank)
     if not isinstance(body, Polytope):
         raise GeometryError(f"unknown body {type(body).__name__}")
@@ -601,6 +615,8 @@ def body_from_dict(doc: dict):
     if kind == "ball":
         return ball(int(doc["n"]))
     if kind == "eja":
+        from .algebra import AlgebraDescriptor
+
         rest = {k: v for k, v in doc.items() if k != "type"}
         return EjaStateSpace(descriptor=AlgebraDescriptor.from_dict(rest))
     if kind == "named":

@@ -75,17 +75,8 @@ def oct_conj(a: np.ndarray) -> np.ndarray:
     return a * np.array([1.0] + [-1.0] * 7)
 
 
-def _structure_tensor() -> np.ndarray:
-    t = np.zeros((8, 8, 8))
-    eye = np.eye(8)
-    for p in range(8):
-        for q in range(8):
-            t[p, q] = oct_mul(eye[p], eye[q])
-    return t
-
-
-#: T[p, q, r] is the e_r coefficient of e_p e_q
-OCT_TABLE: np.ndarray = _structure_tensor()
+#: T[p, q, r] is the e_r coefficient of e_p e_q (all 64 products in one call)
+OCT_TABLE: np.ndarray = oct_mul(np.eye(8)[:, None], np.eye(8)[None, :])
 
 
 def oct_mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -32,8 +32,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .algebra import EjaElement, inner, norm, trace, unit
 from .automorphisms import group_generators, orbit_tree
 from .exactla import _eliminate, barycentric_coordinates
 from .exactlp import Feasible, linear_program, lp_feasible
@@ -49,7 +49,9 @@ from .geometry import (
     membership,
 )
 from .scalars import exact, format_scalar
-from .spectral import eigenvalues, is_primitive_idempotent
+
+if TYPE_CHECKING:
+    from .algebra import EjaElement
 
 
 class OperationalError(ValueError):
@@ -84,6 +86,8 @@ def unit_effect(body):
             offset=Fraction(1),
         )
     if isinstance(body, EjaStateSpace):
+        from .algebra import unit
+
         return unit(body.descriptor)
     raise OperationalError(f"unknown body {type(body).__name__}")
 
@@ -95,6 +99,8 @@ def zero_effect(body):
             offset=Fraction(0),
         )
     if isinstance(body, EjaStateSpace):
+        from .algebra import unit
+
         return unit(body.descriptor) * 0.0
     raise OperationalError(f"unknown body {type(body).__name__}")
 
@@ -117,6 +123,9 @@ def is_effect(body, functional, tol: float = 1e-9) -> bool:
         hi_ok = hi >= 0 and hi * hi >= g2
         return bool(lo_ok and hi_ok)
     if isinstance(body, EjaStateSpace):
+        from .algebra import EjaElement
+        from .spectral import eigenvalues
+
         if not isinstance(functional, EjaElement):
             raise OperationalError("EJA effects are algebra elements")
         eigs = eigenvalues(functional)
@@ -328,6 +337,9 @@ def distinguishing_measurement(body, states, tol: float = 1e-9):
         e2 = AffineEffect(coeffs=tuple(-half * c for c in x), offset=half)
         return Measurement(effects=(e1, e2))
     if isinstance(body, EjaStateSpace):
+        from .algebra import EjaElement, inner, norm, unit
+        from .spectral import is_primitive_idempotent
+
         for s in states:
             if not isinstance(s, EjaElement) or s.algebra != body.descriptor:
                 raise OperationalError("states must be elements of the algebra")
@@ -364,6 +376,8 @@ def is_measurement(body, effects, tol: float = 1e-10) -> bool:
         if pts is None:
             return all(c == 0 for c in total.coeffs) and total.offset == 1
         return all(total(v) == 1 for v in pts)
+    from .algebra import norm, unit
+
     total = effects[0]
     for e in effects[1:]:
         total = total + e
@@ -634,6 +648,8 @@ class EjaFace:
 
     @property
     def rank(self) -> int:
+        from .algebra import trace
+
         return int(round(trace(self.idempotent)))
 
 
@@ -654,6 +670,8 @@ def face_of_frame(body, frame, cap: int = VERTEX_CAP):
             raise OperationalError("no face contains the frame")
         return lat.find(smallest)
     if isinstance(body, EjaStateSpace):
+        from .algebra import inner, unit
+
         elems = frame.states if isinstance(frame, FrameData) else tuple(frame)
         if not elems:
             return EjaFace(idempotent=unit(body.descriptor) * 0.0)
@@ -676,6 +694,8 @@ def complement_face(body, face, cap: int = VERTEX_CAP):
     (simplices; not well-defined for e.g. the square).
     """
     if isinstance(body, EjaStateSpace):
+        from .algebra import unit
+
         if not isinstance(face, EjaFace):
             raise OperationalError("expected an EJA face")
         return EjaFace(idempotent=unit(body.descriptor) - face.idempotent)

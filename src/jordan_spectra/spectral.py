@@ -528,3 +528,11 @@ def random_jordan_frame(alg: AlgebraDescriptor, seed, retries: int = 50):
         if len(w) < 2 or float(np.min(w[:-1] - w[1:])) > sep:
             return dec.frame
     raise SpectralError("random frame retry cap (%d) exceeded" % retries)
+
+
+# The float side loads as one unit.  The exact side imports symmetry only
+# where a command needs it, so without this line a process could load this
+# module and symmetry at different times, and code that wraps the loaded
+# modules' functions once (perfbench's tracer) would miss every symmetry
+# call.  symmetry imports this module, which is complete by this line.
+from . import symmetry  # noqa: E402,F401

@@ -331,3 +331,42 @@ def test_subprocess_byte_identity(tmp_path, cli_env):
     assert runs[0].returncode == runs[1].returncode == 1
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.strip().endswith(b"}")
+
+
+# Runs the CLI as ``python -m`` would and reports, after the command exits,
+# whether numpy was ever imported.
+_NUMPY_PROBE = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('jordan_spectra.cli', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    sys.stderr.write('numpy imported: %s\\n' % ('numpy' in sys.modules))\n"
+)
+
+
+def test_exact_commands_never_import_numpy(tmp_path, cli_env):
+    square_path = write_json(tmp_path, "square.json", {"type": "named", "name": "square"})
+
+    def run(*args):
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, *args],
+            capture_output=True,
+            env=cli_env,
+            cwd=tmp_path,
+        )
+        assert proc.stderr.decode().splitlines()[-1] == "numpy imported: False", args
+        return proc
+
+    check = run("check", square_path, "--property", "spectral")
+    assert check.returncode == 1  # refuted, with a counterexample
+    witness = tmp_path / "witness.json"
+    witness.write_bytes(check.stdout)
+    for args in (
+        ("frames", square_path, "--k", "2"),
+        ("plot-data", square_path),
+        ("recheck", str(witness)),
+        ("tables", "--type", "EIV"),
+    ):
+        proc = run(*args)
+        assert proc.returncode == 0, (args, proc.stdout)
+        assert json.loads(proc.stdout)["schema_version"] == 1

@@ -1,10 +1,13 @@
 """The package imports nothing beyond the standard library, numpy and click,
-the face side imports no LP, the exact kernel keeps no public routine
-that only tests reach, one vertex cap is the default of every cap, and the
-per-element product, trace form, eigenvalues and idempotent tests are
-one-row cases of their row functions."""
+the exact side imports no float code at module level, the package resolves
+its exports lazily in any import order, the face side imports no LP, the
+exact kernel keeps no public routine that only tests reach, one vertex cap
+is the default of every cap, and the per-element product, trace form,
+eigenvalues and idempotent tests are one-row cases of their row
+functions."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,6 +39,96 @@ def test_absolute_imports_are_stdlib_or_declared():
                 if name.split(".")[0] not in allowed
             ]
     assert not stray, stray
+
+
+# The exact side: everything a convex-geometry command can reach.
+EXACT_MODULES = (
+    "__init__",
+    "scalars",
+    "exactla",
+    "exactlp",
+    "geometry",
+    "automorphisms",
+    "operational",
+    "classification",
+    "cli",
+)
+FLOAT_MODULES = {"numpy", "hypercomplex", "algebra", "spectral", "symmetry"}
+
+
+def _module_level_imports(tree):
+    """Modules imported when the file is executed, as their last name part.
+
+    Function bodies run later and ``if TYPE_CHECKING:`` blocks never run;
+    every other statement, nested or not, runs at import.
+    """
+    found = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name.split(".")[-1]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                found.append((node.lineno, node.module.split(".")[-1]))
+            else:  # from . import x
+                found += [(node.lineno, a.name) for a in node.names]
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_exact_side_imports_no_float_code_at_module_level(module):
+    # Exact commands (spectrality, frames, plot data, rechecks, table rows)
+    # must start without numpy, so the float side is imported only at the
+    # branch that dispatches to it.  symmetry is float side and keeps its
+    # module-level imports: a function-local import costs about 2 us on
+    # every call (two imports, Python 3.11, 2-core VM), and its per-frame
+    # and per-trial helpers run thousands of times per battery.
+    package = Path(jordan_spectra.__file__).resolve().parent
+    path = package / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    stray = [
+        f"{path.name}:{line} {name}"
+        for line, name in _module_level_imports(tree)
+        if name in FLOAT_MODULES
+    ]
+    assert not stray, stray
+
+
+_IMPORT_ORDERS = {
+    "package first": "import jordan_spectra",
+    "algebra submodule first": "import jordan_spectra.algebra; import jordan_spectra",
+    "after the cli": "import jordan_spectra.cli; import jordan_spectra",
+}
+
+
+@pytest.mark.parametrize("order", sorted(_IMPORT_ORDERS))
+def test_algebra_factory_survives_every_import_order(order, cli_env):
+    # Loading the submodule jordan_spectra.algebra binds it on the package
+    # under the factory's name; the package must keep the factory.
+    code = (
+        _IMPORT_ORDERS[order]
+        # a submodule none of the orders loads: found by import, not export
+        + "\nfrom jordan_spectra import exactlp"
+        + "\nassert exactlp.__name__ == 'jordan_spectra.exactlp'"
+        + "\nimport jordan_spectra.algebra"
+        + "\nassert jordan_spectra.algebra('sym_r', 3).dim == 6"
+        + "\nfrom jordan_spectra import algebra"
+        + "\nassert algebra('herm_c', 2).rank == 2"
+        + "\nmissing = [n for n in jordan_spectra.__all__ if not hasattr(jordan_spectra, n)]"
+        + "\nassert not missing, missing"
+        + "\nassert set(jordan_spectra.__all__) <= set(dir(jordan_spectra))"
+        + "\nassert not hasattr(jordan_spectra, 'no_such_export')"
+        + "\nassert jordan_spectra.algebra('spin', 3).dim == 4"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_geometry_imports_nothing_from_exactlp():
@@ -153,3 +246,11 @@ def test_per_element_functions_are_one_row_wrappers(module, function, rows):
         or (isinstance(n, ast.Attribute) and n.attr == "family")
     ]
     assert not branches, branches
+
+
+def test_the_float_side_loads_as_one_unit(cli_env):
+    # Code that wraps the loaded modules' functions at one moment (the
+    # benchmark's tracer) must find symmetry loaded with spectral.
+    code = "import sys, jordan_spectra.spectral; assert 'jordan_spectra.symmetry' in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env)
+    assert proc.returncode == 0, proc.stderr.decode()

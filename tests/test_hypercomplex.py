@@ -76,6 +76,14 @@ def test_structure_tensor_matches_table():
             assert np.allclose(OCT_TABLE[p, q], expected)
 
 
+def test_structure_tensor_is_the_per_pair_products_exactly():
+    # the table is built by one broadcast product; each entry must equal
+    # the product of its two basis octonions bit for bit
+    for p in range(8):
+        for q in range(8):
+            assert np.array_equal(OCT_TABLE[p, q], oct_mul(unit(p), unit(q))), (p, q)
+
+
 def test_octonion_norm_composition_and_alternativity():
     rng = np.random.default_rng(2)
     for _ in range(50):
