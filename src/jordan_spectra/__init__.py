@@ -30,9 +30,7 @@ __version__ = "0.1.0"
 # module, loads no numpy.
 _EXPORTS = {
     "algebra": (
-        "AlgebraDescriptor",
         "EjaElement",
-        "algebra",
         "determinant",
         "inner",
         "jordan_product",
@@ -60,10 +58,12 @@ _EXPORTS = {
         "verify_main_theorem_if_direction",
     ),
     "geometry": (
+        "AlgebraDescriptor",
         "Ball",
         "EjaStateSpace",
         "GeometryError",
         "Polytope",
+        "algebra",
         "ball",
         "barycenter",
         "body_from_dict",
@@ -116,9 +116,7 @@ _EXPORTS = {
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# verify_strong_symmetry_eja resolves by name but, as before, is left out of
-# ``from jordan_spectra import *``
-__all__ = sorted(_ORIGIN.keys() - {"verify_strong_symmetry_eja"})
+__all__ = sorted(_ORIGIN)
 
 
 def __getattr__(name):

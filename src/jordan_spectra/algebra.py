@@ -29,65 +29,14 @@ path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .geometry import FAMILIES
+# the descriptor lives on the exact side, which names families and sizes
+# without numpy; it is imported back here for the algebra's own users
+from .geometry import AlgebraDescriptor, algebra  # noqa: F401
 from .hypercomplex import oct_conj, oct_mat_mul, quat_to_complex2
-
-
-@dataclass(frozen=True)
-class AlgebraDescriptor:
-    """One of the five simple families plus its size parameter."""
-
-    family: str
-    param: int
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError("unknown family %r" % (self.family,))
-        if not isinstance(self.param, int) or self.param < 1:
-            raise ValueError("param must be a positive integer")
-        if self.family == "herm_o" and self.param != 3:
-            raise ValueError("herm_o exists only for size 3")
-
-    @property
-    def dim(self) -> int:
-        m = self.param
-        return {
-            "sym_r": m * (m + 1) // 2,
-            "herm_c": m * m,
-            "herm_h": m * (2 * m - 1),
-            "spin": m + 1,
-            "herm_o": 27,
-        }[self.family]
-
-    @property
-    def rank(self) -> int:
-        return {"spin": 2, "herm_o": 3}.get(self.family, self.param)
-
-    def to_dict(self) -> dict:
-        key = "n" if self.family == "spin" else "m"
-        return {"family": self.family, key: self.param}
-
-    @staticmethod
-    def from_dict(data: dict) -> "AlgebraDescriptor":
-        family = data.get("family")
-        if family == "spin":
-            param = data.get("n", data.get("m"))
-        else:
-            param = data.get("m", data.get("n"))
-        if family == "herm_o" and param is None:
-            param = 3
-        if param is None:
-            raise ValueError("missing size parameter in %r" % (data,))
-        return AlgebraDescriptor(family, int(param))
-
-
-def algebra(family: str, param: int) -> AlgebraDescriptor:
-    return AlgebraDescriptor(family, param)
 
 
 class EjaElement:

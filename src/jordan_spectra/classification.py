@@ -31,12 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import TYPE_CHECKING
 
 from .automorphisms import group_generators, orbit_tree
 from .exactla import affine_basis_indices
 from .geometry import (
     VERTEX_CAP,
+    AlgebraDescriptor,
     Ball,
     EjaStateSpace,
     GeometryError,
@@ -54,9 +54,6 @@ from .geometry import (
 )
 from .operational import is_spectral, recheck_counterexample
 from .scalars import format_scalar
-
-if TYPE_CHECKING:
-    from .algebra import AlgebraDescriptor
 
 TABLES_ENV = "JORDAN_SPECTRA_TABLES"
 
@@ -257,8 +254,6 @@ def table_consistency_check(path: str | None = None) -> dict:
     (type A_n) is reported under "flagged", not as a failure, together
     with the shifted reading that does satisfy it.
     """
-    from .algebra import AlgebraDescriptor
-
     data = load_tables(path)
     failures: list = []
     flagged: list = []
@@ -385,8 +380,6 @@ def _coerce_descriptor(body):
         return body.descriptor
     if isinstance(body, (Polytope, Ball)):
         return None
-    from .algebra import AlgebraDescriptor
-
     return body if isinstance(body, AlgebraDescriptor) else None
 
 

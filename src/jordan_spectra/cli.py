@@ -26,6 +26,7 @@ import click
 from .geometry import (
     FAMILIES,
     VERTEX_CAP,
+    AlgebraDescriptor,
     Ball,
     EjaStateSpace,
     Polytope,
@@ -116,7 +117,7 @@ def main():
 def decompose(input_path, eja, m, n, seed, tol, out):
     """Spectral decomposition of an element (from file) or a seeded random state."""
     try:
-        from .algebra import AlgebraDescriptor, EjaElement, norm
+        from .algebra import EjaElement, norm
         from .spectral import random_state, spectral_decompose
 
         if eja is not None:

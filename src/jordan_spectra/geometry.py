@@ -20,18 +20,67 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
 
 from .exactla import _eliminate, affine_basis_indices, affine_rank, determinant, solve_any
 from .scalars import Sqrt5, exact, format_scalar
 
 #: The five simple Euclidean Jordan algebra families.  Defined here, on the
-#: exact side, so that naming a family (the CLI's --eja choices, an EJA body
-#: record) loads no float code; ``algebra`` validates descriptors against it.
+#: exact side, with their descriptor, so that naming an algebra and reading
+#: its dim or rank (the CLI's --eja choices, an EJA body record, the table
+#: checks) loads no float code.
 FAMILIES = ("sym_r", "herm_c", "herm_h", "spin", "herm_o")
 
-if TYPE_CHECKING:
-    from .algebra import AlgebraDescriptor
+
+@dataclass(frozen=True)
+class AlgebraDescriptor:
+    """One of the five simple families plus its size parameter."""
+
+    family: str
+    param: int
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError("unknown family %r" % (self.family,))
+        if not isinstance(self.param, int) or self.param < 1:
+            raise ValueError("param must be a positive integer")
+        if self.family == "herm_o" and self.param != 3:
+            raise ValueError("herm_o exists only for size 3")
+
+    @property
+    def dim(self) -> int:
+        m = self.param
+        return {
+            "sym_r": m * (m + 1) // 2,
+            "herm_c": m * m,
+            "herm_h": m * (2 * m - 1),
+            "spin": m + 1,
+            "herm_o": 27,
+        }[self.family]
+
+    @property
+    def rank(self) -> int:
+        return {"spin": 2, "herm_o": 3}.get(self.family, self.param)
+
+    def to_dict(self) -> dict:
+        key = "n" if self.family == "spin" else "m"
+        return {"family": self.family, key: self.param}
+
+    @staticmethod
+    def from_dict(data: dict) -> "AlgebraDescriptor":
+        family = data.get("family")
+        if family == "spin":
+            param = data.get("n", data.get("m"))
+        else:
+            param = data.get("m", data.get("n"))
+        if family == "herm_o" and param is None:
+            param = 3
+        if param is None:
+            raise ValueError("missing size parameter in %r" % (data,))
+        return AlgebraDescriptor(family, int(param))
+
+
+def algebra(family: str, param: int) -> AlgebraDescriptor:
+    return AlgebraDescriptor(family, param)
 
 
 class GeometryError(ValueError):
@@ -118,8 +167,6 @@ def ball(n: int) -> Ball:
 
 
 def eja_state_space(family, param=None) -> EjaStateSpace:
-    from .algebra import AlgebraDescriptor, algebra
-
     if isinstance(family, AlgebraDescriptor):
         return EjaStateSpace(descriptor=family)
     if param is None and family == "herm_o":
@@ -615,8 +662,6 @@ def body_from_dict(doc: dict):
     if kind == "ball":
         return ball(int(doc["n"]))
     if kind == "eja":
-        from .algebra import AlgebraDescriptor
-
         rest = {k: v for k, v in doc.items() if k != "type"}
         return EjaStateSpace(descriptor=AlgebraDescriptor.from_dict(rest))
     if kind == "named":

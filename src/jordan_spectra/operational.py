@@ -21,7 +21,8 @@ polytope frame spans a simplex, a frame hull is full-dimensional only when
 the body itself is that simplex, and for every non-simplex polytope the
 frame hulls form a measure-zero union; an exact interior point off all of
 them certifies NotSpectral in any dimension.  Every verdict is exact: a
-covering frame or such a point, both rechecked by exact barycentric
+covering frame, which is then every vertex (the body is the simplex of
+its one n-frame), or such a point, rechecked by exact barycentric
 coordinates.
 """
 
@@ -602,19 +603,16 @@ def is_spectral(
         frames_by_k.append((k, len(sets) * math.factorial(k)))
         all_sets.extend(sets)
     hulls = [tuple(body.vertices[i] for i in s) for s in all_sets]
-    covering = None
-    for s in _frame_sets(body, r, cap):
-        states = [body.vertices[i] for i in s]
-        if all(_in_hull_exact(states, v) for v in body.vertices):
-            covering = s
-            break
-    if covering is not None:
+    # A frame is affinely independent and every vertex is extreme, so a
+    # frame whose hull holds every vertex is every vertex: one exists iff r = n.
+    n = len(body.vertices)
+    if r == n:
         return SpectralVerdict(
             spectral=True,
             rank=r,
             counterexample=None,
             frames_by_k=tuple(frames_by_k),
-            covering_frame=covering,
+            covering_frame=tuple(range(n)),
         )
     return SpectralVerdict(
         spectral=False,

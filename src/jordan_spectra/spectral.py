@@ -5,15 +5,18 @@ Solver strategy:
 * sym_r   LAPACK eigh on the real symmetric matrix
 * herm_c  LAPACK eigh on the complex Hermitian matrix
 * herm_h  LAPACK eigh on the 2m x 2m complex matrix that stores x; each
-          quaternionic eigenline shows up as a J-paired doublet (J = the
-          embedded j unit), so idempotents come from pairing eigenvectors v
-          with their twins J conj(v)
+          quaternionic eigenvalue is a pair of its eigenvalues, and the
+          projector onto a pair's eigenvectors is a primitive idempotent
 * spin    closed form: (x, t) has eigenvalues t +- |x| with idempotents
           ((+-x/|x|)/2, 1/2); x = 0 keeps the coarse part [(t, e)] and splits
           the fine frame along a fixed axis
 * herm_o  Newton identities -> characteristic cubic -> trigonometric roots;
-          idempotents by Lagrange interpolation in Jordan powers of x, with
-          repeated eigenvalues refined through the quadratic representation
+          idempotents by Lagrange interpolation in Jordan powers of x
+
+A repeated herm_h or herm_o eigenvalue has a coarse idempotent c of trace
+k > 1 (the sum of its pair projectors, or its Lagrange polynomial), which
+`_peel` splits into k primitives by compressions U_c of diagonal
+primitives: no random draw, so the fine frame is a function of x alone.
 
 `eigenvalue_rows` returns the same numbers without building a frame, for a
 stack of coefficient rows at once: one stacked eigvalsh for the matrix
@@ -47,13 +50,10 @@ from .algebra import (
     _matrix_basis,
     coefficient_rows,
     herm_o_product_rows,
-    inner,
-    j_twin,
     jordan_product,
     jordan_product_rows,
     norm,
     norm_rows,
-    quadratic_rep,
     to_matrix,
     trace,
     trace_rows,
@@ -64,7 +64,8 @@ DEFAULT_TOL = 1e-10
 
 
 class SpectralError(RuntimeError):
-    """Non-finite input, a failed reconstruction, or a refinement retry cap hit."""
+    """Non-finite input, an eigenvalue overflow or a failed reconstruction;
+    the random generators raise it for draws that stay degenerate."""
 
     def __init__(self, message: str, residual: float | None = None):
         if residual is not None:
@@ -113,32 +114,19 @@ def _fine_matrix(x: EjaElement):
 
 
 def _fine_herm_h(x: EjaElement, tol: float):
+    """herm_h: each quaternionic eigenvalue is a pair of the 2m eigenvalues
+    of the stored matrix.  One pair's projector v v^H is primitive; a
+    cluster of j pairs sums to its coarse idempotent, which `_peel` splits."""
+    alg = x.algebra
     w, v = _eigh_descending(to_matrix(x))
     ctol = tol * (1.0 + float(np.max(np.abs(w))))
-    # cluster the 2m eigenvalues, then peel J-pairs inside each cluster
-    pairs = []
-    for idx in _cluster_indices(w, ctol):
-        cols = v[:, idx]
-        while cols.shape[1] > 0:
-            vec = cols[:, 0]
-            twin = j_twin(vec)
-            # twin is an eigenvector of the same eigenvalue, orthogonal to vec
-            twin = twin - vec * np.vdot(vec, twin)
-            nrm = np.linalg.norm(twin)
-            if nrm < 0.5:
-                raise SpectralError("quaternionic J-pairing degenerated", residual=nrm)
-            twin = twin / nrm
-            pairs.append((vec, twin))
-            # remove the pair from the cluster basis; no singular value of
-            # the rest exceeds its Frobenius norm, so at most 0.5 leaves none
-            rest = cols - np.outer(vec, np.conj(vec) @ cols) - np.outer(
-                twin, np.conj(twin) @ cols
-            )
-            if np.vdot(rest, rest).real <= 0.25:
-                break
-            u_mat, sv, _ = np.linalg.svd(rest, full_matrices=False)
-            cols = u_mat[:, sv > 0.5]
-    rows = _projector_rows(x.algebra, np.array(pairs))
+    pairs = _projector_rows(alg, v.T.reshape(alg.param, 2, -1))
+    rows = np.concatenate(
+        [
+            pairs[idx] if len(idx) == 1 else _peel(alg, pairs[idx].sum(axis=0), len(idx))
+            for idx in _cluster_indices(w[::2], ctol)
+        ]
+    )
     # the basis is orthonormal for the trace form: the values are (x, c),
     # one dot product each, so a tie within a cluster orders as `inner` does
     return [np.dot(x.coeffs, row) for row in rows], rows
@@ -260,57 +248,40 @@ def _herm_o_coarse(x: EjaElement, tol: float):
     return out
 
 
-def _fine_herm_o(x: EjaElement, tol: float, seed: int):
-    values, frame = [], []
+def _fine_herm_o(x: EjaElement, tol: float):
+    values, rows = [], []
     for lam, mult, idem in _herm_o_coarse(x, tol):
-        if mult == 1:
-            values.append(lam)
-            frame.append(idem)
-        else:
-            # at most one eigenvalue of a rank-3 algebra repeats
-            rng = np.random.default_rng(seed)
-            for piece in _refine_idempotent(idem, mult, tol, rng):
-                values.append(lam)
-                frame.append(piece)
-    return values, coefficient_rows(frame)
+        values += [lam] * mult
+        rows.append(idem.coeffs[None] if mult == 1 else _peel(x.algebra, idem.coeffs, mult))
+    return values, np.concatenate(rows)
 
 
-def _refine_idempotent(c: EjaElement, k: int, tol: float, rng: np.random.Generator):
-    """Split a trace-k herm_o idempotent into k primitives.
+def _peel(alg: AlgebraDescriptor, c: np.ndarray, k: int) -> np.ndarray:
+    """Split the coefficient row c of a trace-k idempotent into k orthogonal
+    primitives, the rows of a (k, dim) array that sum to c.
 
-    Conjugates a random element into the Peirce 1-space of c via U_c; a
-    generic draw has k distinct nonzero eigenvalues there, whose primitive
-    idempotents decompose c.  Retries on degenerate draws.
+    The compression U_c q = 2 c * (c * q) - c * q of a primitive q is a
+    multiple of a primitive below c, the multiple being tr U_c q = (q, c)
+    (Alfsen & Shultz, Geometry of State Spaces of Operator Algebras, 2003).
+    Each step compresses the diagonal primitive E_ii (basis row i) of
+    largest (E_ii, c) = c[i], which is at least tr c / rank, divides the
+    image by its trace and takes it off c; the last piece is what remains.
+    Used for herm_h and herm_o, whose first `rank` basis rows are the E_ii.
     """
-    alg = c.algebra
-    for _ in range(60):
-        y = random_element(alg, rng)
-        z = quadratic_rep(c, y)
-        pieces = []
-        ok = True
-        for lam, _, d in _herm_o_coarse(z, tol):
-            s = inner(d, c)
-            t = trace(d)
-            if abs(s - t) <= 1e-6 * (1.0 + abs(t)):
-                if abs(t - 1.0) > 1e-6:
-                    ok = False  # a repeated eigenvalue inside the face
-                    break
-                if abs(lam) > 1e-9:
-                    pieces.append(d)
-                else:
-                    ok = False  # eigenvalue collapsed onto the outside cluster
-                    break
-            elif abs(s) > 1e-6:
-                ok = False  # piece straddles the face boundary
-                break
-        if ok and len(pieces) == k:
-            total = EjaElement(alg, coefficient_rows(pieces).sum(axis=0))
-            if norm(total - c) <= 1e-7 * (1.0 + norm(c)):
-                return pieces
-    raise SpectralError("idempotent refinement retry cap exceeded for trace %d" % k)
+    pieces = []
+    for _ in range(k - 1):
+        q = np.zeros((1, alg.dim))
+        q[0, np.argmax(c[: alg.rank])] = 1.0
+        cq = jordan_product_rows(alg, c[None], q)
+        image = 2.0 * jordan_product_rows(alg, c[None], cq) - cq
+        piece = image[0] / trace_rows(alg, image)[0]
+        pieces.append(piece)
+        c = c - piece
+    pieces.append(c)
+    return np.array(pieces)
 
 
-def _fine_for(x: EjaElement, tol: float, seed: int):
+def _fine_for(x: EjaElement, tol: float):
     """(values, frame rows): the fine frame as an (r, dim) coefficient array."""
     fam = x.algebra.family
     if fam in ("sym_r", "herm_c"):
@@ -319,7 +290,7 @@ def _fine_for(x: EjaElement, tol: float, seed: int):
         return _fine_herm_h(x, tol)
     if fam == "spin":
         return _fine_spin(x, tol)
-    return _fine_herm_o(x, tol, seed)
+    return _fine_herm_o(x, tol)
 
 
 # -- clustering and assembly -----------------------------------------------------
@@ -375,27 +346,25 @@ def _upscaled(values, k: int) -> list:
         raise SpectralError("eigenvalues overflow") from None
 
 
-def spectral_decompose(
-    x: EjaElement, tol: float = DEFAULT_TOL, seed: int = 0xA5
-) -> SpectralDecomposition:
+def spectral_decompose(x: EjaElement, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     """Fine and coarse spectral decompositions of x.
 
     Eigenvalues come back descending; the reconstruction residual is bounded
-    by tol*(1 + |x|).  `seed` only steers the non-canonical fine splitting of
-    repeated eigenvalues.  An x whose norm overflows is decomposed as
-    x / 2**k, with its eigenvalues scaled back by 2**k.
+    by tol*(1 + |x|).  The fine frame is a deterministic function of x: a
+    repeated eigenvalue is split by `_peel`.  An x whose norm overflows is
+    decomposed as x / 2**k, with its eigenvalues scaled back by 2**k.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     size = _size(x)
     if not math.isfinite(size):
         y, k = _downscaled(x)
-        dec = spectral_decompose(y, tol, seed)
+        dec = spectral_decompose(y, tol)
         values = _upscaled(dec.eigenvalues.tolist(), k)
         lams = _upscaled([lam for lam, _ in dec.coarse], k)
         coarse = [(lam, idem) for lam, (_, idem) in zip(lams, dec.coarse)]
         return SpectralDecomposition(np.asarray(values), dec.frame, coarse)
-    values, rows = _fine_for(x, tol, seed)
+    values, rows = _fine_for(x, tol)
     values = [float(v) for v in values]
     order = sorted(range(len(values)), key=lambda i: -values[i])
     values = [values[i] for i in order]

@@ -366,6 +366,10 @@ def test_exact_commands_never_import_numpy(tmp_path, cli_env):
         ("plot-data", square_path),
         ("recheck", str(witness)),
         ("tables", "--type", "EIV"),
+        # these read only an algebra descriptor's dim and rank
+        ("tables",),
+        ("check", "--eja", "spin", "--n", "3", "--property", "spectral"),
+        ("check", "--eja", "sym_r", "--m", "3", "--property", "rank"),
     ):
         proc = run(*args)
         assert proc.returncode == 0, (args, proc.stdout)

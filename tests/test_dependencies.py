@@ -2,9 +2,9 @@
 the exact side imports no float code at module level, the package resolves
 its exports lazily in any import order, the face side imports no LP, the
 exact kernel keeps no public routine that only tests reach, one vertex cap
-is the default of every cap, and the per-element product, trace form,
+is the default of every cap, the per-element product, trace form,
 eigenvalues and idempotent tests are one-row cases of their row
-functions."""
+functions, and the spectral decomposition draws no random numbers."""
 
 import ast
 import subprocess
@@ -124,6 +124,7 @@ def test_algebra_factory_survives_every_import_order(order, cli_env):
         + "\nmissing = [n for n in jordan_spectra.__all__ if not hasattr(jordan_spectra, n)]"
         + "\nassert not missing, missing"
         + "\nassert set(jordan_spectra.__all__) <= set(dir(jordan_spectra))"
+        + "\nassert 'verify_strong_symmetry_eja' in jordan_spectra.__all__"
         + "\nassert not hasattr(jordan_spectra, 'no_such_export')"
         + "\nassert jordan_spectra.algebra('spin', 3).dim == 4"
     )
@@ -254,3 +255,25 @@ def test_the_float_side_loads_as_one_unit(cli_env):
     code = "import sys, jordan_spectra.spectral; assert 'jordan_spectra.symmetry' in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_spectral_decomposition_draws_no_random_numbers():
+    # the fine frame is a deterministic function of x: no helper on the
+    # decomposition path reaches a generator, and no seed steers it
+    package = Path(jordan_spectra.__file__).resolve().parent
+    tree = ast.parse((package / "spectral.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    path = ["spectral_decompose", "_peel"] + sorted(f for f in functions if f.startswith("_fine_"))
+    assert {"_fine_for", "_fine_herm_h", "_fine_herm_o"} <= set(path)
+    random = {"default_rng", "_as_rng", "random_element"}
+    stray = [
+        f"{name}:{n.lineno} {n.id if isinstance(n, ast.Name) else n.attr}"
+        for name in path
+        for n in ast.walk(functions[name])
+        if (isinstance(n, ast.Name) and n.id in random)
+        or (isinstance(n, ast.Attribute) and n.attr in random)
+    ]
+    assert not stray, stray
+    args = functions["spectral_decompose"].args
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    assert "seed" not in names, names

@@ -155,18 +155,84 @@ def test_degenerate_spectrum_herm_h():
     assert max(rec, idem, orth, comp) < 1e-6
 
 
-def test_coarse_eigenvalues_independent_of_fine_seed():
+def test_coarse_idempotents_of_a_diagonal_herm_o_element_are_exact():
     alg = algebra("herm_o", 3)
     coeffs = np.zeros(27)
     coeffs[:3] = [3.0, 3.0, -1.0]
     x = EjaElement(alg, coeffs)
-    d1 = spectral_decompose(x, seed=1)
-    d2 = spectral_decompose(x, seed=2)
-    v1 = [lam for lam, _ in d1.coarse]
-    v2 = [lam for lam, _ in d2.coarse]
-    assert np.allclose(v1, v2, atol=1e-9)
-    for (_, q1), (_, q2) in zip(d1.coarse, d2.coarse):
-        assert norm(q1 - q2) < 1e-7  # coarse idempotents are unique
+    dec = spectral_decompose(x)
+    (l1, q1), (l2, q2) = dec.coarse
+    assert l1 == pytest.approx(3.0, abs=1e-12) and l2 == pytest.approx(-1.0, abs=1e-12)
+    want = np.zeros((2, 27))
+    want[0, :2] = 1.0  # diag(1, 1, 0)
+    want[1, 2] = 1.0  # diag(0, 0, 1)
+    assert np.max(np.abs(q1.coeffs - want[0])) <= 1e-12
+    assert np.max(np.abs(q2.coeffs - want[1])) <= 1e-12
+    # the fine frame is a function of x alone
+    again = spectral_decompose(x)
+    for a, b in zip(dec.frame, again.frame):
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def _on_frame(alg, lams, seed):
+    """(x, frame): sum lam_i c_i over a random Jordan frame c."""
+    frame = random_jordan_frame(alg, seed)
+    x = zero(alg)
+    for w, c in zip(lams, frame):
+        x = x + w * c
+    return x, frame
+
+
+@pytest.mark.parametrize(
+    "alg,lams",
+    [
+        (algebra("herm_h", 4), (2.0, 2.0, -1.0, -1.0)),
+        (algebra("herm_h", 4), (2.0, 2.0, 2.0, -1.0)),
+        (algebra("herm_h", 4), (1.5, 1.5, 1.5, 1.5)),
+        (algebra("herm_o", 3), (3.0, 3.0, -1.0)),
+        (algebra("herm_o", 3), (3.0, -1.0, -1.0)),
+        (algebra("herm_o", 3), (1.5, 1.5, 1.5)),
+    ],
+    ids=["herm_h-aabb", "herm_h-aaab", "herm_h-unit", "herm_o-top", "herm_o-bottom", "herm_o-unit"],
+)
+def test_fine_pieces_sum_to_each_cluster_idempotent(alg, lams):
+    # a repeated eigenvalue is split into primitives that add up to its
+    # coarse idempotent, here the sum of the frame members it was built on
+    for seed in range(5):
+        x, frame = _on_frame(alg, lams, seed)
+        dec = spectral_decompose(x)
+        assert len(dec.coarse) == len(set(lams))
+        for lam, q in dec.coarse:
+            want = sum(
+                (c.coeffs for w, c in zip(lams, frame) if abs(w - lam) < 1e-6),
+                np.zeros(alg.dim),
+            )
+            pieces = [c for w, c in zip(dec.eigenvalues, dec.frame) if abs(w - lam) < 1e-6]
+            assert len(pieces) == sum(abs(w - lam) < 1e-6 for w in lams)
+            assert norm(EjaElement(alg, want) - q) <= 1e-12
+            total = sum((c.coeffs for c in pieces), np.zeros(alg.dim))
+            assert np.max(np.abs(total - want)) <= 1e-12
+        rec, idem, orth, comp = frame_residuals(x, dec)
+        assert max(idem, orth, comp) <= 1e-12
+        assert rec <= 1e-12 * (1.0 + norm(x))
+
+
+def test_herm_o_near_double_eigenvalue_decomposes():
+    # on most frames, eigenvalues 1 + 1e-7 and 1 lie inside the cubic's
+    # cluster floor, so they form one coarse idempotent, which is peeled
+    # into two primitives; every frame must decompose
+    alg = algebra("herm_o", 3)
+    clustered = 0
+    for seed in range(30):
+        x, _ = _on_frame(alg, (3.0, 1.0 + 1e-7, 1.0), seed)
+        dec = spectral_decompose(x)
+        assert norm(dec.reconstruct() - x) <= 1e-9 * (1.0 + norm(x))
+        if len(dec.coarse) == 2:
+            clustered += 1
+            assert dec.eigenvalues[1] == dec.eigenvalues[2]
+            rec, idem, orth, comp = frame_residuals(x, dec)
+            assert max(idem, orth, comp) <= 1e-6
+    assert clustered >= 25
 
 
 def test_eigenvalues_match_numpy_for_matrix_families():
@@ -192,12 +258,8 @@ def _repeated_top(alg, seed):
     of the embedding), herm_o a double root of the cubic and spin a multiple
     of the unit.
     """
-    frame = random_jordan_frame(alg, seed)
     lam = [1.5, 1.5] + [-0.5 - i for i in range(alg.rank - 2)]
-    x = zero(alg)
-    for w, c in zip(lam, frame):
-        x = x + w * c
-    return x
+    return _on_frame(alg, lam, seed)[0]
 
 
 @pytest.mark.parametrize("kind", ["generic", "repeated", "stacked"])
