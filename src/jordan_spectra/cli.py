@@ -221,7 +221,7 @@ def frames(positional, k, input_path, eja, m, n, cap, out):
         body = _load_body(input_path, eja, m, n, positional)
         if not isinstance(body, Polytope):
             raise ValueError("frame enumeration is exact only for polytopes")
-        from .operational import _frame_sets, enumerate_frames, rank as body_rank
+        from .operational import count_frames, enumerate_frames, rank as body_rank
 
         doc: dict = {"body": _body_label(body), "rank": body_rank(body, cap)}
         if k is not None:
@@ -230,11 +230,9 @@ def frames(positional, k, input_path, eja, m, n, cap, out):
             doc["count"] = len(found)
             doc["frames"] = [list(f.indices) for f in found]
         else:
-            by_k = {}
-            for kk in range(1, doc["rank"] + 1):
-                # k! ordered frames per frame subset
-                by_k[str(kk)] = len(_frame_sets(body, kk, cap)) * math.factorial(kk)
-            doc["frames_by_k"] = by_k
+            doc["frames_by_k"] = {
+                str(kk): count_frames(body, kk, cap) for kk in range(1, doc["rank"] + 1)
+            }
         _finish(doc, out, 0)
     except Exception as exc:  # noqa: BLE001
         _fail(str(exc), out)

@@ -254,17 +254,3 @@ def affine_basis_indices(points):
 def affine_rank(points) -> int:
     """Dimension of the affine hull of the point set."""
     return len(affine_basis_indices(points)) - 1
-
-
-def barycentric_coordinates(vertices, point):
-    """Coefficients lam with sum 1 and sum lam_i v_i = point.
-
-    vertices must be affinely independent; None if point is outside their
-    affine hull.
-    """
-    n = len(vertices)
-    dim = len(point)
-    a = [[vertices[j][i] for j in range(n)] for i in range(dim)]
-    a.append([Fraction(1)] * n)
-    b = list(point) + [Fraction(1)]
-    return solve_any(a, b)

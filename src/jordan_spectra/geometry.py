@@ -6,10 +6,12 @@ exactly.  Degenerate polytopes (not full-dimensional in their ambient
 coordinates, e.g. a simplex given as unit vectors) are re-coordinatized to
 their affine hull through an AffineChart before any face computation.
 
-Faces need no LP.  The facets are the exact hyperplanes through d chart
-vertices with every vertex on one side, and the face lattice is the
-intersection closure of their vertex sets (Kaibel & Pfetsch, Comput.
-Geom. 23, 2002).  A point is a vertex iff the normals of the facets
+Faces need no LP.  Every hyperplane through d affinely independent chart
+vertices is found once, by one elimination, and kept in one table per
+body, which the spectrality witnesses of `operational` also read.  The
+facets are its entries with every vertex on one side, and the face
+lattice is the intersection closure of their vertex sets (Kaibel &
+Pfetsch, Comput. Geom. 23, 2002).  A point is a vertex iff the normals of the facets
 through it have rank d, which is how polytope validation decides
 extremality.  Maximal flags and barycenters build on the lattice.
 """
@@ -225,7 +227,8 @@ ANALYSIS_CACHE_BODIES = 64
 class _Analysis:
     """Everything derived from one polytope.
 
-    The chart and the facets (``_facets`` of the chart vertices) are set
+    The chart, the table of vertex hyperplanes (``_vertex_hyperplanes`` of
+    the chart vertices) and the facets, its one-signed entries, are set
     when the record is made; the rest is filled on first use.  ``faces`` is
     the face lattice.  ``facet_effects`` holds the facets' functionals as
     ambient effects (``operational._facet_effects``), and
@@ -241,6 +244,7 @@ class _Analysis:
 
     chart: AffineChart
     chart_vertices: tuple
+    hyperplanes: dict
     facets: dict
     faces: FaceLattice | None = None
     facet_values: tuple | None = None
@@ -256,19 +260,20 @@ def _analysis(poly: Polytope) -> _Analysis:
 
     A record is made only for a point set whose every point is a vertex:
     otherwise GeometryError is raised and nothing is cached.  polytope()
-    makes the record as it accepts the body, so the chart and the facets
-    are found once per accepted body, and an equal body is accepted again
-    from the cache.
+    makes the record as it accepts the body, so the chart and the
+    hyperplanes are found once per accepted body, and an equal body is
+    accepted again from the cache.
     """
     ch = _affine_chart(list(poly.vertices))
     cv = tuple(ch.to_chart(v) for v in poly.vertices)
-    facets = _facets(cv)
+    hyperplanes = _vertex_hyperplanes(cv)
+    facets = _facets(hyperplanes)
     if len(cv) > 1:  # a lone point is its own vertex
         for i in range(len(cv)):
             normals = [g for face, (g, _) in facets.items() if i in face]
             if len(_eliminate(normals)[2]) < ch.dim:
                 raise GeometryError(f"vertex {i} is not extremal")
-    return _Analysis(chart=ch, chart_vertices=cv, facets=facets)
+    return _Analysis(chart=ch, chart_vertices=cv, hyperplanes=hyperplanes, facets=facets)
 
 
 def _capped_analysis(poly: Polytope, cap: int) -> _Analysis:
@@ -336,24 +341,26 @@ class FaceLattice:
         )
 
 
-def _facets(cv) -> dict:
-    """{frozenset of vertices on it: (g, c)} over the facets of ``cv``.
+def _vertex_hyperplanes(cv) -> dict:
+    """{frozenset of vertices on it: (g, c, facet)} over the hyperplanes
+    g.x + c = 0 spanned by affinely independent d-subsets S of ``cv``.
 
-    An affinely independent d-subset S spans a hyperplane g.x + c = 0.
     One elimination of [homogenized vertices (x, 1) as columns, S first |
     identity] pivots on S and leaves one row: the functional's values at
-    the vertices, then (g, c).  It is a facet when no two values have
-    opposite signs, and is signed >= 0 on the body.  Subsets inside a
-    facet already found are skipped.
+    the vertices, then (g, c).  ``facet``: no two values have opposite
+    signs; a facet is signed >= 0 on the body.  The d-subsets on a found
+    hyperplane are skipped, so each costs one elimination, at its least
+    spanning subset, plus one per affinely dependent subset met first.
     """
     n, d = len(cv), len(cv[0])
-    found = {}
+    table = {}
     if d == 0:
-        return found
+        return table
     homogenized = [[v[k] for v in cv] for k in range(d)] + [[1] * n]
     ident = [[int(j == k) for j in range(d + 1)] for k in range(d + 1)]
+    decided = set()
     for subset in itertools.combinations(range(n), d):
-        if any(on.issuperset(subset) for on in found):
+        if subset in decided:
             continue
         order = list(subset) + [i for i in range(n) if i not in subset]
         rows = [[row[i] for i in order] + e for row, e in zip(homogenized, ident)]
@@ -361,13 +368,19 @@ def _facets(cv) -> dict:
         if pivots[:d] != list(range(d)):
             continue  # affinely dependent
         signs = [ring.sign(x) for x in T[d][:n]]
-        if 1 in signs and -1 in signs:
-            continue
         flip = -1 if -1 in signs else 1
         normal = [flip * ring.scalar(y) for y in T[d][n:]]
-        on = frozenset(i for i, sign in zip(order, signs) if sign == 0)
-        found[on] = (tuple(normal[:d]), normal[d])
-    return found
+        on = sorted(i for i, sign in zip(order, signs) if sign == 0)
+        facet = not (1 in signs and -1 in signs)
+        table[frozenset(on)] = (tuple(normal[:d]), normal[d], facet)
+        decided.update(itertools.combinations(on, d))
+    return table
+
+
+def _facets(table) -> dict:
+    """{frozenset of vertices on it: (g, c)} over the facets, the one-signed
+    entries of a ``_vertex_hyperplanes`` table, each >= 0 on the body."""
+    return {on: (g, c) for on, (g, c, facet) in table.items() if facet}
 
 
 def _exposing_functional(face, facets, cv):
@@ -523,7 +536,7 @@ def _triangulate(points):
         raise GeometryError("segment with interior vertices cannot occur")
     apex = tuple(points[0])
     simplices = []
-    for on in _facets(points):
+    for on in _facets(_vertex_hyperplanes(points)):
         if 0 not in on:
             for s in _triangulate([points[i] for i in sorted(on)]):
                 simplices.append((apex,) + tuple(s))

@@ -16,14 +16,12 @@ certificate onto a valid one, so moved certificates need no check of
 their own.
 
 A k-frame's states are always affinely independent: applying e_k to an
-affine dependence omega_k = sum_j lam_j omega_j gives 1 = 0.  Hence every
-polytope frame spans a simplex, a frame hull is full-dimensional only when
-the body itself is that simplex, and for every non-simplex polytope the
-frame hulls form a measure-zero union; an exact interior point off all of
-them certifies NotSpectral in any dimension.  Every verdict is exact: a
-covering frame, which is then every vertex (the body is the simplex of
-its one n-frame), or such a point, rechecked by exact barycentric
-coordinates.
+affine dependence omega_k = sum_j lam_j omega_j gives 1 = 0.  A
+(d + 1)-frame's effects are the barycentric coordinates of its simplex,
+>= 0 on the body, so only a simplex has rank d + 1, and any other body's
+frame hulls lie in hyperplanes spanned by d vertices.  Every verdict is
+exact: a covering frame, which is then every vertex, or an interior point
+on none of those hyperplanes, rechecked from their table alone.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .automorphisms import group_generators, orbit_tree
-from .exactla import _eliminate, barycentric_coordinates
+from .exactla import _eliminate
 from .exactlp import Feasible, linear_program, lp_feasible
 from .geometry import (
     VERTEX_CAP,
@@ -502,6 +500,11 @@ def enumerate_frames(poly: Polytope, k: int, cap: int = VERTEX_CAP):
     return tuple(frames)
 
 
+def count_frames(poly: Polytope, k: int, cap: int = VERTEX_CAP) -> int:
+    """The number of ordered k-frames of vertices, k! per frame subset."""
+    return len(_frame_sets(poly, k, cap)) * math.factorial(k)
+
+
 def rank(body, cap: int = VERTEX_CAP) -> int:
     """Largest frame cardinality.
 
@@ -533,8 +536,8 @@ def rank(body, cap: int = VERTEX_CAP) -> int:
 class SpectralVerdict:
     spectral: bool
     rank: int
-    counterexample: tuple | None
-    frames_by_k: tuple | None
+    counterexample: tuple | None = None
+    frames_by_k: tuple | None = None
     covering_frame: tuple | None = None
 
     def to_dict(self) -> dict:
@@ -552,12 +555,18 @@ class SpectralVerdict:
         }
 
 
-def _in_hull_exact(states, point) -> bool:
-    lam = barycentric_coordinates(list(states), list(point))
-    return lam is not None and all(v >= 0 for v in lam)
+def _off_hyperplanes(rec, point) -> bool:
+    """Does no vertex hyperplane of the analysis record vanish at ``point``?"""
+    coords = rec.chart.to_chart(point)
+    return all(
+        sum(a * x for a, x in zip(g, coords)) + c != 0 for g, c, _ in rec.hyperplanes.values()
+    )
 
 
-def _interior_point_off_hulls(poly: Polytope, hulls, seed: int, tries: int = 1000):
+def _point_off_hyperplanes(poly: Polytope, seed: int, tries: int = 1000):
+    """The first seeded candidate on no vertex hyperplane; each weighs every
+    vertex by a positive integer, so it is interior."""
+    rec = _analysis(poly)
     rng = random.Random(seed)
     n = len(poly.vertices)
     for _ in range(tries):
@@ -567,9 +576,9 @@ def _interior_point_off_hulls(poly: Polytope, hulls, seed: int, tries: int = 100
         for w, v in zip(weights, poly.vertices):
             scaled = tuple(w / total * c for c in v)
             point = scaled if point is None else tuple(a + b for a, b in zip(point, scaled))
-        if not any(_in_hull_exact(h, point) for h in hulls):
+        if _off_hyperplanes(rec, point):
             return point
-    raise OperationalError("failed to find a point off the frame hulls")
+    raise OperationalError("failed to find a point off the vertex hyperplanes")
 
 
 def is_spectral(
@@ -579,59 +588,35 @@ def is_spectral(
 
     EJA state spaces and balls are spectral (spectral theorem, diameters).
     For polytopes the body is spectral iff some frame's hull contains every
-    vertex; otherwise an exact interior counterexample off the measure-zero
-    union of frame hulls is produced, ``seed`` steering its search.
+    vertex, that is iff it is a simplex; otherwise an exact interior
+    counterexample on no vertex hyperplane, so off every frame hull, is
+    produced, ``seed`` steering its search.
     """
     if isinstance(body, EjaStateSpace):
-        return SpectralVerdict(
-            spectral=True,
-            rank=body.descriptor.rank,
-            counterexample=None,
-            frames_by_k=None,
-        )
+        return SpectralVerdict(spectral=True, rank=body.descriptor.rank)
     if isinstance(body, Ball):
-        return SpectralVerdict(
-            spectral=True, rank=2, counterexample=None, frames_by_k=None
-        )
+        return SpectralVerdict(spectral=True, rank=2)
     if not isinstance(body, Polytope):
         raise OperationalError(f"unknown body {type(body).__name__}")
     r = rank(body, cap)
-    frames_by_k = []
-    all_sets = []
-    for k in range(1, r + 1):
-        sets = _frame_sets(body, k, cap)
-        frames_by_k.append((k, len(sets) * math.factorial(k)))
-        all_sets.extend(sets)
-    hulls = [tuple(body.vertices[i] for i in s) for s in all_sets]
+    frames_by_k = tuple((k, count_frames(body, k, cap)) for k in range(1, r + 1))
     # A frame is affinely independent and every vertex is extreme, so a
     # frame whose hull holds every vertex is every vertex: one exists iff r = n.
     n = len(body.vertices)
     if r == n:
-        return SpectralVerdict(
-            spectral=True,
-            rank=r,
-            counterexample=None,
-            frames_by_k=tuple(frames_by_k),
-            covering_frame=tuple(range(n)),
-        )
-    return SpectralVerdict(
-        spectral=False,
-        rank=r,
-        counterexample=_interior_point_off_hulls(body, hulls, seed),
-        frames_by_k=tuple(frames_by_k),
-    )
+        return SpectralVerdict(True, r, frames_by_k=frames_by_k, covering_frame=tuple(range(n)))
+    return SpectralVerdict(False, r, _point_off_hyperplanes(body, seed), frames_by_k)
 
 
 def recheck_counterexample(body: Polytope, point, cap: int = VERTEX_CAP) -> bool:
-    """Exact re-verification that ``point`` defeats spectrality."""
-    if membership(body, point) == "outside":
+    """Exact re-verification that ``point`` defeats spectrality: the body is
+    no simplex (n > d + 1), so every frame hull lies in a vertex hyperplane,
+    the point is strictly inside and on none.  No frame, LP or group search.
+    """
+    rec = _capped_analysis(body, cap)
+    if len(body.vertices) <= rec.chart.dim + 1 or membership(body, point) != "inside":
         return False
-    r = rank(body, cap)
-    for k in range(1, r + 1):
-        for s in _frame_sets(body, k, cap):
-            if _in_hull_exact([body.vertices[i] for i in s], point):
-                return False
-    return True
+    return _off_hyperplanes(rec, tuple(map(exact, point)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ Solver strategy:
           ((+-x/|x|)/2, 1/2); x = 0 keeps the coarse part [(t, e)] and splits
           the fine frame along a fixed axis
 * herm_o  Newton identities -> characteristic cubic -> trigonometric roots;
-          idempotents by Lagrange interpolation in Jordan powers of x
+          the idempotent of a simple value by Lagrange interpolation in
+          Jordan powers of x; of three values, the two nearest each other
+          split in closed form in the rank-2 algebra left by the third
 
 A repeated herm_h or herm_o eigenvalue has a coarse idempotent c of trace
 k > 1 (the sum of its pair projectors, or its Lagrange polynomial), which
@@ -49,6 +51,7 @@ from .algebra import (
     EjaElement,
     _matrix_basis,
     coefficient_rows,
+    gram_rows,
     herm_o_product_rows,
     jordan_product,
     jordan_product_rows,
@@ -62,10 +65,15 @@ from .algebra import (
 
 DEFAULT_TOL = 1e-10
 
+# A herm_o frame further than this from orthonormal is refused.  A pair the
+# cubic merges leaves a frame orthonormal to ~5e-8 that rebuilds x exactly.
+HERM_O_GRAM_TOL = 1e-6
+
 
 class SpectralError(RuntimeError):
-    """Non-finite input, an eigenvalue overflow or a failed reconstruction;
-    the random generators raise it for draws that stay degenerate."""
+    """Non-finite input, an eigenvalue overflow, a failed reconstruction or
+    a herm_o frame far from orthonormal; the random generators raise it
+    for draws that stay degenerate."""
 
     def __init__(self, message: str, residual: float | None = None):
         if residual is not None:
@@ -210,50 +218,41 @@ def _herm_o_cubic(x: np.ndarray, x2: np.ndarray, tol: float) -> np.ndarray:
     return np.sort(vals, axis=1)[:, ::-1]
 
 
-def _herm_o_values(x: EjaElement, x2: EjaElement, tol: float) -> list:
-    """Distinct eigenvalues [(value, multiplicity)] of x (with x2 = x * x),
-    descending, read from `_herm_o_cubic`, which sets a cluster's members equal."""
-    row = _herm_o_cubic(x.coeffs[None], x2.coeffs[None], tol)[0]
-    return [(v, len(list(run))) for v, run in itertools.groupby(row.tolist())]
-
-
-def _herm_o_coarse(x: EjaElement, tol: float):
-    """Coarse pieces [(value, multiplicity, idempotent)] via the cubic.
-
-    Idempotents are Lagrange interpolation polynomials in x evaluated at the
-    distinct eigenvalues.
-    """
-    e = unit(x.algebra)
-    x2 = jordan_product(x, x)
-    vals = _herm_o_values(x, x2, tol)
-    out = []
-    if len(vals) == 1:
-        lam, _ = vals[0]
-        out.append((lam, 3, e))
-    elif len(vals) == 2:
-        # x - d*e = (s - d) c_s for the simple value s and repeated value d
-        (v1, m1), (v2, m2) = vals
-        s, d = (v1, v2) if m1 == 1 else (v2, v1)
-        c_single = (x - d * e) * (1.0 / (s - d))
-        pieces = {s: (1, c_single), d: (2, e - c_single)}
-        for lam, _ in vals:
-            mult, idem = pieces[lam]
-            out.append((lam, mult, idem))
-    else:
-        for i, (lam, _) in enumerate(vals):
-            others = [vals[j][0] for j in range(3) if j != i]
-            numer = x2 - (others[0] + others[1]) * x + (others[0] * others[1]) * e
-            idem = numer * (1.0 / ((lam - others[0]) * (lam - others[1])))
-            out.append((lam, 1, idem))
-    return out
-
-
 def _fine_herm_o(x: EjaElement, tol: float):
-    values, rows = [], []
-    for lam, mult, idem in _herm_o_coarse(x, tol):
-        values += [lam] * mult
-        rows.append(idem.coeffs[None] if mult == 1 else _peel(x.algebra, idem.coeffs, mult))
-    return values, np.concatenate(rows)
+    """herm_o: the values of the cubic, which sets a cluster's members equal.
+
+    A simple value s takes its Lagrange polynomial in x as idempotent c_s,
+    and a repeated value's idempotent is split by `_peel`.  Of three values,
+    s is the one farthest from its neighbour, and the other two, whose gap
+    the cubic resolves only to ~sqrt(machine eps), are split with no
+    division by it: w = x - s c_s - t c, with c = e - c_s and t their mean,
+    is r (p - q) with r = |w| / sqrt 2 for their idempotents p and q.
+    """
+    alg = x.algebra
+    x, e = x.coeffs, unit(alg).coeffs
+    x2 = herm_o_product_rows(x[None])[0]
+    roots = _herm_o_cubic(x[None], x2[None], tol)[0].tolist()
+    vals = [(v, len(list(run))) for v, run in itertools.groupby(roots)]
+    if len(vals) == 1:
+        return roots, _peel(alg, e, 3)
+    if len(vals) == 2:
+        # x - d*e = (s - d) c_s for the simple value s and repeated value d
+        (s, _), (d, _) = sorted(vals, key=lambda v: v[1])
+        c_s = (x - d * e) * (1.0 / (s - d))
+        return [s, d, d], np.concatenate([c_s[None], _peel(alg, e - c_s, 2)])
+    s, a, b = roots if roots[0] - roots[1] >= roots[1] - roots[2] else roots[::-1]
+    c_s = (x2 - (a + b) * x + (a * b) * e) * (1.0 / ((s - a) * (s - b)))
+    c = e - c_s
+    w = x - s * c_s - (a + b) / 2.0 * c
+    # the rounding of x, large next to w, leaves c's rank-2 algebra; w's
+    # part there is 2 c * w - w plus its part along the primitive c_s
+    cw = herm_o_product_rows(c[None], w[None])[0]
+    w = 2.0 * cw - w + gram_rows(alg, w[None], c_s[None])[0, 0] * c_s
+    shift = trace_rows(alg, w[None])[0] / 2.0
+    w = w - shift * c
+    r = float(norm_rows(alg, w[None])[0]) / math.sqrt(2.0)
+    t = (a + b) / 2.0 + shift
+    return [s, t + r, t - r], np.array([c_s, (c + w / r) / 2.0, (c - w / r) / 2.0])
 
 
 def _peel(alg: AlgebraDescriptor, c: np.ndarray, k: int) -> np.ndarray:
@@ -352,7 +351,9 @@ def spectral_decompose(x: EjaElement, tol: float = DEFAULT_TOL) -> SpectralDecom
     Eigenvalues come back descending; the reconstruction residual is bounded
     by tol*(1 + |x|).  The fine frame is a deterministic function of x: a
     repeated eigenvalue is split by `_peel`.  An x whose norm overflows is
-    decomposed as x / 2**k, with its eigenvalues scaled back by 2**k.
+    decomposed as x / 2**k, with its eigenvalues scaled back by 2**k.  A
+    herm_o frame whose Gram matrix is further than HERM_O_GRAM_TOL from I
+    is refused, with that distance as the residual.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -384,6 +385,10 @@ def spectral_decompose(x: EjaElement, tol: float = DEFAULT_TOL) -> SpectralDecom
     # written so that a NaN residual fails too
     if not resid <= max(tol, 1e-9) * (1.0 + size):
         raise SpectralError("spectral reconstruction failed", residual=resid)
+    if alg.family == "herm_o":
+        gram = float(np.max(np.abs(gram_rows(alg, rows) - np.eye(3))))
+        if not gram <= HERM_O_GRAM_TOL:
+            raise SpectralError("herm_o frame is not orthonormal", residual=gram)
     return SpectralDecomposition(w, frame, coarse)
 
 

@@ -20,7 +20,6 @@ them outweighs what the checks need.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,7 @@ from .automorphisms import (
     polytope_group,
 )
 from .geometry import VERTEX_CAP, Polytope, _capped_analysis, maximal_flags
-from .operational import _frame_sets, enumerate_frames, rank
+from .operational import _frame_sets, count_frames, enumerate_frames, rank
 from .spectral import (
     eigenvalue_rows,
     is_primitive_idempotent,
@@ -137,7 +136,7 @@ def is_strongly_symmetric(
     witness = None
     for k in range(1, r + 1):
         sets = _frame_sets(poly, k, cap)
-        total = len(sets) * math.factorial(k)
+        total = count_frames(poly, k, cap)
         first = next(iter(sets))
         # an orbit's size divides |G|, so one orbit can hold them all only then
         if gens.order % total == 0 and ordered_orbit(poly, first)[0] == total:

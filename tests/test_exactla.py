@@ -174,17 +174,6 @@ def test_affine_map_pentagon_chart_basis(step, shift):
     assert _affine_maps(chart(body), cv, basis)((perm[1], perm[0]) + perm[2:]) is None
 
 
-def test_barycentric_coordinates():
-    verts = [[F(0), F(0)], [F(2), F(0)], [F(0), F(2)]]
-    lam = la.barycentric_coordinates(verts, [F(1), F(1)])
-    assert lam == [F(0), Fraction(1, 2), Fraction(1, 2)]
-    assert la.barycentric_coordinates(verts[:2], [F(1), F(1)]) is None
-    # golden-ratio point in a Q(sqrt5) segment
-    seg = [[Sqrt5(0, 0)], [PHI]]
-    lam = la.barycentric_coordinates(seg, [PHI / 2])
-    assert lam == [Fraction(1, 2), Fraction(1, 2)]
-
-
 # ---------------------------------------------------------------------------
 # the kernel against the oracle on random small matrices, singular,
 # non-square and rank-deficient ones included (few distinct entries make
@@ -249,20 +238,6 @@ def test_solve_unique_and_determinant_match_oracle(system):
         assert x == oracle_solve_any(a, b)
         assert is_exact(x)
         assert la.mat_vec(a, x) == list(b)
-
-
-@settings(max_examples=150, deadline=None)
-@given(vertices=matrices(), data=st.data())
-def test_barycentric_coordinates_match_oracle(vertices, data):
-    dim = len(vertices[0]) if vertices else 1
-    point = data.draw(matrices(1, dim))[0]
-    lam = la.barycentric_coordinates(vertices, point)
-    n = len(vertices)
-    a = [[vertices[j][i] for j in range(n)] for i in range(dim)] + [[F(1)] * n]
-    assert lam == oracle_solve_any(a, list(point) + [F(1)])
-    if lam is not None:
-        assert is_exact(lam)
-        assert sum(lam) == 1
 
 
 @settings(max_examples=150, deadline=None)

@@ -23,10 +23,11 @@ from jordan_spectra import automorphisms, exactlp, geometry
 from jordan_spectra.classification import default_converse_catalog
 from jordan_spectra.algebra import EjaElement, unit
 from jordan_spectra.exactla import (
+    _eliminate,
     affine_basis_indices,
     affine_rank,
-    barycentric_coordinates,
     mat_vec,
+    solve_any,
 )
 from jordan_spectra.exactlp import Feasible, linear_program, lp_feasible
 from jordan_spectra.geometry import (
@@ -112,7 +113,9 @@ def in_hull_of_others(points, i):
     for r in range(1, len(points[i]) + 2):
         for subset in itertools.combinations(others, r):
             if len(affine_basis_indices(list(subset))) == len(subset):
-                lam = barycentric_coordinates(list(subset), points[i])
+                # barycentric coordinates: sum lam_j s_j = p, sum lam_j = 1
+                rows = [[s[k] for s in subset] for k in range(len(points[i]))]
+                lam = solve_any(rows + [[1] * r], list(points[i]) + [1])
                 if lam is not None and all(x >= 0 for x in lam):
                     return True
     return False
@@ -357,12 +360,101 @@ def test_face_lattice_solved_once_whatever_the_cap(monkeypatch):
     assert exposed_faces(body, 14) is lat
     assert exposed_faces(body, cap=14) is lat
     assert len(eliminations) == 6 + 4
-    # the cube's facets hold four vertex triples each; the first one found
-    # spans the facet and the other three are skipped
+    # the cube's vertex triples span 20 planes: 6 facets and 6 diagonal
+    # planes of four vertices each, and 8 corner cuts of three; the first
+    # triple on a plane spans it and the others on it are skipped
     cv = chart_vertices(cube())
     eliminations.clear()
-    assert len(geometry._facets(cv)) == 6
-    assert len(eliminations) == math.comb(8, 3) - 6 * 3
+    table = geometry._vertex_hyperplanes(cv)
+    assert len(table) == 20 and len(geometry._facets(table)) == 6
+    assert len(eliminations) == math.comb(8, 3) - 12 * 3 == 20
+
+
+def four_cube():
+    return polytope(list(itertools.product((-1, 1), repeat=4)))
+
+
+def twenty_four_cell():
+    """The 24 vertices (+-1, +-1, 0, 0) up to coordinate order."""
+    points = []
+    for i, j in itertools.combinations(range(4), 2):
+        for a, b in itertools.product((1, -1), repeat=2):
+            points.append(tuple(a if k == i else b if k == j else 0 for k in range(4)))
+    return polytope(points)
+
+
+def brute_force_hyperplanes(cv):
+    """(on-sets, facets) by one elimination per d-subset of ``cv``: the
+    facet search that the vertex-hyperplane table replaced, with nothing
+    skipped.
+
+    ``on-sets`` lists the vertex set of each affinely independent subset's
+    hyperplane, one entry per subset.  ``facets`` is {on-set: (g, c)} over
+    the one-signed hyperplanes, signed >= 0 on the body and taken at the
+    first subset that spans each.
+    """
+    n, d = len(cv), len(cv[0])
+    homogenized = [[v[k] for v in cv] for k in range(d)] + [[1] * n]
+    ident = [[int(j == k) for j in range(d + 1)] for k in range(d + 1)]
+    on_sets, facets = [], {}
+    for subset in itertools.combinations(range(n), d):
+        order = list(subset) + [i for i in range(n) if i not in subset]
+        rows = [[row[i] for i in order] + e for row, e in zip(homogenized, ident)]
+        ring, T, pivots, _, _ = _eliminate(rows)
+        if pivots[:d] != list(range(d)):
+            continue  # affinely dependent
+        signs = [ring.sign(x) for x in T[d][:n]]
+        on = frozenset(i for i, sign in zip(order, signs) if sign == 0)
+        on_sets.append(on)
+        if not (1 in signs and -1 in signs) and on not in facets:
+            flip = -1 if -1 in signs else 1
+            normal = [flip * ring.scalar(y) for y in T[d][n:]]
+            facets[on] = (tuple(normal[:d]), normal[d])
+    return on_sets, facets
+
+
+def _pinned_images():
+    """The converse catalog and the two seeded images of each body that
+    ``test_pinned_reports`` pins, with the 4-cube and the 24-cell."""
+    out = []
+    for name, body in default_converse_catalog():
+        rng = random.Random(name)
+        out.append(pytest.param(lambda body=body: body, id=name))
+        for i in (1, 2):
+            image = signed_shuffled_image(body, rng)
+            out.append(pytest.param(lambda image=image: image, id=f"{name}#{i}"))
+    return out + [
+        pytest.param(four_cube, id="4-cube"),
+        pytest.param(twenty_four_cell, id="24-cell"),
+    ]
+
+
+@pytest.mark.parametrize("make", _pinned_images())
+def test_vertex_hyperplanes_match_brute_force(make):
+    rec = geometry._analysis(make())
+    cv = rec.chart_vertices
+    on_sets, facets = brute_force_hyperplanes(cv)
+    # every spanned hyperplane is in the table, once, under its vertex set
+    assert set(rec.hyperplanes) == set(on_sets)
+    for on, (g, c, facet) in rec.hyperplanes.items():
+        values = [sum(a * x for a, x in zip(g, v)) + c for v in cv]
+        assert {i for i, x in enumerate(values) if x == 0} == on
+        assert facet == (min(values) >= 0 or max(values) <= 0)
+    # the facets are the brute-force ones in keys, order and values
+    assert list(rec.facets.items()) == list(facets.items())
+
+
+@pytest.mark.parametrize(
+    "make,hyperplanes,count",
+    [(four_cube, 140, 141), (twenty_four_cell, 888, 889)],
+    ids=["4-cube", "24-cell"],
+)
+def test_one_elimination_per_vertex_hyperplane(monkeypatch, make, hyperplanes, count):
+    # plus one per affinely dependent subset on no hyperplane found before
+    cv = chart_vertices(make())
+    eliminations = _count_calls(monkeypatch, geometry, "_eliminate")
+    assert len(geometry._vertex_hyperplanes(cv)) == hyperplanes
+    assert len(eliminations) == count
 
 
 def test_face_side_solves_no_lp(monkeypatch):

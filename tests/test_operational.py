@@ -31,11 +31,14 @@ implementation:
 
 import dataclasses
 import itertools
+import json
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from jordan_spectra.algebra import (
     algebra,
@@ -47,9 +50,11 @@ from jordan_spectra.algebra import (
     trace,
     unit,
 )
-from jordan_spectra import automorphisms, geometry, operational
+from jordan_spectra import automorphisms, exactlp, geometry, operational
 from jordan_spectra.automorphisms import SymmetryError, group_generators
 from jordan_spectra.classification import default_converse_catalog
+from jordan_spectra.cli import main
+from jordan_spectra.exactla import solve_any
 from jordan_spectra.exactlp import Feasible, linear_program, lp_feasible
 from jordan_spectra.geometry import (
     ball,
@@ -660,6 +665,65 @@ def test_cube_not_spectral():
     assert verdict.spectral is False
     assert verdict.rank == 2
     assert recheck_counterexample(cube(), verdict.counterexample)
+
+
+def _refuse_frame_layer(monkeypatch):
+    """Make the LP solver, the group search and the frame sets raise, in
+    every package module that bound them by name."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness recheck reached the frame layer")
+
+    layer = (exactlp.lp_feasible, automorphisms.group_generators, operational._frame_sets)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("jordan_spectra"):
+            for name, value in list(vars(module).items()):
+                if any(value is f for f in layer):
+                    monkeypatch.setattr(module, name, refuse)
+
+
+def test_witness_stands_without_the_frame_layer(monkeypatch):
+    bodies = (square(), rectangle(), pentagon(), hexagon(), cube(), octahedron())
+    witnesses = [(body, is_spectral(body).counterexample) for body in bodies]
+    geometry._analysis.cache_clear()  # nothing found before is read
+    _refuse_frame_layer(monkeypatch)
+    for body, point in witnesses:
+        assert recheck_counterexample(body, point)
+    # a simplex is spectral: no interior point refutes it
+    assert not recheck_counterexample(simplex(2), (F(1, 3), F(1, 3), F(1, 3)))
+    with pytest.raises(AssertionError, match="frame layer"):
+        rank(square())
+
+
+def test_cli_recheck_stands_without_the_frame_layer(monkeypatch, tmp_path):
+    runner = CliRunner()
+    body = tmp_path / "p.json"
+    body.write_text(json.dumps({"type": "named", "name": "pentagon"}))
+    refuted = runner.invoke(main, ["check", "--property", "spectral", str(body)])
+    assert refuted.exit_code == 1
+    witness = tmp_path / "w.json"
+    witness.write_text(refuted.output)
+    geometry._analysis.cache_clear()
+    _refuse_frame_layer(monkeypatch)
+    result = runner.invoke(main, ["recheck", str(witness)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert doc["witness_valid"] is True
+    assert doc["detail"] == "counterexample lies inside the body and off every frame hull"
+
+
+def test_cube_point_on_a_vertex_plane_is_refused():
+    # interior and on the plane x = y through four vertices, but on no
+    # frame segment: a witness must lie on no vertex hyperplane
+    body = cube()
+    point = (F(1, 2), F(1, 2), F(1, 5))
+    assert membership(body, point) == "inside"
+    assert rank(body) == 2
+    for frame in enumerate_frames(body, 2):
+        a, b = frame.states
+        t = solve_any([[y - x] for x, y in zip(a, b)], [p - x for p, x in zip(point, a)])
+        assert t is None or not 0 <= t[0] <= 1
+    assert not recheck_counterexample(body, point)
 
 
 def test_eja_and_ball_spectral():

@@ -6,7 +6,9 @@ import pytest
 from jordan_spectra.algebra import (
     EjaElement,
     algebra,
+    coefficient_rows,
     from_matrix,
+    gram_rows,
     herm_o_product_rows,
     inner,
     jordan_product,
@@ -18,6 +20,7 @@ from jordan_spectra.algebra import (
 )
 from jordan_spectra import spectral
 from jordan_spectra.spectral import (
+    HERM_O_GRAM_TOL,
     SpectralError,
     eigenvalue_rows,
     eigenvalues,
@@ -233,6 +236,73 @@ def test_herm_o_near_double_eigenvalue_decomposes():
             rec, idem, orth, comp = frame_residuals(x, dec)
             assert max(idem, orth, comp) <= 1e-6
     assert clustered >= 25
+
+
+def _gram_error(dec):
+    alg = dec.frame[0].algebra
+    return float(np.max(np.abs(gram_rows(alg, coefficient_rows(dec.frame)) - np.eye(alg.rank))))
+
+
+def test_herm_o_frames_are_orthonormal_or_refused():
+    # eigenvalues (3, 1 + 1e-7, 1): a frame that rebuilds x exactly but is
+    # far from orthonormal must not come back
+    alg = algebra("herm_o", 3)
+    lams = np.array([3.0, 1.0 + 1e-7, 1.0])
+    decomposed = 0
+    for seed in range(30):
+        x = EjaElement(alg, lams @ coefficient_rows(random_jordan_frame(alg, seed)))
+        try:
+            dec = spectral_decompose(x)
+        except SpectralError as exc:
+            assert exc.residual > HERM_O_GRAM_TOL
+            continue
+        decomposed += 1
+        assert _gram_error(dec) <= HERM_O_GRAM_TOL
+    assert decomposed == 30
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 3e-7])
+def test_herm_o_near_pair_is_split_without_its_gap(gap):
+    # the cubic keeps these pairs apart but resolves them only to ~3e-8;
+    # the pair is split in the rank-2 algebra under its idempotent, so
+    # no idempotent divides by the gap
+    alg = algebra("herm_o", 3)
+    lams = np.array([3.0, 1.0 + gap, 1.0])
+    for seed in range(30):
+        x = EjaElement(alg, lams @ coefficient_rows(random_jordan_frame(alg, seed)))
+        dec = spectral_decompose(x)
+        assert len(dec.coarse) == 3
+        assert np.max(np.abs(dec.eigenvalues - lams)) <= 1e-12
+        assert _gram_error(dec) <= 1e-12
+
+
+def test_herm_o_near_double_at_large_scale_decomposes():
+    # (1, 1 + 1e-9, 3) * 1e6: the cubic's roots are off by ~0.06 here, so
+    # the pair is merged or split depending on the frame; either way the
+    # frame is orthonormal and x is rebuilt within the bound
+    alg = algebra("herm_o", 3)
+    lams = np.array([1.0, 1.0 + 1e-9, 3.0]) * 1e6
+    for seed in range(200):
+        x = EjaElement(alg, lams @ coefficient_rows(random_jordan_frame(alg, seed)))
+        dec = spectral_decompose(x)
+        assert norm(dec.reconstruct() - x) <= 1e-9 * (1.0 + norm(x))
+        assert _gram_error(dec) <= HERM_O_GRAM_TOL
+
+
+def test_herm_o_frame_far_from_orthonormal_is_refused(monkeypatch):
+    alg = algebra("herm_o", 3)
+    rows = coefficient_rows(random_jordan_frame(alg, 0))
+    lams = np.array([3.0, 2.0, 1.0])
+    x = EjaElement(alg, lams @ rows)
+    # skewed along the null space of lams, the frame still rebuilds x
+    skew = rows.copy()
+    skew[0] += lams[1] * 1e-3 * rows[2]
+    skew[1] -= lams[0] * 1e-3 * rows[2]
+    monkeypatch.setattr(spectral, "_fine_for", lambda x, tol: (lams, skew))
+    with pytest.raises(SpectralError, match="not orthonormal") as info:
+        spectral_decompose(x)
+    # the largest Gram entry off I is (skewed c_1, c_3) = -3e-3
+    assert info.value.residual == pytest.approx(3e-3, rel=1e-6)
 
 
 def test_eigenvalues_match_numpy_for_matrix_families():
