@@ -66,10 +66,6 @@ class PolytopeAutomorphism:
         moved = tuple(a + b for a, b in zip(moved, self.translation))
         return self.chart.to_ambient(moved)
 
-    def compose(self, other: "PolytopeAutomorphism") -> tuple:
-        # permutation of self applied after other
-        return tuple(self.permutation[j] for j in other.permutation)
-
 
 def polytope_group(poly: Polytope) -> tuple:
     """Every affine self-map of ``poly`` permuting its vertices, sorted by

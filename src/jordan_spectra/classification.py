@@ -65,6 +65,10 @@ _SAMPLE_PARAMS = {"sym_r": 4, "herm_c": 3, "herm_h": 3, "spin": 5, "herm_o": 3}
 # cost 0.8 MB more on the theorem battery, for 1% less time
 _SECTION_BLOCK = 32
 
+# A sampled EJA section point inside the cone may have frame coordinates
+# down to -SECTION_TOL.
+SECTION_TOL = 1e-10
+
 
 class ClassificationError(ValueError):
     pass
@@ -428,10 +432,9 @@ def fr_polytope(body, frame=None, cap: int = VERTEX_CAP) -> Polytope:
     return fr_section(body, frame=frame, cap=cap).polytope
 
 
-def section_sample_check(
-    section: FrSection, samples: int = 1000, seed: int = 0, tol: float = 1e-10
-) -> dict:
-    """Points of the section span inside the cone must have frame coordinates >= -tol.
+def section_sample_check(section: FrSection, samples: int = 1000, seed: int = 0) -> dict:
+    """Points of the section span inside the cone must have frame
+    coordinates >= -SECTION_TOL.
 
     A frame of EJA elements is sampled: frame coordinates are recovered
     through the trace inner product, and cone membership is decided from
@@ -471,7 +474,7 @@ def section_sample_check(
             "samples": samples,
             "hits": hits,
             "min_coordinate": worst,
-            "pass": worst >= -tol,
+            "pass": worst >= -SECTION_TOL,
         }
     verts = section.polytope.vertices
     ok = len(affine_basis_indices(verts)) == len(verts)
@@ -495,12 +498,17 @@ def _check(name, status, residual=0.0, tolerance=None, detail=None) -> dict:
     return out
 
 
+def _bounded(name, residual, bound, detail=None) -> dict:
+    """A check that passes iff its residual is within its bound; NaN fails."""
+    return _check(name, "pass" if residual <= bound else "fail", residual, bound, detail)
+
+
 def _eja_battery(desc: AlgebraDescriptor, trials: int, seed: int) -> list:
     import numpy as np
 
     from .algebra import EjaElement, coefficient_rows, gram_rows, norm, unit
     from .spectral import random_element, spectral_decompose
-    from .symmetry import verify_strong_symmetry_eja
+    from .symmetry import TRANSPORTER_TOL, verify_strong_symmetry_eja
 
     u = unit(desc)
     r = desc.rank
@@ -523,30 +531,15 @@ def _eja_battery(desc: AlgebraDescriptor, trials: int, seed: int) -> list:
         worst_orth = max(worst_orth, float(np.abs(gram - np.eye(len(rows))).max()))
         worst_sum = max(worst_sum, norm(EjaElement(desc, rows.sum(axis=0)) - u))
     checks.append(
-        _check(
+        _bounded(
             "spectral_decomposition",
-            "pass" if worst_recon <= 1e-8 else "fail",
             worst_recon,
             1e-8,
             "%d random elements reconstructed" % trials,
         )
     )
-    checks.append(
-        _check(
-            "frame_orthonormality",
-            "pass" if worst_orth <= 1e-9 else "fail",
-            worst_orth,
-            1e-9,
-        )
-    )
-    checks.append(
-        _check(
-            "maximal_frame_sum",
-            "pass" if worst_sum <= 1e-9 else "fail",
-            worst_sum,
-            1e-9,
-        )
-    )
+    checks.append(_bounded("frame_orthonormality", worst_orth, 1e-9))
+    checks.append(_bounded("maximal_frame_sum", worst_sum, 1e-9))
 
     data = load_tables()
     fam = next(f for f in data["families"] if f["package_family"] == desc.family)
@@ -568,9 +561,8 @@ def _eja_battery(desc: AlgebraDescriptor, trials: int, seed: int) -> list:
         bary = c if bary is None else bary + c
     bary_resid = norm((1.0 / r) * bary - (1.0 / r) * u)
     checks.append(
-        _check(
+        _bounded(
             "frame_barycenter",
-            "pass" if bary_resid <= 1e-12 else "fail",
             bary_resid,
             1e-12,
             "barycenter of the section simplex is e/rank",
@@ -587,13 +579,13 @@ def _eja_battery(desc: AlgebraDescriptor, trials: int, seed: int) -> list:
         )
     else:
         rep = verify_strong_symmetry_eja(desc, trials=trials, seed=seed)
-        t_ok = rep["max_residual"] <= 1e-8 and not rep["failures"]
+        t_ok = rep["max_residual"] <= TRANSPORTER_TOL and not rep["failures"]
         checks.append(
             _check(
                 "transporters",
                 "pass" if t_ok else "fail",
                 rep["max_residual"],
-                1e-8,
+                TRANSPORTER_TOL,
                 rep["method"],
             )
         )
@@ -605,7 +597,7 @@ def _eja_battery(desc: AlgebraDescriptor, trials: int, seed: int) -> list:
             "fr_polytope",
             "pass" if fr_ok else "fail",
             max(0.0, -sample["min_coordinate"]),
-            1e-10,
+            SECTION_TOL,
             "simplex on a maximal frame; %d cone hits among %d span samples"
             % (sample["hits"], sample["samples"]),
         )

@@ -99,10 +99,6 @@ def _load_body(input_path, eja, m, n, positional=None):
         return body_from_dict(json.load(fh))
 
 
-def _body_label(body) -> dict:
-    return body_to_dict(body)
-
-
 @click.group()
 def main():
     """Spectral convex bodies: decompositions, frames, symmetry, tables."""
@@ -166,7 +162,7 @@ def check(positional, prop, input_path, eja, m, n, seed, trials, cap, out):
     """Check a property of a body; exit 1 with a witness when refuted."""
     try:
         body = _load_body(input_path, eja, m, n, positional)
-        doc: dict = {"property": prop, "body": _body_label(body)}
+        doc: dict = {"property": prop, "body": body_to_dict(body)}
         if prop == "spectral":
             from .operational import is_spectral
 
@@ -174,7 +170,11 @@ def check(positional, prop, input_path, eja, m, n, seed, trials, cap, out):
             doc.update(verdict.to_dict())
             _finish(doc, out, 0 if verdict.spectral is True else 1)
         elif prop == "strong-symmetry":
-            from .symmetry import is_strongly_symmetric, verify_strong_symmetry_eja
+            from .symmetry import (
+                TRANSPORTER_TOL,
+                is_strongly_symmetric,
+                verify_strong_symmetry_eja,
+            )
 
             if isinstance(body, Polytope):
                 report = is_strongly_symmetric(body, cap)
@@ -184,7 +184,7 @@ def check(positional, prop, input_path, eja, m, n, seed, trials, cap, out):
                 rep = verify_strong_symmetry_eja(
                     body.descriptor, trials=trials, seed=seed
                 )
-                ok = not rep["failures"] and rep["max_residual"] <= 1e-8
+                ok = not rep["failures"] and rep["max_residual"] <= TRANSPORTER_TOL
                 doc.update(rep)
                 doc["strongly_symmetric"] = ok
                 _finish(doc, out, 0 if ok else 1)
@@ -223,7 +223,7 @@ def frames(positional, k, input_path, eja, m, n, cap, out):
             raise ValueError("frame enumeration is exact only for polytopes")
         from .operational import count_frames, enumerate_frames, rank as body_rank
 
-        doc: dict = {"body": _body_label(body), "rank": body_rank(body, cap)}
+        doc: dict = {"body": body_to_dict(body), "rank": body_rank(body, cap)}
         if k is not None:
             found = enumerate_frames(body, k, cap=cap)
             doc["k"] = k
@@ -251,8 +251,7 @@ def fr_polytope_cmd(positional, input_path, eja, m, n, seed, trials, cap, out):
         from .classification import fr_section, section_sample_check
 
         body = _load_body(input_path, eja, m, n, positional)
-        target = body.descriptor if isinstance(body, EjaStateSpace) else body
-        section = fr_section(target, cap=cap)
+        section = fr_section(body, cap=cap)
         if section.kind == "eja":
             basis = [[float(c) for c in e.coeffs] for e in section.basis]
         else:
@@ -260,7 +259,7 @@ def fr_polytope_cmd(positional, input_path, eja, m, n, seed, trials, cap, out):
         sample = section_sample_check(section, samples=max(10 * trials, 100), seed=seed)
         _finish(
             {
-                "body": _body_label(body),
+                "body": body_to_dict(body),
                 "kind": section.kind,
                 "basis": basis,
                 "polytope": body_to_dict(section.polytope),
@@ -362,7 +361,7 @@ def plot_data(positional, input_path, eja, m, n, cap, out):
         else:
             from .classification import fr_section
 
-            section = fr_section(body.descriptor)
+            section = fr_section(body)
             verts = [[float(c) for c in v] for v in section.polytope.vertices]
             r = len(verts)
             doc = {
@@ -371,7 +370,7 @@ def plot_data(positional, input_path, eja, m, n, cap, out):
                 "vertices": verts,
                 "edges": sorted([i, j] for i in range(r) for j in range(i + 1, r)),
             }
-        doc["body"] = _body_label(body)
+        doc["body"] = body_to_dict(body)
         _finish(doc, out, 0)
     except Exception as exc:  # noqa: BLE001
         _fail(str(exc), out)

@@ -456,13 +456,17 @@ def maximal_flags(poly: Polytope, cap: int = VERTEX_CAP):
 # ---------------------------------------------------------------------------
 # membership
 
+# A float point of a ball, or an EJA element, is decided within this.
+MEMBERSHIP_TOL = 1e-10
 
-def membership(body, point, tol: float = 1e-10) -> str:
+
+def membership(body, point) -> str:
     """Exact relative-interior/boundary/outside classification.
 
     Polytopes and rational points are decided exactly through the facet
     functionals; the ball compares |p|^2 with 1 exactly when the point is
-    exact; EJA membership is the eigenvalue sign test at tolerance ``tol``.
+    exact, and within MEMBERSHIP_TOL when it is not; EJA membership is the
+    eigenvalue sign test within MEMBERSHIP_TOL.
     """
     if isinstance(body, Polytope):
         try:
@@ -494,7 +498,7 @@ def membership(body, point, tol: float = 1e-10) -> str:
                 return "inside"
             return "boundary" if q == 1 else "outside"
         q = sum(float(c) ** 2 for c in point)
-        if abs(q - 1.0) <= tol:
+        if abs(q - 1.0) <= MEMBERSHIP_TOL:
             return "boundary"
         return "inside" if q < 1.0 else "outside"
     if isinstance(body, EjaStateSpace):
@@ -504,12 +508,12 @@ def membership(body, point, tol: float = 1e-10) -> str:
         x = point if isinstance(point, EjaElement) else EjaElement(body.descriptor, point)
         if x.algebra != body.descriptor:
             raise GeometryError("element belongs to a different algebra")
-        if abs(trace(x) - 1.0) > tol:
+        if abs(trace(x) - 1.0) > MEMBERSHIP_TOL:
             return "outside"
         low = float(eigenvalues(x)[-1])
-        if low > tol:
+        if low > MEMBERSHIP_TOL:
             return "inside"
-        return "boundary" if low >= -tol else "outside"
+        return "boundary" if low >= -MEMBERSHIP_TOL else "outside"
     raise GeometryError(f"unknown body {type(body).__name__}")
 
 

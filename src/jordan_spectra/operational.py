@@ -57,6 +57,16 @@ class OperationalError(ValueError):
     pass
 
 
+# An EJA effect's eigenvalues may leave [0, 1] by EFFECT_TOL, which also
+# bounds the overlaps and the remainder of distinguished states; a
+# measurement's effects sum to the unit within UNIT_SUM_TOL.
+EFFECT_TOL = 1e-9
+UNIT_SUM_TOL = 1e-10
+
+# Seeded interior candidates tried for a spectrality counterexample.
+WITNESS_TRIES = 1000
+
+
 # ---------------------------------------------------------------------------
 # effects
 
@@ -104,12 +114,12 @@ def zero_effect(body):
     raise OperationalError(f"unknown body {type(body).__name__}")
 
 
-def is_effect(body, functional, tol: float = 1e-9) -> bool:
+def is_effect(body, functional) -> bool:
     """True iff the functional's range over the body lies in [0, 1].
 
     Exact vertex evaluation for polytopes; exact norm comparison for the
     ball (offset +- |coeffs| bounds); eigenvalue range for EJA elements,
-    using the self-duality of the cone of squares.
+    within EFFECT_TOL, using the self-duality of the cone of squares.
     """
     if isinstance(body, Polytope):
         eff = functional if isinstance(functional, AffineEffect) else AffineEffect(*functional)
@@ -128,7 +138,7 @@ def is_effect(body, functional, tol: float = 1e-9) -> bool:
         if not isinstance(functional, EjaElement):
             raise OperationalError("EJA effects are algebra elements")
         eigs = eigenvalues(functional)
-        return bool(eigs[0] <= 1 + tol and eigs[-1] >= -tol)
+        return bool(eigs[0] <= 1 + EFFECT_TOL and eigs[-1] >= -EFFECT_TOL)
     raise OperationalError(f"unknown body {type(body).__name__}")
 
 
@@ -282,17 +292,17 @@ def _check_submeasurement(poly: Polytope, states, effects):
         raise OperationalError("certificate is not a submeasurement on the states")
 
 
-def distinguishing_measurement(body, states, tol: float = 1e-9):
+def distinguishing_measurement(body, states):
     """A measurement with e_i(state_j) = delta_ij, or NotDistinguishable.
 
     Polytopes: a submeasurement, completed deterministically by folding
     the remainder into the first effect.  One state takes the unit
     effect; more take facet multipliers (``_submeasurement``), with every
-    vertex in the sum rows.  EJA: states must be
-    primitive idempotents; they are distinguishable iff pairwise
+    vertex in the sum rows.  EJA: states must be primitive idempotents
+    (within FRAME_TOL); they are distinguishable iff pairwise
     trace-orthogonal, and the idempotents themselves (plus the remainder,
-    when nonzero) form the measurement.  Ball: pairs must be antipodal
-    unit vectors.
+    when nonzero) form the measurement, both within EFFECT_TOL.  Ball:
+    pairs must be antipodal unit vectors.
     """
     states = tuple(states)
     if not states:
@@ -337,23 +347,23 @@ def distinguishing_measurement(body, states, tol: float = 1e-9):
         return Measurement(effects=(e1, e2))
     if isinstance(body, EjaStateSpace):
         from .algebra import EjaElement, inner, norm, unit
-        from .spectral import is_primitive_idempotent
+        from .spectral import FRAME_TOL, is_primitive_idempotent
 
         for s in states:
             if not isinstance(s, EjaElement) or s.algebra != body.descriptor:
                 raise OperationalError("states must be elements of the algebra")
-            if not is_primitive_idempotent(s, tol=max(tol, 1e-8)):
+            if not is_primitive_idempotent(s, tol=FRAME_TOL):
                 raise OperationalError(
                     "EJA distinguishability is implemented for primitive idempotents"
                 )
         for a, b in itertools.combinations(states, 2):
-            if abs(inner(a, b)) > tol:
+            if abs(inner(a, b)) > EFFECT_TOL:
                 return NotDistinguishable(reason="states are not trace-orthogonal")
         total = states[0]
         for s in states[1:]:
             total = total + s
         remainder = unit(body.descriptor) - total
-        effects = states if norm(remainder) <= tol else states + (remainder,)
+        effects = states if norm(remainder) <= EFFECT_TOL else states + (remainder,)
         return Measurement(effects=effects)
     raise OperationalError(f"unknown body {type(body).__name__}")
 
@@ -363,9 +373,10 @@ def _sq(c):
     return v * v
 
 
-def is_measurement(body, effects, tol: float = 1e-10) -> bool:
-    """All effects valid and summing to the order unit."""
-    if not all(is_effect(body, e, tol=max(tol, 1e-9)) for e in effects):
+def is_measurement(body, effects) -> bool:
+    """All effects valid and summing to the order unit (EJA: within
+    UNIT_SUM_TOL)."""
+    if not all(is_effect(body, e) for e in effects):
         return False
     if isinstance(body, (Polytope, Ball)):
         total = zero_effect(body)
@@ -380,7 +391,7 @@ def is_measurement(body, effects, tol: float = 1e-10) -> bool:
     total = effects[0]
     for e in effects[1:]:
         total = total + e
-    return norm(total - unit(body.descriptor)) <= tol
+    return norm(total - unit(body.descriptor)) <= UNIT_SUM_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +574,13 @@ def _off_hyperplanes(rec, point) -> bool:
     )
 
 
-def _point_off_hyperplanes(poly: Polytope, seed: int, tries: int = 1000):
+def _point_off_hyperplanes(poly: Polytope, seed: int):
     """The first seeded candidate on no vertex hyperplane; each weighs every
     vertex by a positive integer, so it is interior."""
     rec = _analysis(poly)
     rng = random.Random(seed)
     n = len(poly.vertices)
-    for _ in range(tries):
+    for _ in range(WITNESS_TRIES):
         weights = [Fraction(rng.randint(1, 64)) for _ in range(n)]
         total = sum(weights)
         point = None
@@ -654,12 +665,13 @@ def face_of_frame(body, frame, cap: int = VERTEX_CAP):
         return lat.find(smallest)
     if isinstance(body, EjaStateSpace):
         from .algebra import inner, unit
+        from .spectral import FRAME_TOL
 
         elems = frame.states if isinstance(frame, FrameData) else tuple(frame)
         if not elems:
             return EjaFace(idempotent=unit(body.descriptor) * 0.0)
         for a, b in itertools.combinations(elems, 2):
-            if abs(inner(a, b)) > 1e-8:
+            if abs(inner(a, b)) > FRAME_TOL:
                 raise OperationalError("frame elements must be orthogonal")
         total = elems[0]
         for s in elems[1:]:

@@ -24,12 +24,12 @@ primitives: no random draw, so the fine frame is a function of x alone.
 stack of coefficient rows at once: one stacked eigvalsh for the matrix
 families, the closed form for spin, and the cubic evaluated elementwise
 over the rows for herm_o (the one cubic `spectral_decompose` reads too).
-`eigenvalues` is its one-row case.  Elements with non-finite coefficients
-are refused with SpectralError.  An element whose norm overflows is solved
-as x / 2**k (k the binary exponent of its largest coefficient) and its
-eigenvalues scaled back; it is refused when a scaled-back eigenvalue
-overflows, and so is an element of finite norm whose herm_o power traces or
-eigenvalues overflow.
+`eigenvalues` is its one-row case.  Both entry points share one overflow
+guard: a row whose sum of squares overflows is solved as row / 2**k (k the
+binary exponent of its largest coefficient) and its eigenvalues scaled
+back, and a non-finite coefficient or a scaled-back eigenvalue that
+overflows is refused with SpectralError, as is an element of finite norm
+whose herm_o power traces or eigenvalues overflow.
 
 A decomposition carries the fine frame (not canonical when eigenvalues
 repeat) and the coarse decomposition by distinct eigenvalues, which is
@@ -64,6 +64,13 @@ from .algebra import (
 )
 
 DEFAULT_TOL = 1e-10
+
+# Wherever a Jordan frame is checked, its members are primitive, pairwise
+# trace-orthogonal and sum to the unit within this.
+FRAME_TOL = 1e-8
+
+# `random_jordan_frame` draws at most this many elements.
+RANDOM_FRAME_RETRIES = 50
 
 # A herm_o frame further than this from orthonormal is refused.  A pair the
 # cubic merges leaves a frame orthonormal to ~5e-8 that rebuilds x exactly.
@@ -309,40 +316,27 @@ def _cluster_indices(values: np.ndarray, ctol: float):
     return clusters
 
 
-def _require_finite(values: list, message: str):
-    """Raise SpectralError unless every float in ``values`` is finite.
-
-    A finite sum has finite terms, so only a sum that overflows needs the
-    term-by-term test; on a few Python floats this beats a numpy call.
-    """
-    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-        raise SpectralError(message)
-
-
-def _size(x: EjaElement) -> float:
-    """|x| without an overflow warning: non-finite iff a coefficient is or
-    the sum of squares overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return norm(x)
+def _downscaled_rows(x: np.ndarray, sizes) -> tuple:
+    """(y, k): the coefficient rows x with each row whose size in ``sizes``
+    is not finite divided by 2**k, k the binary exponent of its largest
+    coefficient (so its quotient lies below 1 in magnitude), and k = 0 for
+    every other row; k has shape (n, 1).  Refuses a non-finite coefficient,
+    which makes its row's size non-finite too."""
+    big = ~np.isfinite(sizes)
+    if not np.isfinite(x[big]).all():
+        raise SpectralError("element has non-finite coefficients")
+    k = np.where(big, np.frexp(np.abs(x).max(axis=1))[1], 0)[:, None]
+    return np.ldexp(x, -k), k
 
 
-def _downscaled(x: EjaElement):
-    """(x / 2**k, k) for an x whose norm overflows; refuses non-finite x.
-
-    k is the binary exponent of the largest coefficient, so the quotient's
-    coefficients lie below 1 in magnitude.
-    """
-    _require_finite(x.coeffs.tolist(), "element has non-finite coefficients")
-    k = math.frexp(float(np.max(np.abs(x.coeffs))))[1]
-    return EjaElement(x.algebra, np.ldexp(x.coeffs, -k)), k
-
-
-def _upscaled(values, k: int) -> list:
-    """The floats ``values`` times 2**k; SpectralError if one overflows."""
-    try:
-        return [math.ldexp(v, k) for v in values]
-    except OverflowError:
-        raise SpectralError("eigenvalues overflow") from None
+def _scaled_back(values: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``values`` times 2**k, the shifts of `_downscaled_rows`; SpectralError
+    if one overflows."""
+    with np.errstate(over="ignore"):
+        values = np.ldexp(values, k)
+    if not np.isfinite(values).all():
+        raise SpectralError("eigenvalues overflow")
+    return values
 
 
 def spectral_decompose(x: EjaElement, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
@@ -357,14 +351,15 @@ def spectral_decompose(x: EjaElement, tol: float = DEFAULT_TOL) -> SpectralDecom
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    size = _size(x)
+    # non-finite iff a coefficient is or the sum of squares overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = norm(x)
     if not math.isfinite(size):
-        y, k = _downscaled(x)
-        dec = spectral_decompose(y, tol)
-        values = _upscaled(dec.eigenvalues.tolist(), k)
-        lams = _upscaled([lam for lam, _ in dec.coarse], k)
+        y, k = _downscaled_rows(x.coeffs[None], [size])
+        dec = spectral_decompose(EjaElement(x.algebra, y[0]), tol)
+        lams = _scaled_back(np.array([lam for lam, _ in dec.coarse]), k[0]).tolist()
         coarse = [(lam, idem) for lam, (_, idem) in zip(lams, dec.coarse)]
-        return SpectralDecomposition(np.asarray(values), dec.frame, coarse)
+        return SpectralDecomposition(_scaled_back(dec.eigenvalues, k[0]), dec.frame, coarse)
     values, rows = _fine_for(x, tol)
     values = [float(v) for v in values]
     order = sorted(range(len(values)), key=lambda i: -values[i])
@@ -400,7 +395,6 @@ def eigenvalue_rows(alg: AlgebraDescriptor, rows) -> np.ndarray:
     matrices for sym_r, herm_c and herm_h (taking every other value of a
     2m x 2m herm_h matrix, where each quaternionic eigenvalue appears
     twice), and `_herm_o_cubic` for herm_o, after one row-wise Jordan square.
-    A row whose norm overflows is solved as row / 2**k and scaled back.
     """
     x = np.asarray(rows, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -409,12 +403,7 @@ def eigenvalue_rows(alg: AlgebraDescriptor, rows) -> np.ndarray:
         # needs the row-by-row test
         scaled = not math.isfinite(sizes.sum())
         if scaled:
-            big = ~np.isfinite(sizes)
-            if not np.isfinite(x[big]).all():
-                raise SpectralError("element has non-finite coefficients")
-            shift = np.frexp(np.abs(x[big]).max(axis=1))[1][:, None]
-            x = x.copy()
-            x[big] = np.ldexp(x[big], -shift)
+            x, k = _downscaled_rows(x, sizes)
         fam = alg.family
         if fam == "spin":
             n = alg.param
@@ -429,9 +418,7 @@ def eigenvalue_rows(alg: AlgebraDescriptor, rows) -> np.ndarray:
         if scaled:
             # the values of a row of finite norm are finite (the herm_o
             # cubic refuses its own overflows); only scaling back can overflow
-            vals[big] = np.ldexp(vals[big], shift)
-            if not np.isfinite(vals).all():
-                raise SpectralError("eigenvalues overflow")
+            vals = _scaled_back(vals, k)
     return vals
 
 
@@ -491,17 +478,17 @@ def random_state(alg: AlgebraDescriptor, seed) -> EjaElement:
     return sq * (1.0 / t)
 
 
-def random_jordan_frame(alg: AlgebraDescriptor, seed, retries: int = 50):
-    """Frame of a random element, retried until eigenvalues are distinct."""
+def random_jordan_frame(alg: AlgebraDescriptor, seed):
+    """Frame of a random element, redrawn until eigenvalues are distinct."""
     rng = _as_rng(seed)
-    for _ in range(retries):
+    for _ in range(RANDOM_FRAME_RETRIES):
         x = random_element(alg, rng)
         dec = spectral_decompose(x)
         w = dec.eigenvalues
         sep = 1e-6 * (1.0 + float(np.max(np.abs(w))))
         if len(w) < 2 or float(np.min(w[:-1] - w[1:])) > sep:
             return dec.frame
-    raise SpectralError("random frame retry cap (%d) exceeded" % retries)
+    raise SpectralError("random frame retry cap (%d) exceeded" % RANDOM_FRAME_RETRIES)
 
 
 # The float side loads as one unit.  The exact side imports symmetry only

@@ -48,12 +48,20 @@ from .automorphisms import (
 from .geometry import VERTEX_CAP, Polytope, _capped_analysis, maximal_flags
 from .operational import _frame_sets, count_frames, enumerate_frames, rank
 from .spectral import (
+    FRAME_TOL,
     eigenvalue_rows,
     is_primitive_idempotent,
     primitive_rows,
     random_jordan_frame,
     spectral_decompose,
 )
+
+
+# A transporter carries each frame member within TRANSPORTER_TOL of its
+# target.  A frame checked after one more decomposition (an extension) or
+# handed to the frame/flag check is held to LOOSE_FRAME_TOL.
+TRANSPORTER_TOL = 1e-8
+LOOSE_FRAME_TOL = 1e-7
 
 
 class UnsupportedFamily(SymmetryError):
@@ -198,10 +206,10 @@ def frame_flag_bijection(fixture, cap: int = VERTEX_CAP) -> FrameFlagReport:
     if not frame or not all(isinstance(c, EjaElement) for c in frame):
         raise SymmetryError("expected a polytope or a Jordan frame")
     for c in frame:
-        if not is_primitive_idempotent(c, tol=1e-7):
+        if not is_primitive_idempotent(c, tol=LOOSE_FRAME_TOL):
             raise SymmetryError("not a Jordan frame")
     for a, b in itertools.combinations(frame, 2):
-        if abs(inner(a, b)) > 1e-7:
+        if abs(inner(a, b)) > LOOSE_FRAME_TOL:
             raise SymmetryError("not a Jordan frame")
     r = len(frame)
     # maximal frames of the sub-frame lattice are orderings of the frame
@@ -225,7 +233,7 @@ def frame_flag_bijection(fixture, cap: int = VERTEX_CAP) -> FrameFlagReport:
         total = frame[subset[0]]
         for i in subset[1:]:
             total = total + frame[i]
-        if abs(trace(total) - len(subset)) > 1e-7:
+        if abs(trace(total) - len(subset)) > LOOSE_FRAME_TOL:
             raise SymmetryError("sub-frame face has the wrong rank")
     return FrameFlagReport(
         frames=len(orderings), flags=len(flags), bijective=chains == flags
@@ -284,7 +292,7 @@ def _distinguished_columns(alg: AlgebraDescriptor, rows: np.ndarray) -> np.ndarr
     return np.stack([v, j_twin(v)], axis=1).reshape(-1, v.shape[1]).T
 
 
-def _check_jordan_frame(alg: AlgebraDescriptor, frame, tol: float = 1e-8) -> np.ndarray:
+def _check_jordan_frame(alg: AlgebraDescriptor, frame, tol: float = FRAME_TOL) -> np.ndarray:
     """The frame's coefficient rows (r, dim), after checking that it is a
     Jordan frame: r primitive idempotents, pairwise orthogonal for the trace
     form, summing to the unit, each within tol; NaN fails every test."""
@@ -304,16 +312,14 @@ def _check_jordan_frame(alg: AlgebraDescriptor, frame, tol: float = 1e-8) -> np.
     return rows
 
 
-def jordan_frame_transporter(
-    alg: AlgebraDescriptor, frame_a, frame_b, tol: float = 1e-8
-) -> EjaAutomorphism:
+def jordan_frame_transporter(alg: AlgebraDescriptor, frame_a, frame_b) -> EjaAutomorphism:
     """An automorphism taking the ordered frame A onto the ordered frame B.
 
     Matrix families conjugate by U = U_B U_A^dagger built from the
     distinguished eigenvectors (quaternionic twins for herm_h); spin uses
-    the Householder reflection of the ball part.  Verifies the residuals,
-    unit preservation, trace-form orthogonality and cone preservation, and
-    keeps the worst frame residual on the map.
+    the Householder reflection of the ball part.  Verifies the residuals
+    (within TRANSPORTER_TOL), unit preservation, trace-form orthogonality
+    and cone preservation, and keeps the worst frame residual on the map.
     """
     if alg.family == "herm_o":
         raise UnsupportedFamily(
@@ -341,16 +347,16 @@ def jordan_frame_transporter(
         images = u @ basis.reshape((alg.dim,) + shape) @ u.conj().T
         m = np.real(dual @ images.reshape(alg.dim, -1).T)
     auto = EjaAutomorphism(alg, m)
-    return EjaAutomorphism(alg, m, _verify_transporter(auto, rows_a, rows_b, tol))
+    return EjaAutomorphism(alg, m, _verify_transporter(auto, rows_a, rows_b))
 
 
-def _verify_transporter(auto, rows_a, rows_b, tol) -> float:
+def _verify_transporter(auto, rows_a, rows_b) -> float:
     """The worst frame residual, after checking the map on the frame rows,
     the unit, and three probe pairs for trace-form orthogonality and cone
     preservation."""
     alg = auto.algebra
     resid = norm_rows(alg, rows_a @ auto.M.T - rows_b)
-    if not (resid <= tol).all():
+    if not (resid <= TRANSPORTER_TOL).all():
         raise SymmetryError("transporter misses a frame element")
     e = unit(alg)
     if norm(auto.apply(e) - e) > 1e-9:
@@ -369,23 +375,23 @@ def _verify_transporter(auto, rows_a, rows_b, tol) -> float:
     return float(resid.max())
 
 
-def extend_to_maximal_frame(alg: AlgebraDescriptor, partial, tol: float = 1e-8):
+def extend_to_maximal_frame(alg: AlgebraDescriptor, partial):
     """Complete orthogonal primitive idempotents to a full Jordan frame."""
     partial = tuple(partial)
     rest = unit(alg)
     if partial:
         rows = coefficient_rows(partial)
-        if not primitive_rows(alg, rows, tol).all():
+        if not primitive_rows(alg, rows, FRAME_TOL).all():
             raise SymmetryError("partial frame element is not primitive")
         rest = EjaElement(alg, rest.coeffs - rows.sum(axis=0))
-    if norm(rest) <= tol:
+    if norm(rest) <= FRAME_TOL:
         return partial
     dec = spectral_decompose(rest)
     extension = [
         idem for lam, idem in zip(dec.eigenvalues, dec.frame) if lam > 0.5
     ]
     frame = partial + tuple(extension)
-    _check_jordan_frame(alg, frame, tol=max(tol, 1e-7))
+    _check_jordan_frame(alg, frame, LOOSE_FRAME_TOL)
     return frame
 
 

@@ -2,9 +2,11 @@
 the exact side imports no float code at module level, the package resolves
 its exports lazily in any import order, the face side imports no LP, the
 exact kernel keeps no public routine that only tests reach, one vertex cap
-is the default of every cap, the per-element product, trace form,
-eigenvalues and idempotent tests are one-row cases of their row
-functions, and the spectral decomposition draws no random numbers."""
+is the default of every cap, only the functions callers pass a tolerance
+to take one, the per-element product, trace form, eigenvalues and
+idempotent tests are one-row cases of their row functions, both spectral
+entry points share one overflow guard, and the spectral decomposition
+draws no random numbers."""
 
 import ast
 import subprocess
@@ -214,6 +216,77 @@ def test_one_vertex_cap_and_every_cap_defaults_to_it():
             ]
     assert caps == ["geometry.VERTEX_CAP"], caps
     assert not stray, stray
+
+
+# Callers pass spectral_decompose other tolerances (the CLI's --tol among
+# them), and the idempotent predicates and the frame check other bounds;
+# the private per-family solvers take spectral_decompose's tol as given.
+TOLERANCE_PARAMETERS = {
+    "cli.decompose",
+    "spectral.spectral_decompose",
+    "spectral.idempotent_rows",
+    "spectral.primitive_rows",
+    "spectral.is_idempotent",
+    "spectral.is_primitive_idempotent",
+    "spectral._fine_for",
+    "spectral._fine_herm_h",
+    "spectral._fine_spin",
+    "spectral._fine_herm_o",
+    "spectral._herm_o_cubic",
+    "symmetry._check_jordan_frame",
+}
+
+
+def test_only_functions_that_callers_tune_take_a_tolerance():
+    # every other tolerance or retry count is a module constant: no
+    # ``tol``, ``tries`` or ``retries`` parameter off the list, and a
+    # listed one defaults to a named constant, never to a literal
+    package = Path(jordan_spectra.__file__).resolve().parent
+    found, literal = set(), []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+            pairs = list(zip(positional, defaults)) + list(
+                zip(args.kwonlyargs, args.kw_defaults)
+            )
+            for arg, default in pairs:
+                if arg.arg not in ("tol", "tries", "retries"):
+                    continue
+                found.add(f"{path.stem}.{node.name}")
+                if default is not None and not isinstance(default, ast.Name):
+                    literal.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == TOLERANCE_PARAMETERS, sorted(found ^ TOLERANCE_PARAMETERS)
+    assert not literal, literal
+
+
+def test_both_spectral_entry_points_share_one_overflow_guard():
+    # the policy "solve x / 2**k, scale the eigenvalues back" is written
+    # once: both entry points call the guard's two helpers, and no other
+    # function in the module shifts binary exponents
+    package = Path(jordan_spectra.__file__).resolve().parent
+    tree = ast.parse((package / "spectral.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    guard = {"_downscaled_rows", "_scaled_back"}
+    for name in ("spectral_decompose", "eigenvalue_rows"):
+        called = {
+            n.func.id
+            for n in ast.walk(functions[name])
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        }
+        assert guard <= called, (name, sorted(called))
+    shifts = [
+        f"{name}:{n.lineno} {n.attr}"
+        for name, fn in functions.items()
+        if name not in guard
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Attribute) and n.attr in ("ldexp", "frexp")
+    ]
+    assert not shifts, shifts
 
 
 @pytest.mark.parametrize(

@@ -408,6 +408,32 @@ def test_herm_o_cubic_overflow_refused_or_exact():
     _assert_refused_or_exact(x, np.full(3, 3e102))
 
 
+@pytest.mark.parametrize("alg", FAMILIES_SMALL, ids=lambda a: a.family)
+def test_mixed_stack_shifts_only_its_overflowing_rows(alg):
+    # one stack holding a row near the largest float (its values overflow
+    # when scaled back for herm_h, spin and herm_o), a row whose norm
+    # overflows and ordinary rows: each row that spectral_decompose solves
+    # on its own gets the same values here, and the stack is refused
+    # exactly when one of its rows is
+    y = random_element(alg, 3).coeffs
+    rows = np.stack([y * 5e307, y, y * 1e160, y * -2.5, unit(alg).coeffs * 0.5])
+    want = []
+    for row in rows:
+        try:
+            want.append(spectral_decompose(EjaElement(alg, row)).eigenvalues)
+        except SpectralError:
+            want.append(None)
+    solved = [i for i, w in enumerate(want) if w is not None]
+    assert solved[-4:] == [1, 2, 3, 4]
+    if len(solved) < len(rows):
+        with pytest.raises(SpectralError, match="eigenvalues overflow"):
+            eigenvalue_rows(alg, rows)
+    got = eigenvalue_rows(alg, rows[solved])
+    for i, vals in zip(solved, got):
+        assert np.isfinite(vals).all()
+        assert np.max(np.abs(vals - want[i])) <= 1e-12 * np.max(np.abs(want[i]))
+
+
 def test_herm_o_eigenvalues_take_one_jordan_product(monkeypatch):
     # tr x^2 and tr x^3 come from the trace form, so only x * x is formed:
     # one row-wise Jordan square per call, one row per element
