@@ -49,14 +49,13 @@ class EjaElement:
     __slots__ = ("algebra", "coeffs")
 
     def __init__(self, alg: AlgebraDescriptor, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (alg.dim,):
+        c = np.array(coeffs, dtype=float)
+        if c.shape != (alg.dim,):
             raise ValueError(
                 "coefficient length %s does not match dim %d of %s"
-                % (coeffs.shape, alg.dim, alg.family)
+                % (c.shape, alg.dim, alg.family)
             )
         object.__setattr__(self, "algebra", alg)
-        c = coeffs.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -183,8 +182,9 @@ def j_twin(v: np.ndarray) -> np.ndarray:
     return twin
 
 
+@lru_cache(maxsize=BASIS_CACHE_ALGEBRAS)
 def unit(alg: AlgebraDescriptor) -> EjaElement:
-    """The algebra unit e."""
+    """The algebra unit e, one per algebra (elements are immutable)."""
     if alg.family == "spin":
         c = np.zeros(alg.dim)
         c[-1] = 1.0
@@ -236,7 +236,7 @@ def jordan_product_rows(alg: AlgebraDescriptor, x, y=None) -> np.ndarray:
     else:
         xb = (np.asarray(y, dtype=float) @ basis).reshape(xa.shape)
         prod = (xa @ xb + xb @ xa) / 2.0
-    return np.real(prod.reshape(len(x), -1) @ dual.T)
+    return np.real(prod.reshape(len(x), dual.shape[1]) @ dual.T)
 
 
 @lru_cache(maxsize=1)
@@ -271,12 +271,12 @@ def herm_o_product_rows(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarra
     y omitted the rows are squared; the outer product of a row with itself
     is already symmetric, and the result is the same floats as x * x.
     """
-    n = len(x)
+    shape = (len(x), x.shape[1] ** 2)
     if y is None:
-        return (x[:, :, None] * x[:, None, :]).reshape(n, -1) @ _herm_o_constants()
+        return (x[:, :, None] * x[:, None, :]).reshape(shape) @ _herm_o_constants()
     pairs = x[:, :, None] * y[:, None, :]
     pairs = pairs + pairs.transpose(0, 2, 1)
-    return 0.5 * (pairs.reshape(n, -1) @ _herm_o_constants())
+    return 0.5 * (pairs.reshape(shape) @ _herm_o_constants())
 
 
 def trace(x: EjaElement) -> float:
@@ -289,7 +289,7 @@ def trace_rows(alg: AlgebraDescriptor, x) -> np.ndarray:
     spin, else the sum of the first ``param``, the diagonal basis members."""
     if alg.family == "spin":
         return 2.0 * x[:, -1]
-    return x[:, : alg.param].sum(axis=1)
+    return np.add.reduce(x[:, : alg.param], axis=1)
 
 
 def inner(x: EjaElement, y: EjaElement) -> float:
@@ -300,15 +300,23 @@ def inner(x: EjaElement, y: EjaElement) -> float:
 
 def gram_rows(alg: AlgebraDescriptor, x, y=None) -> np.ndarray:
     """Trace-form Gram matrix [(x[i], y[j])] of coefficient rows; y defaults
-    to x.  The basis is orthonormal for the form, so this is x y^T, doubled
-    for spin's natural coordinates."""
-    g = x @ (x if y is None else y).T
+    to x, and stacks (..., n, dim) give stacks of Gram matrices.  The basis
+    is orthonormal for the form, so this is x y^T, doubled for spin's
+    natural coordinates."""
+    g = x @ np.swapaxes(x if y is None else y, -1, -2)
+    return 2.0 * g if alg.family == "spin" else g
+
+
+def inner_rows(alg: AlgebraDescriptor, x, y) -> np.ndarray:
+    """Trace-form products (x[k], y[k]) of paired coefficient rows (..., dim),
+    the diagonal of `gram_rows` without the rest of the matrix."""
+    g = np.add.reduce(x * y, axis=-1)
     return 2.0 * g if alg.family == "spin" else g
 
 
 def norm_rows(alg: AlgebraDescriptor, x) -> np.ndarray:
-    """Trace-form norms of coefficient rows, the roots of the Gram diagonal."""
-    return np.sqrt(gram_rows(alg, x).diagonal())
+    """Trace-form norms of coefficient rows (..., dim)."""
+    return np.sqrt(inner_rows(alg, x, x))
 
 
 def norm(x: EjaElement) -> float:

@@ -48,7 +48,7 @@ class AlgebraDescriptor:
         if self.family == "herm_o" and self.param != 3:
             raise ValueError("herm_o exists only for size 3")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         m = self.param
         return {
@@ -59,7 +59,7 @@ class AlgebraDescriptor:
             "herm_o": 27,
         }[self.family]
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return {"spin": 2, "herm_o": 3}.get(self.family, self.param)
 

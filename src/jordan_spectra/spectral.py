@@ -1,46 +1,52 @@
-"""Spectral decomposition across the five families.
+"""Spectral decomposition across the five families, on stacks of rows.
 
-Solver strategy:
+`spectral_decompose_rows` decomposes a stack of coefficient rows (n x dim)
+of one algebra in a few array calls per family:
 
-* sym_r   LAPACK eigh on the real symmetric matrix
-* herm_c  LAPACK eigh on the complex Hermitian matrix
-* herm_h  LAPACK eigh on the 2m x 2m complex matrix that stores x; each
-          quaternionic eigenvalue is a pair of its eigenvalues, and the
-          projector onto a pair's eigenvectors is a primitive idempotent
+* sym_r   one stacked LAPACK eigh of the real symmetric matrices
+* herm_c  one stacked LAPACK eigh of the complex Hermitian matrices
+* herm_h  one stacked LAPACK eigh of the 2m x 2m complex matrices that
+          store the rows; each quaternionic eigenvalue is a pair of their
+          eigenvalues, and the projector onto a pair's eigenvectors is a
+          primitive idempotent
 * spin    closed form: (x, t) has eigenvalues t +- |x| with idempotents
-          ((+-x/|x|)/2, 1/2); x = 0 keeps the coarse part [(t, e)] and splits
-          the fine frame along a fixed axis
-* herm_o  Newton identities -> characteristic cubic -> trigonometric roots;
-          the idempotent of a simple value by Lagrange interpolation in
-          Jordan powers of x; of three values, the two nearest each other
-          split in closed form in the rank-2 algebra left by the third
+          ((+-x/|x|)/2, 1/2); x = 0 keeps the coarse part [(t, e)] and
+          splits the fine frame along a fixed axis
+* herm_o  Newton identities -> characteristic cubic -> trigonometric roots,
+          one `_herm_o_cubic` over all rows; of three distinct values, the
+          simple one's idempotent by Lagrange interpolation in Jordan powers
+          of x, and the two nearest each other split in closed form in the
+          rank-2 algebra left by it
 
 A repeated herm_h or herm_o eigenvalue has a coarse idempotent c of trace
 k > 1 (the sum of its pair projectors, or its Lagrange polynomial), which
 `_peel` splits into k primitives by compressions U_c of diagonal
-primitives: no random draw, so the fine frame is a function of x alone.
+primitives, only on the rows that have one: no random draw, so the fine
+frame is a function of x alone.  Each row's values and frame are those of
+the row decomposed alone, and `spectral_decompose` is the one-row case.
+A `SpectralRows` result holds the eigenvalues (n, r) and the fine frames
+(n, r, dim); indexing it gives one element's `SpectralDecomposition`,
+with the coarse decomposition by distinct eigenvalues, which is unique.
 
-`eigenvalue_rows` returns the same numbers without building a frame, for a
-stack of coefficient rows at once: one stacked eigvalsh for the matrix
-families, the closed form for spin, and the cubic evaluated elementwise
-over the rows for herm_o (the one cubic `spectral_decompose` reads too).
-`eigenvalues` is its one-row case.  Both entry points share one overflow
-guard: a row whose sum of squares overflows is solved as row / 2**k (k the
-binary exponent of its largest coefficient) and its eigenvalues scaled
-back, and a non-finite coefficient or a scaled-back eigenvalue that
-overflows is refused with SpectralError, as is an element of finite norm
-whose herm_o power traces or eigenvalues overflow.
+`eigenvalue_rows` returns the same numbers without building a frame: one
+stacked eigvalsh for the matrix families, the closed form for spin, and
+the cubic for herm_o.  `eigenvalues` is its one-row case.  Both stacked
+entry points share one overflow guard: a row whose sum of squares
+overflows is solved as row / 2**k (k the binary exponent of its largest
+coefficient) and its eigenvalues scaled back, and a non-finite coefficient
+or a scaled-back eigenvalue that overflows is refused with SpectralError,
+as is an element of finite norm whose herm_o power traces or eigenvalues
+overflow.
 
-A decomposition carries the fine frame (not canonical when eigenvalues
-repeat) and the coarse decomposition by distinct eigenvalues, which is
-unique.  Every decomposition builds its fine frame as one (r, dim) array
-of coefficient rows.  `is_idempotent` and `is_primitive_idempotent` are the
-one-row cases of `idempotent_rows` and `primitive_rows`.
+`random_frame_rows` draws a block of random elements and returns their
+frames, each element redrawn until its eigenvalues are distinct;
+`random_jordan_frame` is its one-row case.  `is_idempotent` and
+`is_primitive_idempotent` are the one-row cases of `idempotent_rows` and
+`primitive_rows`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,11 +59,10 @@ from .algebra import (
     coefficient_rows,
     gram_rows,
     herm_o_product_rows,
+    inner_rows,
     jordan_product,
     jordan_product_rows,
-    norm,
     norm_rows,
-    to_matrix,
     trace,
     trace_rows,
     unit,
@@ -69,7 +74,7 @@ DEFAULT_TOL = 1e-10
 # trace-orthogonal and sum to the unit within this.
 FRAME_TOL = 1e-8
 
-# `random_jordan_frame` draws at most this many elements.
+# `random_frame_rows` draws at most this many elements per frame.
 RANDOM_FRAME_RETRIES = 50
 
 # A herm_o frame further than this from orthonormal is refused.  A pair the
@@ -103,64 +108,75 @@ class SpectralDecomposition:
         return EjaElement(self.frame[0].algebra, self.eigenvalues @ rows)
 
 
-# -- per-family fine decompositions ---------------------------------------------
-
-def _eigh_descending(a: np.ndarray):
-    """LAPACK eigh with eigenvalues (and eigenvector columns) descending."""
-    w, v = np.linalg.eigh(a)
-    return w[::-1], v[:, ::-1]
-
+# -- per-family fine decompositions of coefficient rows ------------------------------
 
 def _projector_rows(alg: AlgebraDescriptor, vecs: np.ndarray) -> np.ndarray:
-    """Coefficient rows (k, dim) of the projectors onto the spans of a stack
-    of orthonormal vector blocks (k, j, size), sum v v^H over each block's
-    j vectors; each row is the same floats as projecting its one projector
-    on its own."""
+    """Coefficient rows (..., dim) of the projectors onto the spans of a stack
+    of orthonormal vector blocks (..., j, size), sum v v^H over each block's
+    j vectors."""
     _, dual, _ = _matrix_basis(alg)
-    proj = (vecs[:, :, :, None] * np.conj(vecs[:, :, None, :])).sum(axis=1)
-    rows = np.real(dual @ proj.reshape(len(vecs), -1, 1))[:, :, 0]
-    return np.ascontiguousarray(rows)
+    proj = np.swapaxes(vecs, -1, -2) @ np.conj(vecs)
+    rows = np.real(proj.reshape(-1, dual.shape[1]) @ dual.T)
+    return rows.reshape(vecs.shape[:-2] + (alg.dim,))
 
 
-def _fine_matrix(x: EjaElement):
-    """sym_r and herm_c: the frame is v v^H over the eigenvectors of x."""
-    w, v = _eigh_descending(to_matrix(x))
-    return w, _projector_rows(x.algebra, v.T[:, None, :])
+def _descending(values: np.ndarray, frames: np.ndarray) -> tuple:
+    """The value rows (n, r) sorted descending, ties kept in order, and the
+    frame rows (n, r, dim) in the same order."""
+    if not (values[:, :-1] < values[:, 1:]).any():
+        return values, frames
+    order = (np.arange(len(values))[:, None], (-values).argsort(axis=1, kind="stable"))
+    return values[order], frames[order]
 
 
-def _fine_herm_h(x: EjaElement, tol: float):
-    """herm_h: each quaternionic eigenvalue is a pair of the 2m eigenvalues
-    of the stored matrix.  One pair's projector v v^H is primitive; a
-    cluster of j pairs sums to its coarse idempotent, which `_peel` splits."""
-    alg = x.algebra
-    w, v = _eigh_descending(to_matrix(x))
-    ctol = tol * (1.0 + float(np.max(np.abs(w))))
-    pairs = _projector_rows(alg, v.T.reshape(alg.param, 2, -1))
-    rows = np.concatenate(
-        [
-            pairs[idx] if len(idx) == 1 else _peel(alg, pairs[idx].sum(axis=0), len(idx))
-            for idx in _cluster_indices(w[::2], ctol)
-        ]
-    )
-    # the basis is orthonormal for the trace form: the values are (x, c),
-    # one dot product each, so a tie within a cluster orders as `inner` does
-    return [np.dot(x.coeffs, row) for row in rows], rows
+def _fine_matrix_rows(alg: AlgebraDescriptor, x: np.ndarray, tol: float):
+    """sym_r, herm_c and herm_h: one stacked LAPACK eigh of the stored
+    matrices, eigenvalues descending.  For sym_r and herm_c the frame is
+    v v^H over the eigenvectors.  Each quaternionic eigenvalue is a pair of
+    the 2m values of a herm_h matrix; one pair's projector is primitive, and
+    a cluster of j pairs sums to its coarse idempotent, which `_peel` splits.
+    The herm_h values are then (x, c), one dot product per member, so a tie
+    within a cluster orders as `inner` does."""
+    basis, _, shape = _matrix_basis(alg)
+    w, v = np.linalg.eigh((x @ basis).reshape((len(x),) + shape))
+    w, vecs = w[:, ::-1], np.swapaxes(v, 1, 2)[:, ::-1]
+    if alg.family != "herm_h":
+        return w, _projector_rows(alg, vecs[:, :, None, :])
+    pairs = _projector_rows(alg, vecs.reshape(len(x), alg.param, 2, vecs.shape[-1]))
+    # neighbouring pair values within tol (1 + max |value|) form a cluster
+    ctol = tol * (1.0 + np.maximum.reduce(np.abs(w), axis=1, keepdims=True))
+    joined = w[:, :-2:2] - w[:, 2::2] <= ctol
+    if joined.any():
+        peeled = {}  # cluster size -> [(row, cluster slice)]
+        for i in np.flatnonzero(joined.any(axis=1)):
+            start = 0
+            for j, join in enumerate(joined[i].tolist() + [False]):
+                if not join:
+                    if j > start:
+                        peeled.setdefault(j + 1 - start, []).append((i, slice(start, j + 1)))
+                    start = j + 1
+        for k, at in peeled.items():
+            pieces = _peel(alg, np.array([np.add.reduce(pairs[i, run]) for i, run in at]), k)
+            for (i, run), piece in zip(at, pieces):
+                pairs[i, run] = piece
+    return _descending((pairs @ x[:, :, None])[:, :, 0], pairs)
 
 
-def _fine_spin(x: EjaElement, tol: float):
-    n = x.algebra.param
-    w, t = x.coeffs[:n], float(x.coeffs[n])
-    nw = float(np.linalg.norm(w))
-    ctol = tol * (1.0 + abs(t) + nw)
-    if nw <= ctol:
-        axis = np.zeros(n)
-        axis[0] = 1.0
-    else:
-        axis = w / nw
-    rows = np.full((2, n + 1), 0.5)
-    rows[0, :n] = axis / 2.0
-    rows[1, :n] = -axis / 2.0
-    return [t + nw, t - nw], rows
+def _fine_spin_rows(alg: AlgebraDescriptor, x: np.ndarray, tol: float):
+    """spin: (w, t) has eigenvalues t +- |w| with idempotents
+    ((+-w/|w|)/2, 1/2); a w within tol (1 + |t| + |w|) of 0 splits along
+    the first axis."""
+    n = alg.param
+    w, t = x[:, :n], x[:, n:]
+    nw = np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True))
+    whole = nw <= tol * (1.0 + np.abs(t) + nw)
+    half = w / (2.0 * np.where(whole, 1.0, nw))
+    if whole.any():
+        half[whole[:, 0]] = np.eye(n)[0] / 2.0
+    rows = np.empty((len(x), 2, n + 1))
+    rows[:, 0, :n], rows[:, 1, :n], rows[:, :, n] = half, -half, 0.5
+    # the eigenvalues t + |w| and t - |w|
+    return t + nw * np.array([1.0, -1.0]), rows
 
 
 # cos(theta - 2 pi k / 3), k = 0, 1, 2, gives the three trigonometric roots
@@ -192,7 +208,7 @@ def _herm_o_cubic(x: np.ndarray, x2: np.ndarray, tol: float) -> np.ndarray:
     # overflow, so does q, and the finiteness test refuses the row
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         e1, e2, e3 = _elementary_symmetric(
-            x[:, :3].sum(axis=1), (x * x).sum(axis=1), (x2 * x).sum(axis=1)
+            np.add.reduce(x[:, :3], axis=1), np.add.reduce(x * x, axis=1), np.add.reduce(x2 * x, axis=1)
         )
         p = e2 - e1 * e1 / 3.0
         q = -2.0 * e1 * e1 * e1 / 27.0 + e1 * e2 / 3.0 - e3
@@ -202,10 +218,12 @@ def _herm_o_cubic(x: np.ndarray, x2: np.ndarray, tol: float) -> np.ndarray:
         trig = mfac[:, None] * np.cos(np.arccos(arg)[:, None] / 3.0 - _THIRD_TURNS)
         offsets = np.where((p >= 0.0)[:, None], np.cbrt(-q)[:, None], trig)
         e1 = e1[:, None]
-        roots = np.sort(e1 / 3.0 + offsets, axis=1)[:, ::-1]
+        roots = e1 / 3.0 + offsets
+        roots.sort(axis=1)
+        roots = roots[:, ::-1]
         if not np.isfinite(roots + q[:, None]).all():
             raise SpectralError("eigenvalues overflow")
-        scale = 1.0 + np.abs(roots).max(axis=1, keepdims=True)
+        scale = 1.0 + np.maximum.reduce(np.abs(roots), axis=1, keepdims=True)
         near = roots[:, :2] - roots[:, 1:] <= max(tol, 4e-8) * scale
         if not near.any():
             return roots
@@ -225,46 +243,75 @@ def _herm_o_cubic(x: np.ndarray, x2: np.ndarray, tol: float) -> np.ndarray:
     return np.sort(vals, axis=1)[:, ::-1]
 
 
-def _fine_herm_o(x: EjaElement, tol: float):
+def _fine_herm_o_rows(alg: AlgebraDescriptor, x: np.ndarray, tol: float):
     """herm_o: the values of the cubic, which sets a cluster's members equal.
 
-    A simple value s takes its Lagrange polynomial in x as idempotent c_s,
-    and a repeated value's idempotent is split by `_peel`.  Of three values,
-    s is the one farthest from its neighbour, and the other two, whose gap
-    the cubic resolves only to ~sqrt(machine eps), are split with no
-    division by it: w = x - s c_s - t c, with c = e - c_s and t their mean,
-    is r (p - q) with r = |w| / sqrt 2 for their idempotents p and q.
+    Three distinct values are split by `_herm_o_three`, all rows at once.
+    A row with a repeated value is split on its own: three equal values
+    split the unit by `_peel`; of two, the simple value s takes
+    c_s = (x - d e) / (s - d) as idempotent and the repeated value d's
+    idempotent e - c_s is split by `_peel`.
     """
-    alg = x.algebra
-    x, e = x.coeffs, unit(alg).coeffs
-    x2 = herm_o_product_rows(x[None])[0]
-    roots = _herm_o_cubic(x[None], x2[None], tol)[0].tolist()
-    vals = [(v, len(list(run))) for v, run in itertools.groupby(roots)]
-    if len(vals) == 1:
-        return roots, _peel(alg, e, 3)
-    if len(vals) == 2:
-        # x - d*e = (s - d) c_s for the simple value s and repeated value d
-        (s, _), (d, _) = sorted(vals, key=lambda v: v[1])
-        c_s = (x - d * e) * (1.0 / (s - d))
-        return [s, d, d], np.concatenate([c_s[None], _peel(alg, e - c_s, 2)])
-    s, a, b = roots if roots[0] - roots[1] >= roots[1] - roots[2] else roots[::-1]
-    c_s = (x2 - (a + b) * x + (a * b) * e) * (1.0 / ((s - a) * (s - b)))
+    x2 = herm_o_product_rows(x)
+    values = _herm_o_cubic(x, x2, tol)
+    equal = values[:, :2] == values[:, 1:]
+    if not equal.any():
+        return _herm_o_three(alg, x, x2, values)
+    repeated = equal.any(axis=1)
+    rows = np.empty((len(x), 3, alg.dim))
+    if not repeated.all():
+        simple = ~repeated
+        values[simple], rows[simple] = _herm_o_three(alg, x[simple], x2[simple], values[simple])
+    e = unit(alg).coeffs
+    for i in np.flatnonzero(repeated):
+        top, d, bottom = values[i].tolist()
+        if top == bottom:
+            rows[i] = _peel(alg, e[None], 3)[0]
+            continue
+        s = bottom if top == d else top
+        c_s = (x[i] - d * e) * (1.0 / (s - d))
+        pair = _peel(alg, (e - c_s)[None], 2)[0]
+        # in the order of the values: the repeated pair on top or below s
+        rows[i] = np.concatenate([pair, c_s[None]] if top == d else [c_s[None], pair])
+    return values, rows
+
+
+def _herm_o_three(alg: AlgebraDescriptor, x: np.ndarray, x2: np.ndarray, roots: np.ndarray):
+    """herm_o rows with three distinct values (roots descending).
+
+    s is the value farthest from its neighbour, with its Lagrange
+    polynomial in x as idempotent c_s.  The other two, a (the middle root)
+    and b, whose gap the cubic resolves only to ~sqrt(machine eps), are
+    split with no division by it: w = x - s c_s - t c, with c = e - c_s and
+    t their mean, is r (p - q) with r = |w| / sqrt 2 for their idempotents
+    p and q.
+    """
+    e = unit(alg).coeffs
+    top, a, bottom = roots[:, 0:1], roots[:, 1:2], roots[:, 2:3]
+    near_top = top - a < a - bottom
+    s, b = np.where(near_top, bottom, top), np.where(near_top, top, bottom)
+    a_b = a + b
+    c_s = (x2 - a_b * x + (a * b) * e) * (1.0 / ((s - a) * (s - b)))
     c = e - c_s
-    w = x - s * c_s - (a + b) / 2.0 * c
+    mean = a_b / 2.0
+    w = x - s * c_s - mean * c
     # the rounding of x, large next to w, leaves c's rank-2 algebra; w's
     # part there is 2 c * w - w plus its part along the primitive c_s
-    cw = herm_o_product_rows(c[None], w[None])[0]
-    w = 2.0 * cw - w + gram_rows(alg, w[None], c_s[None])[0, 0] * c_s
-    shift = trace_rows(alg, w[None])[0] / 2.0
+    w = 2.0 * herm_o_product_rows(c, w) - w + inner_rows(alg, w, c_s)[:, None] * c_s
+    shift = trace_rows(alg, w)[:, None] / 2.0
     w = w - shift * c
-    r = float(norm_rows(alg, w[None])[0]) / math.sqrt(2.0)
-    t = (a + b) / 2.0 + shift
-    return [s, t + r, t - r], np.array([c_s, (c + w / r) / 2.0, (c - w / r) / 2.0])
+    r = norm_rows(alg, w)[:, None] / math.sqrt(2.0)
+    t = mean + shift
+    # p and q are (c +- w / r) / 2
+    c, w = c / 2.0, w / (2.0 * r)
+    rows = np.empty((len(x), 3, alg.dim))
+    rows[:, 0], rows[:, 1], rows[:, 2] = c_s, c + w, c - w
+    return _descending(np.concatenate([s, t + r, t - r], axis=1), rows)
 
 
 def _peel(alg: AlgebraDescriptor, c: np.ndarray, k: int) -> np.ndarray:
-    """Split the coefficient row c of a trace-k idempotent into k orthogonal
-    primitives, the rows of a (k, dim) array that sum to c.
+    """Split each coefficient row of c (n, dim), a trace-k idempotent, into k
+    orthogonal primitives: (n, k, dim), each row's k pieces summing to it.
 
     The compression U_c q = 2 c * (c * q) - c * q of a primitive q is a
     multiple of a primitive below c, the multiple being tr U_c q = (q, c)
@@ -274,47 +321,28 @@ def _peel(alg: AlgebraDescriptor, c: np.ndarray, k: int) -> np.ndarray:
     image by its trace and takes it off c; the last piece is what remains.
     Used for herm_h and herm_o, whose first `rank` basis rows are the E_ii.
     """
-    pieces = []
-    for _ in range(k - 1):
-        q = np.zeros((1, alg.dim))
-        q[0, np.argmax(c[: alg.rank])] = 1.0
-        cq = jordan_product_rows(alg, c[None], q)
-        image = 2.0 * jordan_product_rows(alg, c[None], cq) - cq
-        piece = image[0] / trace_rows(alg, image)[0]
-        pieces.append(piece)
-        c = c - piece
-    pieces.append(c)
-    return np.array(pieces)
+    pieces = np.empty((len(c), k, alg.dim))
+    for j in range(k - 1):
+        q = np.zeros(c.shape)
+        q[np.arange(len(c)), np.argmax(c[:, : alg.rank], axis=1)] = 1.0
+        cq = jordan_product_rows(alg, c, q)
+        image = 2.0 * jordan_product_rows(alg, c, cq) - cq
+        pieces[:, j] = image / trace_rows(alg, image)[:, None]
+        c = c - pieces[:, j]
+    pieces[:, -1] = c
+    return pieces
 
 
-def _fine_for(x: EjaElement, tol: float):
-    """(values, frame rows): the fine frame as an (r, dim) coefficient array."""
-    fam = x.algebra.family
-    if fam in ("sym_r", "herm_c"):
-        return _fine_matrix(x)
-    if fam == "herm_h":
-        return _fine_herm_h(x, tol)
-    if fam == "spin":
-        return _fine_spin(x, tol)
-    return _fine_herm_o(x, tol)
+def _fine_rows(alg: AlgebraDescriptor, x: np.ndarray, tol: float):
+    """(values (n, r), frames (n, r, dim)) of the coefficient rows x."""
+    if alg.family == "spin":
+        return _fine_spin_rows(alg, x, tol)
+    if alg.family == "herm_o":
+        return _fine_herm_o_rows(alg, x, tol)
+    return _fine_matrix_rows(alg, x, tol)
 
 
-# -- clustering and assembly -----------------------------------------------------
-
-def _cluster_indices(values: np.ndarray, ctol: float):
-    """Group indices of a descending value list into clusters within ctol."""
-    clusters = []
-    current = [0] if len(values) else []
-    for i in range(1, len(values)):
-        if abs(values[i] - values[current[-1]]) <= ctol:
-            current.append(i)
-        else:
-            clusters.append(current)
-            current = [i]
-    if current:
-        clusters.append(current)
-    return clusters
-
+# -- the stacked decomposition -------------------------------------------------------
 
 def _downscaled_rows(x: np.ndarray, sizes) -> tuple:
     """(y, k): the coefficient rows x with each row whose size in ``sizes``
@@ -339,52 +367,93 @@ def _scaled_back(values: np.ndarray, k: np.ndarray) -> np.ndarray:
     return values
 
 
-def spectral_decompose(x: EjaElement, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
-    """Fine and coarse spectral decompositions of x.
+@dataclass(frozen=True)
+class SpectralRows:
+    """Decompositions of a stack of n elements of one algebra, as arrays.
 
-    Eigenvalues come back descending; the reconstruction residual is bounded
-    by tol*(1 + |x|).  The fine frame is a deterministic function of x: a
-    repeated eigenvalue is split by `_peel`.  An x whose norm overflows is
-    decomposed as x / 2**k, with its eigenvalues scaled back by 2**k.  A
-    herm_o frame whose Gram matrix is further than HERM_O_GRAM_TOL from I
-    is refused, with that distance as the residual.
+    ``eigenvalues`` (n, r) and ``frames`` (n, r, dim) hold each element's
+    eigenvalues, descending, and its fine frame as coefficient rows.
+    Indexing gives one element's SpectralDecomposition, whose coarse
+    clusters are the runs of neighbouring eigenvalues within
+    tol (1 + max |eigenvalue|) of each other, each with the mean of its
+    values and the sum of its frame members.
+    """
+
+    algebra: AlgebraDescriptor
+    eigenvalues: np.ndarray
+    frames: np.ndarray
+    tol: float
+
+    def reconstruct(self) -> np.ndarray:
+        """sum lambda_i c_i of each element, as (n, dim) coefficient rows."""
+        return (self.eigenvalues[:, None, :] @ self.frames)[:, 0]
+
+    def __getitem__(self, i) -> SpectralDecomposition:
+        alg, rows = self.algebra, self.frames[i]
+        frame = [EjaElement(alg, row) for row in rows]
+        values = self.eigenvalues[i].tolist()
+        ctol = self.tol * (1.0 + max(map(abs, values)))
+        coarse, start = [], 0
+        for j in range(1, len(values) + 1):
+            if j < len(values) and abs(values[j] - values[j - 1]) <= ctol:
+                continue
+            run = values[start:j]
+            # the mean, exact for equal values and free of overflow
+            lam = run[0] + sum(v - run[0] for v in run[1:]) / len(run)
+            idem = frame[start] if len(run) == 1 else EjaElement(alg, rows[start:j].sum(axis=0))
+            coarse.append((lam, idem))
+            start = j
+        return SpectralDecomposition(self.eigenvalues[i], frame, coarse)
+
+
+def spectral_decompose_rows(alg: AlgebraDescriptor, rows, tol: float = DEFAULT_TOL) -> SpectralRows:
+    """Fine and coarse spectral decompositions of each coefficient row of
+    ``rows`` (n x dim).
+
+    Per family, over all rows at once: one stacked LAPACK eigh for sym_r,
+    herm_c and herm_h, the closed form for spin, and one `_herm_o_cubic`
+    with the Lagrange / near-pair split for herm_o; `_peel` runs only on
+    the rows with a repeated herm_h or herm_o eigenvalue.  Each row's values
+    and frame are those of that row decomposed alone.
+
+    Eigenvalues come back descending; each reconstruction residual is
+    bounded by tol*(1 + |x|).  The fine frames are a deterministic function
+    of the rows.  A row whose norm overflows is decomposed as row / 2**k,
+    with its eigenvalues scaled back by 2**k.  A herm_o frame whose Gram
+    matrix is further than HERM_O_GRAM_TOL from I is refused, with that
+    distance as the residual.  The stack is refused with the first refused
+    row's SpectralError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    x = np.asarray(rows, dtype=float).reshape(-1, alg.dim)
     # non-finite iff a coefficient is or the sum of squares overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        size = norm(x)
-    if not math.isfinite(size):
-        y, k = _downscaled_rows(x.coeffs[None], [size])
-        dec = spectral_decompose(EjaElement(x.algebra, y[0]), tol)
-        lams = _scaled_back(np.array([lam for lam, _ in dec.coarse]), k[0]).tolist()
-        coarse = [(lam, idem) for lam, (_, idem) in zip(lams, dec.coarse)]
-        return SpectralDecomposition(_scaled_back(dec.eigenvalues, k[0]), dec.frame, coarse)
-    values, rows = _fine_for(x, tol)
-    values = [float(v) for v in values]
-    order = sorted(range(len(values)), key=lambda i: -values[i])
-    values = [values[i] for i in order]
-    w = np.asarray(values)
-    rows = rows[order]
-    alg = x.algebra
-    frame = [EjaElement(alg, row) for row in rows]
-    ctol = tol * (1.0 + max(map(abs, values)))
-    coarse = []
-    for idx in _cluster_indices(values, ctol):
-        lam = sum(values[i] for i in idx) / len(idx)
-        if len(idx) == 1:
-            coarse.append((lam, frame[idx[0]]))
-        else:
-            coarse.append((lam, EjaElement(alg, rows[idx].sum(axis=0))))
-    resid = float(norm_rows(alg, (w @ rows - x.coeffs)[None])[0])
+        sizes = inner_rows(alg, x, x)
+        scaled = not math.isfinite(np.add.reduce(sizes))
+    if scaled:
+        x, k = _downscaled_rows(x, sizes)
+        sizes = inner_rows(alg, x, x)
+    values, frames = _fine_rows(alg, x, tol)
+    resid = norm_rows(alg, np.add.reduce(values[:, :, None] * frames, axis=1) - x)
     # written so that a NaN residual fails too
-    if not resid <= max(tol, 1e-9) * (1.0 + size):
-        raise SpectralError("spectral reconstruction failed", residual=resid)
+    passed = resid <= max(tol, 1e-9) * (1.0 + np.sqrt(sizes))
+    if not passed.all():
+        raise SpectralError("spectral reconstruction failed", residual=float(resid[~passed][0]))
     if alg.family == "herm_o":
-        gram = float(np.max(np.abs(gram_rows(alg, rows) - np.eye(3))))
-        if not gram <= HERM_O_GRAM_TOL:
-            raise SpectralError("herm_o frame is not orthonormal", residual=gram)
-    return SpectralDecomposition(w, frame, coarse)
+        gram = np.maximum.reduce(np.abs(gram_rows(alg, frames) - np.eye(3)), axis=(1, 2))
+        passed = gram <= HERM_O_GRAM_TOL
+        if not passed.all():
+            raise SpectralError("herm_o frame is not orthonormal", residual=float(gram[~passed][0]))
+    if scaled:
+        values = _scaled_back(values, k)
+    return SpectralRows(alg, values, frames, tol)
+
+
+def spectral_decompose(x: EjaElement, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
+    """Fine and coarse spectral decompositions of x: the one-row case of
+    `spectral_decompose_rows`, with its bounds and refusals."""
+    return spectral_decompose_rows(x.algebra, x.coeffs[None], tol)[0]
 
 
 def eigenvalue_rows(alg: AlgebraDescriptor, rows) -> np.ndarray:
@@ -478,17 +547,42 @@ def random_state(alg: AlgebraDescriptor, seed) -> EjaElement:
     return sq * (1.0 / t)
 
 
-def random_jordan_frame(alg: AlgebraDescriptor, seed):
-    """Frame of a random element, redrawn until eigenvalues are distinct."""
-    rng = _as_rng(seed)
-    for _ in range(RANDOM_FRAME_RETRIES):
-        x = random_element(alg, rng)
-        dec = spectral_decompose(x)
+def _redrawn_frames(alg: AlgebraDescriptor, draws, rng) -> np.ndarray:
+    """Frames (n, r, dim) of the elements ``draws`` (n x dim), each draw
+    whose eigenvalues are not distinct replaced by a fresh draw from rng.
+
+    The whole block is decomposed at once, and a degenerate draw is redrawn
+    only after it: so the stream is that of one draw and one decomposition
+    per frame only when no draw is degenerate.
+    """
+    x = np.array(draws, dtype=float).reshape(-1, alg.dim)
+    frames = np.empty((len(x), alg.rank, alg.dim))
+    todo = np.arange(len(x))
+    for attempt in range(RANDOM_FRAME_RETRIES):
+        if attempt:
+            x[todo] = rng.standard_normal((len(todo), alg.dim))
+        dec = spectral_decompose_rows(alg, x[todo])
         w = dec.eigenvalues
-        sep = 1e-6 * (1.0 + float(np.max(np.abs(w))))
-        if len(w) < 2 or float(np.min(w[:-1] - w[1:])) > sep:
-            return dec.frame
+        sep = 1e-6 * (1.0 + np.abs(w).max(axis=1))
+        distinct = np.min(w[:, :-1] - w[:, 1:], axis=1, initial=np.inf) > sep
+        frames[todo[distinct]] = dec.frames[distinct]
+        todo = todo[~distinct]
+        if not len(todo):
+            return frames
     raise SpectralError("random frame retry cap (%d) exceeded" % RANDOM_FRAME_RETRIES)
+
+
+def random_frame_rows(alg: AlgebraDescriptor, count: int, seed) -> np.ndarray:
+    """Frames (count, r, dim) of random elements drawn as one block, each
+    redrawn until its eigenvalues are distinct (see `_redrawn_frames`)."""
+    rng = _as_rng(seed)
+    return _redrawn_frames(alg, rng.standard_normal((count, alg.dim)), rng)
+
+
+def random_jordan_frame(alg: AlgebraDescriptor, seed):
+    """Frame of a random element, redrawn until eigenvalues are distinct:
+    the one-row case of `random_frame_rows`."""
+    return [EjaElement(alg, row) for row in random_frame_rows(alg, 1, seed)[0]]
 
 
 # The float side loads as one unit.  The exact side imports symmetry only

@@ -498,3 +498,25 @@ def test_every_capped_entry_point_refuses_past_the_vertex_cap(call):
         fill(body)
     with pytest.raises(CapExceeded, match="^4 vertices exceeds the vertex cap 3$"):
         call(body)
+
+
+@pytest.mark.parametrize("family,param", [("sym_r", 5), ("herm_c", 4), ("herm_h", 3)])
+def test_battery_eigh_calls_do_not_grow_with_the_trials(monkeypatch, family, param):
+    # the decompositions, random frames, extensions and transporters of a
+    # battery run in stacks: the number of LAPACK eigh calls is a property
+    # of the battery, not of its trial count
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    counts = []
+    for trials in (5, 20):
+        calls.clear()
+        report = verify_main_theorem_if_direction(AlgebraDescriptor(family, param), trials=trials)
+        assert report["all_pass"]
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts

@@ -94,6 +94,21 @@ def test_spectral_witness_recheck_and_tamper(runner, tmp_path):
     assert code == 1 and json.loads(outp3)["witness_valid"] is False
 
 
+def test_recheck_reads_the_cap_of_the_check(runner, tmp_path):
+    # the 13-gon (i, i^2) is past the default cap of 12 vertices: a witness
+    # that `check --cap 16` emits is rechecked at the same cap, and without
+    # it the recheck is a refusal, not a verdict
+    gon = {"type": "polytope", "vertices": [[str(i), str(i * i)] for i in range(13)]}
+    path = write_json(tmp_path, "gon.json", gon)
+    wit = str(tmp_path / "w.json")
+    code, _ = invoke(runner, "check", "--property", "spectral", path, "--cap", "16", "--out", wit)
+    assert code == 1
+    code, outp = invoke(runner, "recheck", wit, "--cap", "16")
+    assert code == 0 and json.loads(outp)["witness_valid"] is True
+    code, outp = invoke(runner, "recheck", wit)
+    assert code == 2 and "cap 12" in json.loads(outp)["error"]
+
+
 def test_strong_symmetry_witness_recheck_and_tamper(runner, tmp_path):
     path = write_json(tmp_path, "sq.json", {"type": "named", "name": "square"})
     code, outp = invoke(runner, "check", "--property", "strong-symmetry", path)

@@ -220,20 +220,22 @@ def test_one_vertex_cap_and_every_cap_defaults_to_it():
 
 # Callers pass spectral_decompose other tolerances (the CLI's --tol among
 # them), and the idempotent predicates and the frame check other bounds;
-# the private per-family solvers take spectral_decompose's tol as given.
+# the private per-family solvers take spectral_decompose_rows's tol as given.
 TOLERANCE_PARAMETERS = {
     "cli.decompose",
     "spectral.spectral_decompose",
+    "spectral.spectral_decompose_rows",
     "spectral.idempotent_rows",
     "spectral.primitive_rows",
     "spectral.is_idempotent",
     "spectral.is_primitive_idempotent",
-    "spectral._fine_for",
-    "spectral._fine_herm_h",
-    "spectral._fine_spin",
-    "spectral._fine_herm_o",
+    "spectral._fine_rows",
+    "spectral._fine_matrix_rows",
+    "spectral._fine_spin_rows",
+    "spectral._fine_herm_o_rows",
     "spectral._herm_o_cubic",
     "symmetry._check_jordan_frame",
+    "symmetry._frame_refusals",
 }
 
 
@@ -272,7 +274,7 @@ def test_both_spectral_entry_points_share_one_overflow_guard():
     tree = ast.parse((package / "spectral.py").read_text(encoding="utf-8"))
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     guard = {"_downscaled_rows", "_scaled_back"}
-    for name in ("spectral_decompose", "eigenvalue_rows"):
+    for name in ("spectral_decompose_rows", "eigenvalue_rows"):
         called = {
             n.func.id
             for n in ast.walk(functions[name])
@@ -297,6 +299,8 @@ def test_both_spectral_entry_points_share_one_overflow_guard():
         ("algebra", "inner", "gram_rows"),
         ("algebra", "norm", "norm_rows"),
         ("spectral", "eigenvalues", "eigenvalue_rows"),
+        ("spectral", "spectral_decompose", "spectral_decompose_rows"),
+        ("spectral", "random_jordan_frame", "random_frame_rows"),
         ("spectral", "is_idempotent", "idempotent_rows"),
         ("spectral", "is_primitive_idempotent", "primitive_rows"),
     ],
@@ -336,8 +340,10 @@ def test_spectral_decomposition_draws_no_random_numbers():
     package = Path(jordan_spectra.__file__).resolve().parent
     tree = ast.parse((package / "spectral.py").read_text(encoding="utf-8"))
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    path = ["spectral_decompose", "_peel"] + sorted(f for f in functions if f.startswith("_fine_"))
-    assert {"_fine_for", "_fine_herm_h", "_fine_herm_o"} <= set(path)
+    path = [
+        "spectral_decompose", "spectral_decompose_rows", "_peel", "_herm_o_three", "_descending",
+    ] + sorted(f for f in functions if f.startswith("_fine_"))
+    assert {"_fine_rows", "_fine_matrix_rows", "_fine_herm_o_rows"} <= set(path)
     random = {"default_rng", "_as_rng", "random_element"}
     stray = [
         f"{name}:{n.lineno} {n.id if isinstance(n, ast.Name) else n.attr}"

@@ -298,11 +298,50 @@ def test_herm_o_frame_far_from_orthonormal_is_refused(monkeypatch):
     skew = rows.copy()
     skew[0] += lams[1] * 1e-3 * rows[2]
     skew[1] -= lams[0] * 1e-3 * rows[2]
-    monkeypatch.setattr(spectral, "_fine_for", lambda x, tol: (lams, skew))
+    monkeypatch.setattr(spectral, "_fine_rows", lambda alg, x, tol: (lams[None], skew[None]))
     with pytest.raises(SpectralError, match="not orthonormal") as info:
         spectral_decompose(x)
     # the largest Gram entry off I is (skewed c_1, c_3) = -3e-3
     assert info.value.residual == pytest.approx(3e-3, rel=1e-6)
+
+
+FAMILIES_BENCH = [
+    algebra("sym_r", 5),
+    algebra("herm_c", 4),
+    algebra("herm_h", 3),
+    algebra("spin", 10),
+    algebra("herm_o", 3),
+]
+
+
+@pytest.mark.parametrize("alg", FAMILIES_BENCH, ids=lambda a: a.family)
+def test_stacked_rows_decompose_as_each_row_alone(alg):
+    # generic rows, rows with spectrum (1.5, ..., 1.5, -0.5) on a random
+    # frame and one row whose norm overflows, decomposed in one stack
+    lams = np.array([1.5] * (alg.rank - 1) + [-0.5])
+    rows = [random_element(alg, 3000 + seed).coeffs for seed in range(4)]
+    rows += [lams @ coefficient_rows(random_jordan_frame(alg, 3000 + seed)) for seed in range(4)]
+    rows.insert(3, random_element(alg, 3100).coeffs * 1e200)
+    stacked = spectral.spectral_decompose_rows(alg, np.array(rows))
+    assert stacked.frames.shape == (len(rows), alg.rank, alg.dim)
+    for i, row in enumerate(rows):
+        want, got = spectral_decompose(EjaElement(alg, row)), stacked[i]
+        bound = 1e-12 * (1.0 + np.abs(want.eigenvalues).max())
+        assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= bound
+        assert np.max(np.abs(coefficient_rows(got.frame) - coefficient_rows(want.frame))) <= 1e-12
+        assert len(got.coarse) == len(want.coarse)
+        for (lam, idem), (want_lam, want_idem) in zip(got.coarse, want.coarse):
+            assert abs(lam - want_lam) <= bound
+            assert np.max(np.abs(idem.coeffs - want_idem.coeffs)) <= 1e-12
+    assert [len(stacked[i].coarse) for i in range(5, 9)] == [2] * 4
+    for bad in (np.nan, np.inf):
+        broken = np.array(rows)
+        broken[6, -1] = bad
+        with pytest.raises(SpectralError) as alone:
+            spectral_decompose(EjaElement(alg, broken[6]))
+        with pytest.raises(SpectralError) as together:
+            spectral.spectral_decompose_rows(alg, broken)
+        assert str(together.value) == str(alone.value)
 
 
 def test_eigenvalues_match_numpy_for_matrix_families():

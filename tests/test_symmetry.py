@@ -744,7 +744,7 @@ def test_transporter_verification_makes_one_eigenvalue_call(monkeypatch, family,
 
     monkeypatch.setattr(symmetry, "eigenvalue_rows", counted)
     symmetry._verify_transporter(
-        auto, np.array([c.coeffs for c in fa]), np.array([c.coeffs for c in fb])
+        alg, auto.M[None], np.array([c.coeffs for c in fa])[None], np.array([c.coeffs for c in fb])[None]
     )
     assert calls == [3]
 
@@ -756,13 +756,14 @@ def test_battery_transports_the_frames_of_the_reference_loop(monkeypatch, family
     alg = AlgebraDescriptor(family, param)
     trials, r = 6, alg.rank
     transported = []
-    transporter = symmetry.jordan_frame_transporter
+    transporters = symmetry._transporter_rows
 
-    def recorded(alg, fa, fb, *args):
-        transported.append((fa, fb))
-        return transporter(alg, fa, fb, *args)
+    def recorded(alg, rows_a, rows_b):
+        frames = [[tuple(EjaElement(alg, row) for row in rows) for rows in side] for side in (rows_a, rows_b)]
+        transported.extend(zip(*frames))
+        return transporters(alg, rows_a, rows_b)
 
-    monkeypatch.setattr(symmetry, "jordan_frame_transporter", recorded)
+    monkeypatch.setattr(symmetry, "_transporter_rows", recorded)
     for seed in range(5):
         transported.clear()
         report = verify_strong_symmetry_eja(alg, trials=trials, seed=seed)
@@ -878,7 +879,7 @@ def test_extend_to_maximal_frame():
 
 @pytest.mark.parametrize(
     "family,param,trials",
-    [("sym_r", 4, 12), ("herm_c", 3, 12), ("herm_h", 3, 9), ("spin", 10, 12)],
+    [("sym_r", 4, 12), ("herm_c", 3, 12), ("herm_h", 3, 9), ("spin", 10, 12), ("herm_h", 2, 0)],
 )
 def test_verify_strong_symmetry_eja(family, param, trials):
     report = verify_strong_symmetry_eja(
