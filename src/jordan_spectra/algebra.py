@@ -151,15 +151,25 @@ def _matrix_basis(alg: AlgebraDescriptor) -> tuple:
     return flat, np.conj(flat) / scale, basis.shape[1:]
 
 
-def to_matrix(x: EjaElement) -> np.ndarray:
-    """The matrix that stores x.
+def to_matrix_rows(alg: AlgebraDescriptor, x) -> np.ndarray:
+    """The matrices that store coefficient rows x (n x dim), (n,) + shape.
 
     Real symmetric m x m for sym_r, complex Hermitian m x m for herm_c, the
     2m x 2m complex embedding of the quaternionic matrix for herm_h, and
     (3, 3, 8) octonion components for herm_o.  Spin has none: ValueError.
+    A complex basis is multiplied as its interleaved real and imaginary
+    parts, one real GEMM with the same floats as the complex product:
+    OpenBLAS threads a complex GEMM from about 600 rows of herm_c(3), and
+    on a 2-core VM its spinning threads made 1024 rows take 8 ms, against
+    0.02 ms for the real GEMM.
     """
-    basis, _, shape = _matrix_basis(x.algebra)
-    return (x.coeffs @ basis).reshape(shape)
+    basis, _, shape = _matrix_basis(alg)
+    return (x @ basis.view(np.float64)).view(basis.dtype).reshape((len(x),) + shape)
+
+
+def to_matrix(x: EjaElement) -> np.ndarray:
+    """The matrix that stores x, the one-row case of `to_matrix_rows`."""
+    return to_matrix_rows(x.algebra, x.coeffs[None])[0]
 
 
 def from_matrix(alg: AlgebraDescriptor, mat: np.ndarray) -> EjaElement:
@@ -229,13 +239,13 @@ def jordan_product_rows(alg: AlgebraDescriptor, x, y=None) -> np.ndarray:
         out[:, :n] = y[:, n:] * x[:, :n] + x[:, n:] * y[:, :n]
         out[:, n] = (x * y).sum(axis=1)
         return out
-    basis, dual, shape = _matrix_basis(alg)
-    xa = (x @ basis).reshape((len(x),) + shape)
+    xa = to_matrix_rows(alg, x)
     if y is None:
         prod = xa @ xa
     else:
-        xb = (np.asarray(y, dtype=float) @ basis).reshape(xa.shape)
+        xb = to_matrix_rows(alg, np.asarray(y, dtype=float))
         prod = (xa @ xb + xb @ xa) / 2.0
+    dual = _matrix_basis(alg)[1]
     return np.real(prod.reshape(len(x), dual.shape[1]) @ dual.T)
 
 

@@ -60,10 +60,11 @@ TABLES_ENV = "JORDAN_SPECTRA_TABLES"
 _SAMPLE_PARAMS = {"sym_r": 4, "herm_c": 3, "herm_h": 3, "spin": 5, "herm_o": 3}
 
 # Section samples decided per block; even, so that a sample's parity is its
-# row's parity within the block.  Small, because the herm_o temporaries of a
-# block (32 outer products of 27 x 27, 0.19 MB) raise the peak RSS: 64 rows
-# cost 0.8 MB more on the theorem battery, for 1% less time
-_SECTION_BLOCK = 32
+# row's parity within the block.  The herm_o eigenvalues read the cubic off
+# the rows with no Jordan square, so a 1024-row block is cheap in memory:
+# the 10**5-sample herm_o check peaks at 0.8 MB under tracemalloc (0.3 MB
+# with 32 rows), and 2000 samples take 2 eigenvalue calls instead of 63
+_SECTION_BLOCK = 1024
 
 # A sampled EJA section point inside the cone may have frame coordinates
 # down to -SECTION_TOL.
@@ -440,8 +441,9 @@ def section_sample_check(section: FrSection, samples: int = 1000, seed: int = 0)
     through the trace inner product, and cone membership is decided from
     the element's eigenvalues, so the two sides of the comparison are
     computed independently.  Samples are drawn and decided in blocks of
-    coefficient rows (one eigenvalue call and one product with the frame
-    per block), the same stream as one draw per sample.  An exact section
+    _SECTION_BLOCK (1024) coefficient rows, one eigenvalue call and one
+    product with the frame per block; the stream, and so the report, is
+    that of one draw per sample, whatever the block.  An exact section
     (a polytope, or the diameter of a ball) is decided for every point at
     once: the weights of a convex combination of affinely independent
     vertices are its barycentric coordinates, so it passes iff its vertices

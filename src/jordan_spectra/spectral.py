@@ -12,11 +12,12 @@ of one algebra in a few array calls per family:
 * spin    closed form: (x, t) has eigenvalues t +- |x| with idempotents
           ((+-x/|x|)/2, 1/2); x = 0 keeps the coarse part [(t, e)] and
           splits the fine frame along a fixed axis
-* herm_o  Newton identities -> characteristic cubic -> trigonometric roots,
-          one `_herm_o_cubic` over all rows; of three distinct values, the
-          simple one's idempotent by Lagrange interpolation in Jordan powers
-          of x, and the two nearest each other split in closed form in the
-          rank-2 algebra left by it
+* herm_o  characteristic cubic read off the entries (Freudenthal's
+          determinant, no Jordan square) -> trigonometric roots, one
+          `_herm_o_cubic` over all rows; of three distinct values, the
+          simple one's idempotent by Lagrange interpolation in x and x * x,
+          and the two nearest each other split in closed form in the rank-2
+          algebra left by it
 
 A repeated herm_h or herm_o eigenvalue has a coarse idempotent c of trace
 k > 1 (the sum of its pair projectors, or its Lagrange polynomial), which
@@ -35,8 +36,8 @@ entry points share one overflow guard: a row whose sum of squares
 overflows is solved as row / 2**k (k the binary exponent of its largest
 coefficient) and its eigenvalues scaled back, and a non-finite coefficient
 or a scaled-back eigenvalue that overflows is refused with SpectralError,
-as is an element of finite norm whose herm_o power traces or eigenvalues
-overflow.
+as is an element of finite norm whose herm_o cubic coefficients or
+eigenvalues overflow.
 
 `random_frame_rows` draws a block of random elements and returns their
 frames, each element redrawn until its eigenvalues are distinct;
@@ -63,10 +64,12 @@ from .algebra import (
     jordan_product,
     jordan_product_rows,
     norm_rows,
+    to_matrix_rows,
     trace,
     trace_rows,
     unit,
 )
+from .hypercomplex import OCT_TABLE
 
 DEFAULT_TOL = 1e-10
 
@@ -80,6 +83,7 @@ RANDOM_FRAME_RETRIES = 50
 # A herm_o frame further than this from orthonormal is refused.  A pair the
 # cubic merges leaves a frame orthonormal to ~5e-8 that rebuilds x exactly.
 HERM_O_GRAM_TOL = 1e-6
+_EYE3 = np.eye(3)
 
 
 class SpectralError(RuntimeError):
@@ -137,8 +141,7 @@ def _fine_matrix_rows(alg: AlgebraDescriptor, x: np.ndarray, tol: float):
     a cluster of j pairs sums to its coarse idempotent, which `_peel` splits.
     The herm_h values are then (x, c), one dot product per member, so a tie
     within a cluster orders as `inner` does."""
-    basis, _, shape = _matrix_basis(alg)
-    w, v = np.linalg.eigh((x @ basis).reshape((len(x),) + shape))
+    w, v = np.linalg.eigh(to_matrix_rows(alg, x))
     w, vecs = w[:, ::-1], np.swapaxes(v, 1, 2)[:, ::-1]
     if alg.family != "herm_h":
         return w, _projector_rows(alg, vecs[:, :, None, :])
@@ -182,46 +185,69 @@ def _fine_spin_rows(alg: AlgebraDescriptor, x: np.ndarray, tol: float):
 # cos(theta - 2 pi k / 3), k = 0, 1, 2, gives the three trigonometric roots
 _THIRD_TURNS = 2.0 * np.pi * np.arange(3) / 3.0
 
+# The octonion table as an (8, 64) map of the first factor, over sqrt 2: for
+# coefficient blocks u, v, w of X12, X23, X13, v^T (u @ it) w is 2 <X12 X23, X13>
+_OCT_TRIPLE = OCT_TABLE.reshape(8, 64) / math.sqrt(2.0)
 
-def _elementary_symmetric(p1, p2, p3) -> tuple:
-    """(e1, e2, e3) of the eigenvalues from the power traces tr x, tr x^2, tr x^3.
 
-    Newton's identities; for rank <= 3 these are the coefficients of the
-    characteristic polynomial z^3 - e1 z^2 + e2 z - e3.  Works on floats
-    and elementwise on arrays.
+def _herm_o_coefficients(x: np.ndarray) -> tuple:
+    """(e1, e2, e3), columns (n, 1) of the coefficients of the characteristic
+    cubic z^3 - e1 z^2 + e2 z - e3 of each herm_o coefficient row, read off
+    its entries with no Jordan square.
+
+    With a, b, c the diagonal and X12, X13, X23 = x[3:11], x[11:19],
+    x[19:27] / sqrt 2 the octonion entries:
+
+        e1 = a + b + c
+        e2 = ab + bc + ca - |X12|^2 - |X13|^2 - |X23|^2 = (e1^2 - |x|^2) / 2
+        e3 = abc - a |X23|^2 - b |X13|^2 - c |X12|^2 + 2 <X12 X23, X13>
+
+    e3 is Freudenthal's determinant of Herm(3, O) (Faraut & Korányi,
+    Analysis on Symmetric Cones, 1994, ch. II): one octonion product per
+    row, 512 multiply-adds against 27^3 for the square.
     """
-    return p1, (p1 * p1 - p2) / 2.0, (p1 * p1 * p1 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
+    d, o = x[:, :3], x[:, 3:].reshape(-1, 3, 8)
+    # the octonion product first: its (n, 64) temporary is freed before the
+    # squares are allocated, which keeps a 1024-row block's peak down
+    triple = o[:, 2, None] @ (o[:, 0] @ _OCT_TRIPLE).reshape(-1, 8, 8) @ o[:, 1, :, None]
+    xx = x * x
+    # 2 |X12|^2, 2 |X13|^2, 2 |X23|^2, reversed to face a, b, c
+    opposite = np.add.reduce(xx[:, 3:].reshape(-1, 3, 8), axis=2)[:, ::-1]
+    e1 = np.add.reduce(d, axis=1, keepdims=True)
+    return (
+        e1,
+        (e1 * e1 - np.add.reduce(xx, axis=1, keepdims=True)) / 2.0,
+        np.multiply.reduce(d, axis=1, keepdims=True)
+        - np.add.reduce(d * opposite, axis=1, keepdims=True) / 2.0
+        + triple[:, 0],
+    )
 
 
-def _herm_o_cubic(x: np.ndarray, x2: np.ndarray, tol: float) -> np.ndarray:
-    """Eigenvalues of herm_o coefficient rows x (with squares x2), shape (n, 3).
+def _herm_o_cubic(x: np.ndarray, tol: float) -> np.ndarray:
+    """Eigenvalues of herm_o coefficient rows x, shape (n, 3).
 
-    Each row holds the roots of its characteristic cubic, descending: the
-    trigonometric roots, or one triple root where p = e2 - e1^2/3 >= 0.  The
-    trigonometric roots resolve a double root only to ~sqrt(machine eps),
-    so clusters are detected with that floor: a triple cluster becomes
-    e1/3, and a double one the root of the cubic's derivative nearest its
-    mean (a well-conditioned simple quadratic root), or the mean itself if
-    that root is more than 1e-6 (1 + max |root|) away.
+    Each row holds the roots of its cubic (`_herm_o_coefficients`),
+    descending: the trigonometric roots, or one triple root where
+    p = e2 - e1^2/3 >= 0.  The trigonometric roots resolve a double root
+    only to ~sqrt(machine eps), so clusters are detected with that floor:
+    a triple cluster becomes e1/3, and a double one the root of the cubic's
+    derivative nearest its mean (a well-conditioned simple quadratic root),
+    or the mean itself if that root is more than 1e-6 (1 + max |root|) away.
     """
-    # tr x^2 = (x, x) and tr x^3 = (x * x, x) in the trace form; where they
-    # overflow, so does q, and the finiteness test refuses the row
+    # where a coefficient overflows, so does q, and the finiteness test
+    # refuses the row
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        e1, e2, e3 = _elementary_symmetric(
-            np.add.reduce(x[:, :3], axis=1), np.add.reduce(x * x, axis=1), np.add.reduce(x2 * x, axis=1)
-        )
+        e1, e2, e3 = _herm_o_coefficients(x)
         p = e2 - e1 * e1 / 3.0
         q = -2.0 * e1 * e1 * e1 / 27.0 + e1 * e2 / 3.0 - e3
         mfac = 2.0 * np.sqrt(-p / 3.0)
         # fmin/fmax send the 0/0 of an underflowed p to -1
         arg = np.fmin(1.0, np.fmax(-1.0, 3.0 * q / (p * mfac)))
-        trig = mfac[:, None] * np.cos(np.arccos(arg)[:, None] / 3.0 - _THIRD_TURNS)
-        offsets = np.where((p >= 0.0)[:, None], np.cbrt(-q)[:, None], trig)
-        e1 = e1[:, None]
-        roots = e1 / 3.0 + offsets
+        trig = mfac * np.cos(np.arccos(arg) / 3.0 - _THIRD_TURNS)
+        roots = e1 / 3.0 + np.where(p >= 0.0, np.cbrt(-q), trig)
         roots.sort(axis=1)
         roots = roots[:, ::-1]
-        if not np.isfinite(roots + q[:, None]).all():
+        if not np.isfinite(roots + q).all():
             raise SpectralError("eigenvalues overflow")
         scale = 1.0 + np.maximum.reduce(np.abs(roots), axis=1, keepdims=True)
         near = roots[:, :2] - roots[:, 1:] <= max(tol, 4e-8) * scale
@@ -229,7 +255,7 @@ def _herm_o_cubic(x: np.ndarray, x2: np.ndarray, tol: float) -> np.ndarray:
             return roots
         # per adjacent pair of roots, the derivative root nearest their mean,
         # or the mean if that root is too far
-        root = np.sqrt(np.maximum(e1 * e1 - 3.0 * e2[:, None], 0.0))
+        root = np.sqrt(np.maximum(e1 * e1 - 3.0 * e2, 0.0))
         hi, lo = (e1 + root) / 3.0, (e1 - root) / 3.0
         means = (roots[:, :2] + roots[:, 1:]) / 2.0
         pair = np.where(np.abs(lo - means) < np.abs(hi - means), lo, hi)
@@ -246,22 +272,22 @@ def _herm_o_cubic(x: np.ndarray, x2: np.ndarray, tol: float) -> np.ndarray:
 def _fine_herm_o_rows(alg: AlgebraDescriptor, x: np.ndarray, tol: float):
     """herm_o: the values of the cubic, which sets a cluster's members equal.
 
-    Three distinct values are split by `_herm_o_three`, all rows at once.
+    Three distinct values are split by `_herm_o_three`, all rows at once;
+    only those rows form the Jordan square x * x.
     A row with a repeated value is split on its own: three equal values
     split the unit by `_peel`; of two, the simple value s takes
     c_s = (x - d e) / (s - d) as idempotent and the repeated value d's
     idempotent e - c_s is split by `_peel`.
     """
-    x2 = herm_o_product_rows(x)
-    values = _herm_o_cubic(x, x2, tol)
+    values = _herm_o_cubic(x, tol)
     equal = values[:, :2] == values[:, 1:]
     if not equal.any():
-        return _herm_o_three(alg, x, x2, values)
+        return _herm_o_three(alg, x, values)
     repeated = equal.any(axis=1)
     rows = np.empty((len(x), 3, alg.dim))
     if not repeated.all():
         simple = ~repeated
-        values[simple], rows[simple] = _herm_o_three(alg, x[simple], x2[simple], values[simple])
+        values[simple], rows[simple] = _herm_o_three(alg, x[simple], values[simple])
     e = unit(alg).coeffs
     for i in np.flatnonzero(repeated):
         top, d, bottom = values[i].tolist()
@@ -276,7 +302,7 @@ def _fine_herm_o_rows(alg: AlgebraDescriptor, x: np.ndarray, tol: float):
     return values, rows
 
 
-def _herm_o_three(alg: AlgebraDescriptor, x: np.ndarray, x2: np.ndarray, roots: np.ndarray):
+def _herm_o_three(alg: AlgebraDescriptor, x: np.ndarray, roots: np.ndarray):
     """herm_o rows with three distinct values (roots descending).
 
     s is the value farthest from its neighbour, with its Lagrange
@@ -291,7 +317,7 @@ def _herm_o_three(alg: AlgebraDescriptor, x: np.ndarray, x2: np.ndarray, roots: 
     near_top = top - a < a - bottom
     s, b = np.where(near_top, bottom, top), np.where(near_top, top, bottom)
     a_b = a + b
-    c_s = (x2 - a_b * x + (a * b) * e) * (1.0 / ((s - a) * (s - b)))
+    c_s = (herm_o_product_rows(x) - a_b * x + (a * b) * e) * (1.0 / ((s - a) * (s - b)))
     c = e - c_s
     mean = a_b / 2.0
     w = x - s * c_s - mean * c
@@ -441,7 +467,7 @@ def spectral_decompose_rows(alg: AlgebraDescriptor, rows, tol: float = DEFAULT_T
     if not passed.all():
         raise SpectralError("spectral reconstruction failed", residual=float(resid[~passed][0]))
     if alg.family == "herm_o":
-        gram = np.maximum.reduce(np.abs(gram_rows(alg, frames) - np.eye(3)), axis=(1, 2))
+        gram = np.maximum.reduce(np.abs(gram_rows(alg, frames) - _EYE3), axis=(1, 2))
         passed = gram <= HERM_O_GRAM_TOL
         if not passed.all():
             raise SpectralError("herm_o frame is not orthonormal", residual=float(gram[~passed][0]))
@@ -463,7 +489,7 @@ def eigenvalue_rows(alg: AlgebraDescriptor, rows) -> np.ndarray:
     closed form for spin, one stacked LAPACK eigvalsh of the stored
     matrices for sym_r, herm_c and herm_h (taking every other value of a
     2m x 2m herm_h matrix, where each quaternionic eigenvalue appears
-    twice), and `_herm_o_cubic` for herm_o, after one row-wise Jordan square.
+    twice), and `_herm_o_cubic` for herm_o, which forms no Jordan product.
     """
     x = np.asarray(rows, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -479,11 +505,10 @@ def eigenvalue_rows(alg: AlgebraDescriptor, rows) -> np.ndarray:
             t, nw = x[:, n], np.sqrt((x[:, :n] * x[:, :n]).sum(axis=1))
             vals = np.stack([t + nw, t - nw], axis=1)
         elif fam == "herm_o":
-            vals = _herm_o_cubic(x, herm_o_product_rows(x), DEFAULT_TOL)
+            vals = _herm_o_cubic(x, DEFAULT_TOL)
         else:
-            basis, _, shape = _matrix_basis(alg)
-            mats = (x @ basis).reshape((len(x),) + shape)
-            vals = np.linalg.eigvalsh(mats)[:, ::-1][:, :: shape[0] // alg.param]
+            mats = to_matrix_rows(alg, x)
+            vals = np.linalg.eigvalsh(mats)[:, ::-1][:, :: mats.shape[1] // alg.param]
         if scaled:
             # the values of a row of finite norm are finite (the herm_o
             # cubic refuses its own overflows); only scaling back can overflow

@@ -43,6 +43,7 @@ from .algebra import (
     j_twin,
     jordan_product_rows,
     norm_rows,
+    to_matrix_rows,
     trace,
     unit,
 )
@@ -298,9 +299,8 @@ def _distinguished_columns(alg: AlgebraDescriptor, rows: np.ndarray) -> tuple:
     first quaternionic entry (v_2i, v_2i+1) real positive, so the columns
     depend on the idempotents alone.
     """
-    basis, _, shape = _matrix_basis(alg)
     n, r = rows.shape[:2]
-    v = np.linalg.eigh((rows.reshape(n * r, alg.dim) @ basis).reshape((n * r,) + shape))[1][:, :, -1]
+    v = np.linalg.eigh(to_matrix_rows(alg, rows.reshape(n * r, alg.dim)))[1][:, :, -1]
     if alg.family == "herm_h":
         # the size of each quaternionic entry (v_2i, v_2i+1)
         size = np.hypot(np.abs(v[:, 0::2]), np.abs(v[:, 1::2]))

@@ -344,6 +344,31 @@ def test_eja_section_is_decided_without_per_element_calls(monkeypatch):
         assert report["pass"] and report["hits"] > 0
 
 
+@pytest.mark.parametrize("family", ["sym_r", "herm_c", "herm_o"])
+def test_eja_section_reports_do_not_depend_on_the_block(monkeypatch, family):
+    # one eigenvalue_rows call per block, and the same report at any block
+    # size: the stream is one draw per sample whatever the block
+    calls = []
+    real = spectral.eigenvalue_rows
+
+    def counted(alg, rows):
+        calls.append(len(rows))
+        return real(alg, rows)
+
+    monkeypatch.setattr(spectral, "eigenvalue_rows", counted)
+    section = fr_section(AlgebraDescriptor(family, 3))
+    reports = []
+    # the default block decides 2000 samples in 2 calls
+    for block, sizes in ((classification._SECTION_BLOCK, [1024, 976]), (2, [2] * 1000)):
+        monkeypatch.setattr(classification, "_SECTION_BLOCK", block)
+        for seed in range(3):
+            calls.clear()
+            reports.append(section_sample_check(section, samples=2000, seed=seed))
+            assert calls == sizes
+    assert reports[:3] == reports[3:]
+    assert all(report["pass"] for report in reports)
+
+
 def test_eja_section_memory_is_bounded_by_the_block():
     section = fr_section(AlgebraDescriptor("herm_o", 3))
     section_sample_check(section, samples=300, seed=0)  # builds the constants

@@ -1,3 +1,4 @@
+import importlib
 import warnings
 
 import numpy as np
@@ -19,6 +20,10 @@ from jordan_spectra.algebra import (
     zero,
 )
 from jordan_spectra import spectral
+from jordan_spectra.hypercomplex import quat_to_complex2
+
+# the module itself: the package attribute ``algebra`` is the constructor
+algebra_module = importlib.import_module("jordan_spectra.algebra")
 from jordan_spectra.spectral import (
     HERM_O_GRAM_TOL,
     SpectralError,
@@ -473,33 +478,98 @@ def test_mixed_stack_shifts_only_its_overflowing_rows(alg):
         assert np.max(np.abs(vals - want[i])) <= 1e-12 * np.max(np.abs(want[i]))
 
 
-def test_herm_o_eigenvalues_take_one_jordan_product(monkeypatch):
-    # tr x^2 and tr x^3 come from the trace form, so only x * x is formed:
-    # one row-wise Jordan square per call, one row per element
-    squared = []
+def test_herm_o_eigenvalues_form_no_jordan_product(monkeypatch):
+    # the cubic's coefficients are read off the entries: neither entry point
+    # for eigenvalues forms a herm_o Jordan product, row-wise or per element
+    def refuse(*args):
+        raise AssertionError("herm_o eigenvalues form no Jordan product")
 
-    def counted(x, y=None):
-        assert y is None
-        squared.append(len(x))
-        return herm_o_product_rows(x)
-
-    def refuse(a, b):
-        raise AssertionError("the square is formed over rows, not per element")
-
-    monkeypatch.setattr(spectral, "herm_o_product_rows", counted)
-    monkeypatch.setattr(spectral, "jordan_product", refuse)
+    for module in (spectral, algebra_module):
+        monkeypatch.setattr(module, "herm_o_product_rows", refuse)
+        monkeypatch.setattr(module, "jordan_product_rows", refuse)
+        monkeypatch.setattr(module, "jordan_product", refuse)
     alg = algebra("herm_o", 3)
     for seed in range(5):
         x = random_element(alg, seed)
-        squared.clear()
         vals = eigenvalues(x)
-        assert squared == [1]
         assert abs(sum(vals) - trace(x)) <= 1e-12 * (1.0 + norm(x))
     rows = np.stack([random_element(alg, seed).coeffs for seed in range(7)])
-    squared.clear()
     vals = eigenvalue_rows(alg, rows)
-    assert squared == [7]
     assert np.max(np.abs(vals.sum(axis=1) - rows[:, :3].sum(axis=1))) <= 1e-11
+
+
+def _hermitian_entries(rng, m, units):
+    """A random Hermitian m x m matrix over the first ``units`` octonion
+    components, as (m, m, 8) components: real diagonal, conjugate pairs."""
+    mat = np.zeros((m, m, 8))
+    for i in range(m):
+        mat[i, i, 0] = rng.standard_normal()
+        for j in range(i + 1, m):
+            mat[i, j, :units] = rng.standard_normal(units)
+            mat[j, i] = mat[i, j] * np.array([1.0] + [-1.0] * 7)
+    return mat
+
+
+@pytest.mark.parametrize("units", [2, 4], ids=["herm_c", "herm_h"])
+def test_herm_o_eigenvalues_match_complex_and_quaternionic_lapack(units):
+    # octonion components 0-1 are the complex numbers and 0-3 the
+    # quaternions (ij = k), subalgebras over which Herm(3, O) restricts to
+    # Herm(3, C) and Herm(3, H); LAPACK's eigvalsh of the complex matrix, or
+    # of the quaternionic matrix's 6 x 6 complex embedding (each eigenvalue
+    # twice), is an oracle independent of the octonion table
+    alg = algebra("herm_o", 3)
+    rng = np.random.default_rng(units)
+    rows, want = [], []
+    for _ in range(40):
+        mat = _hermitian_entries(rng, 3, units) * rng.choice([1e-3, 1.0, 50.0])
+        rows.append(from_matrix(alg, mat).coeffs)
+        if units == 2:
+            cmat = mat[:, :, 0] + 1j * mat[:, :, 1]
+        else:
+            blocks = quat_to_complex2(mat[:, :, :4])
+            cmat = blocks.transpose(0, 2, 1, 3).reshape(6, 6)
+        want.append(np.linalg.eigvalsh(cmat)[::-1][:: len(cmat) // 3])
+    rows, want = np.array(rows), np.array(want)
+    bound = 1e-12 * (1.0 + np.sqrt((rows * rows).sum(axis=1)))
+    decomposed = spectral.spectral_decompose_rows(alg, rows).eigenvalues
+    for got in (eigenvalue_rows(alg, rows), decomposed):
+        assert (np.abs(got - want).max(axis=1) <= bound).all()
+
+
+def _newton_coefficients(x):
+    """(e1, e2, e3) by Newton's identities from tr x, tr x^2 and
+    tr x^3 = (x * x, x), with the dense Jordan square."""
+    p1, p2 = x[:, :3].sum(axis=1), (x * x).sum(axis=1)
+    p3 = (herm_o_product_rows(x) * x).sum(axis=1)
+    return p1, (p1 * p1 - p2) / 2.0, (p1 * p1 * p1 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
+
+
+def test_herm_o_coefficients_match_newton_identities():
+    alg = algebra("herm_o", 3)
+    rng = np.random.default_rng(23)
+    generic = rng.standard_normal((60, 27))
+    frames = spectral.random_frame_rows(alg, 20, 24)
+    repeated = np.concatenate(
+        [np.array([1.5, 1.5, -0.5]) @ frames, np.array([-2.0, 3.0, 3.0]) @ frames]
+    )
+    units = np.array([0.0, 1.0, -2.5, 1e-3, 7e4])[:, None] * unit(alg).coeffs
+    # the rows eigenvalue_rows solves for 1e160-scaled rows, whose sizes overflow
+    huge = spectral._downscaled_rows(generic * 1e160, np.full(len(generic), np.inf))[0]
+    for rows in (generic, repeated, units, huge):
+        size = 1.0 + np.sqrt((rows * rows).sum(axis=1))
+        for k, (got, want) in enumerate(
+            zip(spectral._herm_o_coefficients(rows), _newton_coefficients(rows)), 1
+        ):
+            assert np.max(np.abs(got[:, 0] - want) / size**k) <= 1e-14
+    t = units[:, :1]
+    assert np.array_equal(
+        np.array(spectral._herm_o_coefficients(units)), np.array([3.0 * t, 3.0 * t * t, t * t * t])
+    )
+    # and the 1e160-scaled rows' eigenvalues are the scaled eigenvalues
+    big = eigenvalue_rows(alg, generic * 1e160)
+    small = eigenvalue_rows(alg, generic)
+    scale = 1.0 + np.abs(small).max(axis=1, keepdims=True)
+    assert np.max(np.abs(big / 1e160 - small) / scale) <= 1e-13
 
 
 # -- predicates --------------------------------------------------------------------
