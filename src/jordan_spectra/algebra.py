@@ -22,9 +22,9 @@ herm_o product itself contracts coefficient rows with the algebra's
 27 x 27 x 27 structure constants, built from those arrays on first use.
 
 Frames and other stacks of elements are handled as (n, dim) arrays of
-coefficient rows; `jordan_product`, `trace`, `inner` and `norm` are the
-one-row cases of their `_rows` functions, so every family has one product
-path.
+coefficient rows; `jordan_product`, `trace`, `inner`, `norm` and
+`quadratic_rep` are the one-row cases of their `_rows` functions, so every
+family has one product path.
 """
 
 from __future__ import annotations
@@ -92,6 +92,22 @@ class EjaElement:
 def coefficient_rows(elements) -> np.ndarray:
     """The elements' coefficient vectors as the rows of one (n, dim) array."""
     return np.array([c.coeffs for c in elements])
+
+
+_set_algebra, _set_coeffs = EjaElement.algebra.__set__, EjaElement.coeffs.__set__
+
+
+def element_views(alg: AlgebraDescriptor, rows: np.ndarray) -> list:
+    """Elements whose coefficients are the rows of ``rows``, a read-only
+    (n, dim) float array: views with no copy and no shape check, for
+    callers that built the array themselves."""
+    out = []
+    for row in rows:
+        x = EjaElement.__new__(EjaElement)
+        _set_algebra(x, alg)
+        _set_coeffs(x, row)
+        out.append(x)
+    return out
 
 
 def _same_algebra(a: EjaElement, b: EjaElement):
@@ -350,10 +366,37 @@ def power(x: EjaElement, k: int) -> EjaElement:
 
 
 def quadratic_rep(a: EjaElement, b: EjaElement) -> EjaElement:
-    """U_a(b) = 2 a*(a*b) - (a*a)*b; maps the cone into itself."""
+    """U_a(b), which maps the cone into itself: the one-row case of
+    `quadratic_rows`."""
     _same_algebra(a, b)
-    ab = jordan_product(a, b)
-    return 2.0 * jordan_product(a, ab) - jordan_product(jordan_product(a, a), b)
+    alg = a.algebra
+    return EjaElement(alg, quadratic_rows(alg, a.coeffs[None], b.coeffs[None])[0])
+
+
+def quadratic_rows(alg: AlgebraDescriptor, a, b) -> np.ndarray:
+    """The quadratic representation U_a[k](b[k]) = 2 a*(a*b) - (a*a)*b of
+    paired coefficient rows (n x dim), as n x dim.
+
+    On matrices U_a b is the product a b a (Faraut & Korányi, Analysis on
+    Symmetric Cones, 1994, ch. II), so sym_r, herm_c and herm_h form one
+    stacked a b a of the stored matrices (for herm_h the 2m x 2m embedding,
+    a homomorphism of the matrix product) projected back onto coefficients.
+    herm_o takes the formula through the multiplication operators, y L_a =
+    a * y, read off the structure constants for a and b in one product:
+    U_a b = 2 (b L_a) L_a - (a L_a) L_b.  spin takes it product by product.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = len(a)
+    if alg.family == "spin":
+        aab = jordan_product_rows(alg, a, jordan_product_rows(alg, a, b))
+        return 2.0 * aab - jordan_product_rows(alg, jordan_product_rows(alg, a), b)
+    if alg.family == "herm_o":
+        ops = np.concatenate([a, b]) @ _herm_o_constants().reshape(alg.dim, -1)
+        la, lb = ops.reshape(2, n, alg.dim, alg.dim)
+        return (2.0 * (b[:, None] @ la @ la) - a[:, None] @ la @ lb)[:, 0]
+    ma = to_matrix_rows(alg, a)
+    dual = _matrix_basis(alg)[1]
+    return ((ma @ to_matrix_rows(alg, b) @ ma).reshape(n, dual.shape[1]) @ dual.T).real
 
 
 def determinant(x: EjaElement) -> float:

@@ -23,11 +23,14 @@ A repeated herm_h or herm_o eigenvalue has a coarse idempotent c of trace
 k > 1 (the sum of its pair projectors, or its Lagrange polynomial), which
 `_peel` splits into k primitives by compressions U_c of diagonal
 primitives, only on the rows that have one: no random draw, so the fine
-frame is a function of x alone.  Each row's values and frame are those of
+frame is a function of x alone.  The compression is the quadratic
+representation (`algebra.quadratic_rows`), on herm_h the product c q c of
+the stored 2m x 2m matrices.  Each row's values and frame are those of
 the row decomposed alone, and `spectral_decompose` is the one-row case.
 A `SpectralRows` result holds the eigenvalues (n, r) and the fine frames
-(n, r, dim); indexing it gives one element's `SpectralDecomposition`,
-with the coarse decomposition by distinct eigenvalues, which is unique.
+(n, r, dim), both read-only; indexing it gives one element's
+`SpectralDecomposition`, with the coarse decomposition by distinct
+eigenvalues, which is unique.
 
 `eigenvalue_rows` returns the same numbers without building a frame: one
 stacked eigvalsh for the matrix families, the closed form for spin, and
@@ -58,16 +61,17 @@ from .algebra import (
     EjaElement,
     _matrix_basis,
     coefficient_rows,
+    element_views,
     gram_rows,
     herm_o_product_rows,
     inner_rows,
     jordan_product,
     jordan_product_rows,
     norm_rows,
+    quadratic_rows,
     to_matrix_rows,
     trace,
     trace_rows,
-    unit,
 )
 from .hypercomplex import OCT_TABLE
 
@@ -84,6 +88,11 @@ RANDOM_FRAME_RETRIES = 50
 # cubic merges leaves a frame orthonormal to ~5e-8 that rebuilds x exactly.
 HERM_O_GRAM_TOL = 1e-6
 _EYE3 = np.eye(3)
+
+# the herm_o unit: the diagonal basis members come first
+_HERM_O_UNIT = np.zeros(27)
+_HERM_O_UNIT[:3] = 1.0
+_HERM_O_UNIT.flags.writeable = False
 
 
 class SpectralError(RuntimeError):
@@ -119,8 +128,8 @@ def _projector_rows(alg: AlgebraDescriptor, vecs: np.ndarray) -> np.ndarray:
     of orthonormal vector blocks (..., j, size), sum v v^H over each block's
     j vectors."""
     _, dual, _ = _matrix_basis(alg)
-    proj = np.swapaxes(vecs, -1, -2) @ np.conj(vecs)
-    rows = np.real(proj.reshape(-1, dual.shape[1]) @ dual.T)
+    proj = vecs.swapaxes(-1, -2) @ vecs.conj()
+    rows = (proj.reshape(-1, dual.shape[1]) @ dual.T).real
     return rows.reshape(vecs.shape[:-2] + (alg.dim,))
 
 
@@ -142,7 +151,7 @@ def _fine_matrix_rows(alg: AlgebraDescriptor, x: np.ndarray, tol: float):
     The herm_h values are then (x, c), one dot product per member, so a tie
     within a cluster orders as `inner` does."""
     w, v = np.linalg.eigh(to_matrix_rows(alg, x))
-    w, vecs = w[:, ::-1], np.swapaxes(v, 1, 2)[:, ::-1]
+    w, vecs = w[:, ::-1], v.swapaxes(1, 2)[:, ::-1]
     if alg.family != "herm_h":
         return w, _projector_rows(alg, vecs[:, :, None, :])
     pairs = _projector_rows(alg, vecs.reshape(len(x), alg.param, 2, vecs.shape[-1]))
@@ -151,7 +160,7 @@ def _fine_matrix_rows(alg: AlgebraDescriptor, x: np.ndarray, tol: float):
     joined = w[:, :-2:2] - w[:, 2::2] <= ctol
     if joined.any():
         peeled = {}  # cluster size -> [(row, cluster slice)]
-        for i in np.flatnonzero(joined.any(axis=1)):
+        for i in joined.any(axis=1).nonzero()[0]:
             start = 0
             for j, join in enumerate(joined[i].tolist() + [False]):
                 if not join:
@@ -165,6 +174,9 @@ def _fine_matrix_rows(alg: AlgebraDescriptor, x: np.ndarray, tol: float):
     return _descending((pairs @ x[:, :, None])[:, :, 0], pairs)
 
 
+_PLUS_MINUS = np.array([1.0, -1.0])
+
+
 def _fine_spin_rows(alg: AlgebraDescriptor, x: np.ndarray, tol: float):
     """spin: (w, t) has eigenvalues t +- |w| with idempotents
     ((+-w/|w|)/2, 1/2); a w within tol (1 + |t| + |w|) of 0 splits along
@@ -173,13 +185,14 @@ def _fine_spin_rows(alg: AlgebraDescriptor, x: np.ndarray, tol: float):
     w, t = x[:, :n], x[:, n:]
     nw = np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True))
     whole = nw <= tol * (1.0 + np.abs(t) + nw)
-    half = w / (2.0 * np.where(whole, 1.0, nw))
+    # a whole row divides by 2 (|w| + 1), not by 0, and is overwritten
+    half = w / (2.0 * (nw + whole))
     if whole.any():
         half[whole[:, 0]] = np.eye(n)[0] / 2.0
     rows = np.empty((len(x), 2, n + 1))
     rows[:, 0, :n], rows[:, 1, :n], rows[:, :, n] = half, -half, 0.5
     # the eigenvalues t + |w| and t - |w|
-    return t + nw * np.array([1.0, -1.0]), rows
+    return t + nw * _PLUS_MINUS, rows
 
 
 # cos(theta - 2 pi k / 3), k = 0, 1, 2, gives the three trigonometric roots
@@ -227,46 +240,48 @@ def _herm_o_cubic(x: np.ndarray, tol: float) -> np.ndarray:
     """Eigenvalues of herm_o coefficient rows x, shape (n, 3).
 
     Each row holds the roots of its cubic (`_herm_o_coefficients`),
-    descending: the trigonometric roots, or one triple root where
-    p = e2 - e1^2/3 >= 0.  The trigonometric roots resolve a double root
-    only to ~sqrt(machine eps), so clusters are detected with that floor:
-    a triple cluster becomes e1/3, and a double one the root of the cubic's
-    derivative nearest its mean (a well-conditioned simple quadratic root),
-    or the mean itself if that root is more than 1e-6 (1 + max |root|) away.
+    descending: with c = e1/3 and h = c^2 - e2/3, the trigonometric roots
+    c + 2 sqrt(h) cos(theta - 2 pi k / 3), k = 0, 1, 2, which descend in k
+    for theta in [0, pi/3] (up to rounding at a tie, which the cluster
+    floor below catches); h <= 0 gives c three times.  The trigonometric
+    roots resolve a double root only to ~sqrt(machine eps), so clusters
+    are detected with that floor: a triple cluster becomes c,
+    and a double one the root c +- sqrt(h) of the cubic's derivative
+    nearest its mean (a well-conditioned simple quadratic root), or the
+    mean itself if that root is more than 1e-6 (1 + max |root|) away.
     """
-    # where a coefficient overflows, so does q, and the finiteness test
+    # where a coefficient overflows, so does mq, and the finiteness test
     # refuses the row
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         e1, e2, e3 = _herm_o_coefficients(x)
-        p = e2 - e1 * e1 / 3.0
-        q = -2.0 * e1 * e1 * e1 / 27.0 + e1 * e2 / 3.0 - e3
-        mfac = 2.0 * np.sqrt(-p / 3.0)
-        # fmin/fmax send the 0/0 of an underflowed p to -1
-        arg = np.fmin(1.0, np.fmax(-1.0, 3.0 * q / (p * mfac)))
-        trig = mfac * np.cos(np.arccos(arg) / 3.0 - _THIRD_TURNS)
-        roots = e1 / 3.0 + np.where(p >= 0.0, np.cbrt(-q), trig)
-        roots.sort(axis=1)
-        roots = roots[:, ::-1]
-        if not np.isfinite(roots + q).all():
+        c = e1 / 3.0
+        cc = c * c
+        h = cc - e2 / 3.0
+        # minus the depressed cubic's constant term, e3 - c (e2 - 2 c^2)
+        mq = e3 - c * (e2 - 2.0 * cc)
+        root = np.sqrt(np.fmax(h, 0.0))
+        mfac = 2.0 * root
+        # fmin/fmax send the 0/0 of an underflowed or non-positive h to -1
+        arg = np.fmin(1.0, np.fmax(-1.0, mq / (mfac * h)))
+        roots = c + mfac * np.cos(np.arccos(arg) / 3.0 - _THIRD_TURNS)
+        if not np.isfinite(roots + mq).all():
             raise SpectralError("eigenvalues overflow")
         scale = 1.0 + np.maximum.reduce(np.abs(roots), axis=1, keepdims=True)
         near = roots[:, :2] - roots[:, 1:] <= max(tol, 4e-8) * scale
         if not near.any():
             return roots
-        # per adjacent pair of roots, the derivative root nearest their mean,
-        # or the mean if that root is too far
-        root = np.sqrt(np.maximum(e1 * e1 - 3.0 * e2, 0.0))
-        hi, lo = (e1 + root) / 3.0, (e1 - root) / 3.0
+        # per adjacent pair of roots, the derivative root on the side of c
+        # their mean is on, or the mean if that root is too far
         means = (roots[:, :2] + roots[:, 1:]) / 2.0
-        pair = np.where(np.abs(lo - means) < np.abs(hi - means), lo, hi)
+        pair = c + np.copysign(root, means - c)
         pair = np.where(np.abs(pair - means) > 1e-6 * scale, means, pair)
-    vals = roots.copy()
-    for i in range(2):
-        double = near[:, i] & ~near[:, 1 - i]
-        vals[double, i : i + 2] = pair[double, i : i + 1]
-    triple = near.all(axis=1)
-    vals[triple] = e1[triple] / 3.0
-    return np.sort(vals, axis=1)[:, ::-1]
+    # a near bottom pair, then a near top pair, then a near triple
+    top, bottom = near[:, :1], near[:, 1:]
+    vals = np.where(bottom, np.concatenate([roots[:, :1], pair[:, 1:], pair[:, 1:]], axis=1), roots)
+    vals = np.where(top, np.concatenate([pair[:, :1], pair[:, :1], vals[:, 2:]], axis=1), vals)
+    vals = np.where(top & bottom, c, vals)
+    vals.sort(axis=1)
+    return vals[:, ::-1]
 
 
 def _fine_herm_o_rows(alg: AlgebraDescriptor, x: np.ndarray, tol: float):
@@ -288,8 +303,8 @@ def _fine_herm_o_rows(alg: AlgebraDescriptor, x: np.ndarray, tol: float):
     if not repeated.all():
         simple = ~repeated
         values[simple], rows[simple] = _herm_o_three(alg, x[simple], values[simple])
-    e = unit(alg).coeffs
-    for i in np.flatnonzero(repeated):
+    e = _HERM_O_UNIT
+    for i in repeated.nonzero()[0]:
         top, d, bottom = values[i].tolist()
         if top == bottom:
             rows[i] = _peel(alg, e[None], 3)[0]
@@ -312,10 +327,11 @@ def _herm_o_three(alg: AlgebraDescriptor, x: np.ndarray, roots: np.ndarray):
     t their mean, is r (p - q) with r = |w| / sqrt 2 for their idempotents
     p and q.
     """
-    e = unit(alg).coeffs
-    top, a, bottom = roots[:, 0:1], roots[:, 1:2], roots[:, 2:3]
-    near_top = top - a < a - bottom
-    s, b = np.where(near_top, bottom, top), np.where(near_top, top, bottom)
+    e = _HERM_O_UNIT
+    a = roots[:, 1:2]
+    # (s, b): (bottom, top) where a is nearer the top, else (top, bottom)
+    sb = np.where(roots[:, :1] - a < a - roots[:, 2:], roots[:, ::-2], roots[:, ::2])
+    s, b = sb[:, :1], sb[:, 1:]
     a_b = a + b
     c_s = (herm_o_product_rows(x) - a_b * x + (a * b) * e) * (1.0 / ((s - a) * (s - b)))
     c = e - c_s
@@ -323,15 +339,15 @@ def _herm_o_three(alg: AlgebraDescriptor, x: np.ndarray, roots: np.ndarray):
     w = x - s * c_s - mean * c
     # the rounding of x, large next to w, leaves c's rank-2 algebra; w's
     # part there is 2 c * w - w plus its part along the primitive c_s
-    w = 2.0 * herm_o_product_rows(c, w) - w + inner_rows(alg, w, c_s)[:, None] * c_s
-    shift = trace_rows(alg, w)[:, None] / 2.0
+    w = 2.0 * herm_o_product_rows(c, w) - w + np.add.reduce(w * c_s, axis=1, keepdims=True) * c_s
+    # half the trace, the sum of the diagonal coefficients
+    shift = np.add.reduce(w[:, :3], axis=1, keepdims=True) / 2.0
     w = w - shift * c
-    r = norm_rows(alg, w)[:, None] / math.sqrt(2.0)
+    r = np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True)) / math.sqrt(2.0)
     t = mean + shift
     # p and q are (c +- w / r) / 2
     c, w = c / 2.0, w / (2.0 * r)
-    rows = np.empty((len(x), 3, alg.dim))
-    rows[:, 0], rows[:, 1], rows[:, 2] = c_s, c + w, c - w
+    rows = np.concatenate([c_s, c + w, c - w], axis=1).reshape(-1, 3, alg.dim)
     return _descending(np.concatenate([s, t + r, t - r], axis=1), rows)
 
 
@@ -339,20 +355,20 @@ def _peel(alg: AlgebraDescriptor, c: np.ndarray, k: int) -> np.ndarray:
     """Split each coefficient row of c (n, dim), a trace-k idempotent, into k
     orthogonal primitives: (n, k, dim), each row's k pieces summing to it.
 
-    The compression U_c q = 2 c * (c * q) - c * q of a primitive q is a
-    multiple of a primitive below c, the multiple being tr U_c q = (q, c)
-    (Alfsen & Shultz, Geometry of State Spaces of Operator Algebras, 2003).
-    Each step compresses the diagonal primitive E_ii (basis row i) of
-    largest (E_ii, c) = c[i], which is at least tr c / rank, divides the
-    image by its trace and takes it off c; the last piece is what remains.
-    Used for herm_h and herm_o, whose first `rank` basis rows are the E_ii.
+    The compression U_c q (`quadratic_rows`: c q c on the stored herm_h
+    matrices) of a primitive q is a multiple of a primitive below c, the
+    multiple being tr U_c q = (q, c) (Alfsen & Shultz, Geometry of State
+    Spaces of Operator Algebras, 2003).  Each step compresses the diagonal
+    primitive E_ii (basis row i) of largest (E_ii, c) = c[i], which is at
+    least tr c / rank, divides the image by its trace and takes it off c;
+    the last piece is what remains.  Used for herm_h and herm_o, whose
+    first `rank` basis rows are the E_ii.
     """
     pieces = np.empty((len(c), k, alg.dim))
     for j in range(k - 1):
         q = np.zeros(c.shape)
-        q[np.arange(len(c)), np.argmax(c[:, : alg.rank], axis=1)] = 1.0
-        cq = jordan_product_rows(alg, c, q)
-        image = 2.0 * jordan_product_rows(alg, c, cq) - cq
+        q[np.arange(len(c)), c[:, : alg.rank].argmax(axis=1)] = 1.0
+        image = quadratic_rows(alg, c, q)
         pieces[:, j] = image / trace_rows(alg, image)[:, None]
         c = c - pieces[:, j]
     pieces[:, -1] = c
@@ -398,11 +414,12 @@ class SpectralRows:
     """Decompositions of a stack of n elements of one algebra, as arrays.
 
     ``eigenvalues`` (n, r) and ``frames`` (n, r, dim) hold each element's
-    eigenvalues, descending, and its fine frame as coefficient rows.
-    Indexing gives one element's SpectralDecomposition, whose coarse
-    clusters are the runs of neighbouring eigenvalues within
-    tol (1 + max |eigenvalue|) of each other, each with the mean of its
-    values and the sum of its frame members.
+    eigenvalues, descending, and its fine frame as coefficient rows; both
+    are read-only.  Indexing gives one element's SpectralDecomposition,
+    whose eigenvalues and frame members are read-only views of these rows,
+    and whose coarse clusters are the runs of neighbouring eigenvalues
+    within tol (1 + max |eigenvalue|) of each other, each with the mean of
+    its values and the sum of its frame members.
     """
 
     algebra: AlgebraDescriptor
@@ -415,10 +432,13 @@ class SpectralRows:
         return (self.eigenvalues[:, None, :] @ self.frames)[:, 0]
 
     def __getitem__(self, i) -> SpectralDecomposition:
-        alg, rows = self.algebra, self.frames[i]
-        frame = [EjaElement(alg, row) for row in rows]
-        values = self.eigenvalues[i].tolist()
+        alg, rows, eigenvalues = self.algebra, self.frames[i], self.eigenvalues[i]
+        frame = element_views(alg, rows)
+        values = eigenvalues.tolist()
         ctol = self.tol * (1.0 + max(map(abs, values)))
+        if not any(abs(a - b) <= ctol for a, b in zip(values, values[1:])):
+            # every value simple: each is its own cluster
+            return SpectralDecomposition(eigenvalues, frame, list(zip(values, frame)))
         coarse, start = [], 0
         for j in range(1, len(values) + 1):
             if j < len(values) and abs(values[j] - values[j - 1]) <= ctol:
@@ -426,10 +446,10 @@ class SpectralRows:
             run = values[start:j]
             # the mean, exact for equal values and free of overflow
             lam = run[0] + sum(v - run[0] for v in run[1:]) / len(run)
-            idem = frame[start] if len(run) == 1 else EjaElement(alg, rows[start:j].sum(axis=0))
+            idem = frame[start] if len(run) == 1 else EjaElement(alg, np.add.reduce(rows[start:j]))
             coarse.append((lam, idem))
             start = j
-        return SpectralDecomposition(self.eigenvalues[i], frame, coarse)
+        return SpectralDecomposition(eigenvalues, frame, coarse)
 
 
 def spectral_decompose_rows(alg: AlgebraDescriptor, rows, tol: float = DEFAULT_TOL) -> SpectralRows:
@@ -445,25 +465,31 @@ def spectral_decompose_rows(alg: AlgebraDescriptor, rows, tol: float = DEFAULT_T
     Eigenvalues come back descending; each reconstruction residual is
     bounded by tol*(1 + |x|).  The fine frames are a deterministic function
     of the rows.  A row whose norm overflows is decomposed as row / 2**k,
-    with its eigenvalues scaled back by 2**k.  A herm_o frame whose Gram
-    matrix is further than HERM_O_GRAM_TOL from I is refused, with that
-    distance as the residual.  The stack is refused with the first refused
-    row's SpectralError.
+    with its eigenvalues scaled back by 2**k; one max |x| test keeps every
+    other stack off that route.  A herm_o frame whose Gram matrix is
+    further than HERM_O_GRAM_TOL from I is refused, with that distance as
+    the residual.  The stack is refused with the first refused row's
+    SpectralError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     x = np.asarray(rows, dtype=float).reshape(-1, alg.dim)
-    # non-finite iff a coefficient is or the sum of squares overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        sizes = inner_rows(alg, x, x)
-        scaled = not math.isfinite(np.add.reduce(sizes))
+    # no sum of squares, at most 2 dim max |x|^2, overflows below this
+    # bound, and a non-finite coefficient fails it; a Python float product
+    # overflows to inf without a warning
+    top = float(np.maximum.reduce(np.abs(x), axis=None, initial=0.0))
+    scaled = not 2.0 * alg.dim * top * top < math.inf
     if scaled:
+        # non-finite iff a coefficient is or the sum of squares overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            sizes = inner_rows(alg, x, x)
         x, k = _downscaled_rows(x, sizes)
-        sizes = inner_rows(alg, x, x)
     values, frames = _fine_rows(alg, x, tol)
-    resid = norm_rows(alg, np.add.reduce(values[:, :, None] * frames, axis=1) - x)
+    # each row's residual |sum lambda_i c_i - x| and size |x|, in one norm
+    pairs = np.concatenate([(values[:, None, :] @ frames)[:, 0] - x, x], axis=1)
+    resid, size = norm_rows(alg, pairs.reshape(-1, 2, alg.dim)).T
     # written so that a NaN residual fails too
-    passed = resid <= max(tol, 1e-9) * (1.0 + np.sqrt(sizes))
+    passed = resid <= max(tol, 1e-9) * (1.0 + size)
     if not passed.all():
         raise SpectralError("spectral reconstruction failed", residual=float(resid[~passed][0]))
     if alg.family == "herm_o":
@@ -473,6 +499,7 @@ def spectral_decompose_rows(alg: AlgebraDescriptor, rows, tol: float = DEFAULT_T
             raise SpectralError("herm_o frame is not orthonormal", residual=float(gram[~passed][0]))
     if scaled:
         values = _scaled_back(values, k)
+    values.flags.writeable = frames.flags.writeable = False
     return SpectralRows(alg, values, frames, tol)
 
 

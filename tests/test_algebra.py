@@ -22,6 +22,7 @@ from jordan_spectra.algebra import (
     norm_rows,
     power,
     quadratic_rep,
+    quadratic_rows,
     to_matrix,
     trace,
     unit,
@@ -319,6 +320,23 @@ def test_quadratic_rep_preserves_cone():
         image = quadratic_rep(a, bsq)
         w = spectral_decompose(image).eigenvalues
         assert float(np.min(w)) >= -1e-8 * (1.0 + float(np.max(np.abs(w))))
+
+
+def test_quadratic_rows_match_the_jordan_formula():
+    # a b a on the stored matrices (herm_h in its 2m x 2m embedding), the
+    # multiplication operators for herm_o, products for spin: each the
+    # formula 2 a * (a * b) - (a * a) * b
+    rng = np.random.default_rng(73)
+    for alg in ALL_ALGEBRAS + [algebra("sym_r", 5), algebra("herm_h", 3)]:
+        a = rng.standard_normal((12, alg.dim)) * rng.choice([1e-3, 1.0, 30.0], size=(12, 1))
+        b = rng.standard_normal((12, alg.dim))
+        aab = jordan_product_rows(alg, a, jordan_product_rows(alg, a, b))
+        want = 2.0 * aab - jordan_product_rows(alg, jordan_product_rows(alg, a), b)
+        got = quadratic_rows(alg, a, b)
+        bound = 1e-12 * (1.0 + norm_rows(alg, a) ** 2 * norm_rows(alg, b))
+        assert (np.abs(got - want).max(axis=1) <= bound).all(), alg
+        one = quadratic_rep(EjaElement(alg, a[0]), EjaElement(alg, b[0]))
+        assert np.max(np.abs(one.coeffs - got[0])) <= bound[0]
 
 
 def test_basis_cache_is_bounded():

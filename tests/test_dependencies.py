@@ -298,6 +298,7 @@ def test_both_spectral_entry_points_share_one_overflow_guard():
         ("algebra", "trace", "trace_rows"),
         ("algebra", "inner", "gram_rows"),
         ("algebra", "norm", "norm_rows"),
+        ("algebra", "quadratic_rep", "quadratic_rows"),
         ("spectral", "eigenvalues", "eigenvalue_rows"),
         ("spectral", "spectral_decompose", "spectral_decompose_rows"),
         ("spectral", "random_jordan_frame", "random_frame_rows"),

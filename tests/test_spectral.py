@@ -137,6 +137,19 @@ def test_degenerate_spectrum_coarse_sym_r():
     assert trace(c1) == pytest.approx(2.0)
     assert trace(c2) == pytest.approx(1.0)
     assert len(dec.frame) == 3
+    # a gap exactly tol (1 + max |value|) still clusters: at tol = 1/4 the
+    # values 3, 2, -1/2 give 1.0, the gap from 3 to 2, so one cluster with
+    # a simple value below it; at a smaller tol all three are simple
+    x = from_matrix(alg, np.diag([-0.5, 3.0, 2.0]))
+    dec = spectral_decompose(x, tol=0.25)
+    assert dec.eigenvalues.tolist() == [3.0, 2.0, -0.5]
+    (l1, c1), (l2, c2) = dec.coarse
+    assert (l1, l2) == (2.5, -0.5)
+    assert np.array_equal(c1.coeffs, dec.frame[0].coeffs + dec.frame[1].coeffs)
+    assert np.array_equal(c1.coeffs, [0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    assert c2 is dec.frame[2]
+    simple = spectral_decompose(x, tol=0.2499)
+    assert simple.coarse == list(zip([3.0, 2.0, -0.5], simple.frame))
 
 
 def test_degenerate_spectrum_herm_o_refinement():
@@ -570,6 +583,51 @@ def test_herm_o_coefficients_match_newton_identities():
     small = eigenvalue_rows(alg, generic)
     scale = 1.0 + np.abs(small).max(axis=1, keepdims=True)
     assert np.max(np.abs(big / 1e160 - small) / scale) <= 1e-13
+
+
+@pytest.mark.parametrize("alg", FAMILIES_SMALL, ids=lambda a: a.family)
+def test_empty_stacks_give_empty_arrays(alg):
+    rows = np.zeros((0, alg.dim))
+    dec = spectral.spectral_decompose_rows(alg, rows)
+    assert dec.eigenvalues.shape == (0, alg.rank)
+    assert dec.frames.shape == (0, alg.rank, alg.dim)
+    assert dec.reconstruct().shape == (0, alg.dim)
+    assert eigenvalue_rows(alg, rows).shape == (0, alg.rank)
+
+
+@pytest.mark.parametrize("alg", FAMILIES_SMALL, ids=lambda a: a.family)
+def test_decomposition_records_are_read_only(alg):
+    # the record's arrays and one element's eigenvalues and frame members
+    # are views of one another, so none of them can be written
+    rows = np.stack([random_element(alg, seed).coeffs for seed in range(3)])
+    dec = spectral.spectral_decompose_rows(alg, rows)
+    one = dec[0]
+    for array in (dec.eigenvalues, dec.frames, one.eigenvalues, one.frame[0].coeffs):
+        with pytest.raises(ValueError):
+            array[0] = 99.0
+    with pytest.raises(ValueError):
+        spectral_decompose(random_element(alg, 4)).eigenvalues[0] = 99.0
+    assert np.shares_memory(one.eigenvalues, dec.eigenvalues)
+    assert np.shares_memory(one.frame[0].coeffs, dec.frames)
+
+
+def test_herm_h_repeated_eigenvalue_peels_without_jordan_products(monkeypatch):
+    # the compression U_c q of each peel step is c q c on the stored
+    # matrices: decomposing a repeated herm_h eigenvalue forms no Jordan
+    # product
+    def refuse(*args):
+        raise AssertionError("herm_h peel forms no Jordan product")
+
+    alg = algebra("herm_h", 3)
+    x, frame = _on_frame(alg, (2.0, 2.0, -1.0), 6)
+    for module in (spectral, algebra_module):
+        monkeypatch.setattr(module, "jordan_product_rows", refuse)
+        monkeypatch.setattr(module, "jordan_product", refuse)
+    dec = spectral_decompose(x)
+    assert len(dec.coarse) == 2
+    want = frame[0].coeffs + frame[1].coeffs
+    assert np.max(np.abs(dec.coarse[0][1].coeffs - want)) <= 1e-12
+    assert norm(dec.reconstruct() - x) <= 1e-12 * (1.0 + norm(x))
 
 
 # -- predicates --------------------------------------------------------------------
