@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactla import _eliminate, affine_basis_indices, mat_vec
+from .exactla import _eliminate, _ring_for, affine_basis_indices, mat_vec
 from .geometry import Polytope, _analysis
 
 
@@ -284,27 +284,24 @@ def _searcher(basis_ids, colour, induced):
 def _gram_colours(cverts):
     """The Gram invariant Q of the chart vertices, as small int colours.
 
-    Q_ij = v_i^T (sum_k v_k v_k^T)^-1 v_j on homogenized vertices v = (x, 1),
-    from one elimination of [M | V^T]; equal colours mean equal exact values.
+    Q_ij = v_i^T (sum_k v_k v_k^T)^-1 v_j on homogenized vertices v = (x, 1).
+    The v are lifted once to ring integers V = s v (ints, or Z[sqrt 5]
+    pairs), which leaves Q unchanged, and M = sum_k V_k V_k^T is formed in
+    the ring.  One elimination of [M | V^T] gives T / d = [I | M^-1 V^T],
+    so d Q_ij is the ring integer V_i . T_j, column j of the right-hand
+    block; with d > 0 fixed, equal colours mean equal exact values.
     """
-    hat = [list(v) + [1] for v in cverts]
-    m = len(hat[0])
-    gram = [[sum(v[r] * v[c] for v in hat) for c in range(m)] for r in range(m)]
-    ring, T, _, d, _ = _eliminate(
-        [gram[r] + [v[r] for v in hat] for r in range(m)]
+    m = len(cverts[0]) + 1
+    ring = _ring_for(x for v in cverts for x in v)
+    flat, _ = ring.lift([x for v in cverts for x in tuple(v) + (1,)])
+    V = [flat[j * m : (j + 1) * m] for j in range(len(cverts))]
+    rows = list(zip(*V))
+    _, T, _, _, _ = _eliminate(
+        [[ring.dot(r, c) for c in rows] + list(r) for r in rows], ring
     )
-    # T / d = [I | M^-1 V^T]; column j of M^-1 V^T is M^-1 v_j
-    cols = [
-        [ring.quotient(T[r][m + j], d) for r in range(m)] for j in range(len(hat))
-    ]
+    cols = list(zip(*(row[m:] for row in T)))
     colours = {}
-    return [
-        [
-            colours.setdefault(sum(a * b for a, b in zip(v, col)), len(colours))
-            for col in cols
-        ]
-        for v in hat
-    ]
+    return [[colours.setdefault(ring.dot(v, col), len(colours)) for col in cols] for v in V]
 
 
 def _affine_maps(ch, cverts, basis_ids):
@@ -342,10 +339,10 @@ def _affine_maps(ch, cverts, basis_ids):
         # columns[r][b] is coordinate r of the image of basis vertex b
         columns = list(zip(*(V[perm[b]] for b in basis_ids)))
         for lam, j in zip(L, perm):
-            if [_dot(ring, lam, col) for col in columns] != target[j]:
+            if [ring.dot(lam, col) for col in columns] != target[j]:
                 return None
         rows = [
-            [ring.quotient(_dot(ring, col, w), ds) for w in W_columns]
+            [ring.quotient(ring.dot(col, w), ds) for w in W_columns]
             for col in columns
         ]
         return PolytopeAutomorphism(
@@ -357,9 +354,3 @@ def _affine_maps(ch, cverts, basis_ids):
 
     return induced
 
-
-def _dot(ring, xs, ys):
-    acc = ring.zero
-    for x, y in zip(xs, ys):
-        acc = ring.add(acc, ring.mul(x, y))
-    return acc

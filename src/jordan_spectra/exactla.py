@@ -27,7 +27,7 @@ from .scalars import Sqrt5
 # ``combine(row, prow, p, f, d)`` is the Bareiss update (row*p - f*prow)/d
 # and ``scale(row, p, d)`` is row*p/d; both divisions are exact whenever d
 # is the previous pivot, because every entry is then a minor of the scaled
-# input matrix.
+# input matrix.  ``dot`` is the inner product of two vectors of elements.
 
 
 class _Integers:
@@ -37,6 +37,10 @@ class _Integers:
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
+
+    @staticmethod
+    def dot(xs, ys):
+        return sum(map(operator.mul, xs, ys))
 
     @staticmethod
     def lift(values):
@@ -84,6 +88,14 @@ class _QuadraticIntegers:
     @staticmethod
     def mul(x, y):
         return (x[0] * y[0] + 5 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    @staticmethod
+    def dot(xs, ys):
+        a = b = 0
+        for (xa, xb), (ya, yb) in zip(xs, ys):
+            a += xa * ya + 5 * xb * yb
+            b += xa * yb + xb * ya
+        return (a, b)
 
     @staticmethod
     def lift(values):
@@ -172,22 +184,26 @@ def _bareiss_pivot(ring, T, basis, d, r, j):
     return p
 
 
-def _eliminate(matrix):
+def _eliminate(matrix, ring=None):
     """Fraction-free Gauss-Jordan elimination of ``matrix``.
 
     Returns (ring, T, pivots, d, scale): ``T / d`` is the reduced row
     echelon form, with ``pivots`` its pivot columns in order.  For a square
     matrix of full rank det(matrix) = d / scale, where ``scale`` is the
     product of the row lcms, negated once per row swap and once per
-    negative pivot.
+    negative pivot.  Given a ``ring``, the entries are already its elements
+    and no row is lifted.
     """
-    ring = _ring_for(v for row in matrix for v in row)
+    if ring is None:
+        ring = _ring_for(v for row in matrix for v in row)
+        T, scale = [], ring.one
+        for row in matrix:
+            lifted, s = ring.lift(row)
+            T.append(lifted)
+            scale = ring.mul(scale, s)
+    else:
+        T, scale = [list(row) for row in matrix], ring.one
     zero = ring.zero
-    T, scale = [], ring.one
-    for row in matrix:
-        lifted, s = ring.lift(row)
-        T.append(lifted)
-        scale = ring.mul(scale, s)
     nrow = len(T)
     ncol = len(T[0]) if nrow else 0
     basis = [None] * nrow

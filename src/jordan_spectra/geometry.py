@@ -11,9 +11,14 @@ vertices is found once, by one elimination, and kept in one table per
 body, which the spectrality witnesses of `operational` also read.  The
 facets are its entries with every vertex on one side, and the face
 lattice is the intersection closure of their vertex sets (Kaibel &
-Pfetsch, Comput. Geom. 23, 2002).  A point is a vertex iff the normals of the facets
-through it have rank d, which is how polytope validation decides
-extremality.  Maximal flags and barycenters build on the lattice.
+Pfetsch, Comput. Geom. 23, 2002).  Each facet's values at the vertices,
+which its elimination leaves as ring integers, are kept as well: the
+exposing functionals are scaled from their sums, face dims come from the
+lattice's grading, and `operational` reads its facet values from them,
+so the lattice takes no elimination.  A point is a vertex iff the
+normals of the facets through it have rank d, which is how polytope
+validation decides extremality.  Maximal flags and barycenters build on
+the lattice.
 """
 
 from __future__ import annotations
@@ -23,7 +28,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .exactla import _eliminate, affine_basis_indices, affine_rank, determinant, solve_any
+from .exactla import (
+    _eliminate,
+    _ring_for,
+    affine_basis_indices,
+    affine_rank,
+    determinant,
+    solve_any,
+)
 from .scalars import Sqrt5, exact, format_scalar
 
 #: The five simple Euclidean Jordan algebra families.  Defined here, on the
@@ -108,6 +120,19 @@ VERTEX_CAP = 12
 @dataclass(frozen=True)
 class Polytope:
     vertices: tuple
+
+    # The analysis record cache hashes the body on every look-up, so the
+    # hash of the vertices is taken once and kept on the instance; a copy
+    # or a pickle carries the vertices only.
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.vertices)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Polytope, (self.vertices,)
 
     @property
     def ambient_dim(self) -> int:
@@ -228,7 +253,9 @@ class _Analysis:
     """Everything derived from one polytope.
 
     The chart, the table of vertex hyperplanes (``_vertex_hyperplanes`` of
-    the chart vertices) and the facets, its one-signed entries, are set
+    the chart vertices), the facets, its one-signed entries, and
+    ``vertex_values[F][w]``, facet F's functional at chart vertex w as an
+    element of ``ring`` (the table's elimination kernel ring), are set
     when the record is made; the rest is filled on first use.  ``faces`` is
     the face lattice.  ``facet_effects`` holds the facets' functionals as
     ambient effects (``operational._facet_effects``), and
@@ -246,6 +273,8 @@ class _Analysis:
     chart_vertices: tuple
     hyperplanes: dict
     facets: dict
+    ring: object
+    vertex_values: tuple
     faces: FaceLattice | None = None
     facet_values: tuple | None = None
     facet_effects: tuple | None = None
@@ -266,14 +295,22 @@ def _analysis(poly: Polytope) -> _Analysis:
     """
     ch = _affine_chart(list(poly.vertices))
     cv = tuple(ch.to_chart(v) for v in poly.vertices)
-    hyperplanes = _vertex_hyperplanes(cv)
+    values = {}
+    hyperplanes = _vertex_hyperplanes(cv, values)
     facets = _facets(hyperplanes)
     if len(cv) > 1:  # a lone point is its own vertex
         for i in range(len(cv)):
             normals = [g for face, (g, _) in facets.items() if i in face]
             if len(_eliminate(normals)[2]) < ch.dim:
                 raise GeometryError(f"vertex {i} is not extremal")
-    return _Analysis(chart=ch, chart_vertices=cv, hyperplanes=hyperplanes, facets=facets)
+    return _Analysis(
+        chart=ch,
+        chart_vertices=cv,
+        hyperplanes=hyperplanes,
+        facets=facets,
+        ring=_ring_for(x for v in cv for x in v),
+        vertex_values=tuple(values[on] for on in facets),
+    )
 
 
 def _capped_analysis(poly: Polytope, cap: int) -> _Analysis:
@@ -341,16 +378,18 @@ class FaceLattice:
         )
 
 
-def _vertex_hyperplanes(cv) -> dict:
+def _vertex_hyperplanes(cv, values=None) -> dict:
     """{frozenset of vertices on it: (g, c, facet)} over the hyperplanes
     g.x + c = 0 spanned by affinely independent d-subsets S of ``cv``.
 
     One elimination of [homogenized vertices (x, 1) as columns, S first |
     identity] pivots on S and leaves one row: the functional's values at
-    the vertices, then (g, c).  ``facet``: no two values have opposite
-    signs; a facet is signed >= 0 on the body.  The d-subsets on a found
-    hyperplane are skipped, so each costs one elimination, at its least
-    spanning subset, plus one per affinely dependent subset met first.
+    the vertices, then (g, c), all ring elements of the kernel.  ``facet``:
+    no two values have opposite signs; a facet is signed >= 0 on the body.
+    A ``values`` dict also gets {facet's vertex set: its values at the
+    vertices, in vertex order}.  The d-subsets on a found hyperplane are
+    skipped, so each costs one elimination, at its least spanning subset,
+    plus one per affinely dependent subset met first.
     """
     n, d = len(cv), len(cv[0])
     table = {}
@@ -373,6 +412,11 @@ def _vertex_hyperplanes(cv) -> dict:
         on = sorted(i for i, sign in zip(order, signs) if sign == 0)
         facet = not (1 in signs and -1 in signs)
         table[frozenset(on)] = (tuple(normal[:d]), normal[d], facet)
+        if facet and values is not None:
+            row = [None] * n
+            for i, x in zip(order, T[d][:n]):
+                row[i] = x if flip == 1 else ring.sub(ring.zero, x)
+            values[frozenset(on)] = tuple(row)
         decided.update(itertools.combinations(on, d))
     return table
 
@@ -383,19 +427,20 @@ def _facets(table) -> dict:
     return {on: (g, c) for on, (g, c, facet) in table.items() if facet}
 
 
-def _exposing_functional(face, facets, cv):
+def _exposing_functional(face, rec):
     """(g, c): the sum of the functionals of the facets through ``face``,
     scaled by its smallest value off the face, so it is zero on the face
-    and >= 1 on every other chart vertex."""
-    g, c = [0] * len(cv[0]), 0
-    for on, (fg, fc) in facets.items():
+    and >= 1 on every other chart vertex.  Its values are the sums of the
+    facets' vertex values, in the ring, so nothing is evaluated."""
+    ring = rec.ring
+    g, c, values = [0] * rec.chart.dim, 0, None
+    for (on, (fg, fc)), row in zip(rec.facets.items(), rec.vertex_values):
         if face <= on:
             g, c = [a + b for a, b in zip(g, fg)], c + fc
-    off = [
-        sum(a * b for a, b in zip(g, v)) + c for i, v in enumerate(cv) if i not in face
-    ]
-    if off:
-        scale = 1 / min(off)
+            values = row if values is None else list(map(ring.add, values, row))
+    if values is not None:
+        low = min((x for i, x in enumerate(values) if i not in face), key=ring.scalar)
+        scale = ring.quotient(ring.one, low)
         g, c = [a * scale for a in g], c * scale
     return tuple(g), c
 
@@ -404,12 +449,17 @@ def exposed_faces(poly: Polytope, cap: int = VERTEX_CAP) -> FaceLattice:
     """All faces (every polytope face is exposed), each certified by an
     exact exposing functional: the intersections of facets, the whole body
     with the zero functional, and the empty face as the lattice bottom.
+
+    Dims are the lattice's grading, with no elimination: each face F is
+    one more than its largest proper subface (the empty face has dim -1,
+    so a vertex has dim 0).  That is a facet of F, and each facet of F is
+    F & G for some facet G of the body that does not contain F.
     """
     rec = _capped_analysis(poly, cap)
     if rec.faces is not None:
         return rec.faces
-    cv, facets = rec.chart_vertices, rec.facets
-    top = frozenset(range(len(cv)))
+    facets = rec.facets
+    top = frozenset(range(len(rec.chart_vertices)))
     closed, queue = {top}, [top]
     while queue:
         face = queue.pop()
@@ -418,13 +468,16 @@ def exposed_faces(poly: Polytope, cap: int = VERTEX_CAP) -> FaceLattice:
             if meet not in closed:
                 closed.add(meet)
                 queue.append(meet)
+    dims = {frozenset(): -1}
     faces = [Face(indices=(), functional=None, dim=-1)]
-    for face in closed - {frozenset()}:
+    for face in sorted(closed - {frozenset()}, key=len):
+        below = (dims[face & on] for on in facets if not face <= on)
+        dims[face] = 1 + max(below, default=-1)
         faces.append(
             Face(
                 indices=tuple(sorted(face)),
-                functional=_exposing_functional(face, facets, cv),
-                dim=affine_rank([cv[i] for i in face]),
+                functional=_exposing_functional(face, rec),
+                dim=dims[face],
             )
         )
     faces.sort(key=lambda f: (len(f.indices), f.indices))

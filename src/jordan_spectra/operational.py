@@ -26,6 +26,7 @@ on none of those hyperplanes, rechecked from their table alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -184,11 +185,19 @@ def _facet_effects(poly: Polytope) -> tuple:
 
 def _facet_values(poly: Polytope) -> tuple:
     """The facet effects at every vertex, values[w][F] = f_F(v_w), kept on
-    the analysis record."""
+    the analysis record.  Read off the record's vertex values: f_F(v_w) is
+    facet F's value at w over its sum at every vertex, one exact quotient
+    in the ring, with no effect evaluated."""
     rec = _analysis(poly)
     if rec.facet_values is None:
-        effects = _facet_effects(poly)
-        rec.facet_values = tuple(tuple(e(v) for e in effects) for v in poly.vertices)
+        ring = rec.ring
+        columns = []
+        for row in rec.vertex_values:
+            total = functools.reduce(ring.add, row)
+            columns.append([ring.quotient(x, total) for x in row])
+        rec.facet_values = tuple(
+            tuple(col[w] for col in columns) for w in range(len(poly.vertices))
+        )
     return rec.facet_values
 
 

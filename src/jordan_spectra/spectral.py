@@ -26,7 +26,9 @@ primitives, only on the rows that have one: no random draw, so the fine
 frame is a function of x alone.  The compression is the quadratic
 representation (`algebra.quadratic_rows`), on herm_h the product c q c of
 the stored 2m x 2m matrices.  Each row's values and frame are those of
-the row decomposed alone, and `spectral_decompose` is the one-row case.
+the row decomposed alone, to rounding (on herm_o, and through
+`quadratic_rows`, the last bits can depend on the number of rows), and
+`spectral_decompose` is the one-row case.
 A `SpectralRows` result holds the eigenvalues (n, r) and the fine frames
 (n, r, dim), both read-only; indexing it gives one element's
 `SpectralDecomposition`, with the coarse decomposition by distinct
@@ -460,7 +462,9 @@ def spectral_decompose_rows(alg: AlgebraDescriptor, rows, tol: float = DEFAULT_T
     herm_c and herm_h, the closed form for spin, and one `_herm_o_cubic`
     with the Lagrange / near-pair split for herm_o; `_peel` runs only on
     the rows with a repeated herm_h or herm_o eigenvalue.  Each row's values
-    and frame are those of that row decomposed alone.
+    and frame are those of that row decomposed alone, to rounding: on
+    herm_o, and in the compressions of `algebra.quadratic_rows`, the last
+    bits can depend on how many rows the stack holds.
 
     Eigenvalues come back descending; each reconstruction residual is
     bounded by tol*(1 + |x|).  The fine frames are a deterministic function

@@ -8,8 +8,11 @@ match the oracle face for face, and polytope validation must refuse the
 same first vertex as the oracle's singleton programs.
 """
 
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jordan_spectra import automorphisms, exactlp, geometry
+from jordan_spectra import automorphisms, exactla, exactlp, geometry, operational
 from jordan_spectra.classification import default_converse_catalog
 from jordan_spectra.algebra import EjaElement, unit
 from jordan_spectra.exactla import (
@@ -159,11 +162,11 @@ def oracle_refused_vertex(points):
     return next((i for i in range(len(cv)) if not oracle_exposes(cv, {i})), None)
 
 
-def face_list(poly):
+def face_list(poly, cap=geometry.VERTEX_CAP):
     """(indices, dim) of every face; each functional must vanish on its face
     and take exactly 1 as its smallest value on the other vertices."""
     cv = chart_vertices(poly)
-    lat = exposed_faces(poly)
+    lat = exposed_faces(poly, cap)
     for face in lat.faces[1:-1]:
         g, c = face.functional
         values = [sum(a * b for a, b in zip(g, v)) + c for v in cv]
@@ -352,14 +355,18 @@ def _count_calls(monkeypatch, module, name):
 def test_face_lattice_solved_once_whatever_the_cap(monkeypatch):
     # a body no other test builds, so its record starts empty
     eliminations = _count_calls(monkeypatch, geometry, "_eliminate")
+    # the kernel as every exactla routine calls it (affine_rank, solve_any)
+    kernel = _count_calls(monkeypatch, exactla, "_eliminate")
     body = polytope([(3, 0), (0, 2), (-3, 1), (-1, -2)])
     # one hyperplane per vertex pair, then one normal rank per vertex; the
-    # accepted body keeps its facets, so the lattice needs no elimination
+    # accepted body keeps its facets and their vertex values, so the
+    # lattice needs no elimination, in this module or in exactla
     assert len(eliminations) == 6 + 4
+    charted = len(kernel)
     lat = exposed_faces(body)
     assert exposed_faces(body, 14) is lat
     assert exposed_faces(body, cap=14) is lat
-    assert len(eliminations) == 6 + 4
+    assert len(eliminations) == 6 + 4 and len(kernel) == charted
     # the cube's vertex triples span 20 planes: 6 facets and 6 diagonal
     # planes of four vertices each, and 8 corner cuts of three; the first
     # triple on a plane spans it and the others on it are skipped
@@ -457,6 +464,38 @@ def test_one_elimination_per_vertex_hyperplane(monkeypatch, make, hyperplanes, c
     assert len(eliminations) == count
 
 
+def _exact_types(values):
+    return {type(x) for x in values} <= {int, Fraction, Sqrt5}
+
+
+@pytest.mark.parametrize(
+    "make,cap,counts",
+    [
+        (four_cube, 16, {0: 16, 1: 32, 2: 24, 3: 8, 4: 1}),
+        (twenty_four_cell, 24, {0: 24, 1: 96, 2: 96, 3: 24, 4: 1}),
+        (pentagon, 12, {0: 5, 1: 5, 2: 1}),
+    ],
+    ids=["4-cube", "24-cell", "pentagon"],
+)
+def test_graded_faces_are_exact(make, cap, counts):
+    body = make()
+    cv = chart_vertices(body)
+    faces = face_list(body, cap)  # functionals: zero on the face, off-face minimum 1
+    sizes = {}
+    for indices, dim in faces[1:]:
+        # the grading agrees with the affine rank of the face's vertices
+        assert dim == affine_rank([cv[i] for i in indices])
+        sizes[dim] = sizes.get(dim, 0) + 1
+    assert sizes == counts
+    # every number is exact: a float would come from dividing by an int
+    for face in exposed_faces(body, cap).faces[1:]:
+        g, c = face.functional
+        assert _exact_types(g + (c,))
+    values = operational._facet_values(body)
+    assert len(values) == len(cv) and all(_exact_types(row) for row in values)
+    assert all(sum(col) == 1 for col in zip(*values))
+
+
 def test_face_side_solves_no_lp(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the face side solved an LP")
@@ -515,6 +554,22 @@ def test_caps_refuse_after_caching():
 def test_equal_bodies_share_one_record():
     assert geometry._analysis(square()) is geometry._analysis(square())
     assert geometry._analysis(square()) is not geometry._analysis(hexagon())
+
+
+def test_polytope_hash_is_kept_and_copies_stay_equal():
+    points = [(5, 0), (0, 7), (-5, 1), (-2, -7)]  # a body no other test builds
+    body = polytope(points)
+    again = polytope(points)
+    assert again is not body and again == body and hash(again) == hash(body)
+    assert geometry._analysis(again) is geometry._analysis(body)
+    for copied in (copy.deepcopy(body), pickle.loads(pickle.dumps(body))):
+        assert copied is not body and copied == body and hash(copied) == hash(body)
+        assert copied.vertices == body.vertices
+        assert geometry._analysis(copied) is geometry._analysis(body)
+    assert hash(body) == hash(Polytope(vertices=body.vertices))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        body.vertices = ()
+    assert body.vertices == tuple(tuple(map(F, p)) for p in points)
 
 
 def test_refused_point_sets_take_no_cache_slot():

@@ -259,6 +259,50 @@ def test_search_matches_brute_force_on_catalog_images(name, body):
         assert triples(automorphism_group(image)) == expected
 
 
+def field_gram_colours(cverts):
+    """The Gram invariant Q_ij = v_i^T (sum_k v_k v_k^T)^-1 v_j over the
+    field itself (Fraction or Sqrt5 values, no ring), M inverted by plain
+    Gauss-Jordan; colours numbered by first appearance, row by row."""
+    hat = [list(v) + [F(1)] for v in cverts]
+    m = len(hat[0])
+    aug = [
+        [sum(v[r] * v[c] for v in hat) for c in range(m)] + [F(int(r == c)) for c in range(m)]
+        for r in range(m)
+    ]
+    for c in range(m):
+        p = next(r for r in range(c, m) if aug[r][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        pivot = aug[c][c]
+        aug[c] = [x / pivot for x in aug[c]]
+        for r in range(m):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    inverse = [row[m:] for row in aug]
+    colours = {}
+    out = []
+    for vi in hat:
+        row = []
+        for vj in hat:
+            q = sum(vi[r] * inverse[r][c] * vj[c] for r in range(m) for c in range(m))
+            row.append(colours.setdefault(q, len(colours)))
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,body", [pytest.param(*entry, id=entry[0]) for entry in default_converse_catalog()]
+)
+def test_gram_colours_match_the_field_gram(name, body):
+    # ring-integer colours against the Gram matrix over Q or Q(sqrt 5):
+    # both number classes by first appearance, so the same partition of
+    # the vertex pairs gives the same lists
+    rng = random.Random(name)
+    for image in [body] + [shuffled_image(body, rng) for _ in range(3)]:
+        cv = chart_vertices(image)
+        assert automorphisms._gram_colours(cv) == field_gram_colours(cv)
+
+
 @pytest.mark.parametrize(
     "body,order",
     [
