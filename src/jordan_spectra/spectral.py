@@ -357,23 +357,29 @@ def _peel(alg: AlgebraDescriptor, c: np.ndarray, k: int) -> np.ndarray:
     """Split each coefficient row of c (n, dim), a trace-k idempotent, into k
     orthogonal primitives: (n, k, dim), each row's k pieces summing to it.
 
-    The compression U_c q (`quadratic_rows`: c q c on the stored herm_h
-    matrices) of a primitive q is a multiple of a primitive below c, the
-    multiple being tr U_c q = (q, c) (Alfsen & Shultz, Geometry of State
-    Spaces of Operator Algebras, 2003).  Each step compresses the diagonal
-    primitive E_ii (basis row i) of largest (E_ii, c) = c[i], which is at
-    least tr c / rank, divides the image by its trace and takes it off c;
-    the last piece is what remains.  Used for herm_h and herm_o, whose
-    first `rank` basis rows are the E_ii.
+    The compression U_c q (`quadratic_rows`: c q c on the stored matrices)
+    of a primitive q is a multiple of a primitive below c, the multiple
+    being tr U_c q = (q, c) (Alfsen & Shultz, Geometry of State Spaces of
+    Operator Algebras, 2003).  Each step compresses the diagonal primitive
+    E_ii (basis row i) of largest (E_ii, c) = c[i], which is at least
+    tr c / rank, divides the image by its trace and takes it off c; the last
+    piece is what remains.  Spin's only idempotent of trace 2 is the unit,
+    which splits along the first axis as in `_fine_spin_rows`.  The one
+    idempotent splitter: of repeated herm_h and herm_o eigenvalues, and of
+    the remainder of a partial frame in `symmetry._extended_rows`.
     """
     pieces = np.empty((len(c), k, alg.dim))
     for j in range(k - 1):
         q = np.zeros(c.shape)
-        q[np.arange(len(c)), c[:, : alg.rank].argmax(axis=1)] = 1.0
+        if alg.family == "spin":
+            q[:, 0], q[:, -1] = 0.5, 0.5
+        else:
+            q[np.arange(len(c)), c[:, : alg.rank].argmax(axis=1)] = 1.0
         image = quadratic_rows(alg, c, q)
         pieces[:, j] = image / trace_rows(alg, image)[:, None]
         c = c - pieces[:, j]
-    pieces[:, -1] = c
+    if k:
+        pieces[:, -1] = c
     return pieces
 
 

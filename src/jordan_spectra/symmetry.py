@@ -11,12 +11,15 @@ frames that orbit does not cover.
 EJA transporters follow the classical constructions (conjugation by
 U_B U_A^dagger for the matrix families, cf. Faraut-Koranyi IV.2.7; a
 Householder reflection of the ball part for spin factors), each stored as
-the real linear map it induces on coefficients.  Frames are checked,
-extended and transported in stacks: `_frame_refusals`, `_extended_rows`,
-`_transporter_rows` and `_verify_transporter` work on (n, r, dim) arrays
-of coefficient rows, n frames or frame pairs at once, and keep every
-check of the one-frame code.  A refused pair is reported on its own with
-its message; the others go on.  `_check_jordan_frame`,
+the real linear map it induces on coefficients.  U_A's columns are read
+off the frame members' matrices, and a partial frame is completed by
+splitting the rest of the unit with `spectral._peel`; neither runs an
+eigensolver, and each depends on the given members alone.  Frames are
+checked, extended and transported in stacks: `_frame_refusals`,
+`_extended_rows`, `_transporter_rows` and `_verify_transporter` work on
+(n, r, dim) arrays of coefficient rows, n frames or frame pairs at once,
+and keep every check of the one-frame code.  A refused pair is reported
+on its own with its message; the others go on.  `_check_jordan_frame`,
 `extend_to_maximal_frame` and `jordan_frame_transporter` are the
 one-frame (one-pair) cases, and `verify_strong_symmetry_eja` draws its
 trials in the order of one trial at a time and then decomposes, extends
@@ -58,11 +61,11 @@ from .geometry import VERTEX_CAP, Polytope, _capped_analysis, maximal_flags
 from .operational import _frame_sets, count_frames, enumerate_frames, rank
 from .spectral import (
     FRAME_TOL,
+    _peel,
     _redrawn_frames,
     eigenvalue_rows,
     is_primitive_idempotent,
     primitive_rows,
-    spectral_decompose_rows,
 )
 
 
@@ -286,38 +289,29 @@ def _refused(refusals: list, live: np.ndarray, ok: np.ndarray, message: str) -> 
     return live[ok]
 
 
-def _distinguished_columns(alg: AlgebraDescriptor, rows: np.ndarray) -> tuple:
-    """(columns, ok) for a stack of frames (n, r, dim): per frame, orthonormal
-    columns (size, r) spanning the ranges of its idempotents, in frame order,
-    phase-fixed, from one stacked eigh; ok is False where a range has no
-    eigenvector entry above 1e-8.
+def _range_columns(alg: AlgebraDescriptor, rows: np.ndarray) -> np.ndarray:
+    """Orthonormal columns (n, size, r) spanning the ranges of the idempotents
+    of a stack of frames (n, r, dim), in frame order, read off their stored
+    matrices C with no eigensolver.
 
-    Each range is spanned by the top eigenvector v of its idempotent, whose
-    first entry above 1e-8 in size is made real positive.  A herm_h range
-    is the span of v and its twin, where LAPACK's choice of v turns on
-    rounding (even on the sign of a zero); mixing in the twin makes the
-    first quaternionic entry (v_2i, v_2i+1) real positive, so the columns
-    depend on the idempotents alone.
+    A primitive's range is spanned by column j of C, j at C's largest
+    diagonal entry C_jj >= 1 / rank.  C times that column, normalized, is a
+    unit vector of the range with entry j real positive; the product with C
+    projects a member that is idempotent only to its tolerance back towards
+    the range.  A herm_h range adds the twin (columns v_0, twin_0, v_1, ...),
+    j being the even index of the quaternionic entry with the largest pair
+    of equal diagonal entries, so j does not flip between the two.
     """
     n, r = rows.shape[:2]
-    v = np.linalg.eigh(to_matrix_rows(alg, rows.reshape(n * r, alg.dim)))[1][:, :, -1]
+    c = rows.reshape(n * r, alg.dim)
+    mats = to_matrix_rows(alg, c)
+    # the diagonal basis members come first, each a 2 x 2 block for herm_h
+    j = c[:, : alg.rank].argmax(axis=1) * (mats.shape[1] // alg.rank)
+    v = (mats @ mats[np.arange(n * r), :, j, None])[:, :, 0]
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
     if alg.family == "herm_h":
-        # the size of each quaternionic entry (v_2i, v_2i+1)
-        size = np.hypot(np.abs(v[:, 0::2]), np.abs(v[:, 1::2]))
-    else:
-        size = np.abs(v)
-    big = size > 1e-8
-    ok = big.any(axis=1).reshape(n, r).all(axis=1)
-    first = (np.arange(len(v)), big.argmax(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if alg.family != "herm_h":
-            v = v / (v[first] / size[first])[:, None]
-        else:
-            a, b, s = v[:, 0::2][first], v[:, 1::2][first], size[first]
-            v = (np.conj(a)[:, None] * v + b[:, None] * j_twin(v)) / s[:, None]
-            # columns v_0, twin_0, v_1, twin_1, ...
-            v, r = np.stack([v, j_twin(v)], axis=1), 2 * r
-    return np.swapaxes(v.reshape(n, r, v.shape[-1]), 1, 2), ok
+        v, r = np.stack([v, j_twin(v)], axis=1), 2 * r
+    return np.swapaxes(v.reshape(n, r, v.shape[-1]), 1, 2)
 
 
 def _frame_rows(alg: AlgebraDescriptor, frame) -> np.ndarray:
@@ -363,13 +357,12 @@ def _transporter_rows(alg: AlgebraDescriptor, rows_a: np.ndarray, rows_b: np.nda
     SymmetryError that refuses that pair alone.
 
     Both frames of a pair are checked (`_frame_refusals`, frame a's refusal
-    first).  Matrix families conjugate by U = U_B U_A^dagger built from the
-    distinguished eigenvectors (quaternionic twins for herm_h), one stacked
-    eigh per side; spin uses the Householder reflection of the ball part.
-    Each map is then verified by `_verify_transporter` and keeps its worst
-    frame residual.
+    first).  Matrix families conjugate by U = U_B U_A^dagger, whose columns
+    span the ranges of the frame members (`_range_columns`, quaternionic
+    twins for herm_h); spin uses the Householder reflection of the ball
+    part.  Each map is then verified by `_verify_transporter` and keeps its
+    worst frame residual.  The callers refuse herm_o (`_transportable`).
     """
-    _transportable(alg)
     n = len(rows_a)
     both = _frame_refusals(alg, np.concatenate([rows_a, rows_b]), FRAME_TOL)
     refusals = [ra or rb for ra, rb in zip(both[:n], both[n:])]
@@ -385,11 +378,7 @@ def _transporter_rows(alg: AlgebraDescriptor, rows_a: np.ndarray, rows_b: np.nda
         maps = np.tile(np.eye(alg.dim), (len(live), 1, 1))
         maps[:, :m, :m] -= 2.0 * d[:, :, None] * d[:, None, :]
     else:
-        ua, ok_a = _distinguished_columns(alg, ra)
-        ub, ok_b = _distinguished_columns(alg, rb)
-        ok = ok_a & ok_b
-        live, ra, rb = _refused(refusals, live, ok, "zero eigenvector"), ra[ok], rb[ok]
-        u = ub[ok] @ np.conj(np.swapaxes(ua[ok], 1, 2))
+        u = _range_columns(alg, rb) @ np.conj(np.swapaxes(_range_columns(alg, ra), 1, 2))
         # column i is the coefficient vector of U B_i U^H, B_i the i-th basis member
         basis, dual, shape = _matrix_basis(alg)
         images = u[:, None] @ basis.reshape((alg.dim,) + shape) @ np.conj(np.swapaxes(u, 1, 2))[:, None]
@@ -454,22 +443,23 @@ def _verify_transporter(alg: AlgebraDescriptor, maps, rows_a, rows_b) -> tuple:
 def _extended_rows(alg: AlgebraDescriptor, partial: np.ndarray, ks) -> np.ndarray:
     """Complete partial frames to Jordan frames (n, r, dim): row i of the
     stack partial (n, j, dim) keeps its first ks[i] members, followed by the
-    members of eigenvalue above 1/2 in the frame of the remainder, e minus
-    their sum (one stacked decomposition).  Refuses the stack if a kept
-    member is not primitive, or a completed frame is not a Jordan frame
-    within LOOSE_FRAME_TOL; each check reports the first row that fails it."""
-    kept = np.arange(partial.shape[1]) < np.asarray(ks)[:, None]
+    r - ks[i] primitives `_peel` splits the remainder, e minus their sum,
+    into (one call per distinct ks[i]), so the completion is a function of
+    the kept members alone.  Refuses the stack if a kept member is not
+    primitive, a row keeps more than r members, or a completed frame is not
+    a Jordan frame within LOOSE_FRAME_TOL; each check reports the first row
+    that fails it."""
+    ks = np.asarray(ks)
+    kept = np.arange(partial.shape[1]) < ks[:, None]
     if kept.any() and not primitive_rows(alg, partial[kept], FRAME_TOL).all():
         raise SymmetryError("partial frame element is not primitive")
-    rest = unit(alg).coeffs - (partial * kept[:, :, None]).sum(axis=1)
-    dec = spectral_decompose_rows(alg, rest)
-    frames = [
-        np.concatenate([partial[i, :k], dec.frames[i][dec.eigenvalues[i] > 0.5]])
-        for i, k in enumerate(kept.sum(axis=1).tolist())
-    ]
-    if any(len(frame) != alg.rank for frame in frames):
+    if (ks > alg.rank).any():
         raise SymmetryError("frame length differs from the rank")
-    frames = np.array(frames).reshape(len(frames), alg.rank, alg.dim)
+    rest = unit(alg).coeffs - (partial * kept[:, :, None]).sum(axis=1)
+    frames = np.empty((len(ks), alg.rank, alg.dim))
+    for k in set(ks.tolist()):
+        at = ks == k
+        frames[at] = np.concatenate([partial[at, :k], _peel(alg, rest[at], alg.rank - k)], axis=1)
     refusal = next(filter(None, _frame_refusals(alg, frames, LOOSE_FRAME_TOL)), None)
     if refusal is not None:
         raise SymmetryError(refusal)

@@ -67,7 +67,7 @@ from jordan_spectra.geometry import (
     simplex,
     square,
 )
-from jordan_spectra import automorphisms, geometry, operational, symmetry
+from jordan_spectra import automorphisms, geometry, operational, spectral, symmetry
 from jordan_spectra.automorphisms import group_generators, orbit_tree
 from jordan_spectra.operational import (
     enumerate_frames,
@@ -755,22 +755,23 @@ def test_transporter_rejects_octonions_and_non_frames():
 TRANSPORTED = [("sym_r", 5), ("herm_c", 4), ("herm_h", 3), ("spin", 10)]
 
 
-@pytest.mark.parametrize("family,param", TRANSPORTED[:3])
-def test_one_transporter_makes_one_eigh_per_frame(monkeypatch, family, param):
+@pytest.mark.parametrize("family,param", TRANSPORTED)
+def test_transporters_and_extensions_call_no_eigensolver(monkeypatch, family, param):
+    # the ranges are read off the idempotents and a remainder is split by
+    # compressions: neither decomposes an element (the cone check of the
+    # verification keeps its eigenvalue call)
     alg = AlgebraDescriptor(family, param)
     fa = tuple(random_jordan_frame(alg, 11))
     fb = tuple(random_jordan_frame(alg, 22))
-    calls = []
-    eigh = np.linalg.eigh
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
 
-    monkeypatch.setattr(symmetry.np.linalg, "eigh", counted)
-    jordan_frame_transporter(alg, fa, fb)
-    assert len(calls) == 2, calls
-    assert all(shape[0] == alg.rank for shape in calls), calls
+    monkeypatch.setattr(symmetry.np.linalg, "eigh", refuse)
+    monkeypatch.setattr(spectral, "spectral_decompose_rows", refuse)
+    assert jordan_frame_transporter(alg, fa, fb).residual <= 1e-8
+    for k in (0, 1):
+        assert len(extend_to_maximal_frame(alg, fa[:k])) == alg.rank
 
 
 @pytest.mark.parametrize("family,param", TRANSPORTED)
@@ -919,6 +920,46 @@ def test_extend_to_maximal_frame():
     for c in frame[1:]:
         total = total + c
     assert norm(total - unit(alg)) <= 1e-9
+
+
+@pytest.mark.parametrize("family,param", [("sym_r", 3), ("herm_c", 3), ("herm_h", 3)])
+def test_extension_is_a_function_of_the_partial_frame(family, param):
+    # the remainder e - c_1 has the repeated eigenvalue 1, so its split
+    # must not follow an eigensolver's rounding-dependent basis of it
+    alg = AlgebraDescriptor(family, param)
+    fa = tuple(random_jordan_frame(alg, 11))
+    frame = extend_to_maximal_frame(alg, fa[:1])
+    rng = np.random.default_rng(33)
+    for _ in range(4):
+        nudged = EjaElement(alg, fa[0].coeffs * (1.0 + 1e-15 * rng.standard_normal(alg.dim)))
+        again = extend_to_maximal_frame(alg, (nudged,))
+        for c, d in zip(frame[1:], again[1:]):
+            assert np.max(np.abs(c.coeffs - d.coeffs)) <= 1e-12
+
+
+@pytest.mark.parametrize("family,param", TRANSPORTED)
+def test_extension_of_an_empty_or_a_full_frame(family, param):
+    alg = AlgebraDescriptor(family, param)
+    frame = tuple(random_jordan_frame(alg, 11))
+    assert extend_to_maximal_frame(alg, frame) == frame
+    # the unit splits into the diagonal frame (for spin, along the first axis)
+    split = extend_to_maximal_frame(alg, ())
+    assert len(split) == alg.rank
+    for c, d in zip(split, standard_frame(alg)):
+        assert np.max(np.abs(c.coeffs - d.coeffs)) <= 1e-12
+
+
+@pytest.mark.parametrize("family,param", TRANSPORTED[:3])
+def test_transporters_take_frames_noisy_within_the_tolerance(family, param):
+    # frame a idempotent and orthogonal only to about 1e-10, well inside
+    # FRAME_TOL: the transporter must still fix the unit to 1e-9
+    alg = AlgebraDescriptor(family, param)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        fa = random_jordan_frame(alg, rng)
+        fb = random_jordan_frame(alg, rng)
+        noisy = [EjaElement(alg, c.coeffs + 1e-10 * rng.standard_normal(alg.dim)) for c in fa]
+        assert jordan_frame_transporter(alg, noisy, fb).residual <= 1e-8
 
 
 @pytest.mark.parametrize(
