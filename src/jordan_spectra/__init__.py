@@ -4,19 +4,20 @@ The layers, bottom up: scalars/exactla/exactlp hold the exact rational and
 Q(sqrt 5) arithmetic, with one fraction-free (Bareiss) elimination kernel
 in exactla that the exact feasibility simplex of exactlp pivots with;
 hypercomplex, algebra, and spectral implement the five simple algebra
-families and their spectral decompositions; geometry, operational, and
-symmetry treat convex bodies as state spaces with frames, faces,
-automorphisms, and transporters; classification ties the families to the
+families, their spectral decompositions, and the Jordan frames and
+transporters; geometry, automorphisms, operational, and symmetry treat
+polytopes as state spaces with frames, faces, automorphisms, strong
+symmetry and regularity; classification ties the families to the
 symmetric-space tables and bundles the theorem-verification batteries; cli
 exposes it all as JSON-emitting subcommands.
 
-The float side (hypercomplex, algebra, spectral, symmetry) needs numpy;
-the exact side (everything else, this module included) imports none of it
-at module level.  Each EJA branch of an exact module imports the float
-side where it dispatches to it, so polytope work (spectrality, frames,
-plot data, rechecks, table rows) never loads numpy, and the package's
-exports resolve on first use, each from its own module.  The float side
-loads as one unit: importing spectral also imports symmetry.
+The float side (hypercomplex, algebra, spectral) needs numpy; the exact
+side (everything else, this module included) imports none of it at module
+level.  Each EJA branch of an exact module imports the float side where it
+dispatches to it, so polytope work (spectrality, strong symmetry,
+regularity, frames, sections, plot data, rechecks, table rows) never loads
+numpy, and the package's exports resolve on first use, each from its own
+module.
 """
 
 import importlib
@@ -97,21 +98,21 @@ _EXPORTS = {
     "scalars": ("SQRT5", "Sqrt5", "format_scalar", "parse_scalar"),
     "spectral": (
         "SpectralDecomposition",
+        "UnsupportedFamily",
         "eigenvalues",
+        "extend_to_maximal_frame",
+        "jordan_frame_transporter",
         "random_state",
         "spectral_decompose",
+        "verify_strong_symmetry_eja",
     ),
     "symmetry": (
         "StrongSymmetryReport",
         "SymmetryError",
-        "UnsupportedFamily",
         "automorphism_group",
-        "extend_to_maximal_frame",
         "frame_flag_bijection",
         "is_regular",
         "is_strongly_symmetric",
-        "jordan_frame_transporter",
-        "verify_strong_symmetry_eja",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .automorphisms import group_generators, orbit_tree
+from .automorphisms import SymmetryError, group_generators, orbit_tree
 from .exactla import affine_basis_indices
 from .geometry import (
     VERTEX_CAP,
@@ -53,7 +53,7 @@ from .geometry import (
     square,
 )
 from .operational import is_spectral, recheck_counterexample
-from .scalars import format_scalar
+from .symmetry import frame_flag_bijection, is_regular, is_strongly_symmetric
 
 TABLES_ENV = "JORDAN_SPECTRA_TABLES"
 
@@ -358,25 +358,18 @@ class FrSection:
     polytope: Polytope
 
 
+# One diagonal frame per algebra, as `algebra.unit` keeps one unit (and with
+# the same bound): the split costs 0.1 ms, and each EJA battery and section
+# asks for it.
+@lru_cache(maxsize=16)
 def standard_frame(alg: AlgebraDescriptor) -> tuple:
-    """The diagonal Jordan frame; its sum is the unit exactly."""
-    import numpy as np
+    """The diagonal Jordan frame, the unit split by `spectral._peel`; its
+    sum is the unit exactly.  Its members are immutable, so one frame per
+    algebra serves every caller."""
+    from .algebra import EjaElement, unit
+    from .spectral import _peel
 
-    from .algebra import EjaElement
-
-    if alg.family == "spin":
-        up = np.zeros(alg.dim)
-        up[0] = 0.5
-        up[-1] = 0.5
-        down = -up
-        down[-1] = 0.5
-        return (EjaElement(alg, up), EjaElement(alg, down))
-    out = []
-    for i in range(alg.rank):
-        c = np.zeros(alg.dim)
-        c[i] = 1.0  # diagonal basis members come first
-        out.append(EjaElement(alg, c))
-    return tuple(out)
+    return tuple(EjaElement(alg, row) for row in _peel(alg, unit(alg).coeffs[None], alg.rank)[0])
 
 
 def _coerce_descriptor(body):
@@ -392,7 +385,7 @@ def fr_section(body, frame=None, cap: int = VERTEX_CAP) -> FrSection:
     """Section through a maximal frame (EJA/ball) or flag barycenters (polytope)."""
     desc = _coerce_descriptor(body)
     if desc is not None:
-        from .symmetry import _check_jordan_frame
+        from .spectral import _check_jordan_frame
 
         chosen = tuple(frame) if frame is not None else standard_frame(desc)
         _check_jordan_frame(desc, chosen)
@@ -405,8 +398,6 @@ def fr_section(body, frame=None, cap: int = VERTEX_CAP) -> FrSection:
         return FrSection("ball", (e1, minus), polytope([e1, minus]))
     if not isinstance(body, Polytope):
         raise ClassificationError("unsupported body %r" % (body,))
-    from .symmetry import is_strongly_symmetric
-
     report = is_strongly_symmetric(body, cap)
     verdict = is_spectral(body, cap)
     if not (report.strongly_symmetric and verdict.spectral is True):
@@ -500,6 +491,11 @@ def _check(name, status, residual=0.0, tolerance=None, detail=None) -> dict:
     return out
 
 
+def _passed(name, ok, detail=None) -> dict:
+    """A yes/no check: residual 0 when it passes, 1 when it fails."""
+    return _check(name, "pass" if ok else "fail", 0.0 if ok else 1.0, detail=detail)
+
+
 def _bounded(name, residual, bound, detail=None) -> dict:
     """A check that passes iff its residual is within its bound; NaN fails."""
     return _check(name, "pass" if residual <= bound else "fail", residual, bound, detail)
@@ -509,8 +505,12 @@ def _eja_battery(desc: AlgebraDescriptor, trials: int, seed: int) -> list:
     import numpy as np
 
     from .algebra import gram_rows, norm, norm_rows, unit
-    from .spectral import random_element, spectral_decompose_rows
-    from .symmetry import TRANSPORTER_TOL, verify_strong_symmetry_eja
+    from .spectral import (
+        TRANSPORTER_TOL,
+        random_element,
+        spectral_decompose_rows,
+        verify_strong_symmetry_eja,
+    )
 
     u = unit(desc)
     r = desc.rank
@@ -546,12 +546,7 @@ def _eja_battery(desc: AlgebraDescriptor, trials: int, seed: int) -> list:
     table_rank = eval_formula(fam["rank"], {"m": var, "n": var})
     rank_ok = rank_consistent and table_rank == r
     checks.append(
-        _check(
-            "rank",
-            "pass" if rank_ok else "fail",
-            0.0 if rank_ok else 1.0,
-            detail="table rank %d, descriptor rank %d" % (table_rank, r),
-        )
+        _passed("rank", rank_ok, "table rank %d, descriptor rank %d" % (table_rank, r))
     )
 
     section = fr_section(desc)
@@ -604,8 +599,6 @@ def _eja_battery(desc: AlgebraDescriptor, trials: int, seed: int) -> list:
 
 
 def _simplex_battery(n: int, trials: int, seed: int) -> list:
-    from .symmetry import frame_flag_bijection, is_regular, is_strongly_symmetric
-
     body = simplex(n)
     checks = []
 
@@ -615,50 +608,24 @@ def _simplex_battery(n: int, trials: int, seed: int) -> list:
         and verdict.covering_frame is not None
         and sorted(verdict.covering_frame) == list(range(n + 1))
     )
-    checks.append(
-        _check(
-            "spectral",
-            "pass" if covered else "fail",
-            0.0 if covered else 1.0,
-            detail="vertices covered by one maximal frame",
-        )
-    )
+    checks.append(_passed("spectral", covered, "vertices covered by one maximal frame"))
 
     # the verdict counts k! ordered frames per frame subset, up to the rank
     counts_ok = dict(verdict.frames_by_k) == {
         k: math.perm(n + 1, k) for k in range(1, n + 2)
     }
-    checks.append(
-        _check(
-            "frames_are_ordered_subsets",
-            "pass" if counts_ok else "fail",
-            0.0 if counts_ok else 1.0,
-        )
-    )
+    checks.append(_passed("frames_are_ordered_subsets", counts_ok))
 
     report = is_strongly_symmetric(body)
     checks.append(
-        _check(
-            "strong_symmetry",
-            "pass" if report.strongly_symmetric else "fail",
-            0.0 if report.strongly_symmetric else 1.0,
-            detail="group order %d" % report.group_order,
-        )
+        _passed("strong_symmetry", report.strongly_symmetric, "group order %d" % report.group_order)
     )
-    regular = is_regular(body)
-    checks.append(
-        _check("regularity", "pass" if regular else "fail", 0.0 if regular else 1.0)
-    )
+    checks.append(_passed("regularity", is_regular(body)))
 
     bij = frame_flag_bijection(body)
     bij_ok = bij.bijective and bij.frames == bij.flags
     checks.append(
-        _check(
-            "frame_flag_bijection",
-            "pass" if bij_ok else "fail",
-            0.0 if bij_ok else 1.0,
-            detail="%d frames, %d flags" % (bij.frames, bij.flags),
-        )
+        _passed("frame_flag_bijection", bij_ok, "%d frames, %d flags" % (bij.frames, bij.flags))
     )
 
     # g(v0) takes each orbit point |G_v0| times, so the group average of
@@ -671,11 +638,10 @@ def _simplex_battery(n: int, trials: int, seed: int) -> list:
     avg = tuple(a / len(orbit) for a in avg)
     bary_ok = avg == tuple(barycenter(body))
     checks.append(
-        _check(
+        _passed(
             "barycenter_invariance",
-            "pass" if bary_ok else "fail",
-            0.0 if bary_ok else 1.0,
-            detail="group average of a vertex orbit equals the barycenter exactly",
+            bary_ok,
+            "group average of a vertex orbit equals the barycenter exactly",
         )
     )
 
@@ -683,12 +649,7 @@ def _simplex_battery(n: int, trials: int, seed: int) -> list:
     sec_ok = section.polytope.vertices == body.vertices
     sample = section_sample_check(section, samples=max(200, 10 * trials), seed=seed)
     checks.append(
-        _check(
-            "fr_polytope",
-            "pass" if sec_ok and sample["pass"] else "fail",
-            0.0 if sec_ok and sample["pass"] else 1.0,
-            detail="section is the body itself",
-        )
+        _passed("fr_polytope", sec_ok and sample["pass"], "section is the body itself")
     )
     return checks
 
@@ -744,8 +705,6 @@ def verify_converse_on_polytopes(catalog=None, cap: int = VERTEX_CAP) -> dict:
     same-size frames for broken strong symmetry, and a rechecked interior
     counterexample point for broken spectrality.
     """
-    from .symmetry import SymmetryError, is_strongly_symmetric
-
     if catalog is None:
         catalog = default_converse_catalog()
     bodies = []
@@ -777,12 +736,10 @@ def verify_converse_on_polytopes(catalog=None, cap: int = VERTEX_CAP) -> dict:
         if is_simplex:
             witness["covering_frame"] = list(verdict.covering_frame)
         if not report.strongly_symmetric:
-            k, fa, fb = report.witness_pair
-            witness["orbit_pair"] = {"k": k, "frames": [list(fa), list(fb)]}
+            witness["orbit_pair"] = report.to_dict()["witness_pair"]
         if not spectral:
-            point = verdict.counterexample
-            witness["counterexample"] = [format_scalar(c) for c in point]
-            witness["recheck"] = recheck_counterexample(body, point, cap)
+            witness["counterexample"] = verdict.to_dict()["counterexample"]
+            witness["recheck"] = recheck_counterexample(body, verdict.counterexample, cap)
         entry["witness"] = witness
         if not entry["matches"]:
             equivalence = False

@@ -170,13 +170,15 @@ def check(positional, prop, input_path, eja, m, n, seed, trials, cap, out):
             doc.update(verdict.to_dict())
             _finish(doc, out, 0 if verdict.spectral is True else 1)
         elif prop == "strong-symmetry":
-            from .symmetry import is_strongly_symmetric, verify_strong_symmetry_eja
-
             if isinstance(body, Polytope):
+                from .symmetry import is_strongly_symmetric
+
                 report = is_strongly_symmetric(body, cap)
                 doc.update(report.to_dict())
                 _finish(doc, out, 0 if report.strongly_symmetric else 1)
             elif isinstance(body, EjaStateSpace):
+                from .spectral import verify_strong_symmetry_eja
+
                 rep = verify_strong_symmetry_eja(
                     body.descriptor, trials=trials, seed=seed
                 )

@@ -361,6 +361,7 @@ _NUMPY_PROBE = (
 
 def test_exact_commands_never_import_numpy(tmp_path, cli_env):
     square_path = write_json(tmp_path, "square.json", {"type": "named", "name": "square"})
+    simplex_path = write_json(tmp_path, "simplex.json", {"type": "named", "name": "simplex", "n": 2})
 
     def run(*args):
         proc = subprocess.run(
@@ -376,10 +377,19 @@ def test_exact_commands_never_import_numpy(tmp_path, cli_env):
     assert check.returncode == 1  # refuted, with a counterexample
     witness = tmp_path / "witness.json"
     witness.write_bytes(check.stdout)
+    check = run("check", square_path, "--property", "strong-symmetry")
+    assert check.returncode == 1  # refuted, with an orbit pair
+    pair = tmp_path / "pair.json"
+    pair.write_bytes(check.stdout)
     for args in (
         ("frames", square_path, "--k", "2"),
         ("plot-data", square_path),
         ("recheck", str(witness)),
+        ("recheck", str(pair)),
+        ("check", square_path, "--property", "regular"),
+        ("check", simplex_path, "--property", "strong-symmetry"),
+        ("verify-theorem", "--simplex", "2"),
+        ("fr-polytope", simplex_path),
         ("tables", "--type", "EIV"),
         # these read only an algebra descriptor's dim and rank
         ("tables",),

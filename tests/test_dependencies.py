@@ -1,12 +1,12 @@
 """The package imports nothing beyond the standard library, numpy and click,
-the exact side imports no float code at module level, the package resolves
-its exports lazily in any import order, the face side imports no LP, the
-exact kernel keeps no public routine that only tests reach, one vertex cap
-is the default of every cap, only the functions callers pass a tolerance
-to take one, the per-element product, trace form, eigenvalues and
-idempotent tests are one-row cases of their row functions, both spectral
-entry points share one overflow guard, and the spectral decomposition
-draws no random numbers."""
+the exact side imports no float code at module level, the module-level
+imports form no cycle, the package resolves its exports lazily in any import
+order, the face side imports no LP, the exact kernel keeps no public routine
+that only tests reach, one vertex cap is the default of every cap, only the
+functions callers pass a tolerance to take one, the per-element product,
+trace form, eigenvalues and idempotent tests are one-row cases of their row
+functions, both spectral entry points share one overflow guard, and the
+spectral decomposition draws no random numbers."""
 
 import ast
 import subprocess
@@ -52,10 +52,11 @@ EXACT_MODULES = (
     "geometry",
     "automorphisms",
     "operational",
+    "symmetry",
     "classification",
     "cli",
 )
-FLOAT_MODULES = {"numpy", "hypercomplex", "algebra", "spectral", "symmetry"}
+FLOAT_MODULES = {"numpy", "hypercomplex", "algebra", "spectral"}
 
 
 def _module_level_imports(tree):
@@ -86,12 +87,14 @@ def _module_level_imports(tree):
 
 @pytest.mark.parametrize("module", EXACT_MODULES)
 def test_exact_side_imports_no_float_code_at_module_level(module):
-    # Exact commands (spectrality, frames, plot data, rechecks, table rows)
-    # must start without numpy, so the float side is imported only at the
-    # branch that dispatches to it.  symmetry is float side and keeps its
-    # module-level imports: a function-local import costs about 2 us on
-    # every call (two imports, Python 3.11, 2-core VM), and its per-frame
-    # and per-trial helpers run thousands of times per battery.
+    # Exact commands (spectrality, strong symmetry, regularity, frames,
+    # sections, plot data, rechecks, table rows) must start without numpy,
+    # so the float side is imported only at the branch that dispatches to
+    # it.  The Jordan-frame transporters live in spectral, on the float
+    # side, and keep their module-level imports: a function-local import
+    # costs about 2 us on every call (two imports, Python 3.11, 2-core VM),
+    # and their per-frame and per-trial helpers run thousands of times per
+    # battery.
     package = Path(jordan_spectra.__file__).resolve().parent
     path = package / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -234,8 +237,8 @@ TOLERANCE_PARAMETERS = {
     "spectral._fine_spin_rows",
     "spectral._fine_herm_o_rows",
     "spectral._herm_o_cubic",
-    "symmetry._check_jordan_frame",
-    "symmetry._frame_refusals",
+    "spectral._check_jordan_frame",
+    "spectral._frame_refusals",
 }
 
 
@@ -327,10 +330,43 @@ def test_per_element_functions_are_one_row_wrappers(module, function, rows):
     assert not branches, branches
 
 
-def test_the_float_side_loads_as_one_unit(cli_env):
+def test_module_level_import_graph_is_acyclic():
+    # a module is complete before any module that imports it runs, so no
+    # module depends on the import order of another
+    package = Path(jordan_spectra.__file__).resolve().parent
+    modules = {path.stem: path for path in package.glob("*.py")}
+    graph = {}
+    for name, path in modules.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        graph[name] = {m for _, m in _module_level_imports(tree) if m in modules and m != name}
+    done, cycles = set(), []
+
+    def visit(name, trail):
+        if name in trail:
+            cycles.append(trail[trail.index(name) :] + [name])
+            return
+        if name in done:
+            return
+        for target in sorted(graph[name]):
+            visit(target, trail + [name])
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name, [])
+    assert graph["classification"] and graph["spectral"]
+    assert not cycles, cycles
+
+
+def test_classification_loads_symmetry_without_numpy(cli_env):
     # Code that wraps the loaded modules' functions at one moment (the
-    # benchmark's tracer) must find symmetry loaded with spectral.
-    code = "import sys, jordan_spectra.spectral; assert 'jordan_spectra.symmetry' in sys.modules"
+    # benchmark's tracer) must find the polytope symmetry layer loaded with
+    # the theorem drivers, and neither may need numpy.
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy raises\n"
+        "import jordan_spectra.classification\n"
+        "assert 'jordan_spectra.symmetry' in sys.modules\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env)
     assert proc.returncode == 0, proc.stderr.decode()
 

@@ -76,20 +76,20 @@ from jordan_spectra.operational import (
 )
 from jordan_spectra.scalars import Sqrt5
 from jordan_spectra.spectral import (
+    UnsupportedFamily,
+    extend_to_maximal_frame,
+    jordan_frame_transporter,
     random_element,
     random_jordan_frame,
     spectral_decompose,
+    verify_strong_symmetry_eja,
 )
 from jordan_spectra.symmetry import (
     SymmetryError,
-    UnsupportedFamily,
     automorphism_group,
-    extend_to_maximal_frame,
     frame_flag_bijection,
     is_regular,
     is_strongly_symmetric,
-    jordan_frame_transporter,
-    verify_strong_symmetry_eja,
 )
 
 F = Fraction
@@ -767,7 +767,7 @@ def test_transporters_and_extensions_call_no_eigensolver(monkeypatch, family, pa
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolver called")
 
-    monkeypatch.setattr(symmetry.np.linalg, "eigh", refuse)
+    monkeypatch.setattr(spectral.np.linalg, "eigh", refuse)
     monkeypatch.setattr(spectral, "spectral_decompose_rows", refuse)
     assert jordan_frame_transporter(alg, fa, fb).residual <= 1e-8
     for k in (0, 1):
@@ -781,14 +781,14 @@ def test_transporter_verification_makes_one_eigenvalue_call(monkeypatch, family,
     fb = tuple(random_jordan_frame(alg, 22))
     auto = jordan_frame_transporter(alg, fa, fb)
     calls = []
-    rows = symmetry.eigenvalue_rows
+    rows = spectral.eigenvalue_rows
 
     def counted(alg, x):
         calls.append(len(x))
         return rows(alg, x)
 
-    monkeypatch.setattr(symmetry, "eigenvalue_rows", counted)
-    symmetry._verify_transporter(
+    monkeypatch.setattr(spectral, "eigenvalue_rows", counted)
+    spectral._verify_transporter(
         alg, auto.M[None], np.array([c.coeffs for c in fa])[None], np.array([c.coeffs for c in fb])[None]
     )
     assert calls == [3]
@@ -801,14 +801,14 @@ def test_battery_transports_the_frames_of_the_reference_loop(monkeypatch, family
     alg = AlgebraDescriptor(family, param)
     trials, r = 6, alg.rank
     transported = []
-    transporters = symmetry._transporter_rows
+    transporters = spectral._transporter_rows
 
     def recorded(alg, rows_a, rows_b):
         frames = [[tuple(EjaElement(alg, row) for row in rows) for rows in side] for side in (rows_a, rows_b)]
         transported.extend(zip(*frames))
         return transporters(alg, rows_a, rows_b)
 
-    monkeypatch.setattr(symmetry, "_transporter_rows", recorded)
+    monkeypatch.setattr(spectral, "_transporter_rows", recorded)
     for seed in range(5):
         transported.clear()
         report = verify_strong_symmetry_eja(alg, trials=trials, seed=seed)
@@ -858,9 +858,9 @@ def test_frame_check_refusals_keep_their_messages():
 
 
 def _patched_transporter(monkeypatch, forge):
-    real = symmetry.EjaAutomorphism
+    real = spectral.EjaAutomorphism
     monkeypatch.setattr(
-        symmetry, "EjaAutomorphism", lambda alg, m: real(alg, forge(alg, m))
+        spectral, "EjaAutomorphism", lambda alg, m: real(alg, forge(alg, m))
     )
 
 
