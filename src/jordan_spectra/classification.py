@@ -406,12 +406,9 @@ def fr_section(body, frame=None, cap: int = VERTEX_CAP) -> FrSection:
             "body; got strongly_symmetric=%s spectral=%s"
             % (report.strongly_symmetric, verdict.spectral)
         )
-    flag = sorted(tuple(f.indices for f in fl) for fl in maximal_flags(body, cap))[0]
     basis = []
-    for face in flag:
-        if not face:
-            continue
-        pts = [body.vertices[i] for i in face]
+    for face in maximal_flags(body, cap)[0]:
+        pts = [body.vertices[i] for i in face.indices]
         center = tuple(sum(col) / Fraction(len(pts)) for col in zip(*pts))
         basis.append(center)
     if len(affine_basis_indices(basis)) != body.dim + 1:

@@ -265,8 +265,3 @@ def affine_basis_indices(points):
     p0 = points[0]
     diffs = [[p[k] - p0[k] for p in points[1:]] for k in range(len(p0))]
     return [0] + [c + 1 for c in _eliminate(diffs)[2]]
-
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of the point set."""
-    return len(affine_basis_indices(points)) - 1

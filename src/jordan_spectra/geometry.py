@@ -4,7 +4,9 @@ Polytopes carry exact scalar coordinates (Fraction, or Sqrt5 for bodies
 defined over Q(sqrt 5)) and all face/membership questions are answered
 exactly.  Degenerate polytopes (not full-dimensional in their ambient
 coordinates, e.g. a simplex given as unit vectors) are re-coordinatized to
-their affine hull through an AffineChart before any face computation.
+their affine hull through an AffineChart before any face computation; the
+one elimination that picks the chart's basis also gives every vertex its
+chart coordinates.
 
 Faces need no LP.  Every hyperplane through d affinely independent chart
 vertices is found once, by one elimination, and kept in one table per
@@ -15,10 +17,12 @@ Pfetsch, Comput. Geom. 23, 2002).  Each facet's values at the vertices,
 which its elimination leaves as ring integers, are kept as well: the
 exposing functionals are scaled from their sums, face dims come from the
 lattice's grading, and `operational` reads its facet values from them,
-so the lattice takes no elimination.  A point is a vertex iff the
-normals of the facets through it have rank d, which is how polytope
-validation decides extremality.  Maximal flags and barycenters build on
-the lattice.
+so the lattice takes no elimination.  Every face is an intersection of
+facets (Ziegler, Lectures on Polytopes, 1995, ch. 2), so a point is a
+vertex iff the facets through it meet in that point alone, which is how
+polytope validation decides extremality.  Maximal flags build on the
+lattice, and barycenters on a pulling triangulation over the facets'
+vertex sets.
 """
 
 from __future__ import annotations
@@ -28,14 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .exactla import (
-    _eliminate,
-    _ring_for,
-    affine_basis_indices,
-    affine_rank,
-    determinant,
-    solve_any,
-)
+from .exactla import _eliminate, _ring_for, determinant, solve_any
 from .scalars import Sqrt5, exact, format_scalar
 
 #: The five simple Euclidean Jordan algebra families.  Defined here, on the
@@ -230,14 +227,25 @@ class AffineChart:
         return None if sol is None else tuple(sol)
 
 
-def _affine_chart(points) -> AffineChart:
-    """Chart on the affine hull, with an affine basis of ``points`` as frame."""
-    idx = affine_basis_indices(points)
-    origin = tuple(points[idx[0]])
-    basis = tuple(
-        tuple(a - b for a, b in zip(points[i], origin)) for i in idx[1:]
+def _affine_chart(points):
+    """(chart, coordinates): a chart on the affine hull, with an affine basis
+    of ``points`` as frame, and the chart coordinates of every point.
+
+    One elimination of the difference vectors p_i - p_0 taken as columns,
+    p_0's zero column included: its pivot columns are the basis (a column
+    is a pivot exactly when it is independent of the columns before it, as
+    in ``affine_basis_indices``), and column i of the reduced form T / d
+    holds the coordinates of point i in that basis.
+    """
+    origin = tuple(points[0])
+    diffs = [[p[k] - x for p in points] for k, x in enumerate(origin)]
+    ring, T, pivots, d, _ = _eliminate(diffs)
+    basis = tuple(tuple(row[j] for row in diffs) for j in pivots)
+    coordinates = tuple(
+        tuple(ring.quotient(T[r][i], d) for r in range(len(pivots)))
+        for i in range(len(points))
     )
-    return AffineChart(origin=origin, basis=basis)
+    return AffineChart(origin=origin, basis=basis), coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +301,14 @@ def _analysis(poly: Polytope) -> _Analysis:
     hyperplanes are found once per accepted body, and an equal body is
     accepted again from the cache.
     """
-    ch = _affine_chart(list(poly.vertices))
-    cv = tuple(ch.to_chart(v) for v in poly.vertices)
+    ch, cv = _affine_chart(poly.vertices)
     values = {}
     hyperplanes = _vertex_hyperplanes(cv, values)
     facets = _facets(hyperplanes)
-    if len(cv) > 1:  # a lone point is its own vertex
-        for i in range(len(cv)):
-            normals = [g for face, (g, _) in facets.items() if i in face]
-            if len(_eliminate(normals)[2]) < ch.dim:
-                raise GeometryError(f"vertex {i} is not extremal")
+    every = set(range(len(cv)))
+    for i in range(len(cv)):
+        if every.intersection(*(on for on in facets if i in on)) != {i}:
+            raise GeometryError(f"vertex {i} is not extremal")
     return _Analysis(
         chart=ch,
         chart_vertices=cv,
@@ -574,34 +580,32 @@ def membership(body, point) -> str:
 # barycenter
 
 
-def _triangulate(points):
-    """Partition a full-dimensional convex hull into simplices, exactly:
-    the cone from the first point over each facet that misses it, the
-    facets triangulated in turn (a polygon's facets are edges)."""
-    d = affine_rank(points)
-    if len(points) == d + 1:
-        return [tuple(tuple(p) for p in points)]
-    if len(points[0]) > d:
-        # planar-but-embedded point set: work in a local chart, lift back
-        local_chart = _affine_chart(points)
-        local = [local_chart.to_chart(p) for p in points]
-        return [
-            tuple(local_chart.to_ambient(q) for q in s)
-            for s in _triangulate(local)
-        ]
-    if d == 1:
-        raise GeometryError("segment with interior vertices cannot occur")
-    apex = tuple(points[0])
-    simplices = []
-    for on in _facets(_vertex_hyperplanes(points)):
-        if 0 not in on:
-            for s in _triangulate([points[i] for i in sorted(on)]):
-                simplices.append((apex,) + tuple(s))
-    return simplices
+def _pulling(face, facets):
+    """The pulling triangulation of ``face``, a vertex set, as tuples of
+    vertex indices: the cone from its least vertex over each facet of the
+    face that misses it, those facets triangulated in turn.  The facets of
+    a face are the inclusion-largest of its proper intersections with the
+    body's ``facets``."""
+    if len(face) == 1:
+        return [tuple(face)]
+    meets = {face & on for on in facets} - {face}
+    apex = min(face)
+    return [
+        (apex,) + simplex
+        for sub in meets
+        if apex not in sub and not any(sub < other for other in meets)
+        for simplex in _pulling(sub, facets)
+    ]
 
 
 def barycenter(body):
-    """Affine-covariant centroid: exact for polytopes, e/rank for EJA."""
+    """Affine-covariant centroid: exact for polytopes, e/rank for EJA.
+
+    A polytope's is the volume-weighted mean of the centroids of the
+    simplices of its pulling triangulation over the record's facets.  Each
+    simplex has positive volume, since each apex lies off the facet it
+    cones over, so no weight is zero and neither is their sum.
+    """
     if isinstance(body, Ball):
         return tuple(Fraction(0) for _ in range(body.n))
     if isinstance(body, EjaStateSpace):
@@ -610,28 +614,25 @@ def barycenter(body):
         return unit(body.descriptor) * (1.0 / body.descriptor.rank)
     if not isinstance(body, Polytope):
         raise GeometryError(f"unknown body {type(body).__name__}")
-    ch = chart(body)
+    rec = _analysis(body)
+    ch, cv = rec.chart, rec.chart_vertices
     if ch.dim == 0:
         return body.vertices[0]
-    cv = list(chart_vertices(body))
     total_w = 0
     accum = [0] * ch.dim
-    for simplex in _triangulate(cv):
-        base = simplex[0]
-        rows = [[p[i] - base[i] for i in range(ch.dim)] for p in simplex[1:]]
+    for simplex in _pulling(frozenset(range(len(cv))), rec.facets):
+        points = [cv[i] for i in simplex]
+        base = points[0]
+        rows = [[p[i] - base[i] for i in range(ch.dim)] for p in points[1:]]
         w = determinant(rows)
         if w < 0:
             w = -w
-        if w == 0:
-            continue
         cent = [
-            sum(p[i] for p in simplex) * Fraction(1, len(simplex))
+            sum(p[i] for p in points) * Fraction(1, len(points))
             for i in range(ch.dim)
         ]
         accum = [a + w * c for a, c in zip(accum, cent)]
         total_w = total_w + w
-    if total_w == 0:
-        raise GeometryError("degenerate triangulation")
     inv = 1 / total_w
     return ch.to_ambient([a * inv for a in accum])
 

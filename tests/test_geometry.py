@@ -28,7 +28,6 @@ from jordan_spectra.algebra import EjaElement, unit
 from jordan_spectra.exactla import (
     _eliminate,
     affine_basis_indices,
-    affine_rank,
     mat_vec,
     solve_any,
 )
@@ -148,7 +147,8 @@ def oracle_faces(poly):
     for r in range(1, len(cv) + 1):
         for subset in itertools.combinations(range(len(cv)), r):
             if oracle_exposes(cv, set(subset)):
-                out.append((subset, affine_rank([cv[i] for i in subset])))
+                dim = len(affine_basis_indices([cv[i] for i in subset])) - 1
+                out.append((subset, dim))
     return sorted(out, key=lambda f: (len(f[0]), f[0]))
 
 
@@ -157,7 +157,7 @@ def oracle_refused_vertex(points):
     if len(points) == 1:
         return None
     exact_points = [tuple(map(F, p)) for p in points]
-    ch = geometry._affine_chart(exact_points)
+    ch, _ = geometry._affine_chart(exact_points)
     cv = [ch.to_chart(p) for p in exact_points]
     return next((i for i in range(len(cv)) if not oracle_exposes(cv, {i})), None)
 
@@ -199,6 +199,7 @@ def test_faces_match_the_lp_oracle_on_catalog_images(name, body):
 @example(points=[(1, 1), (-1, 1), (-1, -1), (1, -1), (0, 0)])  # interior point
 @example(points=[(0, 0), (1, 0), (2, 0)])  # on an edge, before its end
 @example(points=[(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)])  # in a facet
+@example(points=[(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 0, 0)])  # in an edge
 @example(points=[(0, 0, 0), (1, 1, 1), (2, 2, 2), (-1, 0, 1)])  # degenerate hull
 def test_extremality_matches_caratheodory_oracle(points):
     first = next((i for i in range(len(points)) if in_hull_of_others(points, i)), None)
@@ -273,6 +274,27 @@ def test_barycenter_ball_and_eja():
     b = barycenter(st)
     e = unit(st.descriptor)
     assert np.allclose(b.coeffs, e.coeffs / 3.0, atol=1e-15)
+
+
+def test_barycenter_reads_the_record_not_a_table(monkeypatch):
+    # a square pyramid with an off-centre apex: base centroid (1, 1, 0)
+    # plus a quarter of (apex - base centroid); and the same pyramid
+    # embedded in R^4, where the chart is not the ambient space
+    apex_base = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (2, 0, 4)]
+    pyramid = polytope(apex_base)
+    embedded = polytope([p + (0,) for p in apex_base])
+    # the 24-cell lies past the cap, and barycenter takes none
+    centred = [four_cube(), twenty_four_cell()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("barycenter rebuilt a table or solved for a chart")
+
+    monkeypatch.setattr(geometry, "_vertex_hyperplanes", refuse)
+    monkeypatch.setattr(geometry, "solve_any", refuse)
+    assert barycenter(pyramid) == (F(5, 4), F(3, 4), F(1))
+    assert barycenter(embedded) == (F(5, 4), F(3, 4), F(1), F(0))
+    for body in centred:
+        assert barycenter(body) == (0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +377,19 @@ def _count_calls(monkeypatch, module, name):
 def test_face_lattice_solved_once_whatever_the_cap(monkeypatch):
     # a body no other test builds, so its record starts empty
     eliminations = _count_calls(monkeypatch, geometry, "_eliminate")
-    # the kernel as every exactla routine calls it (affine_rank, solve_any)
+    # the kernel as every exactla routine calls it (solve_any, determinant)
     kernel = _count_calls(monkeypatch, exactla, "_eliminate")
     body = polytope([(3, 0), (0, 2), (-3, 1), (-1, -2)])
-    # one hyperplane per vertex pair, then one normal rank per vertex; the
-    # accepted body keeps its facets and their vertex values, so the
-    # lattice needs no elimination, in this module or in exactla
-    assert len(eliminations) == 6 + 4
-    charted = len(kernel)
+    # the chart, coordinates included, then one hyperplane per vertex pair;
+    # extremality is read from the facets' vertex sets.  The accepted body
+    # keeps its facets and their vertex values, so the lattice needs no
+    # elimination, in this module or in exactla
+    assert len(eliminations) == 1 + 6
+    assert len(kernel) == 0
     lat = exposed_faces(body)
     assert exposed_faces(body, 14) is lat
     assert exposed_faces(body, cap=14) is lat
-    assert len(eliminations) == 6 + 4 and len(kernel) == charted
+    assert len(eliminations) == 1 + 6 and len(kernel) == 0
     # the cube's vertex triples span 20 planes: 6 facets and 6 diagonal
     # planes of four vertices each, and 8 corner cuts of three; the first
     # triple on a plane spans it and the others on it are skipped
@@ -484,7 +507,7 @@ def test_graded_faces_are_exact(make, cap, counts):
     sizes = {}
     for indices, dim in faces[1:]:
         # the grading agrees with the affine rank of the face's vertices
-        assert dim == affine_rank([cv[i] for i in indices])
+        assert dim == len(affine_basis_indices([cv[i] for i in indices])) - 1
         sizes[dim] = sizes.get(dim, 0) + 1
     assert sizes == counts
     # every number is exact: a float would come from dividing by an int
