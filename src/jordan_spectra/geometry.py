@@ -180,8 +180,11 @@ def polytope(vertices) -> Polytope:
     if len(set(rows)) != len(rows):
         raise GeometryError("vertices must be pairwise distinct")
     body = Polytope(vertices=rows)
-    _analysis(body)  # validates, unless an equal body was accepted before
-    return body
+    # validates, unless an equal body was accepted before; that body is
+    # handed back, so later look-ups hit its record by identity
+    kept = _analysis(body).body
+    same = all(type(a) is type(b) for u, v in zip(rows, kept.vertices) for a, b in zip(u, v))
+    return kept if same else body
 
 
 def ball(n: int) -> Ball:
@@ -260,14 +263,18 @@ ANALYSIS_CACHE_BODIES = 64
 class _Analysis:
     """Everything derived from one polytope.
 
-    The chart, the table of vertex hyperplanes (``_vertex_hyperplanes`` of
+    The accepted body (which ``polytope()`` hands back for an equal one),
+    the chart, the table of vertex hyperplanes (``_vertex_hyperplanes`` of
     the chart vertices), the facets, its one-signed entries, and
     ``vertex_values[F][w]``, facet F's functional at chart vertex w as an
     element of ``ring`` (the table's elimination kernel ring), are set
     when the record is made; the rest is filled on first use.  ``faces`` is
-    the face lattice.  ``facet_effects`` holds the facets' functionals as
-    ambient effects (``operational._facet_effects``), and
-    ``facet_values[w][F]`` is facet F's effect at vertex w.  ``frames``
+    the face lattice.  ``facet_values[w][F]``, facet F's effect at vertex
+    w, poses the frame LPs; ``facet_table`` (``operational._AmbientFacets``)
+    checks their certificates: each facet effect as a ring-integer row and
+    its values at the ambient vertices, lifted once over one denominator.
+    ``facet_effects`` holds the Fraction effects built from those rows for
+    the certificates handed out.  ``frames``
     maps k to {sorted k-subset: facet multipliers of a distinguishing
     submeasurement, one {facet: lam} per state} over the subsets that are
     frames.  ``generators`` is a strong generating set of the automorphism
@@ -277,6 +284,7 @@ class _Analysis:
     ``_capped_analysis``, which checks the caller's cap on every call.
     """
 
+    body: Polytope
     chart: AffineChart
     chart_vertices: tuple
     hyperplanes: dict
@@ -285,6 +293,7 @@ class _Analysis:
     vertex_values: tuple
     faces: FaceLattice | None = None
     facet_values: tuple | None = None
+    facet_table: object = None
     facet_effects: tuple | None = None
     frames: dict = field(default_factory=dict)
     group: tuple | None = None
@@ -310,6 +319,7 @@ def _analysis(poly: Polytope) -> _Analysis:
         if every.intersection(*(on for on in facets if i in on)) != {i}:
             raise GeometryError(f"vertex {i} is not extremal")
     return _Analysis(
+        body=poly,
         chart=ch,
         chart_vertices=cv,
         hyperplanes=hyperplanes,

@@ -13,7 +13,10 @@ multipliers are moved along the group generators to the rest of the
 orbit.  Each generator is checked against the body's table of facet
 values, once per frame size, and a checked generator carries a valid
 certificate onto a valid one, so moved certificates need no check of
-their own.
+their own.  That table holds the ambient facet effects at the ambient
+vertices in ring integers (Z or Z[sqrt 5], as in ``exactla``), never the
+chart-side values that posed the LP, so each check is integer dot
+products and signs; Fraction effects are built only to be handed out.
 
 A k-frame's states are always affinely independent: applying e_k to an
 affine dependence omega_k = sum_j lam_j omega_j gives 1 = 0.  A
@@ -35,7 +38,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .automorphisms import group_generators, orbit_tree
-from .exactla import _eliminate
+from .exactla import _eliminate, _Integers, _QuadraticIntegers, _ring_for
 from .exactlp import Feasible, linear_program, lp_feasible
 from .geometry import (
     VERTEX_CAP,
@@ -166,20 +169,82 @@ class FrameData:
     certificate: tuple
 
 
+@dataclass(frozen=True)
+class _AmbientFacets:
+    """The facet effects of a polytope in ring integers, one per body.
+
+    ``rows[F]`` = (A_F, B_F): n_F(x) = A_F . x + B_F is a positive multiple
+    of facet F's functional in ambient coordinates.  The vertices are
+    lifted once over a common denominator, v_w = V_w / q (``scale``), and
+    ``table[w][F]`` = A_F . V_w + B_F q = q n_F(v_w).  With ``totals[F]``
+    the sum of facet F's column, the effect of facet F is
+    f_F(x) = q n_F(x) / totals[F], so f_F(v_w) = table[w][F] / totals[F].
+    """
+
+    ring: object
+    rows: tuple
+    scale: object
+    table: tuple
+    totals: tuple
+
+
+def _ambient_facets(poly: Polytope, extra=()) -> _AmbientFacets:
+    """The body's ``_AmbientFacets``, kept on the analysis record; built
+    anew over Z[sqrt 5] when the ``extra`` values (states or multipliers)
+    leave Q on a rational body."""
+    rec = _analysis(poly)
+    if rec.facet_table is None:
+        rec.facet_table = _ambient_facet_effects(poly, rec)
+    if rec.facet_table.ring is _Integers and _ring_for(extra) is not _Integers:
+        return _ambient_facet_effects(poly, rec, _QuadraticIntegers)
+    return rec.facet_table
+
+
+def _ambient_facet_effects(poly, rec, ring=None) -> _AmbientFacets:
+    """The facet rows, read straight off one elimination of [chart basis
+    as rows | facet normals as columns]: with pivot coordinates P, the
+    chart functional g.y + c is (E g).(x - origin)_P + c in ambient
+    coordinates, and E g is the right-hand block T / d.  Multiplied by q d,
+    n_F(x) = q T_F . x + q d c - T_F . V_0, all ring integers."""
+    ch, facets = rec.chart, list(rec.facets.values())
+    m = len(ch.origin)
+    ring = ring or _ring_for(itertools.chain(*poly.vertices, *(g + (c,) for g, c in facets)))
+    flat, q = ring.lift([x for v in poly.vertices for x in v])
+    V = [flat[w : w + m] for w in range(0, len(flat), m)]
+    lifted = [ring.lift(list(ch.basis[r]) + [g[r] for g, _ in facets])[0] for r in range(ch.dim)]
+    _, T, pivots, d, _ = _eliminate(lifted, ring)
+    rows = []
+    for f, (_, c) in enumerate(facets):
+        A = [ring.zero] * m
+        for r, p in enumerate(pivots):
+            A[p] = T[r][m + f]
+        qdc = ring.mul(ring.mul(q, d), ring.lift([c])[0][0])
+        rows.append((tuple(ring.mul(q, a) for a in A), ring.sub(qdc, ring.dot(A, V[0]))))
+    table = tuple(tuple(ring.add(ring.dot(A, v), ring.mul(B, q)) for A, B in rows) for v in V)
+    totals = tuple(functools.reduce(ring.add, col) for col in zip(*table))
+    return _AmbientFacets(ring, tuple(rows), q, table, totals)
+
+
 def _facet_effects(poly: Polytope) -> tuple:
-    """The facet functionals as ambient effects, in record order, each
-    scaled so that its values at the vertices sum to 1.
+    """The facet functionals as ambient effects f_F = q n_F / totals[F], in
+    record order, each scaled so that its values at the vertices sum to 1.
 
     The scale commutes with every automorphism g: the vertex sum is
     invariant under vertex permutations, so f_F o g^-1 = f_gF exactly.
-    The chart functionals g.x + c go to ambient coordinates through one
-    elimination of [chart basis as rows | facet normals as columns]: with
-    pivot coordinates P, x_chart = E^T (x - origin)_P and E g is read off
-    the right-hand block.  Kept on the analysis record.
+    Built from the integer rows of ``_ambient_facets`` for the
+    certificates handed out, and kept on the analysis record.
     """
     rec = _analysis(poly)
     if rec.facet_effects is None:
-        rec.facet_effects = _ambient_facet_effects(poly, rec)
+        amb = _ambient_facets(poly)
+        ring = amb.ring
+        rec.facet_effects = tuple(
+            AffineEffect(
+                tuple(ring.quotient(ring.mul(amb.scale, a), t) for a in A),
+                ring.quotient(ring.mul(amb.scale, B), t),
+            )
+            for (A, B), t in zip(amb.rows, amb.totals)
+        )
     return rec.facet_effects
 
 
@@ -187,7 +252,7 @@ def _facet_values(poly: Polytope) -> tuple:
     """The facet effects at every vertex, values[w][F] = f_F(v_w), kept on
     the analysis record.  Read off the record's vertex values: f_F(v_w) is
     facet F's value at w over its sum at every vertex, one exact quotient
-    in the ring, with no effect evaluated."""
+    in the ring, with no effect evaluated.  They pose the LPs."""
     rec = _analysis(poly)
     if rec.facet_values is None:
         ring = rec.ring
@@ -199,28 +264,6 @@ def _facet_values(poly: Polytope) -> tuple:
             tuple(col[w] for col in columns) for w in range(len(poly.vertices))
         )
     return rec.facet_values
-
-
-def _ambient_facet_effects(poly, rec) -> tuple:
-    ch = rec.chart
-    if not rec.facets:
-        return ()
-    m = len(ch.origin)
-    normals = [g for g, _ in rec.facets.values()]
-    ring, T, pivots, d, _ = _eliminate(
-        [list(ch.basis[r]) + [g[r] for g in normals] for r in range(ch.dim)]
-    )
-    out = []
-    for f, (_, c) in enumerate(rec.facets.values()):
-        coeffs = [0] * m
-        for r, p in enumerate(pivots):
-            coeffs[p] = ring.quotient(T[r][m + f], d)
-        offset = c - sum(a * o for a, o in zip(coeffs, ch.origin))
-        total = sum(sum(a * x for a, x in zip(coeffs, v)) + offset for v in poly.vertices)
-        out.append(
-            AffineEffect(coeffs=tuple(a / total for a in coeffs), offset=offset / total)
-        )
-    return tuple(out)
 
 
 def _supports(at_states):
@@ -288,15 +331,43 @@ def _effect(facet_effects, multipliers) -> AffineEffect:
     return AffineEffect(coeffs=tuple(coeffs), offset=offset)
 
 
-def _check_submeasurement(poly: Polytope, states, effects):
-    """Raise unless e_i(state_j) = delta_ij, each e_i >= 0 and sum e_i <= 1
-    at every vertex, all exactly."""
-    ok = all(
-        e(s) == int(i == j) for i, e in enumerate(effects) for j, s in enumerate(states)
+def _check_submeasurement(poly: Polytope, states, multipliers):
+    """Raise unless the effects e_i = sum_F lam_F f_F, one {facet: lam} per
+    state, satisfy e_i(state_j) = delta_ij, each e_i >= 0 and sum e_i <= 1
+    at every vertex, all exactly.
+
+    A state is a vertex index or an ambient point x = S / p, lifted and
+    evaluated directly.  Each lam_F / totals[F] is lifted to L_F / M over
+    one denominator M > 0, so e_i(v_w) = sum_F L_F table[w][F] / M
+    (``_AmbientFacets``), and every test is a dot product of ring integers
+    and a sign.  Nothing is read from the chart side that posed the LP.
+    """
+    points = [x for s in states if not isinstance(s, int) for x in s]
+    amb = _ambient_facets(poly, points + [x for m in multipliers for x in m.values()])
+    ring, q = amb.ring, amb.scale
+    flat, M = ring.lift(
+        [lam * ring.quotient(ring.one, amb.totals[f]) for m in multipliers for f, lam in m.items()]
     )
-    for v in poly.vertices:
-        values = [e(v) for e in effects]
-        ok = ok and all(x >= 0 for x in values) and sum(values) <= 1
+    lifted = iter(flat)
+    effects = [(list(m), [next(lifted) for _ in m]) for m in multipliers]
+
+    def values(column):
+        return [ring.dot(L, [column[f] for f in fs]) for fs, L in effects]
+
+    ok = True
+    for j, s in enumerate(states):
+        if isinstance(s, int):
+            column, p = amb.table[s], q
+        else:
+            S, p = ring.lift(s)
+            column = [ring.add(ring.dot(A, S), ring.mul(B, p)) for A, B in amb.rows]
+        unit = ring.mul(p, M)  # e_i(S / p) = q sum_F L_F column[F] / (p M)
+        ok = ok and all(
+            ring.mul(q, x) == (unit if i == j else ring.zero) for i, x in enumerate(values(column))
+        )
+    for got in map(values, amb.table):
+        total = functools.reduce(ring.add, got)
+        ok = ok and all(ring.sign(x) >= 0 for x in got) and ring.sign(ring.sub(M, total)) >= 0
     if not ok:
         raise OperationalError("certificate is not a submeasurement on the states")
 
@@ -329,8 +400,8 @@ def distinguishing_measurement(body, states):
             )
             if multipliers is None:
                 return NotDistinguishable(reason="no facet multipliers separate the states")
+            _check_submeasurement(body, states, multipliers)
             sub = tuple(_effect(effects, lam) for lam in multipliers)
-            _check_submeasurement(body, states, sub)
         remainder = unit_effect(body)
         for e in sub:
             remainder = AffineEffect(
@@ -444,8 +515,7 @@ def _find_frame_sets(poly: Polytope, k: int) -> dict:
     values = _facet_values(poly)
     gens = group_generators(poly)
     perms = gens.permutations
-    _check_generators(values, perms, gens.facet_images)
-    effects = _facet_effects(poly)
+    _check_generators(_ambient_facets(poly), perms, gens.facet_images)
     decided = set()
     found = {}
     for rep in itertools.combinations(range(n), k):
@@ -459,8 +529,7 @@ def _find_frame_sets(poly: Polytope, k: int) -> dict:
         if multipliers is None:
             decided.update(image for image, _, _ in tree)
             continue
-        cert = tuple(_effect(effects, lam) for lam in multipliers)
-        _check_submeasurement(poly, [poly.vertices[i] for i in rep], cert)
+        _check_submeasurement(poly, rep, multipliers)
         by_state = {rep: dict(zip(rep, multipliers))}
         found[rep] = tuple(multipliers)
         for image, parent, g in tree:
@@ -478,14 +547,16 @@ def _move_subset(perm, subset):
     return tuple(sorted(perm[i] for i in subset))
 
 
-def _check_generators(values, perms, facet_images):
-    """Raise unless every generator g carries the facet values along:
-    values[g w][gF] = values[w][F] for all w and F.  Then
+def _check_generators(amb, perms, facet_images):
+    """Raise unless every generator g carries the facet effects along:
+    f_gF(g w) = f_F(w) for all w and F, compared in ring integers as
+    table[g w][gF] totals[F] = table[w][F] totals[gF].  Then
     sum_F lam_F f_gF at g w equals sum_F lam_F f_F at w, exactly."""
+    mul, table, totals = amb.ring.mul, amb.table, amb.totals
     for perm, moved in zip(perms, facet_images):
         if any(
-            values[perm[w]][moved[f]] != x
-            for w, row in enumerate(values)
+            mul(table[perm[w]][moved[f]], totals[f]) != mul(x, totals[moved[f]])
+            for w, row in enumerate(table)
             for f, x in enumerate(row)
         ):
             raise OperationalError(

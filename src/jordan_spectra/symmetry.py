@@ -27,7 +27,7 @@ from .automorphisms import (
     polytope_group,
 )
 from .geometry import VERTEX_CAP, Polytope, _capped_analysis, maximal_flags
-from .operational import _frame_sets, count_frames, enumerate_frames, rank
+from .operational import _frame_sets, count_frames, rank
 
 
 def automorphism_group(poly: Polytope, cap: int = VERTEX_CAP):
@@ -150,7 +150,7 @@ def frame_flag_bijection(fixture, cap: int = VERTEX_CAP) -> FrameFlagReport:
         if len(fixture.vertices) != fixture.dim + 1:
             raise SymmetryError("frame/flag bijection needs a simplex")
         r = rank(fixture, cap)
-        frames = [f.indices for f in enumerate_frames(fixture, r, cap)]
+        frames = [p for s in _frame_sets(fixture, r, cap) for p in itertools.permutations(s)]
         chains = {
             tuple(tuple(sorted(fr[: i + 1])) for i in range(r)) for fr in frames
         }

@@ -13,6 +13,7 @@ pass overall.
 
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from jordan_spectra.classification import (
     ClassificationError,
     FrSection,
     MrTableRow,
+    default_converse_catalog,
     eval_formula,
     fr_polytope,
     fr_section,
@@ -66,6 +68,7 @@ from jordan_spectra.operational import (
     rank,
     recheck_counterexample,
 )
+from jordan_spectra.scalars import Sqrt5
 from jordan_spectra.spectral import eigenvalues, is_primitive_idempotent, random_jordan_frame
 from jordan_spectra.symmetry import (
     automorphism_group,
@@ -466,6 +469,48 @@ def test_simplex_battery_lists_no_group(monkeypatch):
         "frames_are_ordered_subsets",
         "barycenter_invariance",
     }
+
+
+def test_bodies_built_again_hit_their_record_by_identity(monkeypatch):
+    # polytope() hands back the body the analysis cache holds, so the
+    # battery's look-ups compare vertex tuples at most once per body built
+    default_converse_catalog()
+    built, compared = [], []
+    build, equal = geometry.polytope, geometry.Polytope.__eq__
+
+    def counted_build(vertices):
+        built.append(vertices)
+        return build(vertices)
+
+    def counted_equal(self, other):
+        compared.append(self)
+        return equal(self, other)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "polytope", None) is build:
+            monkeypatch.setattr(module, "polytope", counted_build)
+    monkeypatch.setattr(geometry.Polytope, "__eq__", counted_equal)
+    assert verify_main_theorem_if_direction(4)["all_pass"]
+    assert built and len(compared) <= len(built)
+
+
+def test_an_equal_body_is_handed_back_only_with_the_input_types():
+    points = [(3, 0), (0, 5), (-3, 1)]  # a body no other test builds
+    body = polytope(points)
+    again = polytope(points)
+    assert again is body
+    assert again.vertices == tuple(tuple(map(Fraction, p)) for p in points)
+    assert {type(x) for v in again.vertices for x in v} == {Fraction}
+    # equal in value but not in type: the input's own body, same record
+    other = polytope([(Sqrt5(x), Sqrt5(y)) for x, y in points])
+    assert other == body and other is not body
+    assert {type(x) for v in other.vertices for x in v} == {Sqrt5}
+    assert geometry._analysis(other) is geometry._analysis(body)
+    rebuilt = simplex(4)
+    assert rebuilt.vertices == tuple(
+        tuple(Fraction(int(i == j)) for j in range(5)) for i in range(5)
+    )
+    assert {type(x) for v in rebuilt.vertices for x in v} == {Fraction}
 
 
 @pytest.mark.parametrize(

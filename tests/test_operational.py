@@ -91,13 +91,14 @@ from jordan_spectra.operational import (
     unit_effect,
 )
 from jordan_spectra.scalars import PHI, Sqrt5
+from jordan_spectra.symmetry import is_strongly_symmetric
 from jordan_spectra.spectral import (
     is_primitive_idempotent,
     random_jordan_frame,
     random_state,
     spectral_decompose,
 )
-from test_symmetry import brute_force_automorphisms
+from test_symmetry import brute_force_automorphisms, icosahedron
 
 F = Fraction
 C = Sqrt5(F(-1, 2), F(1, 2))  # (sqrt5 - 1) / 2
@@ -454,9 +455,9 @@ def _count_exact_checks(monkeypatch):
     calls = []
     check = operational._check_submeasurement
 
-    def counted(poly, states, effects):
+    def counted(poly, states, multipliers):
         calls.append(tuple(states))
-        return check(poly, states, effects)
+        return check(poly, states, multipliers)
 
     monkeypatch.setattr(operational, "_check_submeasurement", counted)
     return calls
@@ -491,12 +492,14 @@ def test_exact_checks_match_the_frame_orbits_of_the_brute_force_group(monkeypatc
 )
 def test_moved_certificates_pass_the_exact_check(make, k):
     # only orbit representatives are checked when frames are found; every
-    # certificate handed out must still pass the ambient check
+    # moved certificate must still pass the ring check, and every
+    # certificate handed out the ambient Fraction evaluation
     body = make()
-    frames = enumerate_frames(body, k)
-    assert frames
-    for f in frames:
-        operational._check_submeasurement(body, f.states, f.certificate)
+    sets = operational._frame_sets(body, k, geometry.VERTEX_CAP)
+    assert sets
+    for subset, multipliers in sets.items():
+        operational._check_submeasurement(body, subset, multipliers)
+    assert_submeasurements(body, enumerate_frames(body, k))
 
 
 def test_distinguishing_measurement_reads_the_facets_from_the_record(monkeypatch):
@@ -520,6 +523,169 @@ def cross_polytope(d):
     return polytope(
         [tuple(s * int(i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
     )
+
+
+# ---------------------------------------------------------------------------
+# the ring-integer certificate check against an ambient Fraction oracle
+
+
+def oracle_facet_effects(poly):
+    """Each facet's effect from its vertex set alone, in Fraction (or Sqrt5)
+    arithmetic: an ambient affine function zero on the facet and 1 at its
+    least vertex off it (unique on the affine hull), over its vertex sum."""
+    n = len(poly.vertices)
+    out = []
+    for on in geometry._analysis(poly).facets:
+        off = min(set(range(n)) - on)
+        rows = [list(poly.vertices[i]) + [1] for i in sorted(on) + [off]]
+        sol = solve_any(rows, [0] * len(on) + [1])
+        raw = AffineEffect(tuple(sol[:-1]), sol[-1])
+        total = sum(raw(v) for v in poly.vertices)
+        out.append(AffineEffect(tuple(c / total for c in raw.coeffs), raw.offset / total))
+    return out
+
+
+def oracle_verdict(poly, effects, states, multipliers):
+    points = [poly.vertices[s] if isinstance(s, int) else s for s in states]
+
+    def e(i, x):
+        return sum(lam * effects[f](x) for f, lam in multipliers[i].items())
+
+    k = len(points)
+    return (
+        all(e(i, x) == int(i == j) for i in range(k) for j, x in enumerate(points))
+        and all(e(i, v) >= 0 for i in range(k) for v in poly.vertices)
+        and all(sum(e(i, v) for i in range(k)) <= 1 for v in poly.vertices)
+    )
+
+
+def ring_verdict(check, poly, states, multipliers):
+    try:
+        check(poly, states, multipliers)
+    except OperationalError:
+        return False
+    return True
+
+
+def mutated(poly, effects, states, multipliers):
+    """One lam doubled, one lam moved to another facet, two states
+    swapped, and, when a facet holds every state, that facet's effect
+    subtracted from the first one (which leaves e_i(state_j) alone)."""
+    f, lam = next(iter(multipliers[0].items()))
+    doubled = [dict(m) for m in multipliers]
+    doubled[0][f] = 2 * lam
+    moved = [dict(m) for m in multipliers]
+    del moved[0][f]
+    moved[0][next(g for g in range(len(effects)) if g not in multipliers[0])] = lam
+    swapped = (states[1], states[0]) + tuple(states[2:])
+    cases = [(states, doubled), (states, moved), (swapped, multipliers)]
+    points = [poly.vertices[s] if isinstance(s, int) else s for s in states]
+    through = [g for g, e in enumerate(effects) if all(e(x) == 0 for x in points)]
+    if through:
+        negative = [dict(m) for m in multipliers]
+        negative[0][through[0]] = negative[0].get(through[0], 0) - 1
+        cases.append((states, negative))
+    return cases
+
+
+def recorded_checks(monkeypatch):
+    calls = []
+    check = operational._check_submeasurement
+
+    def recorded(poly, states, multipliers):
+        calls.append((tuple(states), multipliers))
+        return check(poly, states, multipliers)
+
+    monkeypatch.setattr(operational, "_check_submeasurement", recorded)
+    return calls, check
+
+
+def assert_ring_check_matches_the_oracle(body, calls, check):
+    effects = oracle_facet_effects(body)
+    for states, multipliers in calls:
+        assert oracle_verdict(body, effects, states, multipliers)
+        assert ring_verdict(check, body, states, multipliers)
+        verdicts = []
+        for case in mutated(body, effects, states, multipliers):
+            verdicts.append(oracle_verdict(body, effects, *case))
+            assert ring_verdict(check, body, *case) == verdicts[-1], (states, case)
+        assert verdicts[2:] == [False] * (len(verdicts) - 2)  # swapped, negative
+
+
+RING_CHECK_BODIES = [
+    pytest.param(lambda body=body: polytope(body.vertices), 12, id=name)
+    for name, body in default_converse_catalog()
+] + [
+    pytest.param(icosahedron, 12, id="icosahedron"),
+    pytest.param(lambda: polytope(list(itertools.product((-1, 1), repeat=4))), 16, id="4-cube"),
+    pytest.param(lambda: cross_polytope(4), 8, id="cross4"),
+]
+
+
+@pytest.mark.parametrize("make,cap", RING_CHECK_BODIES)
+def test_the_ring_check_agrees_with_the_fraction_oracle_on_orbit_representatives(
+    monkeypatch, make, cap
+):
+    geometry._analysis.cache_clear()
+    body = make()
+    calls, check = recorded_checks(monkeypatch)
+    rank(body, cap)
+    if body.dim > 1:
+        assert calls
+    assert_ring_check_matches_the_oracle(body, calls, check)
+
+
+@pytest.mark.parametrize("make", [square, pentagon, cube], ids=["square", "pentagon", "cube"])
+def test_the_ring_check_agrees_with_the_fraction_oracle_on_points(monkeypatch, make):
+    # edge midpoints are states that are no vertices, each paired with a
+    # vertex or another midpoint; the pentagon puts them in Q(sqrt 5)
+    body = make()
+    n = len(body.vertices)
+    mids = [
+        tuple((a + b) / 2 for a, b in zip(body.vertices[i], body.vertices[j]))
+        for i, j in itertools.combinations(range(n), 2)
+        if any(set(face.indices) == {i, j} for face in exposed_faces(body).faces)
+    ]
+    calls, check = recorded_checks(monkeypatch)
+    for x, y in itertools.product(mids, list(body.vertices) + mids):
+        if x == y:
+            continue
+        res = distinguishing_measurement(body, (x, y))
+        if isinstance(res, Measurement):
+            assert is_measurement(body, res.effects)
+    assert len(calls) >= n
+    assert_ring_check_matches_the_oracle(body, calls, check)
+
+
+def test_irrational_states_on_a_rational_body_are_checked_over_sqrt5(monkeypatch):
+    states = ((F(1), C), (F(-1), -C))
+    calls, check = recorded_checks(monkeypatch)
+    res = distinguishing_measurement(square(), states)
+    assert isinstance(res, Measurement) and is_measurement(square(), res.effects)
+    assert [c[0] for c in calls] == [states]
+    assert_ring_check_matches_the_oracle(square(), calls, check)
+
+
+def test_rank_spectrality_and_strong_symmetry_build_no_fraction_effects(monkeypatch):
+    # certificates are checked in ring integers; Fraction effects are built
+    # only where one is handed out
+    geometry._analysis.cache_clear()
+    bodies = [
+        body
+        for _, body in default_converse_catalog()
+        if not any(isinstance(x, Sqrt5) for v in body.vertices for x in v)
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction effect was built")
+
+    monkeypatch.setattr(operational, "_effect", refuse)
+    monkeypatch.setattr(AffineEffect, "__init__", refuse)
+    for body in bodies:
+        rank(body)
+        is_spectral(body)
+        is_strongly_symmetric(body)
+    assert len(bodies) == 9
 
 
 @pytest.mark.parametrize(

@@ -85,6 +85,7 @@ from jordan_spectra.spectral import (
     verify_strong_symmetry_eja,
 )
 from jordan_spectra.symmetry import (
+    FrameFlagReport,
     SymmetryError,
     automorphism_group,
     frame_flag_bijection,
@@ -549,8 +550,8 @@ def test_strong_symmetry_of_a_large_simplex_lists_no_frames(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("strong symmetry listed frames or the group")
 
-    for module in (operational, symmetry):
-        monkeypatch.setattr(module, "enumerate_frames", refuse)
+    # symmetry reaches enumerate_frames only through operational
+    monkeypatch.setattr(operational, "enumerate_frames", refuse)
     for module in (automorphisms, symmetry):
         monkeypatch.setattr(module, "polytope_group", refuse)
     report = is_strongly_symmetric(simplex(8))
@@ -648,6 +649,19 @@ def test_frame_flag_bijection_simplices():
         assert report.frames == count
         assert report.flags == count
         assert report.bijective
+
+
+def test_frame_flag_bijection_orders_the_frame_subsets(monkeypatch):
+    # the ordered r-frames are the orderings of the r-frame subsets: no
+    # certificate is built for them
+    def refuse(*args, **kwargs):
+        raise AssertionError("frame certificates were built")
+
+    monkeypatch.setattr(operational, "enumerate_frames", refuse)
+    monkeypatch.setattr(operational, "_effect", refuse)
+    for n in range(1, 7):
+        count = math.factorial(n + 1)
+        assert frame_flag_bijection(simplex(n)) == FrameFlagReport(count, count, True)
 
 
 def test_frame_flag_bijection_rejects_non_simplex():
