@@ -129,6 +129,8 @@ def eval_formula(expr, params: dict | None = None) -> int:
             return -ev(node.operand)
         if isinstance(node, ast.BinOp):
             left, right = ev(node.left), ev(node.right)
+            if isinstance(node.op, (ast.FloorDiv, ast.Div)) and right == 0:
+                raise ClassificationError("formula %r divides by zero" % (expr,))
             if isinstance(node.op, ast.Add):
                 return left + right
             if isinstance(node.op, ast.Sub):

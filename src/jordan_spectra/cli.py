@@ -128,7 +128,7 @@ def decompose(input_path, eja, m, n, seed, tol, out):
             desc = AlgebraDescriptor.from_dict(doc["algebra"])
             x = EjaElement(desc, [float(c) for c in doc["coeffs"]])
             source = {"kind": "file", "path": input_path}
-        dec = spectral_decompose(x, tol=max(tol, 1e-12))
+        dec = spectral_decompose(x, tol=tol)
         residual = norm(dec.reconstruct() - x)
         _finish(
             {

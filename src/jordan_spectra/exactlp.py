@@ -52,7 +52,7 @@ def linear_program(constraints, n_vars=None):
     """Validate and freeze a program; the only supported constructor."""
     try:
         rows = tuple((tuple(map(exact, row)), rel, exact(rhs)) for row, rel, rhs in constraints)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise LPError(str(exc)) from None
     width = n_vars
     for coeffs, rel, _ in rows:

@@ -170,7 +170,7 @@ def polytope(vertices) -> Polytope:
     """Validate vertices: exact, pairwise distinct, each one extremal."""
     try:
         rows = tuple(tuple(map(exact, v)) for v in vertices)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise GeometryError(str(exc)) from None
     if not rows:
         raise GeometryError("a polytope needs at least one vertex")
@@ -269,15 +269,14 @@ class _Analysis:
     ``vertex_values[F][w]``, facet F's functional at chart vertex w as an
     element of ``ring`` (the table's elimination kernel ring), are set
     when the record is made; the rest is filled on first use.  ``faces`` is
-    the face lattice.  ``facet_values[w][F]``, facet F's effect at vertex
-    w, poses the frame LPs; ``facet_table`` (``operational._AmbientFacets``)
-    checks their certificates: each facet effect as a ring-integer row and
-    its values at the ambient vertices, lifted once over one denominator.
-    ``facet_effects`` holds the Fraction effects built from those rows for
-    the certificates handed out.  ``frames``
-    maps k to {sorted k-subset: facet multipliers of a distinguishing
-    submeasurement, one {facet: lam} per state} over the subsets that are
-    frames.  ``generators`` is a strong generating set of the automorphism
+    the face lattice.  ``facet_table`` (``operational._AmbientFacets``)
+    holds each facet effect as a ring-integer row and its values at the
+    ambient vertices, lifted once over one denominator: it poses the frame
+    LPs and checks their certificates.  ``facet_effects`` holds the
+    Fraction effects built from those rows for the certificates handed
+    out.  ``frames`` maps k to {sorted k-subset: facet multipliers of a
+    distinguishing submeasurement, one {facet: lam} per state} over the
+    subsets that are frames.  ``generators`` is a strong generating set of the automorphism
     group with its order, and ``group`` lists the group as the closure of
     the generators, for callers that need every map.
     No cap is stored: the capped entry points read the record through
@@ -292,7 +291,6 @@ class _Analysis:
     ring: object
     vertex_values: tuple
     faces: FaceLattice | None = None
-    facet_values: tuple | None = None
     facet_table: object = None
     facet_effects: tuple | None = None
     frames: dict = field(default_factory=dict)
@@ -540,7 +538,7 @@ def membership(body, point) -> str:
     if isinstance(body, Polytope):
         try:
             p = tuple(map(exact, point))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise GeometryError(str(exc)) from None
         if len(p) != body.ambient_dim:
             raise GeometryError("point dimension mismatch")

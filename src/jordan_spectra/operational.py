@@ -14,9 +14,9 @@ orbit.  Each generator is checked against the body's table of facet
 values, once per frame size, and a checked generator carries a valid
 certificate onto a valid one, so moved certificates need no check of
 their own.  That table holds the ambient facet effects at the ambient
-vertices in ring integers (Z or Z[sqrt 5], as in ``exactla``), never the
-chart-side values that posed the LP, so each check is integer dot
-products and signs; Fraction effects are built only to be handed out.
+vertices in ring integers (Z or Z[sqrt 5], as in ``exactla``): the frame
+LPs are posed on it and each check is integer dot products and signs.
+Fraction effects are built only to be handed out.
 
 A k-frame's states are always affinely independent: applying e_k to an
 affine dependence omega_k = sum_j lam_j omega_j gives 1 = 0.  A
@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .automorphisms import group_generators, orbit_tree
-from .exactla import _eliminate, _Integers, _QuadraticIntegers, _ring_for
+from .exactla import _eliminate, _ring_for
 from .exactlp import Feasible, linear_program, lp_feasible
 from .geometry import (
     VERTEX_CAP,
@@ -179,6 +179,8 @@ class _AmbientFacets:
     ``table[w][F]`` = A_F . V_w + B_F q = q n_F(v_w).  With ``totals[F]``
     the sum of facet F's column, the effect of facet F is
     f_F(x) = q n_F(x) / totals[F], so f_F(v_w) = table[w][F] / totals[F].
+    The frame LPs are posed on ``table`` itself: a multiplier mu_F of its
+    column is lam_F = mu_F totals[F] of the effect f_F.
     """
 
     ring: object
@@ -188,19 +190,15 @@ class _AmbientFacets:
     totals: tuple
 
 
-def _ambient_facets(poly: Polytope, extra=()) -> _AmbientFacets:
-    """The body's ``_AmbientFacets``, kept on the analysis record; built
-    anew over Z[sqrt 5] when the ``extra`` values (states or multipliers)
-    leave Q on a rational body."""
+def _ambient_facets(poly: Polytope) -> _AmbientFacets:
+    """The body's ``_AmbientFacets``, kept on the analysis record."""
     rec = _analysis(poly)
     if rec.facet_table is None:
         rec.facet_table = _ambient_facet_effects(poly, rec)
-    if rec.facet_table.ring is _Integers and _ring_for(extra) is not _Integers:
-        return _ambient_facet_effects(poly, rec, _QuadraticIntegers)
     return rec.facet_table
 
 
-def _ambient_facet_effects(poly, rec, ring=None) -> _AmbientFacets:
+def _ambient_facet_effects(poly, rec) -> _AmbientFacets:
     """The facet rows, read straight off one elimination of [chart basis
     as rows | facet normals as columns]: with pivot coordinates P, the
     chart functional g.y + c is (E g).(x - origin)_P + c in ambient
@@ -208,7 +206,7 @@ def _ambient_facet_effects(poly, rec, ring=None) -> _AmbientFacets:
     n_F(x) = q T_F . x + q d c - T_F . V_0, all ring integers."""
     ch, facets = rec.chart, list(rec.facets.values())
     m = len(ch.origin)
-    ring = ring or _ring_for(itertools.chain(*poly.vertices, *(g + (c,) for g, c in facets)))
+    ring = _ring_for(itertools.chain(*poly.vertices, *(g + (c,) for g, c in facets)))
     flat, q = ring.lift([x for v in poly.vertices for x in v])
     V = [flat[w : w + m] for w in range(0, len(flat), m)]
     lifted = [ring.lift(list(ch.basis[r]) + [g[r] for g, _ in facets])[0] for r in range(ch.dim)]
@@ -246,24 +244,6 @@ def _facet_effects(poly: Polytope) -> tuple:
             for (A, B), t in zip(amb.rows, amb.totals)
         )
     return rec.facet_effects
-
-
-def _facet_values(poly: Polytope) -> tuple:
-    """The facet effects at every vertex, values[w][F] = f_F(v_w), kept on
-    the analysis record.  Read off the record's vertex values: f_F(v_w) is
-    facet F's value at w over its sum at every vertex, one exact quotient
-    in the ring, with no effect evaluated.  They pose the LPs."""
-    rec = _analysis(poly)
-    if rec.facet_values is None:
-        ring = rec.ring
-        columns = []
-        for row in rec.vertex_values:
-            total = functools.reduce(ring.add, row)
-            columns.append([ring.quotient(x, total) for x in row])
-        rec.facet_values = tuple(
-            tuple(col[w] for col in columns) for w in range(len(poly.vertices))
-        )
-    return rec.facet_values
 
 
 def _supports(at_states):
@@ -333,18 +313,15 @@ def _effect(facet_effects, multipliers) -> AffineEffect:
 
 def _check_submeasurement(poly: Polytope, states, multipliers):
     """Raise unless the effects e_i = sum_F lam_F f_F, one {facet: lam} per
-    state, satisfy e_i(state_j) = delta_ij, each e_i >= 0 and sum e_i <= 1
-    at every vertex, all exactly.
+    state, satisfy e_i(v_j) = delta_ij at the state vertices v_j, each
+    e_i >= 0 and sum e_i <= 1 at every vertex, all exactly.
 
-    A state is a vertex index or an ambient point x = S / p, lifted and
-    evaluated directly.  Each lam_F / totals[F] is lifted to L_F / M over
-    one denominator M > 0, so e_i(v_w) = sum_F L_F table[w][F] / M
-    (``_AmbientFacets``), and every test is a dot product of ring integers
-    and a sign.  Nothing is read from the chart side that posed the LP.
+    Each lam_F / totals[F] is lifted to L_F / M over one denominator M > 0,
+    so e_i(v_w) = sum_F L_F table[w][F] / M (``_AmbientFacets``), and
+    every test is a dot product of ring integers and a sign.
     """
-    points = [x for s in states if not isinstance(s, int) for x in s]
-    amb = _ambient_facets(poly, points + [x for m in multipliers for x in m.values()])
-    ring, q = amb.ring, amb.scale
+    amb = _ambient_facets(poly)
+    ring = amb.ring
     flat, M = ring.lift(
         [lam * ring.quotient(ring.one, amb.totals[f]) for m in multipliers for f, lam in m.items()]
     )
@@ -354,17 +331,11 @@ def _check_submeasurement(poly: Polytope, states, multipliers):
     def values(column):
         return [ring.dot(L, [column[f] for f in fs]) for fs, L in effects]
 
-    ok = True
-    for j, s in enumerate(states):
-        if isinstance(s, int):
-            column, p = amb.table[s], q
-        else:
-            S, p = ring.lift(s)
-            column = [ring.add(ring.dot(A, S), ring.mul(B, p)) for A, B in amb.rows]
-        unit = ring.mul(p, M)  # e_i(S / p) = q sum_F L_F column[F] / (p M)
-        ok = ok and all(
-            ring.mul(q, x) == (unit if i == j else ring.zero) for i, x in enumerate(values(column))
-        )
+    ok = all(
+        x == (M if i == j else ring.zero)
+        for j, s in enumerate(states)
+        for i, x in enumerate(values(amb.table[s]))
+    )
     for got in map(values, amb.table):
         total = functools.reduce(ring.add, got)
         ok = ok and all(ring.sign(x) >= 0 for x in got) and ring.sign(ring.sub(M, total)) >= 0
@@ -377,12 +348,13 @@ def distinguishing_measurement(body, states):
 
     Polytopes: a submeasurement, completed deterministically by folding
     the remainder into the first effect.  One state takes the unit
-    effect; more take facet multipliers (``_submeasurement``), with every
-    vertex in the sum rows.  EJA: states must be primitive idempotents
-    (within FRAME_TOL); they are distinguishable iff pairwise
-    trace-orthogonal, and the idempotents themselves (plus the remainder,
-    when nonzero) form the measurement, both within EFFECT_TOL.  Ball:
-    pairs must be antipodal unit vectors.
+    effect; more take facet multipliers (``_submeasurement``) posed on the
+    facet effects at the states and at every vertex.  The completed
+    measurement is checked exactly before it is returned.  EJA: states
+    must be primitive idempotents (within FRAME_TOL); they are
+    distinguishable iff pairwise trace-orthogonal, and the idempotents
+    themselves (plus the remainder, when nonzero) form the measurement,
+    both within EFFECT_TOL.  Ball: pairs must be antipodal unit vectors.
     """
     states = tuple(states)
     if not states:
@@ -391,24 +363,22 @@ def distinguishing_measurement(body, states):
         for s in states:
             if membership(body, s) == "outside":
                 raise OperationalError("state outside the body")
-        if len(states) == 1:
-            sub = (unit_effect(body),)
-        else:
+        rest = ()
+        if len(states) > 1:
             effects = _facet_effects(body)
             multipliers = _submeasurement(
-                [[e(s) for e in effects] for s in states], _facet_values(body)
+                [[e(s) for e in effects] for s in states],
+                [[e(v) for e in effects] for v in body.vertices],
             )
             if multipliers is None:
                 return NotDistinguishable(reason="no facet multipliers separate the states")
-            _check_submeasurement(body, states, multipliers)
-            sub = tuple(_effect(effects, lam) for lam in multipliers)
-        remainder = unit_effect(body)
-        for e in sub:
-            remainder = AffineEffect(
-                coeffs=tuple(r - c for r, c in zip(remainder.coeffs, e.coeffs)),
-                offset=remainder.offset - e.offset,
-            )
-        completed = (sub[0] + remainder,) + sub[1:]
+            rest = tuple(_effect(effects, lam) for lam in multipliers[1:])
+        total = sum(rest, zero_effect(body))  # e_0 with the remainder folded in: 1 - total
+        completed = (AffineEffect(tuple(-c for c in total.coeffs), 1 - total.offset),) + rest
+        if not is_measurement(body, completed) or any(
+            e(s) != int(i == j) for i, e in enumerate(completed) for j, s in enumerate(states)
+        ):
+            raise OperationalError("the measurement does not distinguish the states")
         return Measurement(effects=completed)
     if isinstance(body, Ball):
         for s in states:
@@ -458,19 +428,13 @@ def is_measurement(body, effects) -> bool:
     UNIT_SUM_TOL)."""
     if not all(is_effect(body, e) for e in effects):
         return False
-    if isinstance(body, (Polytope, Ball)):
-        total = zero_effect(body)
-        for e in effects:
-            total = total + e
-        pts = body.vertices if isinstance(body, Polytope) else None
-        if pts is None:
-            return all(c == 0 for c in total.coeffs) and total.offset == 1
-        return all(total(v) == 1 for v in pts)
+    if isinstance(body, Polytope):
+        return all(sum(e(v) for e in effects) == 1 for v in body.vertices)
+    total = sum(effects, zero_effect(body))
+    if isinstance(body, Ball):
+        return all(c == 0 for c in total.coeffs) and total.offset == 1
     from .algebra import norm, unit
 
-    total = effects[0]
-    for e in effects[1:]:
-        total = total + e
     return norm(total - unit(body.descriptor)) <= UNIT_SUM_TOL
 
 
@@ -498,24 +462,27 @@ def _find_frame_sets(poly: Polytope, k: int) -> dict:
     """One LP per orbit of k-subsets under the automorphism group.
 
     Every vertex is a 1-frame with the unit effect.  For k >= 2 the least
-    subset of each orbit is decided by ``_submeasurement`` (sum rows at
-    the vertices off the subset; at the others the equality rows already
-    give 1), and its certificate is checked exactly.  The rest of its
-    orbit is reached breadth-first along the group generators, and each
-    new subset takes its parent's facet multipliers moved along the
-    generator g: f_F o g^-1 = f_gF.  ``_check_generators`` has shown that
-    identity on every vertex for every generator, so a moved certificate
-    takes the same values at the moved vertices as its parent at theirs,
-    and is a submeasurement on the moved states by induction along the
-    orbit tree.
+    subset of each orbit is decided by ``_submeasurement`` on the ring
+    integers of ``_AmbientFacets.table`` (sum rows at the vertices off the
+    subset; at the others the equality rows already give 1), each
+    multiplier is scaled by its facet's total, and the certificate is
+    checked exactly.  The rest of its orbit is reached breadth-first along
+    the group generators, and each new subset takes its parent's facet
+    multipliers moved along the generator g: f_F o g^-1 = f_gF.
+    ``_check_generators`` has shown that identity on every vertex for
+    every generator, so a moved certificate takes the same values at the
+    moved vertices as its parent at theirs, and is a submeasurement on the
+    moved states by induction along the orbit tree.
     """
     n = len(poly.vertices)
     if k == 1:
         return {(i,): None for i in range(n)}
-    values = _facet_values(poly)
+    amb = _ambient_facets(poly)
+    values = [list(map(amb.ring.scalar, row)) for row in amb.table]
+    totals = list(map(amb.ring.scalar, amb.totals))
     gens = group_generators(poly)
     perms = gens.permutations
-    _check_generators(_ambient_facets(poly), perms, gens.facet_images)
+    _check_generators(amb, perms, gens.facet_images)
     decided = set()
     found = {}
     for rep in itertools.combinations(range(n), k):
@@ -523,12 +490,13 @@ def _find_frame_sets(poly: Polytope, k: int) -> dict:
             continue
         decided.add(rep)
         tree = orbit_tree(rep, perms, _move_subset)
-        multipliers = _submeasurement(
+        scaled = _submeasurement(
             [values[i] for i in rep], [values[w] for w in range(n) if w not in rep]
         )
-        if multipliers is None:
+        if scaled is None:
             decided.update(image for image, _, _ in tree)
             continue
+        multipliers = [{f: mu * totals[f] for f, mu in m.items()} for m in scaled]
         _check_submeasurement(poly, rep, multipliers)
         by_state = {rep: dict(zip(rep, multipliers))}
         found[rep] = tuple(multipliers)

@@ -195,6 +195,8 @@ def exact(value):
     Ints become Fractions and strings are read by :func:`parse_scalar`.
     Raises TypeError for bool, float and every other type: a float has
     already rounded, so the caller must supply the exact value it meant.
+    A malformed string, a zero denominator included, raises ValueError;
+    the entry points turn both into GeometryError or LPError.
     """
     if isinstance(value, (Fraction, Sqrt5)):
         return value
@@ -243,6 +245,8 @@ def parse_scalar(text):
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar string")
+    if re.search(r"/0+(?!\d)", s):
+        raise ValueError("zero denominator in %r" % (text,))
     # split into signed terms
     terms = re.findall(r"[+-]?[^+-]+", s)
     if "".join(terms) != s:

@@ -102,6 +102,23 @@ def test_eval_formula_rejects_unsafe_syntax():
         eval_formula("n/2", {"n": 5})  # non-integral division
 
 
+
+def test_eval_formula_refuses_a_zero_divisor():
+    for bad in ("n/0", "n//0", "(n+1)/(n-3)"):
+        with pytest.raises(ClassificationError, match=r"divides by zero"):
+            eval_formula(bad, {"n": 3})
+
+
+def test_a_table_file_with_a_zero_divisor_is_refused_by_name(tmp_path, monkeypatch):
+    data = load_tables()
+    data["rows"][0]["isotropy_dim"] = "n//0"
+    alt = tmp_path / "tables.json"
+    alt.write_text(json.dumps(data))
+    monkeypatch.setenv("JORDAN_SPECTRA_TABLES", str(alt))
+    with pytest.raises(ClassificationError, match=r"'n//0' divides by zero"):
+        table_consistency_check()
+
+
 # -- table rows ------------------------------------------------------------------
 
 

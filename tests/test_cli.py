@@ -222,6 +222,13 @@ def test_decompose_from_file(runner, tmp_path):
     assert got["residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_decompose_refuses_a_non_positive_tol(runner, tol):
+    code, outp = invoke(runner, "decompose", "--eja", "spin", "--n", "3", "--tol", tol)
+    assert code == 2
+    assert json.loads(outp)["error"] == "tol must be positive"
+
+
 def test_decompose_non_finite_input_exits_2(runner, tmp_path):
     doc = {"algebra": {"family": "spin", "n": 2}, "coeffs": [float("nan"), 0.0, 1.0]}
     path = write_json(tmp_path, "x.json", doc)

@@ -514,7 +514,8 @@ def test_graded_faces_are_exact(make, cap, counts):
     for face in exposed_faces(body, cap).faces[1:]:
         g, c = face.functional
         assert _exact_types(g + (c,))
-    values = operational._facet_values(body)
+    effects = operational._facet_effects(body)
+    values = [[e(v) for e in effects] for v in body.vertices]
     assert len(values) == len(cv) and all(_exact_types(row) for row in values)
     assert all(sum(col) == 1 for col in zip(*values))
 

@@ -507,7 +507,7 @@ def test_distinguishing_measurement_reads_the_facets_from_the_record(monkeypatch
     states = (body.vertices[0], body.vertices[2])
     first = distinguishing_measurement(body, states)
     rec = geometry._analysis(body)
-    effects, table = rec.facet_effects, rec.facet_values
+    effects, table = rec.facet_effects, rec.facet_table
     assert effects is not None and table is not None
 
     def refuse(*args):
@@ -516,7 +516,7 @@ def test_distinguishing_measurement_reads_the_facets_from_the_record(monkeypatch
     monkeypatch.setattr(operational, "_ambient_facet_effects", refuse)
     monkeypatch.setattr(operational, "_eliminate", refuse)
     assert distinguishing_measurement(body, states) == first
-    assert rec.facet_effects is effects and rec.facet_values is table
+    assert rec.facet_effects is effects and rec.facet_table is table
 
 
 def cross_polytope(d):
@@ -546,7 +546,7 @@ def oracle_facet_effects(poly):
 
 
 def oracle_verdict(poly, effects, states, multipliers):
-    points = [poly.vertices[s] if isinstance(s, int) else s for s in states]
+    points = [poly.vertices[s] for s in states]
 
     def e(i, x):
         return sum(lam * effects[f](x) for f, lam in multipliers[i].items())
@@ -579,7 +579,7 @@ def mutated(poly, effects, states, multipliers):
     moved[0][next(g for g in range(len(effects)) if g not in multipliers[0])] = lam
     swapped = (states[1], states[0]) + tuple(states[2:])
     cases = [(states, doubled), (states, moved), (swapped, multipliers)]
-    points = [poly.vertices[s] if isinstance(s, int) else s for s in states]
+    points = [poly.vertices[s] for s in states]
     through = [g for g, e in enumerate(effects) if all(e(x) == 0 for x in points)]
     if through:
         negative = [dict(m) for m in multipliers]
@@ -635,8 +635,23 @@ def test_the_ring_check_agrees_with_the_fraction_oracle_on_orbit_representatives
     assert_ring_check_matches_the_oracle(body, calls, check)
 
 
+def assert_distinguishes(body, states, res):
+    """The measurement handed out, checked by exact evaluation alone: its
+    effects take exact values in [0, 1] at every vertex and sum to 1 there,
+    and e_i(state_j) = delta_ij."""
+    assert isinstance(res, Measurement) and len(res.effects) == len(states)
+    for e in res.effects:
+        assert all(isinstance(x, (int, F, Sqrt5)) for x in e.coeffs + (e.offset,))
+    for v in body.vertices:
+        values = [e(v) for e in res.effects]
+        assert all(0 <= x <= 1 for x in values) and sum(values) == 1
+    assert [[e(s) for s in states] for e in res.effects] == [
+        [int(i == j) for j in range(len(states))] for i in range(len(states))
+    ]
+
+
 @pytest.mark.parametrize("make", [square, pentagon, cube], ids=["square", "pentagon", "cube"])
-def test_the_ring_check_agrees_with_the_fraction_oracle_on_points(monkeypatch, make):
+def test_edge_midpoint_measurements_pass_exact_evaluation(make):
     # edge midpoints are states that are no vertices, each paired with a
     # vertex or another midpoint; the pentagon puts them in Q(sqrt 5)
     body = make()
@@ -646,24 +661,87 @@ def test_the_ring_check_agrees_with_the_fraction_oracle_on_points(monkeypatch, m
         for i, j in itertools.combinations(range(n), 2)
         if any(set(face.indices) == {i, j} for face in exposed_faces(body).faces)
     ]
-    calls, check = recorded_checks(monkeypatch)
+    found = 0
     for x, y in itertools.product(mids, list(body.vertices) + mids):
         if x == y:
             continue
         res = distinguishing_measurement(body, (x, y))
         if isinstance(res, Measurement):
-            assert is_measurement(body, res.effects)
-    assert len(calls) >= n
-    assert_ring_check_matches_the_oracle(body, calls, check)
+            assert_distinguishes(body, (x, y), res)
+            found += 1
+    assert found >= n
 
 
-def test_irrational_states_on_a_rational_body_are_checked_over_sqrt5(monkeypatch):
+def test_irrational_states_on_a_rational_body_are_checked_over_sqrt5():
     states = ((F(1), C), (F(-1), -C))
-    calls, check = recorded_checks(monkeypatch)
     res = distinguishing_measurement(square(), states)
-    assert isinstance(res, Measurement) and is_measurement(square(), res.effects)
-    assert [c[0] for c in calls] == [states]
-    assert_ring_check_matches_the_oracle(square(), calls, check)
+    assert_distinguishes(square(), states, res)
+    assert any(isinstance(e(s), Sqrt5) for e in res.effects for s in states)
+
+
+def _patched_submeasurement(monkeypatch, how):
+    """``_submeasurement`` with the last state's first multiplier doubled,
+    or moved to the least facet that carries none of that state's effect.
+    The first effect handed out is the unit less the others, so a wrong
+    multiplier of a later state is what reaches the measurement."""
+    solve = operational._submeasurement
+
+    def patched(at_states, at_others):
+        multipliers = solve(at_states, at_others)
+        last = dict(multipliers[-1])
+        f, lam = next(iter(last.items()))
+        if how == "doubled":
+            last[f] = 2 * lam
+        else:
+            del last[f]
+            last[next(g for g in range(len(at_states[0])) if g not in multipliers[-1])] = lam
+        return multipliers[:-1] + [last]
+
+    monkeypatch.setattr(operational, "_submeasurement", patched)
+
+
+@pytest.mark.parametrize("how", ["doubled", "moved"])
+@pytest.mark.parametrize(
+    "make,states",
+    [
+        (square, ((F(1), F(0)), (F(-1), F(0)))),
+        (square, ((F(1), C), (F(-1), -C))),
+        (pentagon, None),
+        (cube, None),
+    ],
+    ids=["square-midpoints", "square-irrational", "pentagon-vertices", "cube-vertices"],
+)
+def test_a_corrupted_submeasurement_is_refused(monkeypatch, make, states, how):
+    body = make()
+    if states is None:  # the first 2-frame
+        states = tuple(enumerate_frames(body, 2)[0].states)
+    assert_distinguishes(body, states, distinguishing_measurement(body, states))
+    _patched_submeasurement(monkeypatch, how)
+    with pytest.raises(OperationalError, match="does not distinguish the states"):
+        distinguishing_measurement(body, states)
+
+
+def test_frame_lps_are_posed_on_ring_integers(monkeypatch):
+    # every coefficient the frame layer hands the LP is an int or a Sqrt5
+    # with integer parts: the columns of the ring-integer facet table
+    def integral(x):
+        if isinstance(x, Sqrt5):
+            return x.a.denominator == 1 and x.b.denominator == 1
+        return type(x) is int
+
+    posed = []
+
+    def recorded(rows, n_vars=None):
+        posed.extend(rows)
+        return linear_program(rows, n_vars=n_vars)
+
+    monkeypatch.setattr(operational, "linear_program", recorded)
+    geometry._analysis.cache_clear()
+    for _, body in default_converse_catalog():
+        rank(body)
+    assert any(isinstance(x, Sqrt5) for row in posed for x in row[0])  # the pentagon
+    bad = [row for row in posed if not all(map(integral, row[0] + (row[2],)))]
+    assert not bad, bad[:3]
 
 
 def test_rank_spectrality_and_strong_symmetry_build_no_fraction_effects(monkeypatch):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from jordan_spectra.exactlp import LPError, linear_program
+from jordan_spectra.geometry import GeometryError, membership, polytope, square
 from jordan_spectra.scalars import (
     PHI,
     SQRT5,
@@ -108,3 +110,31 @@ def test_parse_rejects_garbage():
     for bad in ["", "x", "1//2", "s5s5", "1+", "sqrt(5)"]:
         with pytest.raises(ValueError):
             parse_scalar(bad)
+
+
+def test_parse_rejects_a_zero_denominator():
+    for bad in ["1/0", "-3/00", "s5/0", "1/2+1/0*s5", "2-s5/0"]:
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(bad)
+    assert parse_scalar("1/10") == Fraction(1, 10)
+    assert parse_scalar("s5/10") == Sqrt5(0, Fraction(1, 10))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: polytope([("1/0", "0"), ("1", "1")]), GeometryError, "zero denominator"),
+        (lambda: polytope([("abc", "0"), ("1", "1")]), GeometryError, "bad scalar term"),
+        (lambda: membership(square(), ("1/0", "0")), GeometryError, "zero denominator"),
+        (lambda: membership(square(), ("0", "s5s5")), GeometryError, "bad scalar"),
+        (lambda: linear_program([(("1/0",), "<=", "1")]), LPError, "zero denominator"),
+        (lambda: linear_program([(("1",), "<=", "x")]), LPError, "bad scalar term"),
+    ],
+    ids=["polytope-zero", "polytope-syntax", "membership-zero", "membership-syntax",
+         "lp-zero", "lp-syntax"],
+)
+def test_malformed_scalar_strings_raise_the_entry_points_errors(call, error, message):
+    # a malformed string is a ValueError of parse_scalar, turned into the
+    # entry point's own error like a float or a bool
+    with pytest.raises(error, match=message):
+        call()
