@@ -509,7 +509,7 @@ def spectral_decompose_rows(alg: AlgebraDescriptor, rows, tol: float = DEFAULT_T
     the residual.  The stack is refused with the first refused row's
     SpectralError.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
     x = np.asarray(rows, dtype=float).reshape(-1, alg.dim)
     # no sum of squares, at most 2 dim max |x|^2, overflows below this

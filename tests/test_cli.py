@@ -222,7 +222,7 @@ def test_decompose_from_file(runner, tmp_path):
     assert got["residual"] <= 1e-12
 
 
-@pytest.mark.parametrize("tol", ["0", "-1"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
 def test_decompose_refuses_a_non_positive_tol(runner, tol):
     code, outp = invoke(runner, "decompose", "--eja", "spin", "--n", "3", "--tol", tol)
     assert code == 2
