@@ -30,6 +30,7 @@ implementation:
 """
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -677,6 +678,56 @@ def test_irrational_states_on_a_rational_body_are_checked_over_sqrt5():
     res = distinguishing_measurement(square(), states)
     assert_distinguishes(square(), states, res)
     assert any(isinstance(e(s), Sqrt5) for e in res.effects for s in states)
+
+
+def _measurement_cases(body):
+    """Every pair of edge midpoints, every ordered vertex pair and every
+    vertex triple of ``body``."""
+    n = len(body.vertices)
+    mids = [
+        tuple((a + b) / 2 for a, b in zip(body.vertices[i], body.vertices[j]))
+        for i, j in itertools.combinations(range(n), 2)
+        if any(set(face.indices) == {i, j} for face in exposed_faces(body).faces)
+    ]
+    return (
+        list(itertools.combinations(mids, 2))
+        + list(itertools.permutations(body.vertices, 2))
+        + list(itertools.combinations(body.vertices, 3))
+    )
+
+
+# sha256 of the canonical JSON of ``distinguishing_measurement`` on these
+# cases, every scalar by its repr (so its type too), taken from the code
+# that posed the LP on evaluated Fraction effects and the frame LPs on a
+# second, ambient table of facet values
+MEASUREMENT_DIGESTS = {
+    "square": "902240ba2a3357ba961109f41584c1d7b7ce23bd5be076919a75eba80c6d22a3",
+    "pentagon": "c4b3f82b65b50dcf47bcf57d3ad5bf01e3c443e2b78112dda734bab141e67e0e",
+    "cube": "ad0c6359ab35f1d2a2f2c952f20b3bd1d9bf3508c912654ad15220d78d70a7a5",
+    "square-sqrt5": "a5fb117f3883522e92168430ce3b8b326a77393a9c282bd5c392ecdeaaa0f43c",
+}
+
+
+@pytest.mark.parametrize("name", list(MEASUREMENT_DIGESTS))
+def test_distinguishing_measurement_results_are_pinned(name):
+    if name == "square-sqrt5":
+        body = square()
+        one, zero = Sqrt5(1), Sqrt5(0)
+        states = [(PHI - 1, one), (1 - PHI, -one), (one, zero), (-one, zero)]
+        cases = list(itertools.permutations(states, 2))
+    else:
+        body = {"square": square, "pentagon": pentagon, "cube": cube}[name]()
+        cases = _measurement_cases(body)
+    doc = []
+    for states in cases:
+        res = distinguishing_measurement(body, states)
+        if isinstance(res, Measurement):
+            res = [[list(map(repr, e.coeffs)), repr(e.offset)] for e in res.effects]
+        else:
+            res = res.reason
+        doc.append([[list(map(repr, s)) for s in states], res])
+    blob = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == MEASUREMENT_DIGESTS[name]
 
 
 def _patched_submeasurement(monkeypatch, how):
