@@ -268,17 +268,16 @@ class _Analysis:
     the chart vertices), the facets, its one-signed entries, and
     ``vertex_values[F][w]``, facet F's functional at chart vertex w as an
     element of ``ring`` (the table's elimination kernel ring), are set
-    when the record is made; the rest is filled on first use.  ``faces`` is
-    the face lattice.  ``facet_table`` (``operational._AmbientFacets``)
-    holds each facet effect as a ring-integer row and its values at the
-    ambient vertices, lifted once over one denominator: it poses the frame
-    LPs and checks their certificates.  ``facet_effects`` holds the
-    Fraction effects built from those rows for the certificates handed
-    out.  ``frames`` maps k to {sorted k-subset: facet multipliers of a
-    distinguishing submeasurement, one {facet: lam} per state} over the
-    subsets that are frames.  ``generators`` is a strong generating set of the automorphism
-    group with its order, and ``group`` lists the group as the closure of
-    the generators, for callers that need every map.
+    when the record is made; the rest is filled on first use.  The face
+    lattice, the frame LPs and their certificate checks all read
+    ``vertex_values``, the body's only table of facet values.  ``faces`` is
+    the face lattice.  ``facet_effects`` holds the ambient facet effects
+    built for the certificates handed out.  ``frames`` maps k to {sorted
+    k-subset: facet multipliers of a distinguishing submeasurement, one
+    {facet: lam} per state} over the subsets that are frames.
+    ``generators`` is a strong generating set of the automorphism group
+    with its order, and ``group`` lists the group as the closure of the
+    generators, for callers that need every map.
     No cap is stored: the capped entry points read the record through
     ``_capped_analysis``, which checks the caller's cap on every call.
     """
@@ -291,7 +290,6 @@ class _Analysis:
     ring: object
     vertex_values: tuple
     faces: FaceLattice | None = None
-    facet_table: object = None
     facet_effects: tuple | None = None
     frames: dict = field(default_factory=dict)
     group: tuple | None = None

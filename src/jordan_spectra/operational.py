@@ -10,13 +10,13 @@ eigenvalue-range tests.  Frames are ordered tuples of jointly perfectly
 distinguishable pure states.  One k-subset per automorphism orbit is
 decided by the LP and its certificate checked exactly; the facet
 multipliers are moved along the group generators to the rest of the
-orbit.  Each generator is checked against the body's table of facet
+orbit.  Each generator is checked against the body's one table of facet
 values, once per frame size, and a checked generator carries a valid
 certificate onto a valid one, so moved certificates need no check of
-their own.  That table holds the ambient facet effects at the ambient
-vertices in ring integers (Z or Z[sqrt 5], as in ``exactla``): the frame
-LPs are posed on it and each check is integer dot products and signs.
-Fraction effects are built only to be handed out.
+their own.  That table is the analysis record's ``vertex_values``, in ring
+integers (Z or Z[sqrt 5], as in ``exactla``): the frame LPs are posed on
+it and each check is integer dot products and signs.  Fraction effects
+are built only to be handed out, and checked against it.
 
 A k-frame's states are always affinely independent: applying e_k to an
 affine dependence omega_k = sum_j lam_j omega_j gives 1 = 0.  A
@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .automorphisms import group_generators, orbit_tree
-from .exactla import _eliminate, _ring_for
+from .exactla import _eliminate
 from .exactlp import Feasible, linear_program, lp_feasible
 from .geometry import (
     VERTEX_CAP,
@@ -169,80 +169,56 @@ class FrameData:
     certificate: tuple
 
 
-@dataclass(frozen=True)
-class _AmbientFacets:
-    """The facet effects of a polytope in ring integers, one per body.
-
-    ``rows[F]`` = (A_F, B_F): n_F(x) = A_F . x + B_F is a positive multiple
-    of facet F's functional in ambient coordinates.  The vertices are
-    lifted once over a common denominator, v_w = V_w / q (``scale``), and
-    ``table[w][F]`` = A_F . V_w + B_F q = q n_F(v_w).  With ``totals[F]``
-    the sum of facet F's column, the effect of facet F is
-    f_F(x) = q n_F(x) / totals[F], so f_F(v_w) = table[w][F] / totals[F].
-    The frame LPs are posed on ``table`` itself: a multiplier mu_F of its
-    column is lam_F = mu_F totals[F] of the effect f_F.
-    """
-
-    ring: object
-    rows: tuple
-    scale: object
-    table: tuple
-    totals: tuple
+def _totals(rec) -> list:
+    """Each facet's values at the vertices summed, in the record's ring:
+    facet F's effect is f_F(v_w) = vertex_values[F][w] / totals[F]."""
+    return [functools.reduce(rec.ring.add, row) for row in rec.vertex_values]
 
 
-def _ambient_facets(poly: Polytope) -> _AmbientFacets:
-    """The body's ``_AmbientFacets``, kept on the analysis record."""
-    rec = _analysis(poly)
-    if rec.facet_table is None:
-        rec.facet_table = _ambient_facet_effects(poly, rec)
-    return rec.facet_table
-
-
-def _ambient_facet_effects(poly, rec) -> _AmbientFacets:
-    """The facet rows, read straight off one elimination of [chart basis
-    as rows | facet normals as columns]: with pivot coordinates P, the
-    chart functional g.y + c is (E g).(x - origin)_P + c in ambient
-    coordinates, and E g is the right-hand block T / d.  Multiplied by q d,
-    n_F(x) = q T_F . x + q d c - T_F . V_0, all ring integers."""
-    ch, facets = rec.chart, list(rec.facets.values())
-    m = len(ch.origin)
-    ring = _ring_for(itertools.chain(*poly.vertices, *(g + (c,) for g, c in facets)))
-    flat, q = ring.lift([x for v in poly.vertices for x in v])
-    V = [flat[w : w + m] for w in range(0, len(flat), m)]
-    lifted = [ring.lift(list(ch.basis[r]) + [g[r] for g, _ in facets])[0] for r in range(ch.dim)]
-    _, T, pivots, d, _ = _eliminate(lifted, ring)
-    rows = []
-    for f, (_, c) in enumerate(facets):
-        A = [ring.zero] * m
-        for r, p in enumerate(pivots):
-            A[p] = T[r][m + f]
-        qdc = ring.mul(ring.mul(q, d), ring.lift([c])[0][0])
-        rows.append((tuple(ring.mul(q, a) for a in A), ring.sub(qdc, ring.dot(A, V[0]))))
-    table = tuple(tuple(ring.add(ring.dot(A, v), ring.mul(B, q)) for A, B in rows) for v in V)
-    totals = tuple(functools.reduce(ring.add, col) for col in zip(*table))
-    return _AmbientFacets(ring, tuple(rows), q, table, totals)
+def _lp_table(rec):
+    """(values, totals) as LP scalars, values[w][F] = vertex_values[F][w]:
+    an LP multiplier mu_F of column F is lam_F = mu_F totals[F] of f_F."""
+    values = [list(map(rec.ring.scalar, row)) for row in zip(*rec.vertex_values)]
+    return values, list(map(rec.ring.scalar, _totals(rec)))
 
 
 def _facet_effects(poly: Polytope) -> tuple:
-    """The facet functionals as ambient effects f_F = q n_F / totals[F], in
-    record order, each scaled so that its values at the vertices sum to 1.
+    """The facet effects f_F (``_totals``) in ambient coordinates, in record
+    order, built for the certificates handed out and kept on the record.
 
     The scale commutes with every automorphism g: the vertex sum is
     invariant under vertex permutations, so f_F o g^-1 = f_gF exactly.
-    Built from the integer rows of ``_ambient_facets`` for the
-    certificates handed out, and kept on the analysis record.
+    Each comes from one elimination of [chart basis as rows | facet
+    normals as columns]: with pivot coordinates P, the chart functional
+    g.y + c is (E g).(x - origin)_P + c in ambient coordinates, and E g is
+    the right-hand block T / d.  With v_w = V_w / q and times q d, it is
+    q T_F . x + B_F, B_F = q d c - T_F . V_0, all ring integers.  Every
+    effect is checked against the facet values at every vertex, exactly.
     """
     rec = _analysis(poly)
     if rec.facet_effects is None:
-        amb = _ambient_facets(poly)
-        ring = amb.ring
-        rec.facet_effects = tuple(
-            AffineEffect(
-                tuple(ring.quotient(ring.mul(amb.scale, a), t) for a in A),
-                ring.quotient(ring.mul(amb.scale, B), t),
-            )
-            for (A, B), t in zip(amb.rows, amb.totals)
-        )
+        ring, ch, facets = rec.ring, rec.chart, list(rec.facets.values())
+        m = len(ch.origin)
+        flat, q = ring.lift([x for v in poly.vertices for x in v])
+        V = [flat[w : w + m] for w in range(0, len(flat), m)]
+        lifted = [ring.lift(list(b) + [g[r] for g, _ in facets])[0] for r, b in enumerate(ch.basis)]
+        _, T, pivots, d, _ = _eliminate(lifted, ring)
+        effects = []
+        for f, (_, c) in enumerate(facets):
+            A = [ring.zero] * m
+            for r, p in enumerate(pivots):
+                A[p] = T[r][m + f]
+            B = ring.sub(ring.mul(ring.mul(q, d), ring.lift([c])[0][0]), ring.dot(A, V[0]))
+            t = functools.reduce(ring.add, (ring.add(ring.dot(A, v), B) for v in V))
+            coeffs = tuple(ring.quotient(ring.mul(q, a), t) for a in A)
+            effects.append(AffineEffect(coeffs, ring.quotient(B, t)))
+        if any(
+            e(v) != ring.quotient(x, total)
+            for e, row, total in zip(effects, rec.vertex_values, _totals(rec))
+            for v, x in zip(poly.vertices, row)
+        ):
+            raise OperationalError("a facet effect disagrees with the facet values")
+        rec.facet_effects = tuple(effects)
     return rec.facet_effects
 
 
@@ -317,26 +293,26 @@ def _check_submeasurement(poly: Polytope, states, multipliers):
     e_i >= 0 and sum e_i <= 1 at every vertex, all exactly.
 
     Each lam_F / totals[F] is lifted to L_F / M over one denominator M > 0,
-    so e_i(v_w) = sum_F L_F table[w][F] / M (``_AmbientFacets``), and
+    so e_i(v_w) = sum_F L_F vertex_values[F][w] / M (``_totals``), and
     every test is a dot product of ring integers and a sign.
     """
-    amb = _ambient_facets(poly)
-    ring = amb.ring
+    rec = _analysis(poly)
+    ring, table, totals = rec.ring, rec.vertex_values, _totals(rec)
     flat, M = ring.lift(
-        [lam * ring.quotient(ring.one, amb.totals[f]) for m in multipliers for f, lam in m.items()]
+        [lam * ring.quotient(ring.one, totals[f]) for m in multipliers for f, lam in m.items()]
     )
     lifted = iter(flat)
     effects = [(list(m), [next(lifted) for _ in m]) for m in multipliers]
 
-    def values(column):
-        return [ring.dot(L, [column[f] for f in fs]) for fs, L in effects]
+    def values(w):
+        return [ring.dot(L, [table[f][w] for f in fs]) for fs, L in effects]
 
     ok = all(
         x == (M if i == j else ring.zero)
         for j, s in enumerate(states)
-        for i, x in enumerate(values(amb.table[s]))
+        for i, x in enumerate(values(s))
     )
-    for got in map(values, amb.table):
+    for got in map(values, range(len(poly.vertices))):
         total = functools.reduce(ring.add, got)
         ok = ok and all(ring.sign(x) >= 0 for x in got) and ring.sign(ring.sub(M, total)) >= 0
     if not ok:
@@ -348,8 +324,9 @@ def distinguishing_measurement(body, states):
 
     Polytopes: a submeasurement, completed deterministically by folding
     the remainder into the first effect.  One state takes the unit
-    effect; more take facet multipliers (``_submeasurement``) posed on the
-    facet effects at the states and at every vertex.  The completed
+    effect; more take facet multipliers (``_submeasurement``) posed, as the
+    frame LPs are, on the facet values at every vertex (``_lp_table``), with
+    each facet effect at the states times its total.  The completed
     measurement is checked exactly before it is returned.  EJA: states
     must be primitive idempotents (within FRAME_TOL); they are
     distinguishable iff pairwise trace-orthogonal, and the idempotents
@@ -365,14 +342,15 @@ def distinguishing_measurement(body, states):
                 raise OperationalError("state outside the body")
         rest = ()
         if len(states) > 1:
-            effects = _facet_effects(body)
-            multipliers = _submeasurement(
-                [[e(s) for e in effects] for s in states],
-                [[e(v) for e in effects] for v in body.vertices],
+            effects, (values, totals) = _facet_effects(body), _lp_table(_analysis(body))
+            scaled = _submeasurement(
+                [[e(s) * t for e, t in zip(effects, totals)] for s in states], values
             )
-            if multipliers is None:
+            if scaled is None:
                 return NotDistinguishable(reason="no facet multipliers separate the states")
-            rest = tuple(_effect(effects, lam) for lam in multipliers[1:])
+            rest = tuple(
+                _effect(effects, {f: mu * totals[f] for f, mu in m.items()}) for m in scaled[1:]
+            )
         total = sum(rest, zero_effect(body))  # e_0 with the remainder folded in: 1 - total
         completed = (AffineEffect(tuple(-c for c in total.coeffs), 1 - total.offset),) + rest
         if not is_measurement(body, completed) or any(
@@ -462,27 +440,25 @@ def _find_frame_sets(poly: Polytope, k: int) -> dict:
     """One LP per orbit of k-subsets under the automorphism group.
 
     Every vertex is a 1-frame with the unit effect.  For k >= 2 the least
-    subset of each orbit is decided by ``_submeasurement`` on the ring
-    integers of ``_AmbientFacets.table`` (sum rows at the vertices off the
-    subset; at the others the equality rows already give 1), each
-    multiplier is scaled by its facet's total, and the certificate is
-    checked exactly.  The rest of its orbit is reached breadth-first along
-    the group generators, and each new subset takes its parent's facet
-    multipliers moved along the generator g: f_F o g^-1 = f_gF.
-    ``_check_generators`` has shown that identity on every vertex for
-    every generator, so a moved certificate takes the same values at the
-    moved vertices as its parent at theirs, and is a submeasurement on the
-    moved states by induction along the orbit tree.
+    subset of each orbit is decided by ``_submeasurement`` on the record's
+    ring-integer ``vertex_values``, one row per vertex (sum rows at the
+    vertices off the subset; at the others the equality rows already give
+    1), each multiplier is scaled by its facet's total (``_totals``), and
+    the certificate is checked exactly.  The rest of its orbit is reached
+    breadth-first along the group generators, and each new subset takes
+    its parent's facet multipliers moved along the generator g:
+    f_F o g^-1 = f_gF.  ``_check_generators`` has shown that identity on
+    every vertex for every generator, so a moved certificate takes the same
+    values at the moved vertices as its parent at theirs, and is a
+    submeasurement on the moved states by induction along the orbit tree.
     """
     n = len(poly.vertices)
     if k == 1:
         return {(i,): None for i in range(n)}
-    amb = _ambient_facets(poly)
-    values = [list(map(amb.ring.scalar, row)) for row in amb.table]
-    totals = list(map(amb.ring.scalar, amb.totals))
+    values, totals = _lp_table(_analysis(poly))
     gens = group_generators(poly)
     perms = gens.permutations
-    _check_generators(amb, perms, gens.facet_images)
+    _check_generators(_analysis(poly), perms, gens.facet_images)
     decided = set()
     found = {}
     for rep in itertools.combinations(range(n), k):
@@ -515,17 +491,17 @@ def _move_subset(perm, subset):
     return tuple(sorted(perm[i] for i in subset))
 
 
-def _check_generators(amb, perms, facet_images):
+def _check_generators(rec, perms, facet_images):
     """Raise unless every generator g carries the facet effects along:
     f_gF(g w) = f_F(w) for all w and F, compared in ring integers as
-    table[g w][gF] totals[F] = table[w][F] totals[gF].  Then
-    sum_F lam_F f_gF at g w equals sum_F lam_F f_F at w, exactly."""
-    mul, table, totals = amb.ring.mul, amb.table, amb.totals
+    values[gF][g w] totals[F] = values[F][w] totals[gF] (``_totals``).
+    Then sum_F lam_F f_gF at g w equals sum_F lam_F f_F at w, exactly."""
+    mul, table, totals = rec.ring.mul, rec.vertex_values, _totals(rec)
     for perm, moved in zip(perms, facet_images):
         if any(
-            mul(table[perm[w]][moved[f]], totals[f]) != mul(x, totals[moved[f]])
-            for w, row in enumerate(table)
-            for f, x in enumerate(row)
+            mul(table[moved[f]][perm[w]], totals[f]) != mul(x, totals[moved[f]])
+            for f, row in enumerate(table)
+            for w, x in enumerate(row)
         ):
             raise OperationalError(
                 f"{perm} does not carry the facet values, so a certificate "

@@ -914,7 +914,10 @@ def verify_strong_symmetry_eja(
     the block (see `spectral._redrawn_frames`).  Transitivity of a
     continuous group is not certified computationally; this constructive
     sampling stands in for it, which is exactly what the report states.
+    Fewer than one trial would report a verdict on no sample: refused.
     """
+    if trials < 1:
+        raise SymmetryError(f"trials must be >= 1, got {trials}")
     _transportable(alg)
     rng = np.random.default_rng(seed)
     r = alg.rank

@@ -414,6 +414,13 @@ def test_if_direction_herm_c():
     assert "transporters" in names and "fr_polytope" in names
 
 
+@pytest.mark.parametrize("family", ["sym_r", "herm_o"])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_if_direction_refuses_fewer_than_one_trial(family, trials):
+    with pytest.raises(ClassificationError, match="trials must be >= 1"):
+        verify_main_theorem_if_direction(AlgebraDescriptor(family, 3), trials=trials)
+
+
 def test_if_direction_herm_o_transporters_unsupported():
     report = verify_main_theorem_if_direction(
         AlgebraDescriptor("herm_o", 3), trials=5, seed=1

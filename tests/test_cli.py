@@ -294,6 +294,18 @@ def test_verify_theorem_command(runner):
     assert code == 0  # unsupported transporters do not fail the battery
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [("verify-theorem",), ("check", "--property", "strong-symmetry")],
+    ids=["verify-theorem", "check"],
+)
+def test_fewer_than_one_trial_exits_2(runner, command, trials):
+    code, outp = invoke(runner, *command, "--eja", "sym_r", "--m", "2", "--trials", trials)
+    assert code == 2, outp
+    assert "trials must be >= 1" in json.loads(outp)["error"]
+
+
 def test_herm_o_defaults_to_size_3_everywhere(runner):
     code, outp = invoke(runner, "decompose", "--eja", "herm_o")
     assert code == 0, outp

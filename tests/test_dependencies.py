@@ -296,9 +296,9 @@ def test_both_spectral_entry_points_share_one_overflow_guard():
 
 
 def test_only_the_facet_table_and_the_certificate_check_lift_in_operational():
-    # ring integers are made once per body, for the facet table, and the
-    # certificate check lifts its multipliers once; no per-state lift sits
-    # anywhere in the module
+    # the ambient vertices and facet rows are lifted once per body, for the
+    # facet effects handed out, and the certificate check lifts its
+    # multipliers once; no per-state lift sits anywhere in the module
     package = Path(jordan_spectra.__file__).resolve().parent
     tree = ast.parse((package / "operational.py").read_text(encoding="utf-8"))
     lifts = {}
@@ -307,7 +307,7 @@ def test_only_the_facet_table_and_the_certificate_check_lift_in_operational():
             for n in ast.walk(fn):
                 if isinstance(n, ast.Attribute) and n.attr == "lift":
                     lifts.setdefault(fn.name, []).append(n.lineno)
-    assert set(lifts) == {"_ambient_facet_effects", "_check_submeasurement"}, lifts
+    assert set(lifts) == {"_facet_effects", "_check_submeasurement"}, lifts
     assert len(lifts["_check_submeasurement"]) == 1, lifts
 
 

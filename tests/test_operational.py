@@ -508,16 +508,15 @@ def test_distinguishing_measurement_reads_the_facets_from_the_record(monkeypatch
     states = (body.vertices[0], body.vertices[2])
     first = distinguishing_measurement(body, states)
     rec = geometry._analysis(body)
-    effects, table = rec.facet_effects, rec.facet_table
-    assert effects is not None and table is not None
+    effects = rec.facet_effects
+    assert effects is not None
 
     def refuse(*args):
         raise AssertionError("the facet effects were rebuilt")
 
-    monkeypatch.setattr(operational, "_ambient_facet_effects", refuse)
     monkeypatch.setattr(operational, "_eliminate", refuse)
     assert distinguishing_measurement(body, states) == first
-    assert rec.facet_effects is effects and rec.facet_table is table
+    assert rec.facet_effects is effects
 
 
 def cross_polytope(d):
@@ -634,6 +633,37 @@ def test_the_ring_check_agrees_with_the_fraction_oracle_on_orbit_representatives
     if body.dim > 1:
         assert calls
     assert_ring_check_matches_the_oracle(body, calls, check)
+
+
+@pytest.mark.parametrize("make,cap", RING_CHECK_BODIES)
+def test_facet_effects_agree_with_the_fraction_oracle(make, cap):
+    # the catalog simplices sit in a hyperplane of their ambient space, so
+    # an effect's extension off the hull is not unique: compare values there
+    geometry._analysis.cache_clear()
+    body = make()
+    effects, oracle = operational._facet_effects(body), oracle_facet_effects(body)
+    assert len(effects) == len(oracle)
+    for e, o in zip(effects, oracle):
+        assert [e(v) for v in body.vertices] == [o(v) for v in body.vertices]
+    if body.dim == body.ambient_dim:
+        assert list(effects) == oracle
+
+
+@pytest.mark.parametrize("make", [square, pentagon])
+def test_facet_effects_that_disagree_with_the_facet_values_are_refused(make):
+    geometry._analysis.cache_clear()
+    body = make()
+    rec = geometry._analysis(body)
+    rows = [list(row) for row in rec.vertex_values]
+    w = next(w for w, x in enumerate(rows[0]) if x != rec.ring.zero)
+    rows[0][w] = rec.ring.add(rows[0][w], rec.ring.one)
+    rec.vertex_values = tuple(map(tuple, rows))
+    try:
+        with pytest.raises(OperationalError, match="disagrees with the facet values"):
+            operational._facet_effects(body)
+        assert rec.facet_effects is None
+    finally:
+        geometry._analysis.cache_clear()
 
 
 def assert_distinguishes(body, states, res):

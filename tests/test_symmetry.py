@@ -978,7 +978,7 @@ def test_transporters_take_frames_noisy_within_the_tolerance(family, param):
 
 @pytest.mark.parametrize(
     "family,param,trials",
-    [("sym_r", 4, 12), ("herm_c", 3, 12), ("herm_h", 3, 9), ("spin", 10, 12), ("herm_h", 2, 0)],
+    [("sym_r", 4, 12), ("herm_c", 3, 12), ("herm_h", 3, 9), ("spin", 10, 12), ("herm_h", 2, 1)],
 )
 def test_verify_strong_symmetry_eja(family, param, trials):
     report = verify_strong_symmetry_eja(
@@ -987,6 +987,13 @@ def test_verify_strong_symmetry_eja(family, param, trials):
     assert report["failures"] == []
     assert report["max_residual"] <= 1e-8
     assert "sampled" in report["method"]
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_strong_symmetry_eja_refuses_fewer_than_one_trial(trials):
+    # no trial would leave a verdict on no sample
+    with pytest.raises(SymmetryError, match="trials must be >= 1"):
+        verify_strong_symmetry_eja(AlgebraDescriptor("herm_h", 2), trials=trials)
 
 
 def test_verify_strong_symmetry_eja_rejects_octonions():
