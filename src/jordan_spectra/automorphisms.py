@@ -11,13 +11,16 @@ permutation is accepted iff the affine map sending an affine basis of
 vertices to its assigned images moves every vertex onto its image,
 checked exactly.
 
-The homogenized basis is inverted once per body, so deciding a candidate
-and building its map is ring-integer arithmetic with no solve.  There is
-one search.  ``group_generators`` stops at a strong generating set along
-a stabilizer chain on the basis, with the group order, so its cost does
-not grow with the order (the simplex on 10 vertices has 10! automorphisms
-and 9 generators).  Orbits and the order are all that the frame and
-symmetry layers read.  ``ordered_orbit`` runs the same chain on a basis
+Everything here reads the analysis record's one integer chart, the
+homogenized chart vertices over one denominator in Z or Z[sqrt 5], so
+nothing is lifted or coerced.  The homogenized basis is inverted once per
+body, so deciding a candidate is ring-integer arithmetic with no solve.
+There is one search, and it decides vertex permutations only.
+``group_generators`` stops at a strong generating set along a stabilizer
+chain on the basis, with the group order, so its cost does not grow with
+the order (the simplex on 10 vertices has 10! automorphisms and 9
+generators).  Orbits and the order are all that the frame and symmetry
+layers read.  ``ordered_orbit`` runs the same chain on a basis
 that starts with a given affinely independent vertex tuple, whose
 pointwise stabilizer is then the bottom of the chain, so the tuple's
 orbit size is counted by orbit-stabilizer (Seress, "Permutation Group
@@ -25,15 +28,16 @@ Algorithms", 2003) and membership in it is one search look-up.
 ``polytope_group`` lists the group when a caller needs every map: it is
 the closure of the generators, each member decided by the search's own
 exact vertex check, and it must have exactly the order's number of
-members.  Both are kept in the body's analysis record,
-so neither layer imports the other for them.
+members; only there are the Fraction (or Sqrt5) maps built.  Both are
+kept in the body's analysis record, so neither layer imports the other
+for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactla import _eliminate, _ring_for, affine_basis_indices, mat_vec
+from .exactla import _eliminate, affine_basis_indices, mat_vec
 from .geometry import Polytope, _analysis
 
 
@@ -60,8 +64,6 @@ class PolytopeAutomorphism:
         local = self.chart.to_chart(point)
         if local is None:
             raise SymmetryError("point is off the body's affine hull")
-        if not local:
-            return self.chart.to_ambient(local)
         moved = mat_vec(self.matrix, local)
         moved = tuple(a + b for a, b in zip(moved, self.translation))
         return self.chart.to_ambient(moved)
@@ -73,48 +75,48 @@ def polytope_group(poly: Polytope) -> tuple:
     record.  No cap is checked.
 
     The closure is walked from the identity along the generators, and
-    each member is built by the search's exact vertex check.  It raises
+    each member is decided by the search's exact vertex check.  It raises
     SymmetryError unless there are exactly ``order`` members and every
-    one passes that check.
+    one passes that check.  Only here is a member's map built.
     """
     rec = _analysis(poly)
     if rec.group is None:
         gens = group_generators(poly)
-        ident = tuple(range(len(rec.chart_vertices)))
+        ident = tuple(range(len(rec.ring_chart)))
         tree = orbit_tree(ident, gens.permutations)
         perms = [ident] + [image for image, _, _ in tree]
         if len(perms) != gens.order:
             raise SymmetryError(
                 f"the generators give {len(perms)} maps, not the order {gens.order}"
             )
-        group = tuple(gens.induced(p) for p in sorted(perms))
-        if None in group:
+        if not all(map(gens.is_automorphism, perms)):
             raise SymmetryError("a product of generators is not an affine map")
-        rec.group = group
+        rec.group = tuple(
+            PolytopeAutomorphism(p, *gens.affine_map(p), rec.chart) for p in sorted(perms)
+        )
     return rec.group
 
 
 @dataclass(frozen=True)
 class GroupGenerators:
-    """A strong generating set of the automorphism group and its order.
+    """A strong generating set of the automorphism group, as vertex
+    permutations, and its order.
 
     ``facet_images[g][F]`` is the index of the facet that generator g
     moves facet F onto, facets in the analysis record's order.
-    ``induced`` is the search's exact vertex check: it takes a vertex
-    permutation to its ``PolytopeAutomorphism``, or to None when no affine
-    map of the body induces it.  ``gram_colours`` is the Gram invariant
-    that pruned the search, kept for the searches of ``ordered_orbit``.
+    ``is_automorphism`` is the search's exact vertex check: is a vertex
+    permutation induced by an affine map of the body?  ``affine_map``
+    takes such a permutation to the (matrix, translation) of that map.
+    ``gram_colours`` is the Gram invariant that pruned the search, kept
+    for the searches of ``ordered_orbit``.
     """
 
-    automorphisms: tuple
+    permutations: tuple
     order: int
     facet_images: tuple
-    induced: object
+    is_automorphism: object
+    affine_map: object
     gram_colours: list
-
-    @property
-    def permutations(self) -> list:
-        return [g.permutation for g in self.automorphisms]
 
 
 def group_generators(poly: Polytope) -> GroupGenerators:
@@ -123,18 +125,15 @@ def group_generators(poly: Polytope) -> GroupGenerators:
     No cap is checked."""
     rec = _analysis(poly)
     if rec.generators is None:
-        gens, order, (induced, colours) = _search_generators(
-            rec.chart, rec.chart_vertices
-        )
+        perms, order, check, affine_map, colours = _search_generators(rec.ring, rec.ring_chart)
         facets = list(rec.facets)
         index = {on: f for f, on in enumerate(facets)}
         rec.generators = GroupGenerators(
-            automorphisms=gens,
+            permutations=perms,
             order=order,
-            facet_images=tuple(
-                _facet_images(g.permutation, facets, index) for g in gens
-            ),
-            induced=induced,
+            facet_images=tuple(_facet_images(p, facets, index) for p in perms),
+            is_automorphism=check,
+            affine_map=affine_map,
             gram_colours=colours,
         )
     return rec.generators
@@ -161,13 +160,14 @@ def ordered_orbit(poly: Polytope, frame):
     """
     frame = tuple(frame)
     gens = group_generators(poly)
-    cverts = _analysis(poly).chart_vertices
-    scan = list(frame) + [i for i in range(len(cverts)) if i not in frame]
-    basis_ids = [scan[i] for i in affine_basis_indices([cverts[i] for i in scan])]
+    rec = _analysis(poly)
+    points = rec.ring_chart
+    scan = list(frame) + [i for i in range(len(points)) if i not in frame]
+    basis_ids = [scan[i] for i in affine_basis_indices([points[i] for i in scan], rec.ring)]
     if tuple(basis_ids[: len(frame)]) != frame:
         raise SymmetryError(f"{frame} is not affinely independent")
-    extensions = _searcher(basis_ids, gens.gram_colours, gens.induced)
-    _, stabilizer = _stabilizer_chain(basis_ids, extensions, len(cverts), len(frame))
+    extensions = _searcher(basis_ids, gens.gram_colours, gens.is_automorphism)
+    _, stabilizer = _stabilizer_chain(basis_ids, extensions, len(points), len(frame))
     return gens.order // stabilizer, lambda image: next(extensions(tuple(image)), None) is not None
 
 
@@ -195,9 +195,10 @@ def orbit_tree(start, permutations, act=_move_entries):
                 yield image, item, g
 
 
-def _search_generators(ch, cverts):
-    """(generators, group order, (exact vertex check, Gram colours)) from
-    a stabilizer chain on the basis.
+def _search_generators(ring, points):
+    """(generators, group order, exact vertex check, affine map, Gram
+    colours) from a stabilizer chain on the basis, over the record's
+    integer chart ``points`` in ``ring``.
 
     With b_0, ..., b_d the affine vertex basis, G_i fixes b_0 .. b_(i-1)
     and G_(d+1) is trivial.  Level i, from d down to 0, looks for one
@@ -206,14 +207,12 @@ def _search_generators(ch, cverts):
     those generators end up generating G_i, and |G| is the product of the
     orbit sizes.  Each look-up stops at its first automorphism.
     """
-    if ch.dim == 0:
-        return (), 1, (lambda perm: PolytopeAutomorphism(perm, (), (), ch), [[0]])
-    basis_ids = affine_basis_indices(list(cverts))
-    induced = _affine_maps(ch, cverts, basis_ids)
-    colours = _gram_colours(cverts)
-    extensions = _searcher(basis_ids, colours, induced)
-    gens, order = _stabilizer_chain(basis_ids, extensions, len(cverts), 0)
-    return gens, order, (induced, colours)
+    basis_ids = affine_basis_indices(list(points), ring)
+    check, affine_map = _affine_maps(ring, points, basis_ids)
+    colours = _gram_colours(ring, points)
+    extensions = _searcher(basis_ids, colours, check)
+    gens, order = _stabilizer_chain(basis_ids, extensions, len(points), 0)
+    return gens, order, check, affine_map, colours
 
 
 def _stabilizer_chain(basis_ids, extensions, n, top):
@@ -232,25 +231,24 @@ def _stabilizer_chain(basis_ids, extensions, n, top):
             if g is None:
                 continue
             gens.append(g)
-            perms = [h.permutation for h in gens]
             orbit = {b}.union(
-                image for image, _, _ in orbit_tree(b, perms, lambda p, x: p[x])
+                image for image, _, _ in orbit_tree(b, gens, lambda p, x: p[x])
             )
         order *= len(orbit)
     return tuple(gens), order
 
 
-def _searcher(basis_ids, colour, induced):
+def _searcher(basis_ids, colour, is_automorphism):
     """``extensions`` over an affine vertex basis.
 
     ``extensions(prefix)`` yields, in lex order of the permutation read on
-    the basis first, every automorphism sending basis vertex i to
-    prefix[i] for i < len(prefix).  It backtracks over vertex images,
-    basis vertices first, keeping a partial assignment only while it
-    preserves ``colour``, the Gram invariant Q as small int colours
-    (``_gram_colours``).  Each complete permutation is then decided
-    exactly by ``induced`` (``_affine_maps``): the affine map it gives a
-    basis must move every chart vertex onto its image.
+    the basis first, every automorphism, as a vertex permutation, sending
+    basis vertex i to prefix[i] for i < len(prefix).  It backtracks over
+    vertex images, basis vertices first, keeping a partial assignment only
+    while it preserves ``colour``, the Gram invariant Q as small int
+    colours (``_gram_colours``).  Each complete permutation is then
+    decided exactly by ``is_automorphism`` (``_affine_maps``): the affine
+    map it gives a basis must move every chart vertex onto its image.
     """
     n = len(colour)
     order = basis_ids + [i for i in range(n) if i not in basis_ids]
@@ -261,9 +259,8 @@ def _searcher(basis_ids, colour, induced):
 
         def extend(depth):
             if depth == n:
-                auto = induced(tuple(image))
-                if auto is not None:
-                    yield auto
+                if is_automorphism(tuple(image)):
+                    yield tuple(image)
                 return
             i = order[depth]
             row = colour[i]
@@ -281,76 +278,63 @@ def _searcher(basis_ids, colour, induced):
     return extensions
 
 
-def _gram_colours(cverts):
+def _gram_colours(ring, points):
     """The Gram invariant Q of the chart vertices, as small int colours.
 
     Q_ij = v_i^T (sum_k v_k v_k^T)^-1 v_j on homogenized vertices v = (x, 1).
-    The v are lifted once to ring integers V = s v (ints, or Z[sqrt 5]
-    pairs), which leaves Q unchanged, and M = sum_k V_k V_k^T is formed in
-    the ring.  One elimination of [M | V^T] gives T / d = [I | M^-1 V^T],
-    so d Q_ij is the ring integer V_i . T_j, column j of the right-hand
-    block; with d > 0 fixed, equal colours mean equal exact values.
+    The record's integer chart holds them as P = q v, q > 0, which leaves
+    Q unchanged, and M = sum_k P_k P_k^T is formed in the ring.  One
+    elimination of [M | P^T] gives T / d = [I | M^-1 P^T], so d Q_ij is
+    the ring integer P_i . T_j, column j of the right-hand block; with
+    d > 0 fixed, equal colours mean equal exact values.
     """
-    m = len(cverts[0]) + 1
-    ring = _ring_for(x for v in cverts for x in v)
-    flat, _ = ring.lift([x for v in cverts for x in tuple(v) + (1,)])
-    V = [flat[j * m : (j + 1) * m] for j in range(len(cverts))]
-    rows = list(zip(*V))
+    m = len(points[0])
+    rows = list(zip(*points))
     _, T, _, _, _ = _eliminate(
         [[ring.dot(r, c) for c in rows] + list(r) for r in rows], ring
     )
     cols = list(zip(*(row[m:] for row in T)))
     colours = {}
-    return [[colours.setdefault(ring.dot(v, col), len(colours)) for col in cols] for v in V]
+    return [[colours.setdefault(ring.dot(v, col), len(colours)) for col in cols] for v in points]
 
 
-def _affine_maps(ch, cverts, basis_ids):
-    """A function taking a vertex permutation to its automorphism, or None.
+def _affine_maps(ring, points, basis_ids):
+    """(is_automorphism, affine_map) over the record's integer chart: the
+    homogenized vertices P_j = q (v_j, 1), ring elements.
 
-    H has the homogenized basis vertices (v_b, 1) as columns.  One
-    elimination of [H | I | homogenized vertices as columns] gives, over
-    one denominator den, W = den H^-1 and the barycentric coordinates
-    L_j = den H^-1 (v_j, 1) of every vertex on the basis, in the ring of
-    all the chart coordinates (ints, or Z[sqrt 5] pairs).  With the
-    vertices held as V_j = s v_j for one common scale s, the affine map
-    sending basis vertex b to perm[b] moves v_j onto v_perm[j] iff
-    sum_b L_jb V_perm[b] = den V_perm[j].  That is checked on every
-    vertex, and [matrix | translation] is the image basis times H^-1.
+    H has the basis vertices P_b as columns.  One elimination of
+    [H | I | every P_j as a column] gives, over one denominator den,
+    W = den H^-1 and the barycentric coordinates L_j = den H^-1 P_j of
+    every vertex on the basis.  The affine map sending basis vertex b to
+    perm[b] moves v_j onto v_perm[j] iff sum_b L_jb V_perm[b] = den
+    V_perm[j], V the first d coordinates of P; ``is_automorphism`` checks
+    that on every vertex.  ``affine_map`` gives [matrix | translation],
+    the image basis times H^-1, as Fraction (or Sqrt5) values.
     """
-    d = ch.dim
-    width = d + 1
-    hat = [list(v) + [1] for v in cverts]
-    ring, T, _, den, _ = _eliminate(
+    width = len(points[0])
+    _, T, _, den, _ = _eliminate(
         [
-            [hat[b][r] for b in basis_ids]
-            + [int(r == c) for c in range(width)]
-            + [v[r] for v in hat]
+            [points[b][r] for b in basis_ids]
+            + [ring.one if r == c else ring.zero for c in range(width)]
+            + [v[r] for v in points]
             for r in range(width)
-        ]
+        ],
+        ring,
     )
     W_columns = list(zip(*(row[width : 2 * width] for row in T)))
     L = list(zip(*(row[2 * width :] for row in T)))
-    flat, s = ring.lift([x for v in cverts for x in v])
-    V = [flat[j * d : (j + 1) * d] for j in range(len(cverts))]
-    target = [[ring.mul(den, x) for x in v] for v in V]
-    ds = ring.mul(den, s)
+    target = [[ring.mul(den, x) for x in v[:-1]] for v in points]
 
-    def induced(perm):
-        # columns[r][b] is coordinate r of the image of basis vertex b
-        columns = list(zip(*(V[perm[b]] for b in basis_ids)))
-        for lam, j in zip(L, perm):
-            if [ring.dot(lam, col) for col in columns] != target[j]:
-                return None
-        rows = [
-            [ring.quotient(ring.dot(col, w), ds) for w in W_columns]
-            for col in columns
-        ]
-        return PolytopeAutomorphism(
-            permutation=perm,
-            matrix=tuple(tuple(row[:d]) for row in rows),
-            translation=tuple(row[d] for row in rows),
-            chart=ch,
-        )
+    def images(perm):
+        # images(perm)[r][b] is coordinate r of the image of basis vertex b
+        return list(zip(*(points[perm[b]] for b in basis_ids)))[:-1]
 
-    return induced
+    def is_automorphism(perm):
+        columns = images(perm)
+        return all([ring.dot(lam, col) for col in columns] == target[j] for lam, j in zip(L, perm))
 
+    def affine_map(perm):
+        rows = [[ring.quotient(ring.dot(col, w), den) for w in W_columns] for col in images(perm)]
+        return tuple(tuple(row[:-1]) for row in rows), tuple(row[-1] for row in rows)
+
+    return is_automorphism, affine_map

@@ -658,13 +658,13 @@ def verify_main_theorem_if_direction(target, trials: int = 100, seed: int = 0) -
 
     target is an algebra descriptor (or state space) for the Jordan side,
     or an integer n for the simplex of dimension n.  Checks that come out
-    "unsupported" (octonionic transporters) do not count as failures.  The
-    Jordan side samples, so it refuses ``trials`` < 1.
+    "unsupported" (octonionic transporters) do not count as failures.
+    ``trials`` < 1 is refused for either target.
     """
+    if trials < 1:
+        raise ClassificationError("trials must be >= 1, got %d" % trials)
     desc = _coerce_descriptor(target)
     if desc is not None:
-        if trials < 1:
-            raise ClassificationError("trials must be >= 1, got %d" % trials)
         label = "%s(%d)" % (desc.family, desc.param)
         checks = _eja_battery(desc, trials, seed)
     elif isinstance(target, int):

@@ -244,6 +244,8 @@ def frames(positional, k, input_path, eja, m, n, cap, out):
 def fr_polytope_cmd(positional, input_path, eja, m, n, seed, trials, cap, out):
     """Fundamental-region section: the simplex on a maximal frame."""
     try:
+        if trials < 1:
+            raise ValueError("trials must be >= 1, got %d" % trials)
         from .classification import fr_section, section_sample_check
 
         body = _load_body(input_path, eja, m, n, positional)

@@ -253,15 +253,17 @@ def determinant(a):
     return ring.quotient(d, scale)
 
 
-def affine_basis_indices(points):
+def affine_basis_indices(points, ring=None):
     """Indices of a maximal affinely independent subset, greedily (lex order).
 
     Index 0 and then, from one elimination of the difference vectors
     p_i - p_0 taken as columns, the pivot columns: a column is a pivot
-    exactly when it is independent of the columns before it.
+    exactly when it is independent of the columns before it.  Given a
+    ``ring``, the points are its elements, as in ``_eliminate``.
     """
     if not points:
         return []
     p0 = points[0]
-    diffs = [[p[k] - p0[k] for p in points[1:]] for k in range(len(p0))]
-    return [0] + [c + 1 for c in _eliminate(diffs)[2]]
+    sub = operator.sub if ring is None else ring.sub
+    diffs = [[sub(p[k], p0[k]) for p in points[1:]] for k in range(len(p0))]
+    return [0] + [c + 1 for c in _eliminate(diffs, ring)[2]]

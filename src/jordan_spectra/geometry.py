@@ -6,7 +6,7 @@ exactly.  Degenerate polytopes (not full-dimensional in their ambient
 coordinates, e.g. a simplex given as unit vectors) are re-coordinatized to
 their affine hull through an AffineChart before any face computation; the
 one elimination that picks the chart's basis also gives every vertex its
-chart coordinates.
+chart coordinates, and the same as ring integers over one denominator.
 
 Faces need no LP.  Every hyperplane through d affinely independent chart
 vertices is found once, by one elimination, and kept in one table per
@@ -231,24 +231,26 @@ class AffineChart:
 
 
 def _affine_chart(points):
-    """(chart, coordinates): a chart on the affine hull, with an affine basis
-    of ``points`` as frame, and the chart coordinates of every point.
+    """(chart, coordinates, ring, homogenized): a chart on the affine hull,
+    with an affine basis of ``points`` as frame, the chart coordinates of
+    every point, and the same coordinates as ring integers over one
+    denominator.
 
     One elimination of the difference vectors p_i - p_0 taken as columns,
     p_0's zero column included: its pivot columns are the basis (a column
     is a pivot exactly when it is independent of the columns before it, as
     in ``affine_basis_indices``), and column i of the reduced form T / d
-    holds the coordinates of point i in that basis.
+    holds the coordinates of point i in that basis.  ``homogenized[i]`` is
+    that column followed by d > 0, elements of the elimination's ``ring``.
     """
     origin = tuple(points[0])
     diffs = [[p[k] - x for p in points] for k, x in enumerate(origin)]
     ring, T, pivots, d, _ = _eliminate(diffs)
     basis = tuple(tuple(row[j] for row in diffs) for j in pivots)
-    coordinates = tuple(
-        tuple(ring.quotient(T[r][i], d) for r in range(len(pivots)))
-        for i in range(len(points))
-    )
-    return AffineChart(origin=origin, basis=basis), coordinates
+    columns = list(zip(*T[: len(pivots)])) or [()] * len(points)
+    coordinates = tuple(tuple(ring.quotient(x, d) for x in col) for col in columns)
+    homogenized = tuple(col + (d,) for col in columns)
+    return AffineChart(origin=origin, basis=basis), coordinates, ring, homogenized
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +269,22 @@ class _Analysis:
     the chart, the table of vertex hyperplanes (``_vertex_hyperplanes`` of
     the chart vertices), the facets, its one-signed entries, and
     ``vertex_values[F][w]``, facet F's functional at chart vertex w as an
-    element of ``ring`` (the table's elimination kernel ring), are set
-    when the record is made; the rest is filled on first use.  The face
-    lattice, the frame LPs and their certificate checks all read
-    ``vertex_values``, the body's only table of facet values.  ``faces`` is
-    the face lattice.  ``facet_effects`` holds the ambient facet effects
-    built for the certificates handed out.  ``frames`` maps k to {sorted
+    element of ``ring`` (Z or Z[sqrt 5], as in ``exactla``), are set when
+    the record is made; the rest is filled on first use.  ``ring_chart``
+    is the body's one integer chart: ``ring_chart[w]`` is chart vertex w
+    homogenized over one denominator, (V_w, q) with v_w = V_w / q and
+    q > 0, as the chart's one elimination leaves it, so nothing lifts it;
+    the group search reads only it.  The face lattice, the frame LPs and
+    their certificate checks all read ``vertex_values``, the body's only
+    table of facet values.  ``faces`` is the face lattice.
+    ``facet_effects`` holds the ambient facet effects built for the
+    certificates handed out.  ``frames`` maps k to {sorted
     k-subset: facet multipliers of a distinguishing submeasurement, one
     {facet: lam} per state} over the subsets that are frames.
-    ``generators`` is a strong generating set of the automorphism group
-    with its order, and ``group`` lists the group as the closure of the
-    generators, for callers that need every map.
+    ``generators`` is a strong generating set of the automorphism group,
+    as vertex permutations, with its order, and ``group`` lists the group
+    as the closure of the generators, with each member's map, for callers
+    that need every map.
     No cap is stored: the capped entry points read the record through
     ``_capped_analysis``, which checks the caller's cap on every call.
     """
@@ -288,6 +295,7 @@ class _Analysis:
     hyperplanes: dict
     facets: dict
     ring: object
+    ring_chart: tuple
     vertex_values: tuple
     faces: FaceLattice | None = None
     facet_effects: tuple | None = None
@@ -306,7 +314,7 @@ def _analysis(poly: Polytope) -> _Analysis:
     hyperplanes are found once per accepted body, and an equal body is
     accepted again from the cache.
     """
-    ch, cv = _affine_chart(poly.vertices)
+    ch, cv, ring, ring_chart = _affine_chart(poly.vertices)
     values = {}
     hyperplanes = _vertex_hyperplanes(cv, values)
     facets = _facets(hyperplanes)
@@ -320,7 +328,8 @@ def _analysis(poly: Polytope) -> _Analysis:
         chart_vertices=cv,
         hyperplanes=hyperplanes,
         facets=facets,
-        ring=_ring_for(x for v in cv for x in v),
+        ring=ring,
+        ring_chart=ring_chart,
         vertex_values=tuple(values[on] for on in facets),
     )
 
@@ -401,21 +410,23 @@ def _vertex_hyperplanes(cv, values=None) -> dict:
     A ``values`` dict also gets {facet's vertex set: its values at the
     vertices, in vertex order}.  The d-subsets on a found hyperplane are
     skipped, so each costs one elimination, at its least spanning subset,
-    plus one per affinely dependent subset met first.
+    plus one per affinely dependent subset met first.  Each row is lifted
+    to the ring once, identity entry included, before any subset: a
+    subset only reorders its columns.
     """
     n, d = len(cv), len(cv[0])
     table = {}
     if d == 0:
         return table
-    homogenized = [[v[k] for v in cv] for k in range(d)] + [[1] * n]
-    ident = [[int(j == k) for j in range(d + 1)] for k in range(d + 1)]
+    ring = _ring_for(x for v in cv for x in v)
+    lifted = [ring.lift(row) for row in [*zip(*cv), [1] * n]]
+    rows = [r + [s if j == k else ring.zero for j in range(d + 1)] for k, (r, s) in enumerate(lifted)]
     decided = set()
     for subset in itertools.combinations(range(n), d):
         if subset in decided:
             continue
         order = list(subset) + [i for i in range(n) if i not in subset]
-        rows = [[row[i] for i in order] + e for row, e in zip(homogenized, ident)]
-        ring, T, pivots, _, _ = _eliminate(rows)
+        _, T, pivots, _, _ = _eliminate([[row[i] for i in order] + row[n:] for row in rows], ring)
         if pivots[:d] != list(range(d)):
             continue  # affinely dependent
         signs = [ring.sign(x) for x in T[d][:n]]

@@ -287,22 +287,22 @@ def _effect(facet_effects, multipliers) -> AffineEffect:
     return AffineEffect(coeffs=tuple(coeffs), offset=offset)
 
 
-def _check_submeasurement(poly: Polytope, states, multipliers):
-    """Raise unless the effects e_i = sum_F lam_F f_F, one {facet: lam} per
-    state, satisfy e_i(v_j) = delta_ij at the state vertices v_j, each
-    e_i >= 0 and sum e_i <= 1 at every vertex, all exactly.
+def _check_submeasurement(poly: Polytope, states, scaled):
+    """Raise unless the effects e_i(v_w) = sum_F mu_F vertex_values[F][w],
+    one {facet: mu} per state as ``_submeasurement`` returns them, satisfy
+    e_i(v_j) = delta_ij at the state vertices v_j, each e_i >= 0 and
+    sum e_i <= 1 at every vertex, all exactly.  Then the facet multipliers
+    lam_F = mu_F totals[F] (``_totals``) give a submeasurement.
 
-    Each lam_F / totals[F] is lifted to L_F / M over one denominator M > 0,
-    so e_i(v_w) = sum_F L_F vertex_values[F][w] / M (``_totals``), and
-    every test is a dot product of ring integers and a sign.
+    The mu are lifted to L_F / M over one denominator M > 0, so
+    e_i(v_w) = sum_F L_F vertex_values[F][w] / M, and every test is a dot
+    product of ring integers and a sign.
     """
     rec = _analysis(poly)
-    ring, table, totals = rec.ring, rec.vertex_values, _totals(rec)
-    flat, M = ring.lift(
-        [lam * ring.quotient(ring.one, totals[f]) for m in multipliers for f, lam in m.items()]
-    )
+    ring, table = rec.ring, rec.vertex_values
+    flat, M = ring.lift([mu for m in scaled for mu in m.values()])
     lifted = iter(flat)
-    effects = [(list(m), [next(lifted) for _ in m]) for m in multipliers]
+    effects = [(list(m), [next(lifted) for _ in m]) for m in scaled]
 
     def values(w):
         return [ring.dot(L, [table[f][w] for f in fs]) for fs, L in effects]
@@ -443,8 +443,8 @@ def _find_frame_sets(poly: Polytope, k: int) -> dict:
     subset of each orbit is decided by ``_submeasurement`` on the record's
     ring-integer ``vertex_values``, one row per vertex (sum rows at the
     vertices off the subset; at the others the equality rows already give
-    1), each multiplier is scaled by its facet's total (``_totals``), and
-    the certificate is checked exactly.  The rest of its orbit is reached
+    1), its multipliers are checked exactly and then scaled by their
+    facets' totals (``_totals``).  The rest of its orbit is reached
     breadth-first along the group generators, and each new subset takes
     its parent's facet multipliers moved along the generator g:
     f_F o g^-1 = f_gF.  ``_check_generators`` has shown that identity on
@@ -472,8 +472,8 @@ def _find_frame_sets(poly: Polytope, k: int) -> dict:
         if scaled is None:
             decided.update(image for image, _, _ in tree)
             continue
+        _check_submeasurement(poly, rep, scaled)
         multipliers = [{f: mu * totals[f] for f, mu in m.items()} for m in scaled]
-        _check_submeasurement(poly, rep, multipliers)
         by_state = {rep: dict(zip(rep, multipliers))}
         found[rep] = tuple(multipliers)
         for image, parent, g in tree:

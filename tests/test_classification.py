@@ -421,6 +421,14 @@ def test_if_direction_refuses_fewer_than_one_trial(family, trials):
         verify_main_theorem_if_direction(AlgebraDescriptor(family, 3), trials=trials)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_if_direction_refuses_fewer_than_one_trial_on_a_simplex(trials):
+    # the simplex battery is exact, but a report must not echo a trial
+    # count that governed nothing
+    with pytest.raises(ClassificationError, match=f"^trials must be >= 1, got {trials}$"):
+        verify_main_theorem_if_direction(2, trials=trials)
+
+
 def test_if_direction_herm_o_transporters_unsupported():
     report = verify_main_theorem_if_direction(
         AlgebraDescriptor("herm_o", 3), trials=5, seed=1

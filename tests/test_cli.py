@@ -306,6 +306,21 @@ def test_fewer_than_one_trial_exits_2(runner, command, trials):
     assert "trials must be >= 1" in json.loads(outp)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv,trials",
+    [
+        (("verify-theorem", "--simplex", "2"), "-1"),
+        (("fr-polytope", "--eja", "herm_c", "--m", "3"), "-5"),
+        (("fr-polytope", "--eja", "sym_r", "--m", "2"), "0"),
+    ],
+    ids=["verify-theorem-simplex", "fr-polytope", "fr-polytope-zero"],
+)
+def test_fewer_than_one_trial_exits_2_on_every_target(runner, argv, trials):
+    code, outp = invoke(runner, *argv, "--trials", trials)
+    assert code == 2, outp
+    assert json.loads(outp)["error"] == f"trials must be >= 1, got {trials}"
+
+
 def test_herm_o_defaults_to_size_3_everywhere(runner):
     code, outp = invoke(runner, "decompose", "--eja", "herm_o")
     assert code == 0, outp

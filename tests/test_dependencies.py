@@ -311,6 +311,21 @@ def test_only_the_facet_table_and_the_certificate_check_lift_in_operational():
     assert len(lifts["_check_submeasurement"]) == 1, lifts
 
 
+def test_the_group_search_neither_lifts_nor_picks_a_ring():
+    # automorphisms reads the analysis record's integer chart and its
+    # ring: the integer form of a body's chart is decided in geometry alone
+    package = Path(jordan_spectra.__file__).resolve().parent
+    tree = ast.parse((package / "automorphisms.py").read_text(encoding="utf-8"))
+    found = [
+        f"automorphisms.py:{n.lineno}"
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Attribute) and n.attr == "lift")
+        or (isinstance(n, ast.Name) and n.id == "_ring_for")
+        or (isinstance(n, ast.alias) and n.name == "_ring_for")
+    ]
+    assert not found, found
+
+
 @pytest.mark.parametrize(
     "module,function,rows",
     [

@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jordan_spectra import exactla as la
-from jordan_spectra.automorphisms import _affine_maps
-from jordan_spectra.geometry import chart, chart_vertices, pentagon, polytope
+from jordan_spectra import geometry
+from jordan_spectra.automorphisms import PolytopeAutomorphism, _affine_maps
+from jordan_spectra.geometry import chart_vertices, pentagon, polytope
 from jordan_spectra.scalars import PHI, SQRT5, Sqrt5
 
 
@@ -132,12 +133,20 @@ def test_affine_helpers():
     assert la.affine_basis_indices([]) == []
 
 
+def affine_maps(body):
+    """The search's exact vertex check and map on the body's integer chart
+    as one function: a vertex permutation to its automorphism, or None."""
+    rec = geometry._analysis(body)
+    points = rec.ring_chart
+    check, build = _affine_maps(rec.ring, points, la.affine_basis_indices(list(points), rec.ring))
+    return lambda perm: PolytopeAutomorphism(perm, *build(perm), rec.chart) if check(perm) else None
+
+
 def test_affine_map_from_correspondence():
     # automorphisms are built from one inverse of the homogenized vertex
     # basis; each kept map moves every vertex onto its image
     square = polytope([(0, 0), (1, 0), (1, 1), (0, 1)])
-    ch, cv = chart(square), chart_vertices(square)
-    maps = _affine_maps(ch, cv, la.affine_basis_indices(list(cv)))
+    maps = affine_maps(square)
     for perm in ((1, 2, 3, 0), (3, 2, 1, 0), (0, 1, 2, 3)):
         g = maps(perm)
         for i, v in enumerate(square.vertices):
@@ -160,7 +169,7 @@ def test_affine_map_pentagon_chart_basis(step, shift):
     cv = chart_vertices(body)
     basis = la.affine_basis_indices(list(cv))
     perm = tuple((step * i + shift) % 5 for i in range(5))
-    g = _affine_maps(chart(body), cv, basis)(perm)
+    g = affine_maps(body)(perm)
     src = [cv[i] for i in basis]
     dst = [cv[perm[i]] for i in basis]
     assert ([list(row) for row in g.matrix], list(g.translation)) == oracle_affine_map(
@@ -170,7 +179,7 @@ def test_affine_map_pentagon_chart_basis(step, shift):
     images = [tuple(a + b for a, b in zip(la.mat_vec(g.matrix, v), g.translation)) for v in cv]
     assert images == [cv[perm[i]] for i in range(5)]
     # a permutation that is no symmetry of the boundary cycle is refused
-    assert _affine_maps(chart(body), cv, basis)((perm[1], perm[0]) + perm[2:]) is None
+    assert affine_maps(body)((perm[1], perm[0]) + perm[2:]) is None
 
 
 # ---------------------------------------------------------------------------

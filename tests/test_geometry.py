@@ -157,7 +157,7 @@ def oracle_refused_vertex(points):
     if len(points) == 1:
         return None
     exact_points = [tuple(map(F, p)) for p in points]
-    ch, _ = geometry._affine_chart(exact_points)
+    ch = geometry._affine_chart(exact_points)[0]
     cv = [ch.to_chart(p) for p in exact_points]
     return next((i for i in range(len(cv)) if not oracle_exposes(cv, {i})), None)
 

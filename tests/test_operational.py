@@ -91,7 +91,7 @@ from jordan_spectra.operational import (
     recheck_counterexample,
     unit_effect,
 )
-from jordan_spectra.scalars import PHI, Sqrt5
+from jordan_spectra.scalars import PHI, Sqrt5, exact
 from jordan_spectra.symmetry import is_strongly_symmetric
 from jordan_spectra.spectral import (
     is_primitive_idempotent,
@@ -499,7 +499,7 @@ def test_moved_certificates_pass_the_exact_check(make, k):
     sets = operational._frame_sets(body, k, geometry.VERTEX_CAP)
     assert sets
     for subset, multipliers in sets.items():
-        operational._check_submeasurement(body, subset, multipliers)
+        operational._check_submeasurement(body, subset, lp_multipliers(body, multipliers))
     assert_submeasurements(body, enumerate_frames(body, k))
 
 
@@ -559,9 +559,16 @@ def oracle_verdict(poly, effects, states, multipliers):
     )
 
 
+def lp_multipliers(poly, multipliers):
+    """Facet multipliers lam as the ring check takes them: the LP's
+    multipliers of the ``vertex_values`` columns, lam_F / totals[F]."""
+    totals = operational._lp_table(geometry._analysis(poly))[1]
+    return [{f: exact(lam) / totals[f] for f, lam in m.items()} for m in multipliers]
+
+
 def ring_verdict(check, poly, states, multipliers):
     try:
-        check(poly, states, multipliers)
+        check(poly, states, lp_multipliers(poly, multipliers))
     except OperationalError:
         return False
     return True
@@ -592,9 +599,11 @@ def recorded_checks(monkeypatch):
     calls = []
     check = operational._check_submeasurement
 
-    def recorded(poly, states, multipliers):
-        calls.append((tuple(states), multipliers))
-        return check(poly, states, multipliers)
+    def recorded(poly, states, scaled):
+        # kept as facet multipliers, lam_F = mu_F totals[F], for the oracle
+        totals = operational._lp_table(geometry._analysis(poly))[1]
+        calls.append((tuple(states), [{f: mu * totals[f] for f, mu in m.items()} for m in scaled]))
+        return check(poly, states, scaled)
 
     monkeypatch.setattr(operational, "_check_submeasurement", recorded)
     return calls, check
@@ -869,7 +878,7 @@ def test_frames_of_a_large_group_are_found_from_its_generators(
     assert rank(body) == expected_rank
     gens = group_generators(body)
     assert gens.order == order
-    assert len(gens.automorphisms) <= len(body.vertices)
+    assert len(gens.permutations) <= len(body.vertices)
     if lps is not None:
         assert len(calls) == lps
 
@@ -906,10 +915,9 @@ def test_a_forged_generator_is_caught_when_certificates_move(monkeypatch):
     facets = list(geometry._analysis(body).facets)
     index = {on: f for f, on in enumerate(facets)}
     forged = (1, 2, 3, 0)
-    bad = dataclasses.replace(gens.automorphisms[0], permutation=forged)
     with_bad = dataclasses.replace(
         gens,
-        automorphisms=gens.automorphisms + (bad,),
+        permutations=gens.permutations + (forged,),
         facet_images=gens.facet_images
         + (automorphisms._facet_images(forged, facets, index),),
     )

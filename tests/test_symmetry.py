@@ -38,6 +38,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -67,7 +68,7 @@ from jordan_spectra.geometry import (
     simplex,
     square,
 )
-from jordan_spectra import automorphisms, geometry, operational, spectral, symmetry
+from jordan_spectra import automorphisms, exactla, geometry, operational, spectral, symmetry
 from jordan_spectra.automorphisms import group_generators, orbit_tree
 from jordan_spectra.operational import (
     enumerate_frames,
@@ -250,6 +251,9 @@ def trapezoid():
     return polytope([(F(0), F(0)), (F(3), F(0)), (F(2), F(1)), (F(1), F(1))])
 
 
+R5 = Sqrt5(0, 1)
+
+
 @pytest.mark.parametrize(
     "name,body", [pytest.param(*entry, id=entry[0]) for entry in default_converse_catalog()]
 )
@@ -300,8 +304,8 @@ def test_gram_colours_match_the_field_gram(name, body):
     # the vertex pairs gives the same lists
     rng = random.Random(name)
     for image in [body] + [shuffled_image(body, rng) for _ in range(3)]:
-        cv = chart_vertices(image)
-        assert automorphisms._gram_colours(cv) == field_gram_colours(cv)
+        cv, rec = chart_vertices(image), geometry._analysis(image)
+        assert automorphisms._gram_colours(rec.ring, rec.ring_chart) == field_gram_colours(cv)
 
 
 @pytest.mark.parametrize(
@@ -310,12 +314,21 @@ def test_gram_colours_match_the_field_gram(name, body):
         (trapezoid(), 2),
         # a triangle on scaled unit vectors of R^4: a 2-dimensional chart
         (polytope([(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 0, 1)]), 6),
+        # sqrt 5 times the square: a Sqrt5-typed chart over a rational shape
+        (polytope([(R5, R5), (-R5, R5), (-R5, -R5), (R5, -R5)]), 8),
+        # the unit vectors of R^4: a 3-dimensional chart
+        (simplex(3), 24),
+        (pentagon(), 10),
+        (shuffled_image(cube(), random.Random("cube")), 48),
     ],
 )
 def test_search_matches_brute_force(body, order):
+    # the maps built from the record's integer chart against the ones
+    # solved over the field, types included
     expected = brute_force_automorphisms(chart(body), chart_vertices(body))
     assert len(expected) == order
     assert triples(automorphism_group(body)) == expected
+    assert repr(triples(automorphism_group(body))) == repr(expected)
 
 
 def test_cube_search_solves_one_map_per_automorphism(monkeypatch):
@@ -336,6 +349,62 @@ def test_cube_search_solves_one_map_per_automorphism(monkeypatch):
     assert eliminations == [4, 4]
 
 
+def _lift_callers(monkeypatch):
+    """Each ring ``lift`` call, as its call stack: (module, function) pairs
+    from the caller of lift outward, comprehension frames left out."""
+    calls = []
+    for ring in (exactla._Integers, exactla._QuadraticIntegers):
+
+        def counted(values, lift=ring.lift):
+            frame, stack = sys._getframe(1), []
+            while frame is not None:
+                if not frame.f_code.co_name.startswith("<"):
+                    stack.append((frame.f_globals.get("__name__"), frame.f_code.co_name))
+                frame = frame.f_back
+            calls.append(stack)
+            return lift(values)
+
+        monkeypatch.setattr(ring, "lift", staticmethod(counted))
+    return calls
+
+
+def test_lift_runs_neither_in_the_group_search_nor_per_vertex_subset(monkeypatch):
+    # the group search reads the record's integer chart, which the chart's
+    # one elimination leaves; the vertex hyperplanes lift their d + 1
+    # homogenized rows once each, before the subset loop
+    calls = _lift_callers(monkeypatch)
+    geometry._analysis.cache_clear()
+    bodies = [square(), pentagon(), cube(), simplex(3)]
+    for body in bodies:
+        is_strongly_symmetric(body)
+        is_spectral(body)
+        automorphism_group(body)
+    assert calls
+    assert not [c for c in calls if "jordan_spectra.automorphisms" in {m for m, _ in c}]
+    table = [c for c in calls if ("jordan_spectra.geometry", "_vertex_hyperplanes") in c]
+    assert all(c[0] == ("jordan_spectra.geometry", "_vertex_hyperplanes") for c in table)
+    assert len(table) == sum(body.dim + 1 for body in bodies) == 14
+
+
+def test_the_group_search_builds_no_map(monkeypatch):
+    # strong symmetry, frames and orbits read vertex permutations only; a
+    # map is built only for the listed group
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search built a PolytopeAutomorphism")
+
+    monkeypatch.setattr(automorphisms, "PolytopeAutomorphism", refuse)
+    geometry._analysis.cache_clear()
+    for make in (square, pentagon, cube, lambda: simplex(3)):
+        body = make()
+        is_strongly_symmetric(body)
+        is_spectral(body)
+        assert group_generators(body).order == len(
+            brute_force_automorphisms(chart(body), chart_vertices(body))
+        )
+    with pytest.raises(AssertionError, match="built a PolytopeAutomorphism"):
+        automorphism_group(square())
+
+
 @pytest.mark.parametrize(
     "body", [square(), rectangle(), pentagon(), hexagon(), trapezoid()]
 )
@@ -344,7 +413,7 @@ def test_exact_check_decides_without_gram_pruning(monkeypatch, body):
     # permutation, and the exact vertex check alone must find the group
     pruned = triples(automorphism_group(body))
     n = len(body.vertices)
-    monkeypatch.setattr(automorphisms, "_gram_colours", lambda cv: [[0] * n] * n)
+    monkeypatch.setattr(automorphisms, "_gram_colours", lambda ring, points: [[0] * n] * n)
     geometry._analysis.cache_clear()
     assert triples(automorphism_group(body)) == pruned
 
@@ -357,14 +426,14 @@ def test_closure_check_refuses_a_non_group(monkeypatch):
     assert len(automorphism_group(body)) == gens.order == 8
     dropped = dataclasses.replace(
         gens,
-        automorphisms=gens.automorphisms[:-1],
+        permutations=gens.permutations[:-1],
         facet_images=gens.facet_images[:-1],
     )
     # the transposition (1 2) and the square's group generate all 24
     # vertex permutations, and the vertex check refuses (1 2)
-    transposition = dataclasses.replace(gens.automorphisms[0], permutation=(0, 2, 1, 3))
+    transposition = (0, 2, 1, 3)
     forged = dataclasses.replace(
-        gens, automorphisms=gens.automorphisms + (transposition,), order=24
+        gens, permutations=gens.permutations + (transposition,), order=24
     )
     for bad, message in ((dropped, "not the order 8"), (forged, "not an affine map")):
         monkeypatch.setattr(automorphisms, "group_generators", lambda poly: bad)
@@ -629,10 +698,10 @@ def test_regularity_refuses_a_map_that_breaks_faces(monkeypatch):
     # the transposition (1 2) sends the square's edge {0, 1} to a diagonal
     search = automorphisms._search_generators
 
-    def forged(ch, cverts):
-        gens, order, induced = search(ch, cverts)
-        bad = dataclasses.replace(gens[0], permutation=(0, 2, 1, 3))
-        return gens + (bad,), order, induced
+    def forged(ring, points):
+        gens, order, *maps = search(ring, points)
+        bad = (0, 2, 1, 3)
+        return gens + (bad,), order, *maps
 
     monkeypatch.setattr(automorphisms, "_search_generators", forged)
     geometry._analysis.cache_clear()
