@@ -24,7 +24,8 @@ layers read.  ``ordered_orbit`` runs the same chain on a basis
 that starts with a given affinely independent vertex tuple, whose
 pointwise stabilizer is then the bottom of the chain, so the tuple's
 orbit size is counted by orbit-stabilizer (Seress, "Permutation Group
-Algorithms", 2003) and membership in it is one search look-up.
+Algorithms", 2003) and membership in it is one search look-up;
+``orbit_size`` keeps each count on the record.
 ``polytope_group`` lists the group when a caller needs every map: it is
 the closure of the generators, each member decided by the search's own
 exact vertex check, and it must have exactly the order's number of
@@ -169,6 +170,16 @@ def ordered_orbit(poly: Polytope, frame):
     extensions = _searcher(basis_ids, gens.gram_colours, gens.is_automorphism)
     _, stabilizer = _stabilizer_chain(basis_ids, extensions, len(points), len(frame))
     return gens.order // stabilizer, lambda image: next(extensions(tuple(image)), None) is not None
+
+
+def orbit_size(poly: Polytope, frame) -> int:
+    """The size of the orbit of the ordered vertex tuple ``frame`` under
+    the automorphism group, counted by ``ordered_orbit`` once per frame
+    and kept on the analysis record; only the count is kept."""
+    sizes = _analysis(poly).orbit_sizes
+    if frame not in sizes:
+        sizes[frame] = ordered_orbit(poly, frame)[0]
+    return sizes[frame]
 
 
 def _move_entries(perm, indices):

@@ -2,8 +2,8 @@
 
 The distinguishability, face, extremality and spectrality queries on
 polytopes each ask one question of a small linear program: is it feasible?
-Everything is exact: coefficients are Fractions (or Sqrt5 values for bodies
-defined over Q(sqrt 5)), and every answer carries a certificate that
+Everything is exact: coefficients are ints, Fractions or Sqrt5 values (for
+bodies defined over Q(sqrt 5)), and every answer carries a certificate that
 re-verifies with zero tolerance before it is returned: a witness point for
 Feasible, a Farkas ray for Infeasible.
 
@@ -15,10 +15,11 @@ pivot is an integer-preserving Bareiss update over one common denominator
 (Bareiss, Math. Comp. 22, 1968), so no division is ever inexact.  Pivots
 follow Bland's anti-cycling rule (Bland, Math. Oper. Res. 2, 1977); sign
 tests and ratio tests compare by cross-multiplication.  Free variables
-share one offset column (x = x' - t with x', t >= 0).  Fraction and Sqrt5
-objects appear only when rows are scaled on the way in and when
-certificates are built on the way out.  Floats are rejected at
-construction.
+share one offset column (x = x' - t with x', t >= 0).  Int coefficients
+stay ints, so the ring-integer frame LPs build no Fraction on the way in;
+Fraction and Sqrt5 objects appear only when rows are scaled on the way in
+and when certificates are built on the way out.  Bools and floats are
+rejected at construction.
 """
 
 from __future__ import annotations
@@ -48,10 +49,18 @@ class LinearProgram:
     constraints: tuple
 
 
+def _coefficient(value):
+    """An int as it is (ints are exact), any other value through ``exact``."""
+    return value if type(value) is int else exact(value)
+
+
 def linear_program(constraints, n_vars=None):
-    """Validate and freeze a program; the only supported constructor."""
+    """Validate and freeze a program; the only supported constructor.  Int
+    coefficients stay ints, bools and floats are refused."""
     try:
-        rows = tuple((tuple(map(exact, row)), rel, exact(rhs)) for row, rel, rhs in constraints)
+        rows = tuple(
+            (tuple(map(_coefficient, row)), rel, _coefficient(rhs)) for row, rel, rhs in constraints
+        )
     except (TypeError, ValueError) as exc:
         raise LPError(str(exc)) from None
     width = n_vars

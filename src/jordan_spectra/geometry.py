@@ -27,6 +27,7 @@ vertex sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -267,16 +268,19 @@ class _Analysis:
 
     The accepted body (which ``polytope()`` hands back for an equal one),
     the chart, the table of vertex hyperplanes (``_vertex_hyperplanes`` of
-    the chart vertices), the facets, its one-signed entries, and
+    the chart vertices), the facets, its one-signed entries,
     ``vertex_values[F][w]``, facet F's functional at chart vertex w as an
-    element of ``ring`` (Z or Z[sqrt 5], as in ``exactla``), are set when
-    the record is made; the rest is filled on first use.  ``ring_chart``
-    is the body's one integer chart: ``ring_chart[w]`` is chart vertex w
-    homogenized over one denominator, (V_w, q) with v_w = V_w / q and
-    q > 0, as the chart's one elimination leaves it, so nothing lifts it;
-    the group search reads only it.  The face lattice, the frame LPs and
-    their certificate checks all read ``vertex_values``, the body's only
-    table of facet values.  ``faces`` is the face lattice.
+    element of ``ring`` (Z or Z[sqrt 5], as in ``exactla``), and
+    ``facet_normals[F]``, the (g, c) of that functional as ring elements,
+    are set when the record is made; the rest is filled on first use.
+    ``ring_chart`` is the body's one integer chart: ``ring_chart[w]`` is
+    chart vertex w homogenized over one denominator, (V_w, q) with
+    v_w = V_w / q and q > 0, as the chart's one elimination leaves it, so
+    nothing lifts it; the group search reads only it.  The face lattice,
+    the frame LPs and their certificate checks all read ``vertex_values``,
+    the body's only table of facet values.  ``faces`` is the face lattice,
+    whose exposing functionals are quotients of sums of ``vertex_values``
+    and ``facet_normals``, and ``flags`` its maximal flags.
     ``facet_effects`` holds the ambient facet effects built for the
     certificates handed out.  ``frames`` maps k to {sorted
     k-subset: facet multipliers of a distinguishing submeasurement, one
@@ -284,7 +288,9 @@ class _Analysis:
     ``generators`` is a strong generating set of the automorphism group,
     as vertex permutations, with its order, and ``group`` lists the group
     as the closure of the generators, with each member's map, for callers
-    that need every map.
+    that need every map.  ``orbit_sizes`` maps an ordered frame to the
+    size of its orbit under the group (counts only, no search), and
+    ``strong_symmetry`` is the body's strong-symmetry report.
     No cap is stored: the capped entry points read the record through
     ``_capped_analysis``, which checks the caller's cap on every call.
     """
@@ -297,11 +303,15 @@ class _Analysis:
     ring: object
     ring_chart: tuple
     vertex_values: tuple
+    facet_normals: tuple
     faces: FaceLattice | None = None
+    flags: tuple | None = None
     facet_effects: tuple | None = None
     frames: dict = field(default_factory=dict)
     group: tuple | None = None
     generators: object = None
+    orbit_sizes: dict = field(default_factory=dict)
+    strong_symmetry: object = None
 
 
 @lru_cache(maxsize=ANALYSIS_CACHE_BODIES)
@@ -330,7 +340,8 @@ def _analysis(poly: Polytope) -> _Analysis:
         facets=facets,
         ring=ring,
         ring_chart=ring_chart,
-        vertex_values=tuple(values[on] for on in facets),
+        vertex_values=tuple(values[on][0] for on in facets),
+        facet_normals=tuple(values[on][1] for on in facets),
     )
 
 
@@ -407,12 +418,13 @@ def _vertex_hyperplanes(cv, values=None) -> dict:
     identity] pivots on S and leaves one row: the functional's values at
     the vertices, then (g, c), all ring elements of the kernel.  ``facet``:
     no two values have opposite signs; a facet is signed >= 0 on the body.
-    A ``values`` dict also gets {facet's vertex set: its values at the
-    vertices, in vertex order}.  The d-subsets on a found hyperplane are
-    skipped, so each costs one elimination, at its least spanning subset,
-    plus one per affinely dependent subset met first.  Each row is lifted
-    to the ring once, identity entry included, before any subset: a
-    subset only reorders its columns.
+    A ``values`` dict also gets {facet's vertex set: (its values at the
+    vertices, in vertex order, and its (g, c)), as ring elements}.  The
+    d-subsets on a found hyperplane are skipped, so each costs one
+    elimination, at its least spanning subset, plus one per affinely
+    dependent subset met first.  Each row is lifted to the ring once,
+    identity entry included, before any subset: a subset only reorders
+    its columns.
     """
     n, d = len(cv), len(cv[0])
     table = {}
@@ -430,16 +442,14 @@ def _vertex_hyperplanes(cv, values=None) -> dict:
         if pivots[:d] != list(range(d)):
             continue  # affinely dependent
         signs = [ring.sign(x) for x in T[d][:n]]
-        flip = -1 if -1 in signs else 1
-        normal = [flip * ring.scalar(y) for y in T[d][n:]]
+        flipped = T[d] if -1 not in signs else [ring.sub(ring.zero, x) for x in T[d]]
+        normal = [ring.scalar(y) for y in flipped[n:]]
         on = sorted(i for i, sign in zip(order, signs) if sign == 0)
         facet = not (1 in signs and -1 in signs)
         table[frozenset(on)] = (tuple(normal[:d]), normal[d], facet)
         if facet and values is not None:
-            row = [None] * n
-            for i, x in zip(order, T[d][:n]):
-                row[i] = x if flip == 1 else ring.sub(ring.zero, x)
-            values[frozenset(on)] = tuple(row)
+            row = tuple(x for _, x in sorted(zip(order, flipped[:n])))
+            values[frozenset(on)] = (row, tuple(flipped[n:]))
         decided.update(itertools.combinations(on, d))
     return table
 
@@ -452,19 +462,21 @@ def _facets(table) -> dict:
 
 def _exposing_functional(face, rec):
     """(g, c): the sum of the functionals of the facets through ``face``,
-    scaled by its smallest value off the face, so it is zero on the face
-    and >= 1 on every other chart vertex.  Its values are the sums of the
-    facets' vertex values, in the ring, so nothing is evaluated."""
-    ring = rec.ring
-    g, c, values = [0] * rec.chart.dim, 0, None
-    for (on, (fg, fc)), row in zip(rec.facets.items(), rec.vertex_values):
-        if face <= on:
-            g, c = [a + b for a, b in zip(g, fg)], c + fc
-            values = row if values is None else list(map(ring.add, values, row))
-    if values is not None:
-        low = min((x for i, x in enumerate(values) if i not in face), key=ring.scalar)
-        scale = ring.quotient(ring.one, low)
-        g, c = [a * scale for a in g], c * scale
+    divided by its smallest value off the face, so it is zero on the face
+    and >= 1 on every other chart vertex.  The facets' vertex values and
+    normals are summed as ring elements, so nothing is evaluated, and each
+    coefficient is one quotient."""
+    ring, n = rec.ring, len(rec.chart_vertices)
+    facets = zip(rec.facets, rec.vertex_values, rec.facet_normals)
+    rows = [values + normal for on, values, normal in facets if face <= on]
+    if not rows:
+        return (0,) * rec.chart.dim, 0
+    total = functools.reduce(lambda x, y: list(map(ring.add, x, y)), rows)
+    low = functools.reduce(
+        lambda a, b: b if ring.sign(ring.sub(b, a)) < 0 else a,
+        (x for i, x in enumerate(total[:n]) if i not in face),
+    )
+    *g, c = (ring.quotient(x, low) for x in total[n:])
     return tuple(g), c
 
 
@@ -509,24 +521,17 @@ def exposed_faces(poly: Polytope, cap: int = VERTEX_CAP) -> FaceLattice:
 
 
 def maximal_flags(poly: Polytope, cap: int = VERTEX_CAP):
-    """Saturated chains from a vertex up to the whole body."""
+    """Saturated chains from a vertex up to the whole body, kept on the
+    analysis record; the cap is checked on every call."""
+    rec = _capped_analysis(poly, cap)
+    if rec.flags is not None:
+        return rec.flags
     lat = exposed_faces(poly, cap)
-    top = lat.top
-    out = []
-
-    def grow(prefix, last):
-        if last.indices == top.indices:
-            out.append(tuple(prefix))
-            return
-        for f in lat.covers(last):
-            prefix.append(f)
-            grow(prefix, f)
-            prefix.pop()
-
-    for a in lat.atoms:
-        grow([a], a)
-    out.sort(key=lambda fl: tuple(f.indices for f in fl))
-    return tuple(out)
+    flags = [(a,) for a in lat.atoms]
+    for _ in range(lat.top.dim):  # every chain climbs one dim per step
+        flags = [flag + (f,) for flag in flags for f in lat.covers(flag[-1])]
+    rec.flags = tuple(sorted(flags, key=lambda flag: tuple(f.indices for f in flag)))
+    return rec.flags
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +539,18 @@ def maximal_flags(poly: Polytope, cap: int = VERTEX_CAP):
 
 # A float point of a ball, or an EJA element, is decided within this.
 MEMBERSHIP_TOL = 1e-10
+
+
+def _chart_coordinates(poly: Polytope, point):
+    """The chart coordinates of an exact ambient ``point``, None off the
+    affine hull: one solve."""
+    try:
+        p = tuple(map(exact, point))
+    except (TypeError, ValueError) as exc:
+        raise GeometryError(str(exc)) from None
+    if len(p) != poly.ambient_dim:
+        raise GeometryError("point dimension mismatch")
+    return _analysis(poly).chart.to_chart(p)
 
 
 def membership(body, point) -> str:
@@ -545,14 +562,8 @@ def membership(body, point) -> str:
     eigenvalue sign test within MEMBERSHIP_TOL.
     """
     if isinstance(body, Polytope):
-        try:
-            p = tuple(map(exact, point))
-        except (TypeError, ValueError) as exc:
-            raise GeometryError(str(exc)) from None
-        if len(p) != body.ambient_dim:
-            raise GeometryError("point dimension mismatch")
+        coords = _chart_coordinates(body, point)
         rec = _analysis(body)
-        coords = rec.chart.to_chart(p)
         if coords is None:
             return "outside"
         if rec.chart.dim == 0:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,7 @@ from .geometry import (
     Polytope,
     _analysis,
     _capped_analysis,
+    _chart_coordinates,
     exposed_faces,
     membership,
 )
@@ -590,28 +592,33 @@ class SpectralVerdict:
         }
 
 
-def _off_hyperplanes(rec, point) -> bool:
-    """Does no vertex hyperplane of the analysis record vanish at ``point``?"""
-    coords = rec.chart.to_chart(point)
-    return all(
-        sum(a * x for a, x in zip(g, coords)) + c != 0 for g, c, _ in rec.hyperplanes.values()
-    )
+def _off_hyperplanes(rec, coords) -> bool:
+    """Is the point with chart coordinates ``coords`` (None off the affine
+    hull) strictly inside the body and on no vertex hyperplane of the
+    analysis record?  A facet is >= 0 on the body, so inside is > 0 on
+    every facet, as ``membership`` decides it."""
+    if coords is None:
+        return False
+    for g, c, facet in rec.hyperplanes.values():
+        value = sum(a * x for a, x in zip(g, coords)) + c
+        if value == 0 or facet and value < 0:
+            return False
+    return True
 
 
 def _point_off_hyperplanes(poly: Polytope, seed: int):
     """The first seeded candidate on no vertex hyperplane; each weighs every
-    vertex by a positive integer, so it is interior."""
+    vertex by a positive integer, so it is interior.  The same weights on
+    the chart vertices give its chart coordinates, with no solve."""
     rec = _analysis(poly)
     rng = random.Random(seed)
-    n = len(poly.vertices)
     for _ in range(WITNESS_TRIES):
-        weights = [Fraction(rng.randint(1, 64)) for _ in range(n)]
-        total = sum(weights)
-        point = None
-        for w, v in zip(weights, poly.vertices):
-            scaled = tuple(w / total * c for c in v)
-            point = scaled if point is None else tuple(a + b for a, b in zip(point, scaled))
-        if _off_hyperplanes(rec, point):
+        weights = [rng.randint(1, 64) for _ in poly.vertices]
+        point, coords = (
+            tuple(sum(map(operator.mul, weights, column)) / sum(weights) for column in zip(*rows))
+            for rows in (poly.vertices, rec.chart_vertices)
+        )
+        if _off_hyperplanes(rec, coords):
             return point
     raise OperationalError("failed to find a point off the vertex hyperplanes")
 
@@ -646,12 +653,14 @@ def is_spectral(
 def recheck_counterexample(body: Polytope, point, cap: int = VERTEX_CAP) -> bool:
     """Exact re-verification that ``point`` defeats spectrality: the body is
     no simplex (n > d + 1), so every frame hull lies in a vertex hyperplane,
-    the point is strictly inside and on none.  No frame, LP or group search.
+    the point is strictly inside and on none, both read from the hyperplane
+    table at the point's chart coordinates, one solve.  No frame, LP or
+    group search.
     """
     rec = _capped_analysis(body, cap)
-    if len(body.vertices) <= rec.chart.dim + 1 or membership(body, point) != "inside":
+    if len(body.vertices) <= rec.chart.dim + 1:
         return False
-    return _off_hyperplanes(rec, tuple(map(exact, point)))
+    return _off_hyperplanes(rec, _chart_coordinates(body, point))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from .automorphisms import (
     SymmetryError,
     group_generators,
+    orbit_size,
     orbit_tree,
-    ordered_orbit,
     polytope_group,
 )
 from .geometry import VERTEX_CAP, Polytope, _capped_analysis, maximal_flags
@@ -88,14 +88,18 @@ def is_strongly_symmetric(
 ) -> StrongSymmetryReport:
     """Does the automorphism group act transitively on ordered k-frames?
 
-    The least frame's orbit is counted by ``ordered_orbit``: the k-frames,
+    The least frame's orbit is counted by ``orbit_size``: the k-frames,
     k! orderings of each frame subset, form one orbit iff that count is
     their number, and then none is listed.  The count is skipped when
     their number does not divide |G|.  Otherwise the orbits of the
     ordered frames are walked along the generators.  Orbits come in the
     order of their least frames, the witness pair is the least frames of
-    the first two.
+    the first two.  The report is kept on the analysis record; the cap is
+    checked on every call.
     """
+    rec = _capped_analysis(poly, cap)
+    if rec.strong_symmetry is not None:
+        return rec.strong_symmetry
     r = rank(poly, cap)
     gens = group_generators(poly)
     sizes = []
@@ -105,7 +109,7 @@ def is_strongly_symmetric(
         total = count_frames(poly, k, cap)
         first = next(iter(sets))
         # an orbit's size divides |G|, so one orbit can hold them all only then
-        if gens.order % total == 0 and ordered_orbit(poly, first)[0] == total:
+        if gens.order % total == 0 and orbit_size(poly, first) == total:
             orbits = [(first, total)]
         else:
             ordered = itertools.chain.from_iterable(map(itertools.permutations, sets))
@@ -113,12 +117,13 @@ def is_strongly_symmetric(
         sizes.append((k, tuple(size for _, size in orbits)))
         if len(orbits) > 1 and witness is None:
             witness = (k, orbits[0][0], orbits[1][0])
-    return StrongSymmetryReport(
+    rec.strong_symmetry = StrongSymmetryReport(
         strongly_symmetric=witness is None,
         group_order=gens.order,
         orbit_sizes_by_k=tuple(sizes),
         witness_pair=witness,
     )
+    return rec.strong_symmetry
 
 
 def is_regular(poly: Polytope, cap: int = VERTEX_CAP) -> bool:

@@ -298,6 +298,26 @@ def test_non_scalar_coefficients_rejected(bad):
         linear_program([((bad,), "<=", 1)])
 
 
+def test_int_rows_stay_ints_and_other_scalars_are_coerced():
+    # ints are exact, so a program posed on ring integers keeps them; every
+    # other scalar still goes through the one validating coercer
+    lp = linear_program(
+        [((2, -3), "<=", 5), ((F(1, 2), "1/3"), ">=", 0), ((Sqrt5(0, 1), 0), "=", 1)]
+    )
+    types = [[type(x) for x in row + (rhs,)] for row, _, rhs in lp.constraints]
+    assert types == [[int, int, int], [F, F, int], [Sqrt5, int, int]]
+    for bad in (True, False, 0.5, "1/0", "x", None):
+        with pytest.raises(LPError):
+            linear_program([((1, bad), "<=", 1)])
+        with pytest.raises(LPError):
+            linear_program([((1, 2), "<=", bad)])
+    # the answer is the one the Fraction program gets, types included
+    rows = [((1, 1), ">=", 2), ((1, -1), "<=", 1), ((1, 0), "<=", 3)]
+    as_fractions = [(tuple(map(F, r)), rel, F(b)) for r, rel, b in rows]
+    got, want = (lp_feasible(linear_program(r)) for r in (rows, as_fractions))
+    assert repr(got) == repr(want)
+
+
 def test_empty_program_rejected():
     with pytest.raises(LPError):
         linear_program([])

@@ -10,7 +10,10 @@ same first vertex as the oracle's singleton programs.
 
 import copy
 import dataclasses
+import fractions
+import hashlib
 import itertools
+import json
 import math
 import pickle
 import random
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jordan_spectra import automorphisms, exactla, exactlp, geometry, operational
+from jordan_spectra import automorphisms, exactla, exactlp, geometry, operational, scalars
 from jordan_spectra.classification import default_converse_catalog
 from jordan_spectra.algebra import EjaElement, unit
 from jordan_spectra.exactla import (
@@ -59,10 +62,11 @@ from jordan_spectra.geometry import (
     square,
 )
 from jordan_spectra.operational import enumerate_frames, rank
-from jordan_spectra.scalars import Sqrt5
+from jordan_spectra.scalars import Sqrt5, format_scalar
 from jordan_spectra.symmetry import automorphism_group
 
 F = Fraction
+R5 = Sqrt5(0, 1)
 
 
 def face_sizes(poly):
@@ -719,3 +723,112 @@ def test_named_bodies():
         body_from_dict({"type": "named", "name": "dodecahedron"})
     with pytest.raises(GeometryError):
         body_from_dict({"type": "torus"})
+
+
+def root5_square():
+    """sqrt 5 times the square: a rational shape with Sqrt5 coordinates."""
+    return polytope([(R5 * x, R5 * y) for x, y in square().vertices])
+
+
+def scalar_code_outside_quotients(call):
+    """(result, ring quotients, names of the Fraction or Sqrt5 code entered
+    outside a ring quotient) of ``call()``."""
+    scalar_files = {fractions.__file__, scalars.__file__}
+    inside, quotients, stray = [0], [0], []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if code.co_name == "quotient" and code.co_filename == exactla.__file__:
+            inside[0] += {"call": 1, "return": -1}.get(event, 0)
+            quotients[0] += event == "call"
+        elif event == "call" and not inside[0] and code.co_filename in scalar_files:
+            stray.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, quotients[0], stray
+
+
+@pytest.mark.parametrize(
+    "make",
+    [square, pentagon, cube, lambda: simplex(3), lambda: root5_square()],
+    ids=["square", "pentagon", "cube", "simplex3", "sqrt5-square"],
+)
+def test_exposing_functionals_build_only_their_quotients(make):
+    # facet values and normals are summed as ring elements and compared by
+    # ring signs; the only Fraction or Sqrt5 values built are the g and c
+    # handed out, one quotient each
+    body = make()
+    rec = geometry._analysis(body)
+    lat = exposed_faces(body)
+    for face in lat.faces[1:]:
+        on = frozenset(face.indices)
+        got, quotients, stray = scalar_code_outside_quotients(
+            lambda: geometry._exposing_functional(on, rec)
+        )
+        assert got == face.functional and not stray, (face.indices, stray)
+        assert quotients == (0 if face is lat.top else rec.chart.dim + 1)
+
+
+# ---------------------------------------------------------------------------
+# pinned face lattices and maximal flags
+
+
+def _lattice_bodies(name):
+    """(body, cap) pairs pinned under ``name``: a catalog body with two
+    seeded images of it, or one of the extra bodies."""
+    catalog = dict(default_converse_catalog())
+    if name in catalog:
+        rng = random.Random(name)
+        body = catalog[name]
+        images = [signed_shuffled_image(body, rng) for _ in range(2)]
+        return [(image, 12) for image in [body] + images]
+    return {
+        "sqrt5-square": lambda: [(root5_square(), 12)],
+        "simplex(5)": lambda: [(simplex(5), 12)],
+        "4-cube": lambda: [(four_cube(), 16)],
+    }[name]()
+
+
+def lattice_doc(body, cap):
+    """Every face (indices, dim and exposing functional, each scalar by
+    ``format_scalar``) and every maximal flag (face indices)."""
+    faces = []
+    for f in exposed_faces(body, cap).faces:
+        functional = None
+        if f.functional is not None:
+            g, c = f.functional
+            functional = [[format_scalar(x) for x in g], format_scalar(c)]
+        faces.append([list(f.indices), f.dim, functional])
+    flags = [[list(f.indices) for f in flag] for flag in maximal_flags(body, cap)]
+    return [faces, flags]
+
+
+# sha256 of the canonical JSON of ``lattice_doc`` over ``_lattice_bodies``,
+# taken from the code that scaled each functional's Fraction (or Sqrt5)
+# sums by one reciprocal and rebuilt the flags on every call
+LATTICE_DIGESTS = {
+    "simplex(1)": "27ecb4aa311c3cdbd51f10254064fce544e4e9d2c5ba883d02df4c0408814f86",
+    "simplex(2)": "c81def3e823a03247c72aabfc642ab485179231b2b8e40cfe58c0b573a93d4f5",
+    "simplex(3)": "91f43260175d74805a324d4b4b58a65e3de8101b22a6cd47b57f0f7e355ee61d",
+    "simplex(4)": "31e91f3626c876f31844054184c80a9613f7614b1a2594029fe894f1b1284da7",
+    "square": "92ec7d6eb6c21fec548b5c0b687efef777c49be6ac2850ae15a6ec0eee71c0d1",
+    "rectangle": "d6ed3b6f76079ed066cd173d173cb4fbe98c0df0d865f9a584f708cc7cec8967",
+    "pentagon": "41d35888d604673e0055bcd4abe81c1c79d809eca4e98f42dbaf9a70033c813f",
+    "hexagon": "ae067aa8eba386290e046df9d696efe0d778aeb443b2e46d864ec579a1f09ffa",
+    "cube": "a754447ee489e9768b9aef5a7c6342ac712fa82f723c02ee2b920ea3a5384a70",
+    "octahedron": "6a863cc515a2369902b4782fe620f609c446b8299b694998be3c7582ad98e3e7",
+    "sqrt5-square": "5280245786dddd2b549fa18480d94a7994f3ff29be05e87d4686278e29c9be15",
+    "simplex(5)": "c7bc972a167af45bdbdd15b8e67d8328d605531932c664129a7b2925cb6d7ac9",
+    "4-cube": "8d22855b5e223034d730ad2d0cb73c5bdb4aeb44a0aa4766e36a5f154432abfe",
+}
+
+
+@pytest.mark.parametrize("name", list(LATTICE_DIGESTS))
+def test_face_lattices_and_flags_are_pinned(name):
+    doc = [lattice_doc(body, cap) for body, cap in _lattice_bodies(name)]
+    blob = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == LATTICE_DIGESTS[name]

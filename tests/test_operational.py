@@ -822,8 +822,10 @@ def test_frame_lps_are_posed_on_ring_integers(monkeypatch):
     posed = []
 
     def recorded(rows, n_vars=None):
+        lp = linear_program(rows, n_vars=n_vars)
         posed.extend(rows)
-        return linear_program(rows, n_vars=n_vars)
+        posed.extend(lp.constraints)  # and the program keeps them so
+        return lp
 
     monkeypatch.setattr(operational, "linear_program", recorded)
     geometry._analysis.cache_clear()
@@ -832,6 +834,26 @@ def test_frame_lps_are_posed_on_ring_integers(monkeypatch):
     assert any(isinstance(x, Sqrt5) for row in posed for x in row[0])  # the pentagon
     bad = [row for row in posed if not all(map(integral, row[0] + (row[2],)))]
     assert not bad, bad[:3]
+
+
+@pytest.mark.parametrize(
+    "name", ["square", "rectangle", "pentagon", "hexagon", "cube", "octahedron"]
+)
+def test_a_rechecked_point_is_solved_once(monkeypatch, name):
+    # the candidates take their chart coordinates from their vertex
+    # weights, and the recheck reads both of its tests (inside, and on no
+    # vertex hyperplane) at the coordinates of one solve
+    geometry._analysis.cache_clear()
+    body = polytope(dict(default_converse_catalog())[name].vertices)
+    solves = []
+    solve = geometry.solve_any
+    monkeypatch.setattr(geometry, "solve_any", lambda a, b: solves.append(b) or solve(a, b))
+    for seed in range(3):
+        verdict = is_spectral(body, seed=seed)
+        assert solves == []
+        assert recheck_counterexample(body, verdict.counterexample)
+        assert len(solves) == 1
+        solves.clear()
 
 
 def test_rank_spectrality_and_strong_symmetry_build_no_fraction_effects(monkeypatch):

@@ -641,6 +641,46 @@ def test_ordered_orbit_sizes_match_the_brute_force_group(make):
         assert [contains(other) for other in frames] == [other in orbit for other in frames]
 
 
+def test_flags_orbit_counts_and_the_strong_symmetry_report_are_computed_once(monkeypatch):
+    # each is kept on the analysis record: asked again, directly or by a
+    # simplex battery (regularity, the frame/flag bijection and the
+    # section), none is computed again, and the cap is still checked
+    from jordan_spectra.classification import verify_main_theorem_if_direction
+
+    geometry._analysis.cache_clear()
+    covers, orbits, reports = [], [], []
+    walk = geometry.FaceLattice.covers
+    monkeypatch.setattr(
+        geometry.FaceLattice, "covers", lambda lat, face: covers.append(face) or walk(lat, face)
+    )
+    count = automorphisms.ordered_orbit
+    monkeypatch.setattr(
+        automorphisms, "ordered_orbit", lambda poly, f: orbits.append(f) or count(poly, f)
+    )
+    make = symmetry.StrongSymmetryReport
+    monkeypatch.setattr(
+        symmetry, "StrongSymmetryReport", lambda **kw: reports.append(kw) or make(**kw)
+    )
+    body = simplex(4)
+    flags = maximal_flags(body)
+    walked = len(covers)
+    assert walked and maximal_flags(body) is flags and len(covers) == walked
+    report = is_strongly_symmetric(body)
+    assert is_strongly_symmetric(body) is report and len(reports) == 1
+    assert len(orbits) == 5  # the least frame of each size
+    assert automorphisms.orbit_size(body, (0,)) == 5 and len(orbits) == 5
+    assert verify_main_theorem_if_direction(4, trials=1)["all_pass"]
+    assert (len(covers), len(orbits), len(reports)) == (walked, 5, 1)
+    for capped in (maximal_flags, is_strongly_symmetric, is_regular, geometry.exposed_faces):
+        with pytest.raises(CapExceeded):
+            capped(body, 4)
+    geometry._analysis.cache_clear()
+    rec = geometry._analysis(body)
+    assert (rec.flags, rec.orbit_sizes, rec.strong_symmetry) == (None, {}, None)
+    assert maximal_flags(body) == flags and len(covers) == 2 * walked
+    assert is_strongly_symmetric(body) == report and len(reports) == 2 and len(orbits) == 10
+
+
 def mirrored_paraboloid():
     # ten points on z = x^2 + y^2, closed under x -> -x: a group of order 2
     rng = random.Random(0)
@@ -660,11 +700,12 @@ def mirrored_paraboloid():
 def test_strong_symmetry_counts_at_most_one_orbit_per_frame_size(monkeypatch, make, counted):
     # the least frame's orbit is counted once per k, and only when the
     # ordered k-frames could form one orbit; the rest are walked
+    geometry._analysis.cache_clear()  # the report and the counts are kept on the record
     body = make()
     calls = []
-    count = automorphisms.ordered_orbit
+    count = automorphisms.orbit_size
     monkeypatch.setattr(
-        symmetry, "ordered_orbit", lambda poly, frame: calls.append(frame) or count(poly, frame)
+        symmetry, "orbit_size", lambda poly, frame: calls.append(frame) or count(poly, frame)
     )
     report = is_strongly_symmetric(body)
     assert len(calls) == counted
