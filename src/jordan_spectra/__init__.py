@@ -64,6 +64,7 @@ _EXPORTS = {
         "EjaStateSpace",
         "GeometryError",
         "Polytope",
+        "SymmetryError",
         "algebra",
         "ball",
         "barycenter",
@@ -108,7 +109,6 @@ _EXPORTS = {
     ),
     "symmetry": (
         "StrongSymmetryReport",
-        "SymmetryError",
         "automorphism_group",
         "frame_flag_bijection",
         "is_regular",

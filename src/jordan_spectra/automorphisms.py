@@ -29,21 +29,19 @@ Algorithms", 2003) and membership in it is one search look-up;
 ``polytope_group`` lists the group when a caller needs every map: it is
 the closure of the generators, each member decided by the search's own
 exact vertex check, and it must have exactly the order's number of
-members; only there are the Fraction (or Sqrt5) maps built.  Both are
-kept in the body's analysis record, so neither layer imports the other
-for them.
+members.  A member holds its permutation, and its Fraction (or Sqrt5) map
+is built the first time it is read, so a caller that counts the members
+builds none.  Both are kept in the body's analysis record, so neither
+layer imports the other for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exactla import _eliminate, affine_basis_indices, mat_vec
-from .geometry import Polytope, _analysis
-
-
-class SymmetryError(ValueError):
-    pass
+from .geometry import Polytope, SymmetryError, _analysis
 
 
 @dataclass(frozen=True)
@@ -52,14 +50,26 @@ class PolytopeAutomorphism:
 
     The matrix and translation act on the body's affine chart
     coordinates (for full-dimensional bodies that is an ambient map up
-    to the chart change of basis); apply() takes and returns ambient
-    points of the affine hull.
+    to the chart change of basis); both are built by ``affine_map``, the
+    group search's map of a permutation, the first time either is read.
+    apply() takes and returns ambient points of the affine hull.
     """
 
     permutation: tuple
-    matrix: tuple
-    translation: tuple
     chart: object
+    affine_map: object = field(compare=False, repr=False)
+
+    @cached_property
+    def _map(self):
+        return self.affine_map(self.permutation)
+
+    @property
+    def matrix(self) -> tuple:
+        return self._map[0]
+
+    @property
+    def translation(self) -> tuple:
+        return self._map[1]
 
     def apply(self, point):
         local = self.chart.to_chart(point)
@@ -78,7 +88,7 @@ def polytope_group(poly: Polytope) -> tuple:
     The closure is walked from the identity along the generators, and
     each member is decided by the search's exact vertex check.  It raises
     SymmetryError unless there are exactly ``order`` members and every
-    one passes that check.  Only here is a member's map built.
+    one passes that check.  A member's map is built only when it is read.
     """
     rec = _analysis(poly)
     if rec.group is None:
@@ -93,7 +103,7 @@ def polytope_group(poly: Polytope) -> tuple:
         if not all(map(gens.is_automorphism, perms)):
             raise SymmetryError("a product of generators is not an affine map")
         rec.group = tuple(
-            PolytopeAutomorphism(p, *gens.affine_map(p), rec.chart) for p in sorted(perms)
+            PolytopeAutomorphism(p, rec.chart, gens.affine_map) for p in sorted(perms)
         )
     return rec.group
 

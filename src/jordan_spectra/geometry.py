@@ -14,13 +14,14 @@ body, which the spectrality witnesses of `operational` also read.  The
 facets are its entries with every vertex on one side, and the face
 lattice is the intersection closure of their vertex sets (Kaibel &
 Pfetsch, Comput. Geom. 23, 2002).  Each facet's values at the vertices,
-which its elimination leaves as ring integers, are kept as well: the
-exposing functionals are scaled from their sums, face dims come from the
-lattice's grading, and `operational` reads its facet values from them,
-so the lattice takes no elimination.  Every face is an intersection of
-facets (Ziegler, Lectures on Polytopes, 1995, ch. 2), so a point is a
-vertex iff the facets through it meet in that point alone, which is how
-polytope validation decides extremality.  Maximal flags build on the
+which its elimination leaves as ring integers, are kept as well: a
+face's exposing functional is scaled from their sums when it is first
+read, face dims come from the lattice's grading, and `operational` reads
+its facet values from them, so the lattice takes no elimination.  Every
+face is an intersection of facets (Ziegler, Lectures on Polytopes, 1995,
+ch. 2), so a point is a vertex iff the facets through it meet in that
+point alone, which is how polytope validation decides extremality.
+Maximal flags build on the lattice, whose covers are indexed once per
 lattice, and barycenters on a pulling triangulation over the facets'
 vertex sets.
 """
@@ -96,6 +97,10 @@ def algebra(family: str, param: int) -> AlgebraDescriptor:
 
 
 class GeometryError(ValueError):
+    pass
+
+
+class SymmetryError(ValueError):
     pass
 
 
@@ -279,18 +284,20 @@ class _Analysis:
     nothing lifts it; the group search reads only it.  The face lattice,
     the frame LPs and their certificate checks all read ``vertex_values``,
     the body's only table of facet values.  ``faces`` is the face lattice,
-    whose exposing functionals are quotients of sums of ``vertex_values``
-    and ``facet_normals``, and ``flags`` its maximal flags.
+    whose faces hold this record and build their exposing functionals,
+    quotients of sums of ``vertex_values`` and ``facet_normals``, when
+    first read, and ``flags`` its maximal flags.
     ``facet_effects`` holds the ambient facet effects built for the
     certificates handed out.  ``frames`` maps k to {sorted
     k-subset: facet multipliers of a distinguishing submeasurement, one
     {facet: lam} per state} over the subsets that are frames.
     ``generators`` is a strong generating set of the automorphism group,
     as vertex permutations, with its order, and ``group`` lists the group
-    as the closure of the generators, with each member's map, for callers
-    that need every map.  ``orbit_sizes`` maps an ordered frame to the
-    size of its orbit under the group (counts only, no search), and
-    ``strong_symmetry`` is the body's strong-symmetry report.
+    as the closure of the generators, each member's map built when first
+    read, for callers that need every map.  ``orbit_sizes`` maps an
+    ordered frame to the size of its orbit under the group (counts only,
+    no search), and ``strong_symmetry`` is the body's strong-symmetry
+    report.
     No cap is stored: the capped entry points read the record through
     ``_capped_analysis``, which checks the caller's cap on every call.
     """
@@ -367,9 +374,20 @@ def chart_vertices(poly: Polytope) -> tuple:
 
 @dataclass(frozen=True)
 class Face:
+    """A face by its vertex indices and dim.  ``functional`` is its exact
+    exposing functional (g, c), None for the empty face; it is built from
+    the body's analysis record, which the face holds, the first time it is
+    read."""
+
     indices: tuple
-    functional: tuple | None
     dim: int
+    _record: _Analysis = field(compare=False, repr=False)
+
+    @cached_property
+    def functional(self) -> tuple | None:
+        if self.dim < 0:
+            return None
+        return _exposing_functional(frozenset(self.indices), self._record)
 
     def __len__(self):
         return len(self.indices)
@@ -402,12 +420,18 @@ class FaceLattice:
     def facets(self):
         return tuple(f for f in self.faces if f.dim == self.top.dim - 1)
 
+    @cached_property
+    def _covers(self):
+        """{face indices: the face's covers}, found once per lattice."""
+        sets = [(frozenset(f.indices), f) for f in self.faces]
+        return {
+            f.indices: tuple(g for on, g in sets if g.dim == f.dim + 1 and below < on)
+            for below, f in sets
+        }
+
     def covers(self, face: Face):
         """Strict superfaces one dimension up, by size then indices."""
-        below = set(face.indices)
-        return tuple(
-            f for f in self.faces if f.dim == face.dim + 1 and below < set(f.indices)
-        )
+        return self._covers[face.indices]
 
 
 def _vertex_hyperplanes(cv, values=None) -> dict:
@@ -484,6 +508,8 @@ def exposed_faces(poly: Polytope, cap: int = VERTEX_CAP) -> FaceLattice:
     """All faces (every polytope face is exposed), each certified by an
     exact exposing functional: the intersections of facets, the whole body
     with the zero functional, and the empty face as the lattice bottom.
+    A face's functional is built the first time it is read, so a caller
+    that counts or walks the faces builds no Fraction or Sqrt5.
 
     Dims are the lattice's grading, with no elimination: each face F is
     one more than its largest proper subface (the empty face has dim -1,
@@ -504,17 +530,11 @@ def exposed_faces(poly: Polytope, cap: int = VERTEX_CAP) -> FaceLattice:
                 closed.add(meet)
                 queue.append(meet)
     dims = {frozenset(): -1}
-    faces = [Face(indices=(), functional=None, dim=-1)]
+    faces = [Face(indices=(), dim=-1, _record=rec)]
     for face in sorted(closed - {frozenset()}, key=len):
         below = (dims[face & on] for on in facets if not face <= on)
         dims[face] = 1 + max(below, default=-1)
-        faces.append(
-            Face(
-                indices=tuple(sorted(face)),
-                functional=_exposing_functional(face, rec),
-                dim=dims[face],
-            )
-        )
+        faces.append(Face(indices=tuple(sorted(face)), dim=dims[face], _record=rec))
     faces.sort(key=lambda f: (len(f.indices), f.indices))
     rec.faces = FaceLattice(faces=tuple(faces))
     return rec.faces

@@ -96,7 +96,7 @@ from .algebra import (
     trace_rows,
     unit,
 )
-from .automorphisms import SymmetryError
+from .geometry import SymmetryError
 from .hypercomplex import OCT_TABLE
 
 DEFAULT_TOL = 1e-10

@@ -13,6 +13,7 @@ pass overall.
 
 import json
 import math
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -622,3 +623,62 @@ def test_battery_eigh_calls_do_not_grow_with_the_trials(monkeypatch, family, par
         assert report["all_pass"]
         counts.append(len(calls))
     assert counts[0] == counts[1], counts
+
+
+# One seed-5 pass over seeded images of the converse catalog and the four
+# simplex batteries, as the benchmark's catalog workload runs it: the
+# group and faces of the four larger bodies, strong symmetry, spectrality
+# and the recheck of the rest.  Prints the Fraction and Sqrt5 values built,
+# counted from polytope() on, in a fresh interpreter.
+_CATALOG_PASS = """
+import fractions, random, sys
+from jordan_spectra import scalars
+from jordan_spectra.classification import default_converse_catalog, verify_main_theorem_if_direction
+from jordan_spectra.geometry import exposed_faces, polytope
+from jordan_spectra.operational import is_spectral, recheck_counterexample
+from jordan_spectra.symmetry import automorphism_group, is_strongly_symmetric
+
+built = {fractions.Fraction.__new__.__code__: 0, scalars.Sqrt5.__init__.__code__: 0}
+
+def count(frame, event, arg):
+    if event == "call" and frame.f_code in built:
+        built[frame.f_code] += 1
+
+seed = 5
+rng = random.Random(seed)
+inputs = []
+for name, body in default_converse_catalog():
+    d = len(body.vertices[0])
+    axes, signs = rng.sample(range(d), d), [rng.choice((1, -1)) for _ in range(d)]
+    moved = [tuple(s * v[a] for s, a in zip(signs, axes)) for v in body.vertices]
+    rng.shuffle(moved)
+    inputs.append((name, moved))
+sys.setprofile(count)
+for name, moved in inputs:
+    image = polytope(moved)
+    if name in ("pentagon", "hexagon", "cube", "octahedron"):
+        len(automorphism_group(image))
+    else:
+        is_strongly_symmetric(image)
+        verdict = is_spectral(image, seed=seed)
+        if verdict.spectral is not True:
+            recheck_counterexample(image, verdict.counterexample)
+    len(exposed_faces(image).faces)
+for n in range(1, 5):
+    verify_main_theorem_if_direction(n, trials=100, seed=seed)
+sys.setprofile(None)
+print(*built.values())
+"""
+
+
+def test_a_catalog_pass_builds_at_most_half_the_fractions(cli_env):
+    # group maps and exposing functionals are built when read, and this
+    # pass reads only group orders and face counts.  The code that built
+    # every member's map and every face's functional built 3,963 Fractions
+    # and 121 Sqrt5 values here; 1,631 and 31 remain (input coordinates and
+    # charts, LP witnesses and their checks, the rechecks and the batteries)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CATALOG_PASS], capture_output=True, env=cli_env, check=True
+    )
+    fractions_built, sqrt5_built = map(int, proc.stdout.split())
+    assert fractions_built <= 3963 // 2 and sqrt5_built <= 121 // 2

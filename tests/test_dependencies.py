@@ -403,6 +403,31 @@ def test_classification_loads_symmetry_without_numpy(cli_env):
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_symmetry_error_is_one_class_defined_next_to_geometry_error():
+    from jordan_spectra import automorphisms, geometry, spectral, symmetry
+
+    assert jordan_spectra.SymmetryError is geometry.SymmetryError
+    assert automorphisms.SymmetryError is symmetry.SymmetryError is geometry.SymmetryError
+    assert spectral.UnsupportedFamily.__bases__ == (geometry.SymmetryError,)
+
+
+def test_decompose_loads_no_polytope_symmetry(cli_env):
+    # the algebra side raises the exact side's SymmetryError, which lives
+    # in geometry, so decomposing an element loads no group search
+    code = (
+        "import runpy, sys\n"
+        "sys.argv[1:] = ['decompose', '--eja', 'herm_o', '--m', '3']\n"
+        "try:\n"
+        "    runpy.run_module('jordan_spectra.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "assert 'jordan_spectra.spectral' in sys.modules\n"
+        "assert 'jordan_spectra.automorphisms' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 def test_spectral_decomposition_draws_no_random_numbers():
     # the fine frame is a deterministic function of x: no helper on the
     # decomposition path reaches a generator, and no seed steers it

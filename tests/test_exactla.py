@@ -139,7 +139,7 @@ def affine_maps(body):
     rec = geometry._analysis(body)
     points = rec.ring_chart
     check, build = _affine_maps(rec.ring, points, la.affine_basis_indices(list(points), rec.ring))
-    return lambda perm: PolytopeAutomorphism(perm, *build(perm), rec.chart) if check(perm) else None
+    return lambda perm: PolytopeAutomorphism(perm, rec.chart, build) if check(perm) else None
 
 
 def test_affine_map_from_correspondence():

@@ -832,3 +832,39 @@ def test_face_lattices_and_flags_are_pinned(name):
     doc = [lattice_doc(body, cap) for body, cap in _lattice_bodies(name)]
     blob = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == LATTICE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("make", [cube, pentagon], ids=["cube", "pentagon"])
+def test_face_functionals_are_built_when_first_read(make):
+    # the lattice is vertex sets and dims; a face's functional is one
+    # exposing-functional build, on first read, and a lattice still held
+    # after the record cache is cleared builds the same values from the
+    # record its faces hold
+    geometry._analysis.cache_clear()
+    body = make()
+    lat, quotients, stray = scalar_code_outside_quotients(lambda: exposed_faces(body))
+    assert (quotients, stray) == (0, [])
+    face = lat.faces[len(lat.faces) // 2]
+    got, quotients, stray = scalar_code_outside_quotients(lambda: face.functional)
+    assert (quotients, stray) == (body.dim + 1, [])
+    assert face.functional is got
+    assert [f for f in lat.faces if "functional" in vars(f)] == [face]
+    geometry._analysis.cache_clear()
+    held = [f.functional for f in lat.faces]
+    fresh = [f.functional for f in exposed_faces(body).faces]
+    assert exposed_faces(body) is not lat and repr(held) == repr(fresh)
+
+
+@pytest.mark.parametrize(
+    "name,body",
+    [pytest.param(*entry, id=entry[0]) for entry in default_converse_catalog()]
+    + [pytest.param("simplex(5)", simplex(5), id="simplex(5)")],
+)
+def test_covers_match_the_scan_of_every_face(name, body):
+    # the covers indexed once per lattice against the scan of every face
+    # one dim up, order included
+    lat = exposed_faces(body)
+    for face in lat.faces:
+        below = set(face.indices)
+        scan = tuple(f for f in lat.faces if f.dim == face.dim + 1 and below < set(f.indices))
+        assert lat.covers(face) == scan

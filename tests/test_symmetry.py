@@ -93,6 +93,7 @@ from jordan_spectra.symmetry import (
     is_regular,
     is_strongly_symmetric,
 )
+from test_geometry import scalar_code_outside_quotients
 
 F = Fraction
 
@@ -403,6 +404,25 @@ def test_the_group_search_builds_no_map(monkeypatch):
         )
     with pytest.raises(AssertionError, match="built a PolytopeAutomorphism"):
         automorphism_group(square())
+
+
+@pytest.mark.parametrize("make", [cube, pentagon], ids=["cube", "pentagon"])
+def test_group_maps_are_built_when_first_read(make):
+    # listing the group decides vertex permutations only; a member's
+    # matrix and translation are one affine map, built on the first read
+    # of either, one ring quotient per entry
+    geometry._analysis.cache_clear()
+    body = make()
+    group, quotients, stray = scalar_code_outside_quotients(lambda: automorphism_group(body))
+    assert (quotients, stray) == (0, [])
+    member, d = group[len(group) // 2], body.dim
+    matrix, quotients, stray = scalar_code_outside_quotients(lambda: member.matrix)
+    assert (quotients, stray) == (d * (d + 1), [])
+    translation, quotients, stray = scalar_code_outside_quotients(lambda: member.translation)
+    assert (quotients, stray) == (0, [])
+    assert (member.matrix, member.translation) == member.affine_map(member.permutation)
+    assert matrix is member.matrix and translation is member.translation
+    assert [g for g in group if "_map" in vars(g)] == [member]
 
 
 @pytest.mark.parametrize(
