@@ -1,11 +1,12 @@
 """Exact linear feasibility over rational (and quadratic-extension) scalars.
 
-The distinguishability, face, extremality and spectrality queries on
-polytopes each ask one question of a small linear program: is it feasible?
-Everything is exact: coefficients are ints, Fractions or Sqrt5 values (for
-bodies defined over Q(sqrt 5)), and every answer carries a certificate that
-re-verifies with zero tolerance before it is returned: a witness point for
-Feasible, a Farkas ray for Infeasible.
+The frame and distinguishability queries on polytopes each ask one
+question of a small linear program in facet multipliers: is it feasible?
+Every variable is non-negative, x >= 0, so a multiplier's sign costs no
+row.  Everything is exact: coefficients are ints, Fractions or Sqrt5
+values (for bodies defined over Q(sqrt 5)), and every answer carries a
+certificate that re-verifies with zero tolerance before it is returned:
+a witness point for Feasible, a Farkas ray for Infeasible.
 
 The simplex method (phase I only) is fraction-free and pivots with the
 elimination kernel of :mod:`exactla`.  Each standardized row is scaled by
@@ -14,8 +15,7 @@ and Z[sqrt 5] (int pairs) for any program containing a Sqrt5, and every
 pivot is an integer-preserving Bareiss update over one common denominator
 (Bareiss, Math. Comp. 22, 1968), so no division is ever inexact.  Pivots
 follow Bland's anti-cycling rule (Bland, Math. Oper. Res. 2, 1977); sign
-tests and ratio tests compare by cross-multiplication.  Free variables
-share one offset column (x = x' - t with x', t >= 0).  Int coefficients
+tests and ratio tests compare by cross-multiplication.  Int coefficients
 stay ints, so the ring-integer frame LPs build no Fraction on the way in;
 Fraction and Sqrt5 objects appear only when rows are scaled on the way in
 and when certificates are built on the way out.  Bools and floats are
@@ -41,8 +41,7 @@ class LinearProgram:
     """Immutable exact feasibility program.
 
     ``constraints`` is a tuple of ``(row, relation, rhs)`` triples with
-    relation one of ``<=``, ``=``, ``>=``.  Variables are free unless
-    constrained.
+    relation one of ``<=``, ``=``, ``>=``, over variables x >= 0.
     """
 
     n_vars: int
@@ -86,8 +85,8 @@ class FarkasCertificate:
 
     ``y`` has y.A >= 0 column by column and y.b < 0, so y.(Az) >= 0 > y.b
     for every z >= 0 and no z solves the program.  ``rows`` and ``rhs`` are
-    the standardized program, one multiplier per row: z = (x', t, slacks)
-    with x = x' - t and one slack per inequality, each row scaled to integer
+    the standardized program, one multiplier per row: z = (x, slacks)
+    with one slack per inequality, each row scaled to integer
     (or Z[sqrt 5]) coefficients with slack entry +-1 and signed so that
     b >= 0.
     """
@@ -123,9 +122,12 @@ class Infeasible:
 
 
 def check_witness(lp: LinearProgram, point) -> bool:
-    """Exact zero-tolerance check of every constraint at ``point``."""
+    """Exact zero-tolerance check of x >= 0 and of every constraint at
+    ``point``."""
     if len(point) != lp.n_vars:
         raise LPError("witness length mismatch")
+    if any(x < 0 for x in point):
+        return False
     for row, rel, rhs in lp.constraints:
         lhs = sum(c * x for c, x in zip(row, point) if c and x)
         ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
@@ -138,34 +140,25 @@ def check_witness(lp: LinearProgram, point) -> bool:
 # simplex core
 
 
-def _negated_sum(ring, values):
-    """Coefficient of the offset t, given a row's coefficients on x'."""
-    total = ring.zero
-    for v in values:
-        total = ring.sub(total, v)
-    return total
-
-
 def _standardize(lp: LinearProgram, ring):
     """Rewrite the constraints as {z >= 0 : Az = b, b >= 0} over ``ring``.
 
-    Columns of z: x'_0..x'_{n-1}, the shared offset t (x = x' - t), then
-    one slack per inequality.  Each row is scaled into the ring by the lcm
-    of its denominators, its slack keeping coefficient +-1, and negated so
-    that b >= 0 and a zero-rhs inequality has slack +1.  ``start[i]`` is
+    Columns of z: x_0..x_{n-1}, then one slack per inequality.  Each row
+    is scaled into the ring by the lcm of its denominators, its slack
+    keeping coefficient +-1, and negated so that b >= 0 and a zero-rhs
+    inequality has slack +1.  ``start[i]`` is
     the +1 slack column of row i, which can open the basis, or None when
     row i needs an artificial column.
     """
     n = lp.n_vars
-    width = n + 1 + sum(1 for _, rel, _ in lp.constraints if rel != "=")
+    width = n + sum(1 for _, rel, _ in lp.constraints if rel != "=")
     zero = ring.zero
     rows, rhs, start = [], [], []
-    slack_at = n + 1
+    slack_at = n
     for coeffs, rel, b in lp.constraints:
         body, _ = ring.lift(coeffs + (b,))
         b = body.pop()
-        body.append(_negated_sum(ring, body))
-        body.extend([zero] * (width - n - 1))
+        body.extend([zero] * (width - n))
         sign = ring.sign(b)
         flip = sign < 0 or (sign == 0 and rel == ">=")
         col = None
@@ -272,14 +265,12 @@ def _farkas(ring, rows, rhs, start, T, cols, d):
 
 
 def _witness(ring, T, basis, d, n):
-    """x = x' - t from the basic values, as exact field scalars."""
-    zero = ring.zero
-    values = [zero] * (n + 1)
+    """x from the basic values, as exact field scalars."""
+    values = [ring.zero] * n
     for i, col in enumerate(basis):
-        if col <= n:
+        if col < n:
             values[col] = T[i][-1]
-    t = values[n]
-    return tuple(ring.quotient(ring.sub(v, t), d) for v in values[:n])
+    return tuple(ring.quotient(v, d) for v in values)
 
 
 def lp_feasible(lp: LinearProgram):

@@ -89,7 +89,15 @@ class AlgebraDescriptor:
             param = 3
         if param is None:
             raise ValueError("missing size parameter in %r" % (data,))
-        return AlgebraDescriptor(family, int(param))
+        return AlgebraDescriptor(family, _json_size(param))
+
+
+def _json_size(value) -> int:
+    """A size read from a body record: a JSON integer, never a bool, and
+    never truncated from a float."""
+    if type(value) is not int:
+        raise ValueError("size must be an integer, got %r" % (value,))
+    return value
 
 
 def algebra(family: str, param: int) -> AlgebraDescriptor:
@@ -779,14 +787,14 @@ def body_from_dict(doc: dict):
     if kind == "polytope":
         return polytope(doc["vertices"])
     if kind == "ball":
-        return ball(int(doc["n"]))
+        return ball(_json_size(doc["n"]))
     if kind == "eja":
         rest = {k: v for k, v in doc.items() if k != "type"}
         return EjaStateSpace(descriptor=AlgebraDescriptor.from_dict(rest))
     if kind == "named":
         name = doc.get("name")
         if name == "simplex":
-            return simplex(int(doc["n"]))
+            return simplex(_json_size(doc["n"]))
         if name in NAMED_BODIES:
             return NAMED_BODIES[name]()
         raise GeometryError(f"unknown named body {name!r}")

@@ -252,10 +252,9 @@ def _submeasurement(at_states, at_others):
     """Facet multipliers ({facet: lam} per state) of a submeasurement on
     two or more states, or None.
 
-    One LP in lam >= 0 over the ``_supports`` facets: e_i(state_i) = 1 for
-    each i, and sum_i e_i(w) <= 1 at every vertex w of ``at_others``
-    (facet values as in ``at_states``).  e_i >= 0 holds term by term and
-    e_i <= 1 follows from the sum rows.
+    One LP in lam >= 0, the LP's own variables, over the ``_supports``
+    facets: e_i(state_i) = 1 for each i, and sum_i e_i(w) <= 1 at every
+    vertex w of ``at_others`` (facet values as in ``at_states``).
     """
     support = _supports(at_states)
     if support is None:
@@ -267,7 +266,6 @@ def _submeasurement(at_states, at_others):
         for i in range(len(at_states))
     ]
     rows += [(tuple(w[f] for _, f in slots), "<=", 1) for w in at_others]
-    rows += [(tuple(int(a == b) for b in range(width)), ">=", 0) for a in range(width)]
     res = lp_feasible(linear_program(rows, n_vars=width))
     if not isinstance(res, Feasible):
         return None

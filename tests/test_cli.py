@@ -354,6 +354,23 @@ def test_bad_input_exits_2(runner, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"type": "ball", "n": 2.9},
+        {"type": "eja", "family": "sym_r", "m": 2.5},
+        {"type": "named", "name": "simplex", "n": True},
+    ],
+    ids=["ball-float", "eja-float", "simplex-bool"],
+)
+def test_a_body_size_that_is_not_an_integer_exits_2(runner, tmp_path, doc):
+    # a float or bool size is refused, not truncated into another body
+    path = write_json(tmp_path, "body.json", doc)
+    code, outp = invoke(runner, "check", "--property", "rank", path)
+    assert code == 2
+    assert "size must be an integer" in json.loads(outp)["error"]
+
+
 def test_out_flag_mirrors_stdout(runner, tmp_path):
     target = tmp_path / "o.json"
     code, outp = invoke(

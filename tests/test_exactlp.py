@@ -34,6 +34,14 @@ PENTAGON = [
 ]
 
 
+def free_program(constraints, n_vars=None):
+    """The program over free variables x = x+ - x-, as the solver takes only
+    x >= 0: each row is written on the columns x+ and again, negated, on
+    the columns x-."""
+    rows = [(tuple(row) + tuple(-c for c in row), rel, rhs) for row, rel, rhs in constraints]
+    return linear_program(rows, n_vars=None if n_vars is None else 2 * n_vars)
+
+
 def affine_effect_rows(vertices, values):
     """Equality rows pinning an affine functional a + b.x to given values."""
     rows = []
@@ -52,6 +60,15 @@ def test_interval_feasible():
     assert isinstance(res, Feasible)
     assert check_witness(lp, res.witness)
     assert isinstance(res.witness[0], Fraction)
+
+
+def test_witness_check_refuses_a_negative_coordinate():
+    # x >= 0 is part of every program, so a point outside the orthant is
+    # refused even where it meets every posed row
+    lp = linear_program([((1,), "<=", 1)])
+    assert check_witness(lp, (F(1, 2),))
+    assert not check_witness(lp, (F(-1),))
+    assert not check_witness(linear_program([((0, 1), "=", 0)]), (Sqrt5(0), -PHI))
 
 
 def test_interval_infeasible():
@@ -90,7 +107,7 @@ def farkas_recheck(cert):
 
 
 def test_farkas_certificate_contents_recheck():
-    # x >= 1 and x <= 0: standardized rows x' - t - s1 = 1, x' - t + s2 = 0.
+    # x >= 1 and x <= 0: standardized rows x - s1 = 1, x + s2 = 0.
     lp = linear_program([((1,), ">=", 1), ((1,), "<=", 0)])
     res = lp_feasible(lp)
     assert isinstance(res, Infeasible)
@@ -106,6 +123,7 @@ def test_square_pair_effects_feasible():
     # Distinguishing the adjacent vertices v1, v2 of the square: two affine
     # effects with e_i(v_j) = delta_ij, both in [0, 1] on every vertex, and
     # e_1 + e_2 <= 1 pointwise.  e_1 = (1+x)/2, e_2 = (1-x)/2 is a solution.
+    # The coefficients are free, so each is split into two columns.
     rows = []
     for i in range(2):
         off = 3 * i
@@ -125,7 +143,7 @@ def test_square_pair_effects_feasible():
     for j in range(4):
         coeff = [1, SQUARE[j][0], SQUARE[j][1]] * 2
         rows.append((tuple(coeff), "<=", 1))
-    lp = linear_program(rows)
+    lp = free_program(rows)
     res = lp_feasible(lp)
     assert isinstance(res, Feasible)
     assert check_witness(lp, res.witness)
@@ -135,7 +153,8 @@ def test_square_triple_effects_infeasible():
     # Three affine effects e_i = a_i + b_i x + c_i y with e_i(v_j) = delta_ij
     # on the first three square vertices.  Hand elimination: the equalities
     # for e_2 give c_2 = 1/2, b_2 = -1/2, a_2 = 0, so e_2 = (y - x)/2 and
-    # e_2(v_4) = e_2(1, -1) = -1, violating e_2(v_4) >= 0.  Infeasible.
+    # e_2(v_4) = e_2(1, -1) = -1, violating e_2(v_4) >= 0.  Infeasible over
+    # free coefficients, each split into two columns.
     rows = []
     for i in range(3):
         off = 3 * i
@@ -154,7 +173,7 @@ def test_square_triple_effects_infeasible():
     for j in range(4):
         coeff = [1, SQUARE[j][0], SQUARE[j][1]] * 3
         rows.append((tuple(coeff), "<=", 1))
-    lp = linear_program(rows)
+    lp = free_program(rows)
     res = lp_feasible(lp)
     assert isinstance(res, Infeasible)
     farkas_recheck(res.certificate)
@@ -330,11 +349,12 @@ def test_empty_program_rejected():
 
 
 coeff = st.integers(min_value=-6, max_value=6).map(F)
+non_negative = st.integers(min_value=0, max_value=6).map(F)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    point=st.tuples(coeff, coeff),
+    point=st.tuples(non_negative, non_negative),
     rows=st.lists(st.tuples(coeff, coeff), min_size=1, max_size=6),
     slacks=st.lists(st.integers(min_value=0, max_value=4), min_size=6, max_size=6),
 )
@@ -344,8 +364,9 @@ coeff = st.integers(min_value=-6, max_value=6).map(F)
     slacks=[0, 0, 1, 0, 0, 0],
 )
 def test_constructed_feasible_systems(point, rows, slacks):
-    # rhs chosen so the sampled point satisfies every row; the solver must
-    # agree and its witness must pass the exact re-check.
+    # rhs chosen so the sampled point, in the non-negative orthant where
+    # the variables live, satisfies every row; the solver must agree and
+    # its witness must pass the exact re-check.
     constraints = []
     for row, s in zip(rows, slacks):
         rhs = row[0] * point[0] + row[1] * point[1] + s

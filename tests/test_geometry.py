@@ -34,7 +34,7 @@ from jordan_spectra.exactla import (
     mat_vec,
     solve_any,
 )
-from jordan_spectra.exactlp import Feasible, linear_program, lp_feasible
+from jordan_spectra.exactlp import Feasible, lp_feasible
 from jordan_spectra.geometry import (
     AffineChart,
     Ball,
@@ -64,6 +64,7 @@ from jordan_spectra.geometry import (
 from jordan_spectra.operational import enumerate_frames, rank
 from jordan_spectra.scalars import Sqrt5, format_scalar
 from jordan_spectra.symmetry import automorphism_group
+from test_exactlp import free_program
 
 F = Fraction
 R5 = Sqrt5(0, 1)
@@ -135,12 +136,12 @@ point_sets = st.integers(min_value=2, max_value=3).flatmap(
 
 def oracle_exposes(cv, inside) -> bool:
     """Is some affine functional zero on ``inside`` and >= 1 on every other
-    chart vertex?  One exact LP."""
+    chart vertex?  One exact LP in the functional's free coefficients."""
     constraints = [
         (tuple(v) + (1,), "=", 0) if i in inside else (tuple(v) + (1,), ">=", 1)
         for i, v in enumerate(cv)
     ]
-    res = lp_feasible(linear_program(constraints, n_vars=len(cv[0]) + 1))
+    res = lp_feasible(free_program(constraints, n_vars=len(cv[0]) + 1))
     return isinstance(res, Feasible)
 
 

@@ -91,7 +91,7 @@ from jordan_spectra.operational import (
     recheck_counterexample,
     unit_effect,
 )
-from jordan_spectra.scalars import PHI, Sqrt5, exact
+from jordan_spectra.scalars import PHI, Sqrt5, exact, format_scalar
 from jordan_spectra.symmetry import is_strongly_symmetric
 from jordan_spectra.spectral import (
     is_primitive_idempotent,
@@ -99,6 +99,7 @@ from jordan_spectra.spectral import (
     random_state,
     spectral_decompose,
 )
+from test_exactlp import free_program
 from test_symmetry import brute_force_automorphisms, icosahedron
 
 F = Fraction
@@ -335,7 +336,8 @@ def test_octahedron_frame_catalog():
 
 def oracle_frame_sets(poly, k):
     """The k-subsets that are frames, one LP per subset in the ambient
-    affine coefficients of all k effects: k(m + 1) free variables,
+    affine coefficients of all k effects: k(m + 1) free variables, each
+    split into two non-negative columns (``free_program``);
     e_i(v_j) = delta_ij on the subset, e_i >= 0 and sum_i e_i <= 1 at
     every vertex."""
     m = poly.ambient_dim
@@ -355,7 +357,7 @@ def oracle_frame_sets(poly, k):
             rows += [(block(i, v), ">=", 0) for v in poly.vertices]
         for v in poly.vertices:
             rows.append(([sum(c) for c in zip(*(block(i, v) for i in range(k)))], "<=", 1))
-        if isinstance(lp_feasible(linear_program(rows, n_vars=width)), Feasible):
+        if isinstance(lp_feasible(free_program(rows, n_vars=width)), Feasible):
             out.append(subset)
     return out
 
@@ -813,7 +815,11 @@ def test_a_corrupted_submeasurement_is_refused(monkeypatch, make, states, how):
 
 def test_frame_lps_are_posed_on_ring_integers(monkeypatch):
     # every coefficient the frame layer hands the LP is an int or a Sqrt5
-    # with integer parts: the columns of the ring-integer facet table
+    # with integer parts: the columns of the ring-integer facet table.  The
+    # multipliers are the LP's own non-negative variables, so neither the
+    # frame LPs nor distinguishing_measurement pose a sign row: every row
+    # is "=" or "<=", and none is a unit vector over a zero right-hand side
+    # (a simplex's state rows are unit vectors equal to 1).
     def integral(x):
         if isinstance(x, Sqrt5):
             return x.a.denominator == 1 and x.b.denominator == 1
@@ -834,6 +840,82 @@ def test_frame_lps_are_posed_on_ring_integers(monkeypatch):
     assert any(isinstance(x, Sqrt5) for row in posed for x in row[0])  # the pentagon
     bad = [row for row in posed if not all(map(integral, row[0] + (row[2],)))]
     assert not bad, bad[:3]
+    frame_rows = len(posed)
+    pent = pentagon()
+    assert isinstance(distinguishing_measurement(pent, pent.vertices[0:3:2]), Measurement)
+    assert len(posed) > frame_rows
+    signs = [
+        (row, rel, rhs)
+        for row, rel, rhs in posed
+        if rel not in ("=", "<=") or (rhs == 0 and [c for c in row if c] == [1])
+    ]
+    assert not signs, signs[:3]
+
+
+def effects_doc(effects):
+    return [[[format_scalar(c) for c in e.coeffs], format_scalar(e.offset)] for e in effects]
+
+
+def all_frames_doc(body):
+    """Every ordered k-frame with its certificate, for k = 1..rank."""
+    return [
+        [list(f.indices), effects_doc(f.certificate)]
+        for k in range(1, rank(body, cap=64) + 1)
+        for f in enumerate_frames(body, k, cap=64)
+    ]
+
+
+def pair_measurements_doc(body):
+    """distinguishing_measurement on every pair of vertices, then on every
+    pair of edge midpoints: its effects, or the refusal's reason."""
+    half = F(1, 2)
+    edges = [f.indices for f in exposed_faces(body).faces if f.dim == 1]
+    mids = [
+        tuple(half * (a + b) for a, b in zip(body.vertices[i], body.vertices[j]))
+        for i, j in edges
+    ]
+    out = []
+    for points in (body.vertices, mids):
+        for pair in itertools.combinations(points, 2):
+            got = distinguishing_measurement(body, pair)
+            out.append(effects_doc(got.effects) if isinstance(got, Measurement) else got.reason)
+    return out
+
+
+def sha256_json(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+# Taken from the solver that split every variable over a shared offset
+# column and posed one sign row per facet multiplier; the solver that takes
+# its variables non-negative must hand out the same certificates.
+CERTIFICATES_PINNED = {
+    "frames simplex(5)": "ee72f79b20a2a1c01139cdd9ca32c63f2c936f7379fa1d23a4a61b121e639bf5",
+    "frames 4-cube": "56abda3020f680839aa94bb2940046ac21c1b7552fe6f3a538a9e6eed2578a37",
+    "pairs simplex(1)": "b10ceb57e23babe39b004960e67df118cda1823b55f5cc01794b17344c9c9fb1",
+    "pairs simplex(2)": "2d7d8515b6dac2559bb550d27da085701e4c332706121fefadd1c0c737f123fe",
+    "pairs simplex(3)": "4b17df22b6a64a2ac0e0b32443f931b97cff997ebcf975bd8270f13e46340f90",
+    "pairs simplex(4)": "8fe7b2b259f05abf62f2ce8501e3ec4175390e2eab1b60a19b6bd1286217b686",
+    "pairs square": "bbf4c1254cafe473816f0986bc2383499e62141cbeb0bece406193d159880606",
+    "pairs rectangle": "7d4122e397abc22bbe5f025fe98dc14fc65663704db8a86c6acd1182846a45a0",
+    "pairs pentagon": "f087c837aef689f2d4fd1b2092a3583bdbd97b3ee52394945abcf233c182059d",
+    "pairs hexagon": "a59bce4eb5c4f90c4fe82602af57bdc2747abc4fe2a9d0d5084dfb34f6a14e05",
+    "pairs cube": "9b8289d3b36e89ad559cf7f3f69abe6aa130e299f213061b5c83f468b9ef0b3e",
+    "pairs octahedron": "ef6f0307591d91008c67d470160e824118f1b45418f9e0c2ec41b5f3dd0d150e",
+}
+
+
+def test_frame_and_pair_certificates_are_pinned():
+    geometry._analysis.cache_clear()
+    got = {
+        "frames simplex(5)": sha256_json(all_frames_doc(simplex(5))),
+        "frames 4-cube": sha256_json(
+            all_frames_doc(polytope(list(itertools.product((-1, 1), repeat=4))))
+        ),
+    }
+    for name, body in default_converse_catalog():
+        got[f"pairs {name}"] = sha256_json(pair_measurements_doc(body))
+    assert got == CERTIFICATES_PINNED
 
 
 @pytest.mark.parametrize(
