@@ -43,8 +43,8 @@ from .geometry import (
     Polytope,
     barycenter,
     cube,
+    exposed_faces,
     hexagon,
-    maximal_flags,
     octahedron,
     pentagon,
     polytope,
@@ -409,7 +409,7 @@ def fr_section(body, frame=None, cap: int = VERTEX_CAP) -> FrSection:
             % (report.strongly_symmetric, verdict.spectral)
         )
     basis = []
-    for face in maximal_flags(body, cap)[0]:
+    for face in exposed_faces(body, cap).least_flag:
         pts = [body.vertices[i] for i in face.indices]
         center = tuple(sum(col) / Fraction(len(pts)) for col in zip(*pts))
         basis.append(center)

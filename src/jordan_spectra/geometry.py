@@ -21,9 +21,9 @@ its facet values from them, so the lattice takes no elimination.  Every
 face is an intersection of facets (Ziegler, Lectures on Polytopes, 1995,
 ch. 2), so a point is a vertex iff the facets through it meet in that
 point alone, which is how polytope validation decides extremality.
-Maximal flags build on the lattice, whose covers are indexed once per
-lattice, and barycenters on a pulling triangulation over the facets'
-vertex sets.
+The lattice keeps the cover relation its grading finds, which gives the
+flag count and the least flag with no flag listed, and barycenters build
+on a pulling triangulation over the facets' vertex sets.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class AlgebraDescriptor:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError("unknown family %r" % (self.family,))
-        if not isinstance(self.param, int) or self.param < 1:
+        if _size(self.param) < 1:
             raise ValueError("param must be a positive integer")
         if self.family == "herm_o" and self.param != 3:
             raise ValueError("herm_o exists only for size 3")
@@ -89,12 +89,12 @@ class AlgebraDescriptor:
             param = 3
         if param is None:
             raise ValueError("missing size parameter in %r" % (data,))
-        return AlgebraDescriptor(family, _json_size(param))
+        return AlgebraDescriptor(family, param)
 
 
-def _json_size(value) -> int:
-    """A size read from a body record: a JSON integer, never a bool, and
-    never truncated from a float."""
+def _size(value) -> int:
+    """A body or algebra size, from a record or a call: an int, never a
+    bool, a float or a numpy integer, so no size is read as another."""
     if type(value) is not int:
         raise ValueError("size must be an integer, got %r" % (value,))
     return value
@@ -119,8 +119,8 @@ class CapExceeded(GeometryError):
 # The one vertex cap: a body with more vertices is refused (CapExceeded)
 # by the group search, the face lattice and the frames, before any work.
 # It bounds the vertex count only, not the work under it: the frame
-# subsets of a simplex grow as 2^n, and its ordered frames, which
-# enumerate_frames lists, as n!.
+# subsets and faces of a simplex grow as 2^n, and the listings only it
+# bounds, enumerate_frames and maximal_flags, as n!.
 VERTEX_CAP = 12
 
 
@@ -202,7 +202,7 @@ def polytope(vertices) -> Polytope:
 
 
 def ball(n: int) -> Ball:
-    if n < 1:
+    if _size(n) < 1:
         raise GeometryError("ball dimension must be >= 1")
     return Ball(n=n)
 
@@ -294,7 +294,7 @@ class _Analysis:
     the body's only table of facet values.  ``faces`` is the face lattice,
     whose faces hold this record and build their exposing functionals,
     quotients of sums of ``vertex_values`` and ``facet_normals``, when
-    first read, and ``flags`` its maximal flags.
+    first read, and which keeps its cover relation.
     ``facet_effects`` holds the ambient facet effects built for the
     certificates handed out.  ``frames`` maps k to {sorted
     k-subset: facet multipliers of a distinguishing submeasurement, one
@@ -320,7 +320,6 @@ class _Analysis:
     vertex_values: tuple
     facet_normals: tuple
     faces: FaceLattice | None = None
-    flags: tuple | None = None
     facet_effects: tuple | None = None
     frames: dict = field(default_factory=dict)
     group: tuple | None = None
@@ -403,7 +402,11 @@ class Face:
 
 @dataclass(frozen=True)
 class FaceLattice:
+    """Faces by size then indices; ``covered[F.indices]``, the faces that F
+    covers (the empty face below each vertex), as the grading found them."""
+
     faces: tuple
+    covered: dict = field(compare=False, repr=False)
 
     @cached_property
     def _by_indices(self):
@@ -430,16 +433,34 @@ class FaceLattice:
 
     @cached_property
     def _covers(self):
-        """{face indices: the face's covers}, found once per lattice."""
-        sets = [(frozenset(f.indices), f) for f in self.faces]
-        return {
-            f.indices: tuple(g for on, g in sets if g.dim == f.dim + 1 and below < on)
-            for below, f in sets
-        }
+        """{face indices: the face's covers}, the inverse of ``covered``."""
+        up = {f.indices: () for f in self.faces}
+        for f in self.faces:
+            for g in self.covered[f.indices]:
+                up[g.indices] += (f,)
+        return up
 
     def covers(self, face: Face):
         """Strict superfaces one dimension up, by size then indices."""
         return self._covers[face.indices]
+
+    @cached_property
+    def flag_count(self) -> int:
+        """N(top), where N(bottom) = 1 and N(F) sums N(G) over the faces G
+        that F covers: the maximal flags, counted in size order."""
+        count = {(): 1}
+        for f in self.faces[1:]:
+            count[f.indices] = sum(count[g.indices] for g in self.covered[f.indices])
+        return count[self.top.indices]
+
+    @property
+    def least_flag(self) -> tuple:
+        """``maximal_flags(body)[0]``, greedily: the least atom, then the
+        cover with the least indices, up to the top (the lattice is graded)."""
+        flag = (self.atoms[0],)
+        for _ in range(self.top.dim):
+            flag += (min(self.covers(flag[-1]), key=lambda f: f.indices),)
+        return flag
 
 
 def _vertex_hyperplanes(cv, values=None) -> dict:
@@ -522,7 +543,8 @@ def exposed_faces(poly: Polytope, cap: int = VERTEX_CAP) -> FaceLattice:
     Dims are the lattice's grading, with no elimination: each face F is
     one more than its largest proper subface (the empty face has dim -1,
     so a vertex has dim 0).  That is a facet of F, and each facet of F is
-    F & G for some facet G of the body that does not contain F.
+    F & G for some facet G of the body that does not contain F: the
+    meets one dim down are the faces F covers, and the lattice keeps them.
     """
     rec = _capped_analysis(poly, cap)
     if rec.faces is not None:
@@ -537,29 +559,26 @@ def exposed_faces(poly: Polytope, cap: int = VERTEX_CAP) -> FaceLattice:
             if meet not in closed:
                 closed.add(meet)
                 queue.append(meet)
-    dims = {frozenset(): -1}
-    faces = [Face(indices=(), dim=-1, _record=rec)]
+    empty = Face(indices=(), dim=-1, _record=rec)
+    by_set, covered = {frozenset(): empty}, {(): ()}
     for face in sorted(closed - {frozenset()}, key=len):
-        below = (dims[face & on] for on in facets if not face <= on)
-        dims[face] = 1 + max(below, default=-1)
-        faces.append(Face(indices=tuple(sorted(face)), dim=dims[face], _record=rec))
-    faces.sort(key=lambda f: (len(f.indices), f.indices))
-    rec.faces = FaceLattice(faces=tuple(faces))
+        meets = [by_set[m] for m in {face & on for on in facets if not face <= on}]
+        dim = 1 + max((g.dim for g in meets), default=-1)
+        f = by_set[face] = Face(indices=tuple(sorted(face)), dim=dim, _record=rec)
+        covered[f.indices] = tuple(g for g in meets if g.dim == dim - 1) or (empty,)
+    faces = sorted(by_set.values(), key=lambda f: (len(f.indices), f.indices))
+    rec.faces = FaceLattice(faces=tuple(faces), covered=covered)
     return rec.faces
 
 
 def maximal_flags(poly: Polytope, cap: int = VERTEX_CAP):
-    """Saturated chains from a vertex up to the whole body, kept on the
-    analysis record; the cap is checked on every call."""
-    rec = _capped_analysis(poly, cap)
-    if rec.flags is not None:
-        return rec.flags
+    """Saturated chains from a vertex up to the whole body, by their face
+    indices, listed up the covers on every call; no verdict lists them."""
     lat = exposed_faces(poly, cap)
     flags = [(a,) for a in lat.atoms]
     for _ in range(lat.top.dim):  # every chain climbs one dim per step
         flags = [flag + (f,) for flag in flags for f in lat.covers(flag[-1])]
-    rec.flags = tuple(sorted(flags, key=lambda flag: tuple(f.indices for f in flag)))
-    return rec.flags
+    return tuple(sorted(flags, key=lambda flag: tuple(f.indices for f in flag)))
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +718,7 @@ def barycenter(body):
 
 def simplex(n: int) -> Polytope:
     """The n-simplex as the n+1 unit vectors of R^(n+1)."""
-    if n < 0:
+    if _size(n) < 0:
         raise GeometryError("simplex dimension must be >= 0")
     return polytope(
         [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
@@ -787,14 +806,14 @@ def body_from_dict(doc: dict):
     if kind == "polytope":
         return polytope(doc["vertices"])
     if kind == "ball":
-        return ball(_json_size(doc["n"]))
+        return ball(doc["n"])
     if kind == "eja":
         rest = {k: v for k, v in doc.items() if k != "type"}
         return EjaStateSpace(descriptor=AlgebraDescriptor.from_dict(rest))
     if kind == "named":
         name = doc.get("name")
         if name == "simplex":
-            return simplex(_json_size(doc["n"]))
+            return simplex(doc["n"])
         if name in NAMED_BODIES:
             return NAMED_BODIES[name]()
         raise GeometryError(f"unknown named body {name!r}")

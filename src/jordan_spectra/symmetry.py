@@ -17,6 +17,7 @@ the Jordan-frame transporters, the algebra side's strong symmetry, live in
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .automorphisms import (
@@ -26,7 +27,7 @@ from .automorphisms import (
     orbit_tree,
     polytope_group,
 )
-from .geometry import VERTEX_CAP, Polytope, _capped_analysis, maximal_flags
+from .geometry import VERTEX_CAP, Polytope, _capped_analysis, exposed_faces
 from .operational import _frame_sets, count_frames, rank
 
 
@@ -132,9 +133,9 @@ def is_regular(poly: Polytope, cap: int = VERTEX_CAP) -> bool:
     basis, so the group acts freely on the flags, and the body is regular
     iff the group order equals the flag count.  The group permutes the
     faces, which are intersections of facets, because ``group_generators``
-    refuses a generator that does not permute the facets."""
-    flags = maximal_flags(poly, cap)
-    return group_generators(poly).order == len(flags)
+    refuses a generator that does not permute the facets.  The flags are
+    counted, not listed."""
+    return exposed_faces(poly, cap).flag_count == group_generators(poly).order
 
 
 @dataclass(frozen=True)
@@ -148,23 +149,22 @@ def frame_flag_bijection(fixture, cap: int = VERTEX_CAP) -> FrameFlagReport:
     """Check that prefixes of maximal frames biject onto maximal flags.
 
     Accepts a simplex polytope, or a Jordan frame (sequence of primitive
-    idempotents) whose sub-frame lattice is used combinatorially.
+    idempotents) whose sub-frame lattice is used combinatorially.  Both
+    sides are counted, not listed.  If a simplex has rank dim + 1 and
+    every vertex subset is a face (2^(dim+1) faces), the prefix chain of
+    an ordering of its vertices is a maximal flag, and consecutive
+    differences give the ordering back, so the map is a bijection iff
+    the frames and the flags are equally many.  A Jordan frame's
+    sub-frame lattice is boolean: r! orderings onto r! flags.
     """
     if isinstance(fixture, Polytope):
-        _capped_analysis(fixture, cap)
+        lat = exposed_faces(fixture, cap)
         if len(fixture.vertices) != fixture.dim + 1:
             raise SymmetryError("frame/flag bijection needs a simplex")
         r = rank(fixture, cap)
-        frames = [p for s in _frame_sets(fixture, r, cap) for p in itertools.permutations(s)]
-        chains = {
-            tuple(tuple(sorted(fr[: i + 1])) for i in range(r)) for fr in frames
-        }
-        flags = {
-            tuple(f.indices for f in flag) for flag in maximal_flags(fixture, cap)
-        }
-        return FrameFlagReport(
-            frames=len(frames), flags=len(flags), bijective=chains == flags
-        )
+        frames, flags = count_frames(fixture, r, cap), lat.flag_count
+        boolean = r == len(fixture.vertices) and len(lat.faces) == 2**r
+        return FrameFlagReport(frames, flags, boolean and frames == flags)
     from .algebra import EjaElement, inner, trace
     from .spectral import LOOSE_FRAME_TOL, is_primitive_idempotent
 
@@ -178,29 +178,10 @@ def frame_flag_bijection(fixture, cap: int = VERTEX_CAP) -> FrameFlagReport:
         if abs(inner(a, b)) > LOOSE_FRAME_TOL:
             raise SymmetryError("not a Jordan frame")
     r = len(frame)
-    # maximal frames of the sub-frame lattice are orderings of the frame
-    orderings = list(itertools.permutations(range(r)))
-    chains = {tuple(tuple(sorted(o[: i + 1])) for i in range(r)) for o in orderings}
-    # maximal flags enumerated independently by walking the covering
-    # relation of the subset lattice upward from the atoms
-    flags = set()
-    stack = [((i,),) for i in range(r)]
-    while stack:
-        chain = stack.pop()
-        top = chain[-1]
-        if len(top) == r:
-            flags.add(chain)
-            continue
-        for i in range(r):
-            if i not in top:
-                stack.append(chain + (tuple(sorted(top + (i,))),))
     # each subset face carries the idempotent of its members
-    for subset in {s for chain in flags for s in chain}:
-        total = frame[subset[0]]
-        for i in subset[1:]:
-            total = total + frame[i]
-        if abs(trace(total) - len(subset)) > LOOSE_FRAME_TOL:
-            raise SymmetryError("sub-frame face has the wrong rank")
-    return FrameFlagReport(
-        frames=len(orderings), flags=len(flags), bijective=chains == flags
-    )
+    for k in range(1, r + 1):
+        for subset in itertools.combinations(frame, k):
+            if abs(trace(sum(subset[1:], subset[0])) - k) > LOOSE_FRAME_TOL:
+                raise SymmetryError("sub-frame face has the wrong rank")
+    orderings = math.factorial(r)
+    return FrameFlagReport(frames=orderings, flags=orderings, bijective=True)

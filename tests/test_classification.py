@@ -504,6 +504,38 @@ def test_simplex_battery_lists_no_group(monkeypatch):
     }
 
 
+def test_simplex_battery_lists_no_flag(monkeypatch):
+    # simplex(8) has 9! maximal flags: regularity and the frame/flag
+    # bijection count them, and the section reads the least one
+    def refuse(*args, **kwargs):
+        raise AssertionError("the simplex battery listed the flags")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "jordan_spectra" and hasattr(module, "maximal_flags"):
+            monkeypatch.setattr(module, "maximal_flags", refuse)
+    report = verify_main_theorem_if_direction(8, trials=1)
+    assert report["all_pass"]
+    (bijection,) = [c for c in report["checks"] if c["name"] == "frame_flag_bijection"]
+    assert bijection["detail"] == "362880 frames, 362880 flags"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: geometry.algebra("sym_r", True),
+        lambda: ball(2.5),
+        lambda: simplex(True),
+        lambda: verify_main_theorem_if_direction(True),
+    ],
+    ids=["algebra-bool", "ball-float", "simplex-bool", "battery-bool"],
+)
+def test_a_python_size_that_is_not_an_integer_is_refused(call):
+    # the size test of a JSON body record serves Python calls too, so a
+    # bool is not read as 1 and a float is not truncated
+    with pytest.raises(ValueError, match="size must be an integer"):
+        call()
+
+
 def test_bodies_built_again_hit_their_record_by_identity(monkeypatch):
     # polytope() hands back the body the analysis cache holds, so the
     # battery's look-ups compare vertex tuples at most once per body built

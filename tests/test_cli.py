@@ -294,6 +294,15 @@ def test_verify_theorem_command(runner):
     assert code == 0  # unsupported transporters do not fail the battery
 
 
+def test_verify_theorem_on_the_largest_simplex_under_the_cap(runner):
+    # simplex(11) has 12! maximal frames and flags, counted, not listed
+    code, outp = invoke(runner, "verify-theorem", "--simplex", "11")
+    report = json.loads(outp)
+    assert code == 0 and report["all_pass"] is True
+    (bijection,) = [c for c in report["checks"] if c["name"] == "frame_flag_bijection"]
+    assert bijection["detail"] == "479001600 frames, 479001600 flags"
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 @pytest.mark.parametrize(
     "command",

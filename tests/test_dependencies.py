@@ -311,6 +311,26 @@ def test_only_the_facet_table_and_the_certificate_check_lift_in_operational():
     assert len(lifts["_check_submeasurement"]) == 1, lifts
 
 
+def test_only_the_definition_and_the_export_name_maximal_flags():
+    # the flag listing is a public API that no verdict reads: regularity,
+    # the frame/flag bijection and the section count flags or read the
+    # least one from the face lattice
+    package = Path(jordan_spectra.__file__).resolve().parent
+    naming = set()
+    for path in sorted(package.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if (
+                (isinstance(node, ast.Name) and node.id == "maximal_flags")
+                or (isinstance(node, ast.Attribute) and node.attr == "maximal_flags")
+                or (isinstance(node, ast.alias) and node.name == "maximal_flags")
+                or (isinstance(node, ast.FunctionDef) and node.name == "maximal_flags")
+                or (isinstance(node, ast.Constant) and node.value == "maximal_flags")
+            ):
+                naming.add(path.stem)
+    assert naming == {"geometry", "__init__"}, sorted(naming)
+
+
 def test_the_group_search_neither_lifts_nor_picks_a_ring():
     # automorphisms reads the analysis record's integer chart and its
     # ring: the integer form of a body's chart is decided in geometry alone

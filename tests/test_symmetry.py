@@ -59,6 +59,7 @@ from jordan_spectra.geometry import (
     chart,
     chart_vertices,
     cube,
+    exposed_faces,
     hexagon,
     maximal_flags,
     octahedron,
@@ -93,7 +94,7 @@ from jordan_spectra.symmetry import (
     is_regular,
     is_strongly_symmetric,
 )
-from test_geometry import scalar_code_outside_quotients
+from test_geometry import four_cube, scalar_code_outside_quotients, twenty_four_cell
 
 F = Fraction
 
@@ -591,25 +592,51 @@ def cross_polytope(d):
 # -- regularity ------------------------------------------------------------------
 
 
+def assert_flags_counted(body, cap):
+    # the counted flags and the greedy least flag agree with the listing
+    lat = exposed_faces(body, cap)
+    flags = maximal_flags(body, cap)
+    assert lat.flag_count == len(flags)
+    assert lat.least_flag == flags[0]
+
+
 @pytest.mark.parametrize(
     "body",
-    [simplex(2), simplex(3), square(), rectangle(), pentagon(), hexagon(), cube()],
+    # with the rest of the converse catalog after the first seven
+    [simplex(2), simplex(3), square(), rectangle(), pentagon(), hexagon(), cube()]
+    + [simplex(1), simplex(4), octahedron()],
 )
 def test_regular_bodies(body):
     assert is_regular(body)
+    assert_flags_counted(body, 64)
+
+
+def three_fold_hexagon():
+    # a triangle cut at a quarter of each side: D3 (order 6), 12 flags
+    return polytope([(1, 0), (3, 0), (3, 1), (1, 3), (0, 3), (0, 1)])
 
 
 def test_four_cube_regular_at_the_callers_cap(monkeypatch):
     # the 4-cube has 384 automorphisms and as many maximal flags, the
-    # 5-cross-polytope 3,840; the verdict reads the order from the generators
-    body = polytope(list(itertools.product((-1, 1), repeat=4)))
-    cross = cross_polytope(5)
+    # 24-cell 1,152 and the 5-cross-polytope 3,840; the verdict reads the
+    # order from the generators and counts the flags, so it lists neither.
+    # The trapezoid and the three-fold hexagon have more flags than maps.
+    bodies = [
+        (four_cube(), 384, True),
+        (twenty_four_cell(), 1152, True),
+        (cross_polytope(5), 3840, True),
+        (trapezoid(), 2, False),
+        (three_fold_hexagon(), 6, False),
+    ]
     with monkeypatch.context() as m:
         m.setattr(symmetry, "polytope_group", refuse_to_list)
-        assert is_regular(body, 24)
-        assert is_regular(cross, 24)
-    assert len(automorphism_group(body, 24)) == len(maximal_flags(body, 24)) == 384
-    assert group_generators(cross).order == len(maximal_flags(cross, 24)) == 3840
+        m.setattr(geometry, "maximal_flags", refuse_to_list)
+        for body, _, regular in bodies:
+            assert is_regular(body, 64) is regular
+    assert len(automorphism_group(four_cube(), 64)) == 384
+    for body, order, _ in bodies:
+        assert group_generators(body).order == order
+        assert_flags_counted(body, 64)
 
 
 def test_strong_symmetry_passes_its_cap_to_the_frame_layer(monkeypatch):
@@ -661,18 +688,14 @@ def test_ordered_orbit_sizes_match_the_brute_force_group(make):
         assert [contains(other) for other in frames] == [other in orbit for other in frames]
 
 
-def test_flags_orbit_counts_and_the_strong_symmetry_report_are_computed_once(monkeypatch):
+def test_orbit_counts_and_the_strong_symmetry_report_are_computed_once(monkeypatch):
     # each is kept on the analysis record: asked again, directly or by a
-    # simplex battery (regularity, the frame/flag bijection and the
-    # section), none is computed again, and the cap is still checked
+    # simplex battery, neither is computed again, and the cap is still
+    # checked
     from jordan_spectra.classification import verify_main_theorem_if_direction
 
     geometry._analysis.cache_clear()
-    covers, orbits, reports = [], [], []
-    walk = geometry.FaceLattice.covers
-    monkeypatch.setattr(
-        geometry.FaceLattice, "covers", lambda lat, face: covers.append(face) or walk(lat, face)
-    )
+    orbits, reports = [], []
     count = automorphisms.ordered_orbit
     monkeypatch.setattr(
         automorphisms, "ordered_orbit", lambda poly, f: orbits.append(f) or count(poly, f)
@@ -682,22 +705,18 @@ def test_flags_orbit_counts_and_the_strong_symmetry_report_are_computed_once(mon
         symmetry, "StrongSymmetryReport", lambda **kw: reports.append(kw) or make(**kw)
     )
     body = simplex(4)
-    flags = maximal_flags(body)
-    walked = len(covers)
-    assert walked and maximal_flags(body) is flags and len(covers) == walked
     report = is_strongly_symmetric(body)
     assert is_strongly_symmetric(body) is report and len(reports) == 1
     assert len(orbits) == 5  # the least frame of each size
     assert automorphisms.orbit_size(body, (0,)) == 5 and len(orbits) == 5
     assert verify_main_theorem_if_direction(4, trials=1)["all_pass"]
-    assert (len(covers), len(orbits), len(reports)) == (walked, 5, 1)
+    assert (len(orbits), len(reports)) == (5, 1)
     for capped in (maximal_flags, is_strongly_symmetric, is_regular, geometry.exposed_faces):
         with pytest.raises(CapExceeded):
             capped(body, 4)
     geometry._analysis.cache_clear()
     rec = geometry._analysis(body)
-    assert (rec.flags, rec.orbit_sizes, rec.strong_symmetry) == (None, {}, None)
-    assert maximal_flags(body) == flags and len(covers) == 2 * walked
+    assert (rec.orbit_sizes, rec.strong_symmetry) == ({}, None)
     assert is_strongly_symmetric(body) == report and len(reports) == 2 and len(orbits) == 10
 
 
@@ -748,8 +767,7 @@ def test_trapezoid_not_regular():
 
 
 def test_three_fold_hexagon_not_regular():
-    # a triangle cut at a quarter of each side: D3 (order 6), 12 flags
-    hexagon3 = polytope([(1, 0), (3, 0), (3, 1), (1, 3), (0, 3), (0, 1)])
+    hexagon3 = three_fold_hexagon()
     assert len(automorphism_group(hexagon3)) == 6
     assert len(maximal_flags(hexagon3)) == 12
     assert not is_regular(hexagon3)
